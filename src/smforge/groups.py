@@ -11,20 +11,20 @@ Computations then fold into grids of cells: every step becomes a row
 (a band), rows stack bottom to top, and the side edges carry the
 history.  The diagram builders here produce those grids with exact
 bookkeeping of boundary factorizations, areas, weights, and signatures,
-and ``verify_diagram`` re-checks everything against the presentation.
+and ``diagram_report`` re-checks everything against the presentation.
 """
 
 import json
 from dataclasses import dataclass, field
-from typing import (Callable, Dict, FrozenSet, Iterator, List, Optional,
-                    Sequence, Tuple, Union)
+from typing import (Callable, Dict, FrozenSet, List, Optional, Sequence,
+                    Tuple, Union)
 
-from smforge.words import Alphabet, Word, cyclic_reduce, relabel
+from smforge.words import Alphabet, Word, relabel
 from smforge.smachine import (AdmissibleWord, Computation, GeneralizedRule,
                               History, Machine, MachineError, apply_rule,
                               reduce_history)
-from smforge.machines import NoiseScheme, compress
-from smforge.mainmachine import MainMachine, accepting_run, lambda_accept
+from smforge.towers import _copy_letter
+from smforge.mainmachine import MainMachine, accepting_run
 
 RELATOR_CLASSES = ("theta-q", "theta-A", "theta-b", "theta-a",
                    "hub", "disk", "a")
@@ -96,13 +96,6 @@ def t_parts(machine: Machine) -> FrozenSet[int]:
     return frozenset(out)
 
 
-def _carry_letter(al: Alphabet, src: Alphabet, x: int) -> int:
-    return al.intern(src.name_of(x), kind=src.kind_of(x),
-                     sector=src.sector_of(x), part=src.part_of(x),
-                     subkind=src.subkind_of(x) or "o",
-                     coord=src.coord_of(x))
-
-
 def _a_class(machine: Machine, sector: int, x: Word) -> str:
     """Class tag of the sector relator whose domain element is x."""
     if sector in machine.input_sectors and x:
@@ -132,7 +125,7 @@ def emit_presentation(machine: Machine, level: str = "M") -> Presentation:
     n = hw.n_parts
 
     alpha = Alphabet()
-    carry = {x: _carry_letter(alpha, src, x) for x in src.ids()}
+    carry = {x: _copy_letter(alpha, src, x) for x in src.ids()}
     theta: Dict[Tuple[str, int], int] = {}
     for name in machine.rules:
         for i in range(n):
@@ -327,155 +320,37 @@ def _band(pres: Presentation, W: AdmissibleWord, name: str,
     return _flip_row(row), top_adm
 
 
-# -- semi-computations -----------------------------------------------------------
-
-@dataclass
-class SemiComputation:
-    """A replayed one-sector run: words[j] = words[0] . history[:j]."""
-
-    words: List[Word]
-    history: History
-    sector: int
-
-    @property
-    def time(self) -> int:
-        return len(self.history)
-
-    def final(self) -> Word:
-        return self.words[-1]
-
-
-def semi_computation(machine: Machine, w0: Word, sector: int,
-                     history: History) -> SemiComputation:
-    return SemiComputation(machine.semi_run(w0, sector, history),
-                           history, sector)
-
-
-def compressed_semi_computation(machine: Machine, w0: Word, sector: int,
-                                history: History,
-                                scheme: NoiseScheme) -> SemiComputation:
-    from smforge.machines import compressed_semi
-    return SemiComputation(compressed_semi(w0, machine, history, scheme,
-                                           sector), history, sector)
-
-
 def _check_reduced(history: History) -> None:
     if reduce_history(history) != list(history):
         raise ValueError("history is not reduced")
 
 
-def _sector_row(pres: Presentation, w: Word, rule: GeneralizedRule,
-                sector: int) -> Row:
-    cells = _sector_cells(pres, rule, sector, w)
-    top = _word_product([c.top for c in cells], pres.alpha)
-    if top != pres.carry_word(rule.image(sector, w)):
-        raise MachineError("sector band for %s does not close" % rule.name)
-    t_s = pres.theta_word(rule.name, sector)
-    return Row(cells, bottom=pres.carry_word(w), top=top, left=t_s,
-               right=t_s)
-
-
-def build_semitrapezium(pres: Presentation,
-                        semi: SemiComputation) -> GridDiagram:
-    """The grid of a one-sector run: one sector band per step.
-
-    The area is exactly the sum over steps of the basis length of the
-    word each step reads.  Sides carry identical history copies.
-    """
-    _check_reduced(semi.history)
-    machine = pres.machine
-    rows: List[Row] = []
-    for j, (name, s) in enumerate(semi.history):
-        rule = machine.rule(name)
-        if s > 0:
-            rows.append(_sector_row(pres, semi.words[j], rule, semi.sector))
-        else:
-            row = _sector_row(pres, semi.words[j + 1], rule, semi.sector)
-            if row.top != pres.carry_word(semi.words[j]):
-                raise MachineError("rule %s does not invert cleanly" % name)
-            rows.append(_flip_row(row))
-    al = pres.alpha
-    return GridDiagram("semi-trapezium", al, rows,
-                       bottom=pres.carry_word(semi.words[0]),
-                       top=pres.carry_word(semi.final()),
-                       left=_word_product([r.left for r in rows], al),
-                       right=_word_product([r.right for r in rows], al),
-                       history=list(semi.history))
-
-
-def _noise_split(full: Word, core: Word,
-                 scheme: NoiseScheme) -> Tuple[Word, Word]:
-    noise = set(scheme.B)
-    i, j = 0, len(full.ltrs)
-    while i < j and abs(full.ltrs[i]) in noise:
-        i += 1
-    while j > i and abs(full.ltrs[j - 1]) in noise:
-        j -= 1
-    if full[i:j] != core:
-        raise MachineError("compressed windows disagree")
-    return full[:i], full[j:]
-
-
-def build_compressed(pres: Presentation, semi: SemiComputation,
-                     scheme: NoiseScheme) -> GridDiagram:
-    """The grid of a compressed one-sector run.
-
-    Each row is still a full one-rule band, but the noise its images
-    shed beyond the outermost marked letters moves onto the side
-    labels instead of the top, so consecutive rows meet along the
-    compressed words.
-    """
-    _check_reduced(semi.history)
-    machine = pres.machine
-    rows: List[Row] = []
-    for j, (name, s) in enumerate(semi.history):
-        rule = machine.rule(name)
-        w_bot, w_top = semi.words[j], semi.words[j + 1]
-        base, window = (w_bot, w_top) if s > 0 else (w_top, w_bot)
-        full = rule.image(semi.sector, base)
-        a, b = _noise_split(full, window, scheme)
-        cells = _sector_cells(pres, rule, semi.sector, base)
-        t_s = pres.theta_word(rule.name, semi.sector)
-        row = Row(cells, bottom=pres.carry_word(base),
-                  top=pres.carry_word(window),
-                  left=t_s * pres.carry_word(a),
-                  right=t_s * ~pres.carry_word(b))
-        rows.append(row if s > 0 else _flip_row(row))
-    al = pres.alpha
-    return GridDiagram("compressed", al, rows,
-                       bottom=pres.carry_word(semi.words[0]),
-                       top=pres.carry_word(semi.final()),
-                       left=_word_product([r.left for r in rows], al),
-                       right=_word_product([r.right for r in rows], al),
-                       history=list(semi.history))
-
-
 def build_trapezium(pres: Presentation, comp: Computation) -> GridDiagram:
     """The grid of a full computation: one rule band per step.
 
-    Endpoint-only computations are replayed first.  The area never
-    exceeds the step count times the longest configuration.
+    The bands replay the history from the first configuration, so an
+    endpoint-only computation will do; the replay must end at the given
+    final configuration.  The area never exceeds the step count times the
+    longest configuration.
     """
     _check_reduced(comp.history)
-    machine = pres.machine
-    words = comp.words
-    if len(words) != len(comp.history) + 1:
-        words = machine.run(words[0], comp.history).words
     rows: List[Row] = []
-    cur = words[0]
+    cur = comp.words[0]
+    longest = cur.size()
     for name, s in comp.history:
         row, cur = _band(pres, cur, name, s)
         rows.append(row)
-    if cur != words[-1]:
+        longest = max(longest, cur.size())
+    if cur != comp.final():
         raise MachineError("replay disagrees with the given computation")
     al = pres.alpha
     d = GridDiagram("trapezium", al, rows,
-                    bottom=pres.carry_admissible(words[0]),
-                    top=pres.carry_admissible(words[-1]),
+                    bottom=pres.carry_admissible(comp.words[0]),
+                    top=pres.carry_admissible(cur),
                     left=_word_product([r.left for r in rows], al),
                     right=_word_product([r.right for r in rows], al),
                     history=list(comp.history))
-    bound = len(comp.history) * max(len(W.to_word()) for W in words)
+    bound = len(comp.history) * longest
     if d.area > bound:
         raise MachineError("trapezium area %d exceeds its bound %d"
                            % (d.area, bound))
@@ -495,17 +370,6 @@ def component_norm(W: AdmissibleWord, main: MainMachine, i: int = 2) -> int:
     return P + sum(len(W.tapes[j]) for j in range((i - 1) * P, i * P - 1))
 
 
-def disk_relator(W: AdmissibleWord, main: MainMachine,
-                 pres: Presentation) -> Optional[Relator]:
-    """The relator W = 1, when W is accepted using at most one closing
-    step.  The accept word itself comes back tagged as the hub."""
-    res = accepting_run(W, main)
-    if res is None or res[1] > 1:
-        return None
-    cls = "hub" if W == main.machine.accept_config() else "disk"
-    return Relator(pres.carry_admissible(W), cls)
-
-
 def build_disk_diagram(W: AdmissibleWord, main: MainMachine,
                        pres: Presentation,
                        wf: Optional["WeightFunctions"] = None) -> GridDiagram:
@@ -520,7 +384,7 @@ def build_disk_diagram(W: AdmissibleWord, main: MainMachine,
     res = accepting_run(W, main)
     if res is None:
         raise MachineError("configuration is not accepted")
-    comp = main.machine.run(W, res[0].history)
+    comp = res[0]
     trap = build_trapezium(pres, comp)
     if trap.left != trap.right:
         raise MachineError("side labels disagree; cannot glue")
@@ -536,43 +400,6 @@ def build_disk_diagram(W: AdmissibleWord, main: MainMachine,
     if wf is not None and not wf.ge("f", component_norm(W, main), d.area):
         raise MachineError("disk area %d exceeds its weight bound" % d.area)
     return d
-
-
-# -- the tape-word relators ------------------------------------------------------
-
-def omega_member(w: Word, main: MainMachine,
-                 member: Callable[[Word], bool]) -> bool:
-    """Whether w is conjugate to an accepted special-sector word.
-
-    The word is cyclically reduced first; the core must admit an
-    accepting one-sector run against the bound language oracle.
-    """
-    core, _ = cyclic_reduce(w)
-    if not core:
-        return False
-    return lambda_accept(core, main, member) is not None
-
-
-def omega_enumerate(main: MainMachine, member: Callable[[Word], bool],
-                    max_len: int) -> Iterator[Word]:
-    """All members over the special sector alphabet, up to max_len."""
-    al = main.machine.hw.alpha
-    signed = [s * x for x in main.A + main.A1 + main.B for s in (1, -1)]
-
-    def grow(prefix: List[int]) -> Iterator[Word]:
-        if prefix:
-            w = Word(al, tuple(prefix))
-            core, _ = cyclic_reduce(w)
-            if core == w and omega_member(w, main, member):
-                yield w
-        if len(prefix) == max_len:
-            return
-        for x in signed:
-            if prefix and x == -prefix[-1]:
-                continue
-            yield from grow(prefix + [x])
-
-    yield from grow([])
 
 
 # -- weights ---------------------------------------------------------------------
@@ -672,27 +499,6 @@ class WeightFunctions:
         return self._eval(fn, n, m) >= m
 
 
-def weights_and_bounds(params, tm: Callable[[int], int],
-                       max_digits: int = 200_000) -> WeightFunctions:
-    return WeightFunctions(params.c0, params.c1, params.L, params.K, tm,
-                           max_digits)
-
-
-def diagram_weight(d: GridDiagram, wf: WeightFunctions) -> int:
-    total = 0
-    for row in d.rows:
-        for c in row.cells:
-            if c.cls in ("hub", "disk"):
-                if c.weight_arg is None:
-                    raise ValueError("disk cell without a weight argument")
-                total += wf.f(c.weight_arg)
-            elif c.cls == "a":
-                total += wf.g(len(c.contour))
-            else:
-                total += 1
-    return total
-
-
 def diagram_signature(d: GridDiagram) -> Tuple[int, int, int, int]:
     """Cell class counts: disks, anchor-part cells, tape-word cells,
     marked-letter cells."""
@@ -785,11 +591,6 @@ def diagram_report(d: GridDiagram,
     if d.glue == "sides" and d.left != d.right:
         out.append("glued sides carry different labels")
     return out
-
-
-def verify_diagram(d: GridDiagram,
-                   relators: Union[Presentation, Sequence[Relator]]) -> bool:
-    return not diagram_report(d, relators)
 
 
 # -- serialization ---------------------------------------------------------------

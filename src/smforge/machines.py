@@ -100,10 +100,6 @@ class NoiseScheme:
         return "theta_" + self.alpha.name_of(y)
 
 
-def noise_word(y: int, a: int, scheme: NoiseScheme, sign: int = 1) -> Word:
-    return scheme.noise_word(y, a, sign)
-
-
 def build_m1(letters: Sequence[str]) -> Tuple[Machine, NoiseScheme]:
     """Bottom machine over the given payload letter names.
 

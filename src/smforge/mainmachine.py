@@ -20,7 +20,7 @@ sector language of the special sector by semi-computations.
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from smforge.words import Alphabet, Word, relabel
+from smforge.words import Alphabet, Word, relabel, relabel_by_name
 from smforge.smachine import (
     AdmissibleWord,
     Computation,
@@ -29,7 +29,6 @@ from smforge.smachine import (
     History,
     Machine,
     MachineError,
-    NoiseDecl,
     Part,
     RulePart,
     SectorRule,
@@ -46,8 +45,7 @@ from smforge.machines import (
 )
 from smforge.towers import (
     SigmaSpec,
-    _copy_letter,
-    _map_sector,
+    _Ring,
     bar_name,
     compose,
     cyclify,
@@ -157,6 +155,24 @@ def validate_plugin(plug: RecognizerPlugin,
                          % (len(hw.tapes[2]), n_letters))
 
 
+def _plugin_hardware(letters: Sequence[str], mids: Sequence[str]
+                     ) -> Tuple[Hardware, Dict[str, int], Tuple[int, ...]]:
+    """Three-part plugin hardware: parts 0 and 1 hold a start and an end
+    state, part 2 runs from p2s through ``mids`` to p2e, and sector 2
+    carries one letter per payload letter.  Returns the hardware, its
+    state letters by name and the sector 2 alphabet."""
+    if not letters:
+        raise ValueError("alphabet is empty")
+    al = Alphabet()
+    layout = [("p0", "p0e"), ("p1", "p1e"), ("p2s", *mids, "p2e")]
+    q = {nm: al.intern(nm, kind="q", part=i)
+         for i, names in enumerate(layout) for nm in names}
+    tape = tuple(al.intern(x + "_p", sector=2, subkind="A") for x in letters)
+    parts = [Part(tuple(q[nm] for nm in names), q[names[0]], q[names[-1]])
+             for names in layout]
+    return Hardware(al, parts, [(), (), tape]), q, tape
+
+
 class DivisibleRecognizer(RecognizerPlugin):
     """Accepts the positive words over ``letters`` of length divisible by c.
 
@@ -169,25 +185,13 @@ class DivisibleRecognizer(RecognizerPlugin):
         if c < 1:
             raise ValueError("modulus must be positive")
         self.letters = tuple(letters)
-        if not self.letters:
-            raise ValueError("alphabet is empty")
         self.c = c
-        al = Alphabet()
-        p0 = al.intern("p0", kind="q", part=0)
-        p0e = al.intern("p0e", kind="q", part=0)
-        p1 = al.intern("p1", kind="q", part=1)
-        p1e = al.intern("p1e", kind="q", part=1)
-        st: Dict[object, int] = {"s": al.intern("p2s", kind="q", part=2)}
-        for j in range(c):
-            st[j] = al.intern("p2_%d" % j, kind="q", part=2)
-        p2e = al.intern("p2e", kind="q", part=2)
-        self.tape = tuple(al.intern(x + "_p", sector=2, subkind="A")
-                          for x in self.letters)
-        mids = tuple(st[j] for j in range(c))
-        hw = Hardware(al, [Part((p0, p0e), p0, p0e),
-                           Part((p1, p1e), p1, p1e),
-                           Part((st["s"],) + mids + (p2e,), st["s"], p2e)],
-                      [(), (), self.tape])
+        mids = ["p2_%d" % j for j in range(c)]
+        hw, q, self.tape = _plugin_hardware(self.letters, mids)
+        p0, p1 = q["p0"], q["p1"]
+        st: Dict[object, int] = {"s": q["p2s"]}
+        st.update((j, q[nm]) for j, nm in enumerate(mids))
+        al = hw.alpha
         e = al.word()
         singles = tuple(al.word([y]) for y in self.tape)
         ident = SectorRule(singles, singles)
@@ -202,8 +206,8 @@ class DivisibleRecognizer(RecognizerPlugin):
                     [None, None, ident]))
         rules.append(GeneralizedRule(
             hw, "tau_fin",
-            [RulePart(p0, e, p0e, e), RulePart(p1, e, p1e, e),
-             RulePart(st[0], e, p2e, e)],
+            [RulePart(p0, e, q["p0e"], e), RulePart(p1, e, q["p1e"], e),
+             RulePart(st[0], e, q["p2e"], e)],
             [None, None, None]))
         self.machine = Machine("Mdiv%d" % c, hw, rules, input_sectors=[2])
 
@@ -236,22 +240,9 @@ class RejectingRecognizer(RecognizerPlugin):
 
     def __init__(self, letters: Sequence[str]):
         self.letters = tuple(letters)
-        if not self.letters:
-            raise ValueError("alphabet is empty")
-        al = Alphabet()
-        p0 = al.intern("p0", kind="q", part=0)
-        p0e = al.intern("p0e", kind="q", part=0)
-        p1 = al.intern("p1", kind="q", part=1)
-        p1e = al.intern("p1e", kind="q", part=1)
-        p2s = al.intern("p2s", kind="q", part=2)
-        p2e = al.intern("p2e", kind="q", part=2)
-        self.tape = tuple(al.intern(x + "_p", sector=2, subkind="A")
-                          for x in self.letters)
-        hw = Hardware(al, [Part((p0, p0e), p0, p0e),
-                           Part((p1, p1e), p1, p1e),
-                           Part((p2s, p2e), p2s, p2e)],
-                      [(), (), self.tape])
-        e = al.word()
+        hw, q, self.tape = _plugin_hardware(self.letters, [])
+        e = hw.alpha.word()
+        p0e, p1e, p2e = q["p0e"], q["p1e"], q["p2e"]
         rules = [GeneralizedRule(
             hw, "tau_idle",
             [RulePart(p0e, e, p0e, e), RulePart(p1e, e, p1e, e),
@@ -299,16 +290,10 @@ class MainMachine:
 
     # -- words in and out ---------------------------------------------------
 
-    def _by_name(self, w: Word, target: Alphabet) -> Word:
-        src = w.alpha
-        return Word(target, tuple(
-            (1 if x > 0 else -1) * target.id_of(src.name_of(abs(x)))
-            for x in w.ltrs))
-
     def payload(self, w: Word) -> Word:
         """w as a word of the machine's alphabet, checked to be plain."""
         al = self.machine.hw.alpha
-        wm = w if w.alpha is al else self._by_name(w, al)
+        wm = w if w.alpha is al else relabel_by_name(w, al)
         Aset = set(self.A)
         if any(abs(x) not in Aset for x in wm.ltrs):
             raise ValueError("payload words use the plain input letters")
@@ -319,10 +304,10 @@ class MainMachine:
         return ~relabel(w, self.bar, self.machine.hw.alpha)
 
     def to_m1(self, w: Word) -> Word:
-        return self._by_name(w, self.scheme.alpha)
+        return relabel_by_name(w, self.scheme.alpha)
 
     def from_m1(self, w: Word) -> Word:
-        return self._by_name(w, self.machine.hw.alpha)
+        return relabel_by_name(w, self.machine.hw.alpha)
 
     def to_plugin(self, w: Word) -> Word:
         wm = self.payload(w)
@@ -364,7 +349,7 @@ class MainMachine:
         returned words live over the bottom scheme's alphabet.
         """
         sch = self.scheme
-        cur = w0 if w0.alpha is sch.alpha else self._by_name(w0, sch.alpha)
+        cur = w0 if w0.alpha is sch.alpha else relabel_by_name(w0, sch.alpha)
         if len(cur):
             cur = compress(cur, sch)
         out = [cur]
@@ -419,91 +404,52 @@ def build_main(letters: Sequence[str], plugin: RecognizerPlugin,
     m5 = cyclify(m4, name="M5")
     L, P = params.L, m5.hw.n_parts
     special = min(m5.input_sectors)
-    src = m5.hw.alpha
 
-    al = Alphabet()
-    tmap: Dict[int, int] = {}
-    for s in range(P):
-        for y in m5.hw.tapes[s]:
-            tmap[y] = _copy_letter(al, src, y)
-    anchor = m5.hw.parts[0].letters[0]
-    tlets: List[int] = []
-    smaps: Dict[Tuple[int, int], Dict[int, int]] = {}
+    ring = _Ring(m5, L)
+    al, tmap = ring.al, ring.tmap
+    smaps: Dict[int, List[Dict[int, int]]] = {1: [], 2: []}
     qs: Dict[int, int] = {}
     qa: Dict[int, int] = {}
     for i in range(1, L + 1):
-        suf = "" if i == 1 else "(%d)" % i
-        ti = al.intern(src.name_of(anchor) + suf, kind="q",
-                       part=(i - 1) * P, coord=i)
-        tlets.append(ti)
+        anchor = ring.states(i, [0])
         for c in (1, 2):
-            d = {anchor: ti}
-            for pi in range(1, P):
-                for q in m5.hw.parts[pi].letters:
-                    d[q] = al.intern("%s.%d%s" % (src.name_of(q), c, suf),
-                                     kind="q", part=(i - 1) * P + pi, coord=i)
-            smaps[(i, c)] = d
+            smaps[c].append({**anchor,
+                             **ring.states(i, range(1, P), ".%d" % c)})
         for pi in range(1, P):
             g = (i - 1) * P + pi
-            qs[g] = al.intern("qs%d%s" % (pi, suf), kind="q", part=g, coord=i)
-            qa[g] = al.intern("qa%d%s" % (pi, suf), kind="q", part=g, coord=i)
+            qs[g] = al.intern("qs%d%s" % (pi, ring.suffix(i)), kind="q",
+                              part=g, coord=i)
+            qa[g] = al.intern("qa%d%s" % (pi, ring.suffix(i)), kind="q",
+                              part=g, coord=i)
 
     parts: List[Part] = []
-    tapes: List[Tuple[int, ...]] = []
     for i in range(1, L + 1):
-        for pi in range(P):
+        for pi, mp in enumerate(m5.hw.parts):
             g = (i - 1) * P + pi
             if pi == 0:
-                parts.append(Part((tlets[i - 1],), tlets[i - 1],
-                                  tlets[i - 1]))
+                t = smaps[1][i - 1][mp.start]
+                parts.append(Part((t,), t, t))
             else:
-                mp = m5.hw.parts[pi]
-                letters_g = (tuple(smaps[(i, 1)][q] for q in mp.letters)
-                             + tuple(smaps[(i, 2)][q] for q in mp.letters)
-                             + (qs[g], qa[g]))
-                parts.append(Part(letters_g, qs[g], qa[g]))
-            tapes.append(tuple(tmap[y] for y in m5.hw.tapes[pi]))
-    hw = Hardware(al, parts, tapes, cyclic=True)
+                parts.append(Part(
+                    tuple(smaps[1][i - 1][q] for q in mp.letters)
+                    + tuple(smaps[2][i - 1][q] for q in mp.letters)
+                    + (qs[g], qa[g]), qs[g], qa[g]))
+    hw = Hardware(al, parts, ring.tapes, cyclic=True)
 
     e = al.word()
-
-    def lift_rule(r: GeneralizedRule, c: int) -> GeneralizedRule:
-        rparts: List[RulePart] = []
-        rsectors: List[Optional[SectorRule]] = []
-        for i in range(1, L + 1):
-            d = smaps[(i, c)]
-            for pi, rp in enumerate(r.parts):
-                u = relabel(rp.u, tmap, al)
-                v = relabel(rp.v, tmap, al)
-                if c == 2 and i == 1:
-                    if pi == special - 1:
-                        v = e
-                    if pi == special:
-                        u = e
-                rparts.append(RulePart(d[rp.q], u, d[rp.q2], v))
-            for s in range(P):
-                sec = r.sectors[s]
-                if c == 2 and i == 1 and s == special:
-                    sec = None
-                rsectors.append(_map_sector(sec, tmap, al))
-        return GeneralizedRule(hw, "%d.%s" % (c, r.name), rparts, rsectors)
 
     def transition(c: int, which: str) -> GeneralizedRule:
         rparts: List[RulePart] = []
         rsectors: List[Optional[SectorRule]] = [None] * (L * P)
-        for i in range(1, L + 1):
-            d = smaps[(i, c)]
-            for pi in range(P):
+        for i, d in enumerate(smaps[c], 1):
+            for pi, mp in enumerate(m5.hw.parts):
                 g = (i - 1) * P + pi
                 if pi == 0:
-                    rparts.append(RulePart(tlets[i - 1], e,
-                                           tlets[i - 1], e))
+                    rparts.append(RulePart(d[mp.start], e, d[mp.start], e))
                 elif which == "s":
-                    rparts.append(RulePart(qs[g], e,
-                                           d[m5.hw.parts[pi].start], e))
+                    rparts.append(RulePart(qs[g], e, d[mp.start], e))
                 else:
-                    rparts.append(RulePart(d[m5.hw.parts[pi].end], e,
-                                           qa[g], e))
+                    rparts.append(RulePart(d[mp.end], e, qa[g], e))
         if which == "s":
             for i in range(1, L + 1):
                 for s in m5.input_sectors:
@@ -518,23 +464,16 @@ def build_main(letters: Sequence[str], plugin: RecognizerPlugin,
         return GeneralizedRule(hw, "%s%d" % (which, c), rparts, rsectors)
 
     rules = [transition(1, "s"), transition(2, "s")]
-    rules += [lift_rule(r, 1) for r in m5.rules.values()]
-    rules += [lift_rule(r, 2) for r in m5.rules.values()]
+    rules += [ring.lift(hw, r, smaps[1], name="1." + r.name)
+              for r in m5.rules.values()]
+    rules += [ring.lift(hw, r, smaps[2], special, name="2." + r.name)
+              for r in m5.rules.values()]
     rules += [transition(1, "a"), transition(2, "a")]
 
-    noise = NoiseDecl()
-    inputs: List[int] = []
-    for i in range(1, L + 1):
-        base = (i - 1) * P
-        for s in m5.input_sectors:
-            inputs.append(base + s)
-        for s in m5.noise.K:
-            noise.K[base + s] = tuple(tmap[y] for y in m5.noise.K[s])
-            noise.M[base + s] = tuple(tmap[y] for y in m5.noise.M[s])
-            noise.N[base + s] = tuple(tmap[y] for y in m5.noise.N[s])
-            noise.phi[base + s] = {tmap[a]: tmap[b]
-                                   for a, b in m5.noise.phi[s].items()}
-    machine = Machine(name, hw, rules, input_sectors=inputs, noise=noise)
+    inputs = [(i - 1) * P + s for i in range(1, L + 1)
+              for s in m5.input_sectors]
+    machine = Machine(name, hw, rules, input_sectors=inputs,
+                      noise=ring.noise())
     validate_noisy(machine)
 
     def main_ids(ids: Tuple[int, ...]) -> Tuple[int, ...]:
@@ -655,7 +594,7 @@ def lambda_accept(w: Word, main: MainMachine,
     alphabet; the history is replayed there as a final check.
     """
     al = main.machine.hw.alpha
-    wm = w if w.alpha is al else main._by_name(w, al)
+    wm = w if w.alpha is al else relabel_by_name(w, al)
     ls = {abs(x) for x in wm.ltrs}
     if ls <= set(main.A):
         return ([], [wm]) if member(main.to_m1(wm)) else None

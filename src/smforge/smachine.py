@@ -465,34 +465,45 @@ def _inv_name(name: str) -> str:
 
 # -- application --------------------------------------------------------------
 
-def is_admissible(W: AdmissibleWord, rule: GeneralizedRule) -> Optional[MachineError]:
-    """None if the rule applies to W, else the error explaining why not."""
-    for j, (q, _e) in enumerate(W.states):
-        expected = rule.expected_state(W.hw.part_of(q))
-        if q != expected:
-            return StateMismatchError(j, W.hw.alpha.name_of(q),
-                                      W.hw.alpha.name_of(expected))
-    for j, w in enumerate(W.tapes):
-        if rule.domain_expr(W.sectors[j], w) is None:
-            return SectorMismatchError(W.sectors[j], w,
-                                       rule.locks(W.sectors[j]))
-    return None
-
-
-def apply_rule(W: AdmissibleWord, rule: GeneralizedRule) -> AdmissibleWord:
-    """W . rule, or raise a MachineError describing the obstruction."""
+def _check_states(W: AdmissibleWord, rule: GeneralizedRule) -> None:
+    """Raise at the first state letter of W the rule does not expect."""
     hw = W.hw
     for j, (q, _e) in enumerate(W.states):
         expected = rule.expected_state(hw.part_of(q))
         if q != expected:
             raise StateMismatchError(j, hw.alpha.name_of(q),
                                      hw.alpha.name_of(expected))
-    imgs: List[Word] = []
-    for j, w in enumerate(W.tapes):
-        s = W.sectors[j]
+
+
+def _domain_exprs(W: AdmissibleWord,
+                  rule: GeneralizedRule) -> List[BasisExpression]:
+    """Each tape word of W over the rule's domain basis of its sector;
+    raise at the first one outside."""
+    exprs = []
+    for s, w in zip(W.sectors, W.tapes):
         expr = rule.domain_expr(s, w)
         if expr is None:
             raise SectorMismatchError(s, w, rule.locks(s))
+        exprs.append(expr)
+    return exprs
+
+
+def is_admissible(W: AdmissibleWord, rule: GeneralizedRule) -> Optional[MachineError]:
+    """None if the rule applies to W, else the error explaining why not."""
+    try:
+        _check_states(W, rule)
+        _domain_exprs(W, rule)
+    except (StateMismatchError, SectorMismatchError) as e:
+        return e
+    return None
+
+
+def apply_rule(W: AdmissibleWord, rule: GeneralizedRule) -> AdmissibleWord:
+    """W . rule, or raise a MachineError describing the obstruction."""
+    hw = W.hw
+    _check_states(W, rule)
+    imgs: List[Word] = []
+    for s, w, expr in zip(W.sectors, W.tapes, _domain_exprs(W, rule)):
         sec = rule.sectors[s]
         imgs.append(w.alpha.word() if sec is None
                     else expression_word(sec.Z, expr))
@@ -531,13 +542,7 @@ def apply_rule(W: AdmissibleWord, rule: GeneralizedRule) -> AdmissibleWord:
 
 def theta_length(W: AdmissibleWord, rule: GeneralizedRule) -> int:
     """l_rule(W) = (k+1) + sum of basis lengths of the tape words."""
-    total = len(W.states)
-    for j, w in enumerate(W.tapes):
-        expr = rule.domain_expr(W.sectors[j], w)
-        if expr is None:
-            raise SectorMismatchError(W.sectors[j], w, rule.locks(W.sectors[j]))
-        total += len(expr)
-    return total
+    return len(W.states) + sum(len(e) for e in _domain_exprs(W, rule))
 
 
 def semi_theta_length(w: Word, rule: GeneralizedRule, sector: int) -> int:

@@ -17,7 +17,7 @@ relies on.  ``associated_pair`` undoes the doubling for inspection.
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from smforge.words import Alphabet, Word, relabel
+from smforge.words import Alphabet, Word, relabel, relabel_by_name
 from smforge.smachine import (
     AdmissibleWord,
     GeneralizedRule,
@@ -355,20 +355,14 @@ def associated_pair(W: AdmissibleWord, doubled: Machine, original: Machine
         raise ValueError("middle sector is not empty")
     al2, al = hw2.alpha, hw.alpha
 
-    def orig_id(x: int) -> int:
-        nm = al2.name_of(x)
-        return al.id_of(nm[:-1] if nm.endswith("~") else nm)
+    def half(states, tapes, name=lambda nm: nm) -> AdmissibleWord:
+        qs = relabel_by_name(Word(al2, tuple(q for q, _ in states)), al, name)
+        return AdmissibleWord(hw, [(q, 1) for q in qs.ltrs],
+                              [relabel_by_name(t, al, name) for t in tapes])
 
-    def back(w: Word) -> Word:
-        return Word(al, tuple((1 if x > 0 else -1) * orig_id(x)
-                              for x in w.ltrs))
-
-    states1 = [(orig_id(q), 1) for q, _ in W.states[:n]]
-    tapes1 = [back(W.tapes[j]) for j in range(n - 1)]
-    states2 = [(orig_id(q), 1) for q, _ in reversed(W.states[n:])]
-    tapes2 = [back(~W.tapes[2 * n - s - 1]) for s in range(1, n)]
-    return (AdmissibleWord(hw, states1, tapes1),
-            AdmissibleWord(hw, states2, tapes2))
+    return (half(W.states[:n], W.tapes[:n - 1]),
+            half(reversed(W.states[n:]),
+                 [~W.tapes[2 * n - s - 1] for s in range(1, n)], unbar_name))
 
 
 # -- cyclification ----------------------------------------------------------------
@@ -428,6 +422,86 @@ def cyclify(m: Machine, t_name: str = "t",
 
 # -- parallel copies ---------------------------------------------------------------
 
+class _Ring:
+    """L copies of a cyclic machine laid around one ring.
+
+    Tape letters are interned once into a fresh alphabet and shared by
+    all copies, so copy i's sector s is ring sector (i - 1) * P + s and
+    carries the alphabet of the machine's sector s.  State letters are
+    interned per copy, optionally tagged, so one ring can carry several
+    rule sets; ``lift`` then runs a rule on every copy at once.
+    """
+
+    def __init__(self, m: Machine, L: int):
+        self.m, self.L, self.P = m, L, m.hw.n_parts
+        self.al = Alphabet()
+        self.tmap: Dict[int, int] = {}
+        for s in range(self.P):
+            for y in m.hw.tapes[s]:
+                self.tmap[y] = _copy_letter(self.al, m.hw.alpha, y)
+        self.tapes = [tuple(self.tmap[y] for y in m.hw.tapes[s])
+                      for _ in range(L) for s in range(self.P)]
+
+    @staticmethod
+    def suffix(i: int) -> str:
+        """Name suffix of copy i's letters: none on the first copy."""
+        return "" if i == 1 else "(%d)" % i
+
+    def states(self, i: int, parts: Sequence[int],
+               tag: str = "") -> Dict[int, int]:
+        """Intern copy i's state letters of the given parts, each named
+        name + tag + suffix(i)."""
+        src = self.m.hw.alpha
+        d: Dict[int, int] = {}
+        for pi in parts:
+            for q in self.m.hw.parts[pi].letters:
+                nm = src.name_of(q) + tag + self.suffix(i)
+                if nm in self.al:
+                    raise ValueError("state letter %r collides" % nm)
+                d[q] = self.al.intern(nm, kind="q",
+                                      part=(i - 1) * self.P + pi, coord=i)
+        return d
+
+    def lift(self, hw: Hardware, r: GeneralizedRule,
+             smaps: Sequence[Dict[int, int]], special: Optional[int] = None,
+             name: Optional[str] = None) -> GeneralizedRule:
+        """r acting on every copy, copy i's states through smaps[i - 1].
+
+        With ``special`` the first copy of that sector is locked and the
+        two insertions beside it are dropped.
+        """
+        tmap, al = self.tmap, self.al
+        e = al.word()
+        rparts: List[RulePart] = []
+        rsectors: List[Optional[SectorRule]] = []
+        for i, d in enumerate(smaps, 1):
+            for pi, rp in enumerate(r.parts):
+                u = relabel(rp.u, tmap, al)
+                v = relabel(rp.v, tmap, al)
+                if special is not None and i == 1:
+                    if pi == special - 1:
+                        v = e
+                    if pi == special:
+                        u = e
+                rparts.append(RulePart(d[rp.q], u, d[rp.q2], v))
+            for s in range(self.P):
+                sec = r.sectors[s]
+                if special is not None and i == 1 and s == special:
+                    sec = None
+                rsectors.append(_map_sector(sec, tmap, al))
+        return GeneralizedRule(hw, name or r.name, rparts, rsectors)
+
+    def noise(self) -> Optional[NoiseDecl]:
+        """The machine's noise declaration repeated on every copy."""
+        if self.m.noise is None:
+            return None
+        noise = NoiseDecl()
+        for i in range(self.L):
+            noise = _merge_noise(noise, _map_noise(
+                self.m.noise, self.tmap, lambda s, base=i * self.P: base + s))
+        return noise
+
+
 def parallelize(m: Machine, L: int, lock_first: bool = False,
                 name: Optional[str] = None) -> Machine:
     """Run L copies of a cyclic machine around one ring.
@@ -446,7 +520,6 @@ def parallelize(m: Machine, L: int, lock_first: bool = False,
     if L < 1:
         raise ValueError("need at least one copy")
     P = hw.n_parts
-    src = hw.alpha
 
     special: Optional[int] = None
     if lock_first:
@@ -456,68 +529,17 @@ def parallelize(m: Machine, L: int, lock_first: bool = False,
         if special < 1:
             raise ValueError("cannot lock the wrap sector")
 
-    al = Alphabet()
-    tmap: Dict[int, int] = {}
-    for s in range(P):
-        for y in hw.tapes[s]:
-            tmap[y] = _copy_letter(al, src, y)
-    smaps: List[Dict[int, int]] = []
-    for i in range(1, L + 1):
-        suf = "" if i == 1 else "(%d)" % i
-        d: Dict[int, int] = {}
-        for pi, p in enumerate(hw.parts):
-            for q in p.letters:
-                nm = src.name_of(q) + suf
-                if nm in al:
-                    raise ValueError("state letter %r collides" % nm)
-                d[q] = al.intern(nm, kind="q", part=(i - 1) * P + pi,
-                                 coord=i)
-        smaps.append(d)
-    parts: List[Part] = []
-    tapes: List[Tuple[int, ...]] = []
-    for i in range(1, L + 1):
-        d = smaps[i - 1]
-        for pi, p in enumerate(hw.parts):
-            parts.append(Part(tuple(d[q] for q in p.letters),
-                              d[p.start], d[p.end]))
-            tapes.append(tuple(tmap[y] for y in hw.tapes[pi]))
-    hw2 = Hardware(al, parts, tapes, cyclic=True)
-
-    e = al.word()
-    rules = []
-    for r in m.rules.values():
-        rparts: List[RulePart] = []
-        rsectors: List[Optional[SectorRule]] = []
-        for i in range(1, L + 1):
-            d = smaps[i - 1]
-            for pi, rp in enumerate(r.parts):
-                u = relabel(rp.u, tmap, al)
-                v = relabel(rp.v, tmap, al)
-                if special is not None and i == 1:
-                    if pi == special - 1:
-                        v = e
-                    if pi == special:
-                        u = e
-                rparts.append(RulePart(d[rp.q], u, d[rp.q2], v))
-            for s in range(P):
-                sec = r.sectors[s]
-                if special is not None and i == 1 and s == special:
-                    sec = None
-                rsectors.append(_map_sector(sec, tmap, al))
-        rules.append(GeneralizedRule(hw2, r.name, rparts, rsectors))
-
-    inputs = []
-    noise = NoiseDecl() if m.noise is not None else None
-    for i in range(1, L + 1):
-        for s in m.input_sectors:
-            if special is not None and i == 1 and s == special:
-                continue
-            inputs.append((i - 1) * P + s)
-        if m.noise is not None:
-            mapped = _map_noise(m.noise, tmap,
-                                lambda s, base=(i - 1) * P: base + s)
-            noise = _merge_noise(noise, mapped)
-    mm = Machine(name or "%sx%d" % (m.name, L), hw2, rules, inputs, noise)
+    ring = _Ring(m, L)
+    smaps = [ring.states(i, range(P)) for i in range(1, L + 1)]
+    parts = [Part(tuple(d[q] for q in p.letters), d[p.start], d[p.end])
+             for d in smaps for p in hw.parts]
+    hw2 = Hardware(ring.al, parts, ring.tapes, cyclic=True)
+    rules = [ring.lift(hw2, r, smaps, special) for r in m.rules.values()]
+    inputs = [(i - 1) * P + s for i in range(1, L + 1)
+              for s in m.input_sectors
+              if special is None or i > 1 or s != special]
+    mm = Machine(name or "%sx%d" % (m.name, L), hw2, rules, inputs,
+                 ring.noise())
     validate_noisy(mm)
     return mm
 

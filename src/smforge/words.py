@@ -22,7 +22,7 @@ Text format: letters are space separated, a letter is ``name`` or
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 KINDS = ("q", "a", "t")
 SUBKINDS = ("A", "b", "o")
@@ -185,12 +185,8 @@ class Word:
         return Word(self.alpha, tuple(-x for x in reversed(self.ltrs)))
 
     def __pow__(self, n: int) -> "Word":
-        if n < 0:
-            return (~self) ** (-n)
-        out = self.alpha.word()
-        for _ in range(n):
-            out = out * self
-        return out
+        base = self if n >= 0 else ~self
+        return self.alpha.word(base.ltrs * abs(n))
 
     def conj(self, g: "Word") -> "Word":
         """g * self * g^-1."""
@@ -299,6 +295,16 @@ def relabel(w: Word, letter_map: Dict[int, int], target: Alphabet) -> Word:
     """Letter-to-letter rename, preserving signs."""
     return Word(target, tuple(
         letter_map[abs(x)] if x > 0 else -letter_map[abs(x)] for x in w.ltrs))
+
+
+def relabel_by_name(w: Word, target: Alphabet,
+                    name: Callable[[str], str] = lambda nm: nm) -> Word:
+    """Letter-to-letter transfer into target, each letter going to the
+    target letter called ``name`` of its own name, preserving signs."""
+    src = w.alpha
+    return Word(target, tuple(
+        (1 if x > 0 else -1) * target.id_of(name(src.name_of(x)))
+        for x in w.ltrs))
 
 
 # -- subgroup membership via Stallings folding ------------------------------

@@ -1,0 +1,167 @@
+"""Group presentations and band diagrams of the main machine M(a)."""
+
+import dataclasses
+import re
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from smforge.smachine import Computation, MachineError
+from smforge.mainmachine import (DivisibleRecognizer, Params, accepting_run,
+                                 build_main)
+from smforge.groups import (WeightFunctions, build_disk_diagram,
+                            build_trapezium, component_norm,
+                            diagram_from_json, diagram_report,
+                            diagram_signature, diagram_to_dot,
+                            diagram_to_json, emit_presentation)
+
+DESK4 = Params(2, 4, 5, 4, 7, 8, 9, check_chain=False)
+
+
+@pytest.fixture(scope="module")
+def main1():
+    return build_main(("a",), DivisibleRecognizer(("a",), 1), DESK4)
+
+
+@pytest.fixture(scope="module")
+def pres(main1):
+    return emit_presentation(main1.machine, level="G")
+
+
+def payload(main, k):
+    return main.machine.hw.alpha.word([main.A[0]] * k)
+
+
+@pytest.fixture(scope="module")
+def disk_i(main1, pres):
+    return build_disk_diagram(main1.input_i(payload(main1, 1)), main1, pres)
+
+
+# -- presentations -----------------------------------------------------------
+
+
+def test_presentation_size(pres):
+    assert len(pres.relators) == 751
+    assert pres.level == "G"
+    with pytest.raises(ValueError, match="level"):
+        emit_presentation(pres.machine, level="X")
+
+
+def test_relator_classes_follow_rule_structure(main1, pres):
+    m = main1.machine
+    rules = m.rules.values()
+    assert len(pres.by_class("theta-q")) == len(rules) * m.hw.n_parts
+    assert (len(rules), m.hw.n_parts) == (18, 28)
+    unlocked = sum(len(r.sectors[s].X) for r in rules
+                   for s in m.hw.sector_indices() if r.sectors[s] is not None)
+    counts = [len(pres.by_class(c)) for c in ("theta-A", "theta-b", "theta-a")]
+    assert counts == [60, 90, 96]
+    assert sum(counts) == unlocked == 246
+    assert len(pres.by_class("hub")) == 1
+    assert len(pres.relators) == 504 + 246 + 1
+
+
+# -- trapezia and disks --------------------------------------------------------
+
+
+def test_trapezium_of_an_accepting_run(main1, pres):
+    W = main1.input_i(payload(main1, 1))
+    comp, _ = accepting_run(W, main1)
+    trap = build_trapezium(pres, comp)
+    assert len(trap.rows) == comp.time
+    assert trap.bottom == pres.carry_admissible(W)
+    assert trap.top == pres.carry_admissible(main1.w_ac())
+    assert trap.left == trap.right
+    assert diagram_report(trap, pres) == []
+    full = main1.machine.run(W, comp.history)
+    assert diagram_to_json(build_trapezium(pres, full)) == \
+        diagram_to_json(trap)
+
+
+def test_trapezium_rejects_a_wrong_endpoint(main1, pres):
+    W = main1.input_i(payload(main1, 1))
+    comp, _ = accepting_run(W, main1)
+    with pytest.raises(MachineError, match="replay"):
+        build_trapezium(pres, Computation([W, W], comp.history))
+    with pytest.raises(ValueError, match="reduced"):
+        build_trapezium(pres, Computation([W, W], [("s1", 1), ("s1", -1)]))
+
+
+def test_disk_of_i(disk_i, pres):
+    assert disk_i.area == 1257
+    assert diagram_report(disk_i, pres) == []
+    assert diagram_signature(disk_i) == (1, 72, 0, 16)
+    assert disk_i.glue == "sides"
+
+
+def test_disk_of_j(main1, pres):
+    W = main1.input_j(payload(main1, 1))
+    wf = WeightFunctions(DESK4.c0, DESK4.c1, DESK4.L, DESK4.K,
+                         main1.plugin.time_bound)
+    d = build_disk_diagram(W, main1, pres, wf)
+    assert d.area == 1177
+    assert diagram_report(d, pres) == []
+    assert diagram_signature(d) == (1, 72, 0, 14)
+
+
+def test_disk_needs_an_accepted_configuration(main1, pres):
+    with pytest.raises(MachineError, match="not accepted"):
+        build_disk_diagram(main1.input_i(payload(main1, 0)), main1, pres)
+
+
+def test_component_norm(main1):
+    P = main1.P
+    assert component_norm(main1.w_ac(), main1) == P
+    W = main1.input_i(payload(main1, 3))
+    assert component_norm(W, main1) == P + 6
+    assert component_norm(W, main1, 1) == P + 6
+    with pytest.raises(ValueError, match="out of range"):
+        component_norm(W, main1, main1.L + 1)
+
+
+def test_corrupted_cell_is_named(disk_i, pres):
+    d = diagram_from_json(pres.alpha, diagram_to_json(disk_i))
+    i, j = 5, 3
+    c = d.rows[i].cells[j]
+    d.rows[i].cells[j] = dataclasses.replace(c, top=c.top * c.left)
+    report = diagram_report(d, pres)
+    assert any(msg.startswith("row %d cell %d:" % (i, j)) for msg in report)
+    assert not any(msg.startswith("row %d cell" % k) for msg in report
+                   for k in range(len(d.rows)) if k != i)
+
+
+def test_json_round_trip(disk_i, pres):
+    text = diagram_to_json(disk_i)
+    again = diagram_from_json(pres.alpha, text)
+    assert diagram_to_json(again) == text
+    assert diagram_report(again, pres) == []
+
+
+def test_dot_has_one_node_per_cell(disk_i):
+    dot = diagram_to_dot(disk_i)
+    nodes = re.findall(r"^  c\d+_\d+ \[label=", dot, flags=re.M)
+    assert len(nodes) == disk_i.area
+    assert dot.startswith("digraph grid {") and dot.endswith("}")
+
+
+# -- weights -------------------------------------------------------------------
+
+# arguments small enough for exact evaluation within max_digits
+EXACT = [("chi", n) for n in range(31)] + [("h", n) for n in range(11)]
+EXACT += [("f", n) for n in range(4)] + [("g", n) for n in range(2)]
+EXACT += [("dehn_bound", 0)]
+
+
+@pytest.fixture(scope="module")
+def wf():
+    return WeightFunctions(DESK4.c0, DESK4.c1, DESK4.L, DESK4.K,
+                           lambda n: n + 1)
+
+
+@given(st.sampled_from(EXACT), st.integers(-3, 3), st.integers(0, 10 ** 4))
+@settings(max_examples=200, deadline=None)
+def test_weight_ge_matches_exact(wf, case, offset, m):
+    fn, n = case
+    v = getattr(wf, fn)(n)
+    assert wf.ge(fn, n, v + offset) == (v >= v + offset)
+    assert wf.ge(fn, n, m) == (v >= m)

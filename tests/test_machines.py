@@ -16,7 +16,6 @@ from smforge.machines import (
     epsilon,
     lambda1_accept,
     marker_split,
-    noise_word,
     shift,
     shift_time_bound,
 )
@@ -86,7 +85,7 @@ def test_noise_word_lengths_and_distinctness(letters):
     seen = {}
     for y in sch.A + sch.B:
         for a in sch.A:
-            v = noise_word(y, a, sch)
+            v = sch.noise_word(y, a)
             assert len(v) == sch.D
             assert all(x > 0 for x in v.ltrs)
             assert v.ltrs not in seen, (y, a, seen[v.ltrs])
@@ -97,7 +96,7 @@ def test_noise_word_lengths_and_distinctness(letters):
 
 def test_quarter_cancellation_exhaustive():
     _, sch = m1("a", "c")
-    words = [noise_word(y, a, sch, s)
+    words = [sch.noise_word(y, a, s)
              for y, a in sch.pairs() for s in (1, -1)]
     for i, v in enumerate(words):
         for j, u in enumerate(words):
@@ -113,7 +112,7 @@ def test_decode_noise_examples():
     al = sch.alpha
     b1, a = sch.B[0], sch.A[0]
     assert decode_noise(al.word(), sch) == []
-    assert decode_noise(noise_word(b1, a, sch), sch) == [(b1, a, 1)]
+    assert decode_noise(sch.noise_word(b1, a), sch) == [(b1, a, 1)]
     assert decode_noise(al.parse("b1"), sch) is None
 
 
@@ -131,7 +130,7 @@ def test_decode_noise_roundtrip():
             seq.append((y, a, s))
         u = sch.alpha.word()
         for y, a, s in seq:
-            u = u * noise_word(y, a, sch, s)
+            u = u * sch.noise_word(y, a, s)
         assert decode_noise(u, sch) == seq
         # soundness on corrupted input: either reject or reproduce exactly
         if u:
@@ -141,7 +140,7 @@ def test_decode_noise_roundtrip():
             if got is not None:
                 check = sch.alpha.word()
                 for y, a, s in got:
-                    check = check * noise_word(y, a, sch, s)
+                    check = check * sch.noise_word(y, a, s)
                 assert check == bad
 
 

@@ -1,5 +1,6 @@
 """Parameters, recognizer plugins, and the assembled main machine."""
 
+import hashlib
 import itertools
 
 import pytest
@@ -8,6 +9,7 @@ from smforge.words import Word, relabel
 from smforge.smachine import (StepError, is_admissible, machine_from_text,
                               machine_to_text, reduce_history)
 from smforge.machines import marker_split
+from smforge.towers import parallelize
 from smforge.mainmachine import (DivisibleRecognizer, Params,
                                  PAPER_CONSTRAINTS, RejectingRecognizer,
                                  accepting_run, build_main, history_ell,
@@ -242,6 +244,33 @@ def test_build_main_guards():
 def test_main_round_trips(main1):
     text = machine_to_text(main1.machine)
     assert machine_to_text(machine_from_text(text)) == text
+
+
+# sha256 prefixes of machine_to_text, recorded before build_main and
+# parallelize shared one ring lift
+RING_GOLDEN = {
+    "M(a) divisible L=4": (lambda m: m.machine, "f8b70b50c1e56722"),
+    "M(a,b) divisible L=4": (lambda m: build_main(
+        ("a", "b"), DivisibleRecognizer(("a", "b"), 1), DESK4).machine,
+        "70be6f4bbf11ffd6"),
+    "M(a) rejecting L=4": (lambda m: build_main(
+        ("a",), RejectingRecognizer(("a",)), DESK4).machine,
+        "5e314c70ba3dfedf"),
+    "M(a) divisible L=6": (lambda m: build_main(
+        ("a",), DivisibleRecognizer(("a",), 1), Params.desk()).machine,
+        "695d782fa4cb86af"),
+    "parallelize(M5, 3)": (lambda m: parallelize(m.m5, 3),
+                           "244a99f67b6ba97e"),
+    "parallelize(M5, 3, lock_first)": (
+        lambda m: parallelize(m.m5, 3, lock_first=True), "2e65ef9fdaaff897"),
+}
+
+
+@p("case", list(RING_GOLDEN))
+def test_ring_lift_golden(main1, case):
+    build, digest = RING_GOLDEN[case]
+    text = machine_to_text(build(main1))
+    assert hashlib.sha256(text.encode()).hexdigest()[:16] == digest
 
 
 # -- the sector language ------------------------------------------------------------

@@ -47,6 +47,15 @@ def test_inverse_cancels(seq):
     assert not (~w * w)
 
 
+@given(seqs, st.integers(-3, 3))
+@settings(max_examples=200)
+def test_pow_matches_naive(seq, n):
+    al = mk_alpha()
+    w = al.word(seq)
+    base = seq if n >= 0 else [-x for x in reversed(seq)]
+    assert (w ** n).ltrs == naive_reduce(list(base) * abs(n))
+
+
 @given(seqs)
 @settings(max_examples=200)
 def test_cyclic_reduce_decomposition(seq):
