@@ -232,10 +232,10 @@ class GridDiagram:
 
 
 def _word_product(ws: Sequence[Word], alpha: Alphabet) -> Word:
-    out = alpha.word()
-    for w in ws:
-        out = out * w
-    return out
+    """The product of the words, reduced once."""
+    if any(w.alpha is not alpha for w in ws):
+        raise ValueError("words over different alphabets")
+    return alpha.word(x for w in ws for x in w.ltrs)
 
 
 def _flip_cell(c: Cell) -> Cell:

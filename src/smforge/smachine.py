@@ -8,24 +8,24 @@ three legal shapes, which also assigns the tape word its sector.
 
 A generalized rule carries, per part i, a transition q_i -> u_i q_i' v_{i+1}
 and, per sector i, either a lock or a pair of free bases X_i, Z_i with the
-isomorphism f_i matching them up by position. Applying the rule rewrites
-every tape word through f_i and splices the u/v insertions around the new
-state letters; the whole string is then reduced and re-split.
+isomorphism f_i matching them up by position. Each sector is compiled once,
+when it is built, into letter tables (see :class:`SectorRule`). Applying the
+rule rewrites each window in one stack-reduction pass: the right insert of
+the window's left state letter, the image of each tape letter under f_i,
+then the left insert of its right state letter. State letters never reduce
+against tape letters, so the windows stay apart and need no re-split.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import compress, count
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from smforge.words import (
-    Alphabet, BasisExpression, Word, expression_word, express_in_basis,
-    free_reduce, is_member, substitute, validate_basis,
+    Alphabet, BasisExpression, MachineError, Word, express_in_basis,
+    free_basis_folder, free_reduce, validate_basis,
 )
-
-
-class MachineError(ValueError):
-    """Base class for domain errors raised by machine operations."""
 
 
 class StateMismatchError(MachineError):
@@ -254,6 +254,69 @@ class RulePart:
     v: Word
 
 
+def _join(stack: List[int], letters: Sequence[int]) -> None:
+    """Append the freely reduced ``letters`` to the freely reduced
+    ``stack``: only the junction can cancel."""
+    k = 0
+    while k < len(letters) and stack and stack[-1] == -letters[k]:
+        stack.pop()
+        k += 1
+    stack.extend(letters[k:] if k else letters)
+
+
+def _inverse(ltrs: Tuple[int, ...]) -> Tuple[int, ...]:
+    return tuple(-x for x in reversed(ltrs))
+
+
+class _LetterMap:
+    """A map of signed letters to reduced letter tuples, compiled once.
+
+    ``images`` keeps only the letters that move; every other letter of
+    ``domain`` (of any letter when ``domain`` is None) goes to itself, and
+    ``fixed`` holds those of ``domain``.
+    Applying it to a reduced word copies the runs between moving letters
+    at C speed, so the Python work grows with the moving letters alone.
+    """
+
+    __slots__ = ("images", "domain", "fixed")
+
+    def __init__(self, images: Dict[int, Tuple[int, ...]],
+                 domain: Optional[Iterable[int]]):
+        self.images = {y: img for y, img in images.items() if img != (y,)}
+        self.domain = None if domain is None else frozenset(domain)
+        self.fixed = (frozenset() if domain is None
+                      else self.domain.difference(self.images))
+
+    def push(self, stack: List[int], ltrs: Tuple[int, ...]) -> bool:
+        """Append the image of the reduced ``ltrs`` to the reduced
+        ``stack``, reducing; False, with ``stack`` untouched, when a letter
+        lies outside the domain."""
+        if self.fixed.issuperset(ltrs):
+            _join(stack, ltrs)
+            return True
+        if self.domain is not None and not self.domain.issuperset(ltrs):
+            return False
+        images, start = self.images, 0
+        if images:
+            for i in compress(count(), map(images.__contains__, ltrs)):
+                _join(stack, ltrs[start:i])
+                _join(stack, images[ltrs[i]])
+                start = i + 1
+        _join(stack, ltrs[start:] if start else ltrs)
+        return True
+
+
+def _signed(pairs: Iterable[Tuple[int, Tuple[int, ...]]]
+            ) -> Dict[int, Tuple[int, ...]]:
+    """{y: img, -y: img^-1} for each pair, the first pair of a letter
+    winning."""
+    out: Dict[int, Tuple[int, ...]] = {}
+    for y, img in pairs:
+        out.setdefault(y, img)
+        out.setdefault(-y, _inverse(img))
+    return out
+
+
 @dataclass
 class SectorRule:
     """Unlocked sector data: aligned free bases with f: X[k] -> Z[k].
@@ -262,35 +325,97 @@ class SectorRule:
     <X> into a word whose letters are exactly the single-letter entries of Z,
     read off position-by-position as the X-expression.  It exists so that
     domains like {v*m} u N (whose expressions grow before they shrink) stay
-    decidable without search; when absent, expressions fall back to
-    express_in_basis.  ``z_sub`` plays the same role for the inverse rule and
-    the two trade places under inversion.
+    decidable without search.  ``z_sub`` plays the same role for the inverse
+    rule and the two trade places under inversion; both are derived with
+    :func:`triangular_sub` when not given.
+
+    Construction compiles the sector once for :meth:`express` and
+    :meth:`push_image`:
+
+    * every X entry one letter: a letter map sending each X letter to its
+      image under f, and a table from each X letter to its basis term;
+    * otherwise, with ``x_sub``: x_sub as a letter map, and a table from
+      each single-letter Z entry to its basis term and to its X entry.  The
+      substituted word is the image under f once it reads back through X
+      to the input;
+    * otherwise: :func:`express_in_basis`.
     """
     X: Tuple[Word, ...]
     Z: Tuple[Word, ...]
     x_sub: Optional[Dict[int, Word]] = None
     z_sub: Optional[Dict[int, Word]] = None
 
+    def __post_init__(self) -> None:
+        if self.z_sub is None:
+            self.z_sub = triangular_sub(self.X, self.Z)
+        single = all(len(x.ltrs) == 1 for x in self.X)
+        if self.x_sub is None and not single:
+            self.x_sub = triangular_sub(self.Z, self.X)
+        # _terms: signed letter -> basis term; _map: the letter map whose
+        # image of a member w of <X> is f(w); _back: Z letter -> X entry,
+        # present only when _map is x_sub
+        self._terms: Dict[int, Tuple[int, int]] = {}
+        self._map: Optional[_LetterMap] = None
+        self._back: Optional[_LetterMap] = None
+        if single:
+            for j, x in enumerate(self.X):
+                self._terms.setdefault(x.ltrs[0], (j, 1))
+                self._terms.setdefault(-x.ltrs[0], (j, -1))
+            self._map = _LetterMap(_signed(
+                (x.ltrs[0], z.ltrs) for x, z in zip(self.X, self.Z)),
+                self._terms)
+        elif self.x_sub is not None:
+            self._map = _LetterMap(_signed(
+                (y, img.ltrs) for y, img in self.x_sub.items()), None)
+            zs = {z.ltrs[0]: j for j, z in enumerate(self.Z)
+                  if len(z.ltrs) == 1 and z.ltrs[0] > 0}
+            for y, j in zs.items():
+                self._terms[y], self._terms[-y] = (j, 1), (j, -1)
+            self._back = _LetterMap(_signed(
+                (y, self.X[j].ltrs) for y, j in zs.items()), self._terms)
+
+    def _substituted(self, ltrs: Tuple[int, ...]) -> Optional[Tuple[int, ...]]:
+        """x_sub applied to a word, when that reads back through X to it."""
+        stack: List[int] = []
+        self._map.push(stack, ltrs)
+        u = tuple(stack)
+        readback: List[int] = []
+        if not self._back.push(readback, u) or tuple(readback) != ltrs:
+            return None
+        return u
+
     def express(self, w: Word) -> Optional[BasisExpression]:
         """Expression of w over X, or None when w lies outside <X>."""
-        if not self.X:
-            return [] if not w else None
-        if self.x_sub is None:
+        if self._map is None:
             return express_in_basis(w, self.X)
-        images = {abs(x): self.x_sub.get(abs(x), w.alpha.word([abs(x)]))
-                  for x in w.ltrs}
-        u = substitute(w, images, w.alpha)
-        zpos = {z.ltrs[0]: j for j, z in enumerate(self.Z)
-                if len(z.ltrs) == 1 and z.ltrs[0] > 0}
-        expr: BasisExpression = []
-        for x in u.ltrs:
-            j = zpos.get(abs(x))
-            if j is None:
+        ltrs = w.ltrs
+        if self._back is not None:
+            ltrs = self._substituted(ltrs)
+            if ltrs is None:
                 return None
-            expr.append((j, 1 if x > 0 else -1))
-        if expression_word(self.X, expr) != w:
+        try:
+            return list(map(self._terms.__getitem__, ltrs))
+        except KeyError:
             return None
-        return expr
+
+    def push_image(self, stack: List[int], w: Word) -> bool:
+        """Append f(w) to the freely reduced letter list ``stack``, reducing;
+        False, with ``stack`` untouched, when w lies outside <X>."""
+        if self._map is None:
+            expr = self.express(w)
+            if expr is None:
+                return False
+            for j, s in expr:
+                _join(stack, self.Z[j].ltrs if s > 0
+                      else _inverse(self.Z[j].ltrs))
+            return True
+        if self._back is None:
+            return self._map.push(stack, w.ltrs)
+        u = self._substituted(w.ltrs)
+        if u is None:
+            return False
+        _join(stack, u)
+        return True
 
 
 def triangular_sub(X: Tuple[Word, ...],
@@ -336,12 +461,14 @@ class GeneralizedRule:
         self.parts = list(parts)
         self.sectors = list(sectors)
         self.positive = positive
-        for sec in self.sectors:
-            if sec is not None and sec.z_sub is None:
-                sec.z_sub = triangular_sub(sec.X, sec.Z)
-            if sec is not None and sec.x_sub is None and \
-                    not all(len(x.ltrs) == 1 for x in sec.X):
-                sec.x_sub = triangular_sub(sec.Z, sec.X)
+        # signed state letter -> (left insert, new state letter, right
+        # insert), the letters that replace it inside a word
+        self._replacement: Dict[int, Tuple[Tuple[int, ...], int,
+                                          Tuple[int, ...]]] = {}
+        for rp in self.parts:
+            self._replacement[rp.q] = (rp.u.ltrs, rp.q2, rp.v.ltrs)
+            self._replacement[-rp.q] = (_inverse(rp.v.ltrs), -rp.q2,
+                                       _inverse(rp.u.ltrs))
         if check:
             self._validate()
 
@@ -351,6 +478,7 @@ class GeneralizedRule:
             raise ValueError("rule %s: wrong part/sector count" % self.name)
         if not hw.cyclic and self.sectors[0] is not None:
             raise ValueError("rule %s: sector 0 on linear hardware" % self.name)
+        z_folders = {}
         for i, sec in enumerate(self.sectors):
             if sec is None:
                 continue
@@ -360,7 +488,9 @@ class GeneralizedRule:
                 if not hw.sector_word(i, w):
                     raise ValueError("rule %s sector %d: basis word %r "
                                      "outside sector" % (self.name, i, w.format()))
-            if not validate_basis(sec.X) or not validate_basis(sec.Z):
+            z_folders[i] = (free_basis_folder(sec.Z)
+                            if validate_basis(sec.X) else None)
+            if z_folders[i] is None:
                 raise ValueError("rule %s sector %d: X or Z not free"
                                  % (self.name, i))
         for i, rp in enumerate(self.parts):
@@ -368,15 +498,15 @@ class GeneralizedRule:
                 raise ValueError("rule %s part %d: state letters in wrong part"
                                  % (self.name, i))
             nxt = hw.next_part(i) if (hw.cyclic or i + 1 < hw.n_parts) else None
-            self._check_insert(i, rp.u)
+            self._check_insert(i, rp.u, z_folders)
             if nxt is None:
                 if rp.v:
                     raise ValueError("rule %s part %d: right insert beyond "
                                      "last sector" % (self.name, i))
             else:
-                self._check_insert(nxt, rp.v)
+                self._check_insert(nxt, rp.v, z_folders)
 
-    def _check_insert(self, sector: int, w: Word) -> None:
+    def _check_insert(self, sector: int, w: Word, z_folders: Dict) -> None:
         sec = self.sectors[sector] if sector < len(self.sectors) else None
         if sec is None:
             if w:
@@ -386,7 +516,7 @@ class GeneralizedRule:
         if not self.hw.sector_word(sector, w):
             raise ValueError("rule %s: insert %r outside sector %d"
                              % (self.name, w.format(), sector))
-        if not is_member(w, sec.Z):
+        if not z_folders[sector].accepts(w):
             raise ValueError("rule %s: insert %r outside <Z_%d>"
                              % (self.name, w.format(), sector))
 
@@ -408,13 +538,14 @@ class GeneralizedRule:
 
     def image(self, sector: int, w: Word) -> Word:
         """f~ applied to w, which must lie in <X_sector>."""
-        expr = self.domain_expr(sector, w)
-        if expr is None:
+        out: List[int] = []
+        if not self._push_image(sector, out, w):
             raise SectorMismatchError(sector, w, self.locks(sector))
+        return Word(w.alpha, tuple(out))
+
+    def _push_image(self, sector: int, stack: List[int], w: Word) -> bool:
         sec = self.sectors[sector]
-        if sec is None:
-            return w.alpha.word()
-        return expression_word(sec.Z, expr)
+        return sec.push_image(stack, w) if sec is not None else not w
 
     def format(self) -> str:
         al = self.hw.alpha
@@ -499,41 +630,32 @@ def is_admissible(W: AdmissibleWord, rule: GeneralizedRule) -> Optional[MachineE
 
 
 def apply_rule(W: AdmissibleWord, rule: GeneralizedRule) -> AdmissibleWord:
-    """W . rule, or raise a MachineError describing the obstruction."""
-    hw = W.hw
-    _check_states(W, rule)
-    imgs: List[Word] = []
-    for s, w, expr in zip(W.sectors, W.tapes, _domain_exprs(W, rule)):
-        sec = rule.sectors[s]
-        imgs.append(w.alpha.word() if sec is None
-                    else expression_word(sec.Z, expr))
-    out: List[int] = []
-    for j, (q, e) in enumerate(W.states):
-        rp = rule.parts[hw.part_of(q)]
-        rep = list(rp.u.ltrs) + [rp.q2] + list(rp.v.ltrs)
-        if e < 0:
-            rep = [-x for x in reversed(rep)]
-        out.extend(rep)
-        if j < len(W.tapes):
-            out.extend(imgs[j].ltrs)
-    flat = free_reduce(out)
+    """W . rule, or raise a MachineError describing the obstruction.
 
-    # trim tape letters left of the first and right of the last state letter
-    states: List[Tuple[int, int]] = []
+    Window j becomes the right insert of state letter j, the image of its
+    tape word and the left insert of state letter j+1, reduced on one stack.
+    Tape letters left of the first and right of the last state letter are
+    dropped.  State letters cancel exactly when a window empties between
+    two inverse ones.
+    """
+    _check_states(W, rule)
+    alpha = W.hw.alpha
+    repl = [rule._replacement[e * q] for q, e in W.states]
     tapes: List[Word] = []
-    cur: List[int] = []
-    for x in flat:
-        if hw.alpha.kind_of(x) == "q":
-            if states:
-                tapes.append(Word(hw.alpha, tuple(cur)))
-            cur = []
-            states.append((abs(x), 1 if x > 0 else -1))
-        else:
-            cur.append(x)
-    if len(states) != len(W.states):
+    cancelled = False
+    for j, (s, w) in enumerate(zip(W.sectors, W.tapes)):
+        (_, q1, right), (left, q2, _) = repl[j], repl[j + 1]
+        out = list(right)
+        if not rule._push_image(s, out, w):
+            raise SectorMismatchError(s, w, rule.locks(s))
+        _join(out, left)
+        cancelled = cancelled or (not out and q1 == -q2)
+        tapes.append(Word(alpha, tuple(out)))
+    if cancelled:
         raise MachineError("rule %s: state letters cancelled during "
                            "application" % rule.name)
-    result = AdmissibleWord(hw, states, tapes, check=False)
+    states = [(abs(q), 1 if q > 0 else -1) for _, q, _ in repl]
+    result = AdmissibleWord(W.hw, states, tapes, check=False)
     if result.base() != W.base():
         raise MachineError("rule %s: base changed during application"
                            % rule.name)

@@ -28,6 +28,15 @@ KINDS = ("q", "a", "t")
 SUBKINDS = ("A", "b", "o")
 
 
+class MachineError(ValueError):
+    """Base class for domain errors raised by machine operations."""
+
+
+class BasisSearchError(MachineError):
+    """express_in_basis found no expression for a word its basis folds to
+    accept: the basis lies outside the classes the peel search supports."""
+
+
 class Alphabet:
     """Intern table for letters. Ids are 1-based so ``-id`` is the inverse."""
 
@@ -408,11 +417,17 @@ def validate_basis(basis: Sequence[Word]) -> bool:
     >>> validate_basis([al.parse("a"), al.parse("a^-1")])
     False
     """
+    return free_basis_folder(basis) is not None
+
+
+def free_basis_folder(basis: Sequence[Word]) -> Optional[_Folder]:
+    """The folded core graph of <basis> when the words freely generate a
+    subgroup of rank len(basis), else None.  Its ``accepts`` decides
+    membership in that subgroup."""
     if any(not b for b in basis):
-        return False
-    if not basis:
-        return True
-    return _Folder(basis).rank() == len(basis)
+        return None
+    folder = _Folder(basis)
+    return folder if folder.rank() == len(basis) else None
 
 
 def is_member(w: Word, basis: Sequence[Word]) -> bool:
@@ -444,6 +459,8 @@ def express_in_basis(w: Word, basis: Sequence[Word]) -> Optional[BasisExpression
     Returns a list of (basis index, sign) terms whose ordered product is
     ``w``. For a basis that passes :func:`validate_basis` the expression is
     the unique reduced one and its term count is the basis length of ``w``.
+    Raises :class:`BasisSearchError` when ``w`` is a member but the bounded
+    peel search finds no expression.
 
     >>> al = Alphabet(); _ = al.intern("a"); _ = al.intern("b")
     >>> express_in_basis(al.parse("a a b"), [al.parse("a a"), al.parse("b")])
@@ -492,7 +509,7 @@ def express_in_basis(w: Word, basis: Sequence[Word]) -> Optional[BasisExpression
                     continue
                 nodes += 1
                 if nodes > _PEEL_BUDGET:
-                    raise RuntimeError(
+                    raise BasisSearchError(
                         "express_in_basis: peel budget exhausted; "
                         "basis outside the supported classes")
                 seen.add(rem)
@@ -505,7 +522,7 @@ def express_in_basis(w: Word, basis: Sequence[Word]) -> Optional[BasisExpression
                 break
         frontier = nxt
     if not found:
-        raise RuntimeError(
+        raise BasisSearchError(
             "express_in_basis: membership holds but no peel path found; "
             "basis outside the supported classes")
     terms: BasisExpression = []
@@ -519,7 +536,7 @@ def express_in_basis(w: Word, basis: Sequence[Word]) -> Optional[BasisExpression
     for j, s in terms:
         acc = acc * (basis[j] if s > 0 else ~basis[j])
     if acc != w:
-        raise RuntimeError("express_in_basis: internal readback mismatch")
+        raise BasisSearchError("express_in_basis: internal readback mismatch")
     return terms
 
 

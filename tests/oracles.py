@@ -86,3 +86,134 @@ def naive_member(word: Tuple[int, ...], basis: Sequence[Tuple[int, ...]],
                 seen.add(nxt)
                 q.append((nxt, e2))
     return None
+
+
+# -- rule application, the generic way --------------------------------------
+#
+# The library compiles each sector into letter tables and rewrites each
+# window in one pass.  These are the generic path it replaced: express the
+# tape over X, multiply the expression out over Z, reduce the whole word
+# once and split it again at its state letters.
+
+def reference_express(sec, w):
+    """Expression of w over sec.X through express_in_basis or x_sub."""
+    from smforge.words import express_in_basis, expression_word, substitute
+
+    if not sec.X:
+        return [] if not w else None
+    if sec.x_sub is None:
+        return express_in_basis(w, sec.X)
+    images = {abs(x): sec.x_sub.get(abs(x), w.alpha.word([abs(x)]))
+              for x in w.ltrs}
+    u = substitute(w, images, w.alpha)
+    zpos = {z.ltrs[0]: j for j, z in enumerate(sec.Z)
+            if len(z.ltrs) == 1 and z.ltrs[0] > 0}
+    expr = []
+    for x in u.ltrs:
+        j = zpos.get(abs(x))
+        if j is None:
+            return None
+        expr.append((j, 1 if x > 0 else -1))
+    if expression_word(sec.X, expr) != w:
+        return None
+    return expr
+
+
+def reference_domain_expr(rule, sector, w):
+    sec = rule.sectors[sector]
+    if sec is None:
+        return [] if not w else None
+    return reference_express(sec, w)
+
+
+def reference_image(rule, sector, w):
+    from smforge.smachine import SectorMismatchError
+    from smforge.words import expression_word
+
+    expr = reference_domain_expr(rule, sector, w)
+    if expr is None:
+        raise SectorMismatchError(sector, w, rule.locks(sector))
+    sec = rule.sectors[sector]
+    if sec is None:
+        return w.alpha.word()
+    return expression_word(sec.Z, expr)
+
+
+def _reference_states(W, rule):
+    from smforge.smachine import StateMismatchError
+
+    hw = W.hw
+    for j, (q, _e) in enumerate(W.states):
+        expected = rule.parts[hw.part_of(q)].q
+        if q != expected:
+            raise StateMismatchError(j, hw.alpha.name_of(q),
+                                     hw.alpha.name_of(expected))
+
+
+def _reference_exprs(W, rule):
+    from smforge.smachine import SectorMismatchError
+
+    exprs = []
+    for s, w in zip(W.sectors, W.tapes):
+        expr = reference_domain_expr(rule, s, w)
+        if expr is None:
+            raise SectorMismatchError(s, w, rule.locks(s))
+        exprs.append(expr)
+    return exprs
+
+
+def reference_is_admissible(W, rule):
+    from smforge.smachine import SectorMismatchError, StateMismatchError
+
+    try:
+        _reference_states(W, rule)
+        _reference_exprs(W, rule)
+    except (StateMismatchError, SectorMismatchError) as e:
+        return e
+    return None
+
+
+def reference_theta_length(W, rule):
+    """Checks sectors only, like the library's theta_length."""
+    return len(W.states) + sum(len(e) for e in _reference_exprs(W, rule))
+
+
+def reference_apply_rule(W, rule):
+    from smforge.smachine import AdmissibleWord, MachineError
+    from smforge.words import Word, expression_word, free_reduce
+
+    hw = W.hw
+    _reference_states(W, rule)
+    imgs = []
+    for s, w, expr in zip(W.sectors, W.tapes, _reference_exprs(W, rule)):
+        sec = rule.sectors[s]
+        imgs.append(w.alpha.word() if sec is None
+                    else expression_word(sec.Z, expr))
+    out = []
+    for j, (q, e) in enumerate(W.states):
+        rp = rule.parts[hw.part_of(q)]
+        rep = list(rp.u.ltrs) + [rp.q2] + list(rp.v.ltrs)
+        if e < 0:
+            rep = [-x for x in reversed(rep)]
+        out.extend(rep)
+        if j < len(W.tapes):
+            out.extend(imgs[j].ltrs)
+    flat = free_reduce(out)
+    # trim tape letters left of the first and right of the last state letter
+    states, tapes, cur = [], [], []
+    for x in flat:
+        if hw.alpha.kind_of(x) == "q":
+            if states:
+                tapes.append(Word(hw.alpha, tuple(cur)))
+            cur = []
+            states.append((abs(x), 1 if x > 0 else -1))
+        else:
+            cur.append(x)
+    if len(states) != len(W.states):
+        raise MachineError("rule %s: state letters cancelled during "
+                           "application" % rule.name)
+    result = AdmissibleWord(hw, states, tapes, check=False)
+    if result.base() != W.base():
+        raise MachineError("rule %s: base changed during application"
+                           % rule.name)
+    return result

@@ -7,9 +7,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from smforge.smachine import Computation, MachineError
+from smforge.words import Alphabet
 from smforge.mainmachine import (DivisibleRecognizer, Params, accepting_run,
                                  build_main)
-from smforge.groups import (WeightFunctions, build_disk_diagram,
+from smforge.groups import (WeightFunctions, _word_product, build_disk_diagram,
                             build_trapezium, component_norm,
                             diagram_from_json, diagram_report,
                             diagram_signature, diagram_to_dot,
@@ -165,3 +166,26 @@ def test_weight_ge_matches_exact(wf, case, offset, m):
     v = getattr(wf, fn)(n)
     assert wf.ge(fn, n, v + offset) == (v >= v + offset)
     assert wf.ge(fn, n, m) == (v >= m)
+
+
+WORD_ALPHA = Alphabet()
+for _name in ("x", "y", "z"):
+    WORD_ALPHA.intern(_name)
+letter_lists = st.lists(st.sampled_from([1, -1, 2, -2, 3, -3]), max_size=8)
+
+
+@given(st.lists(letter_lists, max_size=8))
+@settings(max_examples=50)
+def test_word_product_is_the_left_fold(lists):
+    ws = [WORD_ALPHA.word(ls) for ls in lists]
+    folded = WORD_ALPHA.word()
+    for w in ws:
+        folded = folded * w
+    assert _word_product(ws, WORD_ALPHA) == folded
+
+
+def test_word_product_rejects_foreign_words():
+    other = Alphabet()
+    other.intern("x")
+    with pytest.raises(ValueError, match="different alphabets"):
+        _word_product([WORD_ALPHA.parse("x"), other.parse("x")], WORD_ALPHA)

@@ -1,0 +1,214 @@
+"""Compiled rule application against the generic reference in oracles.py.
+
+Words come from random reduced histories on M1, M5, the L=4 main machine
+and a small machine whose sector basis {a a, b} takes the express_in_basis
+fallback, or an x_sub that only its readback check keeps honest.  The walks start at configurations
+of accepting computations, or of hand-picked tapes for the small machine.  Each
+is also cut to a slice of its states, inverted, or joined to an inverted
+slice, which gives every window shape, and mutated to fall outside the
+rules' domains.  Every query must give the reference's result, or raise
+the reference's exception with the same message.
+"""
+
+import random
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from oracles import (reference_apply_rule, reference_domain_expr,
+                     reference_image, reference_is_admissible,
+                     reference_theta_length)
+from smforge.machines import build_m1, shift
+from smforge.mainmachine import (DivisibleRecognizer, Params, accepting_run,
+                                 build_main)
+from smforge.smachine import (AdmissibleWord, GeneralizedRule, Hardware,
+                              Machine, MachineError, Part, RulePart,
+                              SectorRule, apply_rule, is_admissible,
+                              theta_length)
+from smforge.towers import SigmaSpec, compose, cyclify, reflect
+from smforge.words import Alphabet
+
+
+def _m1():
+    m1, sch = build_m1(("a",))
+    starts = []
+    for k in (1, 2):
+        comp = shift(sch.alpha.word([sch.A1[0]] * k), m1, sch)
+        starts += comp.words
+    return m1, starts
+
+
+def _m5():
+    m1, sch = build_m1(("a",))
+    plug = DivisibleRecognizer(("a",), 1)
+    ident = {plug.machine.hw.alpha.name_of(y): sch.alpha.name_of(z)
+             for y, z in zip(plug.machine.hw.tapes[2], sch.A2)}
+    m3 = compose(m1, plug.machine, SigmaSpec(sector=2, identify=ident),
+                 name="M3")
+    m5 = cyclify(reflect(m3, name="M4"), name="M5")
+    al = m5.hw.alpha
+    starts = [m5.configuration({
+        i: al.word([y] * n) for i, y, n in ((2, m5.hw.tapes[2][0], 2),
+                                            (6, m5.hw.tapes[6][0], 1))})]
+    starts.append(m5.accept_config())
+    return m5, starts
+
+
+def _main():
+    main = build_main(("a",), DivisibleRecognizer(("a",), 1),
+                      Params(2, 4, 5, 4, 7, 8, 9, check_chain=False))
+    al = main.machine.hw.alpha
+    starts = []
+    for W in (main.input_i(al.word([main.A[0]])),
+              main.input_j(al.word([main.A[0]]))):
+        comp, _count = accepting_run(W, main)
+        starts += main.machine.run(W, comp.history).words
+    return main.machine, starts
+
+
+def _squares():
+    al = Alphabet()
+    q0, q1, q2 = (al.intern(n, kind="q", part=i)
+                  for i, n in enumerate(("q0", "q1", "q2")))
+    a, b = al.intern("a", sector=1), al.intern("b", sector=1)
+    c = al.intern("c", sector=2)
+    hw = Hardware(al, [Part((q,), q, q) for q in (q0, q1, q2)],
+                  [(), (a, b), (c,)])
+    W, P = al.word, al.parse
+    sq = GeneralizedRule(hw, "sq", [
+        RulePart(q0, W(), q0, P("b")), RulePart(q1, P("a^-1"), q1, P("c")),
+        RulePart(q2, W(), q2, W())],
+        [None, SectorRule((P("a a"), P("b")), (P("a"), P("b"))),
+         SectorRule((P("c"),), (P("c"),))])
+    swap = GeneralizedRule(hw, "swap", [
+        RulePart(q, W(), q, W()) for q in (q0, q1, q2)],
+        [None, SectorRule((P("a"), P("b")), (P("b"), P("a"))), None])
+    # a substitution that is wrong off <b>: the readback must catch it
+    halve = GeneralizedRule(hw, "halve", [
+        RulePart(q, W(), q, W()) for q in (q0, q1, q2)],
+        [None, SectorRule((P("a a"), P("b")), (P("a"), P("b")), x_sub={}),
+         None])
+    m = Machine("squares", hw, [sq, swap, halve])
+    starts = [m.configuration({1: P(t1), 2: P(t2)})
+              for t1, t2 in (("a a b^-1 a a", "c c"), ("a", ""),
+                             ("b a a b", "c^-1"))]
+    return m, starts
+
+
+MACHINES = {}
+
+
+def machine(name):
+    if name not in MACHINES:
+        MACHINES[name] = {"M1": _m1, "M5": _m5, "main": _main,
+                          "squares": _squares}[name]()
+    return MACHINES[name]
+
+
+def walk(m, W, r, steps, max_size=100):
+    """W moved along a random reduced history of applicable rules, stopped
+    before it outgrows max_size letters (the reference's searches are slow
+    on long words)."""
+    last = None
+    for _ in range(steps):
+        moves = [(n, s) for n, s in m.theta() if (n, -s) != last
+                 and is_admissible(W, m.rule(n, s)) is None]
+        if not moves:
+            break
+        last = r.choice(moves)
+        V = apply_rule(W, m.rule(*last))
+        if V.size() > max_size:
+            break
+        W = V
+    return W
+
+
+def inverse(W):
+    return AdmissibleWord(W.hw, [(q, -e) for q, e in reversed(W.states)],
+                          [~t for t in reversed(W.tapes)])
+
+
+def cut(W, r):
+    """A slice of W's states, inverted or joined to an inverted slice of
+    itself; None when the result is not admissible."""
+    n = len(W.states)
+    i = r.randrange(n)
+    j = r.randrange(i, n)
+    states, tapes = list(W.states[i:j + 1]), list(W.tapes[i:j])
+    shape = r.randrange(3)
+    try:
+        if shape == 1:
+            return inverse(AdmissibleWord(W.hw, states, tapes))
+        if shape == 2 and j < len(W.tapes):
+            # q u q^-1 windows: W[i..j] t W[i..j]^-1 with t the next tape
+            t = W.tapes[j]
+            back = inverse(AdmissibleWord(W.hw, states, tapes))
+            return AdmissibleWord(W.hw, states + list(back.states),
+                                  tapes + [t] + list(back.tapes))
+        return AdmissibleWord(W.hw, states, tapes)
+    except MachineError:
+        return None
+
+
+def mutate(W, r):
+    """W with one tape letter inserted or one state letter swapped."""
+    hw = W.hw
+    states, tapes = list(W.states), list(W.tapes)
+    if r.random() < 0.3:
+        j = r.randrange(len(states))
+        q, e = states[j]
+        states[j] = (r.choice(hw.parts[hw.part_of(q)].letters), e)
+    elif tapes:
+        j = r.randrange(len(tapes))
+        pool = hw.tapes[W.sectors[j]] or hw.alpha.ids("a")
+        ltrs = list(tapes[j].ltrs)
+        k = r.randrange(len(ltrs) + 1)
+        ltrs[k:k] = [r.choice(pool) * r.choice((1, -1))]
+        tapes[j] = hw.alpha.word(ltrs)
+    try:
+        return AdmissibleWord(hw, states, tapes)
+    except MachineError:
+        return None
+
+
+def outcome(f, *args):
+    try:
+        return ("ok", f(*args))
+    except MachineError as e:
+        return (type(e), str(e))
+
+
+def same_error(a, b):
+    if a is None or b is None:
+        return a is b
+    return type(a) is type(b) and str(a) == str(b)
+
+
+def check_word(m, W, r):
+    rules = [m.rule(n, s) for n, s in r.sample(m.theta(), min(6, 2 * len(m.rules)))]
+    rules += [m.rule(n, s) for n, s in m.theta()
+              if is_admissible(W, m.rule(n, s)) is None][:4]
+    for rule in rules:
+        assert outcome(apply_rule, W, rule) == \
+            outcome(reference_apply_rule, W, rule), rule.name
+        assert same_error(is_admissible(W, rule),
+                          reference_is_admissible(W, rule)), rule.name
+        assert outcome(theta_length, W, rule) == \
+            outcome(reference_theta_length, W, rule), rule.name
+        for s, t in zip(W.sectors, W.tapes):
+            assert rule.domain_expr(s, t) == \
+                reference_domain_expr(rule, s, t), (rule.name, s)
+            assert outcome(rule.image, s, t) == \
+                outcome(reference_image, rule, s, t), (rule.name, s)
+
+
+@pytest.mark.parametrize("name", ["M1", "M5", "main", "squares"])
+@given(seed=st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=10, deadline=None)
+def test_compiled_rules_match_reference(name, seed):
+    m, starts = machine(name)
+    r = random.Random(seed)
+    W = walk(m, r.choice(starts), r, r.randrange(8))
+    for V in (W, cut(W, r), cut(W, r), mutate(W, r), mutate(W, r)):
+        if V is not None:
+            check_word(m, V, r)

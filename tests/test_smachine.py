@@ -1,5 +1,7 @@
 """Machine layer: admissible words, rule application, inversion, text format."""
 
+import re
+
 import pytest
 
 from smforge.smachine import (
@@ -104,6 +106,27 @@ def test_invert_rule_involution():
             assert (s1 is None) == (s2 is None)
             if s1 is not None:
                 assert s1.X == s2.X and s1.Z == s2.Z
+
+
+@p("X, Z, v0, u1, message", [
+    # v0 is the right insert of part 0 and u1 the left insert of part 1;
+    # both land in sector 1
+    (("a a", "b"), ("a a", "b"), "a", "", "insert 'a' outside <Z_1>"),
+    (("a a", "b"), ("a a", "b"), "", "b a", "insert 'b a' outside <Z_1>"),
+    (("a", "b"), ("a", "a^-1"), "", "", "X or Z not free"),
+    (("a", "b"), ("a", "b"), "", "c", "insert 'c' outside sector 1"),
+])
+def test_rule_validation_errors(X, Z, v0, u1, message):
+    m = tiny_machine()
+    al, hw = m.hw.alpha, m.hw
+    P = lambda t: al.parse(t) if t else al.word()
+    with pytest.raises(ValueError, match=re.escape(message)):
+        GeneralizedRule(hw, "bad", [
+            RulePart(hw.parts[0].start, al.word(), hw.parts[0].start, P(v0)),
+            RulePart(hw.parts[1].start, P(u1), hw.parts[1].start, al.word()),
+            RulePart(hw.parts[2].start, al.word(), hw.parts[2].start, al.word()),
+        ], [None, SectorRule(tuple(map(P, X)), tuple(map(P, Z))),
+            SectorRule((P("c"),), (P("c"),))])
 
 
 def test_inverse_window_application():

@@ -3,9 +3,12 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import smforge
+from smforge import smachine, words
 from smforge.words import (
-    Alphabet, Word, cyclic_reduce, express_in_basis, expression_word,
-    free_reduce, substitute, validate_basis,
+    Alphabet, BasisSearchError, MachineError, Word, cyclic_reduce,
+    express_in_basis, expression_word, free_reduce, substitute,
+    validate_basis,
 )
 
 from oracles import naive_cyclic_reduce, naive_member, naive_reduce, rng
@@ -147,6 +150,17 @@ def test_express_empty_basis_element_raises():
     al = mk_alpha()
     with pytest.raises(ValueError):
         express_in_basis(al.parse("g0"), [al.word()])
+
+
+def test_express_budget_exhaustion_is_typed(monkeypatch):
+    al = mk_alpha()
+    basis = B(al, "g0 g0", "g1", "g0 g2 g0^-1")
+    w = al.parse("g0 g2 g0^-1 g1")
+    monkeypatch.setattr(words, "_PEEL_BUDGET", 1)
+    with pytest.raises(BasisSearchError, match="peel budget exhausted"):
+        express_in_basis(w, basis)
+    assert issubclass(BasisSearchError, MachineError)
+    assert smforge.MachineError is smachine.MachineError is MachineError
 
 
 def test_express_non_free_basis_still_works():
