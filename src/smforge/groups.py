@@ -15,7 +15,7 @@ and ``diagram_report`` re-checks everything against the presentation.
 """
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import (Callable, Dict, FrozenSet, List, Optional, Sequence,
                     Tuple, Union)
 
@@ -55,7 +55,8 @@ class Presentation:
     ``carry`` maps machine letter ids to presentation ids (same names,
     same metadata); ``theta`` maps (rule name, part) to the rule letter
     for that part.  ``level`` is "M" for the plain group and "G" when
-    the accept word is added as the closing relator.
+    the accept word is added as the closing relator.  ``cells`` holds the
+    band cells, made on first use and shared by all bands.
     """
 
     machine: Machine
@@ -65,6 +66,8 @@ class Presentation:
     theta: Dict[Tuple[str, int], int]
     relators: List[Relator]
     t_parts: FrozenSet[int]
+    cells: Dict[tuple, object] = field(default_factory=dict, repr=False,
+                                       compare=False)
 
     def carry_word(self, w: Word) -> Word:
         return relabel(w, self.carry, self.alpha)
@@ -165,12 +168,13 @@ def emit_presentation(machine: Machine, level: str = "M") -> Presentation:
 
 # -- cells and grids -------------------------------------------------------------
 
-@dataclass
+@dataclass(frozen=True)
 class Cell:
     """One cell: four boundary words and the class of its relator.
 
     The contour reads down the left edge, along the bottom, up the
-    right edge, and back along the top.
+    right edge, and back along the top.  Bands share cells, so a cell
+    never changes once made.
     """
 
     bottom: Word
@@ -185,7 +189,8 @@ class Cell:
 
     @property
     def contour(self) -> Word:
-        return (~self.left) * self.bottom * self.right * (~self.top)
+        return _word_product((~self.left, self.bottom, self.right, ~self.top),
+                             self.left.alpha)
 
 
 @dataclass
@@ -226,10 +231,6 @@ class GridDiagram:
     def area(self) -> int:
         return sum(len(r.cells) for r in self.rows)
 
-    @property
-    def contour(self) -> Word:
-        return (~self.left) * self.bottom * self.right * (~self.top)
-
 
 def _word_product(ws: Sequence[Word], alpha: Alphabet) -> Word:
     """The product of the words, reduced once."""
@@ -238,19 +239,18 @@ def _word_product(ws: Sequence[Word], alpha: Alphabet) -> Word:
     return alpha.word(x for w in ws for x in w.ltrs)
 
 
-def _flip_cell(c: Cell) -> Cell:
-    return Cell(bottom=c.top, top=c.bottom, left=~c.left, right=~c.right,
-                cls=c.cls, rule=c.rule, index=c.index,
-                coordinate=c.coordinate, weight_arg=c.weight_arg)
-
-
-def _flip_row(r: Row) -> Row:
-    return Row([_flip_cell(c) for c in r.cells],
-               bottom=r.top, top=r.bottom, left=~r.left, right=~r.right)
+def _both(c: Cell) -> Tuple[Cell, Cell]:
+    """c, and c turned upside down for the bands of the inverse rule."""
+    return c, replace(c, bottom=c.top, top=c.bottom, left=~c.left,
+                      right=~c.right)
 
 
 def _state_cell(pres: Presentation, rule: GeneralizedRule, part: int,
-                eps: int) -> Cell:
+                eps: int) -> Tuple[Cell, Cell]:
+    """The shared state cell of the rule's part read with sign eps."""
+    key = (rule.name, part, eps)
+    if key in pres.cells:
+        return pres.cells[key]
     hw = pres.machine.hw
     rp = rule.parts[part]
     t_here = pres.theta_word(rule.name, part)
@@ -263,48 +263,64 @@ def _state_cell(pres: Presentation, rule: GeneralizedRule, part: int,
         top = ~top
         t_here, t_next = t_next, t_here
     cls = "theta-t" if part in pres.t_parts else "theta-q"
-    return Cell(bottom, top, t_here, t_next, cls, rule=rule.name, index=part,
-                coordinate=hw.alpha.coord_of(rp.q))
+    pres.cells[key] = _both(Cell(bottom, top, t_here, t_next, cls,
+                                 rule=rule.name, index=part,
+                                 coordinate=hw.alpha.coord_of(rp.q)))
+    return pres.cells[key]
 
 
-def _sector_cells(pres: Presentation, rule: GeneralizedRule, sector: int,
-                  w: Word) -> List[Cell]:
-    expr = rule.domain_expr(sector, w)
-    if expr is None:
-        raise MachineError("rule %s does not read %s in sector %d"
-                           % (rule.name, w.format(), sector))
+def _sector_table(pres: Presentation, rule: GeneralizedRule, sector: int
+                  ) -> Dict[Tuple[int, int], Tuple[Cell, Cell]]:
+    """The shared sector cells of the rule by (basis index, sign)."""
+    key = (rule.name, sector)
+    if key in pres.cells:
+        return pres.cells[key]
     sec = rule.sectors[sector]
     t_s = pres.theta_word(rule.name, sector)
     coord = pres.machine.hw.alpha.coord_of(
         pres.machine.hw.parts[sector].start)
-    cells = []
-    for k, sgn in expr:
-        x, z = pres.carry_word(sec.X[k]), pres.carry_word(sec.Z[k])
-        if sgn < 0:
+    table = pres.cells[key] = {}
+    for k, (x, z) in enumerate(zip(sec.X, sec.Z)):
+        cls = _a_class(pres.machine, sector, x)
+        x, z = pres.carry_word(x), pres.carry_word(z)
+        for sgn in (1, -1):
+            table[(k, sgn)] = _both(Cell(x, z, t_s, t_s, cls, rule=rule.name,
+                                         index=sector, coordinate=coord))
             x, z = ~x, ~z
-        cells.append(Cell(x, z, t_s, t_s, _a_class(pres.machine, sector,
-                                                   sec.X[k]),
-                          rule=rule.name, index=sector, coordinate=coord))
-    return cells
+    return table
+
+
+def _sector_cells(pres: Presentation, rule: GeneralizedRule, sector: int,
+                  w: Word, flip: int) -> List[Cell]:
+    expr = rule.domain_expr(sector, w)
+    if expr is None:
+        raise MachineError("rule %s does not read %s in sector %d"
+                           % (rule.name, w.format(), sector))
+    table = _sector_table(pres, rule, sector) if expr else {}
+    return [table[e][flip] for e in expr]
 
 
 def _positive_band(pres: Presentation, W: AdmissibleWord,
-                   rule: GeneralizedRule) -> Tuple[Row, AdmissibleWord]:
-    """The one-rule band over W for a positive rule, plus W . rule."""
+                   rule: GeneralizedRule, flip: int = 0
+                   ) -> Tuple[Row, AdmissibleWord]:
+    """The one-rule band over W for a positive rule, plus W . rule; with
+    ``flip`` set, turned upside down into the inverse rule's band."""
     hw = pres.machine.hw
     top_adm = apply_rule(W, rule)
     cells: List[Cell] = []
     for j, (q, e) in enumerate(W.states):
-        cells.append(_state_cell(pres, rule, hw.part_of(q), e))
+        cells.append(_state_cell(pres, rule, hw.part_of(q), e)[flip])
         if j < len(W.tapes):
-            cells.extend(_sector_cells(pres, rule, W.sectors[j], W.tapes[j]))
-    row = Row(cells, bottom=pres.carry_admissible(W),
-              top=pres.carry_admissible(top_adm),
-              left=cells[0].left, right=cells[-1].right)
-    if _word_product([c.top for c in cells], pres.alpha) != row.top:
+            cells.extend(_sector_cells(pres, rule, W.sectors[j], W.tapes[j],
+                                       flip))
+    bottom, top = pres.carry_admissible(W), pres.carry_admissible(top_adm)
+    if _word_product([c.bottom if flip else c.top for c in cells],
+                     pres.alpha) != top:
         raise MachineError("rule %s drops an insert beside the boundary; "
                            "the band would not close" % rule.name)
-    return row, top_adm
+    if flip:
+        bottom, top = top, bottom
+    return Row(cells, bottom, top, cells[0].left, cells[-1].right), top_adm
 
 
 def _band(pres: Presentation, W: AdmissibleWord, name: str,
@@ -313,11 +329,11 @@ def _band(pres: Presentation, W: AdmissibleWord, name: str,
     if sign > 0:
         return _positive_band(pres, W, machine.rule(name))
     top_adm = apply_rule(W, machine.rule(name, -1))
-    row, back = _positive_band(pres, top_adm, machine.rule(name))
+    row, back = _positive_band(pres, top_adm, machine.rule(name), flip=1)
     if back != W:
         raise MachineError("rule %s does not invert cleanly on %s"
                            % (name, W.format()))
-    return _flip_row(row), top_adm
+    return row, top_adm
 
 
 def _check_reduced(history: History) -> None:
@@ -545,13 +561,17 @@ def diagram_report(d: GridDiagram,
     rots = _rotation_set(relators)
     out: List[str] = []
     al = d.alpha
+    # bands share cells: check each distinct cell once, report every place
+    matched: Dict[int, bool] = {}
     for i, row in enumerate(d.rows):
         for j, c in enumerate(row.cells):
-            if c.contour.ltrs not in rots:
+            ok = matched.get(id(c))
+            if ok is None:
+                ok = matched[id(c)] = c.contour.ltrs in rots
+            if not ok:
                 out.append("row %d cell %d: boundary %s matches no relator"
                            % (i, j, c.contour.format()))
-        band = [c for c in row.cells if c.cls.startswith("theta")]
-        if band:
+        if any(c.cls.startswith("theta") for c in row.cells):
             for j in range(len(row.cells) - 1):
                 if row.cells[j].right != row.cells[j + 1].left:
                     out.append("row %d: cells %d and %d do not share an edge"

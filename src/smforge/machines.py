@@ -300,12 +300,12 @@ def shift(w: Word, machine: Machine, scheme: NoiseScheme
           ) -> Optional[Computation]:
     """The computation erasing w from sector 1 on the two-state base.
 
-    Returns the replayed computation from (q0 w q1) to (q0 q1), or None
-    when w is not erasable.  With no markers present the word is spelled
-    backwards with noise rules.  Otherwise the rightmost marker goes
-    first: a positive marker is removed by spelling the gap to its right
-    backwards and then applying its payload rule; a negative marker forces
-    that gap to spell out, in decorated form, the noise steps that
+    Returns the computation from (q0 w q1) to (q0 q1), endpoints only,
+    or None when w is not erasable.  With no markers present the word is
+    spelled backwards with noise rules.  Otherwise the rightmost marker
+    goes first: a positive marker is removed by spelling the gap to its
+    right backwards and then applying its payload rule; a negative marker
+    forces that gap to spell out, in decorated form, the noise steps that
     followed its own creation, which _decode_rear recovers.  The full
     history is replayed once at the end as a final check.
     """
@@ -337,7 +337,7 @@ def shift(w: Word, machine: Machine, scheme: NoiseScheme
         hist += steps
     if reduce_history(hist) != hist:
         return None
-    comp = machine.run(W0, hist)
+    comp = machine.run(W0, hist, trace=False)
     final = comp.final()
     if final.tapes[0] or final.base() != W0.base():
         return None

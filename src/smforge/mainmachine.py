@@ -17,7 +17,7 @@ the replay being the correctness check.  ``lambda_accept`` recognizes the
 sector language of the special sector by semi-computations.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from smforge.words import Alphabet, Word, relabel, relabel_by_name
@@ -287,6 +287,8 @@ class MainMachine:
     q_inputs: Tuple[int, ...]
     r_inputs: Tuple[int, ...]
     special_sector: int = 2
+    _id_maps: Dict[Tuple[Alphabet, Alphabet], Dict[int, int]] = field(
+        default_factory=dict, init=False, repr=False, compare=False)
 
     # -- words in and out ---------------------------------------------------
 
@@ -303,11 +305,26 @@ class MainMachine:
         """mu(w) = bar(w)^-1 over the machine's alphabet."""
         return ~relabel(w, self.bar, self.machine.hw.alpha)
 
+    def _by_name(self, w: Word, target: Alphabet) -> Word:
+        """relabel_by_name(w, target) through a signed id map made once per
+        alphabet pair; a letter the map lacks goes by name, which raises
+        for a letter with no counterpart."""
+        src, key = w.alpha, (w.alpha, target)
+        if key not in self._id_maps:
+            self._id_maps[key] = {
+                s * i: s * target.id_of(src.name_of(i)) for i in src.ids()
+                for s in (1, -1) if src.name_of(i) in target}
+        try:
+            return Word(target, tuple(map(self._id_maps[key].__getitem__,
+                                          w.ltrs)))
+        except KeyError:
+            return relabel_by_name(w, target)
+
     def to_m1(self, w: Word) -> Word:
-        return relabel_by_name(w, self.scheme.alpha)
+        return self._by_name(w, self.scheme.alpha)
 
     def from_m1(self, w: Word) -> Word:
-        return relabel_by_name(w, self.machine.hw.alpha)
+        return self._by_name(w, self.machine.hw.alpha)
 
     def to_plugin(self, w: Word) -> Word:
         wm = self.payload(w)

@@ -217,3 +217,78 @@ def reference_apply_rule(W, rule):
         raise MachineError("rule %s: base changed during application"
                            % rule.name)
     return result
+
+
+# -- band cells, built afresh for every band ---------------------------------
+#
+# The library builds each cell of a presentation once and shares it between
+# bands.  These build every cell from the rule on each call, as the band
+# builder did before the cells were shared.
+
+def reference_state_cell(pres, rule, part, eps):
+    from smforge.groups import Cell
+
+    hw = pres.machine.hw
+    rp = rule.parts[part]
+    t_here = pres.theta_word(rule.name, part)
+    t_next = pres.theta_word(rule.name, (part + 1) % hw.n_parts)
+    al = pres.alpha
+    bottom = al.word((eps * pres.carry[rp.q],))
+    top = al.word(pres.carry_word(rp.u).ltrs + (pres.carry[rp.q2],)
+                  + pres.carry_word(rp.v).ltrs)
+    if eps < 0:
+        top = ~top
+        t_here, t_next = t_next, t_here
+    cls = "theta-t" if part in pres.t_parts else "theta-q"
+    return Cell(bottom, top, t_here, t_next, cls, rule=rule.name, index=part,
+                coordinate=hw.alpha.coord_of(rp.q))
+
+
+def reference_sector_cells(pres, rule, sector, w):
+    from smforge.groups import Cell, _a_class
+    from smforge.smachine import MachineError
+
+    expr = rule.domain_expr(sector, w)
+    if expr is None:
+        raise MachineError("rule %s does not read %s in sector %d"
+                           % (rule.name, w.format(), sector))
+    sec = rule.sectors[sector]
+    t_s = pres.theta_word(rule.name, sector)
+    coord = pres.machine.hw.alpha.coord_of(
+        pres.machine.hw.parts[sector].start)
+    cells = []
+    for k, sgn in expr:
+        x, z = pres.carry_word(sec.X[k]), pres.carry_word(sec.Z[k])
+        if sgn < 0:
+            x, z = ~x, ~z
+        cells.append(Cell(x, z, t_s, t_s, _a_class(pres.machine, sector,
+                                                   sec.X[k]),
+                          rule=rule.name, index=sector, coordinate=coord))
+    return cells
+
+
+def reference_band_cells(pres, W, name, sign):
+    """The cells of the band of (name, sign) over W, bottom row first.
+
+    A negative band is the positive band over W . rule^-1 turned upside
+    down, each cell flipped.
+    """
+    from smforge.groups import Cell
+    from smforge.smachine import apply_rule
+
+    machine = pres.machine
+    rule = machine.rule(name)
+    if sign < 0:
+        W = apply_rule(W, machine.rule(name, -1))
+    cells = []
+    for j, (q, e) in enumerate(W.states):
+        cells.append(reference_state_cell(pres, rule, W.hw.part_of(q), e))
+        if j < len(W.tapes):
+            cells.extend(reference_sector_cells(pres, rule, W.sectors[j],
+                                                W.tapes[j]))
+    if sign > 0:
+        return cells
+    return [Cell(bottom=c.top, top=c.bottom, left=~c.left, right=~c.right,
+                 cls=c.cls, rule=c.rule, index=c.index,
+                 coordinate=c.coordinate, weight_arg=c.weight_arg)
+            for c in cells]

@@ -6,11 +6,13 @@ import re
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from smforge.smachine import Computation, MachineError
+from oracles import reference_band_cells
+from smforge.smachine import Computation, MachineError, apply_rule
 from smforge.words import Alphabet
 from smforge.mainmachine import (DivisibleRecognizer, Params, accepting_run,
                                  build_main)
-from smforge.groups import (WeightFunctions, _word_product, build_disk_diagram,
+from smforge.groups import (Cell, WeightFunctions, _word_product,
+                            build_disk_diagram,
                             build_trapezium, component_norm,
                             diagram_from_json, diagram_report,
                             diagram_signature, diagram_to_dot,
@@ -36,6 +38,11 @@ def payload(main, k):
 @pytest.fixture(scope="module")
 def disk_i(main1, pres):
     return build_disk_diagram(main1.input_i(payload(main1, 1)), main1, pres)
+
+
+@pytest.fixture(scope="module")
+def disk_j(main1, pres):
+    return build_disk_diagram(main1.input_j(payload(main1, 1)), main1, pres)
 
 
 # -- presentations -----------------------------------------------------------
@@ -105,6 +112,40 @@ def test_disk_of_j(main1, pres):
     assert diagram_signature(d) == (1, 72, 0, 14)
 
 
+def test_disk_of_i_squared(main1, pres):
+    d = build_disk_diagram(main1.input_i(payload(main1, 2)), main1, pres)
+    assert d.area == 131161
+    assert diagram_signature(d) == (1, 752, 0, 136)
+    assert diagram_report(d, pres) == []
+
+
+def _fields(c):
+    return (c.bottom, c.top, c.left, c.right, c.cls, c.rule, c.index,
+            c.coordinate)
+
+
+def _replay_against_the_reference(pres, W, d):
+    for row, (name, s) in zip(d.rows, d.history):
+        ref = reference_band_cells(pres, W, name, s)
+        assert [_fields(c) for c in row.cells] == [_fields(c) for c in ref]
+        W = apply_rule(W, pres.machine.rule(name, s))
+    return W
+
+
+@pytest.mark.parametrize("shape", ["i", "j"])
+def test_cells_match_the_reference(shape, request, main1, pres):
+    d = request.getfixturevalue("disk_" + shape)
+    W = getattr(main1, "input_" + shape)(payload(main1, 1))
+    assert len(d.rows) == len(d.history) + 1
+    assert _replay_against_the_reference(pres, W, d) == main1.w_ac()
+    # the run backwards has only negative bands, built from flipped cells
+    backwards = [(name, -s) for name, s in reversed(d.history)]
+    back = build_trapezium(pres, Computation([main1.w_ac(), W], backwards))
+    assert all(s < 0 for _, s in back.history)
+    assert diagram_report(back, pres) == []
+    assert _replay_against_the_reference(pres, main1.w_ac(), back) == W
+
+
 def test_disk_needs_an_accepted_configuration(main1, pres):
     with pytest.raises(MachineError, match="not accepted"):
         build_disk_diagram(main1.input_i(payload(main1, 0)), main1, pres)
@@ -129,6 +170,34 @@ def test_corrupted_cell_is_named(disk_i, pres):
     assert any(msg.startswith("row %d cell %d:" % (i, j)) for msg in report)
     assert not any(msg.startswith("row %d cell" % k) for msg in report
                    for k in range(len(d.rows)) if k != i)
+
+
+def _cells_named(report):
+    hits = (re.match(r"row (\d+) cell (\d+):", msg) for msg in report)
+    return [(int(m.group(1)), int(m.group(2))) for m in hits if m]
+
+
+def test_corrupted_shared_cell_is_named_where_it_sits(disk_i, pres):
+    rows = [dataclasses.replace(r, cells=list(r.cells)) for r in disk_i.rows]
+    d = dataclasses.replace(disk_i, rows=rows)
+    i, j = 5, 3
+    c = rows[i].cells[j]
+    places = [(k, l) for k, r in enumerate(rows)
+              for l, x in enumerate(r.cells) if x is c]
+    assert len(places) > 1
+    bad = dataclasses.replace(c, top=c.top * c.left)
+    rows[i].cells[j] = bad
+    assert _cells_named(diagram_report(d, pres)) == [(i, j)]
+    for k, l in places:
+        rows[k].cells[l] = bad
+    assert _cells_named(diagram_report(d, pres)) == places
+    assert diagram_report(disk_i, pres) == []
+
+
+def test_cells_are_frozen(disk_i):
+    c = disk_i.rows[0].cells[0]
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        c.top = c.bottom
 
 
 def test_json_round_trip(disk_i, pres):
@@ -189,3 +258,11 @@ def test_word_product_rejects_foreign_words():
     other.intern("x")
     with pytest.raises(ValueError, match="different alphabets"):
         _word_product([WORD_ALPHA.parse("x"), other.parse("x")], WORD_ALPHA)
+
+
+@given(st.lists(letter_lists, min_size=4, max_size=4))
+@settings(max_examples=100)
+def test_contour_is_the_reduced_product(sides):
+    bottom, top, left, right = (WORD_ALPHA.word(ls) for ls in sides)
+    c = Cell(bottom, top, left, right, "a")
+    assert c.contour == (~left) * bottom * right * (~top)

@@ -4,8 +4,9 @@ import hashlib
 import itertools
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from smforge.words import Word, relabel
+from smforge.words import Word, relabel, relabel_by_name
 from smforge.smachine import (StepError, is_admissible, machine_from_text,
                               machine_to_text, reduce_history)
 from smforge.machines import marker_split
@@ -339,6 +340,33 @@ def test_lambda_rejects_unreduced_skeletons(main1):
     al = main1.machine.hw.alpha
     w = al.word([main1.A1[0], main1.B[0], -main1.A1[0]])
     assert lambda_accept(w, main1, even_positive) is None
+
+
+# -- words in and out ---------------------------------------------------------------
+
+
+@given(st.data())
+@settings(max_examples=50, deadline=None)
+def test_to_m1_matches_relabel_by_name(main1, data):
+    letters = main1.A + main1.A1 + main1.B
+    pairs = data.draw(st.lists(st.tuples(st.sampled_from(letters),
+                                         st.sampled_from((1, -1))),
+                               max_size=30))
+    w = main1.machine.hw.alpha.word(x * s for x, s in pairs)
+    m1w = main1.to_m1(w)
+    assert m1w == relabel_by_name(w, main1.scheme.alpha)
+    assert main1.from_m1(m1w) == w
+    assert main1.from_m1(m1w) == relabel_by_name(m1w, main1.machine.hw.alpha)
+
+
+def test_to_m1_rejects_a_letter_without_counterpart(main1):
+    al = main1.machine.hw.alpha
+    w = al.word([main1.A[0], main1.machine.hw.parts[1].start])
+    with pytest.raises(KeyError) as want:
+        relabel_by_name(w, main1.scheme.alpha)
+    with pytest.raises(KeyError) as got:
+        main1.to_m1(w)
+    assert str(got.value) == str(want.value)
 
 
 # -- compressed semi-computations ----------------------------------------------------

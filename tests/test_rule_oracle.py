@@ -34,7 +34,7 @@ def _m1():
     starts = []
     for k in (1, 2):
         comp = shift(sch.alpha.word([sch.A1[0]] * k), m1, sch)
-        starts += comp.words
+        starts += m1.run(comp.words[0], comp.history).words
     return m1, starts
 
 
