@@ -279,7 +279,8 @@ def wp_RC(w: Word, pipe: "EmbeddingPipeline") -> bool:
                 break
         if rest is None:
             return False
-        cur = exp.YC.word(rest)
+        # a suffix of a rotation of a cyclically reduced word is reduced
+        cur = Word(exp.YC, tuple(rest))
 
 
 # -- the assembled pipeline ----------------------------------------------------------

@@ -300,40 +300,34 @@ def _sector_cells(pres: Presentation, rule: GeneralizedRule, sector: int,
     return [table[e][flip] for e in expr]
 
 
-def _positive_band(pres: Presentation, W: AdmissibleWord,
-                   rule: GeneralizedRule, flip: int = 0
-                   ) -> Tuple[Row, AdmissibleWord]:
-    """The one-rule band over W for a positive rule, plus W . rule; with
-    ``flip`` set, turned upside down into the inverse rule's band."""
-    hw = pres.machine.hw
-    top_adm = apply_rule(W, rule)
+def _band(pres: Presentation, W: AdmissibleWord, bottom: Word, name: str,
+          sign: int) -> Tuple[Row, AdmissibleWord]:
+    """The band of (name, sign) over W, whose carried label is bottom, plus
+    W . rule^sign.  A negative band is the positive band over W . rule^-1
+    turned upside down; only the new configuration is carried."""
+    machine, rule = pres.machine, pres.machine.rule(name)
+    top_adm = apply_rule(W, machine.rule(name, sign))
+    top = pres.carry_admissible(top_adm)
+    flip = 1 if sign < 0 else 0
+    lo, hi = (top_adm, bottom) if flip else (W, top)
+    if flip:
+        back = apply_rule(top_adm, rule)
+        if back != W:
+            hi = pres.carry_admissible(back)
     cells: List[Cell] = []
-    for j, (q, e) in enumerate(W.states):
-        cells.append(_state_cell(pres, rule, hw.part_of(q), e)[flip])
-        if j < len(W.tapes):
-            cells.extend(_sector_cells(pres, rule, W.sectors[j], W.tapes[j],
+    for j, (q, e) in enumerate(lo.states):
+        cells.append(_state_cell(pres, rule, machine.hw.part_of(q), e)[flip])
+        if j < len(lo.tapes):
+            cells.extend(_sector_cells(pres, rule, lo.sectors[j], lo.tapes[j],
                                        flip))
-    bottom, top = pres.carry_admissible(W), pres.carry_admissible(top_adm)
     if _word_product([c.bottom if flip else c.top for c in cells],
-                     pres.alpha) != top:
+                     pres.alpha) != hi:
         raise MachineError("rule %s drops an insert beside the boundary; "
                            "the band would not close" % rule.name)
-    if flip:
-        bottom, top = top, bottom
-    return Row(cells, bottom, top, cells[0].left, cells[-1].right), top_adm
-
-
-def _band(pres: Presentation, W: AdmissibleWord, name: str,
-          sign: int) -> Tuple[Row, AdmissibleWord]:
-    machine = pres.machine
-    if sign > 0:
-        return _positive_band(pres, W, machine.rule(name))
-    top_adm = apply_rule(W, machine.rule(name, -1))
-    row, back = _positive_band(pres, top_adm, machine.rule(name), flip=1)
-    if back != W:
+    if flip and back != W:
         raise MachineError("rule %s does not invert cleanly on %s"
                            % (name, W.format()))
-    return row, top_adm
+    return Row(cells, bottom, top, cells[0].left, cells[-1].right), top_adm
 
 
 def _check_reduced(history: History) -> None:
@@ -352,17 +346,17 @@ def build_trapezium(pres: Presentation, comp: Computation) -> GridDiagram:
     _check_reduced(comp.history)
     rows: List[Row] = []
     cur = comp.words[0]
+    bottom = top = pres.carry_admissible(cur)
     longest = cur.size()
     for name, s in comp.history:
-        row, cur = _band(pres, cur, name, s)
+        row, cur = _band(pres, cur, top, name, s)
         rows.append(row)
+        top = row.top
         longest = max(longest, cur.size())
     if cur != comp.final():
         raise MachineError("replay disagrees with the given computation")
     al = pres.alpha
-    d = GridDiagram("trapezium", al, rows,
-                    bottom=pres.carry_admissible(comp.words[0]),
-                    top=pres.carry_admissible(cur),
+    d = GridDiagram("trapezium", al, rows, bottom=bottom, top=top,
                     left=_word_product([r.left for r in rows], al),
                     right=_word_product([r.right for r in rows], al),
                     history=list(comp.history))

@@ -11,13 +11,17 @@ simultaneously decorating each marker with a long positive noise word.
 The noise words form a free basis with small overlaps, so histories leave
 a recoverable trace: ``decode_noise`` inverts products of noise words,
 ``shift`` reconstructs the unique computation erasing a sector-1 word, and
-``lambda1_accept`` reconstructs the unique semi-computation stripping a
-word down to its marker skeleton.  Everything returned is replay-verified
-against the machine itself.
+``strip_history`` decodes the unique history stripping a word down to its
+marker skeleton.  ``lambda1_accept`` decodes once, tests the skeleton, and
+only then replays the history once.  Everything returned is
+replay-verified against the machine itself.
 """
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from functools import cached_property
+from itertools import compress as _where
+from typing import (Callable, Dict, FrozenSet, Iterator, List, Optional,
+                    Sequence, Tuple)
 
 from smforge.words import Alphabet, Word, free_reduce
 from smforge.smachine import (
@@ -58,7 +62,7 @@ class NoiseScheme:
     A1: Tuple[int, ...]
     A2: Tuple[int, ...]
     B: Tuple[int, ...]
-    _cache: Dict[Tuple[int, int], Word] = field(default_factory=dict, repr=False)
+    _cache: Dict[tuple, Word] = field(default_factory=dict, repr=False)
 
     @property
     def D(self) -> int:
@@ -87,14 +91,31 @@ class NoiseScheme:
         return (self.A + self.B).index(y) * len(self.A) + self.A.index(a) + 1
 
     def noise_word(self, y: int, a: int, sign: int = 1) -> Word:
-        w = self._cache.get((y, a))
+        sign = 1 if sign > 0 else -1
+        w = self._cache.get((y, a, sign))
         if w is None:
             k, D = self.eta(y, a), self.D
             b1, b2 = self.B
             ltrs = (b1,) * k + (b2, b1) * ((D - 2 * k) // 2) + (b2,) * k
             w = Word(self.alpha, ltrs)
-            self._cache[(y, a)] = w
-        return w if sign > 0 else ~w
+            w = self._cache[(y, a, sign)] = w if sign > 0 else ~w
+        return w
+
+    @cached_property
+    def signed(self) -> Tuple[FrozenSet[int], FrozenSet[int]]:
+        """Signed marker ids, and signed marker and noise ids."""
+        m = frozenset(self.A1) | frozenset(-x for x in self.A1)
+        return m, m | frozenset(self.B) | frozenset(-x for x in self.B)
+
+    @cached_property
+    def heads(self) -> Dict[Tuple[int, ...], Tuple[int, int, int]]:
+        """(y, a, sign) by the first 3D/4 + 1 letters of its noise word.
+
+        Distinct signed noise words agree on fewer than D/4 leading
+        letters, so these heads are distinct."""
+        n = 3 * self.D // 4 + 1
+        return {self.noise_word(y, a, s).ltrs[:n]: (y, a, s)
+                for y, a in self.pairs() for s in (1, -1)}
 
     def rule_name(self, y: int) -> str:
         return "theta_" + self.alpha.name_of(y)
@@ -155,11 +176,11 @@ def build_m1(letters: Sequence[str]) -> Tuple[Machine, NoiseScheme]:
 # -- projections ---------------------------------------------------------------
 
 def _check_sector1(w: Word, scheme: NoiseScheme) -> None:
-    ok = set(scheme.A1) | set(scheme.B)
-    for x in w.ltrs:
-        if abs(x) not in ok:
-            raise ValueError("letter %s is not a marker or noise letter"
-                             % scheme.alpha.name_of(abs(x)))
+    ok = scheme.signed[1]
+    if not ok.issuperset(w.ltrs):
+        x = next(x for x in w.ltrs if x not in ok)
+        raise ValueError("letter %s is not a marker or noise letter"
+                         % scheme.alpha.name_of(abs(x)))
 
 
 def delta_letters(w: Word, scheme: NoiseScheme) -> Tuple[int, ...]:
@@ -208,26 +229,19 @@ def marker_split(w: Word, scheme: NoiseScheme) -> Tuple[List[Word], List[int]]:
     Returns (gaps, markers): k+1 noise gaps and k signed marker ids.
     """
     _check_sector1(w, scheme)
-    markers_set = set(scheme.A1)
-    gaps: List[Word] = []
-    markers: List[int] = []
-    cur: List[int] = []
-    for x in w.ltrs:
-        if abs(x) in markers_set:
-            gaps.append(Word(scheme.alpha, tuple(cur)))
-            cur = []
-            markers.append(x)
-        else:
-            cur.append(x)
-    gaps.append(Word(scheme.alpha, tuple(cur)))
-    return gaps, markers
+    ltrs = w.ltrs
+    at = list(_where(range(len(ltrs)), map(scheme.signed[0].__contains__,
+                                           ltrs)))
+    cuts = zip([-1] + at, at + [len(ltrs)])
+    return ([Word(scheme.alpha, ltrs[i + 1:j]) for i, j in cuts],
+            [ltrs[i] for i in at])
 
 
 # -- noise decoding ------------------------------------------------------------
 
-def _common_prefix(w1: Word, w2: Word) -> int:
+def _common_prefix(w1: Sequence[int], w2: Sequence[int]) -> int:
     n = 0
-    for x, y in zip(w1.ltrs, w2.ltrs):
+    for x, y in zip(w1, w2):
         if x != y:
             break
         n += 1
@@ -240,26 +254,22 @@ def decode_noise(u: Word, scheme: NoiseScheme
 
     Returns (y, a, sign) triples.  Greedy: distinct noise words agree on
     fewer than D/4 letters and adjacent factors of a reduced expression
-    cancel fewer than D/4, so at most one signed noise word matches more
-    than 3D/4 leading letters of what remains.
+    cancel fewer than D/4, so at most one signed noise word, found by its
+    head, matches more than 3D/4 leading letters of what remains.  Peeling
+    a word v that matches exactly p leading letters of the reduced rest
+    cancels exactly those p letters, so the new rest is v[p:]^-1 rest[p:]
+    with no further reduction.
     """
-    thresh = 3 * scheme.D // 4 + 1
+    n = 3 * scheme.D // 4 + 1
     out: List[Tuple[int, int, int]] = []
-    cur = u
+    cur = u.ltrs
     while cur:
-        hit = None
-        for y, a in scheme.pairs():
-            for s in (1, -1):
-                if out and out[-1] == (y, a, -s):
-                    continue
-                if _common_prefix(cur, scheme.noise_word(y, a, s)) >= thresh:
-                    hit = (y, a, s)
-                    break
-            if hit:
-                break
-        if hit is None:
+        hit = scheme.heads.get(cur[:n])
+        if hit is None or out and out[-1] == (hit[0], hit[1], -hit[2]):
             return None
-        cur = scheme.noise_word(hit[0], hit[1], -hit[2]) * cur
+        y, a, s = hit
+        p = n + _common_prefix(cur[n:], scheme.noise_word(y, a, s).ltrs[n:])
+        cur = scheme.noise_word(y, a, -s).ltrs[:scheme.D - p] + cur[p:]
         out.append(hit)
     return out
 
@@ -285,7 +295,7 @@ def _decode_rear(u: Word, a: int, scheme: NoiseScheme
                 if acc and acc[-1] == (y, -e):
                     continue
                 vv = scheme.noise_word(y, a, e)
-                if _common_prefix(cur, vv) >= thresh:
+                if _common_prefix(cur.ltrs, vv.ltrs) >= thresh:
                     r = rec((~vv) * cur, acc + [(y, e)])
                     if r is not None:
                         return r
@@ -413,36 +423,41 @@ def _erase_steps(gap_idx: int, seq: List[Tuple[int, int, int]],
     return h_left if head else h_right
 
 
+def strip_history(w: Word, scheme: NoiseScheme
+                  ) -> Optional[Tuple[History, Word]]:
+    """The history stripping w's noise, and w's marker skeleton, if any.
+
+    The skeleton is the word of w's signed markers and must be reduced;
+    the history is decoded from the first nonempty noise gap (every gap
+    encodes the same decoration history).  Noise rules keep a reduced
+    skeleton's markers in order, so a replay of the history ends
+    noise-free exactly when it ends at the skeleton.
+    """
+    gaps, markers = marker_split(w, scheme)
+    skeleton = Word(scheme.alpha, tuple(markers))
+    if free_reduce(skeleton.ltrs) != skeleton.ltrs:
+        return None
+    j = next((j for j, g in enumerate(gaps) if g), None)
+    if j is None:
+        return [], skeleton
+    seq = decode_noise(gaps[j], scheme)
+    steps = None if seq is None else _erase_steps(j, seq, markers, scheme)
+    return None if steps is None else (steps, skeleton)
+
+
 def lambda1_accept(w: Word, machine: Machine, scheme: NoiseScheme,
                    member: Callable[[Word], bool]
                    ) -> Optional[Tuple[History, List[Word]]]:
     """Semi-computation stripping w to a marker skeleton accepted by member.
 
-    ``member`` judges the reduced payload image of the final skeleton.
-    Returns (history, words) with words[-1] noise-free, or None.  The
-    history is recovered from the first nonempty noise gap (every gap
-    encodes the same decoration history) and verified by replay.
+    ``member`` judges the reduced payload image of the skeleton, before
+    any replay.  Returns (history, words) with words[-1] the noise-free
+    skeleton, or None.  The history comes from ``strip_history`` and is
+    verified by one replay.
     """
-    gaps, markers = marker_split(w, scheme)
-    dl = delta_letters(w, scheme)
-    if free_reduce(dl) != dl:
+    stripped = strip_history(w, scheme)
+    if stripped is None or not member(delta(stripped[1], scheme)):
         return None
-    hist: History = []
-    for j, g in enumerate(gaps):
-        if not g:
-            continue
-        seq = decode_noise(g, scheme)
-        if seq is None:
-            return None
-        steps = _erase_steps(j, seq, markers, scheme)
-        if steps is None:
-            return None
-        hist = steps
-        break
+    hist, skeleton = stripped
     words = machine.semi_run(w, 1, hist)
-    final = words[-1]
-    if b_length(final, scheme) != 0:
-        return None
-    if not member(delta(final, scheme)):
-        return None
-    return hist, words
+    return (hist, words) if words[-1] == skeleton else None

@@ -14,7 +14,9 @@ word w into every input sector (mirrored through mu on the barred side)
 and ``input_j`` leaves the special sector empty.  ``accepting_run``
 synthesizes the accepting computation for either shape and replays it,
 the replay being the correctness check.  ``lambda_accept`` recognizes the
-sector language of the special sector by semi-computations.
+sector language of the special sector by semi-computations: it decodes the
+noise history once, tests the marker skeleton, and only then replays the
+history once on the machine.
 """
 
 from dataclasses import dataclass, field
@@ -40,8 +42,9 @@ from smforge.machines import (
     build_m1,
     compress,
     compressed_apply,
-    lambda1_accept,
+    delta,
     shift,
+    strip_history,
 )
 from smforge.towers import (
     SigmaSpec,
@@ -605,26 +608,25 @@ def lambda_accept(w: Word, main: MainMachine,
     ``member`` is the oracle for the accepted plain language; it receives
     reduced words over the bottom scheme's payload letters.  Plain words
     are accepted as they stand with the empty history.  Fully marked
-    words, decorated or not, are stripped by their recovered noise
-    history and unmarked by the inverse start rule.  Mixed words are
-    never accepted.  The returned words live over the machine's own
-    alphabet; the history is replayed there as a final check.
+    words, decorated or not, are stripped by their decoded noise history
+    and unmarked by the inverse start rule, once ``member`` accepts their
+    marker skeleton.  Mixed words are never accepted.  The returned words
+    live over the machine's own alphabet; the history is replayed there
+    once, and the replay must reach the noise-free skeleton.
     """
     al = main.machine.hw.alpha
     wm = w if w.alpha is al else relabel_by_name(w, al)
-    ls = {abs(x) for x in wm.ltrs}
+    ls = set(map(abs, wm.ltrs))
     if ls <= set(main.A):
         return ([], [wm]) if member(main.to_m1(wm)) else None
     if not ls <= set(main.A1) | set(main.B):
         return None
-    res = lambda1_accept(main.to_m1(wm), main.m1, main.scheme, member)
-    if res is None:
+    stripped = strip_history(main.to_m1(wm), main.scheme)
+    if stripped is None or not member(delta(stripped[1], main.scheme)):
         return None
-    hist1, _ = res
-    hist: History = [("1." + nm, s) for nm, s in hist1]
-    hist.append(("s1", -1))
+    hist = [("1." + nm, s) for nm, s in stripped[0]] + [("s1", -1)]
     try:
         words = main.machine.semi_run(wm, main.special_sector, hist)
     except StepError:
         return None
-    return hist, words
+    return (hist, words) if words[-2] == main.from_m1(stripped[1]) else None

@@ -55,6 +55,15 @@ class StepError(MachineError):
         super().__init__("step %d inadmissible: %s" % (index, reason))
 
 
+class ParseError(ValueError):
+    """Machine text that does not parse; ``line`` is the 1-based number of
+    the line at fault, or 0 when the text as a whole is."""
+
+    def __init__(self, line: int, message: str):
+        self.line = line
+        super().__init__("line %d: %s" % (line, message))
+
+
 # -- hardware ----------------------------------------------------------------
 
 @dataclass
@@ -976,18 +985,32 @@ def _parse_braced(chunk: str, tag: str) -> str:
 
 
 def machine_from_text(text: str) -> Machine:
-    """Parse the line format produced by machine_to_text."""
+    """Parse the line format produced by machine_to_text.
+
+    Raises ParseError, naming the line at fault, on text that does not
+    parse or does not describe a valid machine.
+    """
+    at = [0]
+    try:
+        return _machine_from_text(text, at)
+    except (IndexError, KeyError, ValueError) as e:
+        raise ParseError(at[0], e.args[0] if e.args else repr(e)) from e
+
+
+def _machine_from_text(text: str, at: List[int]) -> Machine:
+    """machine_from_text's parser; at[0] follows the line at work: the one
+    being read, then the line each item was declared on."""
     name = None
     cyclic = False
     inputs: List[int] = []
-    part_lines: List[Tuple[int, List[str], str, str]] = []
-    tape_lines: Dict[int, List[Tuple[str, str]]] = {}
-    noise_lines: Dict[int, Tuple[List[str], List[str], List[str], List[Tuple[str, str]]]] = {}
-    rule_lines: Dict[str, Dict[int, str]] = {}
+    part_lines: List[Tuple[int, List[str], str, str, int]] = []
+    tape_lines: Dict[int, Tuple[int, List[Tuple[str, str]]]] = {}
+    noise_lines: Dict[int, tuple] = {}
+    rule_lines: Dict[str, Dict[int, Tuple[int, str]]] = {}
     locks: Dict[str, set] = {}
-    order: List[str] = []
+    order: Dict[str, int] = {}
 
-    for raw in text.splitlines():
+    for at[0], raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -1015,7 +1038,7 @@ def machine_from_text(text: str) -> Machine:
                     start = v
                 elif k == "end":
                     end = v
-            part_lines.append((i, toks[:-1], start, end))
+            part_lines.append((i, toks[:-1], start, end, at[0]))
         elif line.startswith("TAPE "):
             head, _, rest = line.partition(":")
             i = int(head.split()[1])
@@ -1026,7 +1049,7 @@ def machine_from_text(text: str) -> Machine:
                     entries.append((nm, sk))
                 else:
                     entries.append((tok, "o"))
-            tape_lines[i] = entries
+            tape_lines[i] = (at[0], entries)
         elif line.startswith("NOISE "):
             head, _, rest = line.partition(":")
             i = int(head.split()[1])
@@ -1043,37 +1066,36 @@ def machine_from_text(text: str) -> Machine:
                     continue
                 a, _, b = kv.partition("->")
                 pairs.append((a, b))
-            noise_lines[i] = (K, M, N, pairs)
+            noise_lines[i] = (at[0], K, M, N, pairs)
         elif line.startswith("RULE "):
             head, _, rest = line[5:].partition(":")
             rname = head.strip()
             istr, _, body = rest.partition(":")
             i = int(istr)
-            rule_lines.setdefault(rname, {})[i] = body.strip()
-            if rname not in order:
-                order.append(rname)
+            rule_lines.setdefault(rname, {})[i] = (at[0], body.strip())
+            order.setdefault(rname, at[0])
         elif line.startswith("LOCK "):
             toks = line.split()
-            locks.setdefault(toks[1], set()).add(int(toks[2]))
-            if toks[1] not in order:
-                order.append(toks[1])
+            locks.setdefault(toks[1], set()).add((int(toks[2]), at[0]))
+            order.setdefault(toks[1], at[0])
         else:
             raise ValueError("unrecognized line: %r" % line)
 
+    at[0] = 0
     if name is None:
         raise ValueError("missing MACHINE line")
 
     al = Alphabet()
-    part_lines.sort()
-    if [i for i, _, _, _ in part_lines] != list(range(len(part_lines))):
+    part_lines.sort(key=lambda p: p[0])
+    if [p[0] for p in part_lines] != list(range(len(part_lines))):
         raise ValueError("PART indices must be 0..N")
     parts = []
-    for i, letters, start, end in part_lines:
+    for i, letters, start, end, at[0] in part_lines:
         ids = tuple(al.intern(nm, kind="q", part=i) for nm in letters)
         parts.append(Part(ids, al.id_of(start), al.id_of(end)))
     tapes: List[Tuple[int, ...]] = []
     for i in range(len(parts)):
-        entries = tape_lines.get(i, [])
+        at[0], entries = tape_lines.get(i, (at[0], []))
         tapes.append(tuple(al.intern(nm, kind="a", sector=i, subkind=sk)
                            for nm, sk in entries))
     hw = Hardware(al, parts, tapes, cyclic=cyclic)
@@ -1081,21 +1103,21 @@ def machine_from_text(text: str) -> Machine:
     noise = None
     if noise_lines:
         noise = NoiseDecl()
-        for i, (K, M, N, pairs) in sorted(noise_lines.items()):
+        for i, (at[0], K, M, N, pairs) in sorted(noise_lines.items()):
             noise.K[i] = tuple(al.id_of(x) for x in K)
             noise.M[i] = tuple(al.id_of(x) for x in M)
             noise.N[i] = tuple(al.id_of(x) for x in N)
             noise.phi[i] = {al.id_of(a): al.id_of(b) for a, b in pairs}
 
     rules = []
-    for rname in order:
+    for rname, at[0] in order.items():
         bodies = rule_lines.get(rname, {})
         if sorted(bodies) != list(range(len(parts))):
             raise ValueError("rule %s: need one line per part" % rname)
         rparts: List[RulePart] = []
         sectors: List[Optional[SectorRule]] = [None] * len(parts)
         for i in range(len(parts)):
-            body = bodies[i]
+            at[0], body = bodies[i]
             main, _, tail = body.partition("|")
             lhs, _, rhs = main.partition("->")
             q = al.id_of(lhs.strip())
@@ -1132,7 +1154,7 @@ def machine_from_text(text: str) -> Machine:
                 if perm:
                     Z = tuple(Z[perm[k]] for k in range(len(X)))
                 sectors[i] = SectorRule(X, Z)
-        for i in locks.get(rname, set()):
+        for i, at[0] in locks.get(rname, set()):
             if sectors[i] is not None:
                 raise ValueError("rule %s sector %d both locked and given "
                                  "bases" % (rname, i))

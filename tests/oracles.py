@@ -292,3 +292,154 @@ def reference_band_cells(pres, W, name, sign):
                  cls=c.cls, rule=c.rule, index=c.index,
                  coordinate=c.coordinate, weight_arg=c.weight_arg)
             for c in cells]
+
+
+# -- sector-language decisions, decode then replay ---------------------------
+#
+# The library decodes a marked word once, tests its marker skeleton, and
+# replays the decoded history at most once.  These are the path it
+# replaced: split and project the word letter by letter, peel noise words
+# with a full free reduction each, replay on the bottom machine, and only
+# then test the skeleton and replay again on the main machine.
+
+def _reference_check_sector1(w, scheme):
+    ok = set(scheme.A1) | set(scheme.B)
+    for x in w.ltrs:
+        if abs(x) not in ok:
+            raise ValueError("letter %s is not a marker or noise letter"
+                             % scheme.alpha.name_of(abs(x)))
+
+
+def reference_marker_split(w, scheme):
+    from smforge.words import Word
+
+    _reference_check_sector1(w, scheme)
+    markers_set = set(scheme.A1)
+    gaps, markers, cur = [], [], []
+    for x in w.ltrs:
+        if abs(x) in markers_set:
+            gaps.append(Word(scheme.alpha, tuple(cur)))
+            cur = []
+            markers.append(x)
+        else:
+            cur.append(x)
+    gaps.append(Word(scheme.alpha, tuple(cur)))
+    return gaps, markers
+
+
+def _reference_common_prefix(w1, w2):
+    n = 0
+    for x, y in zip(w1.ltrs, w2.ltrs):
+        if x != y:
+            break
+        n += 1
+    return n
+
+
+def reference_decode_noise(u, scheme):
+    """Greedy peel: probe every signed noise word, multiply its inverse in."""
+    thresh = 3 * scheme.D // 4 + 1
+    out = []
+    cur = u
+    while cur:
+        hit = None
+        for y, a in scheme.pairs():
+            for s in (1, -1):
+                if out and out[-1] == (y, a, -s):
+                    continue
+                if _reference_common_prefix(
+                        cur, scheme.noise_word(y, a, s)) >= thresh:
+                    hit = (y, a, s)
+                    break
+            if hit:
+                break
+        if hit is None:
+            return None
+        cur = scheme.noise_word(hit[0], hit[1], -hit[2]) * cur
+        out.append(hit)
+    return out
+
+
+def reference_lambda1_accept(w, machine, scheme, member):
+    """Decode, replay on the bottom machine, then test the final word."""
+    from smforge.machines import _erase_steps, b_length, delta, delta_letters
+    from smforge.words import free_reduce
+
+    gaps, markers = reference_marker_split(w, scheme)
+    dl = delta_letters(w, scheme)
+    if free_reduce(dl) != dl:
+        return None
+    hist = []
+    for j, g in enumerate(gaps):
+        if not g:
+            continue
+        seq = reference_decode_noise(g, scheme)
+        if seq is None:
+            return None
+        steps = _erase_steps(j, seq, markers, scheme)
+        if steps is None:
+            return None
+        hist = steps
+        break
+    words = machine.semi_run(w, 1, hist)
+    final = words[-1]
+    if b_length(final, scheme) != 0:
+        return None
+    if not member(delta(final, scheme)):
+        return None
+    return hist, words
+
+
+def reference_lambda_accept(w, main, member):
+    """reference_lambda1_accept on the bottom machine, then a second
+    replay of the lifted history on the main machine."""
+    from smforge.smachine import StepError
+    from smforge.words import relabel_by_name
+
+    al = main.machine.hw.alpha
+    wm = w if w.alpha is al else relabel_by_name(w, al)
+    ls = {abs(x) for x in wm.ltrs}
+    if ls <= set(main.A):
+        return ([], [wm]) if member(main.to_m1(wm)) else None
+    if not ls <= set(main.A1) | set(main.B):
+        return None
+    res = reference_lambda1_accept(main.to_m1(wm), main.m1, main.scheme,
+                                   member)
+    if res is None:
+        return None
+    hist1, _ = res
+    hist = [("1." + nm, s) for nm, s in hist1]
+    hist.append(("s1", -1))
+    try:
+        words = main.machine.semi_run(wm, main.special_sector, hist)
+    except StepError:
+        return None
+    return hist, words
+
+
+# -- expanded word problem, reducing after each deletion ----------------------
+
+def reference_wp_RC(w, pipe):
+    """wp_RC with the rest after each deletion built by free reduction."""
+    from smforge.embedding import _cyclic_d_prefixes
+    from smforge.words import cyclic_reduce
+
+    exp = pipe.exp
+    cur = w if w.alpha is exp.YC else pipe.zeta_inv_t(w)
+    while True:
+        core, _ = cyclic_reduce(cur)
+        if not core:
+            return True
+        ltrs = list(core.ltrs)
+        rest = None
+        for r in range(len(ltrs)):
+            rot = ltrs[r:] + ltrs[:r]
+            for end, ys in _cyclic_d_prefixes(rot, exp):
+                if pipe.wp_Y(exp.Y.word(ys)):
+                    rest = rot[end:]
+                    break
+            if rest is not None:
+                break
+        if rest is None:
+            return False
+        cur = exp.YC.word(rest)

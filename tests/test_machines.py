@@ -3,6 +3,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from smforge.machines import (
     a_length,
@@ -21,6 +22,7 @@ from smforge.machines import (
 )
 from smforge.smachine import (
     MachineError,
+    ParseError,
     machine_from_text,
     machine_to_text,
     reduce_history,
@@ -75,6 +77,39 @@ def test_machine_text_roundtrip():
     m, _ = m1("a")
     text = machine_to_text(m)
     assert machine_to_text(machine_from_text(text)) == text
+
+
+M1_TEXT = machine_to_text(build_m1(("a",))[0])
+
+
+@given(st.integers(0, len(M1_TEXT) - 1), st.sampled_from("dir"),
+       st.sampled_from(sorted(set(M1_TEXT)) + ["x"]))
+@settings(max_examples=300, deadline=None)
+def test_single_edit_mutants_parse_or_raise_parse_error(k, op, ch):
+    """Delete, insert or replace one character of M1's text: the mutant
+    either parses and round-trips, or raises ParseError."""
+    text = M1_TEXT[:k] + ("" if op == "d" else ch) + M1_TEXT[k + (op != "i"):]
+    try:
+        m = machine_from_text(text)
+    except ParseError as e:
+        assert 0 <= e.line <= len(text.splitlines())
+        return
+    again = machine_to_text(m)
+    assert machine_to_text(machine_from_text(again)) == again
+
+
+def test_parse_error_names_the_line():
+    lines = M1_TEXT.splitlines()
+    n = next(i for i, ln in enumerate(lines) if ln.startswith("NOISE"))
+    for bad in (lines[n][:lines[n].index("M=")],
+                lines[n].replace("b1", "zz")):
+        text = "\n".join(lines[:n] + [bad] + lines[n + 1:])
+        with pytest.raises(ParseError) as err:
+            machine_from_text(text)
+        assert err.value.line == n + 1
+    with pytest.raises(ParseError) as err:
+        machine_from_text("\n".join(lines[1:]))
+    assert err.value.line == 0 and "MACHINE" in str(err.value)
 
 
 # -- noise words ----------------------------------------------------------------
