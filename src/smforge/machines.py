@@ -316,42 +316,39 @@ def shift(w: Word, machine: Machine, scheme: NoiseScheme
     goes first: a positive marker is removed by spelling the gap to its
     right backwards and then applying its payload rule; a negative marker
     forces that gap to spell out, in decorated form, the noise steps that
-    followed its own creation, which _decode_rear recovers.  The full
-    history is replayed once at the end as a final check.
+    followed its own creation, which _decode_rear recovers.  Each phase is
+    run on the machine as soon as it is found, the last spelling too, so
+    the history is replayed from (q0 w q1) exactly once, step by step as
+    it grows; it must come out reduced and end at (q0 q1).
     """
     _check_sector1(w, scheme)
     q0, q1 = machine.hw.parts[0].start, machine.hw.parts[1].start
     W0 = AdmissibleWord(machine.hw, ((q0, 1), (q1, 1)), (w,))
     W, hist = W0, []
-    while True:
+    markers = True
+    while markers:
         gaps, markers = marker_split(W.tapes[0], scheme)
         if not markers:
             steps = [(scheme.rule_name(abs(x)), 1 if x > 0 else -1)
                      for x in reversed(W.tapes[0].ltrs)]
-            hist += steps
-            break
-        x, tail = markers[-1], gaps[-1]
-        a = scheme.unmark(abs(x))
-        if x > 0:
+        elif markers[-1] > 0:
             steps = [(scheme.rule_name(abs(l)), 1 if l > 0 else -1)
-                     for l in reversed(tail.ltrs)]
-            steps.append((scheme.rule_name(a), 1))
+                     for l in reversed(gaps[-1].ltrs)]
+            steps.append((scheme.rule_name(scheme.unmark(markers[-1])), 1))
         else:
-            dec = _decode_rear(tail, a, scheme)
+            a = scheme.unmark(-markers[-1])
+            dec = _decode_rear(gaps[-1], a, scheme)
             if dec is None:
                 return None
             steps = [(scheme.rule_name(y), e) for y, e in dec]
             steps.append((scheme.rule_name(a), -1))
-        for name, s in steps:
-            W = machine.run(W, [(name, s)]).final()
+        W = machine.run(W, steps, trace=False).final()
         hist += steps
     if reduce_history(hist) != hist:
         return None
-    comp = machine.run(W0, hist, trace=False)
-    final = comp.final()
-    if final.tapes[0] or final.base() != W0.base():
+    if W.tapes[0] or W.base() != W0.base():
         return None
-    return comp
+    return Computation([W0, W] if hist else [W0], hist)
 
 
 def shift_time_bound(w: Word, scheme: NoiseScheme) -> int:

@@ -471,16 +471,18 @@ def build_main(letters: Sequence[str], plugin: RecognizerPlugin,
                 else:
                     rparts.append(RulePart(d[mp.end], e, qa[g], e))
         if which == "s":
+            # one sector rule per input sector, shared by every copy
+            marking = {}
+            for s in m5.input_sectors:
+                phi = m5.noise.phi[s]
+                X = tuple(al.word([tmap[y]]) for y in m5.noise.K[s])
+                Z = tuple(al.word([tmap[phi[y]]]) for y in m5.noise.K[s])
+                marking[s] = SectorRule(X, Z)
             for i in range(1, L + 1):
                 for s in m5.input_sectors:
                     g = (i - 1) * P + s
-                    if c == 2 and g == special:
-                        continue
-                    phi = m5.noise.phi[s]
-                    X = tuple(al.word([tmap[y]]) for y in m5.noise.K[s])
-                    Z = tuple(al.word([tmap[phi[y]]])
-                              for y in m5.noise.K[s])
-                    rsectors[g] = SectorRule(X, Z)
+                    if c != 2 or g != special:
+                        rsectors[g] = marking[s]
         return GeneralizedRule(hw, "%s%d" % (which, c), rparts, rsectors)
 
     rules = [transition(1, "s"), transition(2, "s")]

@@ -14,13 +14,23 @@ rule rewrites each window in one stack-reduction pass: the right insert of
 the window's left state letter, the image of each tape letter under f_i,
 then the left insert of its right state letter. State letters never reduce
 against tape letters, so the windows stay apart and need no re-split.
+
+What a rule does to the state letters of a word depends on those letters
+alone, so each rule works it out once per state tuple (a step plan: new
+states, and per window its sector, sector rule and inserts). Windows that
+agree on all of that and hold the same tape object are rewritten once per
+step and share the resulting word; ring copies of one machine hold equal
+tapes, so a step costs one pass per distinct window. Each produced tape
+carries a superset of its letters, which settles the all-letters-fixed test
+without a scan.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import compress, count
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import (Dict, FrozenSet, Iterable, List, Optional, Sequence,
+                    Tuple)
 
 from smforge.words import (
     Alphabet, BasisExpression, MachineError, Word, express_in_basis,
@@ -53,6 +63,18 @@ class StepError(MachineError):
     def __init__(self, index: int, reason: MachineError):
         self.index, self.reason = index, reason
         super().__init__("step %d inadmissible: %s" % (index, reason))
+
+
+class UnknownRuleError(MachineError, KeyError):
+    """A rule name the machine does not carry; a KeyError too, like any
+    failed lookup by name."""
+
+    def __init__(self, name: str):
+        self.name = name
+        super().__init__("unknown rule %r" % name)
+
+    def __str__(self) -> str:
+        return self.args[0]
 
 
 class ParseError(ValueError):
@@ -134,9 +156,14 @@ class Hardware:
 # -- admissible words ---------------------------------------------------------
 
 class AdmissibleWord:
-    """Alternating state letters and sector words, with shape checked."""
+    """Alternating state letters and sector words, with shape checked.
 
-    __slots__ = ("hw", "states", "tapes", "sectors")
+    ``letters`` is None or, per tape, a superset of its signed letters:
+    words made by :func:`apply_rule` carry it, and :meth:`_letter_sets`
+    fills it in on first use for the others.
+    """
+
+    __slots__ = ("hw", "states", "tapes", "sectors", "letters")
 
     def __init__(self, hw: Hardware, states: Sequence[Tuple[int, int]],
                  tapes: Sequence[Word], check: bool = True):
@@ -147,9 +174,31 @@ class AdmissibleWord:
         self.hw = hw
         self.states = tuple(states)
         self.tapes = tuple(tapes)
+        self.letters: Optional[Tuple[FrozenSet[int], ...]] = None
         self.sectors = tuple(self._window_sector(j, check)
                              for j in range(len(tapes)))
         self._check_reduced()
+
+    @classmethod
+    def _made(cls, hw: Hardware, states: Tuple[Tuple[int, int], ...],
+              tapes: Tuple[Word, ...], sectors: Tuple[int, ...],
+              letters: Tuple[FrozenSet[int], ...]) -> "AdmissibleWord":
+        """A word whose shape, sectors and reducedness the caller knows."""
+        W = cls.__new__(cls)
+        W.hw, W.states, W.tapes = hw, states, tapes
+        W.sectors, W.letters = sectors, letters
+        return W
+
+    def _letter_sets(self) -> Tuple[FrozenSet[int], ...]:
+        """``letters``, made exact by one scan per distinct tape object
+        when the word does not carry it yet."""
+        if self.letters is None:
+            sets: Dict[int, FrozenSet[int]] = {}
+            for t in self.tapes:
+                if id(t) not in sets:
+                    sets[id(t)] = frozenset(t.ltrs)
+            self.letters = tuple(sets[id(t)] for t in self.tapes)
+        return self.letters
 
     def _window_sector(self, j: int, check: bool = True) -> int:
         hw = self.hw
@@ -282,12 +331,13 @@ class _LetterMap:
 
     ``images`` keeps only the letters that move; every other letter of
     ``domain`` (of any letter when ``domain`` is None) goes to itself, and
-    ``fixed`` holds those of ``domain``.
+    ``fixed`` holds those of ``domain``. ``produces`` maps each moving
+    letter to the set of letters of its image.
     Applying it to a reduced word copies the runs between moving letters
     at C speed, so the Python work grows with the moving letters alone.
     """
 
-    __slots__ = ("images", "domain", "fixed")
+    __slots__ = ("images", "domain", "fixed", "produces")
 
     def __init__(self, images: Dict[int, Tuple[int, ...]],
                  domain: Optional[Iterable[int]]):
@@ -295,6 +345,7 @@ class _LetterMap:
         self.domain = None if domain is None else frozenset(domain)
         self.fixed = (frozenset() if domain is None
                       else self.domain.difference(self.images))
+        self.produces = {y: frozenset(img) for y, img in self.images.items()}
 
     def push(self, stack: List[int], ltrs: Tuple[int, ...]) -> bool:
         """Append the image of the reduced ``ltrs`` to the reduced
@@ -305,14 +356,53 @@ class _LetterMap:
             return True
         if self.domain is not None and not self.domain.issuperset(ltrs):
             return False
-        images, start = self.images, 0
-        if images:
-            for i in compress(count(), map(images.__contains__, ltrs)):
-                _join(stack, ltrs[start:i])
-                _join(stack, images[ltrs[i]])
-                start = i + 1
-        _join(stack, ltrs[start:] if start else ltrs)
+        images = self.images
+        self._splice(stack, ltrs, compress(count(), map(images.__contains__,
+                                                        ltrs))
+                     if images else ())
         return True
+
+    def push_known(self, stack: List[int], ltrs: Tuple[int, ...],
+                   letters: FrozenSet[int]) -> Optional[FrozenSet[int]]:
+        """:meth:`push`, for a map with a domain, of ``ltrs`` whose letters
+        lie in ``letters``.
+
+        The fixed and domain tests try ``letters`` before they scan
+        ``ltrs``, and the moving letters are found by one C-level search
+        per moving letter in ``letters``.  Returns a superset of the
+        letters of the image, exact on moving letters, or None.
+        """
+        if self.fixed.issuperset(letters):
+            _join(stack, ltrs)
+            return letters
+        if (not self.domain.issuperset(letters)
+                and not self.domain.issuperset(ltrs)):
+            return None
+        at: List[int] = []
+        out = letters & self.fixed
+        for y in self.produces.keys() & letters:
+            try:
+                i = ltrs.index(y)
+                out |= self.produces[y]
+                while True:
+                    at.append(i)
+                    i = ltrs.index(y, i + 1)
+            except ValueError:
+                pass
+        at.sort()
+        self._splice(stack, ltrs, at)
+        return out
+
+    def _splice(self, stack: List[int], ltrs: Tuple[int, ...],
+                at: Iterable[int]) -> None:
+        """Append ``ltrs`` with the letters at the increasing positions
+        ``at`` replaced by their images."""
+        images, start = self.images, 0
+        for i in at:
+            _join(stack, ltrs[start:i])
+            _join(stack, images[ltrs[i]])
+            start = i + 1
+        _join(stack, ltrs[start:] if start else ltrs)
 
 
 def _signed(pairs: Iterable[Tuple[int, Tuple[int, ...]]]
@@ -426,6 +516,16 @@ class SectorRule:
         _join(stack, u)
         return True
 
+    def step(self, stack: List[int], w: Word,
+             letters: FrozenSet[int]) -> Optional[FrozenSet[int]]:
+        """:meth:`push_image` of a tape whose letters lie in ``letters``:
+        returns a superset of the letters of f(w), or None, with ``stack``
+        untouched, when w lies outside <X>."""
+        if self._map is None or self._back is not None:
+            return frozenset(stack) if self.push_image(stack, w) else None
+        # one-letter X entries: _map's domain is their signed letters
+        return self._map.push_known(stack, w.ltrs, letters)
+
 
 def triangular_sub(X: Tuple[Word, ...],
                    Z: Tuple[Word, ...]) -> Optional[Dict[int, Word]]:
@@ -478,6 +578,8 @@ class GeneralizedRule:
             self._replacement[rp.q] = (rp.u.ltrs, rp.q2, rp.v.ltrs)
             self._replacement[-rp.q] = (_inverse(rp.v.ltrs), -rp.q2,
                                        _inverse(rp.u.ltrs))
+        # (hardware, state tuple) -> the step plan of apply_rule
+        self._plans: Dict[tuple, _StepPlan] = {}
         if check:
             self._validate()
 
@@ -488,6 +590,8 @@ class GeneralizedRule:
         if not hw.cyclic and self.sectors[0] is not None:
             raise ValueError("rule %s: sector 0 on linear hardware" % self.name)
         z_folders = {}
+        # ring copies share sector rules: fold each shared one once
+        folders = {}
         for i, sec in enumerate(self.sectors):
             if sec is None:
                 continue
@@ -497,8 +601,10 @@ class GeneralizedRule:
                 if not hw.sector_word(i, w):
                     raise ValueError("rule %s sector %d: basis word %r "
                                      "outside sector" % (self.name, i, w.format()))
-            z_folders[i] = (free_basis_folder(sec.Z)
-                            if validate_basis(sec.X) else None)
+            if id(sec) not in folders:
+                folders[id(sec)] = (free_basis_folder(sec.Z)
+                                    if validate_basis(sec.X) else None)
+            z_folders[i] = folders[id(sec)]
             if z_folders[i] is None:
                 raise ValueError("rule %s sector %d: X or Z not free"
                                  % (self.name, i))
@@ -582,10 +688,13 @@ def invert_rule(rule: GeneralizedRule) -> GeneralizedRule:
     where the f^-1 are read through the swapped bases (X and Z trade places).
     """
     hw = rule.hw
+    # a sector rule shared between sectors stays shared in the inverse
+    inverses: Dict[int, SectorRule] = {}
     inv_sectors: List[Optional[SectorRule]] = []
     for sec in rule.sectors:
-        inv_sectors.append(None if sec is None else
-                           SectorRule(sec.Z, sec.X, sec.z_sub, sec.x_sub))
+        if sec is not None and id(sec) not in inverses:
+            inverses[id(sec)] = SectorRule(sec.Z, sec.X, sec.z_sub, sec.x_sub)
+        inv_sectors.append(None if sec is None else inverses[id(sec)])
     tmp = GeneralizedRule(hw, _inv_name(rule.name), rule.parts, inv_sectors,
                           positive=not rule.positive, check=False)
 
@@ -638,6 +747,43 @@ def is_admissible(W: AdmissibleWord, rule: GeneralizedRule) -> Optional[MachineE
     return None
 
 
+class _StepPlan:
+    """What a rule does to every word with given state letters.
+
+    ``states`` are the new state letters. ``windows`` holds, per window,
+    its class, its sector, the sector rule (None when locked), the right
+    insert of its left state letter, the left insert of its right one,
+    the letters of both inserts, and whether its two new state letters are
+    inverse (so that an empty result cancels them). Windows of one class
+    agree on all of these but the sector, so on equal tapes they give
+    equal results. ``base_changed`` says the new states leave the base.
+    """
+
+    __slots__ = ("states", "windows", "base_changed")
+
+    def __init__(self, W: AdmissibleWord, rule: GeneralizedRule):
+        _check_states(W, rule)
+        hw = W.hw
+        repl = [rule._replacement[e * q] for q, e in W.states]
+        self.states = tuple((abs(q), 1 if q > 0 else -1) for _, q, _ in repl)
+        classes: Dict[tuple, int] = {}
+        windows = []
+        for j, s in enumerate(W.sectors):
+            (_, q1, right), (left, q2, _) = repl[j], repl[j + 1]
+            sec, cancel = rule.sectors[s], q1 == -q2
+            cls = classes.setdefault((id(sec), right, left, cancel),
+                                     len(classes))
+            windows.append((cls, s, sec, right, left,
+                            frozenset(right + left), cancel))
+        self.windows = tuple(windows)
+        self.base_changed = (tuple((hw.part_of(q), e) for q, e in self.states)
+                             != W.base())
+
+
+_CANCELLED = object()
+_NO_LETTERS: FrozenSet[int] = frozenset()
+
+
 def apply_rule(W: AdmissibleWord, rule: GeneralizedRule) -> AdmissibleWord:
     """W . rule, or raise a MachineError describing the obstruction.
 
@@ -646,29 +792,53 @@ def apply_rule(W: AdmissibleWord, rule: GeneralizedRule) -> AdmissibleWord:
     Tape letters left of the first and right of the last state letter are
     dropped.  State letters cancel exactly when a window empties between
     two inverse ones.
+
+    The rule's :class:`_StepPlan` for W's states is made on first use and
+    kept on the rule; the state check runs only then.  Within the step,
+    windows of one plan class holding the same tape object are rewritten
+    once and share the resulting word.  Errors come in the order of a
+    window-by-window pass: a state mismatch, the first window outside its
+    domain, a cancellation, a changed base.
     """
-    _check_states(W, rule)
+    key = (W.hw, W.states)
+    plan = rule._plans.get(key)
+    if plan is None:
+        plan = rule._plans[key] = _StepPlan(W, rule)
     alpha = W.hw.alpha
-    repl = [rule._replacement[e * q] for q, e in W.states]
+    done: Dict[Tuple[int, int], object] = {}
     tapes: List[Word] = []
+    sets: List[FrozenSet[int]] = []
     cancelled = False
-    for j, (s, w) in enumerate(zip(W.sectors, W.tapes)):
-        (_, q1, right), (left, q2, _) = repl[j], repl[j + 1]
-        out = list(right)
-        if not rule._push_image(s, out, w):
-            raise SectorMismatchError(s, w, rule.locks(s))
-        _join(out, left)
-        cancelled = cancelled or (not out and q1 == -q2)
-        tapes.append(Word(alpha, tuple(out)))
+    for (cls, s, sec, right, left, ins, cancel), w, ls in zip(
+            plan.windows, W.tapes, W._letter_sets()):
+        got = done.get((cls, id(w)))
+        if got is None:
+            out = list(right)
+            if sec is None:
+                img = _NO_LETTERS if not w else None
+            else:
+                img = sec.step(out, w, ls)
+            if img is None:
+                raise SectorMismatchError(s, w, rule.locks(s))
+            _join(out, left)
+            got = done[(cls, id(w))] = (
+                _CANCELLED if cancel and not out
+                else (Word(alpha, tuple(out)), img | ins if ins else img))
+        if got is _CANCELLED:
+            cancelled = True
+            continue
+        tapes.append(got[0])
+        sets.append(got[1])
     if cancelled:
         raise MachineError("rule %s: state letters cancelled during "
                            "application" % rule.name)
-    states = [(abs(q), 1 if q > 0 else -1) for _, q, _ in repl]
-    result = AdmissibleWord(W.hw, states, tapes, check=False)
-    if result.base() != W.base():
+    if plan.base_changed:
+        # the shape checks of a new word fail first where they fail
+        AdmissibleWord(W.hw, plan.states, tapes, check=False)
         raise MachineError("rule %s: base changed during application"
                            % rule.name)
-    return result
+    return AdmissibleWord._made(W.hw, plan.states, tuple(tapes), W.sectors,
+                                tuple(sets))
 
 
 def theta_length(W: AdmissibleWord, rule: GeneralizedRule) -> int:
@@ -773,11 +943,15 @@ class Machine:
         self._inv_cache: Dict[str, GeneralizedRule] = {}
 
     def rule(self, name: str, sign: int = 1) -> GeneralizedRule:
+        """The rule ``name`` (a trailing ``^-1`` inverts it) to the power
+        ``sign``, which must be +-1."""
+        if sign not in (1, -1):
+            raise MachineError("history signs must be +-1")
         if name.endswith("^-1"):
             name, sign = name[:-3], -sign
         base = self.rules.get(name)
         if base is None:
-            raise KeyError("unknown rule %r" % name)
+            raise UnknownRuleError(name)
         if sign > 0:
             return base
         if name not in self._inv_cache:
@@ -798,9 +972,10 @@ class Machine:
         for i, p in enumerate(self.hw.parts):
             q = p.start if which == "start" else p.end
             states.append((q, 1))
+        empty = self.hw.alpha.word()
         ws = []
         for i in range(1, self.hw.n_parts):
-            ws.append(tapes.get(i, self.hw.alpha.word()))
+            ws.append(tapes.get(i, empty))
         return AdmissibleWord(self.hw, states, ws)
 
     def accept_config(self) -> AdmissibleWord:
@@ -988,7 +1163,8 @@ def machine_from_text(text: str) -> Machine:
     """Parse the line format produced by machine_to_text.
 
     Raises ParseError, naming the line at fault, on text that does not
-    parse or does not describe a valid machine.
+    parse or does not describe a valid machine; a noise declaration that
+    :func:`validate_noisy` rejects is blamed on the first NOISE line.
     """
     at = [0]
     try:
@@ -1159,4 +1335,9 @@ def _machine_from_text(text: str, at: List[int]) -> Machine:
                 raise ValueError("rule %s sector %d both locked and given "
                                  "bases" % (rname, i))
         rules.append(GeneralizedRule(hw, rname, rparts, sectors))
-    return Machine(name, hw, rules, input_sectors=inputs, noise=noise)
+    machine = Machine(name, hw, rules, input_sectors=inputs, noise=noise)
+    if noise_lines:
+        # the declared noise must fit the rules; blame the first NOISE line
+        at[0] = min(entry[0] for entry in noise_lines.values())
+        validate_noisy(machine)
+    return machine

@@ -467,17 +467,20 @@ class _Ring:
              name: Optional[str] = None) -> GeneralizedRule:
         """r acting on every copy, copy i's states through smaps[i - 1].
 
-        With ``special`` the first copy of that sector is locked and the
-        two insertions beside it are dropped.
+        Copies share tape letters, so each insert and sector rule of r is
+        mapped once and every copy gets the same object.  With ``special``
+        the first copy of that sector is locked and the two insertions
+        beside it are dropped.
         """
         tmap, al = self.tmap, self.al
         e = al.word()
+        inserts = [(relabel(rp.u, tmap, al), relabel(rp.v, tmap, al))
+                   for rp in r.parts]
+        mapped = [_map_sector(sec, tmap, al) for sec in r.sectors]
         rparts: List[RulePart] = []
         rsectors: List[Optional[SectorRule]] = []
         for i, d in enumerate(smaps, 1):
-            for pi, rp in enumerate(r.parts):
-                u = relabel(rp.u, tmap, al)
-                v = relabel(rp.v, tmap, al)
+            for pi, (rp, (u, v)) in enumerate(zip(r.parts, inserts)):
                 if special is not None and i == 1:
                     if pi == special - 1:
                         v = e
@@ -485,10 +488,8 @@ class _Ring:
                         u = e
                 rparts.append(RulePart(d[rp.q], u, d[rp.q2], v))
             for s in range(self.P):
-                sec = r.sectors[s]
-                if special is not None and i == 1 and s == special:
-                    sec = None
-                rsectors.append(_map_sector(sec, tmap, al))
+                locked = special is not None and i == 1 and s == special
+                rsectors.append(None if locked else mapped[s])
         return GeneralizedRule(hw, name or r.name, rparts, rsectors)
 
     def noise(self) -> Optional[NoiseDecl]:

@@ -219,6 +219,105 @@ def reference_apply_rule(W, rule):
     return result
 
 
+# -- runs, one window at a time -----------------------------------------------
+#
+# The library's apply_rule works out each rule's effect on a state tuple
+# once, rewrites each distinct window once per step and shares the result
+# between equal windows, and tests fixed letters on carried letter sets.
+# These are the plain loops it replaced: every window of every step is
+# rewritten by its own pass, and shift replays its whole history again
+# after finding it one step at a time.
+
+def reference_step(W, rule):
+    """W . rule by one pass per window, as apply_rule did before step
+    plans and shared windows."""
+    from smforge.smachine import (AdmissibleWord, MachineError,
+                                  SectorMismatchError, _check_states, _join)
+    from smforge.words import Word
+
+    _check_states(W, rule)
+    alpha = W.hw.alpha
+    repl = [rule._replacement[e * q] for q, e in W.states]
+    tapes = []
+    cancelled = False
+    for j, (s, w) in enumerate(zip(W.sectors, W.tapes)):
+        (_, q1, right), (left, q2, _) = repl[j], repl[j + 1]
+        out = list(right)
+        if not rule._push_image(s, out, w):
+            raise SectorMismatchError(s, w, rule.locks(s))
+        _join(out, left)
+        cancelled = cancelled or (not out and q1 == -q2)
+        tapes.append(Word(alpha, tuple(out)))
+    if cancelled:
+        raise MachineError("rule %s: state letters cancelled during "
+                           "application" % rule.name)
+    states = [(abs(q), 1 if q > 0 else -1) for _, q, _ in repl]
+    result = AdmissibleWord(W.hw, states, tapes, check=False)
+    if result.base() != W.base():
+        raise MachineError("rule %s: base changed during application"
+                           % rule.name)
+    return result
+
+
+def reference_run(machine, W, history, trace=True):
+    """Machine.run with reference_step for each step."""
+    from smforge.smachine import Computation, MachineError, StepError
+
+    cur = W
+    words = [W]
+    for k, (name, s) in enumerate(history):
+        try:
+            cur = reference_step(cur, machine.rule(name, s))
+        except MachineError as e:
+            raise StepError(k, e) from e
+        if trace:
+            words.append(cur)
+    if not trace and history:
+        words.append(cur)
+    return Computation(words, list(history))
+
+
+def reference_shift(w, machine, scheme):
+    """shift as it was: one run per step while the history is found, the
+    last noise spelling only listed, then the whole history replayed."""
+    from smforge.machines import (_check_sector1, _decode_rear,
+                                  marker_split)
+    from smforge.smachine import AdmissibleWord, reduce_history
+
+    _check_sector1(w, scheme)
+    q0, q1 = machine.hw.parts[0].start, machine.hw.parts[1].start
+    W0 = AdmissibleWord(machine.hw, ((q0, 1), (q1, 1)), (w,))
+    W, hist = W0, []
+    while True:
+        gaps, markers = marker_split(W.tapes[0], scheme)
+        if not markers:
+            hist += [(scheme.rule_name(abs(x)), 1 if x > 0 else -1)
+                     for x in reversed(W.tapes[0].ltrs)]
+            break
+        x, tail = markers[-1], gaps[-1]
+        a = scheme.unmark(abs(x))
+        if x > 0:
+            steps = [(scheme.rule_name(abs(l)), 1 if l > 0 else -1)
+                     for l in reversed(tail.ltrs)]
+            steps.append((scheme.rule_name(a), 1))
+        else:
+            dec = _decode_rear(tail, a, scheme)
+            if dec is None:
+                return None
+            steps = [(scheme.rule_name(y), e) for y, e in dec]
+            steps.append((scheme.rule_name(a), -1))
+        for name, s in steps:
+            W = reference_run(machine, W, [(name, s)]).final()
+        hist += steps
+    if reduce_history(hist) != hist:
+        return None
+    comp = reference_run(machine, W0, hist, trace=False)
+    final = comp.final()
+    if final.tapes[0] or final.base() != W0.base():
+        return None
+    return comp
+
+
 # -- band cells, built afresh for every band ---------------------------------
 #
 # The library builds each cell of a presentation once and shares it between

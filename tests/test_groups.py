@@ -1,6 +1,7 @@
 """Group presentations and band diagrams of the main machine M(a)."""
 
 import dataclasses
+import hashlib
 import re
 
 import pytest
@@ -43,6 +44,14 @@ def disk_i(main1, pres):
 @pytest.fixture(scope="module")
 def disk_j(main1, pres):
     return build_disk_diagram(main1.input_j(payload(main1, 1)), main1, pres)
+
+
+# sha256 prefixes of diagram_to_json, as recorded in CHANGES.md
+@pytest.mark.parametrize("which,prefix", [("disk_i", "f24068eebb345223"),
+                                          ("disk_j", "a02c9f6505121393")])
+def test_disk_json_is_pinned(request, which, prefix):
+    text = diagram_to_json(request.getfixturevalue(which))
+    assert hashlib.sha256(text.encode()).hexdigest()[:16] == prefix
 
 
 # -- presentations -----------------------------------------------------------

@@ -112,6 +112,18 @@ def test_parse_error_names_the_line():
     assert err.value.line == 0 and "MACHINE" in str(err.value)
 
 
+def test_noise_lines_must_fit_the_rules():
+    lines = M1_TEXT.splitlines()
+    n = next(i for i, ln in enumerate(lines) if ln.startswith("NOISE"))
+    assert "M={a_1} N={b1,b2}" in lines[n]
+    bad = lines[n].replace("M={a_1} N={b1,b2}", "M={b1} N={a_1,b2}")
+    with pytest.raises(ParseError) as err:
+        machine_from_text("\n".join(lines[:n] + [bad] + lines[n + 1:]))
+    assert err.value.line == n + 1
+    assert "sector 1 fits no noisy form" in str(err.value)
+    assert len(validate_noisy(machine_from_text(M1_TEXT))) == 6
+
+
 # -- noise words ----------------------------------------------------------------
 
 @p("letters", [("a",), ("a", "c"), ("a", "c", "e")])

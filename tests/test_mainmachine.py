@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from smforge.words import Word, relabel, relabel_by_name
 from smforge.smachine import (StepError, is_admissible, machine_from_text,
-                              machine_to_text, reduce_history)
+                              machine_to_text, reduce_history, validate_noisy)
 from smforge.machines import marker_split
 from smforge.towers import parallelize
 from smforge.mainmachine import (DivisibleRecognizer, Params,
@@ -208,6 +208,23 @@ def test_accepting_runs(main1, k, shape):
     assert comp.history[-1] == ("a" + c, 1)
 
 
+# accept step counts, recorded when the benchmark was defined
+@p("letters,shape,word,steps", [
+    ("a", "I", "a", 18), ("a", "J", "a", 18),
+    ("a", "I", "aa", 188), ("a", "J", "aa", 188),
+    ("a", "I", "aaa", 2386),
+    ("ab", "I", "ab", 1128), ("ab", "J", "ba", 1128)])
+def test_accept_step_counts(main1, letters, shape, word, steps):
+    main = main1 if letters == "a" else build_main(
+        tuple(letters), DivisibleRecognizer(tuple(letters), 1), DESK4)
+    al = main.machine.hw.alpha
+    w = al.word([main.A[letters.index(x)] for x in word])
+    W = main.input_i(w) if shape == "I" else main.input_j(w)
+    comp, ell = accepting_run(W, main)
+    assert (comp.time, ell) == (steps, 1)
+    assert comp.words[0] == W and comp.final() == main.w_ac()
+
+
 def test_accepting_run_rejections(main1, main_rej):
     mm = main1.machine
     res = accepting_run(main1.w_ac(), main1)
@@ -245,6 +262,12 @@ def test_build_main_guards():
 def test_main_round_trips(main1):
     text = machine_to_text(main1.machine)
     assert machine_to_text(machine_from_text(text)) == text
+
+
+@p("which,entries", [("m1", 6), ("m5", 49), ("machine", 504)])
+def test_parsed_noise_declarations_are_valid(main1, which, entries):
+    again = machine_from_text(machine_to_text(getattr(main1, which)))
+    assert len(validate_noisy(again)) == entries
 
 
 # sha256 prefixes of machine_to_text, recorded before build_main and

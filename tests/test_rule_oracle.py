@@ -8,6 +8,12 @@ is also cut to a slice of its states, inverted, or joined to an inverted
 slice, which gives every window shape, and mutated to fall outside the
 rules' domains.  Every query must give the reference's result, or raise
 the reference's exception with the same message.
+
+Whole runs are checked the same way against the window-by-window loop:
+random reduced histories, with and without a faulty step, and the
+recorded accepting histories of I(a^2) and I(ab), must give the
+reference's configurations or its StepError; shift must give the
+reference's two-pass computation.
 """
 
 import random
@@ -17,6 +23,7 @@ from hypothesis import given, settings, strategies as st
 
 from oracles import (reference_apply_rule, reference_domain_expr,
                      reference_image, reference_is_admissible,
+                     reference_run, reference_shift, reference_step,
                      reference_theta_length)
 from smforge.machines import build_m1, shift
 from smforge.mainmachine import (DivisibleRecognizer, Params, accepting_run,
@@ -25,8 +32,8 @@ from smforge.smachine import (AdmissibleWord, GeneralizedRule, Hardware,
                               Machine, MachineError, Part, RulePart,
                               SectorRule, apply_rule, is_admissible,
                               theta_length)
-from smforge.towers import SigmaSpec, compose, cyclify, reflect
-from smforge.words import Alphabet
+from smforge.towers import SigmaSpec, bar_name, compose, cyclify, reflect
+from smforge.words import Alphabet, Word, relabel
 
 
 def _m1():
@@ -212,3 +219,166 @@ def test_compiled_rules_match_reference(name, seed):
     for V in (W, cut(W, r), cut(W, r), mutate(W, r), mutate(W, r)):
         if V is not None:
             check_word(m, V, r)
+
+
+# -- whole runs ------------------------------------------------------------------
+
+def run_outcome(run, W, history, trace):
+    """The run's configurations, or its error by type, message, step
+    index and the type of the step's own error."""
+    try:
+        return ("ok", run(W, history, trace).words)
+    except MachineError as e:
+        return (type(e), str(e), getattr(e, "index", None),
+                type(getattr(e, "reason", None)))
+
+
+def same_runs(m, W, history):
+    for trace in (True, False):
+        assert run_outcome(m.run, W, history, trace) == run_outcome(
+            lambda *a: reference_run(m, *a), W, history, trace)
+
+
+def random_history(m, W, r, steps, max_size=400):
+    """A random reduced history of rules applicable along the way."""
+    hist, last = [], None
+    for _ in range(steps):
+        moves = [(n, s) for n, s in m.theta() if (n, -s) != last
+                 and is_admissible(W, m.rule(n, s)) is None]
+        if not moves:
+            break
+        last = r.choice(moves)
+        V = reference_step(W, m.rule(*last))
+        if V.size() > max_size:
+            break
+        hist.append(last)
+        W = V
+    return hist
+
+
+@pytest.mark.parametrize("name", ["M1", "M5", "main"])
+@given(seed=st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=30, deadline=None)
+def test_runs_match_reference_run(name, seed):
+    m, starts = machine(name)
+    r = random.Random(seed)
+    W = walk(m, r.choice(starts), r, r.randrange(8))
+    W = (cut(W, r) if r.random() < 0.5 else None) or W
+    hist = random_history(m, W, r, r.randrange(1, 40))
+    same_runs(m, W, hist)
+    k = r.randrange(len(hist) + 1)
+    some = r.choice(sorted(m.rules))
+    for fault in (r.choice(m.theta()), ("nosuch", 1), (some, 0),
+                  (some, 2)):
+        same_runs(m, W, hist[:k] + [fault] + hist[k:])
+
+
+def _cancelling():
+    """A machine whose unchecked rule maps a to the empty word, and a word
+    holding one tape object both between q0 and q1, where emptying it is
+    harmless, and between q1^-1 and q1, where it cancels the two."""
+    al = Alphabet()
+    q0, q1, q2 = (al.intern(n, kind="q", part=i)
+                  for i, n in enumerate(("q0", "q1", "q2")))
+    a, c = al.intern("a", sector=1), al.intern("c", sector=2)
+    hw = Hardware(al, [Part((q,), q, q) for q in (q0, q1, q2)],
+                  [(), (a,), (c,)])
+    e = al.word()
+    collapse = GeneralizedRule(
+        hw, "collapse", [RulePart(q, e, q, e) for q in (q0, q1, q2)],
+        [None, SectorRule((al.word([a]),), (e,)),
+         SectorRule((al.word([c]),), (al.word([c]),))], check=False)
+    t = al.word([a])
+    W = AdmissibleWord(hw, [(q0, 1), (q1, 1), (q1, -1), (q1, 1)],
+                       [t, al.word([c]), t])
+    return Machine("cancelling", hw, [collapse]), W
+
+
+def test_equal_windows_that_cancel_are_kept_apart():
+    m, W = _cancelling()
+    assert outcome(apply_rule, W, m.rule("collapse")) == \
+        outcome(reference_step, W, m.rule("collapse")) == \
+        outcome(reference_apply_rule, W, m.rule("collapse"))
+    assert "cancelled" in outcome(apply_rule, W, m.rule("collapse"))[1]
+    same_runs(m, W, [("collapse", 1)])
+
+
+DESK4 = Params(2, 4, 5, 4, 7, 8, 9, check_chain=False)
+_MAINS = {}
+
+
+def _main_of(letters):
+    if letters not in _MAINS:
+        _MAINS[letters] = build_main(
+            letters, DivisibleRecognizer(letters, 1), DESK4)
+    return _MAINS[letters]
+
+
+def _by_name(w, target, name=lambda nm: nm):
+    src = w.alpha
+    return Word(target, tuple((1 if x > 0 else -1)
+                              * target.id_of(name(src.name_of(abs(x))))
+                              for x in w.ltrs))
+
+
+@pytest.mark.parametrize("letters,word", [(("a",), "aa"), (("a", "b"), "ab")])
+def test_recorded_accepting_runs_match_reference_run(letters, word):
+    main = _main_of(letters)
+    w = main.machine.hw.alpha.word([main.A[letters.index(x)] for x in word])
+    W = main.input_i(w)
+    hist = accepting_run(W, main)[0].history
+    got = main.machine.run(W, hist).words
+    assert got == reference_run(main.machine, W, hist).words
+    if word == "aa":
+        # ring copies hold equal tapes, and equal tapes of one sector
+        # class are one object
+        for V in got:
+            seen = {}
+            for s, t in zip(V.sectors, V.tapes):
+                assert seen.setdefault((s % main.P, t.ltrs), t) is t
+    sch = main.scheme
+    marked = relabel(main.to_m1(w), dict(zip(sch.A, sch.A1)), sch.alpha)
+    comp = shift(marked, main.m1, sch)
+    assert main.m1.run(comp.words[0], comp.history).words == \
+        reference_run(main.m1, comp.words[0], comp.history).words
+    m5, al5 = main.m5, main.m5.hw.alpha
+    W5 = m5.input_config({2: _by_name(marked, al5),
+                          6: ~_by_name(marked, al5, bar_name)})
+    hist5 = [(nm[2:], s) for nm, s in hist if nm.startswith("1.")]
+    run5 = m5.run(W5, hist5)
+    assert run5.final() == m5.accept_config()
+    assert run5.words == reference_run(m5, W5, hist5).words
+
+
+def _shift_inputs():
+    m, sch = build_m1(("a",))
+    al = sch.alpha
+    words = [al.parse(t) for t in ("b2 b1", "a_1", "a_1^-1", "a_1^-1 b1",
+                                   "a_1 a_1", "a_1 a_1 a_1")]
+    # the round trip inputs of test_machines: the empty tape pushed back
+    # through random reduced histories
+    r = random.Random(31)
+    names = sorted(m.rules)
+    W0 = AdmissibleWord(m.hw, m.configuration({}).states[:2],
+                        m.configuration({}).tapes[:1])
+    for _ in range(40):
+        n, hist = r.randint(1, 3), []
+        while len(hist) < n:
+            step = (r.choice(names), r.choice((1, -1)))
+            if not hist or hist[-1] != (step[0], -step[1]):
+                hist.append(step)
+        back = [(name, -s) for name, s in reversed(hist)]
+        w = m.run(W0, back).final().tapes[0]
+        if w:
+            words.append(w)
+    cases = [(m, sch, w) for w in words]
+    mab, schab = build_m1(("a", "b"))
+    cases += [(mab, schab, schab.alpha.parse(t))
+              for t in ("a_1 b_1", "b_1 a_1", "b_1^-1 a_1")]
+    return cases
+
+
+@pytest.mark.parametrize("case", _shift_inputs())
+def test_shift_matches_reference_shift(case):
+    m, sch, w = case
+    assert outcome(shift, w, m, sch) == outcome(reference_shift, w, m, sch)

@@ -7,7 +7,8 @@ import pytest
 from smforge.smachine import (
     AdmissibleWord, GeneralizedRule, Hardware, Machine, MachineError,
     NoiseDecl, Part, RulePart, SectorMismatchError, SectorRule,
-    StateMismatchError, StepError, apply_rule, invert_rule, is_admissible,
+    StateMismatchError, StepError, UnknownRuleError, apply_rule, invert_rule,
+    is_admissible,
     machine_from_text, machine_to_text, parse_history, format_history,
     reduce_history, semi_apply, semi_theta_length, theta_length, validate_noisy,
 )
@@ -173,6 +174,44 @@ def test_run_wraps_step_errors():
         m.run(W, [("peel", 1), ("twist", -1)])
     assert ei.value.index == 1
     assert isinstance(ei.value.reason, StateMismatchError)
+
+
+@p("sign", [0, 2, -2])
+def test_history_signs_must_be_unit(sign):
+    m = tiny_machine()
+    al = m.hw.alpha
+    W = AdmissibleWord.from_word(m.hw, al.parse("q0 a q1 q2"))
+    with pytest.raises(MachineError, match=r"history signs must be \+-1"):
+        m.rule("peel", sign)
+    for run in (lambda h: m.run(W, h), lambda h: m.semi_run(al.parse("a"),
+                                                              1, h)):
+        with pytest.raises(StepError) as ei:
+            run([("peel", 1), ("peel", sign)])
+        assert ei.value.index == 1
+        assert str(ei.value.reason) == "history signs must be +-1"
+
+
+def test_unknown_rule_is_typed():
+    import smforge
+
+    m = tiny_machine()
+    al = m.hw.alpha
+    assert smforge.UnknownRuleError is UnknownRuleError
+    with pytest.raises(UnknownRuleError) as ei:
+        m.rule("nosuch", -1)
+    assert isinstance(ei.value, KeyError)
+    assert isinstance(ei.value, MachineError)
+    assert str(ei.value) == "unknown rule 'nosuch'"
+    with pytest.raises(KeyError):
+        m.rule("nosuch^-1")
+    W = AdmissibleWord.from_word(m.hw, al.parse("q0 a q1 q2"))
+    for run in (lambda h: m.run(W, h), lambda h: m.semi_run(al.parse("a"),
+                                                              1, h)):
+        with pytest.raises(StepError) as ei:
+            run([("twist", 1), ("nosuch", 1)])
+        assert ei.value.index == 1
+        assert isinstance(ei.value.reason, UnknownRuleError)
+        assert str(ei.value) == "step 1 inadmissible: unknown rule 'nosuch'"
 
 
 def test_theta_length_counts_basis_terms():
