@@ -9,26 +9,30 @@ three legal shapes, which also assigns the tape word its sector.
 A generalized rule carries, per part i, a transition q_i -> u_i q_i' v_{i+1}
 and, per sector i, either a lock or a pair of free bases X_i, Z_i with the
 isomorphism f_i matching them up by position. Each sector is compiled once,
-when it is built, into letter tables (see :class:`SectorRule`). Applying the
-rule rewrites each window in one stack-reduction pass: the right insert of
-the window's left state letter, the image of each tape letter under f_i,
-then the left insert of its right state letter. State letters never reduce
-against tape letters, so the windows stay apart and need no re-split.
+when it is built, into letter tables (see :class:`SectorRule`), and every
+rewrite of a tape goes through one method, :meth:`SectorRule.push`: the
+windows of :func:`apply_rule`, the steps of :func:`semi_apply` and the
+inserts of :func:`invert_rule`. It takes the tape with a superset of its
+letters, tries the all-letters-fixed and domain tests on that set before it
+scans the tape, and returns a superset of the letters of the image.
 
+Applying a rule rewrites each window in one stack-reduction pass: the right
+insert of the window's left state letter, the image of the tape word under
+f_i, then the left insert of its right state letter. State letters never
+reduce against tape letters, so the windows stay apart and need no re-split.
 What a rule does to the state letters of a word depends on those letters
 alone, so each rule works it out once per state tuple (a step plan: new
 states, and per window its sector, sector rule and inserts). Windows that
 agree on all of that and hold the same tape object are rewritten once per
 step and share the resulting word; ring copies of one machine hold equal
 tapes, so a step costs one pass per distinct window. Each produced tape
-carries a superset of its letters, which settles the all-letters-fixed test
-without a scan.
+carries the letter superset its push returned, so the next step's tests
+need no scan either.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import compress, count
 from typing import (Dict, FrozenSet, Iterable, List, Optional, Sequence,
                     Tuple)
 
@@ -113,21 +117,17 @@ class Hardware:
         self.tapes = [tuple(t) for t in tapes]
         self.cyclic = cyclic
         self._part_of: Dict[int, int] = {}
-        self._sector_of: Dict[int, int] = {}
         for i, p in enumerate(self.parts):
             for q in p.letters:
                 if alpha.kind_of(q) != "q":
                     raise ValueError("part letter %s is not a state letter"
                                      % alpha.name_of(q))
                 self._part_of[q] = i
-        for i, t in enumerate(self.tapes):
+        for t in self.tapes:
             for y in t:
                 if alpha.kind_of(y) != "a":
                     raise ValueError("tape letter %s is not a tape letter"
                                      % alpha.name_of(y))
-                # parallel hardware shares tape alphabets between sectors;
-                # bookkeeping keeps the first sector carrying each letter
-                self._sector_of.setdefault(y, i)
 
     @property
     def n_parts(self) -> int:
@@ -135,10 +135,6 @@ class Hardware:
 
     def part_of(self, q: int) -> int:
         return self._part_of[abs(q)]
-
-    def sector_of(self, y: int) -> int:
-        """First sector whose alphabet carries y."""
-        return self._sector_of[abs(y)]
 
     def sector_indices(self) -> List[int]:
         """Real sector indices, in tape order."""
@@ -333,8 +329,10 @@ class _LetterMap:
     ``domain`` (of any letter when ``domain`` is None) goes to itself, and
     ``fixed`` holds those of ``domain``. ``produces`` maps each moving
     letter to the set of letters of its image.
-    Applying it to a reduced word copies the runs between moving letters
-    at C speed, so the Python work grows with the moving letters alone.
+    :meth:`push` takes a superset of the word's letters along with it, tries
+    the fixed and domain tests on that set before it scans the word, and
+    finds the moving letters by one C-level search per moving letter of the
+    set, so the Python work grows with the moving letters alone.
     """
 
     __slots__ = ("images", "domain", "fixed", "produces")
@@ -347,39 +345,26 @@ class _LetterMap:
                       else self.domain.difference(self.images))
         self.produces = {y: frozenset(img) for y, img in self.images.items()}
 
-    def push(self, stack: List[int], ltrs: Tuple[int, ...]) -> bool:
-        """Append the image of the reduced ``ltrs`` to the reduced
-        ``stack``, reducing; False, with ``stack`` untouched, when a letter
-        lies outside the domain."""
-        if self.fixed.issuperset(ltrs):
-            _join(stack, ltrs)
-            return True
-        if self.domain is not None and not self.domain.issuperset(ltrs):
-            return False
-        images = self.images
-        self._splice(stack, ltrs, compress(count(), map(images.__contains__,
-                                                        ltrs))
-                     if images else ())
-        return True
+    def push(self, stack: List[int], ltrs: Tuple[int, ...],
+             letters: FrozenSet[int]) -> Optional[FrozenSet[int]]:
+        """Append the image of the reduced ``ltrs``, whose letters lie in
+        ``letters``, to the reduced ``stack``, reducing.
 
-    def push_known(self, stack: List[int], ltrs: Tuple[int, ...],
-                   letters: FrozenSet[int]) -> Optional[FrozenSet[int]]:
-        """:meth:`push`, for a map with a domain, of ``ltrs`` whose letters
-        lie in ``letters``.
-
-        The fixed and domain tests try ``letters`` before they scan
-        ``ltrs``, and the moving letters are found by one C-level search
-        per moving letter in ``letters``.  Returns a superset of the
-        letters of the image, exact on moving letters, or None.
+        Returns a superset of the letters of the image, exact on moving
+        letters, or None, with ``stack`` untouched, when a letter of
+        ``ltrs`` lies outside the domain.
         """
-        if self.fixed.issuperset(letters):
+        domain = self.domain
+        if domain is None:
+            out = letters.difference(self.images)
+        elif self.fixed.issuperset(letters):
             _join(stack, ltrs)
             return letters
-        if (not self.domain.issuperset(letters)
-                and not self.domain.issuperset(ltrs)):
+        elif domain.issuperset(letters) or domain.issuperset(ltrs):
+            out = letters & self.fixed
+        else:
             return None
-        at: List[int] = []
-        out = letters & self.fixed
+        images, at = self.images, []
         for y in self.produces.keys() & letters:
             try:
                 i = ltrs.index(y)
@@ -390,19 +375,13 @@ class _LetterMap:
             except ValueError:
                 pass
         at.sort()
-        self._splice(stack, ltrs, at)
-        return out
-
-    def _splice(self, stack: List[int], ltrs: Tuple[int, ...],
-                at: Iterable[int]) -> None:
-        """Append ``ltrs`` with the letters at the increasing positions
-        ``at`` replaced by their images."""
-        images, start = self.images, 0
+        start = 0
         for i in at:
             _join(stack, ltrs[start:i])
             _join(stack, images[ltrs[i]])
             start = i + 1
         _join(stack, ltrs[start:] if start else ltrs)
+        return out
 
 
 def _signed(pairs: Iterable[Tuple[int, Tuple[int, ...]]]
@@ -428,8 +407,8 @@ class SectorRule:
     rule and the two trade places under inversion; both are derived with
     :func:`triangular_sub` when not given.
 
-    Construction compiles the sector once for :meth:`express` and
-    :meth:`push_image`:
+    Construction compiles the sector once, for :meth:`express` and
+    :meth:`push`, into one of three modes:
 
     * every X entry one letter: a letter map sending each X letter to its
       image under f, and a table from each X letter to its basis term;
@@ -473,15 +452,18 @@ class SectorRule:
             self._back = _LetterMap(_signed(
                 (y, self.X[j].ltrs) for y, j in zs.items()), self._terms)
 
-    def _substituted(self, ltrs: Tuple[int, ...]) -> Optional[Tuple[int, ...]]:
-        """x_sub applied to a word, when that reads back through X to it."""
+    def _substituted(self, ltrs: Tuple[int, ...], letters: FrozenSet[int]
+                     ) -> Optional[Tuple[Tuple[int, ...], FrozenSet[int]]]:
+        """x_sub applied to a word whose letters lie in ``letters``, with a
+        superset of the letters of the result, when that reads back through
+        X to the word."""
         stack: List[int] = []
-        self._map.push(stack, ltrs)
+        got = self._map.push(stack, ltrs, letters)
         u = tuple(stack)
         readback: List[int] = []
-        if not self._back.push(readback, u) or tuple(readback) != ltrs:
+        if self._back.push(readback, u, got) is None or tuple(readback) != ltrs:
             return None
-        return u
+        return u, got
 
     def express(self, w: Word) -> Optional[BasisExpression]:
         """Expression of w over X, or None when w lies outside <X>."""
@@ -489,42 +471,37 @@ class SectorRule:
             return express_in_basis(w, self.X)
         ltrs = w.ltrs
         if self._back is not None:
-            ltrs = self._substituted(ltrs)
-            if ltrs is None:
+            got = self._substituted(ltrs, frozenset(ltrs))
+            if got is None:
                 return None
+            ltrs = got[0]
         try:
             return list(map(self._terms.__getitem__, ltrs))
         except KeyError:
             return None
 
-    def push_image(self, stack: List[int], w: Word) -> bool:
-        """Append f(w) to the freely reduced letter list ``stack``, reducing;
-        False, with ``stack`` untouched, when w lies outside <X>."""
-        if self._map is None:
-            expr = self.express(w)
-            if expr is None:
-                return False
-            for j, s in expr:
-                _join(stack, self.Z[j].ltrs if s > 0
-                      else _inverse(self.Z[j].ltrs))
-            return True
-        if self._back is None:
-            return self._map.push(stack, w.ltrs)
-        u = self._substituted(w.ltrs)
-        if u is None:
-            return False
-        _join(stack, u)
-        return True
-
-    def step(self, stack: List[int], w: Word,
+    def push(self, stack: List[int], w: Word,
              letters: FrozenSet[int]) -> Optional[FrozenSet[int]]:
-        """:meth:`push_image` of a tape whose letters lie in ``letters``:
-        returns a superset of the letters of f(w), or None, with ``stack``
-        untouched, when w lies outside <X>."""
-        if self._map is None or self._back is not None:
-            return frozenset(stack) if self.push_image(stack, w) else None
-        # one-letter X entries: _map's domain is their signed letters
-        return self._map.push_known(stack, w.ltrs, letters)
+        """Append f(w), for a w whose letters lie in ``letters``, to the
+        freely reduced letter list ``stack``, reducing.  Returns a superset
+        of the letters of f(w), or None, with ``stack`` untouched, when w
+        lies outside <X>."""
+        if self._back is not None:
+            got = self._substituted(w.ltrs, letters)
+            if got is None:
+                return None
+            _join(stack, got[0])
+            return got[1]
+        if self._map is not None:
+            return self._map.push(stack, w.ltrs, letters)
+        expr = self.express(w)
+        if expr is None:
+            return None
+        image: List[int] = []
+        for j, s in expr:
+            _join(image, self.Z[j].ltrs if s > 0 else _inverse(self.Z[j].ltrs))
+        _join(stack, image)
+        return frozenset(image)
 
 
 def triangular_sub(X: Tuple[Word, ...],
@@ -637,9 +614,6 @@ class GeneralizedRule:
 
     # -- queries -------------------------------------------------------------
 
-    def expected_state(self, part: int) -> int:
-        return self.parts[part].q
-
     def locks(self, sector: int) -> bool:
         sec = self.sectors[sector]
         return sec is None or len(sec.X) == 0
@@ -653,14 +627,9 @@ class GeneralizedRule:
 
     def image(self, sector: int, w: Word) -> Word:
         """f~ applied to w, which must lie in <X_sector>."""
-        out: List[int] = []
-        if not self._push_image(sector, out, w):
-            raise SectorMismatchError(sector, w, self.locks(sector))
-        return Word(w.alpha, tuple(out))
-
-    def _push_image(self, sector: int, stack: List[int], w: Word) -> bool:
-        sec = self.sectors[sector]
-        return sec.push_image(stack, w) if sec is not None else not w
+        if not 0 <= sector < self.hw.n_parts:
+            raise MachineError("rule %s: no sector %d" % (self.name, sector))
+        return _image(self.sectors[sector], sector, w)
 
     def format(self) -> str:
         al = self.hw.alpha
@@ -695,17 +664,26 @@ def invert_rule(rule: GeneralizedRule) -> GeneralizedRule:
         if sec is not None and id(sec) not in inverses:
             inverses[id(sec)] = SectorRule(sec.Z, sec.X, sec.z_sub, sec.x_sub)
         inv_sectors.append(None if sec is None else inverses[id(sec)])
-    tmp = GeneralizedRule(hw, _inv_name(rule.name), rule.parts, inv_sectors,
-                          positive=not rule.positive, check=False)
-
     parts: List[RulePart] = []
     for i, rp in enumerate(rule.parts):
-        u2 = tmp.image(i, ~rp.u)
+        u2 = _image(inv_sectors[i], i, ~rp.u)
         nxt = hw.next_part(i) if (hw.cyclic or i + 1 < hw.n_parts) else None
-        v2 = tmp.image(nxt, ~rp.v) if nxt is not None else rp.v.alpha.word()
+        v2 = (_image(inv_sectors[nxt], nxt, ~rp.v) if nxt is not None
+              else rp.v.alpha.word())
         parts.append(RulePart(rp.q2, u2, rp.q, v2))
     return GeneralizedRule(hw, _inv_name(rule.name), parts, inv_sectors,
                            positive=not rule.positive, check=False)
+
+
+def _image(sec: Optional[SectorRule], sector: int, w: Word) -> Word:
+    """f(w) under the rule ``sec`` of ``sector`` (None when locked); raise
+    when w lies outside its domain."""
+    out: List[int] = []
+    outside = (bool(w) if sec is None
+               else sec.push(out, w, frozenset(w.ltrs)) is None)
+    if outside:
+        raise SectorMismatchError(sector, w, sec is None or not sec.X)
+    return Word(w.alpha, tuple(out))
 
 
 def _inv_name(name: str) -> str:
@@ -718,7 +696,7 @@ def _check_states(W: AdmissibleWord, rule: GeneralizedRule) -> None:
     """Raise at the first state letter of W the rule does not expect."""
     hw = W.hw
     for j, (q, _e) in enumerate(W.states):
-        expected = rule.expected_state(hw.part_of(q))
+        expected = rule.parts[hw.part_of(q)].q
         if q != expected:
             raise StateMismatchError(j, hw.alpha.name_of(q),
                                      hw.alpha.name_of(expected))
@@ -762,6 +740,9 @@ class _StepPlan:
     __slots__ = ("states", "windows", "base_changed")
 
     def __init__(self, W: AdmissibleWord, rule: GeneralizedRule):
+        if rule.hw is not W.hw:
+            raise MachineError("rule %s: hardware differs from the word's"
+                               % rule.name)
         _check_states(W, rule)
         hw = W.hw
         repl = [rule._replacement[e * q] for q, e in W.states]
@@ -817,7 +798,7 @@ def apply_rule(W: AdmissibleWord, rule: GeneralizedRule) -> AdmissibleWord:
             if sec is None:
                 img = _NO_LETTERS if not w else None
             else:
-                img = sec.step(out, w, ls)
+                img = sec.push(out, w, ls)
             if img is None:
                 raise SectorMismatchError(s, w, rule.locks(s))
             _join(out, left)
@@ -1179,7 +1160,7 @@ def _machine_from_text(text: str, at: List[int]) -> Machine:
     name = None
     cyclic = False
     inputs: List[int] = []
-    part_lines: List[Tuple[int, List[str], str, str, int]] = []
+    part_lines: Dict[int, Tuple[List[str], str, str, int]] = {}
     tape_lines: Dict[int, Tuple[int, List[Tuple[str, str]]]] = {}
     noise_lines: Dict[int, tuple] = {}
     rule_lines: Dict[str, Dict[int, Tuple[int, str]]] = {}
@@ -1191,6 +1172,8 @@ def _machine_from_text(text: str, at: List[int]) -> Machine:
         if not line or line.startswith("#"):
             continue
         if line.startswith("MACHINE "):
+            if name is not None:
+                raise ValueError("second MACHINE line")
             toks = line.split()
             name = toks[1]
             for t in toks[2:]:
@@ -1203,6 +1186,8 @@ def _machine_from_text(text: str, at: List[int]) -> Machine:
         elif line.startswith("PART "):
             head, _, rest = line.partition(":")
             i = int(head.split()[1])
+            if i in part_lines:
+                raise ValueError("second PART %d line" % i)
             toks = rest.split()
             if not toks or not toks[-1].startswith("[start="):
                 raise ValueError("PART line needs [start=..,end=..]")
@@ -1214,10 +1199,12 @@ def _machine_from_text(text: str, at: List[int]) -> Machine:
                     start = v
                 elif k == "end":
                     end = v
-            part_lines.append((i, toks[:-1], start, end, at[0]))
+            part_lines[i] = (toks[:-1], start, end, at[0])
         elif line.startswith("TAPE "):
             head, _, rest = line.partition(":")
             i = int(head.split()[1])
+            if i in tape_lines:
+                raise ValueError("second TAPE %d line" % i)
             entries = []
             for tok in rest.split():
                 if ":" in tok:
@@ -1229,6 +1216,8 @@ def _machine_from_text(text: str, at: List[int]) -> Machine:
         elif line.startswith("NOISE "):
             head, _, rest = line.partition(":")
             i = int(head.split()[1])
+            if i in noise_lines:
+                raise ValueError("second NOISE %d line" % i)
             chunks = rest.split()
             K = [x for x in _parse_braced(chunks[0], "K").split(",") if x]
             M = [x for x in _parse_braced(chunks[1], "M").split(",") if x]
@@ -1248,7 +1237,10 @@ def _machine_from_text(text: str, at: List[int]) -> Machine:
             rname = head.strip()
             istr, _, body = rest.partition(":")
             i = int(istr)
-            rule_lines.setdefault(rname, {})[i] = (at[0], body.strip())
+            bodies = rule_lines.setdefault(rname, {})
+            if i in bodies:
+                raise ValueError("second RULE %s: %d line" % (rname, i))
+            bodies[i] = (at[0], body.strip())
             order.setdefault(rname, at[0])
         elif line.startswith("LOCK "):
             toks = line.split()
@@ -1262,11 +1254,10 @@ def _machine_from_text(text: str, at: List[int]) -> Machine:
         raise ValueError("missing MACHINE line")
 
     al = Alphabet()
-    part_lines.sort(key=lambda p: p[0])
-    if [p[0] for p in part_lines] != list(range(len(part_lines))):
+    if sorted(part_lines) != list(range(len(part_lines))):
         raise ValueError("PART indices must be 0..N")
     parts = []
-    for i, letters, start, end, at[0] in part_lines:
+    for i, (letters, start, end, at[0]) in sorted(part_lines.items()):
         ids = tuple(al.intern(nm, kind="q", part=i) for nm in letters)
         parts.append(Part(ids, al.id_of(start), al.id_of(end)))
     tapes: List[Tuple[int, ...]] = []

@@ -135,9 +135,6 @@ class Alphabet:
                 raise ValueError("raw_word got a reducible sequence")
         return Word(self, ltrs)
 
-    def gen(self, name: str, sign: int = 1) -> "Word":
-        return Word(self, (sign * self.id_of(name),))
-
     def parse(self, text: str) -> "Word":
         """Parse the textual word format.
 
@@ -196,10 +193,6 @@ class Word:
     def __pow__(self, n: int) -> "Word":
         base = self if n >= 0 else ~self
         return self.alpha.word(base.ltrs * abs(n))
-
-    def conj(self, g: "Word") -> "Word":
-        """g * self * g^-1."""
-        return g * self * ~g
 
     # -- identity ----------------------------------------------------------
 

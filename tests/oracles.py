@@ -228,23 +228,28 @@ def reference_apply_rule(W, rule):
 # rewritten by its own pass, and shift replays its whole history again
 # after finding it one step at a time.
 
-def reference_step(W, rule):
+def reference_step(W, rule, images=None):
     """W . rule by one pass per window, as apply_rule did before step
-    plans and shared windows."""
+    plans and shared windows.  Each window's image is reference_image's,
+    kept in ``images`` by sector rule and tape word, so that a run can pass
+    one dict to all its steps."""
     from smforge.smachine import (AdmissibleWord, MachineError,
-                                  SectorMismatchError, _check_states, _join)
+                                  _check_states, _join)
     from smforge.words import Word
 
     _check_states(W, rule)
     alpha = W.hw.alpha
     repl = [rule._replacement[e * q] for q, e in W.states]
     tapes = []
+    images = {} if images is None else images
     cancelled = False
     for j, (s, w) in enumerate(zip(W.sectors, W.tapes)):
         (_, q1, right), (left, q2, _) = repl[j], repl[j + 1]
+        key = (id(rule.sectors[s]), w.ltrs)
+        if key not in images:
+            images[key] = reference_image(rule, s, w).ltrs
         out = list(right)
-        if not rule._push_image(s, out, w):
-            raise SectorMismatchError(s, w, rule.locks(s))
+        _join(out, images[key])
         _join(out, left)
         cancelled = cancelled or (not out and q1 == -q2)
         tapes.append(Word(alpha, tuple(out)))
@@ -265,9 +270,10 @@ def reference_run(machine, W, history, trace=True):
 
     cur = W
     words = [W]
+    images = {}
     for k, (name, s) in enumerate(history):
         try:
-            cur = reference_step(cur, machine.rule(name, s))
+            cur = reference_step(cur, machine.rule(name, s), images)
         except MachineError as e:
             raise StepError(k, e) from e
         if trace:

@@ -112,6 +112,22 @@ def test_parse_error_names_the_line():
     assert err.value.line == 0 and "MACHINE" in str(err.value)
 
 
+@p("head", ["MACHINE", "PART 1:", "TAPE 2:", "NOISE 1:",
+             "RULE theta_a: 1:"])
+def test_repeated_lines_are_named(head):
+    """A second line for one item is an error at that line, whether it
+    repeats the first or changes it, and wherever it stands."""
+    lines = M1_TEXT.splitlines()
+    n = next(i for i, ln in enumerate(lines) if ln.startswith(head))
+    for again in (lines[n], lines[n].replace("a_2", "a_2 zz")):
+        for at in (n + 1, len(lines)):
+            text = "\n".join(lines[:at] + [again] + lines[at:])
+            with pytest.raises(ParseError) as err:
+                machine_from_text(text)
+            assert err.value.line == at + 1
+            assert "second " + head.rstrip(":") in str(err.value)
+
+
 def test_noise_lines_must_fit_the_rules():
     lines = M1_TEXT.splitlines()
     n = next(i for i, ln in enumerate(lines) if ln.startswith("NOISE"))

@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from smforge.words import Word, relabel, relabel_by_name
-from smforge.smachine import (StepError, is_admissible, machine_from_text,
+from smforge.smachine import (MachineError, StepError, apply_rule,
+                              is_admissible, machine_from_text,
                               machine_to_text, reduce_history, validate_noisy)
 from smforge.machines import marker_split
 from smforge.towers import parallelize
@@ -190,6 +191,14 @@ def test_start_rule_asymmetry(main1):
     E = main1.input_i(mm.hw.alpha.word())
     assert E == main1.input_j(mm.hw.alpha.word())
     assert is_admissible(E, mm.rule("s2")) is None
+
+
+def test_m1_word_under_a_main_rule_is_typed(main1):
+    m1 = main1.m1
+    W = m1.configuration({1: m1.hw.alpha.word([main1.scheme.A1[0]])})
+    with pytest.raises(MachineError,
+                       match="rule s1: hardware differs from the word's"):
+        apply_rule(W, main1.machine.rule("s1"))
 
 
 @p("k", [1, 2])

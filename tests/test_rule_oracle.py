@@ -9,6 +9,13 @@ slice, which gives every window shape, and mutated to fall outside the
 rules' domains.  Every query must give the reference's result, or raise
 the reference's exception with the same message.
 
+One sector at a time, SectorRule.push and its letter maps must give
+reference_image's result in each of the three sector modes (one-letter X,
+x_sub with readback, the express_in_basis fallback), on M1, its inverse
+rules and the small machine, with the tape's letters given as any
+superset: letters absent from the tape, moving letters absent from it, and
+letters outside the rule's domain.
+
 Whole runs are checked the same way against the window-by-window loop:
 random reduced histories, with and without a faulty step, and the
 recorded accepting histories of I(a^2) and I(ab), must give the
@@ -21,7 +28,8 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import (reference_apply_rule, reference_domain_expr,
+from oracles import (naive_reduce, random_reduced, random_signed_ids,
+                     reference_apply_rule, reference_domain_expr,
                      reference_image, reference_is_admissible,
                      reference_run, reference_shift, reference_step,
                      reference_theta_length)
@@ -30,8 +38,8 @@ from smforge.mainmachine import (DivisibleRecognizer, Params, accepting_run,
                                  build_main)
 from smforge.smachine import (AdmissibleWord, GeneralizedRule, Hardware,
                               Machine, MachineError, Part, RulePart,
-                              SectorRule, apply_rule, is_admissible,
-                              theta_length)
+                              SectorMismatchError, SectorRule, apply_rule,
+                              is_admissible, theta_length)
 from smforge.towers import SigmaSpec, bar_name, compose, cyclify, reflect
 from smforge.words import Alphabet, Word, relabel
 
@@ -219,6 +227,119 @@ def test_compiled_rules_match_reference(name, seed):
     for V in (W, cut(W, r), cut(W, r), mutate(W, r), mutate(W, r)):
         if V is not None:
             check_word(m, V, r)
+
+
+# -- one sector at a time --------------------------------------------------------
+
+def _mode(sec):
+    if sec._map is None:
+        return "general"
+    return "one-letter" if sec._back is None else "x_sub"
+
+
+def _sector_cases():
+    """(rule, sector) for each unlocked sector of M1's rules and their
+    inverses, and of the squares machine's rules and their inverses."""
+    cases = []
+    for m in (machine("M1")[0], machine("squares")[0]):
+        for n, s in m.theta():
+            rule = m.rule(n, s)
+            cases += [(rule, i) for i, sec in enumerate(rule.sectors)
+                      if sec is not None]
+    return cases
+
+
+def _sector_word(rule, i, r):
+    """A reduced word of sector i: a product of X entries, one with a
+    letter inserted, or a random word over the sector's alphabet."""
+    sec, al = rule.sectors[i], rule.hw.alpha
+    pick = r.random()
+    if pick < 0.6 and sec.X:
+        ltrs = []
+        for _ in range(r.randrange(6)):
+            x = r.choice(sec.X).ltrs
+            ltrs += x if r.random() < 0.5 else [-y for y in reversed(x)]
+        if pick < 0.15:
+            ltrs.insert(r.randrange(len(ltrs) + 1),
+                        r.choice(rule.hw.tapes[i]) * r.choice((1, -1)))
+        return al.word(ltrs)
+    return al.word(random_signed_ids(r, rule.hw.tapes[i], r.randrange(8)))
+
+
+def _letter_pools(rule, i, w):
+    """Signed sector letters absent from w, moving under the rule, and
+    outside its domain, each judged by reference_image."""
+    al = rule.hw.alpha
+    absent, moving, outside = set(), set(), set()
+    for y in rule.hw.tapes[i]:
+        for x in (y, -y):
+            if x not in w.ltrs:
+                absent.add(x)
+            try:
+                if reference_image(rule, i, al.word([x])).ltrs != (x,):
+                    moving.add(x)
+            except SectorMismatchError:
+                outside.add(x)
+    return absent, moving, outside
+
+
+def _supersets(rule, i, w, r):
+    exact = frozenset(w.ltrs)
+    absent, moving, outside = _letter_pools(rule, i, w)
+    some = set(r.sample(sorted(absent), r.randrange(len(absent) + 1)))
+    return [exact, exact | some, exact | (moving & absent),
+            exact | outside, exact | absent]
+
+
+def _pushed(push, prefix, *args):
+    """push applied after prefix: the stack and the returned set."""
+    stack = list(prefix)
+    got = push(stack, *args)
+    return stack, got
+
+
+@given(seed=st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=25, deadline=None)
+def test_sector_push_matches_reference_image(seed):
+    """SectorRule.push, and the letter maps of its one-letter and x_sub
+    modes, give reference_image's result on any superset of the tape's
+    letters: with letters absent from the tape, with moving letters absent
+    from it, and with letters outside the rule's domain."""
+    r = random.Random(seed)
+    cases = _sector_cases()
+    assert {_mode(rule.sectors[i]) for rule, i in cases} == \
+        {"one-letter", "x_sub", "general"}
+    for rule, i in cases:
+        sec = rule.sectors[i]
+        for _ in range(3):
+            w = _sector_word(rule, i, r)
+            try:
+                image = reference_image(rule, i, w)
+            except SectorMismatchError:
+                image = None
+            prefix = random_reduced(r, rule.hw.tapes[i], r.randrange(3))
+            want = (None if image is None
+                    else naive_reduce(prefix + list(image.ltrs)))
+            for letters in _supersets(rule, i, w, r):
+                stack, got = _pushed(sec.push, prefix, w, letters)
+                if image is None:
+                    assert got is None and stack == prefix, (rule.name, i)
+                    continue
+                assert tuple(stack) == want, (rule.name, i, w.format())
+                assert got is not None and got >= set(image.ltrs), \
+                    (rule.name, i, w.format())
+                if _mode(sec) == "one-letter":
+                    stack, got = _pushed(sec._map.push, prefix, w.ltrs,
+                                         letters)
+                    assert tuple(stack) == want and got >= set(image.ltrs)
+                elif _mode(sec) == "x_sub":
+                    stack, got = _pushed(sec._map.push, [], w.ltrs, letters)
+                    assert tuple(stack) == image.ltrs
+                    assert got >= set(image.ltrs)
+                    back, _ = _pushed(sec._back.push, [], image.ltrs, got)
+                    assert tuple(back) == w.ltrs
+            if image is not None:
+                assert rule.image(i, w) == image
 
 
 # -- whole runs ------------------------------------------------------------------

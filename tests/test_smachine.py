@@ -214,6 +214,29 @@ def test_unknown_rule_is_typed():
         assert str(ei.value) == "step 1 inadmissible: unknown rule 'nosuch'"
 
 
+@p("sector", [3, 9, -1])
+def test_sector_outside_the_hardware_is_typed(sector):
+    m = tiny_machine()
+    w = m.hw.alpha.parse("a")
+    message = "rule twist: no sector %d" % sector
+    with pytest.raises(MachineError, match=message):
+        semi_apply(w, m.rule("twist"), sector)
+    with pytest.raises(StepError) as ei:
+        m.semi_run(w, sector, [("twist", 1)])
+    assert ei.value.index == 0
+    assert type(ei.value.reason) is MachineError
+    assert str(ei.value.reason) == message
+
+
+def test_rule_of_other_hardware_is_typed():
+    m, other = tiny_machine(), tiny_machine()
+    W = AdmissibleWord.from_word(m.hw, m.hw.alpha.parse("q0 a q1 q2"))
+    with pytest.raises(MachineError,
+                       match="rule peel: hardware differs from the word's"):
+        apply_rule(W, other.rule("peel"))
+    assert apply_rule(W, m.rule("peel")).format() == "q0 q1 q2"
+
+
 def test_theta_length_counts_basis_terms():
     m = tiny_machine()
     al = m.hw.alpha
