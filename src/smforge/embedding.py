@@ -17,10 +17,15 @@ cyclic permutation, a prefix spelling a cyclic permutation of a block
 word whose image in R is trivial, and deleting that prefix removes at
 least C letters.  Deletions preserve triviality exactly, so the
 procedure is a decision procedure, not a semi-decision.
+
+Blocks are read through two tables compiled once: ``starts`` (the first
+letter of each block A_y^{+-1}) and ``splits`` (each letter inside one),
+comparing whole blocks as tuple slices.
 """
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from functools import cache, cached_property
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from smforge.words import Alphabet, Word, cyclic_reduce, relabel
 from smforge.towers import bar_name
@@ -89,22 +94,31 @@ class StandardTrick:
     def y_letters(self) -> Tuple[int, ...]:
         return self.y_plain + self.y_bar
 
-    def xi(self, w: Word) -> Word:
-        ox = self.oracle
-        img = dict(zip(self.y_plain, ox.letters))
+    @cached_property
+    def _x_of(self) -> Dict[int, int]:
+        """The xi-image of each signed Y letter, a signed X letter."""
+        img = dict(zip(self.y_plain, self.oracle.letters))
         img.update({b: -img[self.tau[b]] for b in self.y_bar})
-        return ox.alpha.word(img[abs(x)] * (1 if x > 0 else -1)
-                             for x in w.ltrs)
+        img.update({-y: -x for y, x in list(img.items())})
+        return img
+
+    def xi(self, w: Word) -> Word:
+        return self.oracle.alpha.word(map(self._x_of.__getitem__, w.ltrs))
+
+    def trivial(self, ys: Sequence[int]) -> bool:
+        """Whether the signed Y letters ys, reduced or not, give 1 in R."""
+        return self.oracle.wp(self.oracle.alpha.word(
+            map(self._x_of.__getitem__, ys)))
 
     def in_S(self, w: Word) -> bool:
         ys = set(self.y_letters)
         if not len(w) or any(x not in ys for x in w.ltrs):
             return False
-        return self.oracle.wp(self.xi(w))
+        return self.wp_Y(w)
 
     def wp_Y(self, w: Word) -> bool:
         """Word problem of the re-presented group, through the oracle."""
-        return self.oracle.wp(self.xi(w))
+        return self.trivial(w.ltrs)
 
 
 def standard_trick(oracle: RelatorOracle) -> StandardTrick:
@@ -144,18 +158,60 @@ class ExpandedPresentation:
             out.extend(blk if x > 0 else [-b for b in reversed(blk)])
         return self.YC.word(out)
 
+    def _signed_blocks(self) -> Iterator[Tuple[int, Tuple[int, ...]]]:
+        for y, blk in self.blocks.items():
+            yield y, blk
+            yield -y, tuple(-a for a in reversed(blk))
+
+    @cached_property
+    def starts(self) -> Dict[int, Tuple[int, Tuple[int, ...]]]:
+        """(signed y, A_y^{+-1}) by the first letter of A_y^{+-1}."""
+        return {b[0]: (s, b) for s, b in self._signed_blocks()}
+
+    @cached_property
+    def splits(self) -> Dict[int, Tuple[Tuple[int], Tuple[int, ...],
+                                        Tuple[int, ...]]]:
+        """((signed y,), tail, head) by a letter inside A_y^{+-1}: the
+        block cut before that letter is head + tail."""
+        return {b[k]: ((s,), b[k:], b[:k])
+                for s, b in self._signed_blocks() for k in range(1, self.C)}
+
+    def cyclic_prefixes(self, ring: Tuple[int, ...], n: int
+                        ) -> Iterator[Tuple[int, int, Tuple[int, ...]]]:
+        """Prefixes of the rotations of a cyclic word of n letters that are
+        cyclic permutations of block words, read in place on ring, the word
+        written twice.
+
+        Yields (r, end, signed y letters) for ring[r:end], rotation by
+        rotation.  A rotation that starts a block yields its runs of whole
+        blocks; one that starts inside a block yields its tail, whole
+        blocks and its head, with the split block read last.  Every
+        candidate has length a positive multiple of C.
+        """
+        starts, splits, C = self.starts, self.splits, self.C
+        for r in range(n):
+            stop = r + n
+            # a rotation that starts a block has no tail, head or seam
+            seam, tail, head = splits.get(ring[r], ((), (), ()))
+            p, h = r + len(tail), len(head)
+            if p > stop or ring[r:p] != tail:
+                continue
+            ys: List[int] = []
+            while True:
+                if (ys or seam) and p + h <= stop and ring[p:p + h] == head:
+                    yield r, p + h, tuple(ys) + seam
+                got = starts.get(ring[p]) if p + C <= stop else None
+                if got is None or ring[p:p + C] != got[1]:
+                    break
+                ys.append(got[0])
+                p += C
+
     def d_word(self, w: Word) -> Optional[Word]:
         """The Y word w spells blockwise, or None if not block-aligned."""
-        ltrs = w.ltrs
-        ys: List[int] = []
-        p = 0
-        while p < len(ltrs):
-            got = _read_block(ltrs, p, self)
-            if got is None:
-                return None
-            ys.append(got[0])
-            p = got[1]
-        return self.Y.word(ys)
+        got = [self.starts.get(x) for x in w.ltrs[::self.C]]
+        if None in got or tuple(a for _, b in got for a in b) != w.ltrs:
+            return None
+        return self.Y.word(s for s, _ in got)
 
     def in_SC(self, w: Word) -> bool:
         if any(x < 0 for x in w.ltrs):
@@ -183,74 +239,6 @@ def expand_C(Y: Alphabet, y_letters: Sequence[int],
 
 # -- word problem of the expanded group ----------------------------------------------
 
-def _read_block(ltrs: Sequence[int], p: int,
-                exp: ExpandedPresentation) -> Optional[Tuple[int, int]]:
-    """Parse one full block A_y^{+-1} at position p: (signed y, next p)."""
-    x = ltrs[p]
-    y, k = exp.position[abs(x)]
-    blk = exp.blocks[y]
-    C = exp.C
-    if p + C > len(ltrs):
-        return None
-    if x > 0 and k == 1:
-        if all(ltrs[p + j] == blk[j] for j in range(C)):
-            return y, p + C
-    elif x < 0 and k == C:
-        if all(ltrs[p + j] == -blk[C - 1 - j] for j in range(C)):
-            return -y, p + C
-    return None
-
-
-def _cyclic_d_prefixes(ltrs: List[int], exp: ExpandedPresentation
-                       ) -> List[Tuple[int, List[int]]]:
-    """Prefixes of ltrs that are cyclic permutations of block words.
-
-    Returns (end, signed y letters) pairs; the y word reads the blocks
-    with the split block, if any, rotated to the end.  Every candidate
-    has length a positive multiple of C.
-    """
-    out: List[Tuple[int, List[int]]] = []
-    n = len(ltrs)
-    if not n:
-        return out
-    C = exp.C
-    ys: List[int] = []
-    p = 0
-    while p < n:
-        got = _read_block(ltrs, p, exp)
-        if got is None:
-            break
-        ys.append(got[0])
-        p = got[1]
-        out.append((p, list(ys)))
-    x0 = ltrs[0]
-    y, k = exp.position[abs(x0)]
-    blk = exp.blocks[y]
-    if x0 > 0 and k > 1:
-        tail, head, seam = C - k + 1, k - 1, y
-        ok = n >= tail and all(ltrs[j] == blk[k - 1 + j] for j in range(tail))
-        closes = lambda p: all(ltrs[p + j] == blk[j] for j in range(head))
-    elif x0 < 0 and k < C:
-        tail, head, seam = k, C - k, -y
-        ok = n >= tail and all(ltrs[j] == -blk[k - 1 - j] for j in range(tail))
-        closes = lambda p: all(ltrs[p + j] == -blk[C - 1 - j]
-                               for j in range(head))
-    else:
-        return out
-    if not ok:
-        return out
-    ys = []
-    p = tail
-    while True:
-        if p + head <= n and closes(p):
-            out.append((p + head, ys + [seam]))
-        got = _read_block(ltrs, p, exp) if p < n else None
-        if got is None:
-            return out
-        ys.append(got[0])
-        p = got[1]
-
-
 def wp_RC(w: Word, pipe: "EmbeddingPipeline") -> bool:
     """Whether w is trivial in the expanded group.
 
@@ -260,27 +248,30 @@ def wp_RC(w: Word, pipe: "EmbeddingPipeline") -> bool:
     deletion preserves triviality exactly; a trivial cyclically reduced
     word always admits such a prefix, so failure to find one is a sound
     "no".  Each deletion removes at least C letters.
+
+    The core is a letter tuple trimmed by index; each rotation is read in
+    place on the core written twice, through the block tables
+    (``ExpandedPresentation.cyclic_prefixes``).  Within one call the
+    oracle is asked once per distinct block word.
     """
     exp = pipe.exp
-    cur = w if w.alpha is exp.YC else pipe.zeta_inv_t(w)
+    trivial = cache(pipe.trick.trivial)
+    cur = (w if w.alpha is exp.YC else pipe.zeta_inv_t(w)).ltrs
     while True:
-        core, _ = cyclic_reduce(cur)
-        if not core:
+        i, j = 0, len(cur)
+        while j - i >= 2 and cur[i] == -cur[j - 1]:
+            i += 1
+            j -= 1
+        n = j - i
+        if not n:
             return True
-        ltrs = list(core.ltrs)
-        rest: Optional[List[int]] = None
-        for r in range(len(ltrs)):
-            rot = ltrs[r:] + ltrs[:r]
-            for end, ys in _cyclic_d_prefixes(rot, exp):
-                if pipe.wp_Y(exp.Y.word(ys)):
-                    rest = rot[end:]
-                    break
-            if rest is not None:
-                break
-        if rest is None:
-            return False
+        ring = cur[i:j] * 2
         # a suffix of a rotation of a cyclically reduced word is reduced
-        cur = Word(exp.YC, tuple(rest))
+        cur = next((ring[end:r + n]
+                    for r, end, ys in exp.cyclic_prefixes(ring, n)
+                    if trivial(ys)), None)
+        if cur is None:
+            return False
 
 
 # -- the assembled pipeline ----------------------------------------------------------
@@ -306,9 +297,13 @@ class EmbeddingPipeline:
         return tuple(self.A.name_of(a) for a in sorted(self.zeta.values()))
 
     def zeta_t(self, w: Word) -> Word:
+        if w.alpha is not self.exp.YC:
+            raise ValueError("word is not over the block alphabet")
         return relabel(w, self.zeta, self.A)
 
     def zeta_inv_t(self, w: Word) -> Word:
+        if w.alpha is not self.A:
+            raise ValueError("word is not over the tape alphabet")
         return relabel(w, self.zeta_inv, self.exp.YC)
 
     def wp_Y(self, w: Word) -> bool:
@@ -339,12 +334,8 @@ def build_pipeline(oracle: RelatorOracle, C: int) -> EmbeddingPipeline:
 def lambda_oracle(w: Word, pipe: EmbeddingPipeline) -> bool:
     """The pure tape-letter core language: nontrivial, cyclically reduced,
     trivial in the expanded group."""
-    if not len(w):
-        return False
-    core, _ = cyclic_reduce(w)
-    if core != w:
-        return False
-    return wp_RC(pipe.zeta_inv_t(w), pipe)
+    u = pipe.zeta_inv_t(w)
+    return bool(u) and cyclic_reduce(u)[0] == u and wp_RC(u, pipe)
 
 
 def generator_images(pipe: EmbeddingPipeline) -> Dict[str, Word]:

@@ -614,22 +614,25 @@ class GeneralizedRule:
 
     # -- queries -------------------------------------------------------------
 
+    def _sector(self, sector: int) -> Optional[SectorRule]:
+        if not 0 <= sector < self.hw.n_parts:
+            raise MachineError("rule %s: no sector %d" % (self.name, sector))
+        return self.sectors[sector]
+
     def locks(self, sector: int) -> bool:
-        sec = self.sectors[sector]
+        sec = self._sector(sector)
         return sec is None or len(sec.X) == 0
 
     def domain_expr(self, sector: int, w: Word):
         """Expression of w over X_sector, or None."""
-        sec = self.sectors[sector]
+        sec = self._sector(sector)
         if sec is None:
             return [] if not w else None
         return sec.express(w)
 
     def image(self, sector: int, w: Word) -> Word:
         """f~ applied to w, which must lie in <X_sector>."""
-        if not 0 <= sector < self.hw.n_parts:
-            raise MachineError("rule %s: no sector %d" % (self.name, sector))
-        return _image(self.sectors[sector], sector, w)
+        return _image(self._sector(sector), sector, w)
 
     def format(self) -> str:
         al = self.hw.alpha
@@ -715,8 +718,20 @@ def _domain_exprs(W: AdmissibleWord,
     return exprs
 
 
+def _hardware_error(W: AdmissibleWord,
+                    rule: GeneralizedRule) -> Optional[MachineError]:
+    """The error for a rule of other hardware than W's, else None."""
+    if rule.hw is W.hw:
+        return None
+    return MachineError("rule %s: hardware differs from the word's"
+                        % rule.name)
+
+
 def is_admissible(W: AdmissibleWord, rule: GeneralizedRule) -> Optional[MachineError]:
     """None if the rule applies to W, else the error explaining why not."""
+    err = _hardware_error(W, rule)
+    if err is not None:
+        return err
     try:
         _check_states(W, rule)
         _domain_exprs(W, rule)
@@ -740,9 +755,9 @@ class _StepPlan:
     __slots__ = ("states", "windows", "base_changed")
 
     def __init__(self, W: AdmissibleWord, rule: GeneralizedRule):
-        if rule.hw is not W.hw:
-            raise MachineError("rule %s: hardware differs from the word's"
-                               % rule.name)
+        err = _hardware_error(W, rule)
+        if err is not None:
+            raise err
         _check_states(W, rule)
         hw = W.hw
         repl = [rule._replacement[e * q] for q, e in W.states]
@@ -824,6 +839,9 @@ def apply_rule(W: AdmissibleWord, rule: GeneralizedRule) -> AdmissibleWord:
 
 def theta_length(W: AdmissibleWord, rule: GeneralizedRule) -> int:
     """l_rule(W) = (k+1) + sum of basis lengths of the tape words."""
+    err = _hardware_error(W, rule)
+    if err is not None:
+        raise err
     return len(W.states) + sum(len(e) for e in _domain_exprs(W, rule))
 
 

@@ -524,9 +524,87 @@ def reference_lambda_accept(w, main, member):
 
 # -- expanded word problem, reducing after each deletion ----------------------
 
+def reference_read_block(ltrs, p, exp):
+    """Parse one full block A_y^{+-1} at position p: (signed y, next p)."""
+    x = ltrs[p]
+    y, k = exp.position[abs(x)]
+    blk = exp.blocks[y]
+    C = exp.C
+    if p + C > len(ltrs):
+        return None
+    if x > 0 and k == 1:
+        if all(ltrs[p + j] == blk[j] for j in range(C)):
+            return y, p + C
+    elif x < 0 and k == C:
+        if all(ltrs[p + j] == -blk[C - 1 - j] for j in range(C)):
+            return -y, p + C
+    return None
+
+
+def reference_cyclic_d_prefixes(ltrs, exp):
+    """Prefixes of ltrs that are cyclic permutations of block words.
+
+    Returns (end, signed y letters) pairs; the y word reads the blocks
+    with the split block, if any, rotated to the end.  Every candidate
+    has length a positive multiple of C.
+    """
+    out = []
+    n = len(ltrs)
+    if not n:
+        return out
+    C = exp.C
+    ys = []
+    p = 0
+    while p < n:
+        got = reference_read_block(ltrs, p, exp)
+        if got is None:
+            break
+        ys.append(got[0])
+        p = got[1]
+        out.append((p, list(ys)))
+    x0 = ltrs[0]
+    y, k = exp.position[abs(x0)]
+    blk = exp.blocks[y]
+    if x0 > 0 and k > 1:
+        tail, head, seam = C - k + 1, k - 1, y
+        ok = n >= tail and all(ltrs[j] == blk[k - 1 + j] for j in range(tail))
+        closes = lambda p: all(ltrs[p + j] == blk[j] for j in range(head))
+    elif x0 < 0 and k < C:
+        tail, head, seam = k, C - k, -y
+        ok = n >= tail and all(ltrs[j] == -blk[k - 1 - j] for j in range(tail))
+        closes = lambda p: all(ltrs[p + j] == -blk[C - 1 - j]
+                               for j in range(head))
+    else:
+        return out
+    if not ok:
+        return out
+    ys = []
+    p = tail
+    while True:
+        if p + head <= n and closes(p):
+            out.append((p + head, ys + [seam]))
+        got = reference_read_block(ltrs, p, exp) if p < n else None
+        if got is None:
+            return out
+        ys.append(got[0])
+        p = got[1]
+
+
+def reference_d_word(w, exp):
+    """The Y word w spells blockwise, or None, read one block at a time."""
+    ys = []
+    p = 0
+    while p < len(w.ltrs):
+        got = reference_read_block(w.ltrs, p, exp)
+        if got is None:
+            return None
+        ys.append(got[0])
+        p = got[1]
+    return exp.Y.word(ys)
+
+
 def reference_wp_RC(w, pipe):
     """wp_RC with the rest after each deletion built by free reduction."""
-    from smforge.embedding import _cyclic_d_prefixes
     from smforge.words import cyclic_reduce
 
     exp = pipe.exp
@@ -539,7 +617,7 @@ def reference_wp_RC(w, pipe):
         rest = None
         for r in range(len(ltrs)):
             rot = ltrs[r:] + ltrs[:r]
-            for end, ys in _cyclic_d_prefixes(rot, exp):
+            for end, ys in reference_cyclic_d_prefixes(rot, exp):
                 if pipe.wp_Y(exp.Y.word(ys)):
                     rest = rot[end:]
                     break

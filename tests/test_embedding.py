@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from smforge.words import cyclic_reduce, free_reduce
+from smforge.words import Alphabet, cyclic_reduce, free_reduce
 from smforge.embedding import (build_pipeline, builtin_oracle, expand_C,
                                generator_images, lambda_oracle,
                                standard_trick, wp_RC)
@@ -237,6 +237,23 @@ def test_zeta_roundtrip(zpipe):
     for _ in range(20):
         w = random_reduced(exp.YC, pool, rng.randrange(10), rng)
         assert zpipe.zeta_inv_t(zpipe.zeta_t(w)) == w
+
+
+def test_foreign_alphabets_raise(zpipe):
+    al = Alphabet()
+    zz = al.word([al.intern("zz")])
+    for decide in (lambda w: wp_RC(w, zpipe), lambda w: lambda_oracle(w, zpipe),
+                   zpipe.in_L, zpipe.zeta_t, zpipe.zeta_inv_t):
+        for w in (zz, al.word()):
+            with pytest.raises(ValueError, match="word is not over the"):
+                decide(w)
+    block = zpipe.exp.phi(zpipe.exp.Y.word([zpipe.trick.y_plain[0]]))
+    with pytest.raises(ValueError, match="not over the tape alphabet"):
+        zpipe.zeta_inv_t(block)
+    with pytest.raises(ValueError, match="not over the tape alphabet"):
+        lambda_oracle(block, zpipe)
+    with pytest.raises(ValueError, match="not over the block alphabet"):
+        zpipe.zeta_t(zpipe.zeta_t(block))
 
 
 def test_pipeline_letters(zpipe):

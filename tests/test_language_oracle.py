@@ -16,7 +16,8 @@ import functools
 
 from hypothesis import given, settings, strategies as st
 
-from oracles import (reference_decode_noise, reference_lambda1_accept,
+from oracles import (reference_cyclic_d_prefixes, reference_d_word,
+                     reference_decode_noise, reference_lambda1_accept,
                      reference_lambda_accept, reference_wp_RC)
 from smforge.embedding import build_pipeline, builtin_oracle, wp_RC
 from smforge.machines import decode_noise, delta, lambda1_accept, marker_split
@@ -151,3 +152,46 @@ def test_wp_matches_the_reference(rng, trivial, factors):
         w = al.word(w.ltrs[:j] + w.ltrs[j + 1:])
     assert wp_RC(w, pipe) == reference_wp_RC(w, pipe)
     assert wp_RC(w, pipe) is (trivial or not w)
+
+
+@functools.lru_cache(maxsize=None)
+def _two_letter_pipe(kind, C):
+    return build_pipeline(builtin_oracle(kind, ("x", "y")), C)
+
+
+@st.composite
+def block_letters(draw):
+    """A Z or Z2 pipeline on two generators with C = 1..4, and a letter
+    tuple of blocks, inverted blocks, block fragments and stray letters."""
+    pipe = _two_letter_pipe(draw(st.sampled_from(("Z", "Z2"))),
+                            draw(st.integers(1, 4)))
+    exp = pipe.exp
+    blocks = [b for blk in exp.blocks.values()
+              for b in (blk, tuple(-a for a in reversed(blk)))]
+    seq = []
+    for _ in range(draw(st.integers(0, 6))):
+        b = draw(st.sampled_from(blocks))
+        how = draw(st.sampled_from(("block", "block", "fragment", "stray")))
+        if how == "block":
+            seq += b
+        elif how == "fragment":
+            i = draw(st.integers(0, exp.C - 1))
+            seq += b[i:draw(st.integers(i + 1, exp.C))]
+        else:
+            seq.append(draw(st.sampled_from(b)))
+    return pipe, tuple(seq)
+
+
+@given(block_letters())
+@settings(max_examples=120, deadline=None)
+def test_block_tables_match_the_reference(case):
+    pipe, seq = case
+    exp = pipe.exp
+    n = len(seq)
+    assert list(exp.cyclic_prefixes(seq * 2, n)) == [
+        (r, r + end, tuple(ys)) for r in range(n)
+        for end, ys in reference_cyclic_d_prefixes(list(seq[r:] + seq[:r]),
+                                                   exp)]
+    for r in range(n):
+        w = exp.YC.word(seq[r:] + seq[:r])
+        assert exp.d_word(w) == reference_d_word(w, exp)

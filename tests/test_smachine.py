@@ -237,6 +237,31 @@ def test_rule_of_other_hardware_is_typed():
     assert apply_rule(W, m.rule("peel")).format() == "q0 q1 q2"
 
 
+@p("sector", [3, 9, -1])
+def test_sector_queries_outside_the_hardware_are_typed(sector):
+    m = tiny_machine()
+    w = m.hw.alpha.parse("a")
+    rule = m.rule("twist")
+    message = "rule twist: no sector %d" % sector
+    for query in (rule.locks, lambda s: rule.domain_expr(s, w),
+                  lambda s: semi_theta_length(w, rule, s)):
+        with pytest.raises(MachineError, match=message):
+            query(sector)
+    assert semi_theta_length(w, rule, 1) == 1
+
+
+def test_admissibility_under_other_hardware_is_typed():
+    m, other = tiny_machine(), tiny_machine()
+    W = AdmissibleWord.from_word(m.hw, m.hw.alpha.parse("q0 a q1 q2"))
+    message = "rule peel: hardware differs from the word's"
+    err = is_admissible(W, other.rule("peel"))
+    assert type(err) is MachineError and str(err) == message
+    with pytest.raises(MachineError, match=message):
+        theta_length(W, other.rule("peel"))
+    assert is_admissible(W, m.rule("peel")) is None
+    assert theta_length(W, m.rule("peel")) == 4
+
+
 def test_theta_length_counts_basis_terms():
     m = tiny_machine()
     al = m.hw.alpha
