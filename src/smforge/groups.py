@@ -629,8 +629,15 @@ def diagram_to_json(d: GridDiagram) -> str:
 
 
 def diagram_from_json(alpha: Alphabet, text: str) -> GridDiagram:
+    """The diagram ``diagram_to_json`` wrote.  Raises ValueError naming a
+    missing field or a letter ``alpha`` lacks."""
     obj = json.loads(text)
-    p = alpha.parse
+
+    def p(text: str) -> Word:
+        try:
+            return alpha.parse(text)
+        except KeyError as e:
+            raise ValueError("diagram JSON: %s" % e.args[0]) from None
 
     def cell(co: dict) -> Cell:
         return Cell(p(co["bottom"]), p(co["top"]), p(co["left"]),
@@ -638,13 +645,16 @@ def diagram_from_json(alpha: Alphabet, text: str) -> GridDiagram:
                     index=co["index"], coordinate=co["coordinate"],
                     weight_arg=co["weight_arg"])
 
-    rows = [Row([cell(co) for co in ro["cells"]], p(ro["bottom"]),
-                p(ro["top"]), p(ro["left"]), p(ro["right"]))
-            for ro in obj["rows"]]
-    return GridDiagram(obj["kind"], alpha, rows, p(obj["bottom"]),
-                       p(obj["top"]), p(obj["left"]), p(obj["right"]),
-                       history=[(n, s) for n, s in obj["history"]],
-                       glue=obj["glue"])
+    try:
+        rows = [Row([cell(co) for co in ro["cells"]], p(ro["bottom"]),
+                    p(ro["top"]), p(ro["left"]), p(ro["right"]))
+                for ro in obj["rows"]]
+        return GridDiagram(obj["kind"], alpha, rows, p(obj["bottom"]),
+                           p(obj["top"]), p(obj["left"]), p(obj["right"]),
+                           history=[(n, s) for n, s in obj["history"]],
+                           glue=obj["glue"])
+    except KeyError as e:
+        raise ValueError("diagram JSON has no field %r" % e.args[0]) from None
 
 
 def diagram_to_dot(d: GridDiagram) -> str:

@@ -175,7 +175,13 @@ def build_m1(letters: Sequence[str]) -> Tuple[Machine, NoiseScheme]:
 
 # -- projections ---------------------------------------------------------------
 
+def _check_alphabet(w: Word, scheme: NoiseScheme) -> None:
+    if w.alpha is not scheme.alpha:
+        raise ValueError("word is not over the scheme's alphabet")
+
+
 def _check_sector1(w: Word, scheme: NoiseScheme) -> None:
+    _check_alphabet(w, scheme)
     ok = scheme.signed[1]
     if not ok.issuperset(w.ltrs):
         x = next(x for x in w.ltrs if x not in ok)
@@ -258,8 +264,10 @@ def decode_noise(u: Word, scheme: NoiseScheme
     head, matches more than 3D/4 leading letters of what remains.  Peeling
     a word v that matches exactly p leading letters of the reduced rest
     cancels exactly those p letters, so the new rest is v[p:]^-1 rest[p:]
-    with no further reduction.
+    with no further reduction.  Raises ValueError for a word over another
+    alphabet than the scheme's.
     """
+    _check_alphabet(u, scheme)
     n = 3 * scheme.D // 4 + 1
     out: List[Tuple[int, int, int]] = []
     cur = u.ltrs

@@ -11,10 +11,19 @@ and, per sector i, either a lock or a pair of free bases X_i, Z_i with the
 isomorphism f_i matching them up by position. Each sector is compiled once,
 when it is built, into letter tables (see :class:`SectorRule`), and every
 rewrite of a tape goes through one method, :meth:`SectorRule.push`: the
-windows of :func:`apply_rule`, the steps of :func:`semi_apply` and the
-inserts of :func:`invert_rule`. It takes the tape with a superset of its
-letters, tries the all-letters-fixed and domain tests on that set before it
-scans the tape, and returns a superset of the letters of the image.
+windows of :func:`apply_rule`, the steps of :func:`semi_apply` and
+:meth:`Machine.semi_run`, and the inserts of :func:`invert_rule`.
+
+A tape comes to ``push`` with its marks: a superset of its letters, its
+watch letters (those moved by the maps that rewrote it), and the sorted
+positions of its watch letters. The fixed and domain tests run on the
+letter superset; the moving letters are found at the watch positions and
+the runs between them are copied whole, so the Python work of a push grows
+with the watch letters alone. ``push`` returns the marks of the image, and
+one scan widens the watch letters of a tape that may hold a moving letter
+outside them. Junctions cancel in one C-level pass
+(:func:`smforge.words.junction`), and x_sub images are read back only for
+tapes with a letter outside the rule's sound set.
 
 Applying a rule rewrites each window in one stack-reduction pass: the right
 insert of the window's left state letter, the image of the tape word under
@@ -26,19 +35,21 @@ states, and per window its sector, sector rule and inserts). Windows that
 agree on all of that and hold the same tape object are rewritten once per
 step and share the resulting word; ring copies of one machine hold equal
 tapes, so a step costs one pass per distinct window. Each produced tape
-carries the letter superset its push returned, so the next step's tests
-need no scan either.
+carries the marks its push returned, so neither the next step of a run nor
+that of a semi-computation scans it again.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
+from itertools import chain, compress, count
 from typing import (Dict, FrozenSet, Iterable, List, Optional, Sequence,
                     Tuple)
 
 from smforge.words import (
     Alphabet, BasisExpression, MachineError, Word, express_in_basis,
-    free_basis_folder, free_reduce, validate_basis,
+    free_basis_folder, free_reduce, junction, validate_basis,
 )
 
 
@@ -154,12 +165,12 @@ class Hardware:
 class AdmissibleWord:
     """Alternating state letters and sector words, with shape checked.
 
-    ``letters`` is None or, per tape, a superset of its signed letters:
-    words made by :func:`apply_rule` carry it, and :meth:`_letter_sets`
-    fills it in on first use for the others.
+    ``marks`` is None or, per tape, its marks (see ``_Marks``): words made
+    by :func:`apply_rule` carry them, and :meth:`_tape_marks` fills them in
+    on first use for the others.
     """
 
-    __slots__ = ("hw", "states", "tapes", "sectors", "letters")
+    __slots__ = ("hw", "states", "tapes", "sectors", "marks")
 
     def __init__(self, hw: Hardware, states: Sequence[Tuple[int, int]],
                  tapes: Sequence[Word], check: bool = True):
@@ -170,7 +181,7 @@ class AdmissibleWord:
         self.hw = hw
         self.states = tuple(states)
         self.tapes = tuple(tapes)
-        self.letters: Optional[Tuple[FrozenSet[int], ...]] = None
+        self.marks: Optional[Tuple[_Marks, ...]] = None
         self.sectors = tuple(self._window_sector(j, check)
                              for j in range(len(tapes)))
         self._check_reduced()
@@ -178,23 +189,23 @@ class AdmissibleWord:
     @classmethod
     def _made(cls, hw: Hardware, states: Tuple[Tuple[int, int], ...],
               tapes: Tuple[Word, ...], sectors: Tuple[int, ...],
-              letters: Tuple[FrozenSet[int], ...]) -> "AdmissibleWord":
+              marks: Tuple["_Marks", ...]) -> "AdmissibleWord":
         """A word whose shape, sectors and reducedness the caller knows."""
         W = cls.__new__(cls)
         W.hw, W.states, W.tapes = hw, states, tapes
-        W.sectors, W.letters = sectors, letters
+        W.sectors, W.marks = sectors, marks
         return W
 
-    def _letter_sets(self) -> Tuple[FrozenSet[int], ...]:
-        """``letters``, made exact by one scan per distinct tape object
-        when the word does not carry it yet."""
-        if self.letters is None:
-            sets: Dict[int, FrozenSet[int]] = {}
+    def _tape_marks(self) -> Tuple["_Marks", ...]:
+        """``marks``, made by one scan per distinct tape object when the
+        word does not carry them yet."""
+        if self.marks is None:
+            made: Dict[int, _Marks] = {}
             for t in self.tapes:
-                if id(t) not in sets:
-                    sets[id(t)] = frozenset(t.ltrs)
-            self.letters = tuple(sets[id(t)] for t in self.tapes)
-        return self.letters
+                if id(t) not in made:
+                    made[id(t)] = _fresh(t.ltrs)
+            self.marks = tuple(made[id(t)] for t in self.tapes)
+        return self.marks
 
     def _window_sector(self, j: int, check: bool = True) -> int:
         hw = self.hw
@@ -308,14 +319,53 @@ class RulePart:
     v: Word
 
 
-def _join(stack: List[int], letters: Sequence[int]) -> None:
+# The marks of a tape: a superset of its letters, its watch letters, and
+# the sorted positions of its watch letters.  A plain tuple, as every push
+# builds one and a named tuple costs ten times as much to build.
+_Marks = Tuple[FrozenSet[int], FrozenSet[int], Tuple[int, ...]]
+
+_NO_LETTERS: FrozenSet[int] = frozenset()
+
+
+def _fresh(ltrs: Tuple[int, ...]) -> _Marks:
+    """The marks of a tape that carries none: its letters, no watch
+    letters."""
+    return frozenset(ltrs), _NO_LETTERS, ()
+
+
+def _scan(ltrs: Sequence[int], watch: FrozenSet[int]) -> Tuple[int, ...]:
+    """The positions of the letters of ``watch`` in ``ltrs``, found by one
+    C-level pass."""
+    return tuple(compress(count(), map(watch.__contains__, ltrs)))
+
+
+def _join(stack: List[int], letters: Sequence[int],
+          at: Optional[List[int]] = None,
+          offsets: Sequence[int] = ()) -> None:
     """Append the freely reduced ``letters`` to the freely reduced
-    ``stack``: only the junction can cancel."""
-    k = 0
-    while k < len(letters) and stack and stack[-1] == -letters[k]:
-        stack.pop()
-        k += 1
-    stack.extend(letters[k:] if k else letters)
+    ``stack``: only the junction can cancel.
+
+    ``at``, when given, holds the sorted positions of the watch letters of
+    ``stack`` and ``offsets`` those of ``letters``: positions the junction
+    cancels are dropped, and the offsets that survive are added, shifted.
+    """
+    n = len(stack)
+    if n and letters and stack[-1] == -letters[0]:
+        # most junctions cancel one letter: test the second pair first
+        k = (junction(stack, letters) if n > 1 and len(letters) > 1
+             and stack[-2] == -letters[1] else 1)
+        n -= k
+        del stack[n:]
+        letters = letters[k:]
+        if at:
+            del at[bisect_left(at, n):]
+        if offsets:
+            offsets = offsets[bisect_left(offsets, k):]
+        # offsets count from the first letter, cancelled ones included
+        n -= k
+    if offsets:
+        at.extend(map(n.__add__, offsets))
+    stack.extend(letters)
 
 
 def _inverse(ltrs: Tuple[int, ...]) -> Tuple[int, ...]:
@@ -329,13 +379,18 @@ class _LetterMap:
     ``domain`` (of any letter when ``domain`` is None) goes to itself, and
     ``fixed`` holds those of ``domain``. ``produces`` maps each moving
     letter to the set of letters of its image.
-    :meth:`push` takes a superset of the word's letters along with it, tries
-    the fixed and domain tests on that set before it scans the word, and
-    finds the moving letters by one C-level search per moving letter of the
-    set, so the Python work grows with the moving letters alone.
+    :meth:`push` takes the tape's marks (see ``_Marks``) along with it. It
+    tries the fixed and domain tests on the letter superset before it
+    reads the tape, and finds the moving letters at the watch positions,
+    so its Python work grows with the watch letters alone; the offsets of
+    the watch letters in each image are worked out once per watch set.
+    When the tape may hold a moving letter that is not a watch letter, the
+    letters of ``widen`` (the moving letters, unless the owner adds more)
+    become watch letters first, at the cost of one scan.
     """
 
-    __slots__ = ("images", "domain", "fixed", "produces")
+    __slots__ = ("images", "domain", "fixed", "produces", "widen",
+                 "_offsets")
 
     def __init__(self, images: Dict[int, Tuple[int, ...]],
                  domain: Optional[Iterable[int]]):
@@ -344,44 +399,53 @@ class _LetterMap:
         self.fixed = (frozenset() if domain is None
                       else self.domain.difference(self.images))
         self.produces = {y: frozenset(img) for y, img in self.images.items()}
+        self.widen = frozenset(self.images)
+        self._offsets: Dict[FrozenSet[int], Dict[int, Tuple[int, ...]]] = {}
 
-    def push(self, stack: List[int], ltrs: Tuple[int, ...],
-             letters: FrozenSet[int]) -> Optional[FrozenSet[int]]:
-        """Append the image of the reduced ``ltrs``, whose letters lie in
-        ``letters``, to the reduced ``stack``, reducing.
+    def push(self, stack: List[int], at: List[int], ltrs: Tuple[int, ...],
+             marks: _Marks) -> Optional[_Marks]:
+        """Append the image of the reduced ``ltrs``, whose marks are
+        ``marks``, to the reduced ``stack``, reducing, and keep ``at``, the
+        positions of the watch letters of ``stack``, up to date.
 
-        Returns a superset of the letters of the image, exact on moving
-        letters, or None, with ``stack`` untouched, when a letter of
-        ``ltrs`` lies outside the domain.
+        Returns the marks of ``stack``, whose letter superset covers the
+        image alone, exact on moving letters; or None, with ``stack``
+        untouched, when a letter of ``ltrs`` lies outside the domain.
         """
+        letters, watch, pos = marks
         domain = self.domain
         if domain is None:
             out = letters.difference(self.images)
         elif self.fixed.issuperset(letters):
-            _join(stack, ltrs)
-            return letters
+            _join(stack, ltrs, at, pos)
+            return letters, watch, tuple(at)
         elif domain.issuperset(letters) or domain.issuperset(ltrs):
             out = letters & self.fixed
         else:
             return None
-        images, at = self.images, []
-        for y in self.produces.keys() & letters:
-            try:
-                i = ltrs.index(y)
-                out |= self.produces[y]
-                while True:
-                    at.append(i)
-                    i = ltrs.index(y, i + 1)
-            except ValueError:
-                pass
-        at.sort()
-        start = 0
-        for i in at:
-            _join(stack, ltrs[start:i])
-            _join(stack, images[ltrs[i]])
-            start = i + 1
-        _join(stack, ltrs[start:] if start else ltrs)
-        return out
+        if not (watch.issuperset(self.widen)
+                or letters.isdisjoint(self.images)):
+            watch = watch | self.widen
+            pos = _scan(ltrs, watch)
+            at[:] = _scan(stack, watch)
+        images, offsets = self.images, self._offsets.get(watch)
+        if offsets is None:
+            offsets = self._offsets[watch] = {
+                y: _scan(img, watch) for y, img in images.items()}
+        start, keep, moved = 0, [], set()
+        for p in pos:
+            y = ltrs[p]
+            img = images.get(y)
+            if img is None:
+                keep.append(p - start)
+                continue
+            moved.add(y)
+            _join(stack, ltrs[start:p], at, keep)
+            _join(stack, img, at, offsets[y])
+            start, keep = p + 1, []
+        _join(stack, ltrs[start:] if start else ltrs, at, keep)
+        return (out.union(*map(self.produces.__getitem__, moved)), watch,
+                tuple(at))
 
 
 def _signed(pairs: Iterable[Tuple[int, Tuple[int, ...]]]
@@ -415,8 +479,14 @@ class SectorRule:
     * otherwise, with ``x_sub``: x_sub as a letter map, and a table from
       each single-letter Z entry to its basis term and to its X entry.  The
       substituted word is the image under f once it reads back through X
-      to the input;
+      to the input.  The readback is skipped for words whose letters lie
+      in the sound set: the letters y whose x_sub image lies in the
+      readback's domain and reads back to exactly y.  Both maps are
+      homomorphisms, so such a word always reads back to itself;
     * otherwise: :func:`express_in_basis`.
+
+    The letter map of the x_sub mode widens a tape's watch letters with
+    those of the readback too, so that the readback finds them in place.
     """
     X: Tuple[Word, ...]
     Z: Tuple[Word, ...]
@@ -435,6 +505,7 @@ class SectorRule:
         self._terms: Dict[int, Tuple[int, int]] = {}
         self._map: Optional[_LetterMap] = None
         self._back: Optional[_LetterMap] = None
+        self._sound: FrozenSet[int] = _NO_LETTERS
         if single:
             for j, x in enumerate(self.X):
                 self._terms.setdefault(x.ltrs[0], (j, 1))
@@ -451,18 +522,29 @@ class SectorRule:
                 self._terms[y], self._terms[-y] = (j, 1), (j, -1)
             self._back = _LetterMap(_signed(
                 (y, self.X[j].ltrs) for y, j in zs.items()), self._terms)
+            # x_sub sends a sound letter into the readback's domain, and
+            # the readback sends that back to the letter
+            sub, back = self._map.images, self._back
+            self._sound = frozenset(
+                y for y in back.domain.union(sub)
+                if back.domain.issuperset(sub.get(y, (y,)))
+                and free_reduce(chain.from_iterable(
+                    back.images.get(x, (x,)) for x in sub.get(y, (y,))))
+                == (y,))
+            self._map.widen = self._map.widen | self._back.widen
 
-    def _substituted(self, ltrs: Tuple[int, ...], letters: FrozenSet[int]
-                     ) -> Optional[Tuple[Tuple[int, ...], FrozenSet[int]]]:
-        """x_sub applied to a word whose letters lie in ``letters``, with a
-        superset of the letters of the result, when that reads back through
-        X to the word."""
+    def _substituted(self, ltrs: Tuple[int, ...], marks: _Marks
+                     ) -> Optional[Tuple[Tuple[int, ...], _Marks]]:
+        """x_sub applied to a tape with marks ``marks``: the result and its
+        marks, when it reads back through X to the tape."""
         stack: List[int] = []
-        got = self._map.push(stack, ltrs, letters)
+        got = self._map.push(stack, [], ltrs, marks)
         u = tuple(stack)
-        readback: List[int] = []
-        if self._back.push(readback, u, got) is None or tuple(readback) != ltrs:
-            return None
+        if not self._sound.issuperset(marks[0]):
+            readback: List[int] = []
+            if self._back.push(readback, [], u, got) is None \
+                    or tuple(readback) != ltrs:
+                return None
         return u, got
 
     def express(self, w: Word) -> Optional[BasisExpression]:
@@ -471,7 +553,7 @@ class SectorRule:
             return express_in_basis(w, self.X)
         ltrs = w.ltrs
         if self._back is not None:
-            got = self._substituted(ltrs, frozenset(ltrs))
+            got = self._substituted(ltrs, _fresh(ltrs))
             if got is None:
                 return None
             ltrs = got[0]
@@ -480,28 +562,33 @@ class SectorRule:
         except KeyError:
             return None
 
-    def push(self, stack: List[int], w: Word,
-             letters: FrozenSet[int]) -> Optional[FrozenSet[int]]:
-        """Append f(w), for a w whose letters lie in ``letters``, to the
-        freely reduced letter list ``stack``, reducing.  Returns a superset
-        of the letters of f(w), or None, with ``stack`` untouched, when w
-        lies outside <X>."""
+    def push(self, stack: List[int], at: List[int], w: Word,
+             marks: _Marks) -> Optional[_Marks]:
+        """Append f(w), for a w with marks ``marks``, to the freely reduced
+        letter list ``stack``, reducing, and keep ``at``, the positions in
+        ``stack`` of the watch letters, up to date.  Returns the marks of
+        ``stack``, whose letter superset covers f(w) alone and whose watch
+        letters may have grown (see :class:`_LetterMap`), or None, with
+        ``stack`` untouched, when w lies outside <X>."""
         if self._back is not None:
-            got = self._substituted(w.ltrs, letters)
+            got = self._substituted(w.ltrs, marks)
             if got is None:
                 return None
-            _join(stack, got[0])
-            return got[1]
+            u, (letters, watch, upos) = got
+            if watch is not marks[1]:
+                at[:] = _scan(stack, watch)
+            _join(stack, u, at, upos)
+            return letters, watch, tuple(at)
         if self._map is not None:
-            return self._map.push(stack, w.ltrs, letters)
+            return self._map.push(stack, at, w.ltrs, marks)
         expr = self.express(w)
         if expr is None:
             return None
         image: List[int] = []
         for j, s in expr:
             _join(image, self.Z[j].ltrs if s > 0 else _inverse(self.Z[j].ltrs))
-        _join(stack, image)
-        return frozenset(image)
+        _join(stack, image, at, _scan(image, marks[1]))
+        return frozenset(image), marks[1], tuple(at)
 
 
 def triangular_sub(X: Tuple[Word, ...],
@@ -681,12 +768,21 @@ def invert_rule(rule: GeneralizedRule) -> GeneralizedRule:
 def _image(sec: Optional[SectorRule], sector: int, w: Word) -> Word:
     """f(w) under the rule ``sec`` of ``sector`` (None when locked); raise
     when w lies outside its domain."""
-    out: List[int] = []
-    outside = (bool(w) if sec is None
-               else sec.push(out, w, frozenset(w.ltrs)) is None)
-    if outside:
-        raise SectorMismatchError(sector, w, sec is None or not sec.X)
-    return Word(w.alpha, tuple(out))
+    return _sector_step(sec, sector, w, _fresh(w.ltrs))[0]
+
+
+def _sector_step(sec: Optional[SectorRule], sector: int, w: Word,
+                 marks: _Marks) -> Tuple[Word, _Marks]:
+    """_image for a w with marks ``marks``, and the marks of the image."""
+    if sec is None:
+        if w:
+            raise SectorMismatchError(sector, w, True)
+        return w, marks
+    stack: List[int] = []
+    got = sec.push(stack, [], w, marks)
+    if got is None:
+        raise SectorMismatchError(sector, w, not sec.X)
+    return Word(w.alpha, tuple(stack)), got
 
 
 def _inv_name(name: str) -> str:
@@ -777,7 +873,6 @@ class _StepPlan:
 
 
 _CANCELLED = object()
-_NO_LETTERS: FrozenSet[int] = frozenset()
 
 
 def apply_rule(W: AdmissibleWord, rule: GeneralizedRule) -> AdmissibleWord:
@@ -803,28 +898,37 @@ def apply_rule(W: AdmissibleWord, rule: GeneralizedRule) -> AdmissibleWord:
     alpha = W.hw.alpha
     done: Dict[Tuple[int, int], object] = {}
     tapes: List[Word] = []
-    sets: List[FrozenSet[int]] = []
+    marks: List[_Marks] = []
     cancelled = False
-    for (cls, s, sec, right, left, ins, cancel), w, ls in zip(
-            plan.windows, W.tapes, W._letter_sets()):
+    for (cls, s, sec, right, left, ins, cancel), w, mk in zip(
+            plan.windows, W.tapes, W._tape_marks()):
         got = done.get((cls, id(w)))
         if got is None:
             out = list(right)
             if sec is None:
-                img = _NO_LETTERS if not w else None
+                if w:
+                    raise SectorMismatchError(s, w, True)
+                _join(out, left)
+                mk = ins, _NO_LETTERS, ()
             else:
-                img = sec.push(out, w, ls)
-            if img is None:
-                raise SectorMismatchError(s, w, rule.locks(s))
-            _join(out, left)
+                at = (list(_scan(right, mk[1]))
+                      if ins and not mk[1].isdisjoint(ins) else [])
+                mk = sec.push(out, at, w, mk)
+                if mk is None:
+                    raise SectorMismatchError(s, w, not sec.X)
+                if ins:
+                    letters, watch, _ = mk
+                    _join(out, left, at, () if watch.isdisjoint(ins)
+                          else _scan(left, watch))
+                    mk = letters | ins, watch, tuple(at)
             got = done[(cls, id(w))] = (
                 _CANCELLED if cancel and not out
-                else (Word(alpha, tuple(out)), img | ins if ins else img))
+                else (Word(alpha, tuple(out)), mk))
         if got is _CANCELLED:
             cancelled = True
             continue
         tapes.append(got[0])
-        sets.append(got[1])
+        marks.append(got[1])
     if cancelled:
         raise MachineError("rule %s: state letters cancelled during "
                            "application" % rule.name)
@@ -834,7 +938,7 @@ def apply_rule(W: AdmissibleWord, rule: GeneralizedRule) -> AdmissibleWord:
         raise MachineError("rule %s: base changed during application"
                            % rule.name)
     return AdmissibleWord._made(W.hw, plan.states, tuple(tapes), W.sectors,
-                                tuple(sets))
+                                tuple(marks))
 
 
 def theta_length(W: AdmissibleWord, rule: GeneralizedRule) -> int:
@@ -1004,12 +1108,18 @@ class Machine:
         return Computation(words, list(history))
 
     def semi_run(self, w: Word, sector: int, history: History) -> List[Word]:
+        """The words of the semi-computation of w along ``history`` in
+        ``sector``: each step is :func:`semi_apply`'s, and the marks of
+        each word pass on to the next step."""
         out = [w]
+        marks = _fresh(w.ltrs) if history else None
         for k, (name, s) in enumerate(history):
             try:
-                out.append(semi_apply(out[-1], self.rule(name, s), sector))
+                w, marks = _sector_step(self.rule(name, s)._sector(sector),
+                                        sector, w, marks)
             except MachineError as e:
                 raise StepError(k, e) from e
+            out.append(w)
         return out
 
 

@@ -22,6 +22,8 @@ Text format: letters are space separated, a letter is ``name`` or
 
 from __future__ import annotations
 
+from itertools import takewhile
+from operator import add, not_
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 KINDS = ("q", "a", "t")
@@ -128,8 +130,19 @@ class Alphabet:
         return Word(self, free_reduce(letters))
 
     def raw_word(self, letters: Iterable[int]) -> "Word":
-        """Build a word asserted to be already reduced (checked)."""
+        """Build a word asserted to be already reduced (checked), of
+        letter ids of this alphabet.
+
+        >>> al = Alphabet(); _ = al.intern("a")
+        >>> al.raw_word([0])
+        Traceback (most recent call last):
+        ...
+        ValueError: letter id 0 is not in the alphabet
+        """
         ltrs = tuple(letters)
+        if ltrs and (0 in ltrs or max(map(abs, ltrs)) > len(self._names)):
+            x = next(x for x in ltrs if not 0 < abs(x) <= len(self._names))
+            raise ValueError("letter id %d is not in the alphabet" % x)
         for a, b in zip(ltrs, ltrs[1:]):
             if a == -b:
                 raise ValueError("raw_word got a reducible sequence")
@@ -171,6 +184,17 @@ def free_reduce(letters: Iterable[int]) -> Tuple[int, ...]:
     return tuple(stack)
 
 
+def junction(left: Sequence[int], right: Sequence[int]) -> int:
+    """How many letters cancel where the reduced ``left`` meets the reduced
+    ``right``: the end of ``left`` against the start of ``right``, found
+    by one C-level pass.
+
+    >>> junction((1, 2, 3), (-3, -2, 4))
+    2
+    """
+    return len(list(takewhile(not_, map(add, reversed(left), right))))
+
+
 class Word:
     """A freely reduced word, immutable, tied to its alphabet."""
 
@@ -185,7 +209,9 @@ class Word:
     def __mul__(self, other: "Word") -> "Word":
         if self.alpha is not other.alpha:
             raise ValueError("words over different alphabets")
-        return Word(self.alpha, free_reduce(self.ltrs + other.ltrs))
+        a, b = self.ltrs, other.ltrs
+        k = junction(a, b)
+        return Word(self.alpha, a[:len(a) - k] + b[k:] if k else a + b)
 
     def __invert__(self) -> "Word":
         return Word(self.alpha, tuple(-x for x in reversed(self.ltrs)))
@@ -453,7 +479,8 @@ def express_in_basis(w: Word, basis: Sequence[Word]) -> Optional[BasisExpression
     ``w``. For a basis that passes :func:`validate_basis` the expression is
     the unique reduced one and its term count is the basis length of ``w``.
     Raises :class:`BasisSearchError` when ``w`` is a member but the bounded
-    peel search finds no expression.
+    peel search finds no expression, and ValueError when ``w`` and the
+    basis are words over different alphabets.
 
     >>> al = Alphabet(); _ = al.intern("a"); _ = al.intern("b")
     >>> express_in_basis(al.parse("a a b"), [al.parse("a a"), al.parse("b")])
@@ -464,6 +491,8 @@ def express_in_basis(w: Word, basis: Sequence[Word]) -> Optional[BasisExpression
     for b in basis:
         if not b:
             raise ValueError("empty word in basis")
+        if b.alpha is not w.alpha:
+            raise ValueError("word and basis are over different alphabets")
     if not w:
         return []
     if not basis:

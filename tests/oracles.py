@@ -219,6 +219,25 @@ def reference_apply_rule(W, rule):
     return result
 
 
+def reference_semi_run(machine, w, sector, history):
+    """Machine.semi_run with reference_image for each step: every word is
+    expressed over X afresh, x_sub words are always read back, and no
+    letter sets or positions are carried from step to step."""
+    from smforge.smachine import MachineError, StepError
+
+    out = [w]
+    for k, (name, s) in enumerate(history):
+        try:
+            rule = machine.rule(name, s)
+            if not 0 <= sector < rule.hw.n_parts:
+                raise MachineError("rule %s: no sector %d"
+                                   % (rule.name, sector))
+            out.append(reference_image(rule, sector, out[-1]))
+        except MachineError as e:
+            raise StepError(k, e) from e
+    return out
+
+
 # -- runs, one window at a time -----------------------------------------------
 #
 # The library's apply_rule works out each rule's effect on a state tuple

@@ -2,6 +2,7 @@
 
 import dataclasses
 import hashlib
+import json
 import re
 
 import pytest
@@ -214,6 +215,19 @@ def test_json_round_trip(disk_i, pres):
     again = diagram_from_json(pres.alpha, text)
     assert diagram_to_json(again) == text
     assert diagram_report(again, pres) == []
+
+
+def test_json_errors_name_the_field_or_the_letter(disk_i, pres):
+    with pytest.raises(ValueError, match="has no field 'rows'"):
+        diagram_from_json(pres.alpha, "{}")
+    obj = json.loads(diagram_to_json(disk_i))
+    del obj["rows"][0]["cells"][1]["top"]
+    with pytest.raises(ValueError, match="has no field 'top'"):
+        diagram_from_json(pres.alpha, json.dumps(obj))
+    obj = json.loads(diagram_to_json(disk_i))
+    obj["rows"][1]["left"] = "zz"
+    with pytest.raises(ValueError, match="unknown letter: 'zz'"):
+        diagram_from_json(pres.alpha, json.dumps(obj))
 
 
 def test_dot_has_one_node_per_cell(disk_i):

@@ -19,7 +19,9 @@ from smforge.machines import (
     marker_split,
     shift,
     shift_time_bound,
+    strip_history,
 )
+from smforge.words import Alphabet
 from smforge.smachine import (
     MachineError,
     ParseError,
@@ -257,6 +259,22 @@ def test_marker_split():
     gaps, markers = marker_split(al.parse("b1 a_1 b2 a_1^-1 b1"), sch)
     assert [g.format() for g in gaps] == ["b1", "b2", "b1"]
     assert markers == [sch.A1[0], -sch.A1[0]]
+
+
+def test_words_over_another_alphabet_raise():
+    """A word is read by its ids only over the scheme's own alphabet: a
+    one-letter foreign word, and a marker of an equal second M1."""
+    m, sch = m1("a")
+    al = Alphabet()
+    foreign = [al.word([al.intern("zz")]),
+               build_m1(("a",))[1].alpha.parse("a_1")]
+    for w in foreign:
+        for call in (lambda: marker_split(w, sch), lambda: shift(w, m, sch),
+                     lambda: strip_history(w, sch),
+                     lambda: decode_noise(w, sch)):
+            with pytest.raises(ValueError,
+                               match="not over the scheme's alphabet"):
+                call()
 
 
 # -- the shift --------------------------------------------------------------------

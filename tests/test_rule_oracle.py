@@ -2,25 +2,30 @@
 
 Words come from random reduced histories on M1, M5, the L=4 main machine
 and a small machine whose sector basis {a a, b} takes the express_in_basis
-fallback, or an x_sub that only its readback check keeps honest.  The walks start at configurations
-of accepting computations, or of hand-picked tapes for the small machine.  Each
-is also cut to a slice of its states, inverted, or joined to an inverted
-slice, which gives every window shape, and mutated to fall outside the
-rules' domains.  Every query must give the reference's result, or raise
-the reference's exception with the same message.
+fallback, or an x_sub that only its readback check keeps honest, and whose
+a -> a b cancels letters at the junctions of images.  The walks start at
+configurations of accepting computations, or of hand-picked tapes for the
+small machine.  Each is also cut to a slice of its states, inverted, or
+joined to an inverted slice, which gives every window shape, and mutated
+to fall outside the rules' domains.  Every query must give the
+reference's result, or raise the reference's exception with the same
+message.
 
 One sector at a time, SectorRule.push and its letter maps must give
 reference_image's result in each of the three sector modes (one-letter X,
 x_sub with readback, the express_in_basis fallback), on M1, its inverse
 rules and the small machine, with the tape's letters given as any
 superset: letters absent from the tape, moving letters absent from it, and
-letters outside the rule's domain.
+letters outside the rule's domain; and the positions they return must be
+those of the watch letters of the result.
 
 Whole runs are checked the same way against the window-by-window loop:
 random reduced histories, with and without a faulty step, and the
 recorded accepting histories of I(a^2) and I(ab), must give the
 reference's configurations or its StepError; shift must give the
-reference's two-pass computation.
+reference's two-pass computation.  Semi-computations in one sector, on
+M1, the small machine and the main machine's special sector, must give
+reference_semi_run's words or its StepError.
 """
 
 import random
@@ -31,8 +36,8 @@ from hypothesis import given, settings, strategies as st
 from oracles import (naive_reduce, random_reduced, random_signed_ids,
                      reference_apply_rule, reference_domain_expr,
                      reference_image, reference_is_admissible,
-                     reference_run, reference_shift, reference_step,
-                     reference_theta_length)
+                     reference_run, reference_semi_run, reference_shift,
+                     reference_step, reference_theta_length)
 from smforge.machines import build_m1, shift
 from smforge.mainmachine import (DivisibleRecognizer, Params, accepting_run,
                                  build_main)
@@ -103,7 +108,12 @@ def _squares():
         RulePart(q, W(), q, W()) for q in (q0, q1, q2)],
         [None, SectorRule((P("a a"), P("b")), (P("a"), P("b")), x_sub={}),
          None])
-    m = Machine("squares", hw, [sq, swap, halve])
+    # a -> a b fixes b; once swap has made b a watch letter of a tape, the
+    # image of a cancels a b^-1 after it, watch letters on both sides
+    twist = GeneralizedRule(hw, "twist", [
+        RulePart(q, W(), q, W()) for q in (q0, q1, q2)],
+        [None, SectorRule((P("a"), P("b")), (P("a b"), P("b"))), None])
+    m = Machine("squares", hw, [sq, swap, halve, twist])
     starts = [m.configuration({1: P(t1), 2: P(t2)})
               for t1, t2 in (("a a b^-1 a a", "c c"), ("a", ""),
                              ("b a a b", "c^-1"))]
@@ -291,11 +301,34 @@ def _supersets(rule, i, w, r):
             exact | outside, exact | absent]
 
 
-def _pushed(push, prefix, *args):
-    """push applied after prefix: the stack and the returned set."""
-    stack = list(prefix)
-    got = push(stack, *args)
-    return stack, got
+def _watched(ltrs, watch):
+    return [j for j, x in enumerate(ltrs) if x in watch]
+
+
+def _moves(sec):
+    """The letters the sector's letter maps move."""
+    return frozenset() if sec._map is None else sec._map.widen
+
+
+def _marks(sec, w, letters, r, covered):
+    """Marks of w over the letter superset ``letters``: some of its letters
+    and some of the sector's moving letters, or all of those when
+    ``covered``, are watch letters."""
+    moves = sorted(_moves(sec))
+    watch = frozenset(moves if covered
+                      else r.sample(moves, r.randrange(len(moves) + 1)))
+    watch = watch.union(r.sample(sorted(letters),
+                                 r.randrange(len(letters) + 1)))
+    return letters, watch, tuple(_watched(w.ltrs, watch))
+
+
+def _pushed(push, prefix, ltrs, marks):
+    """push applied after prefix: the stack, what push returned, and
+    whether the positions it left are those of the watch letters of the
+    stack (of the watch letters push returned)."""
+    stack, at = list(prefix), _watched(prefix, marks[1])
+    got = push(stack, at, ltrs, marks)
+    return stack, got, got is None or at == _watched(stack, got[1])
 
 
 @given(seed=st.integers(0, 2 ** 32 - 1))
@@ -304,7 +337,9 @@ def test_sector_push_matches_reference_image(seed):
     """SectorRule.push, and the letter maps of its one-letter and x_sub
     modes, give reference_image's result on any superset of the tape's
     letters: with letters absent from the tape, with moving letters absent
-    from it, and with letters outside the rule's domain."""
+    from it, and with letters outside the rule's domain.  The positions
+    they leave are those of the watch letters of the result, whether or
+    not the tape's watch letters held the moving ones."""
     r = random.Random(seed)
     cases = _sector_cases()
     assert {_mode(rule.sectors[i]) for rule, i in cases} == \
@@ -321,23 +356,33 @@ def test_sector_push_matches_reference_image(seed):
             want = (None if image is None
                     else naive_reduce(prefix + list(image.ltrs)))
             for letters in _supersets(rule, i, w, r):
-                stack, got = _pushed(sec.push, prefix, w, letters)
+                marks = _marks(sec, w, letters, r, covered=False)
+                stack, got, at_ok = _pushed(sec.push, prefix, w, marks)
                 if image is None:
                     assert got is None and stack == prefix, (rule.name, i)
                     continue
                 assert tuple(stack) == want, (rule.name, i, w.format())
-                assert got is not None and got >= set(image.ltrs), \
+                assert got is not None and got[0] >= set(image.ltrs), \
                     (rule.name, i, w.format())
+                assert got[1] >= marks[1] and (
+                    got[1] >= _moves(sec) or got[1] == marks[1])
+                assert at_ok, (rule.name, i, w.format())
+                marks = _marks(sec, w, letters, r, covered=True)
                 if _mode(sec) == "one-letter":
-                    stack, got = _pushed(sec._map.push, prefix, w.ltrs,
-                                         letters)
-                    assert tuple(stack) == want and got >= set(image.ltrs)
+                    stack, got, at_ok = _pushed(sec._map.push, prefix,
+                                                w.ltrs, marks)
+                    assert tuple(stack) == want and got[0] >= set(image.ltrs)
+                    assert at_ok and got[1] == marks[1]
                 elif _mode(sec) == "x_sub":
-                    stack, got = _pushed(sec._map.push, [], w.ltrs, letters)
+                    stack, got, at_ok = _pushed(sec._map.push, [], w.ltrs,
+                                                marks)
                     assert tuple(stack) == image.ltrs
-                    assert got >= set(image.ltrs)
-                    back, _ = _pushed(sec._back.push, [], image.ltrs, got)
-                    assert tuple(back) == w.ltrs
+                    assert got[0] >= set(image.ltrs) and at_ok
+                    back, _, at_ok = _pushed(
+                        sec._back.push, [], image.ltrs,
+                        (got[0], marks[1],
+                         tuple(_watched(image.ltrs, marks[1]))))
+                    assert tuple(back) == w.ltrs and at_ok
             if image is not None:
                 assert rule.image(i, w) == image
 
@@ -503,3 +548,67 @@ def _shift_inputs():
 def test_shift_matches_reference_shift(case):
     m, sch, w = case
     assert outcome(shift, w, m, sch) == outcome(reference_shift, w, m, sch)
+
+
+# -- semi-computations -----------------------------------------------------------
+
+def _semi_cases():
+    """(machine, sector): M1's sector 1, the squares machine's sector 1 and
+    the main machine's special sector."""
+    main = _main_of(("a",))
+    return [(machine("M1")[0], 1), (machine("squares")[0], 1),
+            (main.machine, main.special_sector)]
+
+
+def semi_outcome(run, w, sector, history):
+    """The run's words, or its error by type, message, step index and the
+    type of the step's own error."""
+    try:
+        return ("ok", run(w, sector, history))
+    except MachineError as e:
+        return (type(e), str(e), getattr(e, "index", None),
+                type(getattr(e, "reason", None)))
+
+
+@pytest.mark.parametrize("case", [0, 1, 2])
+@given(seed=st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=40, deadline=None)
+def test_semi_run_matches_reference_semi_run(case, seed):
+    """Machine.semi_run, which carries letter sets and watch positions from
+    step to step and skips proved readbacks, gives reference_semi_run's
+    words or error.  A word, mostly over the letters the sector's rules
+    read, is pushed along a random history and then replayed along its
+    inverse and some more steps: x_sub steps on sound and unsound words,
+    words outside the domain, locked sectors, junctions that cancel watch
+    letters, a faulty step or a sector outside the hardware."""
+    m, sector = _semi_cases()[case]
+    r = random.Random(seed)
+    ref = lambda *a: reference_semi_run(m, *a)
+    signed = m.theta()
+    free = [(n, s) for n, s in signed if m.rule(n, s).sectors[sector]]
+    read = sorted({abs(x) for n, s in free
+                   for y in m.rule(n, s).sectors[sector].X for x in y.ltrs})
+    tape = m.hw.tapes[sector] + tuple(m.hw.alpha.ids("a")[:2])
+
+    def steps(k):
+        return [r.choice(free) if r.random() < 0.9 else r.choice(signed)
+                for _ in range(k)]
+
+    w = m.hw.alpha.word(r.choice(read) * r.choice((1, -1))
+                        if r.random() < 0.9 else
+                        r.choice(tape) * r.choice((1, -1))
+                        for _ in range(r.randrange(7)))
+    push = steps(r.randrange(7))
+    got = semi_outcome(ref, w, sector, push)
+    if got[0] == "ok":
+        k = max(j for j, v in enumerate(got[1]) if len(v) <= 150)
+        w, push = got[1][k], push[:k]
+    history = [(n, -s) for n, s in reversed(push)] + steps(r.randrange(4))
+    if r.random() < 0.15:
+        some = r.choice(sorted(m.rules))
+        fault = r.choice([("nosuch", 1), (some, 0), (some, 2)])
+        history.insert(r.randrange(len(history) + 1), fault)
+    if r.random() < 0.05:
+        sector = r.choice([9, -1])
+    assert semi_outcome(m.semi_run, w, sector, history) == \
+        semi_outcome(ref, w, sector, history)

@@ -41,6 +41,37 @@ def test_mul_associates_with_reduction(s1, s2):
     assert (w1 * w2).ltrs == naive_reduce(tuple(s1) + tuple(s2))
 
 
+@given(seqs, seqs, st.integers(0, 40))
+@settings(max_examples=300)
+def test_mul_cancels_at_the_junction(s1, s2, cut):
+    """Both factors are reduced, so the product reduces where they meet:
+    it is free_reduce of the concatenation, and ``junction`` counts the
+    letters each side loses there.  The second factor starts with the
+    inverse of a tail of the first, so long junctions come up."""
+    al = mk_alpha()
+    w1 = al.word(s1)
+    w2 = ~w1[len(w1) - min(cut, len(w1)):] * al.word(s2)
+    whole = free_reduce(w1.ltrs + w2.ltrs)
+    assert (w1 * w2).ltrs == whole
+    k = words.junction(w1.ltrs, w2.ltrs)
+    assert 2 * k == len(w1) + len(w2) - len(whole)
+    assert w1.ltrs[:len(w1) - k] + w2.ltrs[k:] == whole
+
+
+def test_raw_word_rejects_ids_outside_the_alphabet():
+    al = mk_alpha()
+    for ltrs in ([0], [1, 0], [4], [-4], [2, 99]):
+        with pytest.raises(ValueError, match="is not in the alphabet"):
+            al.raw_word(ltrs)
+    assert al.raw_word([3, -1]).format() == "g2 g0^-1"
+
+
+def test_express_rejects_a_word_over_another_alphabet():
+    al, other = mk_alpha(), mk_alpha()
+    with pytest.raises(ValueError, match="different alphabets"):
+        express_in_basis(other.parse("g0"), [al.parse("g0")])
+
+
 @given(seqs)
 @settings(max_examples=200)
 def test_inverse_cancels(seq):
