@@ -19,7 +19,7 @@ replay-verified against the machine itself.
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import compress as _where
+from itertools import compress as _where, count
 from typing import (Callable, Dict, FrozenSet, Iterator, List, Optional,
                     Sequence, Tuple)
 
@@ -229,6 +229,12 @@ def epsilon(W: AdmissibleWord, scheme: NoiseScheme) -> Word:
     return scheme.alpha.word(out)
 
 
+def _markers(ltrs: Sequence[int], scheme: NoiseScheme) -> Iterator[int]:
+    """The positions of the signed markers in ``ltrs``, found by one
+    C-level pass."""
+    return _where(count(), map(scheme.signed[0].__contains__, ltrs))
+
+
 def marker_split(w: Word, scheme: NoiseScheme) -> Tuple[List[Word], List[int]]:
     """Split w as u_0 x_1 u_1 ... x_k u_k with x_i signed markers, u_i noise.
 
@@ -236,8 +242,7 @@ def marker_split(w: Word, scheme: NoiseScheme) -> Tuple[List[Word], List[int]]:
     """
     _check_sector1(w, scheme)
     ltrs = w.ltrs
-    at = list(_where(range(len(ltrs)), map(scheme.signed[0].__contains__,
-                                           ltrs)))
+    at = list(_markers(ltrs, scheme))
     cuts = zip([-1] + at, at + [len(ltrs)])
     return ([Word(scheme.alpha, ltrs[i + 1:j]) for i, j in cuts],
             [ltrs[i] for i in at])
@@ -333,19 +338,20 @@ def shift(w: Word, machine: Machine, scheme: NoiseScheme
     q0, q1 = machine.hw.parts[0].start, machine.hw.parts[1].start
     W0 = AdmissibleWord(machine.hw, ((q0, 1), (q1, 1)), (w,))
     W, hist = W0, []
-    markers = True
-    while markers:
-        gaps, markers = marker_split(W.tapes[0], scheme)
-        if not markers:
-            steps = [(scheme.rule_name(abs(x)), 1 if x > 0 else -1)
-                     for x in reversed(W.tapes[0].ltrs)]
-        elif markers[-1] > 0:
+    p = 0
+    while p >= 0:
+        # the rightmost marker, at p, and the gap to its right
+        ltrs = W.tapes[0].ltrs
+        p = max(_markers(ltrs, scheme), default=-1)
+        tail = ltrs[p + 1:]
+        if p < 0 or ltrs[p] > 0:
             steps = [(scheme.rule_name(abs(l)), 1 if l > 0 else -1)
-                     for l in reversed(gaps[-1].ltrs)]
-            steps.append((scheme.rule_name(scheme.unmark(markers[-1])), 1))
+                     for l in reversed(tail)]
+            if p >= 0:
+                steps.append((scheme.rule_name(scheme.unmark(ltrs[p])), 1))
         else:
-            a = scheme.unmark(-markers[-1])
-            dec = _decode_rear(gaps[-1], a, scheme)
+            a = scheme.unmark(-ltrs[p])
+            dec = _decode_rear(Word(scheme.alpha, tail), a, scheme)
             if dec is None:
                 return None
             steps = [(scheme.rule_name(y), e) for y, e in dec]
@@ -369,15 +375,16 @@ def shift_time_bound(w: Word, scheme: NoiseScheme) -> int:
 
 def compress(w: Word, scheme: NoiseScheme) -> Word:
     """Largest subword of w not starting or ending with a noise letter."""
-    noise = set(scheme.B)
-    ltrs = list(w.ltrs)
-    while ltrs and abs(ltrs[0]) in noise:
-        ltrs.pop(0)
-    while ltrs and abs(ltrs[-1]) in noise:
-        ltrs.pop()
-    if not ltrs:
+    noise, ltrs = scheme.signed[1] - scheme.signed[0], w.ltrs
+
+    def anchor(at: range) -> int:
+        return next((i for i in at if ltrs[i] not in noise), -1)
+
+    first = anchor(range(len(ltrs)))
+    if first < 0:
         raise MachineError("word has no marker to anchor compression")
-    return Word(scheme.alpha, tuple(ltrs))
+    return Word(scheme.alpha,
+                ltrs[first:anchor(range(len(ltrs) - 1, first - 1, -1)) + 1])
 
 
 def compressed_apply(w: Word, rule: GeneralizedRule,
@@ -438,14 +445,21 @@ def strip_history(w: Word, scheme: NoiseScheme
     skeleton's markers in order, so a replay of the history ends
     noise-free exactly when it ends at the skeleton.
     """
-    gaps, markers = marker_split(w, scheme)
+    _check_sector1(w, scheme)
+    ltrs = w.ltrs
+    at = list(_markers(ltrs, scheme))
+    markers = [ltrs[i] for i in at]
     skeleton = Word(scheme.alpha, tuple(markers))
     if free_reduce(skeleton.ltrs) != skeleton.ltrs:
         return None
-    j = next((j for j, g in enumerate(gaps) if g), None)
+    # gap j runs from cuts[j] + 1 to cuts[j + 1]
+    cuts = [-1] + at + [len(ltrs)]
+    j = next((j for j in range(len(at) + 1) if cuts[j + 1] - cuts[j] > 1),
+             None)
     if j is None:
         return [], skeleton
-    seq = decode_noise(gaps[j], scheme)
+    seq = decode_noise(Word(scheme.alpha, ltrs[cuts[j] + 1:cuts[j + 1]]),
+                       scheme)
     steps = None if seq is None else _erase_steps(j, seq, markers, scheme)
     return None if steps is None else (steps, skeleton)
 

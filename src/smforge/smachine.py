@@ -11,32 +11,38 @@ and, per sector i, either a lock or a pair of free bases X_i, Z_i with the
 isomorphism f_i matching them up by position. Each sector is compiled once,
 when it is built, into letter tables (see :class:`SectorRule`), and every
 rewrite of a tape goes through one method, :meth:`SectorRule.push`: the
-windows of :func:`apply_rule`, the steps of :func:`semi_apply` and
-:meth:`Machine.semi_run`, and the inserts of :func:`invert_rule`.
+windows of :func:`apply_rule` and :meth:`Machine.run`, the steps of
+:func:`semi_apply` and :meth:`Machine.semi_run`, and the inserts of
+:func:`invert_rule`.
 
-A tape comes to ``push`` with its marks: a superset of its letters, its
-watch letters (those moved by the maps that rewrote it), and the sorted
-positions of its watch letters. The fixed and domain tests run on the
-letter superset; the moving letters are found at the watch positions and
-the runs between them are copied whole, so the Python work of a push grows
-with the watch letters alone. ``push`` returns the marks of the image, and
-one scan widens the watch letters of a tape that may hold a moving letter
-outside them. Junctions cancel in one C-level pass
-(:func:`smforge.words.junction`), and x_sub images are read back only for
-tapes with a letter outside the rule's sound set.
+``push`` edits a tape in place: it takes a letter buffer (a list) and the
+tape's marks, a superset of its letters, its watch letters (those moved by
+the maps that rewrote it) and the sorted positions of its watch letters.
+The fixed and domain tests run on the letter superset; the moving letters
+are replaced at the watch positions, left to right, and the right and left
+inserts of the window's state letters are joined at the front and at the
+back. Only junctions cancel, each in place by one C-level pass, so a push
+moves letters with ``memmove`` and its Python work grows with the watch
+letters alone. ``push`` returns the marks of the result (the very marks it
+was given when the tape did not change), or None with the buffer
+untouched; one scan widens the watch letters of a tape that may hold a
+moving letter outside them, and x_sub images are read back only for tapes
+with a letter outside the rule's sound set.
 
-Applying a rule rewrites each window in one stack-reduction pass: the right
-insert of the window's left state letter, the image of the tape word under
-f_i, then the left insert of its right state letter. State letters never
-reduce against tape letters, so the windows stay apart and need no re-split.
-What a rule does to the state letters of a word depends on those letters
-alone, so each rule works it out once per state tuple (a step plan: new
-states, and per window its sector, sector rule and inserts). Windows that
-agree on all of that and hold the same tape object are rewritten once per
-step and share the resulting word; ring copies of one machine hold equal
-tapes, so a step costs one pass per distinct window. Each produced tape
-carries the marks its push returned, so neither the next step of a run nor
-that of a semi-computation scans it again.
+A run (:class:`_Run`, behind :meth:`Machine.run` and :func:`apply_rule`)
+copies each distinct tape of its start word into a run-owned buffer once
+and steps the buffers; Words are built only where a configuration is
+handed out, one per buffer changed since the last. State letters never
+reduce against tape letters, so the windows stay apart and need no
+re-split. What a rule does to the state letters of a word depends on those
+letters alone, so each rule works it out once per state tuple (a step
+plan: new states, and per window its sector, sector rule and inserts).
+Windows that agree on all of that are one class, and each (class, buffer)
+pair is one unit of work: the plan compiles, once per slot tuple (the
+buffer of each window), its units and the slot tuple after the step. A
+buffer read by two classes is copied for all but the last of them, so
+ring copies of one machine, which hold equal tapes, cost one push per
+distinct window, and equal tapes of one class stay one Word.
 """
 
 from __future__ import annotations
@@ -166,8 +172,7 @@ class AdmissibleWord:
     """Alternating state letters and sector words, with shape checked.
 
     ``marks`` is None or, per tape, its marks (see ``_Marks``): words made
-    by :func:`apply_rule` carry them, and :meth:`_tape_marks` fills them in
-    on first use for the others.
+    by a run carry them, and a run scans the tapes of the others once.
     """
 
     __slots__ = ("hw", "states", "tapes", "sectors", "marks")
@@ -195,17 +200,6 @@ class AdmissibleWord:
         W.hw, W.states, W.tapes = hw, states, tapes
         W.sectors, W.marks = sectors, marks
         return W
-
-    def _tape_marks(self) -> Tuple["_Marks", ...]:
-        """``marks``, made by one scan per distinct tape object when the
-        word does not carry them yet."""
-        if self.marks is None:
-            made: Dict[int, _Marks] = {}
-            for t in self.tapes:
-                if id(t) not in made:
-                    made[id(t)] = _fresh(t.ltrs)
-            self.marks = tuple(made[id(t)] for t in self.tapes)
-        return self.marks
 
     def _window_sector(self, j: int, check: bool = True) -> int:
         hw = self.hw
@@ -326,8 +320,13 @@ _Marks = Tuple[FrozenSet[int], FrozenSet[int], Tuple[int, ...]]
 
 _NO_LETTERS: FrozenSet[int] = frozenset()
 
+# The inserts a push joins at the ends of a tape: the right insert of its
+# left state letter, the left insert of its right one, and their letters;
+# None when both are empty.
+_Ends = Optional[Tuple[Tuple[int, ...], Tuple[int, ...], FrozenSet[int]]]
 
-def _fresh(ltrs: Tuple[int, ...]) -> _Marks:
+
+def _fresh(ltrs: Sequence[int]) -> _Marks:
     """The marks of a tape that carries none: its letters, no watch
     letters."""
     return frozenset(ltrs), _NO_LETTERS, ()
@@ -339,33 +338,76 @@ def _scan(ltrs: Sequence[int], watch: FrozenSet[int]) -> Tuple[int, ...]:
     return tuple(compress(count(), map(watch.__contains__, ltrs)))
 
 
-def _join(stack: List[int], letters: Sequence[int],
-          at: Optional[List[int]] = None,
-          offsets: Sequence[int] = ()) -> None:
-    """Append the freely reduced ``letters`` to the freely reduced
-    ``stack``: only the junction can cancel.
+def _meet(buf: List[int], c: int, m: int) -> int:
+    """How many letters cancel where buf[:c] meets buf[c:c + m], both
+    reduced: :func:`junction` on windows either side of c that double in
+    length until one does not cancel whole."""
+    k, n, width = 0, min(c, m), 128
+    while k < n:
+        end = min(n, k + width)
+        k += junction(buf[c - end:c - k], buf[c + k:c + end])
+        if k < end:
+            break
+        width *= 2
+    return k
+
+
+def _settle(buf: List[int], c: int, m: int, at: Optional[List[int]],
+            offsets: Sequence[int] = ()) -> int:
+    """Join the reduced buf[c:c + m] onto the reduced buf[:c] in place:
+    only the junction can cancel.  Returns where the joined part now ends.
 
     ``at``, when given, holds the sorted positions of the watch letters of
-    ``stack`` and ``offsets`` those of ``letters``: positions the junction
-    cancels are dropped, and the offsets that survive are added, shifted.
+    buf[:c] and ``offsets`` those of buf[c:c + m], counted from c:
+    positions the junction cancels are dropped, and the offsets that
+    survive are added, shifted.
     """
-    n = len(stack)
-    if n and letters and stack[-1] == -letters[0]:
+    k = 0
+    if c and m and buf[c - 1] == -buf[c]:
         # most junctions cancel one letter: test the second pair first
-        k = (junction(stack, letters) if n > 1 and len(letters) > 1
-             and stack[-2] == -letters[1] else 1)
-        n -= k
-        del stack[n:]
-        letters = letters[k:]
+        k = (_meet(buf, c, m) if c > 1 and m > 1
+             and buf[c - 2] == -buf[c + 1] else 1)
+        del buf[c - k:c + k]
         if at:
-            del at[bisect_left(at, n):]
+            del at[bisect_left(at, c - k):]
         if offsets:
             offsets = offsets[bisect_left(offsets, k):]
-        # offsets count from the first letter, cancelled ones included
-        n -= k
     if offsets:
-        at.extend(map(n.__add__, offsets))
+        at.extend(map((c - 2 * k).__add__, offsets))
+    return c + m - 2 * k
+
+
+def _join(stack: List[int], letters: Sequence[int]) -> None:
+    """Append the reduced ``letters`` to the reduced ``stack``, reducing."""
+    n = len(stack)
     stack.extend(letters)
+    _settle(stack, n, len(letters), None)
+
+
+def _ends(buf: List[int], marks: _Marks, ends: _Ends) -> _Marks:
+    """Join the right insert of ``ends`` at the front of the tape ``buf``,
+    whose marks are ``marks``, and the left insert at its back, in place;
+    the marks of the result.  An empty tape drops its letter superset
+    first and keeps its watch letters."""
+    if not buf and marks[0]:
+        marks = (_NO_LETTERS, marks[1], ())
+    if ends is None:
+        return marks
+    right, left, ins = ends
+    letters, watch, pos = marks
+    mine = not watch.isdisjoint(ins)
+    n = len(right)
+    if n:
+        buf[:0] = right
+        at = list(_scan(right, watch)) if mine else []
+        _settle(buf, n, len(buf) - n, at, pos)
+    else:
+        at = list(pos)
+    if left:
+        n = len(buf)
+        buf.extend(left)
+        _settle(buf, n, len(left), at, _scan(left, watch) if mine else ())
+    return letters | ins, watch, tuple(at)
 
 
 def _inverse(ltrs: Tuple[int, ...]) -> Tuple[int, ...]:
@@ -379,14 +421,15 @@ class _LetterMap:
     ``domain`` (of any letter when ``domain`` is None) goes to itself, and
     ``fixed`` holds those of ``domain``. ``produces`` maps each moving
     letter to the set of letters of its image.
-    :meth:`push` takes the tape's marks (see ``_Marks``) along with it. It
-    tries the fixed and domain tests on the letter superset before it
-    reads the tape, and finds the moving letters at the watch positions,
-    so its Python work grows with the watch letters alone; the offsets of
-    the watch letters in each image are worked out once per watch set.
-    When the tape may hold a moving letter that is not a watch letter, the
-    letters of ``widen`` (the moving letters, unless the owner adds more)
-    become watch letters first, at the cost of one scan.
+    :meth:`push` rewrites a tape in place, given its marks (see
+    ``_Marks``). It tries the fixed and domain tests on the letter
+    superset before it reads the tape, and finds the moving letters at the
+    watch positions, so its Python work grows with the watch letters
+    alone; the offsets of the watch letters in each image are worked out
+    once per watch set. When the tape may hold a moving letter that is not
+    a watch letter, the letters of ``widen`` (the moving letters, unless
+    the owner adds more) become watch letters first, at the cost of one
+    scan.
     """
 
     __slots__ = ("images", "domain", "fixed", "produces", "widen",
@@ -402,50 +445,62 @@ class _LetterMap:
         self.widen = frozenset(self.images)
         self._offsets: Dict[FrozenSet[int], Dict[int, Tuple[int, ...]]] = {}
 
-    def push(self, stack: List[int], at: List[int], ltrs: Tuple[int, ...],
-             marks: _Marks) -> Optional[_Marks]:
-        """Append the image of the reduced ``ltrs``, whose marks are
-        ``marks``, to the reduced ``stack``, reducing, and keep ``at``, the
-        positions of the watch letters of ``stack``, up to date.
+    def push(self, buf: List[int], marks: _Marks,
+             ends: _Ends = None) -> Optional[_Marks]:
+        """Rewrite the reduced tape ``buf``, whose marks are ``marks``, to
+        the reduced product of the right insert of ``ends``, its image and
+        the left insert, in place.
 
-        Returns the marks of ``stack``, whose letter superset covers the
-        image alone, exact on moving letters; or None, with ``stack``
-        untouched, when a letter of ``ltrs`` lies outside the domain.
+        The moving letters are replaced at their watch positions, left to
+        right; everything left of the last replaced letter is then final
+        and reduced, and each junction cancels in place.  Returns the
+        marks of the result, whose letter superset is exact on moving
+        letters, or the very ``marks`` given when the tape did not change;
+        or None, with ``buf`` untouched, when a letter of the tape lies
+        outside the domain.
         """
         letters, watch, pos = marks
-        domain = self.domain
+        domain, images = self.domain, self.images
         if domain is None:
-            out = letters.difference(self.images)
+            out = letters.difference(images)
         elif self.fixed.issuperset(letters):
-            _join(stack, ltrs, at, pos)
-            return letters, watch, tuple(at)
-        elif domain.issuperset(letters) or domain.issuperset(ltrs):
+            return _ends(buf, marks, ends)
+        elif domain.issuperset(letters) or domain.issuperset(buf):
             out = letters & self.fixed
         else:
             return None
-        if not (watch.issuperset(self.widen)
-                or letters.isdisjoint(self.images)):
+        if letters.isdisjoint(images):
+            return _ends(buf, marks, ends)
+        if not watch.issuperset(self.widen):
             watch = watch | self.widen
-            pos = _scan(ltrs, watch)
-            at[:] = _scan(stack, watch)
-        images, offsets = self.images, self._offsets.get(watch)
+            pos = _scan(buf, watch)
+        offsets = self._offsets.get(watch)
         if offsets is None:
             offsets = self._offsets[watch] = {
                 y: _scan(img, watch) for y, img in images.items()}
-        start, keep, moved = 0, [], set()
+        # buf[:c] is final; a letter at original position p now sits at
+        # p + d; keep holds the offsets of the fixed watch letters of the
+        # run from original position start
+        at: List[int] = []
+        c = d = start = 0
+        keep: List[int] = []
+        moved = set()
         for p in pos:
-            y = ltrs[p]
+            q = p + d
+            y = buf[q]
             img = images.get(y)
             if img is None:
                 keep.append(p - start)
                 continue
             moved.add(y)
-            _join(stack, ltrs[start:p], at, keep)
-            _join(stack, img, at, offsets[y])
+            e = _settle(buf, c, q - c, at, keep)
+            buf[e:e + 1] = img
+            c = _settle(buf, e, len(img), at, offsets[y])
+            d += c - q - 1
             start, keep = p + 1, []
-        _join(stack, ltrs[start:] if start else ltrs, at, keep)
-        return (out.union(*map(self.produces.__getitem__, moved)), watch,
-                tuple(at))
+        _settle(buf, c, len(buf) - c, at, keep)
+        return _ends(buf, (out.union(*map(self.produces.__getitem__, moved)),
+                           watch, tuple(at)), ends)
 
 
 def _signed(pairs: Iterable[Tuple[int, Tuple[int, ...]]]
@@ -533,19 +588,20 @@ class SectorRule:
                 == (y,))
             self._map.widen = self._map.widen | self._back.widen
 
-    def _substituted(self, ltrs: Tuple[int, ...], marks: _Marks
-                     ) -> Optional[Tuple[Tuple[int, ...], _Marks]]:
-        """x_sub applied to a tape with marks ``marks``: the result and its
-        marks, when it reads back through X to the tape."""
-        stack: List[int] = []
-        got = self._map.push(stack, [], ltrs, marks)
-        u = tuple(stack)
-        if not self._sound.issuperset(marks[0]):
-            readback: List[int] = []
-            if self._back.push(readback, [], u, got) is None \
-                    or tuple(readback) != ltrs:
+    def _substituted(self, buf: List[int], marks: _Marks,
+                     ends: _Ends = None) -> Optional[_Marks]:
+        """x_sub applied in place to the tape ``buf`` with marks ``marks``,
+        then the inserts of ``ends``: the marks of the result, when the
+        substituted tape reads back through X to the tape; else None, with
+        ``buf`` untouched."""
+        orig = None if self._sound.issuperset(marks[0]) else buf[:]
+        got = self._map.push(buf, marks)
+        if orig is not None:
+            back = buf[:]
+            if self._back.push(back, got) is None or back != orig:
+                buf[:] = orig
                 return None
-        return u, got
+        return _ends(buf, got, ends)
 
     def express(self, w: Word) -> Optional[BasisExpression]:
         """Expression of w over X, or None when w lies outside <X>."""
@@ -553,42 +609,35 @@ class SectorRule:
             return express_in_basis(w, self.X)
         ltrs = w.ltrs
         if self._back is not None:
-            got = self._substituted(ltrs, _fresh(ltrs))
-            if got is None:
+            ltrs = list(ltrs)
+            if self._substituted(ltrs, _fresh(ltrs)) is None:
                 return None
-            ltrs = got[0]
         try:
             return list(map(self._terms.__getitem__, ltrs))
         except KeyError:
             return None
 
-    def push(self, stack: List[int], at: List[int], w: Word,
-             marks: _Marks) -> Optional[_Marks]:
-        """Append f(w), for a w with marks ``marks``, to the freely reduced
-        letter list ``stack``, reducing, and keep ``at``, the positions in
-        ``stack`` of the watch letters, up to date.  Returns the marks of
-        ``stack``, whose letter superset covers f(w) alone and whose watch
-        letters may have grown (see :class:`_LetterMap`), or None, with
-        ``stack`` untouched, when w lies outside <X>."""
+    def push(self, buf: List[int], marks: _Marks,
+             ends: _Ends = None) -> Optional[_Marks]:
+        """Rewrite the tape ``buf``, a w with marks ``marks``, in place to
+        the reduced product of the right insert of ``ends``, f(w) and the
+        left insert.  Returns the marks of the result, whose watch letters
+        may have grown (see :class:`_LetterMap`), or the very ``marks``
+        given when the tape did not change; or None, with ``buf``
+        untouched, when w lies outside <X>."""
         if self._back is not None:
-            got = self._substituted(w.ltrs, marks)
-            if got is None:
-                return None
-            u, (letters, watch, upos) = got
-            if watch is not marks[1]:
-                at[:] = _scan(stack, watch)
-            _join(stack, u, at, upos)
-            return letters, watch, tuple(at)
+            return self._substituted(buf, marks, ends)
         if self._map is not None:
-            return self._map.push(stack, at, w.ltrs, marks)
-        expr = self.express(w)
+            return self._map.push(buf, marks, ends)
+        expr = self.express(Word(self.X[0].alpha, tuple(buf)))
         if expr is None:
             return None
         image: List[int] = []
         for j, s in expr:
             _join(image, self.Z[j].ltrs if s > 0 else _inverse(self.Z[j].ltrs))
-        _join(stack, image, at, _scan(image, marks[1]))
-        return frozenset(image), marks[1], tuple(at)
+        buf[:] = image
+        watch = marks[1]
+        return _ends(buf, (frozenset(image), watch, _scan(image, watch)), ends)
 
 
 def triangular_sub(X: Tuple[Word, ...],
@@ -619,6 +668,10 @@ def triangular_sub(X: Tuple[Word, ...],
     return sub
 
 
+# a locked sector: its domain is the empty word
+_LOCKED = SectorRule((), ())
+
+
 class GeneralizedRule:
     """A generalized S-rule over fixed hardware.
 
@@ -642,7 +695,7 @@ class GeneralizedRule:
             self._replacement[rp.q] = (rp.u.ltrs, rp.q2, rp.v.ltrs)
             self._replacement[-rp.q] = (_inverse(rp.v.ltrs), -rp.q2,
                                        _inverse(rp.u.ltrs))
-        # (hardware, state tuple) -> the step plan of apply_rule
+        # (hardware, state tuple) -> the step plan of a run step
         self._plans: Dict[tuple, _StepPlan] = {}
         if check:
             self._validate()
@@ -768,21 +821,19 @@ def invert_rule(rule: GeneralizedRule) -> GeneralizedRule:
 def _image(sec: Optional[SectorRule], sector: int, w: Word) -> Word:
     """f(w) under the rule ``sec`` of ``sector`` (None when locked); raise
     when w lies outside its domain."""
-    return _sector_step(sec, sector, w, _fresh(w.ltrs))[0]
+    buf = list(w.ltrs)
+    _sector_step(sec, sector, w, buf, _fresh(buf))
+    return Word(w.alpha, tuple(buf))
 
 
 def _sector_step(sec: Optional[SectorRule], sector: int, w: Word,
-                 marks: _Marks) -> Tuple[Word, _Marks]:
-    """_image for a w with marks ``marks``, and the marks of the image."""
-    if sec is None:
-        if w:
-            raise SectorMismatchError(sector, w, True)
-        return w, marks
-    stack: List[int] = []
-    got = sec.push(stack, [], w, marks)
+                 buf: List[int], marks: _Marks) -> _Marks:
+    """Rewrite ``buf``, the letters of w, whose marks are ``marks``, to
+    _image's result in place; the marks of the image."""
+    got = (_LOCKED if sec is None else sec).push(buf, marks)
     if got is None:
-        raise SectorMismatchError(sector, w, not sec.X)
-    return Word(w.alpha, tuple(stack)), got
+        raise SectorMismatchError(sector, w, sec is None or not sec.X)
+    return got
 
 
 def _inv_name(name: str) -> str:
@@ -840,17 +891,18 @@ class _StepPlan:
     """What a rule does to every word with given state letters.
 
     ``states`` are the new state letters. ``windows`` holds, per window,
-    its class, its sector, the sector rule (None when locked), the right
-    insert of its left state letter, the left insert of its right one,
-    the letters of both inserts, and whether its two new state letters are
-    inverse (so that an empty result cancels them). Windows of one class
-    agree on all of these but the sector, so on equal tapes they give
-    equal results. ``base_changed`` says the new states leave the base.
+    its class, its sector, the sector rule (``_LOCKED`` when locked), the
+    inserts of its two state letters (see ``_Ends``), and whether its two
+    new state letters are inverse (so that an empty result cancels them).
+    Windows of one class agree on all of these but the sector, so on equal
+    tapes they give equal results. ``base_changed`` says the new states
+    leave the base.  ``units`` keeps what :meth:`compile` made for each
+    slot tuple.
     """
 
-    __slots__ = ("states", "windows", "base_changed")
+    __slots__ = ("states", "windows", "base_changed", "units")
 
-    def __init__(self, W: AdmissibleWord, rule: GeneralizedRule):
+    def __init__(self, W: "AdmissibleWord | _Run", rule: GeneralizedRule):
         err = _hardware_error(W, rule)
         if err is not None:
             raise err
@@ -862,83 +914,164 @@ class _StepPlan:
         windows = []
         for j, s in enumerate(W.sectors):
             (_, q1, right), (left, q2, _) = repl[j], repl[j + 1]
-            sec, cancel = rule.sectors[s], q1 == -q2
+            sec, cancel = rule.sectors[s] or _LOCKED, q1 == -q2
             cls = classes.setdefault((id(sec), right, left, cancel),
                                      len(classes))
-            windows.append((cls, s, sec, right, left,
-                            frozenset(right + left), cancel))
+            ends = (right, left, frozenset(right + left)) if right or left \
+                else None
+            windows.append((cls, s, sec, ends, cancel))
         self.windows = tuple(windows)
-        self.base_changed = (tuple((hw.part_of(q), e) for q, e in self.states)
-                             != W.base())
+        self.base_changed = (
+            tuple((hw.part_of(q), e) for q, e in self.states)
+            != tuple((hw.part_of(q), e) for q, e in W.states))
+        self.units: Dict[Tuple[int, ...], tuple] = {}
+
+    def compile(self, slots: Tuple[int, ...]) -> "_Units":
+        """The step on tapes held in the buffers ``slots`` names, window by
+        window: its units and the slot tuple after it.
+
+        A unit is one class on one buffer: (sector, sector rule, inserts,
+        cancel, source buffer, target buffer), in the order of the first
+        window of each.  The last unit to read a buffer rewrites it in
+        place; the others read it before that, each into a new buffer
+        (copy-on-write), numbered after the existing ones.
+        """
+        units: Dict[Tuple[int, int], tuple] = {}
+        for (cls, s, sec, ends, cancel), k in zip(self.windows, slots):
+            units.setdefault((cls, k), (s, sec, ends, cancel, k))
+        last = {key[1]: key for key in units}
+        n, made, out = len(last), [], {}
+        for key, unit in units.items():
+            if last[key[1]] == key:
+                out[key] = key[1]
+            else:
+                out[key], n = n, n + 1
+            made.append(unit + (out[key],))
+        return _Units(self, tuple(made), tuple(
+            out[(window[0], k)] for window, k in zip(self.windows, slots)))
 
 
-_CANCELLED = object()
+class _Units:
+    """A step plan compiled for one slot tuple: the plan, its units, the
+    slot tuple after the step, and ``after``, which keeps per rule the
+    _Units of the step that rule makes next.  A run follows ``after`` from
+    step to step, so it hashes no state or slot tuple once a transition
+    has been seen."""
+
+    __slots__ = ("plan", "units", "slots", "after")
+
+    def __init__(self, plan: _StepPlan, units: tuple,
+                 slots: Tuple[int, ...]):
+        self.plan, self.units, self.slots = plan, units, slots
+        self.after: Dict[GeneralizedRule, _Units] = {}
+
+
+class _Run:
+    """A configuration during a run, its tapes held in run-owned letter
+    buffers that each step edits in place.
+
+    ``slots`` names, per window, the buffer holding its tape; ``marks``
+    and ``words`` hold, per buffer, its marks and the Word it spells, or
+    None once an edit has outdated it.  Windows that share a buffer hold
+    one Word.  ``last`` is the compiled step made last.  A step that
+    raises leaves the run unusable.
+    """
+
+    __slots__ = ("hw", "states", "sectors", "slots", "bufs", "marks",
+                 "words", "last")
+
+    def __init__(self, W: AdmissibleWord):
+        self.hw, self.states, self.sectors = W.hw, W.states, W.sectors
+        index: Dict[int, int] = {}
+        self.words: List[Optional[Word]] = []
+        self.marks: List[_Marks] = []
+        for j, t in enumerate(W.tapes):
+            if id(t) not in index:
+                index[id(t)] = len(self.words)
+                self.words.append(t)
+                self.marks.append(_fresh(t.ltrs) if W.marks is None
+                                  else W.marks[j])
+        self.slots = tuple(index[id(t)] for t in W.tapes)
+        self.bufs = [list(t.ltrs) for t in self.words]
+        self.last: Optional[_Units] = None
+
+    def _word(self, k: int) -> Word:
+        w = self.words[k]
+        if w is None:
+            w = self.words[k] = Word(self.hw.alpha, tuple(self.bufs[k]))
+        return w
+
+    def word(self) -> AdmissibleWord:
+        """The configuration as it stands."""
+        return AdmissibleWord._made(
+            self.hw, self.states, tuple(map(self._word, self.slots)),
+            self.sectors, tuple(map(self.marks.__getitem__, self.slots)))
+
+    def step(self, rule: GeneralizedRule) -> None:
+        """Apply ``rule``, or raise what :func:`apply_rule` raises."""
+        made = self.last.after.get(rule) if self.last else None
+        if made is None:
+            key = (self.hw, self.states)
+            plan = rule._plans.get(key)
+            if plan is None:
+                plan = rule._plans[key] = _StepPlan(self, rule)
+            made = plan.units.get(self.slots)
+            if made is None:
+                made = plan.units[self.slots] = plan.compile(self.slots)
+            if self.last:
+                self.last.after[rule] = made
+        plan, slots = made.plan, made.slots
+        bufs, marks, words = self.bufs, self.marks, self.words
+        cancelled = False
+        for s, sec, ends, cancel, src, dst in made.units:
+            if src == dst:
+                buf = bufs[dst]
+            else:
+                buf = bufs[src][:]
+                bufs.append(buf)
+                marks.append(marks[src])
+                words.append(words[src])
+            mk = marks[dst]
+            got = sec.push(buf, mk, ends)
+            if got is not mk:
+                if got is None:
+                    raise SectorMismatchError(s, self._word(dst), not sec.X)
+                marks[dst], words[dst] = got, None
+            if cancel and not buf:
+                cancelled = True
+        self.states, self.slots, self.last = plan.states, slots, made
+        if cancelled:
+            raise MachineError("rule %s: state letters cancelled during "
+                               "application" % rule.name)
+        if plan.base_changed:
+            # the shape checks of a new word fail first where they fail
+            AdmissibleWord(self.hw, plan.states,
+                           tuple(map(self._word, slots)), check=False)
+            raise MachineError("rule %s: base changed during application"
+                               % rule.name)
 
 
 def apply_rule(W: AdmissibleWord, rule: GeneralizedRule) -> AdmissibleWord:
     """W . rule, or raise a MachineError describing the obstruction.
 
     Window j becomes the right insert of state letter j, the image of its
-    tape word and the left insert of state letter j+1, reduced on one stack.
-    Tape letters left of the first and right of the last state letter are
+    tape word and the left insert of state letter j+1, reduced.  Tape
+    letters left of the first and right of the last state letter are
     dropped.  State letters cancel exactly when a window empties between
     two inverse ones.
 
-    The rule's :class:`_StepPlan` for W's states is made on first use and
-    kept on the rule; the state check runs only then.  Within the step,
-    windows of one plan class holding the same tape object are rewritten
-    once and share the resulting word.  Errors come in the order of a
-    window-by-window pass: a state mismatch, the first window outside its
-    domain, a cancellation, a changed base.
+    This is one step of a :class:`_Run` on fresh buffers: the rule's
+    :class:`_StepPlan` for W's states is made on first use and kept on the
+    rule, and the state check runs only then.  Windows of one plan class
+    holding the same tape object are rewritten once and share the
+    resulting word; a tape the step leaves unchanged stays the same
+    object.  Errors come in the order of a window-by-window pass: a state
+    mismatch, the first window outside its domain, a cancellation, a
+    changed base.
     """
-    key = (W.hw, W.states)
-    plan = rule._plans.get(key)
-    if plan is None:
-        plan = rule._plans[key] = _StepPlan(W, rule)
-    alpha = W.hw.alpha
-    done: Dict[Tuple[int, int], object] = {}
-    tapes: List[Word] = []
-    marks: List[_Marks] = []
-    cancelled = False
-    for (cls, s, sec, right, left, ins, cancel), w, mk in zip(
-            plan.windows, W.tapes, W._tape_marks()):
-        got = done.get((cls, id(w)))
-        if got is None:
-            out = list(right)
-            if sec is None:
-                if w:
-                    raise SectorMismatchError(s, w, True)
-                _join(out, left)
-                mk = ins, _NO_LETTERS, ()
-            else:
-                at = (list(_scan(right, mk[1]))
-                      if ins and not mk[1].isdisjoint(ins) else [])
-                mk = sec.push(out, at, w, mk)
-                if mk is None:
-                    raise SectorMismatchError(s, w, not sec.X)
-                if ins:
-                    letters, watch, _ = mk
-                    _join(out, left, at, () if watch.isdisjoint(ins)
-                          else _scan(left, watch))
-                    mk = letters | ins, watch, tuple(at)
-            got = done[(cls, id(w))] = (
-                _CANCELLED if cancel and not out
-                else (Word(alpha, tuple(out)), mk))
-        if got is _CANCELLED:
-            cancelled = True
-            continue
-        tapes.append(got[0])
-        marks.append(got[1])
-    if cancelled:
-        raise MachineError("rule %s: state letters cancelled during "
-                           "application" % rule.name)
-    if plan.base_changed:
-        # the shape checks of a new word fail first where they fail
-        AdmissibleWord(W.hw, plan.states, tapes, check=False)
-        raise MachineError("rule %s: base changed during application"
-                           % rule.name)
-    return AdmissibleWord._made(W.hw, plan.states, tuple(tapes), W.sectors,
-                                tuple(marks))
+    run = _Run(W)
+    run.step(rule)
+    return run.word()
 
 
 def theta_length(W: AdmissibleWord, rule: GeneralizedRule) -> int:
@@ -1012,7 +1145,10 @@ class Computation:
     """A replayed computation: words[j] = words[0] . history[:j].
 
     Runs replayed with ``trace=False`` keep only the endpoints, so there
-    ``words`` is just ``[start, final]``.
+    ``words`` is just ``[start, final]``.  The words of a run are built
+    from its buffers as they are handed out: a tape a step left unchanged
+    is the same Word in both configurations, and so are the equal tapes
+    of the windows of one class.
     """
     words: List[AdmissibleWord]
     history: History
@@ -1094,32 +1230,41 @@ class Machine:
 
     def run(self, W: AdmissibleWord, history: History,
             trace: bool = True) -> Computation:
-        cur = W
+        """The computation of W along ``history``, or StepError naming the
+        first step that does not apply.
+
+        The tapes are copied once into run-owned buffers (see
+        :class:`_Run`), every step edits them in place, and Words are built
+        only for the configurations handed out: each one when ``trace``,
+        else the last.
+        """
+        run = _Run(W)
         words = [W]
         for k, (name, s) in enumerate(history):
             try:
-                cur = apply_rule(cur, self.rule(name, s))
+                run.step(self.rule(name, s))
             except MachineError as e:
                 raise StepError(k, e) from e
             if trace:
-                words.append(cur)
+                words.append(run.word())
         if not trace and history:
-            words.append(cur)
+            words.append(run.word())
         return Computation(words, list(history))
 
     def semi_run(self, w: Word, sector: int, history: History) -> List[Word]:
         """The words of the semi-computation of w along ``history`` in
-        ``sector``: each step is :func:`semi_apply`'s, and the marks of
-        each word pass on to the next step."""
+        ``sector``: each step is :func:`semi_apply`'s, made in place on one
+        buffer, and the marks of each word pass on to the next step."""
         out = [w]
-        marks = _fresh(w.ltrs) if history else None
+        buf = list(w.ltrs)
+        marks = _fresh(buf)
         for k, (name, s) in enumerate(history):
             try:
-                w, marks = _sector_step(self.rule(name, s)._sector(sector),
-                                        sector, w, marks)
+                marks = _sector_step(self.rule(name, s)._sector(sector),
+                                     sector, out[-1], buf, marks)
             except MachineError as e:
                 raise StepError(k, e) from e
-            out.append(w)
+            out.append(Word(w.alpha, tuple(buf)))
         return out
 
 

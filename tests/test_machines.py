@@ -355,8 +355,17 @@ def test_compress():
     m, sch = m1("a", "c")
     al = sch.alpha
     assert compress(al.parse("b1 b2 a_1 b1 c_1 b2"), sch) == al.parse("a_1 b1 c_1")
-    with pytest.raises(MachineError):
-        compress(al.parse("b1 b2"), sch)
+    assert compress(al.parse("b2^-1 c_1^-1 b1^-1"), sch) == \
+        al.parse("c_1^-1")
+    # long noise runs on both sides, in linear time
+    b1, b2 = sch.B
+    noise = [b1, b2] * 50000
+    core = al.parse("a_1 b1 c_1^-1")
+    assert compress(al.word(noise + list(core.ltrs) + [-x for x in noise]),
+                    sch) == core
+    for bare in ("b1 b2", "b1^-1", ""):
+        with pytest.raises(MachineError, match="no marker"):
+            compress(al.parse(bare), sch)
 
 
 def test_compressed_semi_matches_plain():

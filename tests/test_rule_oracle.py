@@ -11,21 +11,25 @@ to fall outside the rules' domains.  Every query must give the
 reference's result, or raise the reference's exception with the same
 message.
 
-One sector at a time, SectorRule.push and its letter maps must give
-reference_image's result in each of the three sector modes (one-letter X,
-x_sub with readback, the express_in_basis fallback), on M1, its inverse
-rules and the small machine, with the tape's letters given as any
-superset: letters absent from the tape, moving letters absent from it, and
-letters outside the rule's domain; and the positions they return must be
-those of the watch letters of the result.
+One sector at a time, SectorRule.push and its letter maps, which edit a
+buffer in place, must give reference_image's result between random
+inserts in each of the three sector modes (one-letter X, x_sub with
+readback, the express_in_basis fallback), on M1, its inverse rules and the
+small machine, with the tape's letters given as any superset: letters
+absent from the tape, moving letters absent from it, and letters outside
+the rule's domain; a push that fails must leave the buffer untouched, and
+the positions they return must be those of the watch letters of the
+buffer.  The in-place junction under all of them must match a plain loop
+on junctions that cancel up to several hundred letters.
 
 Whole runs are checked the same way against the window-by-window loop:
-random reduced histories, with and without a faulty step, and the
-recorded accepting histories of I(a^2) and I(ab), must give the
-reference's configurations or its StepError; shift must give the
-reference's two-pass computation.  Semi-computations in one sector, on
-M1, the small machine and the main machine's special sector, must give
-reference_semi_run's words or its StepError.
+random reduced histories, with and without a faulty step, a tape object
+shared by windows of two classes, and the recorded accepting histories of
+I(a^2) and I(ab), must give the reference's configurations or its
+StepError; shift must give the reference's two-pass computation.
+Semi-computations in one sector, on M1, the small machine and the main
+machine's special sector, must give reference_semi_run's words or its
+StepError.
 """
 
 import random
@@ -44,7 +48,8 @@ from smforge.mainmachine import (DivisibleRecognizer, Params, accepting_run,
 from smforge.smachine import (AdmissibleWord, GeneralizedRule, Hardware,
                               Machine, MachineError, Part, RulePart,
                               SectorMismatchError, SectorRule, apply_rule,
-                              is_admissible, theta_length)
+                              _settle, is_admissible, parse_history,
+                              theta_length)
 from smforge.towers import SigmaSpec, bar_name, compose, cyclify, reflect
 from smforge.words import Alphabet, Word, relabel
 
@@ -322,69 +327,124 @@ def _marks(sec, w, letters, r, covered):
     return letters, watch, tuple(_watched(w.ltrs, watch))
 
 
-def _pushed(push, prefix, ltrs, marks):
-    """push applied after prefix: the stack, what push returned, and
-    whether the positions it left are those of the watch letters of the
-    stack (of the watch letters push returned)."""
-    stack, at = list(prefix), _watched(prefix, marks[1])
-    got = push(stack, at, ltrs, marks)
-    return stack, got, got is None or at == _watched(stack, got[1])
+def _pushed(push, ltrs, marks, right=(), left=()):
+    """push applied in place to a buffer holding ltrs, with the inserts
+    right and left: the buffer, what push returned, and whether the
+    positions it returned are those of the watch letters of the buffer
+    (of the watch letters push returned)."""
+    buf = list(ltrs)
+    ends = ((tuple(right), tuple(left), frozenset(right) | frozenset(left))
+            if right or left else None)
+    got = push(buf, marks, ends)
+    return buf, got, got is None or list(got[2]) == _watched(buf, got[1])
+
+
+def _insert(r, tape, image, inverted):
+    """A random nonempty reduced insert over the letters tape, often made
+    to cancel a few letters of image where it meets it: the insert ends
+    with the inverse of the start of image (inverted=True, a right insert)
+    or starts with the inverse of its end (a left insert)."""
+    ltrs = random_reduced(r, tape, r.randrange(1, 4))
+    if r.random() < 0.5 and image:
+        k = r.randrange(1, len(image) + 1)
+        if inverted:
+            ltrs = naive_reduce(ltrs + [-x for x in reversed(image[:k])])
+        else:
+            ltrs = naive_reduce([-x for x in reversed(image[-k:])] + ltrs)
+    return list(ltrs) or random_reduced(r, tape, 1)
 
 
 @given(seed=st.integers(0, 2 ** 32 - 1))
 @settings(max_examples=25, deadline=None)
 def test_sector_push_matches_reference_image(seed):
     """SectorRule.push, and the letter maps of its one-letter and x_sub
-    modes, give reference_image's result on any superset of the tape's
-    letters: with letters absent from the tape, with moving letters absent
-    from it, and with letters outside the rule's domain.  The positions
-    they leave are those of the watch letters of the result, whether or
-    not the tape's watch letters held the moving ones."""
+    modes, rewrite a buffer holding the tape in place to reference_image's
+    result between the two inserts, on any superset of the tape's letters:
+    with letters absent from the tape, with moving letters absent from it,
+    and with letters outside the rule's domain.  The inserts are empty or
+    random nonempty words, often cancelling into the image.  The buffer is
+    untouched when push returns None, and unchanged when it returns the
+    marks it was given; the positions returned are those of the watch
+    letters of the buffer, whether or not the tape's watch letters held
+    the moving ones."""
     r = random.Random(seed)
     cases = _sector_cases()
     assert {_mode(rule.sectors[i]) for rule, i in cases} == \
         {"one-letter", "x_sub", "general"}
     for rule, i in cases:
-        sec = rule.sectors[i]
+        sec, tape = rule.sectors[i], rule.hw.tapes[i]
         for _ in range(3):
             w = _sector_word(rule, i, r)
             try:
                 image = reference_image(rule, i, w)
             except SectorMismatchError:
                 image = None
-            prefix = random_reduced(r, rule.hw.tapes[i], r.randrange(3))
-            want = (None if image is None
-                    else naive_reduce(prefix + list(image.ltrs)))
-            for letters in _supersets(rule, i, w, r):
-                marks = _marks(sec, w, letters, r, covered=False)
-                stack, got, at_ok = _pushed(sec.push, prefix, w, marks)
-                if image is None:
-                    assert got is None and stack == prefix, (rule.name, i)
-                    continue
-                assert tuple(stack) == want, (rule.name, i, w.format())
-                assert got is not None and got[0] >= set(image.ltrs), \
-                    (rule.name, i, w.format())
-                assert got[1] >= marks[1] and (
-                    got[1] >= _moves(sec) or got[1] == marks[1])
-                assert at_ok, (rule.name, i, w.format())
-                marks = _marks(sec, w, letters, r, covered=True)
-                if _mode(sec) == "one-letter":
-                    stack, got, at_ok = _pushed(sec._map.push, prefix,
-                                                w.ltrs, marks)
-                    assert tuple(stack) == want and got[0] >= set(image.ltrs)
-                    assert at_ok and got[1] == marks[1]
-                elif _mode(sec) == "x_sub":
-                    stack, got, at_ok = _pushed(sec._map.push, [], w.ltrs,
-                                                marks)
-                    assert tuple(stack) == image.ltrs
-                    assert got[0] >= set(image.ltrs) and at_ok
-                    back, _, at_ok = _pushed(
-                        sec._back.push, [], image.ltrs,
-                        (got[0], marks[1],
-                         tuple(_watched(image.ltrs, marks[1]))))
-                    assert tuple(back) == w.ltrs and at_ok
+            img = [] if image is None else list(image.ltrs)
+            for right, left in (((), ()), (_insert(r, tape, img, True),
+                                           _insert(r, tape, img, False))):
+                want = (None if image is None
+                        else naive_reduce(list(right) + img + list(left)))
+                for letters in _supersets(rule, i, w, r):
+                    marks = _marks(sec, w, letters, r, covered=False)
+                    buf, got, at_ok = _pushed(sec.push, w.ltrs, marks,
+                                              right, left)
+                    if image is None:
+                        assert got is None and tuple(buf) == w.ltrs, \
+                            (rule.name, i)
+                        continue
+                    assert tuple(buf) == want, (rule.name, i, w.format())
+                    assert got is not None and got[0] >= set(buf), \
+                        (rule.name, i, w.format())
+                    assert got is not marks or tuple(buf) == w.ltrs
+                    assert got[1] >= marks[1] and (
+                        got[1] >= _moves(sec) or got[1] == marks[1])
+                    assert at_ok, (rule.name, i, w.format())
+                    marks = _marks(sec, w, letters, r, covered=True)
+                    if _mode(sec) == "one-letter":
+                        buf, got, at_ok = _pushed(sec._map.push, w.ltrs,
+                                                  marks, right, left)
+                        assert tuple(buf) == want and got[0] >= set(buf)
+                        assert at_ok and got[1] == marks[1]
+                    elif _mode(sec) == "x_sub":
+                        buf, got, at_ok = _pushed(sec._map.push, w.ltrs,
+                                                  marks)
+                        assert tuple(buf) == image.ltrs
+                        assert got[0] >= set(image.ltrs) and at_ok
+                        for watch in (marks[1], got[1]):
+                            back, _, at_ok = _pushed(
+                                sec._back.push, image.ltrs,
+                                (got[0], watch,
+                                 tuple(_watched(image.ltrs, watch))))
+                            assert tuple(back) == w.ltrs and at_ok
             if image is not None:
                 assert rule.image(i, w) == image
+
+
+@given(seed=st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=30, deadline=None)
+def test_settle_cancels_long_junctions_in_place(seed):
+    """_settle joins buf[c:c + m] onto buf[:c] in place, leaves the letters
+    after them alone, and keeps the positions of the watch letters, on
+    junctions that cancel anything from no letter to several hundred (past
+    the windows _meet widens through)."""
+    r = random.Random(seed)
+    left = random_reduced(r, (1, 2, 3), r.randrange(1, 700))
+    k = r.randrange(len(left) + 1)
+    right = [-x for x in reversed(left[len(left) - k:])]
+    for x in random_reduced(r, (1, 2, 3), r.randrange(60)):
+        if not right or right[-1] != -x:
+            right.append(x)
+    tail = random_reduced(r, (4,), r.randrange(3))
+    n = 0
+    while n < min(len(left), len(right)) and left[-1 - n] == -right[n]:
+        n += 1
+    want = left[:len(left) - n] + right[n:]
+    watch = {r.choice((1, 2, 3)), -r.choice((1, 2, 3))}
+    buf = left + right + tail
+    at = _watched(left, watch)
+    end = _settle(buf, len(left), len(right), at, _watched(right, watch))
+    assert (buf, end) == (want + tail, len(want))
+    assert at == _watched(want, watch)
 
 
 # -- whole runs ------------------------------------------------------------------
@@ -467,6 +527,55 @@ def test_equal_windows_that_cancel_are_kept_apart():
         outcome(reference_apply_rule, W, m.rule("collapse"))
     assert "cancelled" in outcome(apply_rule, W, m.rule("collapse"))[1]
     same_runs(m, W, [("collapse", 1)])
+
+
+def _split():
+    """A machine whose rule r (a -> a b, b -> b; q0 -> q0 b, q1 -> a q1)
+    rewrites one tape object t, held both between q0 and q1 and between
+    q1^-1 and q1, to b f(t) a and to a^-1 f(t) a: two classes on one
+    buffer, so a run copies it for one of them.  f0, which reads only
+    <a>, fails on the first of those windows after r; f2, which reads only
+    <b b a>, fails for t = b on the second alone."""
+    al = Alphabet()
+    q0, q1, q2 = (al.intern(n, kind="q", part=i)
+                  for i, n in enumerate(("q0", "q1", "q2")))
+    a, b = al.intern("a", sector=1), al.intern("b", sector=1)
+    c = al.intern("c", sector=2)
+    hw = Hardware(al, [Part((q,), q, q) for q in (q0, q1, q2)],
+                  [(), (a, b), (c,)])
+    W, P = al.word, al.parse
+    fix = SectorRule((P("c"),), (P("c"),))
+
+    def rule(name, sector1, v0=W(), u1=W()):
+        return GeneralizedRule(hw, name, [
+            RulePart(q0, W(), q0, v0), RulePart(q1, u1, q1, W()),
+            RulePart(q2, W(), q2, W())], [None, sector1, fix])
+
+    m = Machine("split", hw, [
+        rule("r", SectorRule((P("a"), P("b")), (P("a b"), P("b"))),
+             P("b"), P("a")),
+        rule("f0", SectorRule((P("a"),), (P("a"),))),
+        rule("f2", SectorRule((P("b b a"),), (P("b b a"),)))])
+    starts = [AdmissibleWord(hw, [(q0, 1), (q1, 1), (q1, -1), (q1, 1)],
+                             [t, P("c"), t])
+              for t in (P("b"), P("a b a^-1 b"))]
+    return m, starts
+
+
+@pytest.mark.parametrize("start", [0, 1])
+@pytest.mark.parametrize("history", [
+    "r", "r r", "r r r^-1 r", "r f0", "r f2", "r nosuch", "r r f2 r",
+    "r^-1 r^-1 r"])
+def test_tape_shared_by_two_classes_is_copied(start, history):
+    """One tape object in windows of two classes: the step that rewrites
+    it gives each window its own tape, the other window's intact, traced
+    or not, and a faulty step right after names the tape it saw."""
+    m, starts = _split()
+    W = starts[start]
+    assert W.tapes[0] is W.tapes[2]
+    V = m.run(W, [("r", 1)]).final()
+    assert V.tapes[0] != V.tapes[2]
+    same_runs(m, W, parse_history(history))
 
 
 DESK4 = Params(2, 4, 5, 4, 7, 8, 9, check_chain=False)
