@@ -19,7 +19,7 @@ replay-verified against the machine itself.
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import compress as _where, count
+from itertools import compress, count
 from typing import (Callable, Dict, FrozenSet, Iterator, List, Optional,
                     Sequence, Tuple)
 
@@ -31,14 +31,11 @@ from smforge.smachine import (
     Hardware,
     History,
     Machine,
-    MachineError,
     NoiseDecl,
     Part,
     RulePart,
     SectorRule,
-    StepError,
     reduce_history,
-    semi_apply,
     validate_noisy,
 )
 
@@ -117,8 +114,13 @@ class NoiseScheme:
         return {self.noise_word(y, a, s).ltrs[:n]: (y, a, s)
                 for y, a in self.pairs() for s in (1, -1)}
 
+    @cached_property
+    def rule_names(self) -> Dict[int, str]:
+        """The name of the rule of each payload and noise letter."""
+        return {y: "theta_" + self.alpha.name_of(y) for y in self.A + self.B}
+
     def rule_name(self, y: int) -> str:
-        return "theta_" + self.alpha.name_of(y)
+        return self.rule_names[y]
 
 
 def build_m1(letters: Sequence[str]) -> Tuple[Machine, NoiseScheme]:
@@ -232,7 +234,7 @@ def epsilon(W: AdmissibleWord, scheme: NoiseScheme) -> Word:
 def _markers(ltrs: Sequence[int], scheme: NoiseScheme) -> Iterator[int]:
     """The positions of the signed markers in ``ltrs``, found by one
     C-level pass."""
-    return _where(count(), map(scheme.signed[0].__contains__, ltrs))
+    return compress(count(), map(scheme.signed[0].__contains__, ltrs))
 
 
 def marker_split(w: Word, scheme: NoiseScheme) -> Tuple[List[Word], List[int]]:
@@ -369,40 +371,6 @@ def shift_time_bound(w: Word, scheme: NoiseScheme) -> int:
     """Upper bound on the length of the shift of w, when it exists."""
     n = len(w)
     return n + n * (2 * scheme.D + 1) ** n
-
-
-# -- compression ---------------------------------------------------------------
-
-def compress(w: Word, scheme: NoiseScheme) -> Word:
-    """Largest subword of w not starting or ending with a noise letter."""
-    noise, ltrs = scheme.signed[1] - scheme.signed[0], w.ltrs
-
-    def anchor(at: range) -> int:
-        return next((i for i in at if ltrs[i] not in noise), -1)
-
-    first = anchor(range(len(ltrs)))
-    if first < 0:
-        raise MachineError("word has no marker to anchor compression")
-    return Word(scheme.alpha,
-                ltrs[first:anchor(range(len(ltrs) - 1, first - 1, -1)) + 1])
-
-
-def compressed_apply(w: Word, rule: GeneralizedRule,
-                     scheme: NoiseScheme, sector: int = 1) -> Word:
-    return compress(semi_apply(w, rule, sector), scheme)
-
-
-def compressed_semi(w0: Word, machine: Machine, history: History,
-                    scheme: NoiseScheme, sector: int = 1) -> List[Word]:
-    """Compressed semi-computation: words after each compressed application."""
-    out = [compress(w0, scheme)]
-    for k, (name, s) in enumerate(history):
-        try:
-            out.append(compressed_apply(out[-1], machine.rule(name, s),
-                                        scheme, sector))
-        except MachineError as e:
-            raise StepError(k, e) from e
-    return out
 
 
 # -- marker-skeleton acceptance -------------------------------------------------

@@ -30,7 +30,6 @@ from smforge.smachine import (
     Hardware,
     History,
     Machine,
-    MachineError,
     Part,
     RulePart,
     SectorRule,
@@ -40,8 +39,6 @@ from smforge.smachine import (
 from smforge.machines import (
     NoiseScheme,
     build_m1,
-    compress,
-    compressed_apply,
     delta,
     shift,
     strip_history,
@@ -357,48 +354,6 @@ class MainMachine:
 
     def component(self, W: AdmissibleWord, coord: int) -> AdmissibleWord:
         return _component(W, coord, self.P)
-
-    # -- compressed semi-computations ------------------------------------------
-
-    def compressed_semi(self, w0: Word, history: History) -> List[Word]:
-        """Compressed semi-computation in the special sector.
-
-        Start rule steps toggle between plain and marked letters; working
-        set 1 steps run through the bottom machine's compressed
-        application.  Every other rule fixes the empty word only.  The
-        returned words live over the bottom scheme's alphabet.
-        """
-        sch = self.scheme
-        cur = w0 if w0.alpha is sch.alpha else relabel_by_name(w0, sch.alpha)
-        if len(cur):
-            cur = compress(cur, sch)
-        out = [cur]
-        for k, (nm, s) in enumerate(history):
-            try:
-                if not len(cur):
-                    pass
-                elif nm.startswith("1."):
-                    cur = compressed_apply(cur, self.m1.rule(nm[2:], s), sch)
-                elif nm == "s1":
-                    cur = _phi_step(cur, sch, s)
-                else:
-                    raise MachineError("rule %s locks the special sector"
-                                       % nm)
-            except MachineError as e:
-                raise StepError(k, e) from e
-            out.append(cur)
-        return out
-
-
-def _phi_step(w: Word, scheme: NoiseScheme, sign: int) -> Word:
-    ls = {abs(x) for x in w.ltrs}
-    if sign > 0:
-        if not ls <= set(scheme.A):
-            raise MachineError("start rule needs a plain word")
-        return relabel(w, dict(zip(scheme.A, scheme.A1)), scheme.alpha)
-    if not ls <= set(scheme.A1):
-        raise MachineError("inverse start rule needs a marked word")
-    return relabel(w, dict(zip(scheme.A1, scheme.A)), scheme.alpha)
 
 
 def build_main(letters: Sequence[str], plugin: RecognizerPlugin,

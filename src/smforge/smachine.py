@@ -770,10 +770,6 @@ class GeneralizedRule:
             return [] if not w else None
         return sec.express(w)
 
-    def image(self, sector: int, w: Word) -> Word:
-        """f~ applied to w, which must lie in <X_sector>."""
-        return _image(self._sector(sector), sector, w)
-
     def format(self) -> str:
         al = self.hw.alpha
         bits = []
@@ -865,26 +861,11 @@ def _domain_exprs(W: AdmissibleWord,
     return exprs
 
 
-def _hardware_error(W: AdmissibleWord,
-                    rule: GeneralizedRule) -> Optional[MachineError]:
-    """The error for a rule of other hardware than W's, else None."""
-    if rule.hw is W.hw:
-        return None
-    return MachineError("rule %s: hardware differs from the word's"
-                        % rule.name)
-
-
-def is_admissible(W: AdmissibleWord, rule: GeneralizedRule) -> Optional[MachineError]:
-    """None if the rule applies to W, else the error explaining why not."""
-    err = _hardware_error(W, rule)
-    if err is not None:
-        return err
-    try:
-        _check_states(W, rule)
-        _domain_exprs(W, rule)
-    except (StateMismatchError, SectorMismatchError) as e:
-        return e
-    return None
+def _check_hardware(W: AdmissibleWord, rule: GeneralizedRule) -> None:
+    """Raise if the rule is of other hardware than W's."""
+    if rule.hw is not W.hw:
+        raise MachineError("rule %s: hardware differs from the word's"
+                           % rule.name)
 
 
 class _StepPlan:
@@ -903,9 +884,7 @@ class _StepPlan:
     __slots__ = ("states", "windows", "base_changed", "units")
 
     def __init__(self, W: "AdmissibleWord | _Run", rule: GeneralizedRule):
-        err = _hardware_error(W, rule)
-        if err is not None:
-            raise err
+        _check_hardware(W, rule)
         _check_states(W, rule)
         hw = W.hw
         repl = [rule._replacement[e * q] for q, e in W.states]
@@ -1076,22 +1055,14 @@ def apply_rule(W: AdmissibleWord, rule: GeneralizedRule) -> AdmissibleWord:
 
 def theta_length(W: AdmissibleWord, rule: GeneralizedRule) -> int:
     """l_rule(W) = (k+1) + sum of basis lengths of the tape words."""
-    err = _hardware_error(W, rule)
-    if err is not None:
-        raise err
+    _check_hardware(W, rule)
     return len(W.states) + sum(len(e) for e in _domain_exprs(W, rule))
 
 
-def semi_theta_length(w: Word, rule: GeneralizedRule, sector: int) -> int:
-    expr = rule.domain_expr(sector, w)
-    if expr is None:
-        raise SectorMismatchError(sector, w, rule.locks(sector))
-    return len(expr)
-
-
 def semi_apply(w: Word, rule: GeneralizedRule, sector: int) -> Word:
-    """One step of a semi-computation in the given sector."""
-    return rule.image(sector, w)
+    """One step of a semi-computation in the given sector: the rule's sector
+    map applied to w, which must lie in its domain."""
+    return _image(rule._sector(sector), sector, w)
 
 
 # -- machines -----------------------------------------------------------------

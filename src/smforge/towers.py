@@ -1,23 +1,24 @@
 """Tower constructions over generalized S-machines.
 
-Four builders turn small linear machines into the large cyclic machine the
-group layer consumes.  ``compose`` runs two machines in series through a
-connecting rule, ``reflect`` doubles a machine against a mirrored copy of
-itself, ``cyclify`` closes the base into a ring behind a fresh anchor
-letter, and ``parallelize`` lays several copies of a cyclic machine around
-one ring, sharing tape alphabets but not state letters.
+Three builders turn small linear machines into the cyclic machine the ring
+is laid on.  ``compose`` runs two machines in series through a connecting
+rule, ``reflect`` doubles a machine against a mirrored copy of itself, and
+``cyclify`` closes the base into a ring behind a fresh anchor letter.
+``_Ring`` then lays L copies of a cyclic machine around one ring, sharing
+tape alphabets but not state letters, and ``component`` reads one copy
+back out of a ring configuration.
 
 Mirror copies use barred letters (name suffix ``~``) rather than inverse
 letters: the mirrored image of a tape word w is mu(w) = bar(w)^-1, an
 anti-isomorphism, and since bar is a plain renaming every mirrored free
 basis keeps the one-positive-letter-per-entry shape the sector machinery
-relies on.  ``associated_pair`` undoes the doubling for inspection.
+relies on.
 """
 
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from smforge.words import Alphabet, Word, relabel, relabel_by_name
+from smforge.words import Alphabet, Word, relabel
 from smforge.smachine import (
     AdmissibleWord,
     GeneralizedRule,
@@ -37,24 +38,17 @@ def bar_name(name: str) -> str:
     return name + "~"
 
 
-def unbar_name(name: str) -> str:
-    if not name.endswith("~"):
-        raise ValueError("%r is not a barred name" % name)
-    return name[:-1]
-
-
 def _copy_letter(al2: Alphabet, src: Alphabet, x: int,
-                 name: Optional[str] = None, part: Optional[int] = None,
-                 sector: Optional[int] = None,
-                 coord: Optional[int] = None) -> int:
+                 part: Optional[int] = None,
+                 sector: Optional[int] = None) -> int:
     """Intern a letter of ``src`` into ``al2``, optionally re-indexed."""
     return al2.intern(
-        name if name is not None else src.name_of(x),
+        src.name_of(x),
         kind=src.kind_of(x),
         sector=src.sector_of(x) if sector is None else sector,
         part=src.part_of(x) if part is None else part,
         subkind=src.subkind_of(x) or "o",
-        coord=src.coord_of(x) if coord is None else coord)
+        coord=src.coord_of(x))
 
 
 def _map_sector(sec: Optional[SectorRule], lmap: Dict[int, int],
@@ -110,47 +104,7 @@ def _merge_noise(a: Optional[NoiseDecl],
     return out
 
 
-# -- padding and series composition ----------------------------------------------
-
-def pad(m: Machine, n_parts: int,
-        state_names: Optional[Sequence[str]] = None,
-        name: Optional[str] = None) -> Machine:
-    """Append inert singleton parts until the base has ``n_parts`` parts.
-
-    The new parts carry empty tape alphabets and every rule fixes their
-    single state letter, so the padded machine runs exactly the original
-    computations.  The input machine's alphabet is extended in place.
-    """
-    hw = m.hw
-    if hw.cyclic:
-        raise ValueError("pad expects linear hardware")
-    k = n_parts - hw.n_parts
-    if k < 0:
-        raise ValueError("machine already has %d > %d parts"
-                         % (hw.n_parts, n_parts))
-    if k == 0:
-        return m
-    names = (list(state_names) if state_names is not None
-             else ["pad%d" % j for j in range(hw.n_parts, n_parts)])
-    if len(names) != k:
-        raise ValueError("need %d padding state names, got %d"
-                         % (k, len(names)))
-    al = hw.alpha
-    fresh = []
-    for j, nm in zip(range(hw.n_parts, n_parts), names):
-        if nm in al:
-            raise ValueError("padding state %r collides with a letter" % nm)
-        fresh.append(al.intern(nm, kind="q", part=j))
-    hw2 = Hardware(al, list(hw.parts) + [Part((q,), q, q) for q in fresh],
-                   list(hw.tapes) + [()] * k)
-    e = al.word()
-    rules = []
-    for r in m.rules.values():
-        parts = list(r.parts) + [RulePart(q, e, q, e) for q in fresh]
-        rules.append(GeneralizedRule(hw2, r.name, parts,
-                                     list(r.sectors) + [None] * k))
-    return Machine(name or m.name, hw2, rules, m.input_sectors, m.noise)
-
+# -- series composition ----------------------------------------------------------
 
 @dataclass
 class SigmaSpec:
@@ -171,11 +125,11 @@ def compose(m_a: Machine, m_b: Machine, sigma: SigmaSpec,
             name: Optional[str] = None) -> Machine:
     """Series composition: run m_a, hand over by the sigma rule, run m_b.
 
-    Both machines must be linear with the same number of parts (pad the
-    shorter one first).  Part i of the result carries the state letters of
-    both part i's; start states come from m_a, end states from m_b.  State
-    letters and rule names must not collide; tape letters of m_b are
-    renamed through ``sigma.identify`` where given and kept otherwise.
+    Both machines must be linear with the same number of parts.  Part i
+    of the result carries the state letters of both part i's; start
+    states come from m_a, end states from m_b.  State letters and rule
+    names must not collide; tape letters of m_b are renamed through
+    ``sigma.identify`` where given and kept otherwise.
     """
     if m_a.hw.cyclic or m_b.hw.cyclic:
         raise ValueError("compose expects linear machines")
@@ -339,32 +293,6 @@ def reflect(m: Machine, name: Optional[str] = None) -> Machine:
     return mm
 
 
-def associated_pair(W: AdmissibleWord, doubled: Machine, original: Machine
-                    ) -> Tuple[AdmissibleWord, AdmissibleWord]:
-    """Split a configuration of a reflected machine into its two halves.
-
-    The first half reads forward; the second is recovered through mu, so
-    both returned words live on the original hardware.  The middle sector
-    must be empty.
-    """
-    hw2, hw = doubled.hw, original.hw
-    n = hw.n_parts
-    if len(W.states) != 2 * n or not W.is_configuration():
-        raise ValueError("need a configuration of the doubled machine")
-    if W.tapes[n - 1]:
-        raise ValueError("middle sector is not empty")
-    al2, al = hw2.alpha, hw.alpha
-
-    def half(states, tapes, name=lambda nm: nm) -> AdmissibleWord:
-        qs = relabel_by_name(Word(al2, tuple(q for q, _ in states)), al, name)
-        return AdmissibleWord(hw, [(q, 1) for q in qs.ltrs],
-                              [relabel_by_name(t, al, name) for t in tapes])
-
-    return (half(W.states[:n], W.tapes[:n - 1]),
-            half(reversed(W.states[n:]),
-                 [~W.tapes[2 * n - s - 1] for s in range(1, n)], unbar_name))
-
-
 # -- cyclification ----------------------------------------------------------------
 
 def cyclify(m: Machine, t_name: str = "t",
@@ -464,7 +392,7 @@ class _Ring:
 
     def lift(self, hw: Hardware, r: GeneralizedRule,
              smaps: Sequence[Dict[int, int]], special: Optional[int] = None,
-             name: Optional[str] = None) -> GeneralizedRule:
+             *, name: str) -> GeneralizedRule:
         """r acting on every copy, copy i's states through smaps[i - 1].
 
         Copies share tape letters, so each insert and sector rule of r is
@@ -490,7 +418,7 @@ class _Ring:
             for s in range(self.P):
                 locked = special is not None and i == 1 and s == special
                 rsectors.append(None if locked else mapped[s])
-        return GeneralizedRule(hw, name or r.name, rparts, rsectors)
+        return GeneralizedRule(hw, name, rparts, rsectors)
 
     def noise(self) -> Optional[NoiseDecl]:
         """The machine's noise declaration repeated on every copy."""
@@ -501,48 +429,6 @@ class _Ring:
             noise = _merge_noise(noise, _map_noise(
                 self.m.noise, self.tmap, lambda s, base=i * self.P: base + s))
         return noise
-
-
-def parallelize(m: Machine, L: int, lock_first: bool = False,
-                name: Optional[str] = None) -> Machine:
-    """Run L copies of a cyclic machine around one ring.
-
-    Copy i >= 2 renames its state letters with an ``(i)`` suffix; tape
-    alphabets are shared between all copies, so every rule acts on all
-    copies' sectors in parallel.  Junction sectors inherit the wrap
-    alphabet of ``m``.  With ``lock_first`` the first copy of the smallest
-    input sector is locked instead and the two insertions beside it are
-    dropped; all other sectors keep working, so the locked copy's
-    neighbours still evolve in step with the other copies.
-    """
-    hw = m.hw
-    if not hw.cyclic:
-        raise ValueError("parallelize expects cyclic hardware")
-    if L < 1:
-        raise ValueError("need at least one copy")
-    P = hw.n_parts
-
-    special: Optional[int] = None
-    if lock_first:
-        if not m.input_sectors:
-            raise ValueError("lock_first needs an input sector")
-        special = min(m.input_sectors)
-        if special < 1:
-            raise ValueError("cannot lock the wrap sector")
-
-    ring = _Ring(m, L)
-    smaps = [ring.states(i, range(P)) for i in range(1, L + 1)]
-    parts = [Part(tuple(d[q] for q in p.letters), d[p.start], d[p.end])
-             for d in smaps for p in hw.parts]
-    hw2 = Hardware(ring.al, parts, ring.tapes, cyclic=True)
-    rules = [ring.lift(hw2, r, smaps, special) for r in m.rules.values()]
-    inputs = [(i - 1) * P + s for i in range(1, L + 1)
-              for s in m.input_sectors
-              if special is None or i > 1 or s != special]
-    mm = Machine(name or "%sx%d" % (m.name, L), hw2, rules, inputs,
-                 ring.noise())
-    validate_noisy(mm)
-    return mm
 
 
 def component(W: AdmissibleWord, coord: int, P: int) -> AdmissibleWord:

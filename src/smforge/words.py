@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from itertools import takewhile
 from operator import add, not_
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 KINDS = ("q", "a", "t")
 SUBKINDS = ("A", "b", "o")
@@ -37,6 +37,18 @@ class MachineError(ValueError):
 class BasisSearchError(MachineError):
     """express_in_basis found no expression for a word its basis folds to
     accept: the basis lies outside the classes the peel search supports."""
+
+
+class UnknownLetterError(MachineError, KeyError):
+    """A letter name the alphabet does not carry; a KeyError too, like any
+    failed lookup by name."""
+
+    def __init__(self, name: str):
+        self.name = name
+        super().__init__("unknown letter: %r" % (name,))
+
+    def __str__(self) -> str:
+        return self.args[0]
 
 
 class Alphabet:
@@ -100,7 +112,7 @@ class Alphabet:
         try:
             return self._ids[name]
         except KeyError:
-            raise KeyError("unknown letter: %r" % (name,)) from None
+            raise UnknownLetterError(name) from None
 
     def name_of(self, i: int) -> str:
         return self._names[abs(i) - 1]
@@ -256,30 +268,6 @@ class Word:
             n += 1
         return n
 
-    @property
-    def len_q(self) -> int:
-        return self.count("q")
-
-    @property
-    def len_a(self) -> int:
-        return self.count("a")
-
-    @property
-    def len_t(self) -> int:
-        return self.count("t")
-
-    @property
-    def len_A(self) -> int:
-        return self.count("a", "A")
-
-    @property
-    def len_b(self) -> int:
-        return self.count("a", "b")
-
-    @property
-    def len_o(self) -> int:
-        return self.count("a", "o")
-
     # -- text --------------------------------------------------------------
 
     def format(self) -> str:
@@ -325,13 +313,13 @@ def relabel(w: Word, letter_map: Dict[int, int], target: Alphabet) -> Word:
         letter_map[abs(x)] if x > 0 else -letter_map[abs(x)] for x in w.ltrs))
 
 
-def relabel_by_name(w: Word, target: Alphabet,
-                    name: Callable[[str], str] = lambda nm: nm) -> Word:
+def relabel_by_name(w: Word, target: Alphabet) -> Word:
     """Letter-to-letter transfer into target, each letter going to the
-    target letter called ``name`` of its own name, preserving signs."""
+    target letter of the same name, preserving signs; raises
+    UnknownLetterError for a letter target lacks."""
     src = w.alpha
     return Word(target, tuple(
-        (1 if x > 0 else -1) * target.id_of(name(src.name_of(x)))
+        (1 if x > 0 else -1) * target.id_of(src.name_of(x))
         for x in w.ltrs))
 
 

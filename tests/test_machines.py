@@ -9,8 +9,6 @@ from smforge.machines import (
     a_length,
     b_length,
     build_m1,
-    compress,
-    compressed_semi,
     decode_noise,
     delta,
     delta_letters,
@@ -23,7 +21,6 @@ from smforge.machines import (
 )
 from smforge.words import Alphabet
 from smforge.smachine import (
-    MachineError,
     ParseError,
     machine_from_text,
     machine_to_text,
@@ -349,36 +346,6 @@ def test_three_marker_noise_bounds():
         assert markers == [sch.A1[0]] * 3
         inner = len(gaps[1]) + len(gaps[2])
         assert sch.D * t // 2 <= inner <= 3 * sch.D * t, (trial, inner)
-
-
-def test_compress():
-    m, sch = m1("a", "c")
-    al = sch.alpha
-    assert compress(al.parse("b1 b2 a_1 b1 c_1 b2"), sch) == al.parse("a_1 b1 c_1")
-    assert compress(al.parse("b2^-1 c_1^-1 b1^-1"), sch) == \
-        al.parse("c_1^-1")
-    # long noise runs on both sides, in linear time
-    b1, b2 = sch.B
-    noise = [b1, b2] * 50000
-    core = al.parse("a_1 b1 c_1^-1")
-    assert compress(al.word(noise + list(core.ltrs) + [-x for x in noise]),
-                    sch) == core
-    for bare in ("b1 b2", "b1^-1", ""):
-        with pytest.raises(MachineError, match="no marker"):
-            compress(al.parse(bare), sch)
-
-
-def test_compressed_semi_matches_plain():
-    m, sch = m1("a", "c")
-    al = sch.alpha
-    rng = random.Random(41)
-    names = sorted(m.rules)
-    skel = al.parse("a_1 c_1^-1 a_1")
-    for trial in range(10):
-        hist = random_reduced_history(rng, names, rng.randint(1, 4))
-        plain = m.semi_run(skel, 1, hist)
-        comp = compressed_semi(skel, m, hist, sch)
-        assert comp == [compress(w, sch) for w in plain]
 
 
 # -- marker-skeleton acceptance -----------------------------------------------------

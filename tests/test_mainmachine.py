@@ -6,12 +6,12 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from smforge.words import Word, relabel, relabel_by_name
-from smforge.smachine import (MachineError, StepError, apply_rule,
-                              is_admissible, machine_from_text,
-                              machine_to_text, reduce_history, validate_noisy)
+from smforge.words import Alphabet, UnknownLetterError, relabel, relabel_by_name
+from smforge.smachine import (MachineError, SectorMismatchError,
+                              StateMismatchError, StepError, apply_rule,
+                              machine_from_text, machine_to_text,
+                              reduce_history, validate_noisy)
 from smforge.machines import marker_split
-from smforge.towers import parallelize
 from smforge.mainmachine import (DivisibleRecognizer, Params,
                                  PAPER_CONSTRAINTS, RejectingRecognizer,
                                  accepting_run, build_main, history_ell,
@@ -183,14 +183,17 @@ def test_start_rule_asymmetry(main1):
     w = payload(main1, 1)
     I, J = main1.input_i(w), main1.input_j(w)
     mm = main1.machine
-    assert is_admissible(I, mm.rule("s1")) is None
-    assert is_admissible(I, mm.rule("s2")) is not None
-    assert is_admissible(J, mm.rule("s1")) is None
-    assert is_admissible(J, mm.rule("s2")) is None
-    assert is_admissible(I, mm.rule("a1")) is not None
+    apply_rule(I, mm.rule("s1"))
+    with pytest.raises(SectorMismatchError) as ei:
+        apply_rule(I, mm.rule("s2"))
+    assert ei.value.sector == main1.special_sector and ei.value.locked
+    apply_rule(J, mm.rule("s1"))
+    apply_rule(J, mm.rule("s2"))
+    with pytest.raises(StateMismatchError):
+        apply_rule(I, mm.rule("a1"))
     E = main1.input_i(mm.hw.alpha.word())
     assert E == main1.input_j(mm.hw.alpha.word())
-    assert is_admissible(E, mm.rule("s2")) is None
+    apply_rule(E, mm.rule("s2"))
 
 
 def test_m1_word_under_a_main_rule_is_typed(main1):
@@ -279,8 +282,8 @@ def test_parsed_noise_declarations_are_valid(main1, which, entries):
     assert len(validate_noisy(again)) == entries
 
 
-# sha256 prefixes of machine_to_text, recorded before build_main and
-# parallelize shared one ring lift
+# sha256 prefixes of machine_to_text, recorded before build_main laid its
+# copies through the shared ring lift
 RING_GOLDEN = {
     "M(a) divisible L=4": (lambda m: m.machine, "f8b70b50c1e56722"),
     "M(a,b) divisible L=4": (lambda m: build_main(
@@ -292,10 +295,6 @@ RING_GOLDEN = {
     "M(a) divisible L=6": (lambda m: build_main(
         ("a",), DivisibleRecognizer(("a",), 1), Params.desk()).machine,
         "695d782fa4cb86af"),
-    "parallelize(M5, 3)": (lambda m: parallelize(m.m5, 3),
-                           "244a99f67b6ba97e"),
-    "parallelize(M5, 3, lock_first)": (
-        lambda m: parallelize(m.m5, 3, lock_first=True), "2e65ef9fdaaff897"),
 }
 
 
@@ -401,31 +400,51 @@ def test_to_m1_rejects_a_letter_without_counterpart(main1):
     assert str(got.value) == str(want.value)
 
 
-# -- compressed semi-computations ----------------------------------------------------
+def test_letters_the_machine_lacks_are_typed(main1):
+    other = Alphabet()
+    w = other.word([other.intern("a", sector=1), other.intern("zz", sector=1)])
+    with pytest.raises(UnknownLetterError, match="unknown letter: 'zz'") as ei:
+        lambda_accept(w, main1, even_positive)
+    assert isinstance(ei.value, MachineError) and isinstance(ei.value, KeyError)
+    assert ei.value.name == "zz"
+
+
+# -- semi-computations in the special sector ----------------------------------------
+#
+# Read compressed: through marker_split on the bottom machine's alphabet, so
+# the markers and the noise gaps between them, the first and last gaps apart.
+
+
+def semi(main, w, history):
+    return [main.to_m1(u)
+            for u in main.machine.semi_run(w, main.special_sector, history)]
 
 
 def test_compressed_semi_tracks_marking(main1):
     w = payload(main1, 2)
-    words = main1.compressed_semi(w, [("s1", 1), ("1.theta_b1", 1)])
+    words = semi(main1, w, [("s1", 1), ("1.theta_b1", 1)])
     sch = main1.scheme
     assert words[0] == main1.to_m1(w)
     assert words[1] == sch.alpha.word([sch.A1[0]] * 2)
-    assert len(words[2]) == 2 + sch.D
-    assert abs(words[2].ltrs[0]) == sch.A1[0]
-    assert abs(words[2].ltrs[-1]) == sch.A1[0]
-    back = main1.compressed_semi(w, [("s1", 1), ("s1", -1)])
+    gaps, markers = marker_split(words[2], sch)
+    assert markers == [sch.A1[0]] * 2 and len(gaps[1]) == sch.D
+    back = semi(main1, w, [("s1", 1), ("s1", -1)])
     assert back[-1] == main1.to_m1(w)
 
 
 def test_compressed_semi_guards(main1):
     al = main1.machine.hw.alpha
     e = al.word()
-    words = main1.compressed_semi(e, [("a1", 1), ("2.theta_a", 1)])
+    words = semi(main1, e, [("a1", 1), ("2.theta_a", 1)])
     assert all(not len(u) for u in words)
-    with pytest.raises(StepError):
-        main1.compressed_semi(payload(main1, 1), [("s2", 1)])
-    with pytest.raises(StepError):
-        main1.compressed_semi(payload(main1, 1), [("s1", -1)])
+    with pytest.raises(StepError) as ei:
+        semi(main1, payload(main1, 1), [("s2", 1)])
+    assert isinstance(ei.value.reason, SectorMismatchError)
+    assert ei.value.reason.locked
+    with pytest.raises(StepError) as ei:
+        semi(main1, payload(main1, 1), [("s1", -1)])
+    assert isinstance(ei.value.reason, SectorMismatchError)
+    assert not ei.value.reason.locked
 
 
 @pytest.fixture(scope="module")
@@ -448,7 +467,7 @@ def test_compressed_gap_growth_bounds(main3):
     hists += [[a, b] for a, b in itertools.product(signed, signed)
               if reduce_history([a, b]) == [a, b]]
     for seq in hists:
-        words = main3.compressed_semi(w0, [("s1", 1)] + seq)
+        words = semi(main3, w0, [("s1", 1)] + seq)
         gaps, markers = marker_split(words[-1], sch)
         assert markers == skeleton
         interior = len(gaps[1]) + len(gaps[2])
@@ -462,12 +481,14 @@ def test_compressed_steps_decorate_not_erase(main3):
     w0 = al.word([al.id_of(n) for n in ("x", "y", "z")])
     ids = {n: sch.alpha.id_of(n) for n in ("x", "y", "z")}
     x1, y1, z1 = (sch.alpha.word([sch.mark(ids[n])]) for n in ("x", "y", "z"))
-    fwd = main3.compressed_semi(w0, [("s1", 1), ("1.theta_z", 1)])[-1]
-    assert fwd == (x1 * sch.noise_word(ids["z"], ids["y"]) * y1
-                   * sch.noise_word(ids["z"], ids["z"]) * z1)
-    bwd = main3.compressed_semi(w0, [("s1", 1), ("1.theta_x", -1)])[-1]
-    assert bwd == (x1 * sch.noise_word(ids["x"], ids["y"], -1) * y1
-                   * sch.noise_word(ids["x"], ids["z"], -1) * z1)
+    v = sch.noise_word
+    fwd = semi(main3, w0, [("s1", 1), ("1.theta_z", 1)])[-1]
+    assert fwd == (v(ids["z"], ids["x"]) * x1 * v(ids["z"], ids["y"]) * y1
+                   * v(ids["z"], ids["z"]) * z1)
+    bwd = semi(main3, w0, [("s1", 1), ("1.theta_x", -1)])[-1]
+    assert bwd == (v(ids["x"], ids["x"], -1) * x1
+                   * v(ids["x"], ids["y"], -1) * y1
+                   * v(ids["x"], ids["z"], -1) * z1)
     gaps, markers = marker_split(fwd, sch)
     assert markers == [sch.mark(ids[n]) for n in ("x", "y", "z")]
-    assert not len(gaps[0]) and not len(gaps[3])
+    assert gaps[0] == v(ids["z"], ids["x"]) and not len(gaps[3])

@@ -8,9 +8,8 @@ from smforge.smachine import (
     AdmissibleWord, GeneralizedRule, Hardware, Machine, MachineError,
     NoiseDecl, Part, RulePart, SectorMismatchError, SectorRule,
     StateMismatchError, StepError, UnknownRuleError, apply_rule, invert_rule,
-    is_admissible,
     machine_from_text, machine_to_text, parse_history, format_history,
-    reduce_history, semi_apply, semi_theta_length, theta_length, validate_noisy,
+    reduce_history, semi_apply, theta_length, validate_noisy,
 )
 from smforge.words import Alphabet
 
@@ -145,8 +144,8 @@ def test_errors_distinguish_state_and_sector():
     m = tiny_machine()
     al = m.hw.alpha
     W = AdmissibleWord.from_word(m.hw, al.parse("q0 a q1' c q2"))
-    err = is_admissible(W, m.rule("peel"))
-    assert isinstance(err, StateMismatchError)
+    with pytest.raises(StateMismatchError):
+        apply_rule(W, m.rule("peel"))
     m2 = tiny_machine()
     al2 = m2.hw.alpha
     # build a rule that locks sector 1 to exercise the lock error
@@ -156,10 +155,14 @@ def test_errors_distinguish_state_and_sector():
         RulePart(m2.hw.parts[2].start, al2.word(), m2.hw.parts[2].start, al2.word()),
     ], [None, None, SectorRule((al2.parse("c"),), (al2.parse("c"),))])
     W2 = AdmissibleWord.from_word(m2.hw, al2.parse("q0 a q1 c q2"))
-    err2 = is_admissible(W2, lockr)
-    assert isinstance(err2, SectorMismatchError) and err2.locked
+    with pytest.raises(SectorMismatchError) as ei:
+        apply_rule(W2, lockr)
+    assert ei.value.locked and ei.value.sector == 1
+    # a state mismatch is raised before the first window outside the domain
+    with pytest.raises(StateMismatchError):
+        apply_rule(AdmissibleWord.from_word(m2.hw, al2.parse("q0 a q1' c q2")),
+                   lockr)
     W3 = AdmissibleWord.from_word(m2.hw, al2.parse("q0 q1 c q2"))
-    assert is_admissible(W3, lockr) is None
     out = apply_rule(W3, lockr)
     assert out == W3
 
@@ -243,22 +246,20 @@ def test_sector_queries_outside_the_hardware_are_typed(sector):
     w = m.hw.alpha.parse("a")
     rule = m.rule("twist")
     message = "rule twist: no sector %d" % sector
-    for query in (rule.locks, lambda s: rule.domain_expr(s, w),
-                  lambda s: semi_theta_length(w, rule, s)):
+    for query in (rule.locks, lambda s: rule.domain_expr(s, w)):
         with pytest.raises(MachineError, match=message):
             query(sector)
-    assert semi_theta_length(w, rule, 1) == 1
+    assert len(rule.domain_expr(1, w)) == 1
 
 
 def test_admissibility_under_other_hardware_is_typed():
     m, other = tiny_machine(), tiny_machine()
     W = AdmissibleWord.from_word(m.hw, m.hw.alpha.parse("q0 a q1 q2"))
     message = "rule peel: hardware differs from the word's"
-    err = is_admissible(W, other.rule("peel"))
-    assert type(err) is MachineError and str(err) == message
-    with pytest.raises(MachineError, match=message):
-        theta_length(W, other.rule("peel"))
-    assert is_admissible(W, m.rule("peel")) is None
+    for query in (apply_rule, theta_length):
+        with pytest.raises(MachineError) as ei:
+            query(W, other.rule("peel"))
+        assert type(ei.value) is MachineError and str(ei.value) == message
     assert theta_length(W, m.rule("peel")) == 4
 
 
@@ -276,8 +277,8 @@ def test_theta_length_counts_basis_terms():
     # but on bare tape words the length is preserved exactly
     w = al.parse("a b^-1 a")
     img = semi_apply(w, m.rule("twist"), 1)
-    assert semi_theta_length(w, m.rule("twist"), 1) == 3
-    assert semi_theta_length(img, m.rule("twist", -1), 1) == 3
+    assert len(m.rule("twist").domain_expr(1, w)) == 3
+    assert len(m.rule("twist", -1).domain_expr(1, img)) == 3
 
 
 def test_semi_apply_and_history_utils():
@@ -360,7 +361,7 @@ def test_inverse_rule_expresses_naked_marker():
     w = al.parse("a_1")
     expr = inv.domain_expr(1, w)
     assert expr is not None and len(expr) == 3
-    assert inv.image(1, w) == al.parse("b2^-1 b1^-1 a_1")
+    assert semi_apply(w, inv, 1) == al.parse("b2^-1 b1^-1 a_1")
     # words with letters outside the sector domain are rejected, not mangled
     assert inv.domain_expr(1, al.parse("a")) is None
 

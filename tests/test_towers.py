@@ -1,15 +1,17 @@
 """Tower builders: composition, reflection, cyclification, parallel copies."""
 
+import itertools
+
 import pytest
 
 from smforge.words import Word, relabel
-from smforge.smachine import (StepError, is_admissible,
+from smforge.smachine import (SectorMismatchError, StepError, apply_rule,
                               machine_from_text, machine_to_text)
 from smforge.machines import build_m1, shift
-from smforge.towers import (SigmaSpec, associated_pair, bar_name, component,
-                            compose, cyclify, pad, parallelize, reflect,
-                            unbar_name)
-from smforge.mainmachine import DivisibleRecognizer
+from smforge.towers import (SigmaSpec, bar_name, component, compose, cyclify,
+                            reflect)
+from smforge.mainmachine import (DivisibleRecognizer, Params, accepting_run,
+                                 build_main)
 
 p = pytest.mark.parametrize
 
@@ -53,35 +55,6 @@ def accept_history(tower, k):
     hist = list(comp.history) + [("sigma", 1)]
     hist += plug.accept_run(pal.word([plug.tape[0]] * k))
     return marked, hist
-
-
-# -- pad -------------------------------------------------------------------------
-
-
-def test_pad_runs_like_the_original():
-    m1, sch = build_m1(("a",))
-    m1p = pad(m1, 5)
-    assert m1p.hw.n_parts == 5
-    assert m1p.hw.tapes[3:] == [(), ()]
-    marked = sch.alpha.word([sch.A1[0]])
-    hist = shift(marked, m1, sch).history
-    C = m1p.run(m1p.input_config({1: marked}), hist)
-    final = C.final()
-    assert final.tapes[0] == sch.alpha.word()
-    assert final.states[3] == (m1p.hw.parts[3].start, 1)
-    assert final.states[4] == (m1p.hw.parts[4].start, 1)
-    for r in m1p.rules.values():
-        assert not r.parts[3].u and not r.parts[3].v
-        assert r.parts[3].q == r.parts[3].q2
-
-
-def test_pad_noop_and_errors():
-    m1, _ = build_m1(("a",))
-    assert pad(m1, 3) is m1
-    with pytest.raises(ValueError):
-        pad(m1, 2)
-    with pytest.raises(ValueError):
-        pad(m1, 4, state_names=["q0"])
 
 
 # -- compose ---------------------------------------------------------------------
@@ -129,7 +102,9 @@ def test_sigma_needs_the_payload_erased(tower):
     m1, sch, plug, m3, m4, m5 = tower
     marked, _ = accept_history(tower, 1)
     W0 = m3.input_config({1: by_name(marked, m3.hw.alpha)})
-    assert is_admissible(W0, m3.rule("sigma")) is not None
+    with pytest.raises(SectorMismatchError) as ei:
+        apply_rule(W0, m3.rule("sigma"))
+    assert ei.value.sector == 1 and ei.value.locked
     with pytest.raises(StepError):
         m3.run(W0, [("sigma", 1)])
 
@@ -148,9 +123,24 @@ def test_reflect_structure(tower):
         [bar_name(m3.hw.alpha.name_of(x)) for x in m3.hw.tapes[1]]
     assert al.name_of(m4.hw.parts[5].start) == "q0~"
     assert al.name_of(m4.hw.parts[3].end) == "p2e~"
-    assert unbar_name(bar_name("a")) == "a"
-    with pytest.raises(ValueError):
-        unbar_name("a")
+
+
+def halves_follow(W4, W1, W2):
+    """W4, a configuration of the doubled machine, carries W1's states and
+    tapes on its plain half, W2's barred states reversed and mu of its
+    tapes on its mirror half, and an empty middle sector."""
+    n = len(W1.states)
+    al4 = W4.hw.alpha
+    assert len(W4.states) == 2 * n and W4.is_configuration()
+    assert all(e == 1 for W in (W4, W1, W2) for _, e in W.states)
+    assert [al4.name_of(q) for q, _ in W4.states[:n]] == \
+        [W1.hw.alpha.name_of(q) for q, _ in W1.states]
+    assert [al4.name_of(q) for q, _ in reversed(W4.states[n:])] == \
+        [bar_name(W2.hw.alpha.name_of(q)) for q, _ in W2.states]
+    assert not W4.tapes[n - 1]
+    for s in range(1, n):
+        assert W4.tapes[s - 1] == by_name(W1.tapes[s - 1], al4)
+        assert W4.tapes[2 * n - s - 1] == mu(W2.tapes[s - 1], al4)
 
 
 def test_reflected_acceptance_and_pair(tower):
@@ -162,10 +152,9 @@ def test_reflected_acceptance_and_pair(tower):
     assert C.final() == m4.accept_config()
     W30 = m3.input_config({1: by_name(marked, m3.hw.alpha)})
     C3 = m3.run(W30, hist)
+    assert len(C.words) == len(C3.words)
     for W, W3 in zip(C.words, C3.words):
-        half1, half2 = associated_pair(W, m4, m3)
-        assert half1 == W3
-        assert half2 == W3
+        halves_follow(W, W3, W3)
 
 
 def test_pair_tracks_unequal_halves(tower):
@@ -179,17 +168,9 @@ def test_pair_tracks_unequal_halves(tower):
     hist = [("theta_b1", 1), ("theta_b2", 1)]
     C4, C1, C2 = m4.run(W4, hist), m3.run(W1, hist), m3.run(W2, hist)
     for Wk, W1k, W2k in zip(C4.words, C1.words, C2.words):
-        assert associated_pair(Wk, m4, m3) == (W1k, W2k)
+        halves_follow(Wk, W1k, W2k)
     assert C2.final().tapes[0] == ~al3.word([al3.id_of("b2"),
                                              al3.id_of("b1")])
-
-
-def test_pair_shape_errors(tower):
-    m1, sch, plug, m3, m4, m5 = tower
-    halves = associated_pair(m4.configuration({}), m4, m3)
-    assert halves == (m3.configuration({}), m3.configuration({}))
-    with pytest.raises(ValueError, match="configuration"):
-        associated_pair(m3.configuration({}), m4, m3)
 
 
 # -- cyclify ---------------------------------------------------------------------
@@ -224,72 +205,71 @@ def test_cyclify_rejects_colliding_anchor(tower):
         cyclify(m3, t_name="q0")
 
 
-# -- parallelize -----------------------------------------------------------------
+# -- the ring of copies, on the main machine ----------------------------------------
+
+DESK4 = Params(2, 4, 5, 4, 7, 8, 9, check_chain=False)
 
 
-def test_parallelize_structure(tower):
-    m1, sch, plug, m3, m4, m5 = tower
-    m6 = parallelize(m5, 3)
-    assert m6.hw.cyclic and m6.hw.n_parts == 21
-    assert m6.input_sectors == [2, 6, 9, 13, 16, 20]
-    assert m6.hw.tapes[2] == m6.hw.tapes[9] == m6.hw.tapes[16]
-    assert m6.hw.tapes[0] == m6.hw.tapes[7] == m6.hw.tapes[14] == ()
-    al = m6.hw.alpha
-    assert al.name_of(m6.hw.parts[7].start) == "t(2)"
-    assert al.name_of(m6.hw.parts[1].start) == "q0"
-    assert al.name_of(m6.hw.parts[15].start) == "q0(3)"
-    assert len(m6.rules) == len(m5.rules)
-    assert sorted(m6.noise.K) == [2, 6, 9, 13, 16, 20]
+@pytest.fixture(scope="module")
+def main():
+    return build_main(("a",), DivisibleRecognizer(("a",), 1), DESK4)
 
 
-def test_parallel_copies_evolve_in_step(tower):
-    m1, sch, plug, m3, m4, m5 = tower
-    m6 = parallelize(m5, 3)
-    marked, hist = accept_history(tower, 1)
-    al6 = m6.hw.alpha
-    u, v = by_name(marked, al6), mu(marked, al6)
-    W0 = m6.input_config({2: u, 9: u, 16: u, 6: v, 13: v, 20: v})
-    C = m6.run(W0, hist)
-    assert C.final() == m6.accept_config()
-
-    def strip(name):
-        return name.split("(")[0]
-
-    for Wk in C.words:
-        c1 = component(Wk, 1, 7)
-        for i in (2, 3):
-            ci = component(Wk, i, 7)
-            assert ci.tapes == c1.tapes
-            assert [strip(al6.name_of(q)) for q, _ in ci.states] == \
-                [strip(al6.name_of(q)) for q, _ in c1.states]
+def traced_accepting_run(main, W):
+    res = accepting_run(W, main)
+    assert res is not None
+    return main.machine.run(W, res[0].history)
 
 
-def test_lock_first_drops_the_special_sector(tower):
-    m1, sch, plug, m3, m4, m5 = tower
-    m6 = parallelize(m5, 3, lock_first=True)
-    assert m6.input_sectors == [6, 9, 13, 16, 20]
-    for r in m6.rules.values():
-        assert r.sectors[2] is None
-    marked, hist = accept_history(tower, 1)
-    al6 = m6.hw.alpha
-    u, v = by_name(marked, al6), mu(marked, al6)
-    W0 = m6.input_config({9: u, 16: u, 6: v, 13: v, 20: v})
-    C = m6.run(W0, hist)
-    assert C.final() == m6.accept_config()
-    bad = m6.configuration({2: u, 9: u, 16: u, 6: v, 13: v, 20: v})
+def state_names(main, W):
+    """The names of W's state letters without the copy suffix."""
+    al = main.machine.hw.alpha
+    return [al.name_of(q).split("(")[0] for q, _ in W.states]
+
+
+def test_parallel_copies_evolve_in_step(main):
+    """On I(a^k) all L copies carry equal tapes at every step; on J(a^k)
+    copies 2..L do, and copy 1 differs from them in the special sector
+    alone, which working set 2 locks."""
+    for k, shape in itertools.product((1, 2), ("I", "J")):
+        w = main.machine.hw.alpha.word([main.A[0]] * k)
+        W0 = main.input_i(w) if shape == "I" else main.input_j(w)
+        differ = set()
+        for W in traced_accepting_run(main, W0).words:
+            c1, c2 = main.component(W, 1), main.component(W, 2)
+            for i in range(3, main.L + 1):
+                ci = main.component(W, i)
+                assert ci.tapes == c2.tapes
+                assert state_names(main, ci) == state_names(main, c2)
+            assert state_names(main, c1) == state_names(main, c2)
+            differ.update(s for s, t1, t2 in zip(c1.sectors, c1.tapes,
+                                                 c2.tapes) if t1 != t2)
+        assert differ == (set() if shape == "I"
+                          else {main.special_sector}), (k, shape)
+
+
+def test_lock_first_drops_the_special_sector(main):
+    mm, g = main.machine, main.special_sector
+    opened = [n for n in main.m5.rules
+              if mm.rule("1." + n).sectors[g] is not None]
+    assert opened and all(mm.rule("2." + n).sectors[g] is None
+                          for n in main.m5.rules)
+    w = main.machine.hw.alpha.word([main.A[0]])
+    C = traced_accepting_run(main, main.input_j(w))
+    assert C.final() == main.w_ac()
+    assert all(not dict(zip(W.sectors, W.tapes))[g] for W in C.words)
+    # the set 2 history cannot run with the special sector filled
     with pytest.raises(StepError):
-        m6.run(bad, hist)
+        mm.run(main.input_i(w), C.history)
 
 
-def test_component_shape_errors(tower):
-    m1, sch, plug, m3, m4, m5 = tower
-    m6 = parallelize(m5, 2)
-    W = m6.accept_config()
-    assert len(component(W, 2, 7).states) == 7
+def test_component_shape_errors(main):
+    W = main.w_ac()
+    assert len(component(W, 4, 7).states) == 7
     with pytest.raises(ValueError):
-        component(W, 3, 7)
+        component(W, 5, 7)
     with pytest.raises(ValueError):
-        component(W, 1, 4)
+        component(W, 1, 5)
 
 
 # -- serialization ----------------------------------------------------------------
@@ -297,7 +277,7 @@ def test_component_shape_errors(tower):
 
 def test_tower_machines_round_trip(tower):
     m1, sch, plug, m3, m4, m5 = tower
-    for m in (m3, m4, m5, parallelize(m5, 2, lock_first=True)):
+    for m in (m3, m4, m5):
         text = machine_to_text(m)
         again = machine_to_text(machine_from_text(text))
         assert text == again

@@ -117,6 +117,19 @@ def test_parse_rejects_unknown_and_bad_tokens():
         al.parse("g0^2")
 
 
+def test_unknown_letters_are_typed():
+    al = mk_alpha()
+    assert smforge.UnknownLetterError is words.UnknownLetterError
+    with pytest.raises(words.UnknownLetterError) as ei:
+        al.parse("g0 nope^-1")
+    assert isinstance(ei.value, MachineError)
+    assert isinstance(ei.value, KeyError)
+    assert ei.value.name == "nope"
+    assert str(ei.value) == "unknown letter: 'nope'"
+    with pytest.raises(MachineError, match="unknown letter: 'g3'"):
+        words.relabel_by_name(mk_alpha(4).parse("g3"), al)
+
+
 def test_typed_lengths_partition():
     al = Alphabet()
     al.intern("q0", kind="q", part=0)
@@ -125,9 +138,10 @@ def test_typed_lengths_partition():
     al.intern("c", kind="a", sector=2, subkind="o")
     al.intern("th", kind="t")
     w = al.parse("q0 x b1^-1 c x th c^-1")
-    assert w.len_q == 1 and w.len_t == 1 and w.len_a == 5
-    assert w.len_a == w.len_A + w.len_b + w.len_o
-    assert (w.len_A, w.len_b, w.len_o) == (2, 1, 2)
+    assert w.count("q") == 1 and w.count("t") == 1 and w.count("a") == 5
+    typed = [w.count("a", sub) for sub in ("A", "b", "o")]
+    assert typed == [2, 1, 2] and sum(typed) == w.count("a")
+    assert w.count() == len(w)
 
 
 def test_substitute_is_homomorphism():
