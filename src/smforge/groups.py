@@ -1,17 +1,19 @@
 """Groups read off a generalized S-machine, with band-structured diagrams.
 
-A machine yields a group presentation: its state and tape letters are
-joined by one fresh rule letter per (rule, part) pair, each rule part
-contributes a relator pushing the rule letter through a state letter,
-and each unlocked sector basis element contributes one pushing it
-through a tape word.  Adding the accept word as a relator closes the
-group; disk relators and tape-word relators extend it further.
+A machine yields a group presentation: its state and tape letters, which
+keep their machine ids, are joined by one fresh rule letter per (rule,
+part) pair, each rule part contributes a relator pushing the rule letter
+through a state letter, and each unlocked sector basis element
+contributes one pushing it through a tape word.  Adding the accept word
+as a relator closes the group; disk relators and tape-word relators
+extend it further.
 
-Computations then fold into grids of cells: every step becomes a row
-(a band), rows stack bottom to top, and the side edges carry the
-history.  The diagram builders here produce those grids with exact
-bookkeeping of boundary factorizations, areas, weights, and signatures,
-and ``diagram_report`` re-checks everything against the presentation.
+Computations then fold into grids of cells: every step becomes a row (a
+band) of area the rule's ``theta_length``, rows stack bottom to top, and
+the side edges carry the history.  The diagram builders here produce
+those grids with exact bookkeeping of boundary factorizations, areas,
+weights, and signatures, and ``diagram_report`` re-checks everything
+against the presentation.
 """
 
 import json
@@ -19,10 +21,10 @@ from dataclasses import dataclass, field, replace
 from typing import (Callable, Dict, FrozenSet, List, Optional, Sequence,
                     Tuple, Union)
 
-from smforge.words import Alphabet, Word, relabel
+from smforge.words import Alphabet, Word
 from smforge.smachine import (AdmissibleWord, Computation, GeneralizedRule,
-                              History, Machine, MachineError, apply_rule,
-                              reduce_history)
+                              History, Machine, MachineError, StepError,
+                              _domain_exprs, apply_rule, reduce_history)
 from smforge.towers import _copy_letter
 from smforge.mainmachine import MainMachine, accepting_run
 
@@ -52,17 +54,17 @@ class Relator:
 class Presentation:
     """A machine's group presentation over a fresh alphabet.
 
-    ``carry`` maps machine letter ids to presentation ids (same names,
-    same metadata); ``theta`` maps (rule name, part) to the rule letter
-    for that part.  ``level`` is "M" for the plain group and "G" when
-    the accept word is added as the closing relator.  ``cells`` holds the
-    band cells, made on first use and shared by all bands.
+    Its alphabet holds the machine's letters first, in id order, so each
+    keeps its id, name and metadata and a machine word reads in the group
+    as it stands; the rule letters follow, and ``theta`` maps (rule name,
+    part) to the letter for that part.  ``level`` is "M" for the plain
+    group and "G" when the accept word is added as the closing relator.
+    ``cells`` holds the band cells, made on first use and shared by all.
     """
 
     machine: Machine
     level: str
     alpha: Alphabet
-    carry: Dict[int, int]
     theta: Dict[Tuple[str, int], int]
     relators: List[Relator]
     t_parts: FrozenSet[int]
@@ -70,7 +72,7 @@ class Presentation:
                                        compare=False)
 
     def carry_word(self, w: Word) -> Word:
-        return relabel(w, self.carry, self.alpha)
+        return Word(self.alpha, w.ltrs)
 
     def carry_admissible(self, W: AdmissibleWord) -> Word:
         return self.carry_word(W.to_word())
@@ -128,7 +130,8 @@ def emit_presentation(machine: Machine, level: str = "M") -> Presentation:
     n = hw.n_parts
 
     alpha = Alphabet()
-    carry = {x: _copy_letter(alpha, src, x) for x in src.ids()}
+    for x in src.ids():
+        _copy_letter(alpha, src, x)
     theta: Dict[Tuple[str, int], int] = {}
     for name in machine.rules:
         for i in range(n):
@@ -136,15 +139,12 @@ def emit_presentation(machine: Machine, level: str = "M") -> Presentation:
                 "%s:%d" % (name, i), kind="t", part=i,
                 coord=src.coord_of(hw.parts[i].start))
 
-    def cw(w: Word) -> Tuple[int, ...]:
-        return relabel(w, carry, alpha).ltrs
-
     relators: List[Relator] = []
     for name, rule in machine.rules.items():
         for i, rp in enumerate(rule.parts):
             t_here, t_next = theta[(name, i)], theta[(name, (i + 1) % n)]
-            ltrs = ((carry[rp.q], t_next) + cw(~rp.v)
-                    + (-carry[rp.q2],) + cw(~rp.u) + (-t_here,))
+            ltrs = ((rp.q, t_next) + (~rp.v).ltrs
+                    + (-rp.q2,) + (~rp.u).ltrs + (-t_here,))
             relators.append(Relator(alpha.word(ltrs), "theta-q", rule=name,
                                     index=i, coordinate=src.coord_of(rp.q)))
     for name, rule in machine.rules.items():
@@ -155,14 +155,14 @@ def emit_presentation(machine: Machine, level: str = "M") -> Presentation:
             t_s = theta[(name, s)]
             coord = src.coord_of(hw.parts[s].start)
             for x, z in zip(sec.X, sec.Z):
-                ltrs = (-t_s,) + cw(x) + (t_s,) + cw(~z)
+                ltrs = (-t_s,) + x.ltrs + (t_s,) + (~z).ltrs
                 relators.append(Relator(alpha.word(ltrs),
                                         _a_class(machine, s, x),
                                         rule=name, index=s, coordinate=coord))
     if level == "G":
-        w_ac = relabel(machine.accept_config().to_word(), carry, alpha)
+        w_ac = Word(alpha, machine.accept_config().to_word().ltrs)
         relators.append(Relator(w_ac, "hub"))
-    return Presentation(machine, level, alpha, carry, theta, relators,
+    return Presentation(machine, level, alpha, theta, relators,
                         t_parts(machine))
 
 
@@ -256,9 +256,8 @@ def _state_cell(pres: Presentation, rule: GeneralizedRule, part: int,
     t_here = pres.theta_word(rule.name, part)
     t_next = pres.theta_word(rule.name, (part + 1) % hw.n_parts)
     al = pres.alpha
-    bottom = al.word((eps * pres.carry[rp.q],))
-    top = al.word(pres.carry_word(rp.u).ltrs + (pres.carry[rp.q2],)
-                  + pres.carry_word(rp.v).ltrs)
+    bottom = al.word((eps * rp.q,))
+    top = al.word(rp.u.ltrs + (rp.q2,) + rp.v.ltrs)
     if eps < 0:
         top = ~top
         t_here, t_next = t_next, t_here
@@ -290,44 +289,29 @@ def _sector_table(pres: Presentation, rule: GeneralizedRule, sector: int
     return table
 
 
-def _sector_cells(pres: Presentation, rule: GeneralizedRule, sector: int,
-                  w: Word, flip: int) -> List[Cell]:
-    expr = rule.domain_expr(sector, w)
-    if expr is None:
-        raise MachineError("rule %s does not read %s in sector %d"
-                           % (rule.name, w.format(), sector))
-    table = _sector_table(pres, rule, sector) if expr else {}
-    return [table[e][flip] for e in expr]
-
-
-def _band(pres: Presentation, W: AdmissibleWord, bottom: Word, name: str,
-          sign: int) -> Tuple[Row, AdmissibleWord]:
-    """The band of (name, sign) over W, whose carried label is bottom, plus
-    W . rule^sign.  A negative band is the positive band over W . rule^-1
-    turned upside down; only the new configuration is carried."""
+def _band(pres: Presentation, W: AdmissibleWord, V: AdmissibleWord,
+          bottom: Word, name: str, sign: int) -> Row:
+    """The band of (name, sign) from W, whose label is bottom, to
+    V = W . rule^sign.  A negative band is the positive band over V turned
+    upside down, so its flipped cells must multiply out to bottom: their
+    product keeps the inserts beside the boundary, and equals bottom only
+    when V . rule = W."""
     machine, rule = pres.machine, pres.machine.rule(name)
-    top_adm = apply_rule(W, machine.rule(name, sign))
-    top = pres.carry_admissible(top_adm)
+    top = pres.carry_admissible(V)
     flip = 1 if sign < 0 else 0
-    lo, hi = (top_adm, bottom) if flip else (W, top)
-    if flip:
-        back = apply_rule(top_adm, rule)
-        if back != W:
-            hi = pres.carry_admissible(back)
+    lo, hi = (V, bottom) if flip else (W, top)
     cells: List[Cell] = []
+    exprs = _domain_exprs(lo, rule)
     for j, (q, e) in enumerate(lo.states):
         cells.append(_state_cell(pres, rule, machine.hw.part_of(q), e)[flip])
-        if j < len(lo.tapes):
-            cells.extend(_sector_cells(pres, rule, lo.sectors[j], lo.tapes[j],
-                                       flip))
+        if j < len(exprs) and exprs[j]:
+            table = _sector_table(pres, rule, lo.sectors[j])
+            cells.extend(table[x][flip] for x in exprs[j])
     if _word_product([c.bottom if flip else c.top for c in cells],
                      pres.alpha) != hi:
         raise MachineError("rule %s drops an insert beside the boundary; "
                            "the band would not close" % rule.name)
-    if flip and back != W:
-        raise MachineError("rule %s does not invert cleanly on %s"
-                           % (name, W.format()))
-    return Row(cells, bottom, top, cells[0].left, cells[-1].right), top_adm
+    return Row(cells, bottom, top, cells[0].left, cells[-1].right)
 
 
 def _check_reduced(history: History) -> None:
@@ -338,21 +322,26 @@ def _check_reduced(history: History) -> None:
 def build_trapezium(pres: Presentation, comp: Computation) -> GridDiagram:
     """The grid of a full computation: one rule band per step.
 
-    The bands replay the history from the first configuration, so an
-    endpoint-only computation will do; the replay must end at the given
-    final configuration.  The area never exceeds the step count times the
-    longest configuration.
+    The bands replay the history from the first configuration, one
+    ``apply_rule`` per step, so an endpoint-only computation will do; the
+    replay must end at the given final configuration, and a step that does
+    not apply raises StepError with its index.  The area never exceeds the
+    step count times the longest configuration.
     """
     _check_reduced(comp.history)
     rows: List[Row] = []
     cur = comp.words[0]
     bottom = top = pres.carry_admissible(cur)
-    longest = cur.size()
-    for name, s in comp.history:
-        row, cur = _band(pres, cur, top, name, s)
+    longest = len(top)
+    for k, (name, s) in enumerate(comp.history):
+        try:
+            nxt = apply_rule(cur, pres.machine.rule(name, s))
+        except MachineError as e:
+            raise StepError(k, e) from e
+        row = _band(pres, cur, nxt, top, name, s)
         rows.append(row)
-        top = row.top
-        longest = max(longest, cur.size())
+        cur, top = nxt, row.top
+        longest = max(longest, len(top))
     if cur != comp.final():
         raise MachineError("replay disagrees with the given computation")
     al = pres.alpha

@@ -524,8 +524,9 @@ def accepting_run(W: AdmissibleWord, main: MainMachine
     if comp1 is None:
         return None
     c = 1 if which == "I" else 2
+    lifted = {nm: "%d.%s" % (c, nm) for nm in main.m1.rules}
     hist: History = [("s%d" % c, 1)]
-    hist += [("%d.%s" % (c, nm), s) for nm, s in comp1.history]
+    hist += [(lifted[nm], s) for nm, s in comp1.history]
     hist.append(("%d.sigma" % c, 1))
     hist += [("%d.%s" % (c, nm), s)
              for nm, s in main.plugin.accept_run(main.to_plugin(w))]

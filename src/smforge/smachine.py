@@ -298,9 +298,6 @@ class AdmissibleWord:
     def __repr__(self) -> str:
         return "AdmissibleWord(%s)" % self.format()
 
-    def size(self) -> int:
-        return len(self.to_word())
-
 
 # -- rules --------------------------------------------------------------------
 

@@ -346,20 +346,22 @@ def reference_shift(w, machine, scheme):
 # -- band cells, built afresh for every band ---------------------------------
 #
 # The library builds each cell of a presentation once and shares it between
-# bands.  These build every cell from the rule on each call, as the band
-# builder did before the cells were shared.
+# bands, and reads machine letters in the group by their ids.  These build
+# every cell from the rule on each call, as the band builder did before the
+# cells were shared, and carry each machine letter into the presentation by
+# its name, so they do not rely on the ids agreeing.
 
 def reference_state_cell(pres, rule, part, eps):
     from smforge.groups import Cell
+    from smforge.words import relabel_by_name
 
     hw = pres.machine.hw
     rp = rule.parts[part]
     t_here = pres.theta_word(rule.name, part)
     t_next = pres.theta_word(rule.name, (part + 1) % hw.n_parts)
-    al = pres.alpha
-    bottom = al.word((eps * pres.carry[rp.q],))
-    top = al.word(pres.carry_word(rp.u).ltrs + (pres.carry[rp.q2],)
-                  + pres.carry_word(rp.v).ltrs)
+    src, al = hw.alpha, pres.alpha
+    bottom = relabel_by_name(src.word((eps * rp.q,)), al)
+    top = relabel_by_name(src.word(rp.u.ltrs + (rp.q2,) + rp.v.ltrs), al)
     if eps < 0:
         top = ~top
         t_here, t_next = t_next, t_here
@@ -371,6 +373,7 @@ def reference_state_cell(pres, rule, part, eps):
 def reference_sector_cells(pres, rule, sector, w):
     from smforge.groups import Cell, _a_class
     from smforge.smachine import MachineError
+    from smforge.words import relabel_by_name
 
     expr = rule.domain_expr(sector, w)
     if expr is None:
@@ -382,7 +385,8 @@ def reference_sector_cells(pres, rule, sector, w):
         pres.machine.hw.parts[sector].start)
     cells = []
     for k, sgn in expr:
-        x, z = pres.carry_word(sec.X[k]), pres.carry_word(sec.Z[k])
+        x = relabel_by_name(sec.X[k], pres.alpha)
+        z = relabel_by_name(sec.Z[k], pres.alpha)
         if sgn < 0:
             x, z = ~x, ~z
         cells.append(Cell(x, z, t_s, t_s, _a_class(pres.machine, sector,

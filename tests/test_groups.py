@@ -9,7 +9,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from oracles import reference_band_cells
-from smforge.smachine import Computation, MachineError, apply_rule
+from smforge.smachine import (Computation, MachineError, StateMismatchError,
+                              StepError, apply_rule, machine_from_text,
+                              theta_length)
 from smforge.words import Alphabet
 from smforge.mainmachine import (DivisibleRecognizer, Params, accepting_run,
                                  build_main)
@@ -47,15 +49,31 @@ def disk_j(main1, pres):
     return build_disk_diagram(main1.input_j(payload(main1, 1)), main1, pres)
 
 
+@pytest.fixture(scope="module")
+def disk_i2(main1, pres):
+    return build_disk_diagram(main1.input_i(payload(main1, 2)), main1, pres)
+
+
 # sha256 prefixes of diagram_to_json, as recorded in CHANGES.md
 @pytest.mark.parametrize("which,prefix", [("disk_i", "f24068eebb345223"),
-                                          ("disk_j", "a02c9f6505121393")])
+                                          ("disk_j", "a02c9f6505121393"),
+                                          ("disk_i2", "10880ba217c3f3e5")])
 def test_disk_json_is_pinned(request, which, prefix):
     text = diagram_to_json(request.getfixturevalue(which))
     assert hashlib.sha256(text.encode()).hexdigest()[:16] == prefix
 
 
 # -- presentations -----------------------------------------------------------
+
+
+def test_machine_letters_keep_their_ids(main1, pres):
+    src, al = main1.machine.hw.alpha, pres.alpha
+    assert len(al) > len(src)
+    for x in src.ids():
+        assert ([f(x) for f in (src.name_of, src.kind_of, src.sector_of,
+                                src.part_of, src.subkind_of, src.coord_of)]
+                == [f(x) for f in (al.name_of, al.kind_of, al.sector_of,
+                                   al.part_of, al.subkind_of, al.coord_of)])
 
 
 def test_presentation_size(pres):
@@ -105,11 +123,55 @@ def test_trapezium_rejects_a_wrong_endpoint(main1, pres):
         build_trapezium(pres, Computation([W, W], [("s1", 1), ("s1", -1)]))
 
 
+def test_trapezium_names_the_step_that_does_not_apply(main1, pres):
+    W = main1.input_i(payload(main1, 1))
+    comp, _ = accepting_run(W, main1)
+    hist = [comp.history[0], comp.history[-1]]
+    with pytest.raises(StepError) as err:
+        build_trapezium(pres, Computation([W, W], hist))
+    assert err.value.index == 1
+    assert isinstance(err.value.reason, StateMismatchError)
+
+
+# part 0's rule inserts c left of its state letter, into the wrap sector 0,
+# which a configuration p w r does not hold: the step drops the insert
+WRAP = """MACHINE wrap cyclic
+PART 0: p [start=p,end=p]
+PART 1: r [start=r,end=r]
+TAPE 0: c
+TAPE 1: d
+RULE ins: 0: p -> c p | X={c} Z={c} f=[0->0]
+RULE ins: 1: r -> r | X={d} Z={d} f=[0->0]
+"""
+
+
+def test_a_band_that_drops_an_insert_does_not_close():
+    m = machine_from_text(WRAP)
+    wpres = emit_presentation(m)
+    W = m.accept_config()
+    V = apply_rule(W, m.rule("ins"))
+    assert V == W
+    for comp in (Computation([W, V], [("ins", 1)]),
+                 Computation([V, W], [("ins", -1)])):
+        with pytest.raises(MachineError, match="would not close"):
+            build_trapezium(wpres, comp)
+
+
 def test_disk_of_i(disk_i, pres):
     assert disk_i.area == 1257
     assert diagram_report(disk_i, pres) == []
     assert diagram_signature(disk_i) == (1, 72, 0, 16)
     assert disk_i.glue == "sides"
+
+
+def test_band_area_is_the_theta_length(main1, disk_i):
+    W = main1.input_i(payload(main1, 1))
+    for row, (name, s) in zip(disk_i.rows, disk_i.history):
+        V = apply_rule(W, main1.machine.rule(name, s))
+        lo = W if s > 0 else V
+        assert len(row.cells) == theta_length(lo, main1.machine.rule(name))
+        W = V
+    assert W == main1.w_ac()
 
 
 def test_disk_of_j(main1, pres):
@@ -122,8 +184,8 @@ def test_disk_of_j(main1, pres):
     assert diagram_signature(d) == (1, 72, 0, 14)
 
 
-def test_disk_of_i_squared(main1, pres):
-    d = build_disk_diagram(main1.input_i(payload(main1, 2)), main1, pres)
+def test_disk_of_i_squared(disk_i2, pres):
+    d = disk_i2
     assert d.area == 131161
     assert diagram_signature(d) == (1, 752, 0, 136)
     assert diagram_report(d, pres) == []

@@ -147,7 +147,7 @@ def walk(m, W, r, steps, max_size=100):
             break
         last = r.choice(moves)
         V = apply_rule(W, m.rule(*last))
-        if V.size() > max_size:
+        if len(V.to_word()) > max_size:
             break
         W = V
     return W
@@ -467,7 +467,7 @@ def random_history(m, W, r, steps, max_size=400):
             break
         last = r.choice(moves)
         V = reference_step(W, m.rule(*last))
-        if V.size() > max_size:
+        if len(V.to_word()) > max_size:
             break
         hist.append(last)
         W = V
