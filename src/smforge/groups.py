@@ -10,16 +10,17 @@ extend it further.
 
 Computations then fold into grids of cells: every step becomes a row (a
 band) of area the rule's ``theta_length``, rows stack bottom to top, and
-the side edges carry the history.  The diagram builders here produce
-those grids with exact bookkeeping of boundary factorizations, areas,
-weights, and signatures, and ``diagram_report`` re-checks everything
-against the presentation.
+the side edges carry the history.  A grid stores its cells and its bottom
+label and reads every other label off the cells.  ``diagram_report``
+re-checks the cells against the presentation and the rows against each
+other; the JSON form keeps every label for its readers, and
+``diagram_from_json`` checks each against the cells it parses.
 """
 
 import json
 from dataclasses import dataclass, field, replace
 from typing import (Callable, Dict, FrozenSet, List, Optional, Sequence,
-                    Tuple, Union)
+                    Tuple)
 
 from smforge.words import Alphabet, Word
 from smforge.smachine import (AdmissibleWord, Computation, GeneralizedRule,
@@ -195,37 +196,60 @@ class Cell:
 
 @dataclass
 class Row:
-    """One band: its cells in order plus the four boundary labels."""
+    """One band: its cells in order, which its labels are read off.
+
+    The bottom and top are the reduced products of the cells' bottoms
+    and tops, the sides the first cell's left and the last cell's right
+    edge; each is computed on use and never stored."""
 
     cells: List[Cell]
-    bottom: Word
-    top: Word
-    left: Word
-    right: Word
 
     @property
-    def area(self) -> int:
-        return len(self.cells)
+    def bottom(self) -> Word:
+        return _word_product([c.bottom for c in self.cells], self.left.alpha)
+
+    @property
+    def top(self) -> Word:
+        return _word_product([c.top for c in self.cells], self.left.alpha)
+
+    @property
+    def left(self) -> Word:
+        return self.cells[0].left
+
+    @property
+    def right(self) -> Word:
+        return self.cells[-1].right
 
 
 @dataclass
 class GridDiagram:
     """Rows of cells stacked bottom to top.
 
-    The contour factors as left^-1 bottom right top^-1.  ``glue`` set
-    to "sides" marks the two side labels as identified, which turns
-    the grid into an annulus read along its bottom label.
+    The contour factors as left^-1 bottom right top^-1.  Only ``bottom``
+    is stored, as a computation with no steps has no row to read it off;
+    the top and the sides are read off the rows.  ``glue`` set to "sides"
+    marks the two side labels as identified, which turns the grid into
+    an annulus read along its bottom label.
     """
 
     kind: str
     alpha: Alphabet
     rows: List[Row]
     bottom: Word
-    top: Word
-    left: Word
-    right: Word
     history: History = field(default_factory=list)
     glue: Optional[str] = None
+
+    @property
+    def top(self) -> Word:
+        return self.rows[-1].top if self.rows else self.bottom
+
+    @property
+    def left(self) -> Word:
+        return _word_product([r.left for r in self.rows], self.alpha)
+
+    @property
+    def right(self) -> Word:
+        return _word_product([r.right for r in self.rows], self.alpha)
 
     @property
     def area(self) -> int:
@@ -290,16 +314,14 @@ def _sector_table(pres: Presentation, rule: GeneralizedRule, sector: int
 
 
 def _band(pres: Presentation, W: AdmissibleWord, V: AdmissibleWord,
-          bottom: Word, name: str, sign: int) -> Row:
-    """The band of (name, sign) from W, whose label is bottom, to
-    V = W . rule^sign.  A negative band is the positive band over V turned
-    upside down, so its flipped cells must multiply out to bottom: their
-    product keeps the inserts beside the boundary, and equals bottom only
-    when V . rule = W."""
+          name: str, sign: int) -> Row:
+    """The band of (name, sign) from W to V = W . rule^sign.  A negative
+    band is the positive band over V turned upside down, so its flipped
+    cells must multiply out to W: their product keeps the inserts beside
+    the boundary, and equals W only when V . rule = W."""
     machine, rule = pres.machine, pres.machine.rule(name)
-    top = pres.carry_admissible(V)
     flip = 1 if sign < 0 else 0
-    lo, hi = (V, bottom) if flip else (W, top)
+    lo, hi = (V, W) if flip else (W, V)
     cells: List[Cell] = []
     exprs = _domain_exprs(lo, rule)
     for j, (q, e) in enumerate(lo.states):
@@ -308,15 +330,19 @@ def _band(pres: Presentation, W: AdmissibleWord, V: AdmissibleWord,
             table = _sector_table(pres, rule, lo.sectors[j])
             cells.extend(table[x][flip] for x in exprs[j])
     if _word_product([c.bottom if flip else c.top for c in cells],
-                     pres.alpha) != hi:
+                     pres.alpha) != pres.carry_admissible(hi):
         raise MachineError("rule %s drops an insert beside the boundary; "
                            "the band would not close" % rule.name)
-    return Row(cells, bottom, top, cells[0].left, cells[-1].right)
+    return Row(cells)
 
 
 def _check_reduced(history: History) -> None:
     if reduce_history(history) != list(history):
         raise ValueError("history is not reduced")
+
+
+def _config_length(W: AdmissibleWord) -> int:
+    return len(W.states) + sum(len(t) for t in W.tapes)
 
 
 def build_trapezium(pres: Presentation, comp: Computation) -> GridDiagram:
@@ -331,23 +357,19 @@ def build_trapezium(pres: Presentation, comp: Computation) -> GridDiagram:
     _check_reduced(comp.history)
     rows: List[Row] = []
     cur = comp.words[0]
-    bottom = top = pres.carry_admissible(cur)
-    longest = len(top)
+    longest = _config_length(cur)
     for k, (name, s) in enumerate(comp.history):
         try:
             nxt = apply_rule(cur, pres.machine.rule(name, s))
         except MachineError as e:
             raise StepError(k, e) from e
-        row = _band(pres, cur, nxt, top, name, s)
-        rows.append(row)
-        cur, top = nxt, row.top
-        longest = max(longest, len(top))
+        rows.append(_band(pres, cur, nxt, name, s))
+        cur = nxt
+        longest = max(longest, _config_length(cur))
     if cur != comp.final():
         raise MachineError("replay disagrees with the given computation")
-    al = pres.alpha
-    d = GridDiagram("trapezium", al, rows, bottom=bottom, top=top,
-                    left=_word_product([r.left for r in rows], al),
-                    right=_word_product([r.right for r in rows], al),
+    d = GridDiagram("trapezium", pres.alpha, rows,
+                    bottom=pres.carry_admissible(comp.words[0]),
                     history=list(comp.history))
     bound = len(comp.history) * longest
     if d.area > bound:
@@ -392,10 +414,8 @@ def build_disk_diagram(W: AdmissibleWord, main: MainMachine,
     hub = Cell(bottom=pres.carry_admissible(acc), top=empty, left=empty,
                right=empty, cls="hub",
                weight_arg=component_norm(acc, main))
-    rows = trap.rows + [Row([hub], hub.bottom, empty, empty, empty)]
-    d = GridDiagram("disk", pres.alpha, rows, bottom=trap.bottom, top=empty,
-                    left=trap.left, right=trap.right,
-                    history=list(comp.history), glue="sides")
+    d = GridDiagram("disk", pres.alpha, trap.rows + [Row([hub])],
+                    bottom=trap.bottom, history=trap.history, glue="sides")
     if wf is not None and not wf.ge("f", component_norm(W, main), d.area):
         raise MachineError("disk area %d exceeds its weight bound" % d.area)
     return d
@@ -527,25 +547,13 @@ def _rotation_set(relators: Sequence[Relator]) -> set:
     return rots
 
 
-def _split_side(d: GridDiagram, w: Word) -> Optional[Tuple[Word, Word]]:
-    """(below, above) around the single rule letter, or None if malformed."""
-    hits = [k for k, x in enumerate(w.ltrs) if d.alpha.kind_of(x) == "t"]
-    if len(hits) != 1:
-        return None
-    return w[:hits[0]], w[hits[0] + 1:]
-
-
-def diagram_report(d: GridDiagram,
-                   relators: Union[Presentation, Sequence[Relator]]
-                   ) -> List[str]:
+def diagram_report(d: GridDiagram, pres: Presentation) -> List[str]:
     """Everything wrong with the diagram, as one message per defect."""
-    if isinstance(relators, Presentation):
-        relators = relators.relators
-    rots = _rotation_set(relators)
+    rots = _rotation_set(pres.relators)
     out: List[str] = []
-    al = d.alpha
     # bands share cells: check each distinct cell once, report every place
     matched: Dict[int, bool] = {}
+    below = d.bottom
     for i, row in enumerate(d.rows):
         for j, c in enumerate(row.cells):
             ok = matched.get(id(c))
@@ -559,38 +567,16 @@ def diagram_report(d: GridDiagram,
                 if row.cells[j].right != row.cells[j + 1].left:
                     out.append("row %d: cells %d and %d do not share an edge"
                                % (i, j, j + 1))
-            sl, sr = _split_side(d, row.left), _split_side(d, row.right)
-            if sl is None or sr is None:
+            if any(sum(d.alpha.kind_of(x) == "t" for x in w.ltrs) != 1
+                   for w in (row.left, row.right)):
                 out.append("row %d: side labels lack the rule letter" % i)
-            else:
-                bots = _word_product([c.bottom for c in row.cells], al)
-                tops = _word_product([c.top for c in row.cells], al)
-                if bots != ~sl[0] * row.bottom * sr[0]:
-                    out.append("row %d: bottoms read %s, label says %s"
-                               % (i, bots.format(), row.bottom.format()))
-                if tops != sl[1] * row.top * ~sr[1]:
-                    out.append("row %d: tops read %s, label says %s"
-                               % (i, tops.format(), row.top.format()))
-        else:
-            if _word_product([c.bottom for c in row.cells], al) != row.bottom:
-                out.append("row %d: bottoms disagree with the label" % i)
-            if _word_product([c.top for c in row.cells], al) != row.top:
-                out.append("row %d: tops disagree with the label" % i)
-            if row.left or row.right:
-                out.append("row %d: stray side labels" % i)
-    for i in range(len(d.rows) - 1):
-        if d.rows[i].top != d.rows[i + 1].bottom:
-            out.append("rows %d/%d: top and bottom labels differ"
-                       % (i, i + 1))
-    if d.rows:
-        if d.bottom != d.rows[0].bottom:
-            out.append("diagram bottom disagrees with the first row")
-        if d.top != d.rows[-1].top:
-            out.append("diagram top disagrees with the last row")
-    if d.left != _word_product([r.left for r in d.rows], al):
-        out.append("diagram left side disagrees with the rows")
-    if d.right != _word_product([r.right for r in d.rows], al):
-        out.append("diagram right side disagrees with the rows")
+        elif row.left or row.right:
+            out.append("row %d: stray side labels" % i)
+        if row.bottom != below:
+            out.append("diagram bottom disagrees with the first row" if i == 0
+                       else "rows %d/%d: top and bottom labels differ"
+                       % (i - 1, i))
+        below = row.top
     if d.glue == "sides" and d.left != d.right:
         out.append("glued sides carry different labels")
     return out
@@ -598,29 +584,37 @@ def diagram_report(d: GridDiagram,
 
 # -- serialization ---------------------------------------------------------------
 
+_LABELS = ("bottom", "top", "left", "right")
+
+
+def _labels_obj(x) -> dict:
+    """The four labels of a cell, a row or a diagram, formatted."""
+    return {k: getattr(x, k).format() for k in _LABELS}
+
+
 def _cell_obj(c: Cell) -> dict:
-    return {"bottom": c.bottom.format(), "top": c.top.format(),
-            "left": c.left.format(), "right": c.right.format(),
-            "cls": c.cls, "rule": c.rule, "index": c.index,
-            "coordinate": c.coordinate, "weight_arg": c.weight_arg}
+    return dict(_labels_obj(c), cls=c.cls, rule=c.rule, index=c.index,
+                coordinate=c.coordinate, weight_arg=c.weight_arg)
 
 
 def diagram_to_json(d: GridDiagram) -> str:
-    obj = {"kind": d.kind, "glue": d.glue,
-           "history": [[n, s] for n, s in d.history],
-           "bottom": d.bottom.format(), "top": d.top.format(),
-           "left": d.left.format(), "right": d.right.format(),
-           "rows": [{"bottom": r.bottom.format(), "top": r.top.format(),
-                     "left": r.left.format(), "right": r.right.format(),
-                     "cells": [_cell_obj(c) for c in r.cells]}
-                    for r in d.rows]}
+    """The diagram as JSON, with every label read off the cells."""
+    obj = dict(_labels_obj(d), kind=d.kind, glue=d.glue,
+               history=[[n, s] for n, s in d.history],
+               rows=[dict(_labels_obj(r), cells=[_cell_obj(c) for c in r.cells])
+                     for r in d.rows])
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
 def diagram_from_json(alpha: Alphabet, text: str) -> GridDiagram:
     """The diagram ``diagram_to_json`` wrote.  Raises ValueError naming a
-    missing field or a letter ``alpha`` lacks."""
+    missing or malformed field, a letter ``alpha`` lacks, or a stored
+    label that disagrees with what the cells read."""
     obj = json.loads(text)
+
+    def need(ok: bool, what: str) -> None:
+        if not ok:
+            raise ValueError("diagram JSON: " + what)
 
     def p(text: str) -> Word:
         try:
@@ -628,20 +622,30 @@ def diagram_from_json(alpha: Alphabet, text: str) -> GridDiagram:
         except KeyError as e:
             raise ValueError("diagram JSON: %s" % e.args[0]) from None
 
-    def cell(co: dict) -> Cell:
-        return Cell(p(co["bottom"]), p(co["top"]), p(co["left"]),
-                    p(co["right"]), co["cls"], rule=co["rule"],
-                    index=co["index"], coordinate=co["coordinate"],
-                    weight_arg=co["weight_arg"])
+    def checked(where: str, x, o: dict):
+        for k in _LABELS:
+            need(p(o[k]) == getattr(x, k),
+                 "%s %s label disagrees with its cells" % (where, k))
+        return x
 
+    def row(i: int, ro) -> Row:
+        need(isinstance(ro, dict), "row %d is not an object" % i)
+        need(isinstance(ro["cells"], list) and len(ro["cells"]) > 0
+             and all(isinstance(co, dict) for co in ro["cells"]),
+             "row %d cells are not a nonempty list of objects" % i)
+        return checked("row %d" % i, Row([
+            Cell(*(p(co[k]) for k in _LABELS), co["cls"], rule=co["rule"],
+                 index=co["index"], coordinate=co["coordinate"],
+                 weight_arg=co["weight_arg"]) for co in ro["cells"]]), ro)
+
+    need(isinstance(obj, dict), "the top level is not an object")
     try:
-        rows = [Row([cell(co) for co in ro["cells"]], p(ro["bottom"]),
-                    p(ro["top"]), p(ro["left"]), p(ro["right"]))
-                for ro in obj["rows"]]
-        return GridDiagram(obj["kind"], alpha, rows, p(obj["bottom"]),
-                           p(obj["top"]), p(obj["left"]), p(obj["right"]),
-                           history=[(n, s) for n, s in obj["history"]],
-                           glue=obj["glue"])
+        need(isinstance(obj["rows"], list), "rows is not a list")
+        rows = [row(i, ro) for i, ro in enumerate(obj["rows"])]
+        return checked("diagram", GridDiagram(
+            obj["kind"], alpha, rows, p(obj["bottom"]),
+            history=[(n, s) for n, s in obj["history"]], glue=obj["glue"]),
+            obj)
     except KeyError as e:
         raise ValueError("diagram JSON has no field %r" % e.args[0]) from None
 
@@ -654,17 +658,13 @@ def diagram_to_dot(d: GridDiagram) -> str:
         for j, c in enumerate(row.cells):
             name = "c%d_%d" % (i, j)
             names.append(name)
-            label = "%s|%s" % (c.cls, c.bottom.format())
-            lines.append('  %s [label="%s"];' % (name, label.replace('"',
-                                                                     "'")))
-        lines.append("  { rank=same; %s }" % "; ".join(names)
-                     if names else "")
+            label = ("%s|%s" % (c.cls, c.bottom.format())).replace('"', "'")
+            lines.append('  %s [label="%s"];' % (name, label))
+        lines.append("  { rank=same; %s }" % "; ".join(names))
         for a, b in zip(names, names[1:]):
             lines.append("  %s -> %s [style=dashed, arrowhead=none];"
                          % (a, b))
         if i:
-            prev = "c%d_0" % (i - 1)
-            if d.rows[i - 1].cells and names:
-                lines.append("  %s -> %s;" % (prev, names[0]))
+            lines.append("  c%d_0 -> %s;" % (i - 1, names[0]))
     lines.append("}")
-    return "\n".join(l for l in lines if l)
+    return "\n".join(lines)

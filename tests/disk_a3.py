@@ -8,10 +8,14 @@ It builds the main machine at the benchmark's desk parameters (L = 4)
 with a c=1 ``DivisibleRecognizer`` over ``a``, emits the level-G
 presentation, builds the disk of I(a^3) with ``build_disk_diagram`` and
 checks it with ``diagram_report``.  It checks the area (21,144,065), the
-band count (2,386, one per step of the accepting run) and that the report
-finds no defect, and prints the build and report times and the process's
-peak RSS.  It exits nonzero when a check fails.  The body runs only as a
-script, so test collection imports this module without running anything.
+band count (2,386, one per step of the accepting run), that the report
+finds no defect and that the process's peak RSS stays within
+``MAX_RSS_MB``, and prints the build and report times and the peak RSS.
+The disk holds one reference per cell, about 170 MB on a 64-bit build;
+its row labels are read off the cells, not stored, and a stored copy of
+them would take the peak past the guard.  It exits nonzero when a check
+fails.  The body runs only as a script, so test collection imports this
+module without running anything.
 """
 
 import os
@@ -21,6 +25,7 @@ import time
 
 AREA = 21144065
 BANDS = 2386
+MAX_RSS_MB = 300
 
 
 def main(argv):
@@ -49,6 +54,9 @@ def main(argv):
         ok = False
     if bands != BANDS or len(d.rows) != BANDS + 1:
         print("expected %d bands and a hub" % BANDS)
+        ok = False
+    if rss > MAX_RSS_MB:
+        print("peak RSS above %d MB" % MAX_RSS_MB)
         ok = False
     for msg in defects[:5]:
         print(msg)

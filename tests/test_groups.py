@@ -218,6 +218,23 @@ def test_cells_match_the_reference(shape, request, main1, pres):
     assert _replay_against_the_reference(pres, main1.w_ac(), back) == W
 
 
+def test_diagrams_with_no_bands(main1, pres):
+    W = main1.w_ac()
+    d = build_disk_diagram(W, main1, pres)
+    assert d.history == [] and len(d.rows) == 1
+    assert [c.cls for c in d.rows[0].cells] == ["hub"]
+    assert d.area == 1 and not d.top and not d.left and not d.right
+    assert d.bottom == pres.carry_admissible(W)
+    assert diagram_report(d, pres) == []
+    text = diagram_to_json(d)
+    assert diagram_to_json(diagram_from_json(pres.alpha, text)) == text
+    trap = build_trapezium(pres, Computation([W], []))
+    assert trap.rows == [] and trap.area == 0
+    assert trap.top == trap.bottom == pres.carry_admissible(W)
+    assert not trap.left and not trap.right
+    assert diagram_report(trap, pres) == []
+
+
 def test_disk_needs_an_accepted_configuration(main1, pres):
     with pytest.raises(MachineError, match="not accepted"):
         build_disk_diagram(main1.input_i(payload(main1, 0)), main1, pres)
@@ -266,6 +283,25 @@ def test_corrupted_shared_cell_is_named_where_it_sits(disk_i, pres):
     assert diagram_report(disk_i, pres) == []
 
 
+def test_rows_that_do_not_fit_are_named(disk_i, pres):
+    rows = list(disk_i.rows)
+    del rows[5]
+    d = dataclasses.replace(disk_i, rows=rows)
+    assert "rows 4/5: top and bottom labels differ" in diagram_report(d, pres)
+    d = dataclasses.replace(disk_i, bottom=disk_i.rows[1].bottom)
+    assert diagram_report(d, pres) == [
+        "diagram bottom disagrees with the first row"]
+    rows = [dataclasses.replace(r, cells=list(r.cells)) for r in disk_i.rows]
+    d = dataclasses.replace(disk_i, rows=rows)
+    c = rows[5].cells[0]
+    rows[5].cells[0] = dataclasses.replace(c, left=c.bottom)
+    hub = rows[-1].cells[0]
+    rows[-1].cells[0] = dataclasses.replace(hub, left=c.left, right=c.left)
+    report = diagram_report(d, pres)
+    assert "row 5: side labels lack the rule letter" in report
+    assert "row %d: stray side labels" % (len(rows) - 1) in report
+
+
 def test_cells_are_frozen(disk_i):
     c = disk_i.rows[0].cells[0]
     with pytest.raises(dataclasses.FrozenInstanceError):
@@ -289,6 +325,42 @@ def test_json_errors_name_the_field_or_the_letter(disk_i, pres):
     obj = json.loads(diagram_to_json(disk_i))
     obj["rows"][1]["left"] = "zz"
     with pytest.raises(ValueError, match="unknown letter: 'zz'"):
+        diagram_from_json(pres.alpha, json.dumps(obj))
+    with pytest.raises(ValueError, match="top level is not an object"):
+        diagram_from_json(pres.alpha, "[]")
+    with pytest.raises(ValueError, match="rows is not a list"):
+        diagram_from_json(pres.alpha, '{"rows": 5}')
+    with pytest.raises(ValueError, match="row 0 is not an object"):
+        diagram_from_json(pres.alpha, '{"rows": [5]}')
+    obj = json.loads(diagram_to_json(disk_i))
+    obj["rows"][2]["cells"] = []
+    with pytest.raises(ValueError, match="row 2 cells are not a nonempty"):
+        diagram_from_json(pres.alpha, json.dumps(obj))
+
+
+@pytest.mark.parametrize("shape", ["i", "j"])
+def test_labels_are_the_carried_replay(shape, request, main1, pres):
+    d = request.getfixturevalue("disk_" + shape)
+    W = getattr(main1, "input_" + shape)(payload(main1, 1))
+    words = main1.machine.run(W, d.history).words
+    *bands, hub = d.rows
+    assert len(bands) == len(words) - 1
+    for k, row in enumerate(bands):
+        assert row.bottom == pres.carry_admissible(words[k])
+        assert row.top == pres.carry_admissible(words[k + 1])
+    assert hub.bottom == pres.carry_admissible(main1.machine.accept_config())
+
+
+def test_a_stored_label_that_disagrees_with_the_cells_is_rejected(disk_i,
+                                                                   pres):
+    obj = json.loads(diagram_to_json(disk_i))
+    assert obj["rows"][3]["top"] != obj["rows"][2]["top"]
+    obj["rows"][3]["top"] = obj["rows"][2]["top"]
+    with pytest.raises(ValueError, match="row 3 top label disagrees"):
+        diagram_from_json(pres.alpha, json.dumps(obj))
+    obj = json.loads(diagram_to_json(disk_i))
+    obj["left"] = obj["bottom"]
+    with pytest.raises(ValueError, match="diagram left label disagrees"):
         diagram_from_json(pres.alpha, json.dumps(obj))
 
 
