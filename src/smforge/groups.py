@@ -29,11 +29,6 @@ from smforge.smachine import (AdmissibleWord, Computation, GeneralizedRule,
 from smforge.towers import _copy_letter
 from smforge.mainmachine import MainMachine, accepting_run
 
-RELATOR_CLASSES = ("theta-q", "theta-A", "theta-b", "theta-a",
-                   "hub", "disk", "a")
-# cells refine theta-q: a state cell sitting on an anchor part is theta-t
-CELL_CLASSES = RELATOR_CLASSES + ("theta-t",)
-
 
 # -- presentations --------------------------------------------------------------
 
@@ -137,7 +132,7 @@ def emit_presentation(machine: Machine, level: str = "M") -> Presentation:
     for name in machine.rules:
         for i in range(n):
             theta[(name, i)] = alpha.intern(
-                "%s:%d" % (name, i), kind="t", part=i,
+                "%s:%d" % (name, i), kind="t",
                 coord=src.coord_of(hw.parts[i].start))
 
     relators: List[Relator] = []
@@ -271,7 +266,8 @@ def _both(c: Cell) -> Tuple[Cell, Cell]:
 
 def _state_cell(pres: Presentation, rule: GeneralizedRule, part: int,
                 eps: int) -> Tuple[Cell, Cell]:
-    """The shared state cell of the rule's part read with sign eps."""
+    """The shared state cell of the rule's part read with sign eps: theta-t
+    on an anchor part, theta-q elsewhere."""
     key = (rule.name, part, eps)
     if key in pres.cells:
         return pres.cells[key]
@@ -616,15 +612,16 @@ def diagram_from_json(alpha: Alphabet, text: str) -> GridDiagram:
         if not ok:
             raise ValueError("diagram JSON: " + what)
 
-    def p(text: str) -> Word:
+    def label(at: str, o: dict, k: str) -> Word:
+        need(isinstance(o[k], str), "%s %s label is not a string" % (at, k))
         try:
-            return alpha.parse(text)
+            return alpha.parse(o[k])
         except KeyError as e:
             raise ValueError("diagram JSON: %s" % e.args[0]) from None
 
     def checked(where: str, x, o: dict):
         for k in _LABELS:
-            need(p(o[k]) == getattr(x, k),
+            need(label(where, o, k) == getattr(x, k),
                  "%s %s label disagrees with its cells" % (where, k))
         return x
 
@@ -634,16 +631,25 @@ def diagram_from_json(alpha: Alphabet, text: str) -> GridDiagram:
              and all(isinstance(co, dict) for co in ro["cells"]),
              "row %d cells are not a nonempty list of objects" % i)
         return checked("row %d" % i, Row([
-            Cell(*(p(co[k]) for k in _LABELS), co["cls"], rule=co["rule"],
-                 index=co["index"], coordinate=co["coordinate"],
-                 weight_arg=co["weight_arg"]) for co in ro["cells"]]), ro)
+            Cell(*(label("row %d cell %d" % (i, j), co, k) for k in _LABELS),
+                 co["cls"], rule=co["rule"], index=co["index"],
+                 coordinate=co["coordinate"], weight_arg=co["weight_arg"])
+            for j, co in enumerate(ro["cells"])]), ro)
 
     need(isinstance(obj, dict), "the top level is not an object")
     try:
         need(isinstance(obj["rows"], list), "rows is not a list")
         rows = [row(i, ro) for i, ro in enumerate(obj["rows"])]
+        need(obj["kind"] in ("trapezium", "disk"),
+             'kind is not "trapezium" or "disk"')
+        need(obj["glue"] in (None, "sides"), 'glue is not null or "sides"')
+        need(isinstance(obj["history"], list) and all(
+            isinstance(h, list) and len(h) == 2 and isinstance(h[0], str)
+            and type(h[1]) is int and h[1] in (1, -1)
+            for h in obj["history"]),
+            "history is not a list of [rule name, 1 or -1] pairs")
         return checked("diagram", GridDiagram(
-            obj["kind"], alpha, rows, p(obj["bottom"]),
+            obj["kind"], alpha, rows, label("diagram", obj, "bottom"),
             history=[(n, s) for n, s in obj["history"]], glue=obj["glue"]),
             obj)
     except KeyError as e:

@@ -140,11 +140,11 @@ def build_m1(letters: Sequence[str]) -> Tuple[Machine, NoiseScheme]:
         raise ValueError("payload letter names collide with derived names")
 
     al = Alphabet()
-    q = [al.intern(s, kind="q", part=i) for i, s in enumerate(STATE_NAMES)]
-    A = tuple(al.intern(s, sector=1, subkind="A") for s in letters)
-    A1 = tuple(al.intern(s, sector=1, subkind="A") for s in marked)
-    B = tuple(al.intern(s, sector=1, subkind="b") for s in NOISE_NAMES)
-    A2 = tuple(al.intern(s, sector=2, subkind="A") for s in copies)
+    q = [al.intern(s, kind="q") for s in STATE_NAMES]
+    A = tuple(al.intern(s, subkind="A") for s in letters)
+    A1 = tuple(al.intern(s, subkind="A") for s in marked)
+    B = tuple(al.intern(s, subkind="b") for s in NOISE_NAMES)
+    A2 = tuple(al.intern(s, subkind="A") for s in copies)
     scheme = NoiseScheme(al, A, A1, A2, B)
 
     hw = Hardware(al, [Part((qi,), qi, qi) for qi in q],

@@ -165,9 +165,8 @@ def _plugin_hardware(letters: Sequence[str], mids: Sequence[str]
         raise ValueError("alphabet is empty")
     al = Alphabet()
     layout = [("p0", "p0e"), ("p1", "p1e"), ("p2s", *mids, "p2e")]
-    q = {nm: al.intern(nm, kind="q", part=i)
-         for i, names in enumerate(layout) for nm in names}
-    tape = tuple(al.intern(x + "_p", sector=2, subkind="A") for x in letters)
+    q = {nm: al.intern(nm, kind="q") for names in layout for nm in names}
+    tape = tuple(al.intern(x + "_p", subkind="A") for x in letters)
     parts = [Part(tuple(q[nm] for nm in names), q[names[0]], q[names[-1]])
              for names in layout]
     return Hardware(al, parts, [(), (), tape]), q, tape
@@ -393,9 +392,9 @@ def build_main(letters: Sequence[str], plugin: RecognizerPlugin,
         for pi in range(1, P):
             g = (i - 1) * P + pi
             qs[g] = al.intern("qs%d%s" % (pi, ring.suffix(i)), kind="q",
-                              part=g, coord=i)
+                              coord=i)
             qa[g] = al.intern("qa%d%s" % (pi, ring.suffix(i)), kind="q",
-                              part=g, coord=i)
+                              coord=i)
 
     parts: List[Part] = []
     for i in range(1, L + 1):

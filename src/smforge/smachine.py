@@ -118,7 +118,9 @@ class Part:
 
 
 class Hardware:
-    """State parts, tape alphabets, and the shared intern table."""
+    """State parts, tape alphabets, and the shared intern table; the one
+    record of where a letter sits.  Ring copies share tape letters, so a
+    tape letter may lie in several sectors."""
 
     def __init__(self, alpha: Alphabet, parts: Sequence[Part],
                  tapes: Sequence[Tuple[int, ...]], cyclic: bool = False):
@@ -519,9 +521,9 @@ class SectorRule:
     <X> into a word whose letters are exactly the single-letter entries of Z,
     read off position-by-position as the X-expression.  It exists so that
     domains like {v*m} u N (whose expressions grow before they shrink) stay
-    decidable without search.  ``z_sub`` plays the same role for the inverse
-    rule and the two trade places under inversion; both are derived with
-    :func:`triangular_sub` when not given.
+    decidable without search.  It is derived with :func:`triangular_sub`
+    when not given, so the inverse rule, ``SectorRule(Z, X)``, derives its
+    own from the swapped bases.
 
     Construction compiles the sector once, for :meth:`express` and
     :meth:`push`, into one of three modes:
@@ -543,11 +545,8 @@ class SectorRule:
     X: Tuple[Word, ...]
     Z: Tuple[Word, ...]
     x_sub: Optional[Dict[int, Word]] = None
-    z_sub: Optional[Dict[int, Word]] = None
 
     def __post_init__(self) -> None:
-        if self.z_sub is None:
-            self.z_sub = triangular_sub(self.X, self.Z)
         single = all(len(x.ltrs) == 1 for x in self.X)
         if self.x_sub is None and not single:
             self.x_sub = triangular_sub(self.Z, self.X)
@@ -798,7 +797,7 @@ def invert_rule(rule: GeneralizedRule) -> GeneralizedRule:
     inv_sectors: List[Optional[SectorRule]] = []
     for sec in rule.sectors:
         if sec is not None and id(sec) not in inverses:
-            inverses[id(sec)] = SectorRule(sec.Z, sec.X, sec.z_sub, sec.x_sub)
+            inverses[id(sec)] = SectorRule(sec.Z, sec.X)
         inv_sectors.append(None if sec is None else inverses[id(sec)])
     parts: List[RulePart] = []
     for i, rp in enumerate(rule.parts):
@@ -1498,13 +1497,13 @@ def _machine_from_text(text: str, at: List[int]) -> Machine:
     if sorted(part_lines) != list(range(len(part_lines))):
         raise ValueError("PART indices must be 0..N")
     parts = []
-    for i, (letters, start, end, at[0]) in sorted(part_lines.items()):
-        ids = tuple(al.intern(nm, kind="q", part=i) for nm in letters)
+    for _, (letters, start, end, at[0]) in sorted(part_lines.items()):
+        ids = tuple(al.intern(nm, kind="q") for nm in letters)
         parts.append(Part(ids, al.id_of(start), al.id_of(end)))
     tapes: List[Tuple[int, ...]] = []
     for i in range(len(parts)):
         at[0], entries = tape_lines.get(i, (at[0], []))
-        tapes.append(tuple(al.intern(nm, kind="a", sector=i, subkind=sk)
+        tapes.append(tuple(al.intern(nm, kind="a", subkind=sk)
                            for nm, sk in entries))
     hw = Hardware(al, parts, tapes, cyclic=cyclic)
 

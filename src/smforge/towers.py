@@ -38,17 +38,28 @@ def bar_name(name: str) -> str:
     return name + "~"
 
 
-def _copy_letter(al2: Alphabet, src: Alphabet, x: int,
-                 part: Optional[int] = None,
-                 sector: Optional[int] = None) -> int:
-    """Intern a letter of ``src`` into ``al2``, optionally re-indexed."""
-    return al2.intern(
-        src.name_of(x),
-        kind=src.kind_of(x),
-        sector=src.sector_of(x) if sector is None else sector,
-        part=src.part_of(x) if part is None else part,
-        subkind=src.subkind_of(x) or "o",
-        coord=src.coord_of(x))
+def _copy_letter(al2: Alphabet, src: Alphabet, x: int) -> int:
+    """Intern a letter of ``src`` into ``al2`` with its name and metadata."""
+    return al2.intern(src.name_of(x), kind=src.kind_of(x),
+                      subkind=src.subkind_of(x) or "o",
+                      coord=src.coord_of(x))
+
+
+def _letters(hw: Hardware) -> List[int]:
+    """The hardware's letters in copy order: state letters part by part,
+    then tape letters sector by sector."""
+    return ([q for p in hw.parts for q in p.letters]
+            + [y for t in hw.tapes for y in t])
+
+
+def _copy_letters(al2: Alphabet, hw: Hardware) -> Dict[int, int]:
+    """Copy the hardware's letters into ``al2`` in copy order; the id map."""
+    return {x: _copy_letter(al2, hw.alpha, x) for x in _letters(hw)}
+
+
+def _map_part(rp: RulePart, lmap: Dict[int, int], al2: Alphabet) -> RulePart:
+    return RulePart(lmap[rp.q], relabel(rp.u, lmap, al2),
+                    lmap[rp.q2], relabel(rp.v, lmap, al2))
 
 
 def _map_sector(sec: Optional[SectorRule], lmap: Dict[int, int],
@@ -62,9 +73,7 @@ def _map_sector(sec: Optional[SectorRule], lmap: Dict[int, int],
 def _translate_rule(hw2: Hardware, r: GeneralizedRule,
                     lmap: Dict[int, int]) -> GeneralizedRule:
     al2 = hw2.alpha
-    parts = [RulePart(lmap[rp.q], relabel(rp.u, lmap, al2),
-                      lmap[rp.q2], relabel(rp.v, lmap, al2))
-             for rp in r.parts]
+    parts = [_map_part(rp, lmap, al2) for rp in r.parts]
     sectors = [_map_sector(sec, lmap, al2) for sec in r.sectors]
     return GeneralizedRule(hw2, r.name, parts, sectors)
 
@@ -73,16 +82,11 @@ def _map_noise(noise: Optional[NoiseDecl], lmap: Dict[int, int],
                smap: Callable[[int], int]) -> Optional[NoiseDecl]:
     if noise is None:
         return None
-    out = NoiseDecl()
-    for s, ys in noise.K.items():
-        out.K[smap(s)] = tuple(lmap[y] for y in ys)
-    for s, ys in noise.M.items():
-        out.M[smap(s)] = tuple(lmap[y] for y in ys)
-    for s, ys in noise.N.items():
-        out.N[smap(s)] = tuple(lmap[y] for y in ys)
-    for s, d in noise.phi.items():
-        out.phi[smap(s)] = {lmap[a]: lmap[b] for a, b in d.items()}
-    return out
+    K, M, N = ({smap(s): tuple(lmap[y] for y in ys) for s, ys in d.items()}
+               for d in (noise.K, noise.M, noise.N))
+    phi = {smap(s): {lmap[a]: lmap[b] for a, b in d.items()}
+           for s, d in noise.phi.items()}
+    return NoiseDecl(K, M, N, phi)
 
 
 def _merge_noise(a: Optional[NoiseDecl],
@@ -96,12 +100,8 @@ def _merge_noise(a: Optional[NoiseDecl],
     if overlap:
         raise ValueError("noise declared twice for sectors %s"
                          % sorted(overlap))
-    out = NoiseDecl(dict(a.K), dict(a.M), dict(a.N), dict(a.phi))
-    out.K.update(b.K)
-    out.M.update(b.M)
-    out.N.update(b.N)
-    out.phi.update(b.phi)
-    return out
+    return NoiseDecl({**a.K, **b.K}, {**a.M, **b.M}, {**a.N, **b.N},
+                     {**a.phi, **b.phi})
 
 
 # -- series composition ----------------------------------------------------------
@@ -147,13 +147,7 @@ def compose(m_a: Machine, m_b: Machine, sigma: SigmaSpec,
     ident = dict(sigma.identify or {})
 
     al = Alphabet()
-    amap: Dict[int, int] = {}
-    for p in m_a.hw.parts:
-        for q in p.letters:
-            amap[q] = _copy_letter(al, m_a.hw.alpha, q)
-    for s in range(1, n):
-        for y in m_a.hw.tapes[s]:
-            amap[y] = _copy_letter(al, m_a.hw.alpha, y)
+    amap = _copy_letters(al, m_a.hw)
     bmap: Dict[int, int] = {}
     for p in m_b.hw.parts:
         for q in p.letters:
@@ -224,32 +218,17 @@ def reflect(m: Machine, name: Optional[str] = None) -> Machine:
         raise ValueError("reflect expects linear hardware")
     n = hw.n_parts
     src = hw.alpha
-    used = [q for p in hw.parts for q in p.letters]
-    used += [y for t in hw.tapes for y in t]
-    unames = {src.name_of(x) for x in used}
+    unames = {src.name_of(x) for x in _letters(hw)}
     clash = sorted(nm for nm in unames if bar_name(nm) in unames)
     if clash:
         raise ValueError("letters %s collide with their mirror names"
                          % ", ".join(clash))
 
     al = Alphabet()
-    omap: Dict[int, int] = {}
-    bmap: Dict[int, int] = {}
-    for p in hw.parts:
-        for q in p.letters:
-            omap[q] = _copy_letter(al, src, q)
-    for s in range(1, n):
-        for y in hw.tapes[s]:
-            omap[y] = _copy_letter(al, src, y)
-    for i, p in enumerate(hw.parts):
-        for q in p.letters:
-            bmap[q] = al.intern(bar_name(src.name_of(q)), kind="q",
-                                part=2 * n - 1 - i)
-    for s in range(1, n):
-        for y in hw.tapes[s]:
-            bmap[y] = al.intern(bar_name(src.name_of(y)), kind="a",
-                                sector=2 * n - s,
-                                subkind=src.subkind_of(y) or "o")
+    omap = _copy_letters(al, hw)
+    bmap = {x: al.intern(bar_name(src.name_of(x)), kind=src.kind_of(x),
+                         subkind=src.subkind_of(x) or "o")
+            for x in _letters(hw)}
 
     parts = [Part(tuple(omap[q] for q in p.letters),
                   omap[p.start], omap[p.end]) for p in hw.parts]
@@ -270,9 +249,7 @@ def reflect(m: Machine, name: Optional[str] = None) -> Machine:
 
     rules = []
     for r in m.rules.values():
-        rparts = [RulePart(omap[rp.q], relabel(rp.u, omap, al),
-                           omap[rp.q2], relabel(rp.v, omap, al))
-                  for rp in r.parts]
+        rparts = [_map_part(rp, omap, al) for rp in r.parts]
         for i in range(n - 1, -1, -1):
             rp = r.parts[i]
             rparts.append(RulePart(bmap[rp.q], mu(rp.v),
@@ -308,21 +285,12 @@ def cyclify(m: Machine, t_name: str = "t",
     if hw.cyclic:
         raise ValueError("cyclify expects linear hardware")
     n = hw.n_parts
-    src = hw.alpha
-    used = [q for p in hw.parts for q in p.letters]
-    used += [y for t in hw.tapes for y in t]
-    if t_name in {src.name_of(x) for x in used}:
+    if t_name in {hw.alpha.name_of(x) for x in _letters(hw)}:
         raise ValueError("anchor name %r collides with a letter" % t_name)
 
     al = Alphabet()
-    t = al.intern(t_name, kind="q", part=0)
-    lmap: Dict[int, int] = {}
-    for i, p in enumerate(hw.parts):
-        for q in p.letters:
-            lmap[q] = _copy_letter(al, src, q, part=i + 1)
-    for s in range(1, n):
-        for y in hw.tapes[s]:
-            lmap[y] = _copy_letter(al, src, y, sector=s + 1)
+    t = al.intern(t_name, kind="q")
+    lmap = _copy_letters(al, hw)
     parts = [Part((t,), t, t)]
     parts += [Part(tuple(lmap[q] for q in p.letters),
                    lmap[p.start], lmap[p.end]) for p in hw.parts]
@@ -334,9 +302,7 @@ def cyclify(m: Machine, t_name: str = "t",
     rules = []
     for r in m.rules.values():
         rparts = [RulePart(t, e, t, e)]
-        rparts += [RulePart(lmap[rp.q], relabel(rp.u, lmap, al),
-                            lmap[rp.q2], relabel(rp.v, lmap, al))
-                   for rp in r.parts]
+        rparts += [_map_part(rp, lmap, al) for rp in r.parts]
         sectors: List[Optional[SectorRule]] = [None, None]
         sectors += [_map_sector(r.sectors[s], lmap, al)
                     for s in range(1, n)]
@@ -386,8 +352,7 @@ class _Ring:
                 nm = src.name_of(q) + tag + self.suffix(i)
                 if nm in self.al:
                     raise ValueError("state letter %r collides" % nm)
-                d[q] = self.al.intern(nm, kind="q",
-                                      part=(i - 1) * self.P + pi, coord=i)
+                d[q] = self.al.intern(nm, kind="q", coord=i)
         return d
 
     def lift(self, hw: Hardware, r: GeneralizedRule,

@@ -3,14 +3,15 @@
 Every other layer of the package works with words over a mixed alphabet of
 state letters, tape letters, and (at the presentation level) rule letters.
 A letter is interned once into an :class:`Alphabet` and afterwards handled
-as a signed integer id, so words are tuples of nonzero ints and all the
-kind/sector bookkeeping lives in side tables on the alphabet.
+as a signed integer id, so words are tuples of nonzero ints and a letter's
+name, kind, subkind and coordinate live in side tables on the alphabet.
+Where a letter sits, its part or sector, is the hardware's to record.
 
 Kinds:
 
-* ``"q"``  state letter, carries a part index
-* ``"a"``  tape letter, carries a sector index and a subkind
-* ``"t"``  rule letter used by group presentations, carries a position index
+* ``"q"``  state letter
+* ``"a"``  tape letter, carries a subkind
+* ``"t"``  rule letter used by group presentations
 
 Tape subkinds (``"A"``, ``"b"``, ``"o"``) classify input-alphabet copies,
 noise letters, and ordinary letters; the typed length of a word splits as
@@ -58,8 +59,6 @@ class Alphabet:
         self._ids: Dict[str, int] = {}
         self._names: List[str] = []
         self._kinds: List[str] = []
-        self._sectors: List[Optional[int]] = []
-        self._parts: List[Optional[int]] = []
         self._subkinds: List[Optional[str]] = []
         self._coords: List[Optional[int]] = []
 
@@ -67,17 +66,15 @@ class Alphabet:
         self,
         name: str,
         kind: str = "a",
-        sector: Optional[int] = None,
-        part: Optional[int] = None,
         subkind: str = "o",
         coord: Optional[int] = None,
     ) -> int:
         """Intern ``name`` and return its id. Re-interning must agree.
 
         >>> al = Alphabet()
-        >>> al.intern("a", sector=1)
+        >>> al.intern("a", subkind="A")
         1
-        >>> al.intern("a", sector=1)
+        >>> al.intern("a", subkind="A")
         1
         """
         if not name or any(c.isspace() for c in name) or "^" in name:
@@ -94,8 +91,6 @@ class Alphabet:
             return i
         self._names.append(name)
         self._kinds.append(kind)
-        self._sectors.append(sector)
-        self._parts.append(part)
         self._subkinds.append(subkind if kind == "a" else None)
         self._coords.append(coord)
         i = len(self._names)
@@ -119,12 +114,6 @@ class Alphabet:
 
     def kind_of(self, i: int) -> str:
         return self._kinds[abs(i) - 1]
-
-    def sector_of(self, i: int) -> Optional[int]:
-        return self._sectors[abs(i) - 1]
-
-    def part_of(self, i: int) -> Optional[int]:
-        return self._parts[abs(i) - 1]
 
     def subkind_of(self, i: int) -> Optional[str]:
         return self._subkinds[abs(i) - 1]

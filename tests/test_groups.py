@@ -70,10 +70,10 @@ def test_machine_letters_keep_their_ids(main1, pres):
     src, al = main1.machine.hw.alpha, pres.alpha
     assert len(al) > len(src)
     for x in src.ids():
-        assert ([f(x) for f in (src.name_of, src.kind_of, src.sector_of,
-                                src.part_of, src.subkind_of, src.coord_of)]
-                == [f(x) for f in (al.name_of, al.kind_of, al.sector_of,
-                                   al.part_of, al.subkind_of, al.coord_of)])
+        assert ([f(x) for f in (src.name_of, src.kind_of, src.subkind_of,
+                                src.coord_of)]
+                == [f(x) for f in (al.name_of, al.kind_of, al.subkind_of,
+                                   al.coord_of)])
 
 
 def test_presentation_size(pres):
@@ -336,6 +336,30 @@ def test_json_errors_name_the_field_or_the_letter(disk_i, pres):
     obj["rows"][2]["cells"] = []
     with pytest.raises(ValueError, match="row 2 cells are not a nonempty"):
         diagram_from_json(pres.alpha, json.dumps(obj))
+    obj = json.loads(diagram_to_json(disk_i))
+    obj["rows"][1]["cells"][2]["right"] = 5
+    with pytest.raises(ValueError,
+                       match="row 1 cell 2 right label is not a string"):
+        diagram_from_json(pres.alpha, json.dumps(obj))
+    # a trapezium with no rows over a one-letter alphabet, field by field
+    al = Alphabet()
+    al.intern("a")
+    base = {"kind": "trapezium", "glue": None, "history": [], "rows": [],
+            "bottom": "a", "top": "a", "left": "1", "right": "1"}
+    assert diagram_from_json(al, json.dumps(base)).top == al.parse("a")
+    history = re.escape("history is not a list of [rule name, 1 or -1] pairs")
+    for field, value, message in [
+            ("history", 5, history),
+            ("history", [[1]], history),
+            ("history", [["x", 2]], history),
+            ("history", [[1, 1]], history),
+            ("history", [["x", True]], history),
+            ("bottom", 5, "diagram bottom label is not a string"),
+            ("top", 5, "diagram top label is not a string"),
+            ("kind", 5, 'kind is not "trapezium" or "disk"'),
+            ("glue", 7, 'glue is not null or "sides"')]:
+        with pytest.raises(ValueError, match=message):
+            diagram_from_json(al, json.dumps(dict(base, **{field: value})))
 
 
 @pytest.mark.parametrize("shape", ["i", "j"])

@@ -402,7 +402,7 @@ def test_to_m1_rejects_a_letter_without_counterpart(main1):
 
 def test_letters_the_machine_lacks_are_typed(main1):
     other = Alphabet()
-    w = other.word([other.intern("a", sector=1), other.intern("zz", sector=1)])
+    w = other.word([other.intern("a"), other.intern("zz")])
     with pytest.raises(UnknownLetterError, match="unknown letter: 'zz'") as ei:
         lambda_accept(w, main1, even_positive)
     assert isinstance(ei.value, MachineError) and isinstance(ei.value, KeyError)

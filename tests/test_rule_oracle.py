@@ -93,10 +93,9 @@ def _main():
 
 def _squares():
     al = Alphabet()
-    q0, q1, q2 = (al.intern(n, kind="q", part=i)
-                  for i, n in enumerate(("q0", "q1", "q2")))
-    a, b = al.intern("a", sector=1), al.intern("b", sector=1)
-    c = al.intern("c", sector=2)
+    q0, q1, q2 = (al.intern(n, kind="q") for n in ("q0", "q1", "q2"))
+    a, b = al.intern("a"), al.intern("b")
+    c = al.intern("c")
     hw = Hardware(al, [Part((q,), q, q) for q in (q0, q1, q2)],
                   [(), (a, b), (c,)])
     W, P = al.word, al.parse
@@ -496,9 +495,8 @@ def _cancelling():
     holding one tape object both between q0 and q1, where emptying it is
     harmless, and between q1^-1 and q1, where it cancels the two."""
     al = Alphabet()
-    q0, q1, q2 = (al.intern(n, kind="q", part=i)
-                  for i, n in enumerate(("q0", "q1", "q2")))
-    a, c = al.intern("a", sector=1), al.intern("c", sector=2)
+    q0, q1, q2 = (al.intern(n, kind="q") for n in ("q0", "q1", "q2"))
+    a, c = al.intern("a"), al.intern("c")
     hw = Hardware(al, [Part((q,), q, q) for q in (q0, q1, q2)],
                   [(), (a,), (c,)])
     e = al.word()
@@ -529,10 +527,9 @@ def _split():
     <a>, fails on the first of those windows after r; f2, which reads only
     <b b a>, fails for t = b on the second alone."""
     al = Alphabet()
-    q0, q1, q2 = (al.intern(n, kind="q", part=i)
-                  for i, n in enumerate(("q0", "q1", "q2")))
-    a, b = al.intern("a", sector=1), al.intern("b", sector=1)
-    c = al.intern("c", sector=2)
+    q0, q1, q2 = (al.intern(n, kind="q") for n in ("q0", "q1", "q2"))
+    a, b = al.intern("a"), al.intern("b")
+    c = al.intern("c")
     hw = Hardware(al, [Part((q,), q, q) for q in (q0, q1, q2)],
                   [(), (a, b), (c,)])
     W, P = al.word, al.parse

@@ -19,13 +19,13 @@ p = pytest.mark.parametrize
 def tiny_machine():
     """Three parts, two tapes; one classical and one generalized rule."""
     al = Alphabet()
-    q0 = al.intern("q0", kind="q", part=0)
-    q1 = al.intern("q1", kind="q", part=1)
-    q1b = al.intern("q1'", kind="q", part=1)
-    q2 = al.intern("q2", kind="q", part=2)
-    a = al.intern("a", kind="a", sector=1)
-    b = al.intern("b", kind="a", sector=1)
-    c = al.intern("c", kind="a", sector=2)
+    q0 = al.intern("q0", kind="q")
+    q1 = al.intern("q1", kind="q")
+    q1b = al.intern("q1'", kind="q")
+    q2 = al.intern("q2", kind="q")
+    a = al.intern("a", kind="a")
+    b = al.intern("b", kind="a")
+    c = al.intern("c", kind="a")
     hw = Hardware(al, [Part((q0,), q0, q0), Part((q1, q1b), q1, q1b),
                        Part((q2,), q2, q2)],
                   [(), (a, b), (c,)])
@@ -307,12 +307,12 @@ def test_machine_text_round_trip():
 
 def noisy_machine():
     al = Alphabet()
-    q0 = al.intern("p0", kind="q", part=0)
-    q1 = al.intern("p1", kind="q", part=1)
-    a = al.intern("a", kind="a", sector=1, subkind="A")
-    a1 = al.intern("a_1", kind="a", sector=1, subkind="A")
-    b1 = al.intern("b1", kind="a", sector=1, subkind="b")
-    b2 = al.intern("b2", kind="a", sector=1, subkind="b")
+    q0 = al.intern("p0", kind="q")
+    q1 = al.intern("p1", kind="q")
+    a = al.intern("a", kind="a", subkind="A")
+    a1 = al.intern("a_1", kind="a", subkind="A")
+    b1 = al.intern("b1", kind="a", subkind="b")
+    b2 = al.intern("b2", kind="a", subkind="b")
     hw = Hardware(al, [Part((q0,), q0, q0), Part((q1,), q1, q1)],
                   [(), (a, a1, b1, b2)])
     W = al.word

@@ -1,5 +1,6 @@
 """Tower builders: composition, reflection, cyclification, parallel copies."""
 
+import hashlib
 import itertools
 
 import pytest
@@ -8,6 +9,7 @@ from smforge.words import Word, relabel
 from smforge.smachine import (SectorMismatchError, StepError, apply_rule,
                               machine_from_text, machine_to_text)
 from smforge.machines import build_m1, shift
+from smforge.groups import emit_presentation
 from smforge.towers import (SigmaSpec, bar_name, component, compose, cyclify,
                             reflect)
 from smforge.mainmachine import (DivisibleRecognizer, Params, accepting_run,
@@ -281,3 +283,35 @@ def test_tower_machines_round_trip(tower):
         text = machine_to_text(m)
         again = machine_to_text(machine_from_text(text))
         assert text == again
+
+
+# -- letter order ----------------------------------------------------------------
+
+def alphabet_digest(al):
+    """sha256 prefix of every letter's name, kind, subkind and coord, in id
+    order: machine text and JSON are name-based, so this alone pins ids."""
+    rows = [(al.name_of(x), al.kind_of(x), al.subkind_of(x), al.coord_of(x))
+            for x in al.ids()]
+    return hashlib.sha256(repr(rows).encode()).hexdigest()[:16]
+
+
+def test_tower_letters_keep_their_order(tower):
+    m1, sch, plug, m3, m4, m5 = tower
+    assert [alphabet_digest(m.hw.alpha) for m in (plug.machine, m3, m4, m5)] \
+        == ["facfdb64f81d2a06", "8dd15d80eefe5b66", "0874ad73ffae5857",
+            "69a08326f8e18398"]
+
+
+@p("letters,digests", [
+    (("a",), ["f0dd3ad47cb9da7f", "69a08326f8e18398", "67aff59021c4f15c",
+              "1cd817e71e595f7e"]),
+    (("a", "b"), ["e195875eabaab0f4", "af4e89e6279e7266", "e7ccb5fb39a51ba5",
+                  "45ce4c854cdd1649"]),
+])
+def test_main_letters_keep_their_order(letters, digests):
+    """m1, m5, the main machine and its level-G presentation."""
+    mm = build_main(letters, DivisibleRecognizer(letters, 1), DESK4)
+    pres = emit_presentation(mm.machine, level="G")
+    assert [alphabet_digest(al) for al in (mm.m1.hw.alpha, mm.m5.hw.alpha,
+                                           mm.machine.hw.alpha, pres.alpha)] \
+        == digests

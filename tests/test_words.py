@@ -130,12 +130,22 @@ def test_unknown_letters_are_typed():
         words.relabel_by_name(mk_alpha(4).parse("g3"), al)
 
 
+def test_the_alphabet_records_no_placement():
+    """Parts and sectors are the hardware's to record."""
+    al = Alphabet()
+    for kw in ("part", "sector"):
+        with pytest.raises(TypeError):
+            al.intern("a", **{kw: 1})
+    assert len(al) == 0
+    assert not hasattr(al, "part_of") and not hasattr(al, "sector_of")
+
+
 def test_typed_lengths_partition():
     al = Alphabet()
-    al.intern("q0", kind="q", part=0)
-    al.intern("x", kind="a", sector=1, subkind="A")
-    al.intern("b1", kind="a", sector=1, subkind="b")
-    al.intern("c", kind="a", sector=2, subkind="o")
+    al.intern("q0", kind="q")
+    al.intern("x", kind="a", subkind="A")
+    al.intern("b1", kind="a", subkind="b")
+    al.intern("c", kind="a", subkind="o")
     al.intern("th", kind="t")
     w = al.parse("q0 x b1^-1 c x th c^-1")
     assert w.count("q") == 1 and w.count("t") == 1 and w.count("a") == 5
