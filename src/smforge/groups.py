@@ -625,15 +625,24 @@ def diagram_from_json(alpha: Alphabet, text: str) -> GridDiagram:
                  "%s %s label disagrees with its cells" % (where, k))
         return x
 
+    def cell(at: str, co: dict) -> Cell:
+        need(isinstance(co["cls"], str), "%s cls is not a string" % at)
+        need(co["rule"] is None or isinstance(co["rule"], str),
+             "%s rule is not a string or null" % at)
+        for k in ("index", "coordinate", "weight_arg"):
+            need(co[k] is None or type(co[k]) is int,
+                 "%s %s is not an int or null" % (at, k))
+        return Cell(*(label(at, co, k) for k in _LABELS), co["cls"],
+                    rule=co["rule"], index=co["index"],
+                    coordinate=co["coordinate"], weight_arg=co["weight_arg"])
+
     def row(i: int, ro) -> Row:
         need(isinstance(ro, dict), "row %d is not an object" % i)
         need(isinstance(ro["cells"], list) and len(ro["cells"]) > 0
              and all(isinstance(co, dict) for co in ro["cells"]),
              "row %d cells are not a nonempty list of objects" % i)
         return checked("row %d" % i, Row([
-            Cell(*(label("row %d cell %d" % (i, j), co, k) for k in _LABELS),
-                 co["cls"], rule=co["rule"], index=co["index"],
-                 coordinate=co["coordinate"], weight_arg=co["weight_arg"])
+            cell("row %d cell %d" % (i, j), co)
             for j, co in enumerate(ro["cells"])]), ro)
 
     need(isinstance(obj, dict), "the top level is not an object")

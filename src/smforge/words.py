@@ -69,13 +69,18 @@ class Alphabet:
         subkind: str = "o",
         coord: Optional[int] = None,
     ) -> int:
-        """Intern ``name`` and return its id. Re-interning must agree.
+        """Intern ``name`` and return its id. Re-interning must agree on
+        kind, subkind and coord.
 
         >>> al = Alphabet()
         >>> al.intern("a", subkind="A")
         1
         >>> al.intern("a", subkind="A")
         1
+        >>> al.intern("a", subkind="b", coord=3)
+        Traceback (most recent call last):
+        ...
+        ValueError: letter 'a' re-interned as ('a', 'b', 3) != ('a', 'A', None)
         """
         if not name or any(c.isspace() for c in name) or "^" in name:
             raise ValueError("bad letter name: %r" % (name,))
@@ -83,15 +88,18 @@ class Alphabet:
             raise ValueError("bad kind: %r" % (kind,))
         if kind == "a" and subkind not in SUBKINDS:
             raise ValueError("bad subkind: %r" % (subkind,))
+        sub = subkind if kind == "a" else None
         if name in self._ids:
             i = self._ids[name]
-            if self._kinds[i - 1] != kind:
-                raise ValueError("letter %r re-interned with kind %r != %r"
-                                 % (name, kind, self._kinds[i - 1]))
+            had = (self._kinds[i - 1], self._subkinds[i - 1],
+                   self._coords[i - 1])
+            if (kind, sub, coord) != had:
+                raise ValueError("letter %r re-interned as %r != %r"
+                                 % (name, (kind, sub, coord), had))
             return i
         self._names.append(name)
         self._kinds.append(kind)
-        self._subkinds.append(subkind if kind == "a" else None)
+        self._subkinds.append(sub)
         self._coords.append(coord)
         i = len(self._names)
         self._ids[name] = i
@@ -317,9 +325,21 @@ def relabel_by_name(w: Word, target: Alphabet) -> Word:
 class _Folder:
     """Folded core graph of the subgroup generated by a list of words.
 
-    Edges are inserted one at a time and folded eagerly: whenever a vertex
-    would acquire two equal-label outgoing edges, the targets are merged
-    (union-find) and the loser's edges are re-queued for insertion.
+    Each word t is added as a loop at the base vertex, shortest word
+    first, and read before anything is built: its longest prefix forward
+    from the base along existing edges, to vertex v at index i, and its
+    longest suffix backward into the base, to vertex u at index j >= i.
+    Where the reads meet (i == j), v is identified with u; that is the
+    only merge, and ``_drain`` cascades the folds it sets off (union-find,
+    the loser's edges re-queued).  Otherwise t[i:j] is laid as a fresh
+    path from v to u, and nothing can collide: each read stopped because
+    its end label is absent, and the inner vertices are new.  Where v == u
+    and t[i] == -t[j-1] both ends need the same missing edge, so it is
+    laid once, as a stem to a new vertex.
+
+    The folded graph of a set of words does not depend on the order they
+    are added (Stallings), so the sort changes no answer.  It lets short
+    words close the graph up first, so long ones mostly read through it.
     """
 
     def __init__(self, basis: Sequence[Word]):
@@ -329,12 +349,8 @@ class _Folder:
         self.parent: List[int] = [0]
         self.adj: List[Dict[int, int]] = [dict()]
         self._queue: List[Tuple[int, int, int]] = []
-        for b in basis:
-            v = 0
-            for k, x in enumerate(b.ltrs):
-                u = 0 if k == len(b.ltrs) - 1 else self._new_vertex()
-                self._insert(v, x, u)
-                v = self._find(u)
+        for b in sorted(basis, key=len):
+            self._loop(b.ltrs)
 
     def _new_vertex(self) -> int:
         self.parent.append(len(self.parent))
@@ -347,8 +363,35 @@ class _Folder:
             v = self.parent[v]
         return v
 
-    def _insert(self, v: int, x: int, u: int) -> None:
-        self._queue.append((v, x, u))
+    def _loop(self, t: Tuple[int, ...]) -> None:
+        adj, find = self.adj, self._find
+        v = u = find(0)
+        i, j = 0, len(t)
+        while i < j and t[i] in adj[v]:
+            v = find(adj[v][t[i]])
+            i += 1
+        while j > i and -t[j - 1] in adj[u]:
+            u = find(adj[u][-t[j - 1]])
+            j -= 1
+        if i == j:
+            if v != u:
+                self._merge(v, u)
+                self._drain()
+            return
+        while v == u and t[i] == -t[j - 1]:
+            w = self._new_vertex()
+            adj[v][t[i]] = w
+            adj[w][-t[i]] = v
+            v = u = w
+            i += 1
+            j -= 1
+        for k in range(i, j):
+            w = u if k == j - 1 else self._new_vertex()
+            adj[v][t[k]] = w
+            adj[w][-t[k]] = v
+            v = w
+
+    def _drain(self) -> None:
         while self._queue:
             v, x, u = self._queue.pop()
             v, u = self._find(v), self._find(u)

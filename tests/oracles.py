@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import os
 import random
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 DEFAULT_SEED = int(os.environ.get("SMFORGE_SEED", "271828"))
 
@@ -86,6 +86,100 @@ def naive_member(word: Tuple[int, ...], basis: Sequence[Tuple[int, ...]],
                 seen.add(nxt)
                 q.append((nxt, e2))
     return None
+
+
+# -- Stallings folding, one edge at a time ---------------------------------
+#
+# The library folder reads each basis word through the graph before it
+# builds anything and merges only where its two reads meet.  This is the
+# per-edge insert it replaced, kept as written: every edge goes through the
+# queue and a fold test, in the caller's order.
+
+class ReferenceFolder:
+    """Folded core graph of the subgroup generated by a list of words.
+
+    Edges are inserted one at a time and folded eagerly: whenever a vertex
+    would acquire two equal-label outgoing edges, the targets are merged
+    (union-find) and the loser's edges are re-queued for insertion.
+    """
+
+    def __init__(self, basis: Sequence[Word]):
+        for b in basis:
+            if not b:
+                raise ValueError("empty word in basis")
+        self.parent: List[int] = [0]
+        self.adj: List[Dict[int, int]] = [dict()]
+        self._queue: List[Tuple[int, int, int]] = []
+        for b in basis:
+            v = 0
+            for k, x in enumerate(b.ltrs):
+                u = 0 if k == len(b.ltrs) - 1 else self._new_vertex()
+                self._insert(v, x, u)
+                v = self._find(u)
+
+    def _new_vertex(self) -> int:
+        self.parent.append(len(self.parent))
+        self.adj.append(dict())
+        return len(self.parent) - 1
+
+    def _find(self, v: int) -> int:
+        while self.parent[v] != v:
+            self.parent[v] = self.parent[self.parent[v]]
+            v = self.parent[v]
+        return v
+
+    def _insert(self, v: int, x: int, u: int) -> None:
+        self._queue.append((v, x, u))
+        while self._queue:
+            v, x, u = self._queue.pop()
+            v, u = self._find(v), self._find(u)
+            tf = self.adj[v].get(x)
+            tf = self._find(tf) if tf is not None else None
+            tb = self.adj[u].get(-x)
+            tb = self._find(tb) if tb is not None else None
+            if tf is not None and tf != u:
+                self._merge(tf, u)
+                self._queue.append((self._find(v), x, self._find(u)))
+            elif tb is not None and tb != v:
+                self._merge(tb, v)
+                self._queue.append((self._find(v), x, self._find(u)))
+            else:
+                # new edge, or a half-present pair getting normalized
+                self.adj[v][x] = u
+                self.adj[u][-x] = v
+
+    def _merge(self, a: int, b: int) -> None:
+        a, b = self._find(a), self._find(b)
+        if a == b:
+            return
+        self.parent[b] = a
+        moved = list(self.adj[b].items())
+        self.adj[b] = dict()
+        for x, u in moved:
+            self._queue.append((a, x, self._find(u)))
+
+    # -- queries -----------------------------------------------------------
+
+    def trace(self, w: Word) -> Optional[int]:
+        v = self._find(0)
+        for x in w.ltrs:
+            nxt = self.adj[v].get(x)
+            if nxt is None:
+                return None
+            v = self._find(nxt)
+        return v
+
+    def accepts(self, w: Word) -> bool:
+        return self.trace(w) == self._find(0)
+
+    def rank(self) -> int:
+        verts = set(self._find(v) for v in range(len(self.parent)))
+        edges = 0
+        for v in verts:
+            for x in self.adj[v]:
+                if x > 0:
+                    edges += 1
+        return edges - len(verts) + 1
 
 
 # -- rule application, the generic way --------------------------------------

@@ -362,6 +362,24 @@ def test_json_errors_name_the_field_or_the_letter(disk_i, pres):
             diagram_from_json(al, json.dumps(dict(base, **{field: value})))
 
 
+def test_cell_fields_are_checked(disk_i, pres):
+    """Every cell field is checked on load, and the error names the row,
+    the cell and the field."""
+    for field, value, message in [
+            ("cls", 5, "row 1 cell 2 cls is not a string"),
+            ("index", "x", "row 1 cell 2 index is not an int or null"),
+            ("index", True, "row 1 cell 2 index is not an int or null"),
+            ("rule", 7, "row 1 cell 2 rule is not a string or null"),
+            ("weight_arg", "zz",
+             "row 1 cell 2 weight_arg is not an int or null"),
+            ("coordinate", 1.5,
+             "row 1 cell 2 coordinate is not an int or null")]:
+        obj = json.loads(diagram_to_json(disk_i))
+        obj["rows"][1]["cells"][2][field] = value
+        with pytest.raises(ValueError, match=message):
+            diagram_from_json(pres.alpha, json.dumps(obj))
+
+
 @pytest.mark.parametrize("shape", ["i", "j"])
 def test_labels_are_the_carried_replay(shape, request, main1, pres):
     d = request.getfixturevalue("disk_" + shape)

@@ -492,3 +492,24 @@ def test_compressed_steps_decorate_not_erase(main3):
     gaps, markers = marker_split(fwd, sch)
     assert markers == [sch.mark(ids[n]) for n in ("x", "y", "z")]
     assert gaps[0] == v(ids["z"], ids["x"]) and not len(gaps[3])
+
+
+def test_language_setup_folds_without_merging(monkeypatch):
+    """Each basis word of the language set-up reads through the graph
+    built so far or extends it by a fresh path; none is merged in.  A
+    merge there would mean a long word was laid out only for a shorter
+    one to collapse it."""
+    from smforge import embedding, words
+    calls = []
+    merge = words._Folder._merge
+    monkeypatch.setattr(words._Folder, "_merge",
+                        lambda self, a, b: calls.append(1) or merge(self, a, b))
+    folds = []
+    init = words._Folder.__init__
+    monkeypatch.setattr(words._Folder, "__init__",
+                        lambda self, basis: folds.append(1) or init(self, basis))
+    pipe = embedding.build_pipeline(embedding.builtin_oracle("Z"), 2)
+    letters = tuple(pipe.letters)
+    build_main(letters, DivisibleRecognizer(letters, 1), DESK4)
+    assert len(letters) == 4 and folds
+    assert calls == []

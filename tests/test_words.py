@@ -1,5 +1,7 @@
 """Word arithmetic against naive oracles."""
 
+import itertools
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -7,11 +9,12 @@ import smforge
 from smforge import smachine, words
 from smforge.words import (
     Alphabet, BasisSearchError, MachineError, Word, cyclic_reduce,
-    express_in_basis, expression_word, free_reduce, substitute,
+    express_in_basis, expression_word, free_reduce, is_member, substitute,
     validate_basis,
 )
 
-from oracles import naive_cyclic_reduce, naive_member, naive_reduce, rng
+from oracles import (ReferenceFolder, naive_cyclic_reduce, naive_member,
+                     naive_reduce, random_reduced, rng)
 
 p = pytest.mark.parametrize
 
@@ -172,7 +175,7 @@ def B(al, *texts):
     return [al.parse(t) for t in texts]
 
 
-@p("basis,expected", [
+VALIDATE_CASES = [
     (("g0", "g1"), True),
     (("g0 g0", "g1"), True),
     (("g0", "g0^-1"), False),
@@ -181,7 +184,10 @@ def B(al, *texts):
     (("g0 g1 g0^-1", "g0 g2 g0^-1"), True),
     (("g0", "g0 g1", "g1 g0"), False),
     (("g0", "g1", "g0 g1"), False),
-])
+]
+
+
+@p("basis,expected", VALIDATE_CASES)
 def test_validate_basis_cases(basis, expected):
     al = mk_alpha()
     assert validate_basis(B(al, *basis)) is expected
@@ -277,3 +283,87 @@ def test_marker_style_basis():
     w = al.parse("b1 b1 b2 m1 b2 b1 b2 m2 m1^-1 b2^-1 b1^-1 b1^-1")
     expr = express_in_basis(w, basis)
     assert expr == [(0, 1), (1, 1), (0, -1)]
+
+
+# -- the folder against the per-edge oracle -----------------------------------
+
+@st.composite
+def small_bases(draw):
+    """1-4 letters, 1-5 reduced words of length 1-7; free and non-free
+    bases and words that are not cyclically reduced all come up."""
+    k = draw(st.integers(1, 4))
+    letters = st.sampled_from([s * x for x in range(1, k + 1) for s in (1, -1)])
+    word = st.lists(letters, min_size=1, max_size=7).map(free_reduce)
+    basis = draw(st.lists(word.filter(bool), min_size=1, max_size=5))
+    probes = draw(st.lists(st.lists(letters, max_size=10).map(free_reduce),
+                           max_size=6))
+    terms = draw(st.lists(st.tuples(st.integers(0, len(basis) - 1),
+                                    st.sampled_from((1, -1))), max_size=5))
+    return k, basis, probes, terms
+
+
+@given(small_bases())
+@settings(max_examples=400)
+def test_folder_matches_the_per_edge_oracle(case):
+    k, basis, probes, terms = case
+    al = mk_alpha(k)
+    basis = [al.raw_word(t) for t in basis]
+    new, ref = words._Folder(basis), ReferenceFolder(basis)
+    free = ref.rank() == len(basis)
+    assert new.rank() == ref.rank()
+    assert validate_basis(basis) is free
+    assert (words.free_basis_folder(basis) is None) is not free
+    for t in probes:
+        w = al.raw_word(t)
+        assert new.accepts(w) == ref.accepts(w) == is_member(w, basis)
+    w = expression_word(basis, terms)
+    assert new.accepts(w) and ref.accepts(w) and is_member(w, basis)
+
+
+def _form3_basis():
+    """The shape of a form-3 noise basis: noise * marker words, then the
+    single noise letters last."""
+    al = Alphabet()
+    for n in ["b1", "b2", "c"] + ["m%d" % i for i in range(12)]:
+        al.intern(n)
+    r = rng(7)
+    basis = [al.raw_word(random_reduced(r, [1, 2], r.randrange(5, 10))
+                         + [al.id_of("m%d" % i)]) for i in range(12)]
+    return al, basis + B(al, "b1", "b2")
+
+
+def test_basis_order_changes_neither_rank_nor_membership():
+    al, basis = _form3_basis()
+    r = rng(8)
+    orders = [basis, basis[::-1], basis[-2:] + basis[:-2]]
+    orders += [r.sample(basis, len(basis)) for _ in range(5)]
+    probes = [al.raw_word(random_reduced(r, [1, 2, 3, 4, 5], r.randrange(12)))
+              * al.word([al.id_of("m0")] * r.randrange(2))
+              for _ in range(40)]
+    assert {words._Folder(b).rank() for b in orders} == {len(basis)}
+    for w in probes:
+        assert len({is_member(w, b) for b in orders}) == 1
+        assert is_member(w, basis) is not (al.id_of("c") in map(abs, w.ltrs))
+    al = mk_alpha()
+    probes = [al.raw_word(random_reduced(r, ids3, r.randrange(8)))
+              for _ in range(40)]
+    for texts, expected in VALIDATE_CASES:
+        orders = list(itertools.permutations(B(al, *texts)))
+        assert len({words._Folder(b).rank() for b in orders}) == 1
+        for order in orders:
+            assert validate_basis(order) is expected
+            assert [is_member(w, order) for w in probes] == \
+                [ReferenceFolder(order).accepts(w) for w in probes]
+
+
+def test_reinterning_must_agree():
+    al = Alphabet()
+    a = al.intern("a", subkind="A")
+    assert al.intern("a", subkind="A") == a
+    for kw in ({"subkind": "b", "coord": 3}, {"subkind": "b"},
+               {"subkind": "A", "coord": 3}, {"kind": "q"}):
+        with pytest.raises(ValueError, match="re-interned"):
+            al.intern("a", **kw)
+    assert (al.subkind_of(a), al.coord_of(a), len(al)) == ("A", None, 1)
+    q = al.intern("q0", kind="q", coord=2)
+    assert al.intern("q0", kind="q", coord=2) == q
