@@ -12,14 +12,18 @@ The noise words form a free basis with small overlaps, so histories leave
 a recoverable trace: ``decode_noise`` inverts products of noise words,
 ``shift`` reconstructs the unique computation erasing a sector-1 word, and
 ``strip_history`` decodes the unique history stripping a word down to its
-marker skeleton.  ``lambda1_accept`` decodes once, tests the skeleton, and
-only then replays the history once.  Everything returned is
+marker skeleton: a letter check, a marker scan (the run's ``_scan``) and
+the decode core ``_strip``, which reads the skeleton and the first nonempty
+gap alone and which ``mainmachine.lambda_accept`` calls with its own
+marker positions.  ``lambda1_accept`` decodes once, tests the skeleton,
+and only then replays the history once.  Everything returned is
 replay-verified against the machine itself.
 """
 
 from dataclasses import dataclass, field
-from functools import cached_property
-from itertools import compress, count
+from functools import cached_property, partial
+from itertools import takewhile
+from operator import not_, sub
 from typing import (Callable, Dict, FrozenSet, Iterator, List, Optional,
                     Sequence, Tuple)
 
@@ -35,6 +39,8 @@ from smforge.smachine import (
     Part,
     RulePart,
     SectorRule,
+    _scan,
+    _signed_set,
     reduce_history,
     validate_noisy,
 )
@@ -101,8 +107,8 @@ class NoiseScheme:
     @cached_property
     def signed(self) -> Tuple[FrozenSet[int], FrozenSet[int]]:
         """Signed marker ids, and signed marker and noise ids."""
-        m = frozenset(self.A1) | frozenset(-x for x in self.A1)
-        return m, m | frozenset(self.B) | frozenset(-x for x in self.B)
+        m = _signed_set(self.A1)
+        return m, m | _signed_set(self.B)
 
     @cached_property
     def heads(self) -> Dict[Tuple[int, ...], Tuple[int, int, int]]:
@@ -194,14 +200,8 @@ def _check_sector1(w: Word, scheme: NoiseScheme) -> None:
 def delta_letters(w: Word, scheme: NoiseScheme) -> Tuple[int, ...]:
     """Payload projection of a marker/noise word, without free reduction."""
     _check_sector1(w, scheme)
-    noise = set(scheme.B)
-    out = []
-    for x in w.ltrs:
-        if abs(x) in noise:
-            continue
-        a = scheme.unmark(abs(x))
-        out.append(a if x > 0 else -a)
-    return tuple(out)
+    marks, un = scheme.signed[0], scheme.unmark
+    return tuple(un(x) if x > 0 else -un(-x) for x in w.ltrs if x in marks)
 
 
 def delta(w: Word, scheme: NoiseScheme) -> Word:
@@ -214,9 +214,7 @@ def a_length(w: Word, scheme: NoiseScheme) -> int:
 
 
 def b_length(w: Word, scheme: NoiseScheme) -> int:
-    _check_sector1(w, scheme)
-    noise = set(scheme.B)
-    return sum(1 for x in w.ltrs if abs(x) in noise)
+    return len(w) - a_length(w, scheme)
 
 
 def epsilon(W: AdmissibleWord, scheme: NoiseScheme) -> Word:
@@ -224,17 +222,9 @@ def epsilon(W: AdmissibleWord, scheme: NoiseScheme) -> Word:
     if not W.is_configuration():
         raise ValueError("projection needs a configuration")
     sec = dict(zip(W.sectors, W.tapes))
-    out = list(delta_letters(sec[1], scheme))
-    for x in sec[2].ltrs:
-        a = scheme.uncopy2(abs(x))
-        out.append(a if x > 0 else -a)
-    return scheme.alpha.word(out)
-
-
-def _markers(ltrs: Sequence[int], scheme: NoiseScheme) -> Iterator[int]:
-    """The positions of the signed markers in ``ltrs``, found by one
-    C-level pass."""
-    return compress(count(), map(scheme.signed[0].__contains__, ltrs))
+    un = scheme.uncopy2
+    return scheme.alpha.word(delta_letters(sec[1], scheme) + tuple(
+        un(x) if x > 0 else -un(-x) for x in sec[2].ltrs))
 
 
 def marker_split(w: Word, scheme: NoiseScheme) -> Tuple[List[Word], List[int]]:
@@ -244,7 +234,7 @@ def marker_split(w: Word, scheme: NoiseScheme) -> Tuple[List[Word], List[int]]:
     """
     _check_sector1(w, scheme)
     ltrs = w.ltrs
-    at = list(_markers(ltrs, scheme))
+    at = list(_scan(ltrs, scheme.signed[0]))
     cuts = zip([-1] + at, at + [len(ltrs)])
     return ([Word(scheme.alpha, ltrs[i + 1:j]) for i, j in cuts],
             [ltrs[i] for i in at])
@@ -253,12 +243,8 @@ def marker_split(w: Word, scheme: NoiseScheme) -> Tuple[List[Word], List[int]]:
 # -- noise decoding ------------------------------------------------------------
 
 def _common_prefix(w1: Sequence[int], w2: Sequence[int]) -> int:
-    n = 0
-    for x, y in zip(w1, w2):
-        if x != y:
-            break
-        n += 1
-    return n
+    """How many leading letters w1 and w2 share, by one C-level pass."""
+    return len(list(takewhile(not_, map(sub, w1, w2))))
 
 
 def decode_noise(u: Word, scheme: NoiseScheme
@@ -344,7 +330,7 @@ def shift(w: Word, machine: Machine, scheme: NoiseScheme
     while p >= 0:
         # the rightmost marker, at p, and the gap to its right
         ltrs = W.tapes[0].ltrs
-        p = max(_markers(ltrs, scheme), default=-1)
+        p = max(_scan(ltrs, scheme.signed[0]), default=-1)
         tail = ltrs[p + 1:]
         if p < 0 or ltrs[p] > 0:
             steps = [(scheme.rule_name(abs(l)), 1 if l > 0 else -1)
@@ -376,7 +362,7 @@ def shift_time_bound(w: Word, scheme: NoiseScheme) -> int:
 # -- marker-skeleton acceptance -------------------------------------------------
 
 def _erase_steps(gap_idx: int, seq: List[Tuple[int, int, int]],
-                 markers: List[int], scheme: NoiseScheme
+                 markers: Sequence[int], scheme: NoiseScheme
                  ) -> Optional[List[Tuple[str, int]]]:
     """Noise-erasing history encoded by one nonempty gap.
 
@@ -414,21 +400,28 @@ def strip_history(w: Word, scheme: NoiseScheme
     noise-free exactly when it ends at the skeleton.
     """
     _check_sector1(w, scheme)
-    ltrs = w.ltrs
-    at = list(_markers(ltrs, scheme))
-    markers = [ltrs[i] for i in at]
-    skeleton = Word(scheme.alpha, tuple(markers))
+    return _strip(w.ltrs, _scan(w.ltrs, scheme.signed[0]), scheme,
+                  partial(Word, scheme.alpha))
+
+
+def _strip(ltrs: Tuple[int, ...], at: Tuple[int, ...], scheme: NoiseScheme,
+           carry: Callable[[Tuple[int, ...]], Word]
+           ) -> Optional[Tuple[History, Word]]:
+    """:func:`strip_history`'s decode of the marker and noise letters
+    ``ltrs`` with markers at ``at``; ``carry`` makes a scheme word of the
+    skeleton and of the first nonempty gap, the only letters it reads."""
+    skeleton = carry(tuple(map(ltrs.__getitem__, at)))
     if free_reduce(skeleton.ltrs) != skeleton.ltrs:
         return None
     # gap j runs from cuts[j] + 1 to cuts[j + 1]
-    cuts = [-1] + at + [len(ltrs)]
+    cuts = (-1,) + at + (len(ltrs),)
     j = next((j for j in range(len(at) + 1) if cuts[j + 1] - cuts[j] > 1),
              None)
     if j is None:
         return [], skeleton
-    seq = decode_noise(Word(scheme.alpha, ltrs[cuts[j] + 1:cuts[j + 1]]),
-                       scheme)
-    steps = None if seq is None else _erase_steps(j, seq, markers, scheme)
+    seq = decode_noise(carry(ltrs[cuts[j] + 1:cuts[j + 1]]), scheme)
+    steps = (None if seq is None
+             else _erase_steps(j, seq, skeleton.ltrs, scheme))
     return None if steps is None else (steps, skeleton)
 
 

@@ -15,12 +15,13 @@ and ``input_j`` leaves the special sector empty.  ``accepting_run``
 synthesizes the accepting computation for either shape and replays it,
 the replay being the correctness check.  ``lambda_accept`` recognizes the
 sector language of the special sector by semi-computations: it decodes the
-noise history once, tests the marker skeleton, and only then replays the
-history once on the machine.
+noise history from the skeleton and one gap, tests the skeleton, and only
+then replays the history once on the machine.
 """
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from functools import cached_property
+from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from smforge.words import Alphabet, Word, relabel, relabel_by_name
 from smforge.smachine import (
@@ -34,15 +35,11 @@ from smforge.smachine import (
     RulePart,
     SectorRule,
     StepError,
+    _scan,
+    _signed_set,
     validate_noisy,
 )
-from smforge.machines import (
-    NoiseScheme,
-    build_m1,
-    delta,
-    shift,
-    strip_history,
-)
+from smforge.machines import NoiseScheme, _strip, build_m1, delta, shift
 from smforge.towers import (
     SigmaSpec,
     _Ring,
@@ -291,12 +288,17 @@ class MainMachine:
 
     # -- words in and out ---------------------------------------------------
 
+    @cached_property
+    def _letter_sets(self) -> Tuple[FrozenSet[int], ...]:
+        """The signed plain letters, markers, and markers and noise."""
+        marks = _signed_set(self.A1)
+        return _signed_set(self.A), marks, marks | _signed_set(self.B)
+
     def payload(self, w: Word) -> Word:
         """w as a word of the machine's alphabet, checked to be plain."""
         al = self.machine.hw.alpha
         wm = w if w.alpha is al else relabel_by_name(w, al)
-        Aset = set(self.A)
-        if any(abs(x) not in Aset for x in wm.ltrs):
+        if not self._letter_sets[0].issuperset(wm.ltrs):
             raise ValueError("payload words use the plain input letters")
         return wm
 
@@ -478,8 +480,7 @@ def _classify_start(W: AdmissibleWord, main: MainMachine
     empty = mm.hw.alpha.word()
     content = dict(zip(W.sectors, W.tapes))
     w = content[main.q_inputs[1]]
-    Aset = set(main.A)
-    if any(abs(x) not in Aset for x in w.ltrs):
+    if not main._letter_sets[0].issuperset(w.ltrs):
         return None
     mw = main.mirror(w)
     expect = {g: w for g in main.q_inputs}
@@ -567,23 +568,31 @@ def lambda_accept(w: Word, main: MainMachine,
     are accepted as they stand with the empty history.  Fully marked
     words, decorated or not, are stripped by their decoded noise history
     and unmarked by the inverse start rule, once ``member`` accepts their
-    marker skeleton.  Mixed words are never accepted.  The returned words
-    live over the machine's own alphabet; the history is replayed there
-    once, and the replay must reach the noise-free skeleton.
+    marker skeleton.  Mixed words are never accepted.  One letter set
+    classifies the word and one scan finds its markers; only the skeleton
+    and the first nonempty gap go into the scheme's alphabet, for
+    :func:`strip_history`'s decode core.  The returned words live over the
+    machine's own alphabet; the history is replayed there once, from the
+    letter set and the markers as watch letters at their positions, and
+    the replay must reach the noise-free skeleton.
     """
     al = main.machine.hw.alpha
     wm = w if w.alpha is al else relabel_by_name(w, al)
-    ls = set(map(abs, wm.ltrs))
-    if ls <= set(main.A):
+    plain, marks, marked = main._letter_sets
+    ls = frozenset(wm.ltrs)
+    if plain.issuperset(ls):
         return ([], [wm]) if member(main.to_m1(wm)) else None
-    if not ls <= set(main.A1) | set(main.B):
+    if not marked.issuperset(ls):
         return None
-    stripped = strip_history(main.to_m1(wm), main.scheme)
+    at = _scan(wm.ltrs, marks)
+    stripped = _strip(wm.ltrs, at, main.scheme,
+                      lambda t: main.to_m1(Word(al, t)))
     if stripped is None or not member(delta(stripped[1], main.scheme)):
         return None
     hist = [("1." + nm, s) for nm, s in stripped[0]] + [("s1", -1)]
     try:
-        words = main.machine.semi_run(wm, main.special_sector, hist)
+        words = main.machine._semi_run(wm, main.special_sector, hist,
+                                       (ls, marks, at))
     except StepError:
         return None
     return (hist, words) if words[-2] == main.from_m1(stripped[1]) else None

@@ -86,6 +86,14 @@ class StepError(MachineError):
         super().__init__("step %d inadmissible: %s" % (index, reason))
 
 
+class HistoryEntryError(MachineError):
+    """A history entry that is not a pair of a str rule name and the int
+    sign 1 or -1."""
+
+
+_NOT_A_PAIR = "history entry %r is not a (rule name, sign) pair"
+
+
 class UnknownRuleError(MachineError, KeyError):
     """A rule name the machine does not carry; a KeyError too, like any
     failed lookup by name."""
@@ -108,6 +116,11 @@ class ParseError(ValueError):
 
 
 # -- hardware ----------------------------------------------------------------
+
+def _signed_set(ids: Sequence[int]) -> FrozenSet[int]:
+    """The letters ``ids`` and their inverses."""
+    return frozenset(ids).union([-x for x in ids])
+
 
 @dataclass
 class Part:
@@ -135,6 +148,7 @@ class Hardware:
         self.parts = list(parts)
         self.tapes = [tuple(t) for t in tapes]
         self.cyclic = cyclic
+        self._signed_tapes = [_signed_set(t) for t in self.tapes]
         self._part_of: Dict[int, int] = {}
         for i, p in enumerate(self.parts):
             for q in p.letters:
@@ -161,8 +175,7 @@ class Hardware:
         return list(range(first, self.n_parts))
 
     def sector_word(self, sector: int, w: Word) -> bool:
-        tape = set(self.tapes[sector])
-        return all(abs(x) in tape for x in w.ltrs)
+        return self._signed_tapes[sector].issuperset(w.ltrs)
 
     def next_part(self, i: int) -> int:
         return (i + 1) % self.n_parts if self.cyclic else i + 1
@@ -1150,9 +1163,11 @@ class Machine:
 
     def rule(self, name: str, sign: int = 1) -> GeneralizedRule:
         """The rule ``name`` (a trailing ``^-1`` inverts it) to the power
-        ``sign``, which must be +-1."""
-        if sign not in (1, -1):
-            raise MachineError("history signs must be +-1")
+        ``sign``, which must be the int 1 or -1."""
+        if type(sign) is not int or sign not in (1, -1):
+            raise HistoryEntryError("history signs must be +-1")
+        if not isinstance(name, str):
+            raise HistoryEntryError("rule name %r is not a string" % (name,))
         if name.endswith("^-1"):
             name, sign = name[:-3], -sign
         base = self.rules.get(name)
@@ -1207,8 +1222,12 @@ class Machine:
         """
         run = _Run(W)
         words = [W]
-        for k, (name, s) in enumerate(history):
+        for k, entry in enumerate(history):
             try:
+                try:
+                    name, s = entry
+                except (TypeError, ValueError):
+                    raise HistoryEntryError(_NOT_A_PAIR % (entry,)) from None
                 run.step(self.rule(name, s))
             except MachineError as e:
                 raise StepError(k, e) from e
@@ -1222,11 +1241,19 @@ class Machine:
         """The words of the semi-computation of w along ``history`` in
         ``sector``: each step is :func:`semi_apply`'s, made in place on one
         buffer, and the marks of each word pass on to the next step."""
+        return self._semi_run(w, sector, history, _fresh(w.ltrs))
+
+    def _semi_run(self, w: Word, sector: int, history: History,
+                  marks: _Marks) -> List[Word]:
+        """:meth:`semi_run` from ``marks``, marks of w the caller holds."""
         out = [w]
         buf = list(w.ltrs)
-        marks = _fresh(buf)
-        for k, (name, s) in enumerate(history):
+        for k, entry in enumerate(history):
             try:
+                try:
+                    name, s = entry
+                except (TypeError, ValueError):
+                    raise HistoryEntryError(_NOT_A_PAIR % (entry,)) from None
                 marks = _sector_step(self.rule(name, s)._sector(sector),
                                      sector, out[-1], buf, marks)
             except MachineError as e:
@@ -1264,13 +1291,8 @@ def validate_noisy(machine: Machine) -> Dict[Tuple[str, int], int]:
                         v = z * ~x
                         collected.setdefault(i, []).append(v)
     for i, vs in collected.items():
-        uniq = []
-        seen = set()
-        for v in vs:
-            if v.ltrs not in seen:
-                seen.add(v.ltrs)
-                uniq.append(v)
-        if not validate_basis(uniq):
+        # equal words once each, in the order they first come
+        if not validate_basis(list({v.ltrs: v for v in vs}.values())):
             raise MachineError("sector %d: noise words do not freely generate"
                                % i)
     return report
@@ -1295,19 +1317,15 @@ def _classify_sector(hw: Hardware, noise: NoiseDecl, i: int,
         return 2
     # form 3: M_i u N_i, noise on M, identity on N
     if sorted(xs) == sorted(M + N):
-        Nset, Mset = set(N), set(M)
+        Nset, Mset = _signed_set(N), set(M)
         for x, z in zip(xs, sec.Z):
             if x in Nset:
-                if z.ltrs != (x,):
-                    return None
+                ok = z.ltrs == (x,)
             else:
-                if not z or z.ltrs[-1] != x:
-                    return None
-                v = Word(z.alpha, z.ltrs[:-1])
-                if not all(abs(c) in Nset for c in v.ltrs):
-                    return None
-                if x not in Mset:
-                    return None
+                ok = (x in Mset and z.ltrs[-1:] == (x,)
+                      and Nset.issuperset(z.ltrs[:-1]))
+            if not ok:
+                return None
         return 3
     return None
 

@@ -603,7 +603,7 @@ def reference_lambda1_accept(w, machine, scheme, member):
             return None
         hist = steps
         break
-    words = machine.semi_run(w, 1, hist)
+    words = reference_semi_run(machine, w, 1, hist)
     final = words[-1]
     if b_length(final, scheme) != 0:
         return None
@@ -614,7 +614,9 @@ def reference_lambda1_accept(w, machine, scheme, member):
 
 def reference_lambda_accept(w, main, member):
     """reference_lambda1_accept on the bottom machine, then a second
-    replay of the lifted history on the main machine."""
+    replay of the lifted history on the main machine.  Both replays are
+    reference_semi_run's, so nothing here steps through Machine.semi_run
+    or the marks a decision hands it."""
     from smforge.smachine import StepError
     from smforge.words import relabel_by_name
 
@@ -633,7 +635,8 @@ def reference_lambda_accept(w, main, member):
     hist = [("1." + nm, s) for nm, s in hist1]
     hist.append(("s1", -1))
     try:
-        words = main.machine.semi_run(wm, main.special_sector, hist)
+        words = reference_semi_run(main.machine, wm, main.special_sector,
+                                   hist)
     except StepError:
         return None
     return hist, words

@@ -8,8 +8,11 @@ noise letters between their markers (garbage gaps, unreduced skeletons),
 pushed through random reduced histories of noise and payload rules, then
 left alone or cut by one letter or grown by one noise letter.  Members
 are judged by accept-all, reject-all, is-the-skeleton and even-length
-predicates.  Word-problem inputs are products of conjugated relators,
-trivial or with one letter deleted.
+predicates.  Workload-shaped words are block words of the 4-letter Z
+pipeline, marked and pushed through 4-12 noise steps, then kept, given a
+foreign letter in a gap, robbed of a marker or grown by a noise letter.
+Word-problem inputs are products of conjugated relators, trivial or with
+one letter deleted.
 """
 
 import functools
@@ -19,10 +22,13 @@ from hypothesis import given, settings, strategies as st
 from oracles import (reference_cyclic_d_prefixes, reference_d_word,
                      reference_decode_noise, reference_lambda1_accept,
                      reference_lambda_accept, reference_wp_RC)
-from smforge.embedding import build_pipeline, builtin_oracle, wp_RC
+from smforge.embedding import (build_pipeline, builtin_oracle, lambda_oracle,
+                               wp_RC)
 from smforge.machines import decode_noise, delta, lambda1_accept, marker_split
-from smforge.mainmachine import (DivisibleRecognizer, Params, build_main,
-                                 lambda_accept)
+from smforge.mainmachine import (DivisibleRecognizer, MainMachine, Params,
+                                 build_main, lambda_accept)
+from smforge.smachine import Machine, _fresh, _scan
+from smforge.words import relabel
 
 
 @functools.lru_cache(maxsize=None)
@@ -106,6 +112,130 @@ def test_plain_and_mixed_words_match_the_reference(data):
     member = data.draw(members(main.to_m1(w)))
     assert lambda_accept(w, main, member) == \
         reference_lambda_accept(w, main, member)
+
+
+@functools.lru_cache(maxsize=None)
+def _pipe_main():
+    """The language benchmark's machine: the Z pipeline with C = 2 and the
+    main machine over its 4 tape letters."""
+    pipe = build_pipeline(builtin_oracle("Z"), 2)
+    letters = tuple(pipe.letters)
+    return pipe, build_main(letters, DivisibleRecognizer(letters, 1),
+                            Params(2, 4, 5, 4, 7, 8, 9, check_chain=False))
+
+
+def _pipe_member(u):
+    """lambda_oracle on a word over the bottom scheme's payload letters."""
+    pipe, main = _pipe_main()
+    sch = main.scheme
+    return lambda_oracle(relabel(u, {y: pipe.A.id_of(sch.alpha.name_of(y))
+                                     for y in sch.A}, pipe.A), pipe)
+
+
+def _pushed_block(ys, push):
+    """The block word of the Z-word ys, marked and pushed along ``push``
+    in the special sector."""
+    pipe, main = _pipe_main()
+    mm = main.machine
+    block = main.payload(pipe.zeta_t(pipe.exp.phi(pipe.trick.Y.word(ys))))
+    marked = relabel(block, dict(zip(main.A, main.A1)), mm.hw.alpha)
+    return mm.semi_run(marked, main.special_sector, push)[-1]
+
+
+@st.composite
+def workload_words(draw):
+    """A pushed block word as in the language benchmark, kept or mutated,
+    and whether its Z-word is trivial."""
+    pipe, main = _pipe_main()
+    x, xb = pipe.trick.y_plain[0], pipe.trick.y_bar[0]
+    k = draw(st.integers(1, 3))
+    kb = k + draw(st.sampled_from((0, 0, 1, -1)))
+    ys = draw(st.permutations([x] * k + [xb] * kb))
+    names = ["1." + main.scheme.rule_name(b) for b in main.scheme.B]
+    push = []
+    for _ in range(draw(st.integers(4, 12))):
+        push.append(draw(st.sampled_from(
+            [(n, s) for n in names for s in (1, -1)
+             if not push or push[-1] != (n, -s)])))
+    ltrs = list(_pushed_block(ys, push).ltrs)
+    markers = [i for i, y in enumerate(ltrs) if abs(y) in main.A1]
+    noise = [i for i, y in enumerate(ltrs) if abs(y) in main.B]
+    how = draw(st.sampled_from(("keep", "foreign", "drop marker", "grow")))
+    if how == "foreign":
+        foreign = main.A + tuple(main.bar[a] for a in main.A)
+        ltrs.insert(draw(st.sampled_from(noise)),
+                    draw(st.sampled_from(foreign)) * draw(signs))
+    elif how == "drop marker":
+        del ltrs[draw(st.sampled_from(markers))]
+    elif how == "grow":
+        ltrs.insert(draw(st.integers(0, len(ltrs))),
+                    draw(st.sampled_from(main.B)) * draw(signs))
+    return main.machine.hw.alpha.word(ltrs), how, k == kb, push
+
+
+@given(workload_words())
+@settings(max_examples=30, deadline=None)
+def test_workload_sector_decisions_match_the_reference(case):
+    w, how, trivial, push = case
+    main = _pipe_main()[1]
+    got = lambda_accept(w, main, _pipe_member)
+    assert got == reference_lambda_accept(w, main, _pipe_member)
+    if how == "keep":
+        assert (got is not None) == trivial
+        if trivial:
+            assert got[0] == [(n, -s) for n, s in reversed(push)] + \
+                [("s1", -1)]
+
+
+def _first_workload_word():
+    pipe, main = _pipe_main()
+    x, xb = pipe.trick.y_plain[0], pipe.trick.y_bar[0]
+    b1, b2 = ["1." + main.scheme.rule_name(b) for b in main.scheme.B]
+    return _pushed_block([x, xb, xb, x], [(b1, 1), (b2, 1), (b1, -1),
+                                          (b2, 1), (b1, 1), (b2, -1)])
+
+
+def test_a_marked_request_carries_the_skeleton_and_one_gap(monkeypatch):
+    main = _pipe_main()[1]
+    w = _first_workload_word()
+    gaps, markers = marker_split(main.to_m1(w), main.scheme)
+    carried = []
+    by_name = MainMachine._by_name
+
+    def counting(self, u, target):
+        carried.append(len(u))
+        return by_name(self, u, target)
+
+    monkeypatch.setattr(MainMachine, "_by_name", counting)
+    assert lambda_accept(w, main, _pipe_member) is not None
+    gap = next(g for g in gaps if g)
+    # the skeleton and one gap go in, the skeleton comes back out: a small
+    # share of the word
+    assert sum(carried) <= 2 * len(markers) + len(gap) < len(w) // 4
+
+
+def test_the_replay_starts_from_the_marks_of_its_first_push(monkeypatch):
+    main = _pipe_main()[1]
+    w = _first_workload_word()
+    handed = []
+    semi_run = Machine._semi_run
+
+    def spying(self, u, sector, history, marks):
+        handed.append((u, history, marks))
+        return semi_run(self, u, sector, history, marks)
+
+    monkeypatch.setattr(Machine, "_semi_run", spying)
+    assert lambda_accept(w, main, _pipe_member) is not None
+    (u, history, (letters, watch, pos)), = handed
+    assert u == w
+    # what the first push would work out from fresh marks: the letters,
+    # the watch letters widened by the rule's moving letters, their scan
+    buf = list(u.ltrs)
+    first = main.machine.rule(*history[0])._sector(main.special_sector)
+    fresh = _fresh(buf)
+    assert letters == fresh[0]
+    assert watch == fresh[1] | first._map.widen
+    assert pos == _scan(buf, watch)
 
 
 @given(st.data())

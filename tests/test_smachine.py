@@ -5,8 +5,8 @@ import re
 import pytest
 
 from smforge.smachine import (
-    AdmissibleWord, GeneralizedRule, Hardware, Machine, MachineError,
-    NoiseDecl, Part, RulePart, SectorMismatchError, SectorRule,
+    AdmissibleWord, GeneralizedRule, Hardware, HistoryEntryError, Machine,
+    MachineError, NoiseDecl, Part, RulePart, SectorMismatchError, SectorRule,
     StateMismatchError, StepError, UnknownRuleError, apply_rule, invert_rule,
     machine_from_text, machine_to_text, parse_history, format_history,
     reduce_history, semi_apply, theta_length, validate_noisy,
@@ -192,6 +192,26 @@ def test_history_signs_must_be_unit(sign):
             run([("peel", 1), ("peel", sign)])
         assert ei.value.index == 1
         assert str(ei.value.reason) == "history signs must be +-1"
+
+
+@p("entry, message", [
+    ((5, 1), "rule name 5 is not a string"),
+    (("peel",), "history entry ('peel',) is not a (rule name, sign) pair"),
+    (("peel", 1.0), "history signs must be +-1"),
+    (("peel", True), "history signs must be +-1"),
+    (5, "history entry 5 is not a (rule name, sign) pair"),
+])
+def test_malformed_history_entries_are_typed(entry, message):
+    m = tiny_machine()
+    al = m.hw.alpha
+    W = AdmissibleWord.from_word(m.hw, al.parse("q0 a q1 q2"))
+    for run in (lambda h: m.run(W, h), lambda h: m.semi_run(al.parse("a"),
+                                                              1, h)):
+        with pytest.raises(StepError) as ei:
+            run([("peel", 1), entry])
+        assert ei.value.index == 1
+        assert isinstance(ei.value.reason, HistoryEntryError)
+        assert str(ei.value.reason) == message
 
 
 def test_unknown_rule_is_typed():
