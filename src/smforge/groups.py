@@ -13,13 +13,21 @@ band) of area the rule's ``theta_length``, rows stack bottom to top, and
 the side edges carry the history.  A grid stores its cells and its bottom
 label and reads every other label off the cells.  ``diagram_report``
 re-checks the cells against the presentation and the rows against each
-other; the JSON form keeps every label for its readers, and
+other.  Bands share their cells, so it reads each distinct cell once (its
+alphabet, its contour against the relators' least rotations, which the
+presentation keeps, its letters and its side labels, numbered) and checks
+each place from that: every place of a cell that matches no relator is
+named, adjacent cells are compared by label number, and each row's bottom
+is compared unreduced with the reduced top below it, reduced only when
+the two differ.  The JSON form keeps every label for its readers, and
 ``diagram_from_json`` checks each against the cells it parses.
 """
 
 import json
 from dataclasses import dataclass, field, replace
-from typing import (Callable, Dict, FrozenSet, List, Optional, Sequence,
+from itertools import chain, filterfalse, islice
+from operator import add, attrgetter
+from typing import (Callable, Dict, FrozenSet, List, Optional, Sequence, Set,
                     Tuple)
 
 from smforge.words import Alphabet, Word
@@ -55,7 +63,9 @@ class Presentation:
     as it stands; the rule letters follow, and ``theta`` maps (rule name,
     part) to the letter for that part.  ``level`` is "M" for the plain
     group and "G" when the accept word is added as the closing relator.
-    ``cells`` holds the band cells, made on first use and shared by all.
+    ``cells`` holds the band cells, made on first use and shared by all,
+    and :meth:`rotation_set` the relators' least rotations, made on first
+    use and made again when the relator words change.
     """
 
     machine: Machine
@@ -66,6 +76,8 @@ class Presentation:
     t_parts: FrozenSet[int]
     cells: Dict[tuple, object] = field(default_factory=dict, repr=False,
                                        compare=False)
+    _rotations: Optional[Tuple[tuple, Set[tuple]]] = field(
+        default=None, init=False, repr=False, compare=False)
 
     def carry_word(self, w: Word) -> Word:
         return Word(self.alpha, w.ltrs)
@@ -75,6 +87,15 @@ class Presentation:
 
     def theta_word(self, rule_name: str, index: int, sign: int = 1) -> Word:
         return Word(self.alpha, (sign * self.theta[(rule_name, index)],))
+
+    def rotation_set(self) -> Set[tuple]:
+        """The least rotation of every relator word and of its inverse, as
+        letter tuples: a word is a rotation of one of them exactly when its
+        own least rotation is in the set."""
+        key = tuple(map(attrgetter("word.ltrs"), self.relators))
+        if self._rotations is None or key != self._rotations[0]:
+            self._rotations = (key, _rotation_set(key))
+        return self._rotations[1]
 
     def by_class(self, cls: str) -> List[Relator]:
         return [r for r in self.relators if r.cls == cls]
@@ -251,11 +272,15 @@ class GridDiagram:
         return sum(len(r.cells) for r in self.rows)
 
 
+_ALPHA, _BOTTOM, _TOP, _LTRS = map(attrgetter,
+                                   ("alpha", "bottom", "top", "ltrs"))
+
+
 def _word_product(ws: Sequence[Word], alpha: Alphabet) -> Word:
     """The product of the words, reduced once."""
-    if any(w.alpha is not alpha for w in ws):
+    if not {alpha}.issuperset(map(_ALPHA, ws)):
         raise ValueError("words over different alphabets")
-    return alpha.word(x for w in ws for x in w.ltrs)
+    return alpha.word(chain.from_iterable(map(_LTRS, ws)))
 
 
 def _both(c: Cell) -> Tuple[Cell, Cell]:
@@ -268,7 +293,7 @@ def _state_cell(pres: Presentation, rule: GeneralizedRule, part: int,
                 eps: int) -> Tuple[Cell, Cell]:
     """The shared state cell of the rule's part read with sign eps: theta-t
     on an anchor part, theta-q elsewhere."""
-    key = (rule.name, part, eps)
+    key = ("state", rule.name, part, eps)
     if key in pres.cells:
         return pres.cells[key]
     hw = pres.machine.hw
@@ -288,25 +313,28 @@ def _state_cell(pres: Presentation, rule: GeneralizedRule, part: int,
     return pres.cells[key]
 
 
-def _sector_table(pres: Presentation, rule: GeneralizedRule, sector: int
-                  ) -> Dict[Tuple[int, int], Tuple[Cell, Cell]]:
-    """The shared sector cells of the rule by (basis index, sign)."""
-    key = (rule.name, sector)
-    if key in pres.cells:
-        return pres.cells[key]
-    sec = rule.sectors[sector]
-    t_s = pres.theta_word(rule.name, sector)
-    coord = pres.machine.hw.alpha.coord_of(
-        pres.machine.hw.parts[sector].start)
-    table = pres.cells[key] = {}
-    for k, (x, z) in enumerate(zip(sec.X, sec.Z)):
-        cls = _a_class(pres.machine, sector, x)
-        x, z = pres.carry_word(x), pres.carry_word(z)
-        for sgn in (1, -1):
-            table[(k, sgn)] = _both(Cell(x, z, t_s, t_s, cls, rule=rule.name,
-                                         index=sector, coordinate=coord))
-            x, z = ~x, ~z
-    return table
+def _sector_cells(pres: Presentation, rule: GeneralizedRule, sector: int,
+                  flip: int) -> Dict[Tuple[int, int], Cell]:
+    """The shared sector cells of the rule by (basis index, sign), turned
+    upside down when ``flip`` is 1."""
+    key = ("sector", rule.name, sector)
+    if key not in pres.cells:
+        sec = rule.sectors[sector]
+        t_s = pres.theta_word(rule.name, sector)
+        coord = pres.machine.hw.alpha.coord_of(
+            pres.machine.hw.parts[sector].start)
+        tables: Tuple[dict, dict] = ({}, {})
+        for k, (x, z) in enumerate(zip(sec.X, sec.Z)):
+            cls = _a_class(pres.machine, sector, x)
+            x, z = pres.carry_word(x), pres.carry_word(z)
+            for sgn in (1, -1):
+                cell = Cell(x, z, t_s, t_s, cls, rule=rule.name,
+                            index=sector, coordinate=coord)
+                for table, c in zip(tables, _both(cell)):
+                    table[(k, sgn)] = c
+                x, z = ~x, ~z
+        pres.cells[key] = tables
+    return pres.cells[key][flip]
 
 
 def _band(pres: Presentation, W: AdmissibleWord, V: AdmissibleWord,
@@ -323,9 +351,9 @@ def _band(pres: Presentation, W: AdmissibleWord, V: AdmissibleWord,
     for j, (q, e) in enumerate(lo.states):
         cells.append(_state_cell(pres, rule, machine.hw.part_of(q), e)[flip])
         if j < len(exprs) and exprs[j]:
-            table = _sector_table(pres, rule, lo.sectors[j])
-            cells.extend(table[x][flip] for x in exprs[j])
-    if _word_product([c.bottom if flip else c.top for c in cells],
+            cells.extend(map(_sector_cells(pres, rule, lo.sectors[j],
+                                           flip).__getitem__, exprs[j]))
+    if _word_product(list(map(_BOTTOM if flip else _TOP, cells)),
                      pres.alpha) != pres.carry_admissible(hi):
         raise MachineError("rule %s drops an insert beside the boundary; "
                            "the band would not close" % rule.name)
@@ -533,46 +561,94 @@ def diagram_signature(d: GridDiagram) -> Tuple[int, int, int, int]:
 
 # -- verification ----------------------------------------------------------------
 
-def _rotation_set(relators: Sequence[Relator]) -> set:
-    rots = set()
-    for r in relators:
-        for w in (r.word, ~r.word):
-            t = w.ltrs
-            for k in range(len(t)):
-                rots.add(t[k:] + t[:k])
-    return rots
+def _least_rotation(t: Tuple[int, ...]) -> Tuple[int, ...]:
+    return min((t[k:] + t[:k] for k in range(len(t))), default=t)
+
+
+def _rotation_set(words: Sequence[Tuple[int, ...]]) -> Set[tuple]:
+    """The least rotations of the words and of their inverses."""
+    return {_least_rotation(w) for t in words
+            for w in (t, tuple(-x for x in reversed(t)))}
 
 
 def diagram_report(d: GridDiagram, pres: Presentation) -> List[str]:
-    """Everything wrong with the diagram, as one message per defect."""
-    rots = _rotation_set(pres.relators)
+    """Everything wrong with the diagram, as one message per defect.
+
+    Bands share their cells, so each distinct cell (by identity) is read
+    once, in the row where it first sits: its four words must lie over
+    one alphabet (else ValueError), its contour must be a rotation of a
+    relator or of its inverse (its least rotation is looked up among
+    theirs), and its bottom and top letters and a number for each side
+    label (equal labels, equal numbers) are kept.
+
+    Each place is then checked from what was kept.  A cell whose contour
+    matches no relator is named at every place it sits.  The edge check
+    compares, row by row, the number of each cell's right label with that
+    of its right neighbour's left label.  A row's bottom is its cells'
+    bottom letters joined: they equal the reduced label below only when
+    they are that label, so they are reduced only when they differ.  Each
+    row's top is reduced once, as the label the next row must fit.
+    """
+    rots = pres.rotation_set()
     out: List[str] = []
-    # bands share cells: check each distinct cell once, report every place
-    matched: Dict[int, bool] = {}
+    # what each distinct cell, by id, gives the checks of its places
+    bad: Dict[int, str] = {}  # contours that match no relator, formatted
+    theta: Dict[int, bool] = {}
+    lefts: Dict[int, int] = {}
+    rights: Dict[int, int] = {}
+    bottoms: Dict[int, Tuple[int, ...]] = {}
+    tops: Dict[int, Tuple[int, ...]] = {}
+    alphas: Dict[int, Alphabet] = {}
+    labels: Dict[Word, int] = {}
+    seen: Set[Alphabet] = set()
     below = d.bottom
+    reduced = 0 not in map(add, below.ltrs, islice(below.ltrs, 1, None))
     for i, row in enumerate(d.rows):
-        for j, c in enumerate(row.cells):
-            ok = matched.get(id(c))
-            if ok is None:
-                ok = matched[id(c)] = c.contour.ltrs in rots
-            if not ok:
-                out.append("row %d cell %d: boundary %s matches no relator"
-                           % (i, j, c.contour.format()))
-        if any(c.cls.startswith("theta") for c in row.cells):
-            for j in range(len(row.cells) - 1):
-                if row.cells[j].right != row.cells[j + 1].left:
-                    out.append("row %d: cells %d and %d do not share an edge"
-                               % (i, j, j + 1))
+        ids = list(map(id, row.cells))
+        try:
+            bottom = tuple(chain.from_iterable(map(bottoms.__getitem__, ids)))
+        except KeyError:  # the row holds cells not met before: read them
+            by_id = dict(zip(ids, row.cells))
+            for k in filterfalse(bottoms.__contains__, by_id):
+                c = by_id[k]
+                contour = c.contour
+                if _least_rotation(contour.ltrs) not in rots:
+                    bad[k] = contour.format()
+                theta[k] = c.cls.startswith("theta")
+                lefts[k] = labels.setdefault(c.left, len(labels))
+                rights[k] = labels.setdefault(c.right, len(labels))
+                bottoms[k], tops[k] = c.bottom.ltrs, c.top.ltrs
+                alphas[k] = c.left.alpha
+                seen.add(alphas[k])
+            bottom = tuple(chain.from_iterable(map(bottoms.__getitem__, ids)))
+        if bad and not bad.keys().isdisjoint(ids):
+            out.extend("row %d cell %d: boundary %s matches no relator"
+                       % (i, j, bad[k]) for j, k in enumerate(ids) if k in bad)
+        if any(map(theta.__getitem__, ids)):
+            r = list(map(rights.__getitem__, ids))
+            l = list(map(lefts.__getitem__, islice(ids, 1, None)))
+            del r[-1]
+            if r != l:
+                out.extend("row %d: cells %d and %d do not share an edge"
+                           % (i, j, j + 1)
+                           for j, (a, b) in enumerate(zip(r, l)) if a != b)
             if any(sum(d.alpha.kind_of(x) == "t" for x in w.ltrs) != 1
                    for w in (row.left, row.right)):
                 out.append("row %d: side labels lack the rule letter" % i)
         elif row.left or row.right:
             out.append("row %d: stray side labels" % i)
-        if row.bottom != below:
+        alpha = row.left.alpha
+        if len(seen) > 1 and not {alpha}.issuperset(map(alphas.__getitem__,
+                                                        ids)):
+            raise ValueError("words over different alphabets")
+        if not (below.alpha is alpha
+                and (reduced and bottom == below.ltrs
+                     or alpha.word(bottom).ltrs == below.ltrs)):
             out.append("diagram bottom disagrees with the first row" if i == 0
                        else "rows %d/%d: top and bottom labels differ"
                        % (i - 1, i))
-        below = row.top
+        below = alpha.word(chain.from_iterable(map(tops.__getitem__, ids)))
+        reduced = True
     if d.glue == "sides" and d.left != d.right:
         out.append("glued sides carry different labels")
     return out

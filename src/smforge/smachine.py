@@ -1080,10 +1080,19 @@ History = List[Tuple[str, int]]
 
 
 def reduce_history(history: History) -> History:
+    """The history with adjacent inverse steps cancelled; a malformed
+    entry raises HistoryEntryError."""
     stack: List[Tuple[str, int]] = []
-    for name, s in history:
-        if s not in (1, -1):
-            raise ValueError("history signs must be +-1")
+    for entry in history:
+        try:
+            name, s = entry
+        except (TypeError, ValueError):
+            raise HistoryEntryError(_NOT_A_PAIR % (entry,)) from None
+        # Machine.rule's checks, with a str name read without a call
+        if s.__class__ is not int or s not in (1, -1):
+            raise HistoryEntryError("history signs must be +-1")
+        if name.__class__ is not str and not isinstance(name, str):
+            raise HistoryEntryError("rule name %r is not a string" % (name,))
         if stack and stack[-1] == (name, -s):
             stack.pop()
         else:

@@ -516,6 +516,69 @@ def reference_band_cells(pres, W, name, sign):
             for c in cells]
 
 
+# -- diagram checks, every place read afresh --------------------------------
+#
+# The library reads each distinct cell of a diagram once, keeps the
+# relators' least rotations on the presentation and compares numbered
+# labels.  This is the check as it stood before: every rotation built on
+# every call,
+# each edge compared as Words, and each row's bottom and top reduced from
+# its cells.  Only the contour match is kept per cell, as it was then.
+
+def _reference_product(ws, alpha):
+    if any(w.alpha is not alpha for w in ws):
+        raise ValueError("words over different alphabets")
+    return alpha.word(x for w in ws for x in w.ltrs)
+
+
+def _reference_contour(c):
+    return _reference_product([~c.left, c.bottom, c.right, ~c.top],
+                              c.left.alpha)
+
+
+def reference_diagram_report(d, pres):
+    rots = set()
+    for r in pres.relators:
+        for w in (r.word, ~r.word):
+            t = w.ltrs
+            for k in range(len(t)):
+                rots.add(t[k:] + t[:k])
+    out = []
+    matched = {}
+    below = d.bottom
+    for i, row in enumerate(d.rows):
+        for j, c in enumerate(row.cells):
+            ok = matched.get(id(c))
+            if ok is None:
+                ok = matched[id(c)] = _reference_contour(c).ltrs in rots
+            if not ok:
+                out.append("row %d cell %d: boundary %s matches no relator"
+                           % (i, j, _reference_contour(c).format()))
+        if any(c.cls.startswith("theta") for c in row.cells):
+            for j in range(len(row.cells) - 1):
+                if row.cells[j].right != row.cells[j + 1].left:
+                    out.append("row %d: cells %d and %d do not share an edge"
+                               % (i, j, j + 1))
+            if any(sum(d.alpha.kind_of(x) == "t" for x in w.ltrs) != 1
+                   for w in (row.left, row.right)):
+                out.append("row %d: side labels lack the rule letter" % i)
+        elif row.left or row.right:
+            out.append("row %d: stray side labels" % i)
+        alpha = row.left.alpha
+        if _reference_product([c.bottom for c in row.cells], alpha) != below:
+            out.append("diagram bottom disagrees with the first row" if i == 0
+                       else "rows %d/%d: top and bottom labels differ"
+                       % (i - 1, i))
+        below = _reference_product([c.top for c in row.cells], alpha)
+    if d.glue == "sides":
+        left = _reference_product([r.cells[0].left for r in d.rows], d.alpha)
+        right = _reference_product([r.cells[-1].right for r in d.rows],
+                                   d.alpha)
+        if left != right:
+            out.append("glued sides carry different labels")
+    return out
+
+
 # -- sector-language decisions, decode then replay ---------------------------
 #
 # The library decodes a marked word once, tests its marker skeleton, and

@@ -8,11 +8,11 @@ import re
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import reference_band_cells
+from oracles import reference_band_cells, reference_diagram_report, rng
 from smforge.smachine import (Computation, MachineError, StateMismatchError,
                               StepError, apply_rule, machine_from_text,
                               theta_length)
-from smforge.words import Alphabet
+from smforge.words import Alphabet, Word
 from smforge.mainmachine import (DivisibleRecognizer, Params, accepting_run,
                                  build_main)
 from smforge.groups import (Cell, WeightFunctions, _word_product,
@@ -266,9 +266,15 @@ def _cells_named(report):
     return [(int(m.group(1)), int(m.group(2))) for m in hits if m]
 
 
+def _own_rows(d):
+    """d with rows of its own, so that cells can be moved in place."""
+    rows = [dataclasses.replace(r, cells=list(r.cells)) for r in d.rows]
+    return dataclasses.replace(d, rows=rows)
+
+
 def test_corrupted_shared_cell_is_named_where_it_sits(disk_i, pres):
-    rows = [dataclasses.replace(r, cells=list(r.cells)) for r in disk_i.rows]
-    d = dataclasses.replace(disk_i, rows=rows)
+    d = _own_rows(disk_i)
+    rows = d.rows
     i, j = 5, 3
     c = rows[i].cells[j]
     places = [(k, l) for k, r in enumerate(rows)
@@ -291,8 +297,8 @@ def test_rows_that_do_not_fit_are_named(disk_i, pres):
     d = dataclasses.replace(disk_i, bottom=disk_i.rows[1].bottom)
     assert diagram_report(d, pres) == [
         "diagram bottom disagrees with the first row"]
-    rows = [dataclasses.replace(r, cells=list(r.cells)) for r in disk_i.rows]
-    d = dataclasses.replace(disk_i, rows=rows)
+    d = _own_rows(disk_i)
+    rows = d.rows
     c = rows[5].cells[0]
     rows[5].cells[0] = dataclasses.replace(c, left=c.bottom)
     hub = rows[-1].cells[0]
@@ -300,6 +306,110 @@ def test_rows_that_do_not_fit_are_named(disk_i, pres):
     report = diagram_report(d, pres)
     assert "row 5: side labels lack the rule letter" in report
     assert "row %d: stray side labels" % (len(rows) - 1) in report
+
+
+def _pick(d, r):
+    """A band cell's place, (row, cell)."""
+    i = r.randrange(len(d.rows) - 1)
+    return i, r.randrange(len(d.rows[i].cells))
+
+
+def _top_changed(d, r):
+    i, j = _pick(d, r)
+    c = d.rows[i].cells[j]
+    d.rows[i].cells[j] = dataclasses.replace(c, top=c.top * c.left)
+
+
+def _swapped(d, r):
+    i = r.randrange(len(d.rows) - 1)
+    cells = d.rows[i].cells
+    j = r.choice([j for j in range(len(cells) - 1)
+                  if _fields(cells[j]) != _fields(cells[j + 1])])
+    cells[j], cells[j + 1] = cells[j + 1], cells[j]
+
+
+def _row_dropped(d, r):
+    del d.rows[r.randrange(1, len(d.rows) - 1)]
+
+
+def _wrong_bottom(d, r):
+    d.bottom = d.rows[r.randrange(1, len(d.rows))].bottom
+
+
+def _shared_cell_everywhere(d, r):
+    while True:
+        i, j = _pick(d, r)
+        c = d.rows[i].cells[j]
+        if sum(x is c for row in d.rows for x in row.cells) > 1:
+            break
+    bad = dataclasses.replace(c, top=c.top * c.left)
+    for row in d.rows:
+        row.cells[:] = [bad if x is c else x for x in row.cells]
+
+
+def _left_label_changed(d, r):
+    i = r.randrange(len(d.rows) - 1)
+    j = r.randrange(1, len(d.rows[i].cells))
+    c = d.rows[i].cells[j]
+    d.rows[i].cells[j] = dataclasses.replace(c, left=c.left * c.left)
+
+
+CORRUPTIONS = [_top_changed, _swapped, _row_dropped, _wrong_bottom,
+               _shared_cell_everywhere, _left_label_changed]
+
+
+@pytest.mark.parametrize("which", ["disk_i", "disk_j", "disk_i2"])
+def test_report_matches_the_reference_on_the_disks(request, which, pres):
+    d = request.getfixturevalue(which)
+    assert diagram_report(d, pres) == reference_diagram_report(d, pres) == []
+
+
+@pytest.mark.parametrize("corrupt", CORRUPTIONS, ids=lambda f: f.__name__)
+@pytest.mark.parametrize("which", ["disk_i", "disk_j"])
+@pytest.mark.parametrize("salt", [0, 1])
+def test_report_matches_the_reference_on_corruptions(request, which, corrupt,
+                                                     salt, pres):
+    d = _own_rows(request.getfixturevalue(which))
+    corrupt(d, rng(salt))
+    report = diagram_report(d, pres)
+    assert report and report == reference_diagram_report(d, pres)
+
+
+@pytest.mark.parametrize("whole_cell", [False, True])
+def test_a_foreign_alphabet_cell_raises(disk_i, pres, whole_cell):
+    """A cell with one word over another alphabet, or a cell wholly over
+    another alphabet among cells over the presentation's."""
+    other = Alphabet()
+    d = _own_rows(disk_i)
+    i, j = _pick(d, rng(2))
+    c = d.rows[i].cells[j]
+    names = ("bottom", "top", "left", "right") if whole_cell else ("top",)
+    d.rows[i].cells[j] = dataclasses.replace(
+        c, **{k: Word(other, getattr(c, k).ltrs) for k in names})
+    for report in (diagram_report, reference_diagram_report):
+        with pytest.raises(ValueError, match="different alphabets"):
+            report(d, pres)
+
+
+def _rotations(w):
+    return {t[k:] + t[:k] for t in (w.ltrs, (~w).ltrs) for k in range(len(t))}
+
+
+def test_the_rotation_set_follows_the_relators(disk_i, pres):
+    """The rotations a presentation keeps are made again when its
+    relators change, even in place."""
+    assert diagram_report(disk_i, pres) == []
+    contour = disk_i.rows[5].cells[3].contour.ltrs
+    k = next(k for k, r in enumerate(pres.relators)
+             if contour in _rotations(r.word))
+    dropped = pres.relators.pop(k)
+    try:
+        report = diagram_report(disk_i, pres)
+        assert (5, 3) in _cells_named(report)
+        assert report == reference_diagram_report(disk_i, pres)
+    finally:
+        pres.relators.insert(k, dropped)
+    assert diagram_report(disk_i, pres) == []
 
 
 def test_cells_are_frozen(disk_i):

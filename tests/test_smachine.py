@@ -214,6 +214,18 @@ def test_malformed_history_entries_are_typed(entry, message):
         assert str(ei.value.reason) == message
 
 
+@p("history, message", [
+    ([("peel", True), ("peel", -1)], "history signs must be +-1"),
+    ([("peel", 1.0)], "history signs must be +-1"),
+    ([(5, 1)], "rule name 5 is not a string"),
+    ([("peel",)], "history entry ('peel',) is not a (rule name, sign) pair"),
+])
+def test_reduce_history_reads_entries_as_a_run_does(history, message):
+    with pytest.raises(HistoryEntryError) as ei:
+        reduce_history(history)
+    assert str(ei.value) == message
+
+
 def test_unknown_rule_is_typed():
     import smforge
 
