@@ -20,7 +20,8 @@ procedure is a decision procedure, not a semi-decision.
 
 Blocks are read through two tables compiled once: ``starts`` (the first
 letter of each block A_y^{+-1}) and ``splits`` (each letter inside one),
-comparing whole blocks as tuple slices.
+comparing whole blocks as list slices of the word, itself one list edited
+in place.
 """
 
 from dataclasses import dataclass, field
@@ -105,10 +106,12 @@ class StandardTrick:
     def xi(self, w: Word) -> Word:
         return self.oracle.alpha.word(map(self._x_of.__getitem__, w.ltrs))
 
-    def trivial(self, ys: Sequence[int]) -> bool:
-        """Whether the signed Y letters ys, reduced or not, give 1 in R."""
-        return self.oracle.wp(self.oracle.alpha.word(
-            map(self._x_of.__getitem__, ys)))
+    @cached_property
+    def trivial(self) -> Callable[[Tuple[int, ...]], bool]:
+        """Whether the signed Y letters ys, a tuple reduced or not, give 1
+        in R; each answer is remembered by ys for this trick."""
+        return cache(lambda ys: self.oracle.wp(self.oracle.alpha.word(
+            map(self._x_of.__getitem__, ys))))
 
     def in_S(self, w: Word) -> bool:
         ys = set(self.y_letters)
@@ -134,6 +137,10 @@ def standard_trick(oracle: RelatorOracle) -> StandardTrick:
 
 
 # -- C-expansion --------------------------------------------------------------------
+
+# the splits entry of a letter that starts a block: no seam, tail or head
+_WHOLE: Tuple[Tuple[int, ...], List[int], List[int]] = ((), [], [])
+
 
 @dataclass
 class ExpandedPresentation:
@@ -164,54 +171,61 @@ class ExpandedPresentation:
             yield -y, tuple(-a for a in reversed(blk))
 
     @cached_property
-    def starts(self) -> Dict[int, Tuple[int, Tuple[int, ...]]]:
-        """(signed y, A_y^{+-1}) by the first letter of A_y^{+-1}."""
-        return {b[0]: (s, b) for s, b in self._signed_blocks()}
+    def starts(self) -> Dict[int, Tuple[Tuple[int], List[int]]]:
+        """((signed y,), A_y^{+-1}) by the first letter of A_y^{+-1}."""
+        return {b[0]: ((s,), list(b)) for s, b in self._signed_blocks()}
 
     @cached_property
-    def splits(self) -> Dict[int, Tuple[Tuple[int], Tuple[int, ...],
-                                        Tuple[int, ...]]]:
+    def splits(self) -> Dict[int, Tuple[Tuple[int], List[int], List[int]]]:
         """((signed y,), tail, head) by a letter inside A_y^{+-1}: the
         block cut before that letter is head + tail."""
-        return {b[k]: ((s,), b[k:], b[:k])
+        return {b[k]: ((s,), list(b[k:]), list(b[:k]))
                 for s, b in self._signed_blocks() for k in range(1, self.C)}
 
-    def cyclic_prefixes(self, ring: Tuple[int, ...], n: int
-                        ) -> Iterator[Tuple[int, int, Tuple[int, ...]]]:
-        """Prefixes of the rotations of a cyclic word of n letters that are
-        cyclic permutations of block words, read in place on ring, the word
-        written twice.
+    def find_prefix(self, lst: List[int], r: int,
+                    accept: Callable[[Tuple[int, ...]], bool]
+                    ) -> Optional[Tuple[int, int]]:
+        """The first prefix lst[r:end] of a rotation of the cyclic word lst
+        that is a cyclic permutation of a block word whose signed y letters
+        pass accept, as (r, end), or None after a lap from rotation r.
 
-        Yields (r, end, signed y letters) for ring[r:end], rotation by
-        rotation.  A rotation that starts a block yields its runs of whole
-        blocks; one that starts inside a block yields its tail, whole
-        blocks and its head, with the split block read last.  Every
-        candidate has length a positive multiple of C.
+        Rotation r is read in place at lst[r:]; when a read could pass the
+        end, lst is rotated in place to start there and r becomes 0.  A
+        rotation that starts a block offers its runs of whole blocks, one
+        inside a block its tail, whole blocks and head, the split block
+        read last: C letters per y letter, shortest first.
         """
-        starts, splits, C = self.starts, self.splits, self.C
-        for r in range(n):
-            stop = r + n
-            # a rotation that starts a block has no tail, head or seam
-            seam, tail, head = splits.get(ring[r], ((), (), ()))
-            p, h = r + len(tail), len(head)
-            if p > stop or ring[r:p] != tail:
-                continue
-            ys: List[int] = []
+        starts, splits, C, n = self.starts, self.splits, self.C, len(lst)
+        for _ in range(n):
+            seam, tail, head = splits.get(lst[r], _WHOLE)
+            p, h, ys = r + len(tail), len(head), ()
             while True:
-                if (ys or seam) and p + h <= stop and ring[p:p + h] == head:
-                    yield r, p + h, tuple(ys) + seam
-                got = starts.get(ring[p]) if p + C <= stop else None
-                if got is None or ring[p:p + C] != got[1]:
+                if r and p + C > n:
+                    lst[:] = lst[r:] + lst[:r]
+                    p -= r
+                    r = 0
+                if seam:
+                    # lst[r] is tail[0]: read a longer tail once
+                    if not ys and p > r + 1 and lst[r:p] != tail:
+                        break
+                    if lst[p:p + h] == head and accept(ys + seam):
+                        return r, p + h
+                elif ys and accept(ys):
+                    return r, p
+                got = starts.get(lst[p]) if p + C <= n else None
+                if got is None or lst[p:p + C] != got[1]:
                     break
-                ys.append(got[0])
+                ys += got[0]
                 p += C
+            r = r + 1 if r + 1 < n else 0
+        return None
 
     def d_word(self, w: Word) -> Optional[Word]:
         """The Y word w spells blockwise, or None if not block-aligned."""
         got = [self.starts.get(x) for x in w.ltrs[::self.C]]
         if None in got or tuple(a for _, b in got for a in b) != w.ltrs:
             return None
-        return self.Y.word(s for s, _ in got)
+        return self.Y.word(s for (s,), _ in got)
 
     def in_SC(self, w: Word) -> bool:
         if any(x < 0 for x in w.ltrs):
@@ -242,36 +256,41 @@ def expand_C(Y: Alphabet, y_letters: Sequence[int],
 def wp_RC(w: Word, pipe: "EmbeddingPipeline") -> bool:
     """Whether w is trivial in the expanded group.
 
-    Cyclically reduce; scan all cyclic permutations for a prefix that is
-    a cyclic permutation of a block word trivial in the outer group, and
-    delete the first one found.  Deleted prefixes are trivial, so
-    deletion preserves triviality exactly; a trivial cyclically reduced
-    word always admits such a prefix, so failure to find one is a sound
-    "no".  Each deletion removes at least C letters.
+    Scan the cyclic permutations of the cyclically reduced word for a
+    prefix that is a cyclic permutation of a block word trivial in the
+    outer group, and delete the first one found.  Deleted prefixes are
+    trivial, so deletion preserves triviality exactly; a trivial
+    cyclically reduced word always admits such a prefix, so a lap of
+    rotations with none is a sound "no".  Each deletion removes at least
+    C letters.
 
-    The core is a letter tuple trimmed by index; each rotation is read in
-    place on the core written twice, through the block tables
-    (``ExpandedPresentation.cyclic_prefixes``).  Within one call the
-    oracle is asked once per distinct block word.
+    The word is one list edited in place and the scan pointer r is the
+    rotation, read by ``ExpandedPresentation.find_prefix``.  A deletion
+    is a del; free pairs then cancel across it, and the scan goes on after
+    it.  The oracle is asked once per distinct block word per pipeline.
     """
-    exp = pipe.exp
-    trivial = cache(pipe.trick.trivial)
-    cur = (w if w.alpha is exp.YC else pipe.zeta_inv_t(w)).ltrs
+    exp, trivial = pipe.exp, pipe.trick.trivial
+    lst = list((w if w.alpha is exp.YC else pipe.zeta_inv_t(w)).ltrs)
+    r = 0
     while True:
-        i, j = 0, len(cur)
-        while j - i >= 2 and cur[i] == -cur[j - 1]:
-            i += 1
-            j -= 1
-        n = j - i
-        if not n:
+        while len(lst) > 1 and lst[r] == -lst[r - 1]:
+            if r:
+                r -= 1
+                del lst[r:r + 2]
+            else:
+                del lst[0]
+                lst.pop()
+            if r == len(lst):
+                r = 0
+        if not lst:
             return True
-        ring = cur[i:j] * 2
-        # a suffix of a rotation of a cyclically reduced word is reduced
-        cur = next((ring[end:r + n]
-                    for r, end, ys in exp.cyclic_prefixes(ring, n)
-                    if trivial(ys)), None)
-        if cur is None:
+        got = exp.find_prefix(lst, r, trivial)
+        if got is None:
             return False
+        r, end = got
+        del lst[r:end]
+        if r == len(lst):
+            r = 0
 
 
 # -- the assembled pipeline ----------------------------------------------------------

@@ -809,3 +809,67 @@ def reference_wp_RC(w, pipe):
         if rest is None:
             return False
         cur = exp.YC.word(rest)
+
+
+def _ring_tables(exp):
+    """The block tables on tuples: starts and splits by letter."""
+    starts, splits = {}, {}
+    for y, blk in exp.blocks.items():
+        for s, b in ((y, tuple(blk)), (-y, tuple(-a for a in reversed(blk)))):
+            starts[b[0]] = (s, b)
+            for k in range(1, exp.C):
+                splits[b[k]] = ((s,), b[k:], b[:k])
+    return starts, splits
+
+
+def ring_cyclic_prefixes(ring, n, exp):
+    """Prefixes of the rotations of a cyclic word of n letters that are
+    cyclic permutations of block words, read on ring, the word written
+    twice: (r, end, signed y letters) for ring[r:end], rotation by
+    rotation, shortest first, the split block read last."""
+    starts, splits = _ring_tables(exp)
+    C = exp.C
+    for r in range(n):
+        stop = r + n
+        seam, tail, head = splits.get(ring[r], ((), (), ()))
+        p, h = r + len(tail), len(head)
+        if p > stop or ring[r:p] != tail:
+            continue
+        ys = []
+        while True:
+            if (ys or seam) and p + h <= stop and ring[p:p + h] == head:
+                yield r, p + h, tuple(ys) + seam
+            got = starts.get(ring[p]) if p + C <= stop else None
+            if got is None or ring[p:p + C] != got[1]:
+                break
+            ys.append(got[0])
+            p += C
+
+
+def ring_wp_RC(w, pipe):
+    """wp_RC as a scan of tuple rings: after each deletion the rest is
+    rotated to start after the cut, cyclically reduced, written twice and
+    scanned again from its first rotation.
+
+    Returns the decision and the deletions in order, each as the rotation
+    it was cut from and the length cut.
+    """
+    exp = pipe.exp
+    cur = (w if w.alpha is exp.YC else pipe.zeta_inv_t(w)).ltrs
+    cuts = []
+    while True:
+        i, j = 0, len(cur)
+        while j - i >= 2 and cur[i] == -cur[j - 1]:
+            i += 1
+            j -= 1
+        n = j - i
+        if not n:
+            return True, cuts
+        ring = cur[i:j] * 2
+        for r, end, ys in ring_cyclic_prefixes(ring, n, exp):
+            if pipe.oracle.wp(pipe.trick.xi(exp.Y.word(ys))):
+                cuts.append((ring[r:r + n], end - r))
+                cur = ring[end:r + n]
+                break
+        else:
+            return False, cuts

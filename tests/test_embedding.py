@@ -293,6 +293,21 @@ def test_wp_conjugates_and_rotations(zpipe):
         assert wp_RC(u * r * ~u, zpipe)
 
 
+@p("first", ["Z", "Z2"])
+def test_the_memo_belongs_to_one_group(first):
+    """The same y tuple (x, x) asked of a Z and a Z2 pipeline, in both
+    orders: each pipeline remembers its own answers."""
+    pipes = {kind: build_pipeline(builtin_oracle(kind), C)
+             for kind in ("Z", "Z2")}
+    assert pipes["Z"].trick.y_plain == pipes["Z2"].trick.y_plain
+    for kind in sorted(pipes, key=lambda k: k != first):
+        pipe = pipes[kind]
+        x = pipe.trick.y_plain[0]
+        xx = pipe.exp.phi(pipe.trick.Y.word([x, x]))
+        assert wp_RC(xx, pipe) is (kind == "Z2")
+        assert pipe.trick.trivial((x, x)) is (kind == "Z2")
+
+
 def test_wp_short_words_never_trivial(zpipe):
     rng = random.Random(5)
     exp = zpipe.exp

@@ -12,16 +12,19 @@ predicates.  Workload-shaped words are block words of the 4-letter Z
 pipeline, marked and pushed through 4-12 noise steps, then kept, given a
 foreign letter in a gap, robbed of a marker or grown by a noise letter.
 Word-problem inputs are products of conjugated relators, trivial or with
-one letter deleted.
+one letter deleted, and words of blocks, block fragments and stray
+letters; wp_RC's deletions are compared, in order, with the tuple-ring
+scan it replaced.
 """
 
+import dataclasses
 import functools
 
 from hypothesis import given, settings, strategies as st
 
 from oracles import (reference_cyclic_d_prefixes, reference_d_word,
                      reference_decode_noise, reference_lambda1_accept,
-                     reference_lambda_accept, reference_wp_RC)
+                     reference_lambda_accept, reference_wp_RC, ring_wp_RC)
 from smforge.embedding import (build_pipeline, builtin_oracle, lambda_oracle,
                                wp_RC)
 from smforge.machines import decode_noise, delta, lambda1_accept, marker_split
@@ -280,21 +283,47 @@ def test_wp_matches_the_reference(rng, trivial, factors):
     if not trivial and w:
         j = rng.randrange(len(w))
         w = al.word(w.ltrs[:j] + w.ltrs[j + 1:])
+    assert _wp_cuts(w, pipe) == ring_wp_RC(w, pipe)
     assert wp_RC(w, pipe) == reference_wp_RC(w, pipe)
     assert wp_RC(w, pipe) is (trivial or not w)
 
 
+class _Cuts:
+    """The pipeline's block tables, recording each deletion wp_RC makes as
+    the rotation it is cut from and the length cut."""
+
+    def __init__(self, exp):
+        self.exp, self.cuts = exp, []
+
+    def __getattr__(self, name):
+        return getattr(self.exp, name)
+
+    def find_prefix(self, lst, r, accept):
+        got = self.exp.find_prefix(lst, r, accept)
+        if got is not None:
+            r, end = got
+            self.cuts.append((tuple(lst[r:] + lst[:r]), end - r))
+        return got
+
+
+def _wp_cuts(w, pipe):
+    """wp_RC's decision and its deletions, in order."""
+    rec = _Cuts(pipe.exp)
+    return wp_RC(w, dataclasses.replace(pipe, exp=rec)), rec.cuts
+
+
 @functools.lru_cache(maxsize=None)
-def _two_letter_pipe(kind, C):
-    return build_pipeline(builtin_oracle(kind, ("x", "y")), C)
+def _block_pipe(kind, gens, C):
+    return build_pipeline(builtin_oracle(kind, ("x", "y")[:gens]), C)
 
 
 @st.composite
 def block_letters(draw):
-    """A Z or Z2 pipeline on two generators with C = 1..4, and a letter
-    tuple of blocks, inverted blocks, block fragments and stray letters."""
-    pipe = _two_letter_pipe(draw(st.sampled_from(("Z", "Z2"))),
-                            draw(st.integers(1, 4)))
+    """A Z or Z2 pipeline on one or two generators with C = 1..4, and a
+    letter tuple of blocks, inverted blocks, block fragments and stray
+    letters."""
+    pipe = _block_pipe(draw(st.sampled_from(("Z", "Z2"))),
+                       draw(st.integers(1, 2)), draw(st.integers(1, 4)))
     exp = pipe.exp
     blocks = [b for blk in exp.blocks.values()
               for b in (blk, tuple(-a for a in reversed(blk)))]
@@ -315,13 +344,77 @@ def block_letters(draw):
 @given(block_letters())
 @settings(max_examples=120, deadline=None)
 def test_block_tables_match_the_reference(case):
+    """From each start, find_prefix offers the reference's candidates
+    rotation by rotation for one lap: an accept that passes only the k-th
+    candidate gets the rotation it is read on and its end, and lst stays
+    a rotation of the word."""
     pipe, seq = case
     exp = pipe.exp
     n = len(seq)
-    assert list(exp.cyclic_prefixes(seq * 2, n)) == [
-        (r, r + end, tuple(ys)) for r in range(n)
-        for end, ys in reference_cyclic_d_prefixes(list(seq[r:] + seq[:r]),
-                                                   exp)]
-    for r in range(n):
-        w = exp.YC.word(seq[r:] + seq[:r])
+    rots = [seq[r:] + seq[:r] for r in range(n)]
+    for start in range(n):
+        want = [(rot, end, tuple(ys)) for rot in rots[start:] + rots[:start]
+                for end, ys in reference_cyclic_d_prefixes(list(rot), exp)]
+        got = []
+        for k in range(len(want) + 1):
+            lst, asked = list(seq), []
+
+            def accept(ys):
+                asked.append(ys)
+                return len(asked) == k + 1
+
+            found = exp.find_prefix(lst, start, accept)
+            assert tuple(lst) in rots
+            if found is None:
+                assert k == len(want) == len(asked)
+            else:
+                r, end = found
+                got.append((tuple(lst[r:] + lst[:r]), end - r, asked[-1]))
+        assert got == want
+    for rot in rots:
+        w = exp.YC.word(rot)
         assert exp.d_word(w) == reference_d_word(w, exp)
+
+
+@given(block_letters())
+@settings(max_examples=200, deadline=None)
+def test_wp_deletes_as_the_ring_scan(case):
+    """wp_RC on one list edited in place makes the ring scan's deletions,
+    in its order, and decides as the free-reducing reference."""
+    pipe, seq = case
+    w = pipe.exp.YC.word(seq)
+    assert _wp_cuts(w, pipe) == ring_wp_RC(w, pipe)
+    assert wp_RC(w, pipe) == reference_wp_RC(w, pipe)
+
+
+def _z_blocks_c2():
+    """The Z pipeline with C = 2, and the letters of its blocks A_x and
+    A_x-bar."""
+    pipe = _block_pipe("Z", 1, 2)
+    x, xb = pipe.trick.y_letters
+    return pipe, pipe.exp.blocks[x], pipe.exp.blocks[xb]
+
+
+def test_wp_cuts_a_relator_read_past_the_list_end():
+    """Rotations 0 and 1 offer no trivial candidate; rotation 2 reads
+    x1 x2 b1 past the end, so the list is rotated and the relator
+    x1 x2 b1 b2 cut from the front, leaving one letter."""
+    pipe, (x1, x2), (b1, b2) = _z_blocks_c2()
+    ltrs = [b2, -x2, x1, x2, b1]
+    lst = list(ltrs)
+    assert pipe.exp.find_prefix(lst, 2, pipe.trick.trivial) == (0, 4)
+    assert lst == [x1, x2, b1, b2, -x2]
+    w = pipe.exp.YC.word(ltrs)
+    assert _wp_cuts(w, pipe) == ring_wp_RC(w, pipe) == (
+        False, [((x1, x2, b1, b2, -x2), 4)])
+
+
+def test_wp_cancels_across_a_cut_and_the_cyclic_seam():
+    """x2 R x2^-1 b2 R' b2^-1 with R = x1 x2 b1 b2 and R' = b1 b2 x1 x2:
+    cutting R leaves x2 x2^-1 across the cut and then b2^-1 b2 across
+    the list's ends, and R' is cut last."""
+    pipe, (x1, x2), (b1, b2) = _z_blocks_c2()
+    ltrs = [x2, x1, x2, b1, b2, -x2, b2, b1, b2, x1, x2, -b2]
+    w = pipe.exp.YC.word(ltrs)
+    assert _wp_cuts(w, pipe) == ring_wp_RC(w, pipe) == (
+        True, [(tuple(ltrs[1:] + ltrs[:1]), 4), ((b1, b2, x1, x2), 4)])
