@@ -10,30 +10,32 @@ extend it further.
 
 Computations then fold into grids of cells: every step becomes a row (a
 band) of area the rule's ``theta_length``, rows stack bottom to top, and
-the side edges carry the history.  A grid stores its cells and its bottom
-label and reads every other label off the cells.  ``diagram_report``
-re-checks the cells against the presentation and the rows against each
-other.  Bands share their cells, so it reads each distinct cell once (its
-alphabet, its contour against the relators' least rotations, which the
-presentation keeps, its letters and its side labels, numbered) and checks
-each place from that: every place of a cell that matches no relator is
-named, adjacent cells are compared by label number, and each row's bottom
-is compared unreduced with the reduced top below it, reduced only when
-the two differ.  The JSON form keeps every label for its readers, and
-``diagram_from_json`` checks each against the cells it parses.
+the side edges carry the history.  A band maps each tape letter to its
+cell through a plan shared by all bands of a rule, state letters and
+sign.  A grid stores its cells and its bottom label and reads every other
+label off the cells.  ``diagram_report`` re-checks the cells against the
+presentation and the rows against each other, reading each distinct cell
+once (its alphabet, its contour's rotations against the relator words,
+its letters and its side labels, numbered).  Labels that must agree are
+matched letter by letter, and reduced only where they do not match, so a
+sound diagram has no band top reduced.  The JSON form keeps every label
+for its readers, and ``diagram_from_json`` checks each against the cells
+it parses.
 """
 
 import json
-from dataclasses import dataclass, field, replace
+from collections import Counter
+from dataclasses import dataclass, field
 from itertools import chain, filterfalse, islice
 from operator import add, attrgetter
 from typing import (Callable, Dict, FrozenSet, List, Optional, Sequence, Set,
                     Tuple)
 
-from smforge.words import Alphabet, Word
+from smforge.words import Alphabet, Word, free_reduce, reduces_to
 from smforge.smachine import (AdmissibleWord, Computation, GeneralizedRule,
                               History, Machine, MachineError, StepError,
-                              _domain_exprs, apply_rule, reduce_history)
+                              _LOCKED, _domain_exprs, apply_rule,
+                              reduce_history)
 from smforge.towers import _copy_letter
 from smforge.mainmachine import MainMachine, accepting_run
 
@@ -63,9 +65,9 @@ class Presentation:
     as it stands; the rule letters follow, and ``theta`` maps (rule name,
     part) to the letter for that part.  ``level`` is "M" for the plain
     group and "G" when the accept word is added as the closing relator.
-    ``cells`` holds the band cells, made on first use and shared by all,
-    and :meth:`rotation_set` the relators' least rotations, made on first
-    use and made again when the relator words change.
+    ``cells`` holds what bands share, made on first use: the cells, and a
+    plan per (rule, state letters, sign).  :meth:`rotation_set` holds the
+    relator words and their inverses, made again when the words change.
     """
 
     machine: Machine
@@ -79,22 +81,20 @@ class Presentation:
     _rotations: Optional[Tuple[tuple, Set[tuple]]] = field(
         default=None, init=False, repr=False, compare=False)
 
-    def carry_word(self, w: Word) -> Word:
-        return Word(self.alpha, w.ltrs)
-
     def carry_admissible(self, W: AdmissibleWord) -> Word:
-        return self.carry_word(W.to_word())
+        return Word(self.alpha, W.to_word().ltrs)
 
     def theta_word(self, rule_name: str, index: int, sign: int = 1) -> Word:
         return Word(self.alpha, (sign * self.theta[(rule_name, index)],))
 
     def rotation_set(self) -> Set[tuple]:
-        """The least rotation of every relator word and of its inverse, as
-        letter tuples: a word is a rotation of one of them exactly when its
-        own least rotation is in the set."""
+        """Every relator word and its inverse, as letter tuples: a word is
+        a rotation of one of them exactly when one of its own rotations is
+        in the set."""
         key = tuple(map(attrgetter("word.ltrs"), self.relators))
         if self._rotations is None or key != self._rotations[0]:
-            self._rotations = (key, _rotation_set(key))
+            self._rotations = (key, set(key).union(
+                tuple(-x for x in reversed(t)) for t in key))
         return self._rotations[1]
 
     def by_class(self, cls: str) -> List[Relator]:
@@ -121,12 +121,9 @@ def t_parts(machine: Machine) -> FrozenSet[int]:
 def _a_class(machine: Machine, sector: int, x: Word) -> str:
     """Class tag of the sector relator whose domain element is x."""
     if sector in machine.input_sectors and x:
-        src = machine.hw.alpha
-        subs = {src.subkind_of(l) for l in x.ltrs}
-        if subs == {"A"}:
-            return "theta-A"
-        if subs == {"b"}:
-            return "theta-b"
+        subs = {machine.hw.alpha.subkind_of(l) for l in x.ltrs}
+        if subs in ({"A"}, {"b"}):
+            return "theta-" + subs.pop()
     return "theta-a"
 
 
@@ -261,19 +258,21 @@ class GridDiagram:
 
     @property
     def left(self) -> Word:
-        return _word_product([r.left for r in self.rows], self.alpha)
+        return _word_product([r.left for r in self.rows if r.cells],
+                             self.alpha)
 
     @property
     def right(self) -> Word:
-        return _word_product([r.right for r in self.rows], self.alpha)
+        return _word_product([r.right for r in self.rows if r.cells],
+                             self.alpha)
 
     @property
     def area(self) -> int:
         return sum(len(r.cells) for r in self.rows)
 
 
-_ALPHA, _BOTTOM, _TOP, _LTRS = map(attrgetter,
-                                   ("alpha", "bottom", "top", "ltrs"))
+_ALPHA, _LTRS, _BOTTOM_LTRS, _TOP_LTRS = map(
+    attrgetter, ("alpha", "ltrs", "bottom.ltrs", "top.ltrs"))
 
 
 def _word_product(ws: Sequence[Word], alpha: Alphabet) -> Word:
@@ -285,8 +284,8 @@ def _word_product(ws: Sequence[Word], alpha: Alphabet) -> Word:
 
 def _both(c: Cell) -> Tuple[Cell, Cell]:
     """c, and c turned upside down for the bands of the inverse rule."""
-    return c, replace(c, bottom=c.top, top=c.bottom, left=~c.left,
-                      right=~c.right)
+    return c, Cell(c.top, c.bottom, ~c.left, ~c.right, c.cls, c.rule,
+                   c.index, c.coordinate, c.weight_arg)
 
 
 def _state_cell(pres: Presentation, rule: GeneralizedRule, part: int,
@@ -314,27 +313,41 @@ def _state_cell(pres: Presentation, rule: GeneralizedRule, part: int,
 
 
 def _sector_cells(pres: Presentation, rule: GeneralizedRule, sector: int,
-                  flip: int) -> Dict[Tuple[int, int], Cell]:
-    """The shared sector cells of the rule by (basis index, sign), turned
-    upside down when ``flip`` is 1."""
+                  flip: int) -> Dict[object, Cell]:
+    """The shared sector cells of the rule by (basis index, sign) and, when
+    every basis entry is one letter, by signed letter too; turned upside
+    down when ``flip`` is 1.  A locked sector has none."""
     key = ("sector", rule.name, sector)
     if key not in pres.cells:
-        sec = rule.sectors[sector]
+        sec = rule.sectors[sector] or _LOCKED
         t_s = pres.theta_word(rule.name, sector)
         coord = pres.machine.hw.alpha.coord_of(
             pres.machine.hw.parts[sector].start)
         tables: Tuple[dict, dict] = ({}, {})
         for k, (x, z) in enumerate(zip(sec.X, sec.Z)):
             cls = _a_class(pres.machine, sector, x)
-            x, z = pres.carry_word(x), pres.carry_word(z)
+            x, z = Word(pres.alpha, x.ltrs), Word(pres.alpha, z.ltrs)
             for sgn in (1, -1):
                 cell = Cell(x, z, t_s, t_s, cls, rule=rule.name,
                             index=sector, coordinate=coord)
                 for table, c in zip(tables, _both(cell)):
                     table[(k, sgn)] = c
                 x, z = ~x, ~z
+        for table in tables:
+            table.update((y, table[t])
+                         for y, t in (sec.letter_terms() or {}).items())
         pres.cells[key] = tables
     return pres.cells[key][flip]
+
+
+def _row_cells(states: List[Cell], tables: List[dict], keys) -> List[Cell]:
+    """The state cells with, between each two, a window's cells by key."""
+    cells: List[Cell] = []
+    for cell, table, ks in zip(states, tables, keys):
+        cells.append(cell)
+        cells.extend(map(table.__getitem__, ks))
+    cells.append(states[-1])
+    return cells
 
 
 def _band(pres: Presentation, W: AdmissibleWord, V: AdmissibleWord,
@@ -342,27 +355,29 @@ def _band(pres: Presentation, W: AdmissibleWord, V: AdmissibleWord,
     """The band of (name, sign) from W to V = W . rule^sign.  A negative
     band is the positive band over V turned upside down, so its flipped
     cells must multiply out to W: their product keeps the inserts beside
-    the boundary, and equals W only when V . rule = W."""
-    machine, rule = pres.machine, pres.machine.rule(name)
+    the boundary, and matches W only when V . rule = W.  A plan per (rule,
+    state letters, sign) holds the state cells and each window's cells by
+    letter; a tape it cannot read letter by letter is read by its basis
+    expression, which raises the typed error for one outside the domain."""
+    rule = pres.machine.rule(name)
     flip = 1 if sign < 0 else 0
     lo, hi = (V, W) if flip else (W, V)
-    cells: List[Cell] = []
-    exprs = _domain_exprs(lo, rule)
-    for j, (q, e) in enumerate(lo.states):
-        cells.append(_state_cell(pres, rule, machine.hw.part_of(q), e)[flip])
-        if j < len(exprs) and exprs[j]:
-            cells.extend(map(_sector_cells(pres, rule, lo.sectors[j],
-                                           flip).__getitem__, exprs[j]))
-    if _word_product(list(map(_BOTTOM if flip else _TOP, cells)),
-                     pres.alpha) != pres.carry_admissible(hi):
+    key = ("plan", name, lo.states, flip)
+    if key not in pres.cells:
+        pres.cells[key] = (
+            [_state_cell(pres, rule, pres.machine.hw.part_of(q), e)[flip]
+             for q, e in lo.states],
+            [_sector_cells(pres, rule, s, flip) for s in lo.sectors])
+    states, tables = pres.cells[key]
+    try:
+        cells = _row_cells(states, tables, map(_LTRS, lo.tapes))
+    except KeyError:
+        cells = _row_cells(states, tables, _domain_exprs(lo, rule))
+    if not reduces_to(tuple(chain.from_iterable(map(
+            _BOTTOM_LTRS if flip else _TOP_LTRS, cells))), hi.to_word().ltrs):
         raise MachineError("rule %s drops an insert beside the boundary; "
                            "the band would not close" % rule.name)
     return Row(cells)
-
-
-def _check_reduced(history: History) -> None:
-    if reduce_history(history) != list(history):
-        raise ValueError("history is not reduced")
 
 
 def _config_length(W: AdmissibleWord) -> int:
@@ -378,7 +393,8 @@ def build_trapezium(pres: Presentation, comp: Computation) -> GridDiagram:
     not apply raises StepError with its index.  The area never exceeds the
     step count times the longest configuration.
     """
-    _check_reduced(comp.history)
+    if reduce_history(comp.history) != list(comp.history):
+        raise ValueError("history is not reduced")
     rows: List[Row] = []
     cur = comp.words[0]
     longest = _config_length(cur)
@@ -545,49 +561,30 @@ class WeightFunctions:
 def diagram_signature(d: GridDiagram) -> Tuple[int, int, int, int]:
     """Cell class counts: disks, anchor-part cells, tape-word cells,
     marked-letter cells."""
-    sig = [0, 0, 0, 0]
-    for row in d.rows:
-        for c in row.cells:
-            if c.cls in ("hub", "disk"):
-                sig[0] += 1
-            elif c.cls == "theta-t":
-                sig[1] += 1
-            elif c.cls == "a":
-                sig[2] += 1
-            elif c.cls == "theta-A":
-                sig[3] += 1
-    return tuple(sig)
+    n = Counter(c.cls for row in d.rows for c in row.cells)
+    return n["hub"] + n["disk"], n["theta-t"], n["a"], n["theta-A"]
 
 
 # -- verification ----------------------------------------------------------------
-
-def _least_rotation(t: Tuple[int, ...]) -> Tuple[int, ...]:
-    return min((t[k:] + t[:k] for k in range(len(t))), default=t)
-
-
-def _rotation_set(words: Sequence[Tuple[int, ...]]) -> Set[tuple]:
-    """The least rotations of the words and of their inverses."""
-    return {_least_rotation(w) for t in words
-            for w in (t, tuple(-x for x in reversed(t)))}
-
 
 def diagram_report(d: GridDiagram, pres: Presentation) -> List[str]:
     """Everything wrong with the diagram, as one message per defect.
 
     Bands share their cells, so each distinct cell (by identity) is read
     once, in the row where it first sits: its four words must lie over
-    one alphabet (else ValueError), its contour must be a rotation of a
-    relator or of its inverse (its least rotation is looked up among
-    theirs), and its bottom and top letters and a number for each side
-    label (equal labels, equal numbers) are kept.
+    one alphabet (else ValueError), one of its contour's rotations must be
+    a relator or a relator's inverse, and its bottom and top letters and a
+    number for each side label (equal labels, equal numbers) are kept.
 
-    Each place is then checked from what was kept.  A cell whose contour
-    matches no relator is named at every place it sits.  The edge check
-    compares, row by row, the number of each cell's right label with that
-    of its right neighbour's left label.  A row's bottom is its cells'
-    bottom letters joined: they equal the reduced label below only when
-    they are that label, so they are reduced only when they differ.  Each
-    row's top is reduced once, as the label the next row must fit.
+    Each place is then checked from what was kept.  A row with no cells
+    is named, and the rows on either side are compared with each other.
+    A cell whose contour matches no relator is named at every place it
+    sits.  The edge check compares, row by row, the number of each cell's
+    right label with that of its right neighbour's left label.  A row's
+    bottom, its cells' bottom letters joined, is matched against the
+    letters of the top below (see ``reduces_to``); the two are reduced
+    only when they do not match, so each row's top is reduced at most
+    once.
     """
     rots = pres.rotation_set()
     out: List[str] = []
@@ -601,9 +598,12 @@ def diagram_report(d: GridDiagram, pres: Presentation) -> List[str]:
     alphas: Dict[int, Alphabet] = {}
     labels: Dict[Word, int] = {}
     seen: Set[Alphabet] = set()
-    below = d.bottom
-    reduced = 0 not in map(add, below.ltrs, islice(below.ltrs, 1, None))
+    below, below_alpha, last = d.bottom.ltrs, d.bottom.alpha, None
+    reduced = 0 not in map(add, below, islice(below, 1, None))
     for i, row in enumerate(d.rows):
+        if not row.cells:
+            out.append("row %d holds no cells" % i)
+            continue
         ids = list(map(id, row.cells))
         try:
             bottom = tuple(chain.from_iterable(map(bottoms.__getitem__, ids)))
@@ -612,7 +612,8 @@ def diagram_report(d: GridDiagram, pres: Presentation) -> List[str]:
             for k in filterfalse(bottoms.__contains__, by_id):
                 c = by_id[k]
                 contour = c.contour
-                if _least_rotation(contour.ltrs) not in rots:
+                t = contour.ltrs
+                if rots.isdisjoint(t[j:] + t[:j] for j in range(len(t))):
                     bad[k] = contour.format()
                 theta[k] = c.cls.startswith("theta")
                 lefts[k] = labels.setdefault(c.left, len(labels))
@@ -641,14 +642,14 @@ def diagram_report(d: GridDiagram, pres: Presentation) -> List[str]:
         if len(seen) > 1 and not {alpha}.issuperset(map(alphas.__getitem__,
                                                         ids)):
             raise ValueError("words over different alphabets")
-        if not (below.alpha is alpha
-                and (reduced and bottom == below.ltrs
-                     or alpha.word(bottom).ltrs == below.ltrs)):
-            out.append("diagram bottom disagrees with the first row" if i == 0
-                       else "rows %d/%d: top and bottom labels differ"
-                       % (i - 1, i))
-        below = alpha.word(chain.from_iterable(map(tops.__getitem__, ids)))
-        reduced = True
+        if not (below_alpha is alpha and reduced
+                and (reduces_to(below, bottom)
+                     or free_reduce(bottom) == free_reduce(below))):
+            out.append("diagram bottom disagrees with the first row"
+                       if last is None else
+                       "rows %d/%d: top and bottom labels differ" % (last, i))
+        below = tuple(chain.from_iterable(map(tops.__getitem__, ids)))
+        below_alpha, last, reduced = alpha, i, True
     if d.glue == "sides" and d.left != d.right:
         out.append("glued sides carry different labels")
     return out

@@ -626,6 +626,12 @@ class SectorRule:
         except KeyError:
             return None
 
+    def letter_terms(self) -> Optional[Dict[int, Tuple[int, int]]]:
+        """Each signed X letter's basis term when every X entry is one
+        letter (an expression is then its letters' terms), else None."""
+        single = self._map is not None and self._back is None
+        return dict(self._terms) if single else None
+
     def push(self, buf: List[int], marks: _Marks,
              ends: _Ends = None) -> Optional[_Marks]:
         """Rewrite the tape ``buf``, a w with marks ``marks``, in place to

@@ -204,6 +204,35 @@ def junction(left: Sequence[int], right: Sequence[int]) -> int:
     return len(list(takewhile(not_, map(add, reversed(left), right))))
 
 
+def reduces_to(x: Tuple[int, ...], y: Tuple[int, ...]) -> bool:
+    """Whether x freely equals y, found by matching: x is compared with y
+    64 letters at a time, a chunk that differs is read letter by letter,
+    and only the letters where x leaves y are stacked, to cancel among
+    themselves.  True means x and y are freely equal; when y is reduced,
+    False means they are not.
+
+    >>> reduces_to((1, 2, -2, 3), (1, 3)), reduces_to((1, 3), (1, 2, -2, 3))
+    (True, False)
+    """
+    n, m, i, j = len(x), len(y), 0, 0
+    extra: List[int] = []
+    while i < n:
+        if not extra:
+            chunk = x[i:i + 64]
+            if chunk == y[j:j + 64]:
+                i, j = i + 64, j + len(chunk)
+                continue
+        for a in x[i:i + 64]:
+            if extra and extra[-1] == -a:
+                extra.pop()
+            elif not extra and j < m and y[j] == a:
+                j += 1
+            else:
+                extra.append(a)
+        i += 64
+    return not extra and j == m
+
+
 class Word:
     """A freely reduced word, immutable, tied to its alphabet."""
 

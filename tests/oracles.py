@@ -516,14 +516,46 @@ def reference_band_cells(pres, W, name, sign):
             for c in cells]
 
 
+def reference_band(pres, W, V, name, sign):
+    """The band of (name, sign) from W to V as the band builder made it
+    before band plans: every tape expressed over its sector's domain basis
+    on each call, each cell looked up by basis term, and the closing check
+    a free reduction of the band's far side.  It takes the presentation's
+    shared cells, so its rows are the library's cell for cell, by
+    identity."""
+    from operator import attrgetter
+    from smforge.groups import (Row, _sector_cells, _state_cell,
+                                _word_product)
+    from smforge.smachine import MachineError, _domain_exprs
+
+    machine, rule = pres.machine, pres.machine.rule(name)
+    flip = 1 if sign < 0 else 0
+    lo, hi = (V, W) if flip else (W, V)
+    cells = []
+    exprs = _domain_exprs(lo, rule)
+    for j, (q, e) in enumerate(lo.states):
+        cells.append(_state_cell(pres, rule, machine.hw.part_of(q), e)[flip])
+        if j < len(exprs) and exprs[j]:
+            cells.extend(map(_sector_cells(pres, rule, lo.sectors[j],
+                                           flip).__getitem__, exprs[j]))
+    far = attrgetter("bottom" if flip else "top")
+    if _word_product(list(map(far, cells)),
+                     pres.alpha) != pres.carry_admissible(hi):
+        raise MachineError("rule %s drops an insert beside the boundary; "
+                           "the band would not close" % rule.name)
+    return Row(cells)
+
+
 # -- diagram checks, every place read afresh --------------------------------
 #
 # The library reads each distinct cell of a diagram once, keeps the
-# relators' least rotations on the presentation and compares numbered
-# labels.  This is the check as it stood before: every rotation built on
-# every call,
-# each edge compared as Words, and each row's bottom and top reduced from
-# its cells.  Only the contour match is kept per cell, as it was then.
+# relator words on the presentation, compares numbered labels and matches
+# each row's bottom against the letters of the top below.  This is the
+# check as it stood before: every rotation built on every call, each edge
+# compared as Words, and each row's bottom and top reduced from its cells.
+# Only the contour match is kept per cell, as it was then.  A row with no
+# cells is named and passed over, so the rows on either side of it are
+# compared with each other.
 
 def _reference_product(ws, alpha):
     if any(w.alpha is not alpha for w in ws):
@@ -545,8 +577,11 @@ def reference_diagram_report(d, pres):
                 rots.add(t[k:] + t[:k])
     out = []
     matched = {}
-    below = d.bottom
+    below, last = d.bottom, None
     for i, row in enumerate(d.rows):
+        if not row.cells:
+            out.append("row %d holds no cells" % i)
+            continue
         for j, c in enumerate(row.cells):
             ok = matched.get(id(c))
             if ok is None:
@@ -566,13 +601,15 @@ def reference_diagram_report(d, pres):
             out.append("row %d: stray side labels" % i)
         alpha = row.left.alpha
         if _reference_product([c.bottom for c in row.cells], alpha) != below:
-            out.append("diagram bottom disagrees with the first row" if i == 0
+            out.append("diagram bottom disagrees with the first row"
+                       if last is None
                        else "rows %d/%d: top and bottom labels differ"
-                       % (i - 1, i))
-        below = _reference_product([c.top for c in row.cells], alpha)
+                       % (last, i))
+        below, last = _reference_product([c.top for c in row.cells], alpha), i
     if d.glue == "sides":
-        left = _reference_product([r.cells[0].left for r in d.rows], d.alpha)
-        right = _reference_product([r.cells[-1].right for r in d.rows],
+        rows = [r for r in d.rows if r.cells]
+        left = _reference_product([r.cells[0].left for r in rows], d.alpha)
+        right = _reference_product([r.cells[-1].right for r in rows],
                                    d.alpha)
         if left != right:
             out.append("glued sides carry different labels")

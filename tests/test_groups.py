@@ -3,19 +3,23 @@
 import dataclasses
 import hashlib
 import json
+import operator
 import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import reference_band_cells, reference_diagram_report, rng
-from smforge.smachine import (Computation, MachineError, StateMismatchError,
-                              StepError, apply_rule, machine_from_text,
-                              theta_length)
+from oracles import (reference_band, reference_band_cells,
+                     reference_diagram_report, rng)
+from smforge.smachine import (Computation, GeneralizedRule, Hardware, Machine,
+                              MachineError, Part, RulePart,
+                              SectorMismatchError, SectorRule,
+                              StateMismatchError, StepError, apply_rule,
+                              machine_from_text, theta_length)
 from smforge.words import Alphabet, Word
 from smforge.mainmachine import (DivisibleRecognizer, Params, accepting_run,
                                  build_main)
-from smforge.groups import (Cell, WeightFunctions, _word_product,
+from smforge.groups import (Cell, Row, WeightFunctions, _band, _word_product,
                             build_disk_diagram,
                             build_trapezium, component_norm,
                             diagram_from_json, diagram_report,
@@ -155,6 +159,103 @@ def test_a_band_that_drops_an_insert_does_not_close():
                  Computation([V, W], [("ins", -1)])):
         with pytest.raises(MachineError, match="would not close"):
             build_trapezium(wpres, comp)
+
+
+def _outcome(build, *args):
+    """A band's cells, or the type and message of what it raised."""
+    try:
+        return build(*args).cells
+    except MachineError as e:
+        return type(e), str(e)
+
+
+def _same_band(pres, W, V, name, sign):
+    got = _outcome(_band, pres, W, V, name, sign)
+    ref = _outcome(reference_band, pres, W, V, name, sign)
+    if isinstance(ref, tuple):
+        assert got == ref
+    else:  # the very cells the reference takes, place by place
+        assert len(got) == len(ref) and all(map(operator.is_, got, ref))
+    return ref
+
+
+def _bands_against_the_reference(pres, W, history):
+    for name, s in history:
+        V = apply_rule(W, pres.machine.rule(name, s))
+        assert isinstance(_same_band(pres, W, V, name, s), list)
+        W = V
+    return W
+
+
+@pytest.mark.parametrize("shape,k", [("i", 1), ("j", 1), ("i", 2)])
+def test_bands_match_the_reference(shape, k, main1, pres):
+    """Every band of the accepting run and of the run backwards, which
+    turns each sign, is the band the reference builds."""
+    W = getattr(main1, "input_" + shape)(payload(main1, k))
+    history = accepting_run(W, main1)[0].history
+    assert _bands_against_the_reference(pres, W, history) == main1.w_ac()
+    backwards = [(name, -s) for name, s in reversed(history)]
+    assert _bands_against_the_reference(pres, main1.w_ac(), backwards) == W
+
+
+def test_bands_that_do_not_apply_fail_as_the_reference(main1, pres):
+    """Every rule and sign over every configuration of the I(a) run, as a
+    band to the configuration itself: a tape outside the domain, locked or
+    not, raises the reference's typed error, and a band that reads every
+    tape but does not reach the far side does not close."""
+    W = main1.input_i(payload(main1, 1))
+    comp = main1.machine.run(W, accepting_run(W, main1)[0].history)
+    kinds = set()
+    for X in comp.words:
+        for name in main1.machine.rules:
+            for sign in (1, -1):
+                ref = _same_band(pres, X, X, name, sign)
+                if isinstance(ref, tuple):
+                    kinds.update(k for k in ("locked", "outside", "close")
+                                 if k in ref[1])
+    assert kinds == {"locked", "outside", "close"}
+
+
+def _long_basis_machine():
+    """Sector 1 read over bases of two-letter words: by search (sq) and by
+    a substitution (halve)."""
+    al = Alphabet()
+    q0, q1, q2 = (al.intern(n, kind="q") for n in ("q0", "q1", "q2"))
+    a, b, c = al.intern("a"), al.intern("b"), al.intern("c")
+    hw = Hardware(al, [Part((q,), q, q) for q in (q0, q1, q2)],
+                  [(), (a, b), (c,)])
+    W, P = al.word, al.parse
+    sq = GeneralizedRule(hw, "sq", [
+        RulePart(q0, W(), q0, P("b")), RulePart(q1, P("a^-1"), q1, P("c")),
+        RulePart(q2, W(), q2, W())],
+        [None, SectorRule((P("a a"), P("b")), (P("a"), P("b"))),
+         SectorRule((P("c"),), (P("c"),))])
+    halve = GeneralizedRule(hw, "halve", [
+        RulePart(q, W(), q, W()) for q in (q0, q1, q2)],
+        [None, SectorRule((P("a a"), P("b")), (P("a"), P("b")), x_sub={}),
+         None])
+    m = Machine("long", hw, [sq, halve])
+    return m, [m.configuration({1: P(t1), 2: P(t2)})
+               for t1, t2 in (("a a b^-1 a a", "c c"), ("a", ""),
+                              ("b a a b", "c^-1"), ("b", ""))]
+
+
+def test_bands_over_long_basis_words_match_the_reference():
+    m, starts = _long_basis_machine()
+    assert all(m.rule(n).sectors[1].letter_terms() is None
+               for n in ("sq", "halve"))
+    mpres = emit_presentation(m)
+    outcomes = set()
+    for X in starts:
+        for name in m.rules:
+            for sign in (1, -1):
+                try:
+                    V = apply_rule(X, m.rule(name, sign))
+                except MachineError:
+                    V = X
+                ref = _same_band(mpres, X, V, name, sign)
+                outcomes.add(ref[0] if isinstance(ref, tuple) else "band")
+    assert outcomes >= {"band", SectorMismatchError}
 
 
 def test_disk_of_i(disk_i, pres):
@@ -373,6 +474,84 @@ def test_report_matches_the_reference_on_corruptions(request, which, corrupt,
     corrupt(d, rng(salt))
     report = diagram_report(d, pres)
     assert report and report == reference_diagram_report(d, pres)
+
+
+def _unreduced(w, at=0):
+    """w with a cancelling pair put in at ``at``, left unreduced."""
+    x = w.alpha.ids()[0]
+    return Word(w.alpha, w.ltrs[:at] + (x, -x) + w.ltrs[at:])
+
+
+def _cell_bottom_unreduced(d, r):
+    i = r.randrange(1, len(d.rows) - 1)
+    j = r.randrange(len(d.rows[i].cells))
+    c = d.rows[i].cells[j]
+    d.rows[i].cells[j] = dataclasses.replace(c, bottom=_unreduced(c.bottom))
+
+
+def _diagram_bottom_unreduced(d, r):
+    d.bottom = _unreduced(d.bottom, r.randrange(len(d.bottom) + 1))
+
+
+def _cancelling_pair_changed(d, r):
+    """Two letters that cancel across a cell edge of a row's top, each
+    changed to the same other letter (or its inverse): the top is freely
+    the same, but the two cells match no relator."""
+    sites = [(i, j) for i, row in enumerate(d.rows[:-1])
+             for j, (a, b) in enumerate(zip(row.cells, row.cells[1:]))
+             if a.top and b.top and a.top.ltrs[-1] == -b.top.ltrs[0]]
+    i, j = r.choice(sites)
+    a, b = d.rows[i].cells[j:j + 2]
+    x = next(x for x in d.alpha.ids()
+             if abs(a.top.ltrs[-1]) != x and x not in map(abs, a.top.ltrs)
+             and x not in map(abs, b.top.ltrs))
+    d.rows[i].cells[j:j + 2] = [
+        dataclasses.replace(a, top=Word(d.alpha, a.top.ltrs[:-1] + (x,))),
+        dataclasses.replace(b, top=Word(d.alpha, (-x,) + b.top.ltrs[1:]))]
+
+
+@pytest.mark.parametrize("corrupt,labels_differ", [
+    (_cell_bottom_unreduced, False), (_diagram_bottom_unreduced, True),
+    (_cancelling_pair_changed, False)], ids=lambda x: getattr(x, "__name__",
+                                                              str(x)))
+@pytest.mark.parametrize("which", ["disk_i", "disk_j"])
+@pytest.mark.parametrize("salt", [0, 1])
+def test_labels_that_are_freely_equal_fit(request, which, corrupt,
+                                          labels_differ, salt, pres):
+    """A row's bottom is matched with the top below by free equality, not
+    by letters; the diagram's own bottom must be reduced."""
+    d = _own_rows(request.getfixturevalue(which))
+    corrupt(d, rng(salt))
+    report = diagram_report(d, pres)
+    assert report == reference_diagram_report(d, pres)
+    assert any("bottom" in msg for msg in report) == labels_differ
+
+
+@pytest.mark.parametrize("where", [0, 3, -1])
+def test_an_empty_row_is_named(disk_i, pres, where):
+    """A row with no cells is a defect, and the rows on either side of it
+    are still checked, against each other."""
+    d = _own_rows(disk_i)
+    at = where % (len(d.rows) + 1)
+    d.rows.insert(at, Row([]))
+    report = diagram_report(d, pres)
+    assert report == reference_diagram_report(d, pres)
+    assert report == ["row %d holds no cells" % at]
+    gone = at + 1 if at + 1 < len(d.rows) else at - 2
+    del d.rows[gone]
+    at -= gone < at
+    report = diagram_report(d, pres)
+    assert report == reference_diagram_report(d, pres)
+    assert "row %d holds no cells" % at in report and len(report) > 1
+
+
+def test_an_empty_contour_matches_no_relator(disk_i, pres):
+    d = _own_rows(disk_i)
+    empty = pres.alpha.word()
+    d.rows[3].cells.insert(0, Cell(empty, empty, empty, empty, "theta-a"))
+    report = diagram_report(d, pres)
+    assert report == reference_diagram_report(d, pres)
+    assert "row 3 cell 0: boundary 1 matches no relator" in report
 
 
 @pytest.mark.parametrize("whole_cell", [False, True])

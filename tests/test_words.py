@@ -61,6 +61,55 @@ def test_mul_cancels_at_the_junction(s1, s2, cut):
     assert w1.ltrs[:len(w1) - k] + w2.ltrs[k:] == whole
 
 
+letters6 = st.sampled_from([1, -1, 2, -2, 3, -3])
+
+
+def _spliced(draw, w):
+    """w with cancelling pieces put in: p p^-1 for a drawn p, some longer
+    than a chunk, or s^-1 s for a suffix s of what precedes, which cancels
+    back into w; the places favour chunk edges."""
+    w = list(w)
+    for _ in range(draw(st.integers(0, 4))):
+        at = min(len(w), draw(st.sampled_from([0, 1, 63, 64, 65, 127, 128])
+                              | st.integers(0, len(w))))
+        if draw(st.booleans()):
+            piece = draw(st.lists(letters6, min_size=1, max_size=70))
+        else:
+            piece = [-x for x in reversed(w[at - draw(st.integers(1, 70)):at]
+                                          if at else [])]
+        w[at:at] = piece + [-x for x in reversed(piece)]
+    return tuple(w)
+
+
+@st.composite
+def match_cases(draw):
+    """(x, y): y reduced or with cancelling pieces of its own, x freely
+    equal to y or one letter off it, or x and y unrelated."""
+    y = free_reduce(draw(st.lists(letters6, max_size=200)))
+    x = _spliced(draw, y)
+    if x and draw(st.booleans()):
+        k = draw(st.integers(0, len(x) - 1))
+        x = x[:k] + (draw(letters6),) + x[k + 1:]
+    if draw(st.booleans()):
+        y = _spliced(draw, y)
+    if draw(st.integers(0, 5)) == 0:
+        x = tuple(draw(st.lists(letters6, max_size=10)))
+    return x, y
+
+
+@given(match_cases())
+@settings(max_examples=300)
+def test_reduces_to_matches_free_reduction(case):
+    x, y = case
+    got = words.reduces_to(x, y)
+    equal = free_reduce(x) == free_reduce(y)
+    assert equal or not got
+    if free_reduce(y) == y:
+        assert got == equal
+    assert words.reduces_to(x, x) and words.reduces_to((), ()) and \
+        words.reduces_to(x + tuple(-a for a in reversed(x)), ())
+
+
 def test_raw_word_rejects_ids_outside_the_alphabet():
     al = mk_alpha()
     for ltrs in ([0], [1, 0], [4], [-4], [2, 99]):
