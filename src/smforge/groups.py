@@ -254,7 +254,8 @@ class GridDiagram:
 
     @property
     def top(self) -> Word:
-        return self.rows[-1].top if self.rows else self.bottom
+        last = next((r for r in reversed(self.rows) if r.cells), None)
+        return self.bottom if last is None else last.top
 
     @property
     def left(self) -> Word:
@@ -670,12 +671,21 @@ def _cell_obj(c: Cell) -> dict:
                 coordinate=c.coordinate, weight_arg=c.weight_arg)
 
 
+def _rows(d: GridDiagram) -> List[Row]:
+    """The rows of ``d``; a row with no cells, which has no labels to
+    write, raises ValueError naming it."""
+    for i, r in enumerate(d.rows):
+        if not r.cells:
+            raise ValueError("row %d holds no cells" % i)
+    return d.rows
+
+
 def diagram_to_json(d: GridDiagram) -> str:
     """The diagram as JSON, with every label read off the cells."""
+    rows = [dict(_labels_obj(r), cells=[_cell_obj(c) for c in r.cells])
+            for r in _rows(d)]
     obj = dict(_labels_obj(d), kind=d.kind, glue=d.glue,
-               history=[[n, s] for n, s in d.history],
-               rows=[dict(_labels_obj(r), cells=[_cell_obj(c) for c in r.cells])
-                     for r in d.rows])
+               history=[[n, s] for n, s in d.history], rows=rows)
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
@@ -745,7 +755,7 @@ def diagram_from_json(alpha: Alphabet, text: str) -> GridDiagram:
 def diagram_to_dot(d: GridDiagram) -> str:
     """A rendering of the grid: one node per cell, ranked by row."""
     lines = ["digraph grid {", "  rankdir=BT;", "  node [shape=box];"]
-    for i, row in enumerate(d.rows):
+    for i, row in enumerate(_rows(d)):
         names = []
         for j, c in enumerate(row.cells):
             name = "c%d_%d" % (i, j)

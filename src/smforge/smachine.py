@@ -15,6 +15,11 @@ windows of :func:`apply_rule` and :meth:`Machine.run`, the steps of
 :func:`semi_apply` and :meth:`Machine.semi_run`, and the inserts of
 :func:`invert_rule`.
 
+A sector compiles to one letter map on a letter domain, in one of the two
+shapes the paper's noisy machines use: one-letter X entries, or one-letter
+Z entries that each X entry wraps in fixed letters (the inverse of a form-3
+sector); any other basis raises :class:`BasisShapeError`.
+
 ``push`` edits a tape in place: it takes a letter buffer (a list) and the
 tape's marks, a superset of its letters, its watch letters (those moved by
 the maps that rewrote it) and the sorted positions of its watch letters.
@@ -26,8 +31,7 @@ moves letters with ``memmove`` and its Python work grows with the watch
 letters alone. ``push`` returns the marks of the result (the very marks it
 was given when the tape did not change), or None with the buffer
 untouched; one scan widens the watch letters of a tape that may hold a
-moving letter outside them, and x_sub images are read back only for tapes
-with a letter outside the rule's sound set.
+moving letter outside them.
 
 A run (:class:`_Run`, behind :meth:`Machine.run` and :func:`apply_rule`)
 copies each distinct tape of its start word into a run-owned buffer once
@@ -49,13 +53,13 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from itertools import chain, compress, count
+from itertools import compress, count
 from typing import (Dict, FrozenSet, Iterable, List, Optional, Sequence,
                     Tuple)
 
 from smforge.words import (
-    Alphabet, BasisExpression, MachineError, Word, express_in_basis,
-    free_basis_folder, free_reduce, junction, validate_basis,
+    Alphabet, BasisExpression, MachineError, Word, free_basis_folder,
+    free_reduce, junction, validate_basis,
 )
 
 
@@ -104,6 +108,11 @@ class UnknownRuleError(MachineError, KeyError):
 
     def __str__(self) -> str:
         return self.args[0]
+
+
+class BasisShapeError(MachineError):
+    """Sector bases that fit neither compiled shape (see
+    :class:`SectorRule`)."""
 
 
 class ParseError(ValueError):
@@ -272,6 +281,8 @@ class AdmissibleWord:
 
     @staticmethod
     def from_word(hw: Hardware, w: Word) -> "AdmissibleWord":
+        if w.alpha is not hw.alpha:
+            raise MachineError("word is not over the hardware's alphabet")
         states: List[Tuple[int, int]] = []
         tapes: List[Word] = []
         cur: List[int] = []
@@ -364,12 +375,12 @@ def _meet(buf: List[int], c: int, m: int) -> int:
     return k
 
 
-def _settle(buf: List[int], c: int, m: int, at: Optional[List[int]],
+def _settle(buf: List[int], c: int, m: int, at: List[int],
             offsets: Sequence[int] = ()) -> int:
     """Join the reduced buf[c:c + m] onto the reduced buf[:c] in place:
     only the junction can cancel.  Returns where the joined part now ends.
 
-    ``at``, when given, holds the sorted positions of the watch letters of
+    ``at`` holds the sorted positions of the watch letters of
     buf[:c] and ``offsets`` those of buf[c:c + m], counted from c:
     positions the junction cancels are dropped, and the offsets that
     survive are added, shifted.
@@ -387,13 +398,6 @@ def _settle(buf: List[int], c: int, m: int, at: Optional[List[int]],
     if offsets:
         at.extend(map((c - 2 * k).__add__, offsets))
     return c + m - 2 * k
-
-
-def _join(stack: List[int], letters: Sequence[int]) -> None:
-    """Append the reduced ``letters`` to the reduced ``stack``, reducing."""
-    n = len(stack)
-    stack.extend(letters)
-    _settle(stack, n, len(letters), None)
 
 
 def _ends(buf: List[int], marks: _Marks, ends: _Ends) -> _Marks:
@@ -427,32 +431,30 @@ def _inverse(ltrs: Tuple[int, ...]) -> Tuple[int, ...]:
 
 
 class _LetterMap:
-    """A map of signed letters to reduced letter tuples, compiled once.
+    """A map of signed letters to reduced letter tuples, on a letter domain.
 
     ``images`` keeps only the letters that move; every other letter of
-    ``domain`` (of any letter when ``domain`` is None) goes to itself, and
-    ``fixed`` holds those of ``domain``. ``produces`` maps each moving
-    letter to the set of letters of its image.
+    ``domain`` goes to itself, and ``fixed`` holds those.  ``produces``
+    maps each moving letter to the set of letters of its image, and
+    ``widen`` holds the moving letters.
     :meth:`push` rewrites a tape in place, given its marks (see
     ``_Marks``). It tries the fixed and domain tests on the letter
     superset before it reads the tape, and finds the moving letters at the
     watch positions, so its Python work grows with the watch letters
     alone; the offsets of the watch letters in each image are worked out
     once per watch set. When the tape may hold a moving letter that is not
-    a watch letter, the letters of ``widen`` (the moving letters, unless
-    the owner adds more) become watch letters first, at the cost of one
-    scan.
+    a watch letter, the letters of ``widen`` become watch letters first,
+    at the cost of one scan.
     """
 
     __slots__ = ("images", "domain", "fixed", "produces", "widen",
                  "_offsets")
 
     def __init__(self, images: Dict[int, Tuple[int, ...]],
-                 domain: Optional[Iterable[int]]):
+                 domain: Iterable[int]):
         self.images = {y: img for y, img in images.items() if img != (y,)}
-        self.domain = None if domain is None else frozenset(domain)
-        self.fixed = (frozenset() if domain is None
-                      else self.domain.difference(self.images))
+        self.domain = frozenset(domain)
+        self.fixed = self.domain.difference(self.images)
         self.produces = {y: frozenset(img) for y, img in self.images.items()}
         self.widen = frozenset(self.images)
         self._offsets: Dict[FrozenSet[int], Dict[int, Tuple[int, ...]]] = {}
@@ -472,14 +474,11 @@ class _LetterMap:
         outside the domain.
         """
         letters, watch, pos = marks
-        domain, images = self.domain, self.images
-        if domain is None:
-            out = letters.difference(images)
-        elif self.fixed.issuperset(letters):
+        images = self.images
+        if self.fixed.issuperset(letters):
             return _ends(buf, marks, ends)
-        elif domain.issuperset(letters) or domain.issuperset(buf):
-            out = letters & self.fixed
-        else:
+        if not (self.domain.issuperset(letters)
+                or self.domain.issuperset(buf)):
             return None
         if letters.isdisjoint(images):
             return _ends(buf, marks, ends)
@@ -511,6 +510,7 @@ class _LetterMap:
             d += c - q - 1
             start, keep = p + 1, []
         _settle(buf, c, len(buf) - c, at, keep)
+        out = letters & self.fixed
         return _ends(buf, (out.union(*map(self.produces.__getitem__, moved)),
                            watch, tuple(at)), ends)
 
@@ -530,107 +530,60 @@ def _signed(pairs: Iterable[Tuple[int, Tuple[int, ...]]]
 class SectorRule:
     """Unlocked sector data: aligned free bases with f: X[k] -> Z[k].
 
-    ``x_sub`` is an optional letter substitution that rewrites any member of
-    <X> into a word whose letters are exactly the single-letter entries of Z,
-    read off position-by-position as the X-expression.  It exists so that
-    domains like {v*m} u N (whose expressions grow before they shrink) stay
-    decidable without search.  It is derived with :func:`triangular_sub`
-    when not given, so the inverse rule, ``SectorRule(Z, X)``, derives its
-    own from the swapped bases.
+    The paper's sector maps come in two shapes, and construction compiles
+    either into one letter map on a letter domain (see
+    :class:`_LetterMap`), which :meth:`express` and :meth:`push` read:
 
-    Construction compiles the sector once, for :meth:`express` and
-    :meth:`push`, into one of three modes:
+    * every X entry one letter, as in forms 1-3: the map sends each X
+      letter to its Z entry, the domain is the signed X letters, and an
+      expression is read off the word, a basis term per letter;
+    * every Z entry one positive letter, and each X entry its Z entry
+      between words over the fixed letters (those with X[k] == Z[k]), as
+      in the inverse of a form-3 sector: the map is
+      ``triangular_sub(Z, X)``, which sends each X entry to its Z entry,
+      the domain is the signed Z letters, which freely generate <X>, so
+      the domain test is exact, and an expression is read off the image.
 
-    * every X entry one letter: a letter map sending each X letter to its
-      image under f, and a table from each X letter to its basis term;
-    * otherwise, with ``x_sub``: x_sub as a letter map, and a table from
-      each single-letter Z entry to its basis term and to its X entry.  The
-      substituted word is the image under f once it reads back through X
-      to the input.  The readback is skipped for words whose letters lie
-      in the sound set: the letters y whose x_sub image lies in the
-      readback's domain and reads back to exactly y.  Both maps are
-      homomorphisms, so such a word always reads back to itself;
-    * otherwise: :func:`express_in_basis`.
-
-    The letter map of the x_sub mode widens a tape's watch letters with
-    those of the readback too, so that the readback finds them in place.
+    Any other pair of bases raises :class:`BasisShapeError`.
     """
     X: Tuple[Word, ...]
     Z: Tuple[Word, ...]
-    x_sub: Optional[Dict[int, Word]] = None
 
     def __post_init__(self) -> None:
-        single = all(len(x.ltrs) == 1 for x in self.X)
-        if self.x_sub is None and not single:
-            self.x_sub = triangular_sub(self.Z, self.X)
-        # _terms: signed letter -> basis term; _map: the letter map whose
-        # image of a member w of <X> is f(w); _back: Z letter -> X entry,
-        # present only when _map is x_sub
+        # _terms: each signed letter of the domain -> its basis term; the
+        # letters are the X entries', or the Z entries' when _image_read
+        self._image_read = not all(len(x.ltrs) == 1 for x in self.X)
+        if self._image_read:
+            sub = triangular_sub(self.Z, self.X)
+            if sub is None:
+                raise BasisShapeError(
+                    "sector bases X={%s} Z={%s} fit neither shape" % tuple(
+                        ";".join(map(Word.format, b)) for b in (self.X, self.Z)))
+            letters = [z.ltrs[0] for z in self.Z]
+            pairs = [(y, img.ltrs) for y, img in sub.items()]
+        else:
+            letters = [x.ltrs[0] for x in self.X]
+            pairs = zip(letters, (z.ltrs for z in self.Z))
         self._terms: Dict[int, Tuple[int, int]] = {}
-        self._map: Optional[_LetterMap] = None
-        self._back: Optional[_LetterMap] = None
-        self._sound: FrozenSet[int] = _NO_LETTERS
-        if single:
-            for j, x in enumerate(self.X):
-                self._terms.setdefault(x.ltrs[0], (j, 1))
-                self._terms.setdefault(-x.ltrs[0], (j, -1))
-            self._map = _LetterMap(_signed(
-                (x.ltrs[0], z.ltrs) for x, z in zip(self.X, self.Z)),
-                self._terms)
-        elif self.x_sub is not None:
-            self._map = _LetterMap(_signed(
-                (y, img.ltrs) for y, img in self.x_sub.items()), None)
-            zs = {z.ltrs[0]: j for j, z in enumerate(self.Z)
-                  if len(z.ltrs) == 1 and z.ltrs[0] > 0}
-            for y, j in zs.items():
-                self._terms[y], self._terms[-y] = (j, 1), (j, -1)
-            self._back = _LetterMap(_signed(
-                (y, self.X[j].ltrs) for y, j in zs.items()), self._terms)
-            # x_sub sends a sound letter into the readback's domain, and
-            # the readback sends that back to the letter
-            sub, back = self._map.images, self._back
-            self._sound = frozenset(
-                y for y in back.domain.union(sub)
-                if back.domain.issuperset(sub.get(y, (y,)))
-                and free_reduce(chain.from_iterable(
-                    back.images.get(x, (x,)) for x in sub.get(y, (y,))))
-                == (y,))
-            self._map.widen = self._map.widen | self._back.widen
-
-    def _substituted(self, buf: List[int], marks: _Marks,
-                     ends: _Ends = None) -> Optional[_Marks]:
-        """x_sub applied in place to the tape ``buf`` with marks ``marks``,
-        then the inserts of ``ends``: the marks of the result, when the
-        substituted tape reads back through X to the tape; else None, with
-        ``buf`` untouched."""
-        orig = None if self._sound.issuperset(marks[0]) else buf[:]
-        got = self._map.push(buf, marks)
-        if orig is not None:
-            back = buf[:]
-            if self._back.push(back, got) is None or back != orig:
-                buf[:] = orig
-                return None
-        return _ends(buf, got, ends)
+        for j, y in enumerate(letters):
+            self._terms.setdefault(y, (j, 1))
+            self._terms.setdefault(-y, (j, -1))
+        self._map = _LetterMap(_signed(pairs), self._terms)
 
     def express(self, w: Word) -> Optional[BasisExpression]:
         """Expression of w over X, or None when w lies outside <X>."""
-        if self._map is None:
-            return express_in_basis(w, self.X)
         ltrs = w.ltrs
-        if self._back is not None:
-            ltrs = list(ltrs)
-            if self._substituted(ltrs, _fresh(ltrs)) is None:
-                return None
-        try:
-            return list(map(self._terms.__getitem__, ltrs))
-        except KeyError:
+        if not self._map.domain.issuperset(ltrs):
             return None
+        if self._image_read:
+            ltrs = list(ltrs)
+            self._map.push(ltrs, _fresh(ltrs))
+        return list(map(self._terms.__getitem__, ltrs))
 
     def letter_terms(self) -> Optional[Dict[int, Tuple[int, int]]]:
         """Each signed X letter's basis term when every X entry is one
         letter (an expression is then its letters' terms), else None."""
-        single = self._map is not None and self._back is None
-        return dict(self._terms) if single else None
+        return None if self._image_read else dict(self._terms)
 
     def push(self, buf: List[int], marks: _Marks,
              ends: _Ends = None) -> Optional[_Marks]:
@@ -640,19 +593,7 @@ class SectorRule:
         may have grown (see :class:`_LetterMap`), or the very ``marks``
         given when the tape did not change; or None, with ``buf``
         untouched, when w lies outside <X>."""
-        if self._back is not None:
-            return self._substituted(buf, marks, ends)
-        if self._map is not None:
-            return self._map.push(buf, marks, ends)
-        expr = self.express(Word(self.X[0].alpha, tuple(buf)))
-        if expr is None:
-            return None
-        image: List[int] = []
-        for j, s in expr:
-            _join(image, self.Z[j].ltrs if s > 0 else _inverse(self.Z[j].ltrs))
-        buf[:] = image
-        watch = marks[1]
-        return _ends(buf, (frozenset(image), watch, _scan(image, watch)), ends)
+        return self._map.push(buf, marks, ends)
 
 
 def triangular_sub(X: Tuple[Word, ...],
@@ -675,11 +616,10 @@ def triangular_sub(X: Tuple[Word, ...],
         hits = [i for i, l in enumerate(z.ltrs) if abs(l) == xl]
         if len(hits) != 1 or z.ltrs[hits[0]] != xl:
             return None
-        p = Word(z.alpha, z.ltrs[:hits[0]])
-        s = Word(z.alpha, z.ltrs[hits[0] + 1:])
-        if any(abs(l) not in fixed for l in p.ltrs + s.ltrs):
+        p, s = z.ltrs[:hits[0]], z.ltrs[hits[0] + 1:]
+        if not fixed.issuperset(map(abs, p + s)):
             return None
-        sub[xl] = (~p) * x * (~s)
+        sub[xl] = Word(z.alpha, _inverse(p) + (xl,) + _inverse(s))
     return sub
 
 
@@ -809,14 +749,20 @@ def invert_rule(rule: GeneralizedRule) -> GeneralizedRule:
 
     Part i of the inverse is q_i' -> f_i^-1(u_i^-1) q_i f_{i+1}^-1(v_{i+1}^-1)
     where the f^-1 are read through the swapped bases (X and Z trade places).
+    Swapped bases that fit neither sector shape raise BasisShapeError
+    naming the rule and the sector.
     """
     hw = rule.hw
     # a sector rule shared between sectors stays shared in the inverse
     inverses: Dict[int, SectorRule] = {}
     inv_sectors: List[Optional[SectorRule]] = []
-    for sec in rule.sectors:
+    for i, sec in enumerate(rule.sectors):
         if sec is not None and id(sec) not in inverses:
-            inverses[id(sec)] = SectorRule(sec.Z, sec.X)
+            try:
+                inverses[id(sec)] = SectorRule(sec.Z, sec.X)
+            except BasisShapeError as e:
+                raise BasisShapeError("rule %s sector %d: inverse %s"
+                                      % (rule.name, i, e)) from e
         inv_sectors.append(None if sec is None else inverses[id(sec)])
     parts: List[RulePart] = []
     for i, rp in enumerate(rule.parts):

@@ -190,14 +190,18 @@ class ReferenceFolder:
 # once and split it again at its state letters.
 
 def reference_express(sec, w):
-    """Expression of w over sec.X through express_in_basis or x_sub."""
+    """Expression of w over sec.X: by express_in_basis when every X entry
+    is one letter, else through triangular_sub(sec.Z, sec.X), whose image
+    is read off the one-letter Z entries and then read back through X."""
+    from smforge.smachine import triangular_sub
     from smforge.words import express_in_basis, expression_word, substitute
 
     if not sec.X:
         return [] if not w else None
-    if sec.x_sub is None:
+    if all(len(x) == 1 for x in sec.X):
         return express_in_basis(w, sec.X)
-    images = {abs(x): sec.x_sub.get(abs(x), w.alpha.word([abs(x)]))
+    sub = triangular_sub(sec.Z, sec.X)
+    images = {abs(x): sub.get(abs(x), w.alpha.word([abs(x)]))
               for x in w.ltrs}
     u = substitute(w, images, w.alpha)
     zpos = {z.ltrs[0]: j for j, z in enumerate(sec.Z)
@@ -315,7 +319,7 @@ def reference_apply_rule(W, rule):
 
 def reference_semi_run(machine, w, sector, history):
     """Machine.semi_run with reference_image for each step: every word is
-    expressed over X afresh, x_sub words are always read back, and no
+    expressed over X afresh, image-read words are always read back, and no
     letter sets or positions are carried from step to step."""
     from smforge.smachine import MachineError, StepError
 
@@ -341,13 +345,21 @@ def reference_semi_run(machine, w, sector, history):
 # rewritten by its own pass, and shift replays its whole history again
 # after finding it one step at a time.
 
+def _join(stack, letters):
+    """Append the reduced ``letters`` to the reduced ``stack``, reducing."""
+    for x in letters:
+        if stack and stack[-1] == -x:
+            stack.pop()
+        else:
+            stack.append(x)
+
+
 def reference_step(W, rule, images=None):
     """W . rule by one pass per window, as apply_rule did before step
     plans and shared windows.  Each window's image is reference_image's,
     kept in ``images`` by sector rule and tape word, so that a run can pass
     one dict to all its steps."""
-    from smforge.smachine import (AdmissibleWord, MachineError,
-                                  _check_states, _join)
+    from smforge.smachine import AdmissibleWord, MachineError, _check_states
     from smforge.words import Word
 
     _check_states(W, rule)

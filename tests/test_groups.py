@@ -217,33 +217,35 @@ def test_bands_that_do_not_apply_fail_as_the_reference(main1, pres):
 
 
 def _long_basis_machine():
-    """Sector 1 read over bases of two-letter words: by search (sq) and by
-    a substitution (halve)."""
+    """Sector 1 read over bases of two-letter words, off the image of a
+    substitution: on the whole sector alphabet (sq), and on a domain that
+    lacks b (strip)."""
     al = Alphabet()
     q0, q1, q2 = (al.intern(n, kind="q") for n in ("q0", "q1", "q2"))
-    a, b, c = al.intern("a"), al.intern("b"), al.intern("c")
+    a, b, c, d = (al.intern(n) for n in "abcd")
     hw = Hardware(al, [Part((q,), q, q) for q in (q0, q1, q2)],
-                  [(), (a, b), (c,)])
+                  [(), (a, b, d), (c,)])
     W, P = al.word, al.parse
     sq = GeneralizedRule(hw, "sq", [
         RulePart(q0, W(), q0, P("b")), RulePart(q1, P("a^-1"), q1, P("c")),
         RulePart(q2, W(), q2, W())],
-        [None, SectorRule((P("a a"), P("b")), (P("a"), P("b"))),
+        [None, SectorRule((P("a b"), P("b"), P("d")),
+                          (P("a"), P("b"), P("d"))),
          SectorRule((P("c"),), (P("c"),))])
-    halve = GeneralizedRule(hw, "halve", [
+    strip = GeneralizedRule(hw, "strip", [
         RulePart(q, W(), q, W()) for q in (q0, q1, q2)],
-        [None, SectorRule((P("a a"), P("b")), (P("a"), P("b")), x_sub={}),
-         None])
-    m = Machine("long", hw, [sq, halve])
+        [None, SectorRule((P("d a"), P("d")), (P("a"), P("d"))), None])
+    m = Machine("long", hw, [sq, strip])
     return m, [m.configuration({1: P(t1), 2: P(t2)})
                for t1, t2 in (("a a b^-1 a a", "c c"), ("a", ""),
-                              ("b a a b", "c^-1"), ("b", ""))]
+                              ("b a a b", "c^-1"), ("b", ""),
+                              ("d a d^-1 a", ""))]
 
 
 def test_bands_over_long_basis_words_match_the_reference():
     m, starts = _long_basis_machine()
     assert all(m.rule(n).sectors[1].letter_terms() is None
-               for n in ("sq", "halve"))
+               for n in ("sq", "strip"))
     mpres = emit_presentation(m)
     outcomes = set()
     for X in starts:
@@ -543,6 +545,24 @@ def test_an_empty_row_is_named(disk_i, pres, where):
     report = diagram_report(d, pres)
     assert report == reference_diagram_report(d, pres)
     assert "row %d holds no cells" % at in report and len(report) > 1
+
+
+def test_the_writers_name_an_empty_row(disk_i):
+    d = _own_rows(disk_i)
+    d.rows.insert(3, Row([]))
+    for write in (diagram_to_json, diagram_to_dot):
+        with pytest.raises(ValueError, match="^row 3 holds no cells$"):
+            write(d)
+
+
+def test_the_top_is_read_off_the_last_row_with_cells(disk_i):
+    d = _own_rows(disk_i)
+    top = d.top
+    assert top == d.rows[-1].top
+    d.rows.append(Row([]))
+    assert d.top == top
+    d.rows[:] = [Row([])]
+    assert d.top == d.bottom
 
 
 def test_an_empty_contour_matches_no_relator(disk_i, pres):

@@ -513,3 +513,31 @@ def test_language_setup_folds_without_merging(monkeypatch):
     build_main(letters, DivisibleRecognizer(letters, 1), DESK4)
     assert len(letters) == 4 and folds
     assert calls == []
+
+
+def test_every_sector_compiles_to_one_of_the_two_shapes(main1, main_rej):
+    """Every rule and every inverse rule of the machines build_main makes,
+    M(a), M(a,b) and the 4-letter Z pipeline's with c = 1 and 2 and M(a)
+    with the rejecting plugin, compiles each sector without a
+    BasisShapeError.  A sector with one-letter X entries has the signed X
+    letters for its domain; any other is read off the image, on the signed
+    Z letters."""
+    from smforge import embedding
+    pipe = embedding.build_pipeline(embedding.builtin_oracle("Z"), 2)
+    mains = [main1, main_rej]
+    for letters in (("a",), ("a", "b"), tuple(pipe.letters)):
+        for c in (1, 2):
+            if (letters, c) != (("a",), 1):
+                mains.append(build_main(letters, DivisibleRecognizer(letters, c),
+                                        DESK4))
+    shapes = set()
+    for main in mains:
+        m = main.machine
+        for name, sign in m.theta():
+            for sec in filter(None, m.rule(name, sign).sectors):
+                ones = sec.Z if sec._image_read else sec.X
+                assert all(len(w) == 1 for w in ones)
+                assert sec._map.domain == {s * w.ltrs[0] for w in ones
+                                           for s in (1, -1)}
+                shapes.add(sec._image_read)
+    assert shapes == {False, True}

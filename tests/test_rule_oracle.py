@@ -1,26 +1,27 @@
 """Compiled rule application against the generic reference in oracles.py.
 
 Words come from random reduced histories on M1, M5, the L=4 main machine
-and a small machine whose sector basis {a a, b} takes the express_in_basis
-fallback, or an x_sub that only its readback check keeps honest, and whose
-a -> a b cancels letters at the junctions of images.  The walks start at
-configurations of accepting computations, or of hand-picked tapes for the
-small machine.  Each is also cut to a slice of its states, inverted, or
-joined to an inverted slice, which gives every window shape, and mutated
-to fall outside the rules' domains.  Every query must give the
-reference's result, or raise the reference's exception with the same
-message.
+and a small machine whose sector 1 is read in both compiled shapes: over
+one-letter X entries, and off the image of a substitution (X = {a b, b,
+d}, whose domain is the whole sector alphabet, and X = {d a, d}, whose
+domain lacks b), and whose a -> a b cancels letters at the junctions of
+images.  The walks start at configurations of accepting computations, or
+of hand-picked tapes for the small machine.  Each is also cut to a slice
+of its states, inverted, or joined to an inverted slice, which gives every
+window shape, and mutated to fall outside the rules' domains.  Every query
+must give the reference's result, or raise the reference's exception with
+the same message.
 
-One sector at a time, SectorRule.push and its letter maps, which edit a
-buffer in place, must give reference_image's result between random
-inserts in each of the three sector modes (one-letter X, x_sub with
-readback, the express_in_basis fallback), on M1, its inverse rules and the
-small machine, with the tape's letters given as any superset: letters
-absent from the tape, moving letters absent from it, and letters outside
-the rule's domain; a push that fails must leave the buffer untouched, and
-the positions they return must be those of the watch letters of the
-buffer.  The in-place junction under all of them must match a plain loop
-on junctions that cancel up to several hundred letters.
+One sector at a time, SectorRule.push, which edits a buffer in place, must
+give reference_image's result between random inserts, and
+SectorRule.express reference_express's, in both sector shapes (one-letter
+X, read off the image), on M1, its inverse rules and the small machine,
+with the tape's letters given as any superset: letters absent from the
+tape, moving letters absent from it, and letters outside the rule's
+domain; a push that fails must leave the buffer untouched, and the
+positions they return must be those of the watch letters of the buffer.
+The in-place junction under all of them must match a plain loop on
+junctions that cancel up to several hundred letters.
 
 Whole runs are checked the same way against the window-by-window loop:
 random reduced histories, with and without a faulty step, a tape object
@@ -39,7 +40,7 @@ from hypothesis import given, settings, strategies as st
 
 from oracles import (naive_reduce, random_reduced, random_signed_ids,
                      reference_apply_rule, reference_domain_expr,
-                     reference_image, reference_is_admissible,
+                     reference_express, reference_image, reference_is_admissible,
                      reference_run, reference_semi_run, reference_shift,
                      reference_step, reference_theta_length)
 from smforge.machines import build_m1, shift
@@ -94,33 +95,35 @@ def _main():
 def _squares():
     al = Alphabet()
     q0, q1, q2 = (al.intern(n, kind="q") for n in ("q0", "q1", "q2"))
-    a, b = al.intern("a"), al.intern("b")
+    a, b, d = al.intern("a"), al.intern("b"), al.intern("d")
     c = al.intern("c")
     hw = Hardware(al, [Part((q,), q, q) for q in (q0, q1, q2)],
-                  [(), (a, b), (c,)])
+                  [(), (a, b, d), (c,)])
     W, P = al.word, al.parse
+    # read off the image of a -> a b^-1, on the whole sector alphabet
     sq = GeneralizedRule(hw, "sq", [
         RulePart(q0, W(), q0, P("b")), RulePart(q1, P("a^-1"), q1, P("c")),
         RulePart(q2, W(), q2, W())],
-        [None, SectorRule((P("a a"), P("b")), (P("a"), P("b"))),
+        [None, SectorRule((P("a b"), P("b"), P("d")),
+                          (P("a"), P("b"), P("d"))),
          SectorRule((P("c"),), (P("c"),))])
     swap = GeneralizedRule(hw, "swap", [
         RulePart(q, W(), q, W()) for q in (q0, q1, q2)],
         [None, SectorRule((P("a"), P("b")), (P("b"), P("a"))), None])
-    # a substitution that is wrong off <b>: the readback must catch it
-    halve = GeneralizedRule(hw, "halve", [
+    # read off the image of a -> d^-1 a on a domain that lacks b: a tape
+    # holding b lies outside it
+    strip = GeneralizedRule(hw, "strip", [
         RulePart(q, W(), q, W()) for q in (q0, q1, q2)],
-        [None, SectorRule((P("a a"), P("b")), (P("a"), P("b")), x_sub={}),
-         None])
+        [None, SectorRule((P("d a"), P("d")), (P("a"), P("d"))), None])
     # a -> a b fixes b; once swap has made b a watch letter of a tape, the
     # image of a cancels a b^-1 after it, watch letters on both sides
     twist = GeneralizedRule(hw, "twist", [
         RulePart(q, W(), q, W()) for q in (q0, q1, q2)],
         [None, SectorRule((P("a"), P("b")), (P("a b"), P("b"))), None])
-    m = Machine("squares", hw, [sq, swap, halve, twist])
+    m = Machine("squares", hw, [sq, swap, strip, twist])
     starts = [m.configuration({1: P(t1), 2: P(t2)})
               for t1, t2 in (("a a b^-1 a a", "c c"), ("a", ""),
-                             ("b a a b", "c^-1"))]
+                             ("b a a b", "c^-1"), ("d a d^-1 a", ""))]
     return m, starts
 
 
@@ -238,9 +241,7 @@ def test_compiled_rules_match_reference(name, seed):
 # -- one sector at a time --------------------------------------------------------
 
 def _mode(sec):
-    if sec._map is None:
-        return "general"
-    return "one-letter" if sec._back is None else "x_sub"
+    return "image" if sec._image_read else "one-letter"
 
 
 def _sector_cases():
@@ -302,8 +303,8 @@ def _watched(ltrs, watch):
 
 
 def _moves(sec):
-    """The letters the sector's letter maps move."""
-    return frozenset() if sec._map is None else sec._map.widen
+    """The letters the sector's letter map moves."""
+    return sec._map.widen
 
 
 def _marks(sec, w, letters, r, covered):
@@ -348,24 +349,27 @@ def _insert(r, tape, image, inverted):
 @given(seed=st.integers(0, 2 ** 32 - 1))
 @settings(max_examples=25, deadline=None)
 def test_sector_push_matches_reference_image(seed):
-    """SectorRule.push, and the letter maps of its one-letter and x_sub
-    modes, rewrite a buffer holding the tape in place to reference_image's
-    result between the two inserts, on any superset of the tape's letters:
-    with letters absent from the tape, with moving letters absent from it,
-    and with letters outside the rule's domain.  The inserts are empty or
-    random nonempty words, often cancelling into the image.  The buffer is
-    untouched when push returns None, and unchanged when it returns the
-    marks it was given; the positions returned are those of the watch
-    letters of the buffer, whether or not the tape's watch letters held
-    the moving ones."""
+    """SectorRule.push, in both shapes, rewrites a buffer holding the tape
+    in place to reference_image's result between the two inserts, on any
+    superset of the tape's letters: with letters absent from the tape,
+    with moving letters absent from it, and with letters outside the
+    rule's domain.  The inserts are empty or random nonempty words, often
+    cancelling into the image.  The buffer is untouched when push returns
+    None, and unchanged when it returns the marks it was given; the
+    positions returned are those of the watch letters of the buffer,
+    whether or not the tape's watch letters held the moving ones, and
+    watch letters that hold them come back as they were.  SectorRule.express
+    gives reference_express's expression."""
     r = random.Random(seed)
     cases = _sector_cases()
     assert {_mode(rule.sectors[i]) for rule, i in cases} == \
-        {"one-letter", "x_sub", "general"}
+        {"one-letter", "image"}
     for rule, i in cases:
         sec, tape = rule.sectors[i], rule.hw.tapes[i]
         for _ in range(3):
             w = _sector_word(rule, i, r)
+            assert sec.express(w) == reference_express(sec, w), \
+                (rule.name, i, w.format())
             try:
                 image = reference_image(rule, i, w)
             except SectorMismatchError:
@@ -391,22 +395,10 @@ def test_sector_push_matches_reference_image(seed):
                         got[1] >= _moves(sec) or got[1] == marks[1])
                     assert at_ok, (rule.name, i, w.format())
                     marks = _marks(sec, w, letters, r, covered=True)
-                    if _mode(sec) == "one-letter":
-                        buf, got, at_ok = _pushed(sec._map.push, w.ltrs,
-                                                  marks, right, left)
-                        assert tuple(buf) == want and got[0] >= set(buf)
-                        assert at_ok and got[1] == marks[1]
-                    elif _mode(sec) == "x_sub":
-                        buf, got, at_ok = _pushed(sec._map.push, w.ltrs,
-                                                  marks)
-                        assert tuple(buf) == image.ltrs
-                        assert got[0] >= set(image.ltrs) and at_ok
-                        for watch in (marks[1], got[1]):
-                            back, _, at_ok = _pushed(
-                                sec._back.push, image.ltrs,
-                                (got[0], watch,
-                                 tuple(_watched(image.ltrs, watch))))
-                            assert tuple(back) == w.ltrs and at_ok
+                    buf, got, at_ok = _pushed(sec.push, w.ltrs, marks,
+                                              right, left)
+                    assert tuple(buf) == want and got[0] >= set(buf)
+                    assert at_ok and got[1] == marks[1]
             if image is not None:
                 assert semi_apply(w, rule, i) == image
 
@@ -520,12 +512,13 @@ def test_equal_windows_that_cancel_are_kept_apart():
 
 
 def _split():
-    """A machine whose rule r (a -> a b, b -> b; q0 -> q0 b, q1 -> a q1)
+    """A machine whose rule r (a -> a b, b -> b; q0 -> q0 b^-1, q1 -> a q1)
     rewrites one tape object t, held both between q0 and q1 and between
-    q1^-1 and q1, to b f(t) a and to a^-1 f(t) a: two classes on one
-    buffer, so a run copies it for one of them.  f0, which reads only
-    <a>, fails on the first of those windows after r; f2, which reads only
-    <b b a>, fails for t = b on the second alone."""
+    q1^-1 and q1, to b^-1 f(t) a and to a^-1 f(t) a: two classes on one
+    buffer, so a run copies it for one of them.  For t = b the two windows
+    then hold a and a^-1 b a, different letters.  f0, which reads only
+    <b>, fails on the first of those windows after r; f2, which reads only
+    <a>, fails for t = b on the second alone."""
     al = Alphabet()
     q0, q1, q2 = (al.intern(n, kind="q") for n in ("q0", "q1", "q2"))
     a, b = al.intern("a"), al.intern("b")
@@ -542,9 +535,9 @@ def _split():
 
     m = Machine("split", hw, [
         rule("r", SectorRule((P("a"), P("b")), (P("a b"), P("b"))),
-             P("b"), P("a")),
-        rule("f0", SectorRule((P("a"),), (P("a"),))),
-        rule("f2", SectorRule((P("b b a"),), (P("b b a"),)))])
+             P("b^-1"), P("a")),
+        rule("f0", SectorRule((P("b"),), (P("b"),))),
+        rule("f2", SectorRule((P("a"),), (P("a"),)))])
     starts = [AdmissibleWord(hw, [(q0, 1), (q1, 1), (q1, -1), (q1, 1)],
                              [t, P("c"), t])
               for t in (P("b"), P("a b a^-1 b"))]
@@ -673,12 +666,12 @@ def semi_outcome(run, w, sector, history):
 @settings(max_examples=40, deadline=None)
 def test_semi_run_matches_reference_semi_run(case, seed):
     """Machine.semi_run, which carries letter sets and watch positions from
-    step to step and skips proved readbacks, gives reference_semi_run's
-    words or error.  A word, mostly over the letters the sector's rules
-    read, is pushed along a random history and then replayed along its
-    inverse and some more steps: x_sub steps on sound and unsound words,
-    words outside the domain, locked sectors, junctions that cancel watch
-    letters, a faulty step or a sector outside the hardware."""
+    step to step, gives reference_semi_run's words or error.  A word,
+    mostly over the letters the sector's rules read, is pushed along a
+    random history and then replayed along its inverse and some more
+    steps: steps read off the image, words outside the domain, locked
+    sectors, junctions that cancel watch letters, a faulty step or a
+    sector outside the hardware."""
     m, sector = _semi_cases()[case]
     r = random.Random(seed)
     ref = lambda *a: reference_semi_run(m, *a)

@@ -5,8 +5,9 @@ import re
 import pytest
 
 from smforge.smachine import (
-    AdmissibleWord, GeneralizedRule, Hardware, HistoryEntryError, Machine,
-    MachineError, NoiseDecl, Part, RulePart, SectorMismatchError, SectorRule,
+    AdmissibleWord, BasisShapeError, GeneralizedRule, Hardware,
+    HistoryEntryError, Machine, MachineError, NoiseDecl, ParseError, Part,
+    RulePart, SectorMismatchError, SectorRule,
     StateMismatchError, StepError, UnknownRuleError, apply_rule, invert_rule,
     machine_from_text, machine_to_text, parse_history, format_history,
     reduce_history, semi_apply, theta_length, validate_noisy,
@@ -76,6 +77,20 @@ def test_admissible_rejects_bad_shapes(text):
         AdmissibleWord.from_word(m.hw, m.hw.alpha.parse(text))
 
 
+@p("names", [("q0", "x"), tuple("z%d" % k for k in range(40))])
+def test_admissible_from_a_foreign_word_raises(names):
+    """A word over another alphabet, whose ids the hardware's alphabet
+    does not carry or reads as other letters, is refused."""
+    m = tiny_machine()
+    other = Alphabet()
+    for name in names:
+        other.intern(name, kind="q" if name.startswith("q") else "a")
+    w = other.word([other.id_of(names[0]), other.id_of(names[-1]),
+                    other.id_of(names[0])])
+    with pytest.raises(MachineError, match="not over the hardware's alphabet"):
+        AdmissibleWord.from_word(m.hw, w)
+
+
 def test_apply_classical_rule():
     m = tiny_machine()
     al = m.hw.alpha
@@ -111,8 +126,8 @@ def test_invert_rule_involution():
 @p("X, Z, v0, u1, message", [
     # v0 is the right insert of part 0 and u1 the left insert of part 1;
     # both land in sector 1
-    (("a a", "b"), ("a a", "b"), "a", "", "insert 'a' outside <Z_1>"),
-    (("a a", "b"), ("a a", "b"), "", "b a", "insert 'b a' outside <Z_1>"),
+    (("b",), ("b",), "a", "", "insert 'a' outside <Z_1>"),
+    (("a",), ("a",), "", "b a", "insert 'b a' outside <Z_1>"),
     (("a", "b"), ("a", "a^-1"), "", "", "X or Z not free"),
     (("a", "b"), ("a", "b"), "", "c", "insert 'c' outside sector 1"),
 ])
@@ -127,6 +142,43 @@ def test_rule_validation_errors(X, Z, v0, u1, message):
             RulePart(hw.parts[2].start, al.word(), hw.parts[2].start, al.word()),
         ], [None, SectorRule(tuple(map(P, X)), tuple(map(P, Z))),
             SectorRule((P("c"),), (P("c"),))])
+
+
+def test_bases_of_neither_shape_raise():
+    """Bases whose X entries are not all one letter, and whose X entries do
+    not wrap one-letter Z entries in fixed letters, raise BasisShapeError:
+    when the sector is built, from machine text as a ParseError naming the
+    RULE line, and from Machine.rule(name, -1), naming the rule and the
+    sector, when the inverse of a rule fits neither shape."""
+    m = tiny_machine()
+    al, hw = m.hw.alpha, m.hw
+    P = al.parse
+    with pytest.raises(BasisShapeError, match=re.escape(
+            "sector bases X={a a;b} Z={a;b} fit neither shape")):
+        SectorRule((P("a a"), P("b")), (P("a"), P("b")))
+    lines = machine_to_text(m).splitlines()
+    at = next(k for k, line in enumerate(lines, 1)
+              if "X={a;b} Z={a b;b}" in line)
+    lines[at - 1] = lines[at - 1].replace("X={a;b} Z={a b;b}",
+                                          "X={a a;b} Z={a;b}")
+    with pytest.raises(ParseError, match="fit neither shape") as err:
+        machine_from_text("\n".join(lines))
+    assert err.value.line == at and lines[at - 1].startswith("RULE twist: 1:")
+    assert isinstance(err.value.__cause__, BasisShapeError)
+    # a -> a a has one-letter X entries; its inverse reads X = {a a, b}
+    square = GeneralizedRule(hw, "square", [
+        RulePart(q.start, al.word(), q.start, al.word()) for q in hw.parts],
+        [None, SectorRule((P("a"), P("b")), (P("a a"), P("b"))),
+         SectorRule((P("c"),), (P("c"),))])
+    m2 = Machine("squaring", hw, [square])
+    W = AdmissibleWord.from_word(hw, P("q0 a q1 c q2"))
+    assert apply_rule(W, m2.rule("square")).format() == "q0 a a q1 c q2"
+    with pytest.raises(BasisShapeError, match=re.escape(
+            "rule square sector 1: inverse sector bases X={a a;b} Z={a;b}")):
+        m2.rule("square", -1)
+    with pytest.raises(StepError) as err:
+        m2.run(W, [("square", -1)])
+    assert isinstance(err.value.reason, BasisShapeError)
 
 
 def test_inverse_window_application():
