@@ -9,18 +9,18 @@ as a relator closes the group; disk relators and tape-word relators
 extend it further.
 
 Computations then fold into grids of cells: every step becomes a row (a
-band) of area the rule's ``theta_length``, rows stack bottom to top, and
-the side edges carry the history.  A band maps each tape letter to its
-cell through a plan shared by all bands of a rule, state letters and
-sign.  A grid stores its cells and its bottom label and reads every other
-label off the cells.  ``diagram_report`` re-checks the cells against the
-presentation and the rows against each other, reading each distinct cell
-once (its alphabet, its contour's rotations against the relator words,
-its letters and its side labels, numbered).  Labels that must agree are
-matched letter by letter, and reduced only where they do not match, so a
-sound diagram has no band top reduced.  The JSON form keeps every label
-for its readers, and ``diagram_from_json`` checks each against the cells
-it parses.
+band) with a cell per state and tape letter of the configuration the
+rule reads, rows stack bottom to top, and the side edges carry the
+history.  A band maps each tape letter to its cell through a plan shared
+by all bands of a rule, state letters and sign.  A grid stores its cells
+and its bottom label and reads every other label off the cells.
+``diagram_report`` re-checks the cells against the presentation and the
+rows against each other, reading each distinct cell once (its alphabet,
+its contour's rotations against the relator words, its letters and its
+side labels, numbered).  Labels that must agree are matched letter by
+letter, and reduced only where they do not match, so a sound diagram has
+no band top reduced.  The JSON form keeps every label for its readers,
+and ``diagram_from_json`` checks each against the cells it parses.
 """
 
 import json
@@ -33,9 +33,9 @@ from typing import (Callable, Dict, FrozenSet, List, Optional, Sequence, Set,
 
 from smforge.words import Alphabet, Word, free_reduce, reduces_to
 from smforge.smachine import (AdmissibleWord, Computation, GeneralizedRule,
-                              History, Machine, MachineError, StepError,
-                              _LOCKED, _domain_exprs, apply_rule,
-                              reduce_history)
+                              BasisShapeError, History, Machine,
+                              MachineError, SectorMismatchError, StepError,
+                              _LOCKED, apply_rule, reduce_history)
 from smforge.towers import _copy_letter
 from smforge.mainmachine import MainMachine, accepting_run
 
@@ -314,29 +314,32 @@ def _state_cell(pres: Presentation, rule: GeneralizedRule, part: int,
 
 
 def _sector_cells(pres: Presentation, rule: GeneralizedRule, sector: int,
-                  flip: int) -> Dict[object, Cell]:
-    """The shared sector cells of the rule by (basis index, sign) and, when
-    every basis entry is one letter, by signed letter too; turned upside
-    down when ``flip`` is 1.  A locked sector has none."""
+                  flip: int) -> Dict[int, Cell]:
+    """The shared sector cells of the rule by signed X letter, turned
+    upside down when ``flip`` is 1.  A locked sector has none.  A band
+    reads its tape letter by letter, so an X entry of more than one letter
+    (a sector read off the image, which built machines have on inverse
+    rules only) raises BasisShapeError naming the rule and the sector."""
     key = ("sector", rule.name, sector)
     if key not in pres.cells:
         sec = rule.sectors[sector] or _LOCKED
+        if any(len(x.ltrs) != 1 for x in sec.X):
+            raise BasisShapeError("rule %s sector %d: a band needs X "
+                                  "entries of one letter" % (rule.name, sector))
         t_s = pres.theta_word(rule.name, sector)
         coord = pres.machine.hw.alpha.coord_of(
             pres.machine.hw.parts[sector].start)
         tables: Tuple[dict, dict] = ({}, {})
-        for k, (x, z) in enumerate(zip(sec.X, sec.Z)):
+        for x, z in zip(sec.X, sec.Z):
             cls = _a_class(pres.machine, sector, x)
+            y = x.ltrs[0]
             x, z = Word(pres.alpha, x.ltrs), Word(pres.alpha, z.ltrs)
             for sgn in (1, -1):
                 cell = Cell(x, z, t_s, t_s, cls, rule=rule.name,
                             index=sector, coordinate=coord)
                 for table, c in zip(tables, _both(cell)):
-                    table[(k, sgn)] = c
+                    table[sgn * y] = c
                 x, z = ~x, ~z
-        for table in tables:
-            table.update((y, table[t])
-                         for y, t in (sec.letter_terms() or {}).items())
         pres.cells[key] = tables
     return pres.cells[key][flip]
 
@@ -358,8 +361,8 @@ def _band(pres: Presentation, W: AdmissibleWord, V: AdmissibleWord,
     cells must multiply out to W: their product keeps the inserts beside
     the boundary, and matches W only when V . rule = W.  A plan per (rule,
     state letters, sign) holds the state cells and each window's cells by
-    letter; a tape it cannot read letter by letter is read by its basis
-    expression, which raises the typed error for one outside the domain."""
+    signed X letter; the first tape with a letter outside its window's
+    table raises SectorMismatchError, locked or outside the domain."""
     rule = pres.machine.rule(name)
     flip = 1 if sign < 0 else 0
     lo, hi = (V, W) if flip else (W, V)
@@ -373,7 +376,9 @@ def _band(pres: Presentation, W: AdmissibleWord, V: AdmissibleWord,
     try:
         cells = _row_cells(states, tables, map(_LTRS, lo.tapes))
     except KeyError:
-        cells = _row_cells(states, tables, _domain_exprs(lo, rule))
+        s, w = next((s, w) for s, w, t in zip(lo.sectors, lo.tapes, tables)
+                    if not all(map(t.__contains__, w.ltrs)))
+        raise SectorMismatchError(s, w, rule.locks(s)) from None
     if not reduces_to(tuple(chain.from_iterable(map(
             _BOTTOM_LTRS if flip else _TOP_LTRS, cells))), hi.to_word().ltrs):
         raise MachineError("rule %s drops an insert beside the boundary; "

@@ -112,7 +112,7 @@ class UnknownRuleError(MachineError, KeyError):
 
 class BasisShapeError(MachineError):
     """Sector bases that fit neither compiled shape (see
-    :class:`SectorRule`)."""
+    :class:`SectorRule`), or that a band cannot read letter by letter."""
 
 
 class ParseError(ValueError):
@@ -254,6 +254,9 @@ class AdmissibleWord:
         if sector >= hw.n_parts or (sector == 0 and not hw.cyclic):
             raise MachineError("window %d: sector %d does not exist"
                                % (j, sector))
+        if w.alpha is not hw.alpha:
+            raise MachineError("window %d: tape word is not over the "
+                               "hardware's alphabet" % j)
         if check and not hw.sector_word(sector, w):
             raise MachineError("window %d: tape word %r outside sector %d"
                                % (j, w.format(), sector))
@@ -544,7 +547,10 @@ class SectorRule:
       the domain is the signed Z letters, which freely generate <X>, so
       the domain test is exact, and an expression is read off the image.
 
-    Any other pair of bases raises :class:`BasisShapeError`.
+    Any other pair of bases raises :class:`BasisShapeError`.  A band (see
+    ``groups._band``) finds a cell by the signed X letter, so it reads the
+    first shape only.  No library code calls :meth:`express`; it stays
+    because the benchmark traces it (``smbench/layers.py``).
     """
     X: Tuple[Word, ...]
     Z: Tuple[Word, ...]
@@ -579,11 +585,6 @@ class SectorRule:
             ltrs = list(ltrs)
             self._map.push(ltrs, _fresh(ltrs))
         return list(map(self._terms.__getitem__, ltrs))
-
-    def letter_terms(self) -> Optional[Dict[int, Tuple[int, int]]]:
-        """Each signed X letter's basis term when every X entry is one
-        letter (an expression is then its letters' terms), else None."""
-        return None if self._image_read else dict(self._terms)
 
     def push(self, buf: List[int], marks: _Marks,
              ends: _Ends = None) -> Optional[_Marks]:
@@ -718,13 +719,6 @@ class GeneralizedRule:
         sec = self._sector(sector)
         return sec is None or len(sec.X) == 0
 
-    def domain_expr(self, sector: int, w: Word):
-        """Expression of w over X_sector, or None."""
-        sec = self._sector(sector)
-        if sec is None:
-            return [] if not w else None
-        return sec.express(w)
-
     def format(self) -> str:
         al = self.hw.alpha
         bits = []
@@ -807,19 +801,6 @@ def _check_states(W: AdmissibleWord, rule: GeneralizedRule) -> None:
         if q != expected:
             raise StateMismatchError(j, hw.alpha.name_of(q),
                                      hw.alpha.name_of(expected))
-
-
-def _domain_exprs(W: AdmissibleWord,
-                  rule: GeneralizedRule) -> List[BasisExpression]:
-    """Each tape word of W over the rule's domain basis of its sector;
-    raise at the first one outside."""
-    exprs = []
-    for s, w in zip(W.sectors, W.tapes):
-        expr = rule.domain_expr(s, w)
-        if expr is None:
-            raise SectorMismatchError(s, w, rule.locks(s))
-        exprs.append(expr)
-    return exprs
 
 
 def _check_hardware(W: AdmissibleWord, rule: GeneralizedRule) -> None:
@@ -1012,12 +993,6 @@ def apply_rule(W: AdmissibleWord, rule: GeneralizedRule) -> AdmissibleWord:
     run = _Run(W)
     run.step(rule)
     return run.word()
-
-
-def theta_length(W: AdmissibleWord, rule: GeneralizedRule) -> int:
-    """l_rule(W) = (k+1) + sum of basis lengths of the tape words."""
-    _check_hardware(W, rule)
-    return len(W.states) + sum(len(e) for e in _domain_exprs(W, rule))
 
 
 def semi_apply(w: Word, rule: GeneralizedRule, sector: int) -> Word:

@@ -281,19 +281,6 @@ class Word:
             return Word(self.alpha, self.ltrs[i])
         return self.ltrs[i]
 
-    # -- typed lengths -----------------------------------------------------
-
-    def count(self, kind: Optional[str] = None, subkind: Optional[str] = None) -> int:
-        al = self.alpha
-        n = 0
-        for x in self.ltrs:
-            if kind is not None and al.kind_of(x) != kind:
-                continue
-            if subkind is not None and al.subkind_of(x) != subkind:
-                continue
-            n += 1
-        return n
-
     # -- text --------------------------------------------------------------
 
     def format(self) -> str:

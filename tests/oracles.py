@@ -272,7 +272,8 @@ def reference_is_admissible(W, rule):
 
 
 def reference_theta_length(W, rule):
-    """Checks sectors only, like the library's theta_length."""
+    """The rule's theta-length of W: its state letters and the basis terms
+    of its tapes.  Checks sectors only, not state letters."""
     return len(W.states) + sum(len(e) for e in _reference_exprs(W, rule))
 
 
@@ -481,7 +482,7 @@ def reference_sector_cells(pres, rule, sector, w):
     from smforge.smachine import MachineError
     from smforge.words import relabel_by_name
 
-    expr = rule.domain_expr(sector, w)
+    expr = reference_domain_expr(rule, sector, w)
     if expr is None:
         raise MachineError("rule %s does not read %s in sector %d"
                            % (rule.name, w.format(), sector))
@@ -531,25 +532,27 @@ def reference_band_cells(pres, W, name, sign):
 def reference_band(pres, W, V, name, sign):
     """The band of (name, sign) from W to V as the band builder made it
     before band plans: every tape expressed over its sector's domain basis
-    on each call, each cell looked up by basis term, and the closing check
-    a free reduction of the band's far side.  It takes the presentation's
-    shared cells, so its rows are the library's cell for cell, by
-    identity."""
+    on each call, each basis term (k, g) looked up as the letter g.X[k],
+    and the closing check a free reduction of the band's far side.  It
+    takes the presentation's shared cells, so its rows are the library's
+    cell for cell, by identity."""
     from operator import attrgetter
     from smforge.groups import (Row, _sector_cells, _state_cell,
                                 _word_product)
-    from smforge.smachine import MachineError, _domain_exprs
+    from smforge.smachine import MachineError
 
     machine, rule = pres.machine, pres.machine.rule(name)
     flip = 1 if sign < 0 else 0
     lo, hi = (V, W) if flip else (W, V)
     cells = []
-    exprs = _domain_exprs(lo, rule)
+    exprs = _reference_exprs(lo, rule)
     for j, (q, e) in enumerate(lo.states):
         cells.append(_state_cell(pres, rule, machine.hw.part_of(q), e)[flip])
         if j < len(exprs) and exprs[j]:
-            cells.extend(map(_sector_cells(pres, rule, lo.sectors[j],
-                                           flip).__getitem__, exprs[j]))
+            s = lo.sectors[j]
+            X = rule.sectors[s].X
+            table = _sector_cells(pres, rule, s, flip)
+            cells.extend(table[g * X[k].ltrs[0]] for k, g in exprs[j])
     far = attrgetter("bottom" if flip else "top")
     if _word_product(list(map(far, cells)),
                      pres.alpha) != pres.carry_admissible(hi):

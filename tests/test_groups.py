@@ -9,13 +9,13 @@ import re
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import (reference_band, reference_band_cells,
-                     reference_diagram_report, rng)
-from smforge.smachine import (Computation, GeneralizedRule, Hardware, Machine,
-                              MachineError, Part, RulePart,
-                              SectorMismatchError, SectorRule,
-                              StateMismatchError, StepError, apply_rule,
-                              machine_from_text, theta_length)
+from oracles import (reference_apply_rule, reference_band,
+                     reference_band_cells, reference_diagram_report,
+                     reference_theta_length, rng)
+from smforge.smachine import (BasisShapeError, Computation, GeneralizedRule,
+                              Hardware, Machine, MachineError, Part, RulePart,
+                              SectorRule, StateMismatchError, StepError,
+                              apply_rule, machine_from_text)
 from smforge.words import Alphabet, Word
 from smforge.mainmachine import (DivisibleRecognizer, Params, accepting_run,
                                  build_main)
@@ -242,22 +242,35 @@ def _long_basis_machine():
                               ("d a d^-1 a", ""))]
 
 
-def test_bands_over_long_basis_words_match_the_reference():
+def test_bands_over_long_basis_words_are_refused():
+    """A run applies the rules of _long_basis_machine, read off the image
+    in sector 1, as the reference does.  A band finds each cell by the
+    signed X letter, so build_trapezium refuses a step of either sign by a
+    BasisShapeError naming the rule and sector 1."""
     m, starts = _long_basis_machine()
-    assert all(m.rule(n).sectors[1].letter_terms() is None
-               for n in ("sq", "strip"))
     mpres = emit_presentation(m)
-    outcomes = set()
+    refused = set()
     for X in starts:
         for name in m.rules:
             for sign in (1, -1):
-                try:
-                    V = apply_rule(X, m.rule(name, sign))
-                except MachineError:
-                    V = X
-                ref = _same_band(mpres, X, V, name, sign)
-                outcomes.add(ref[0] if isinstance(ref, tuple) else "band")
-    assert outcomes >= {"band", SectorMismatchError}
+                rule = m.rule(name, sign)
+                got = _run_outcome(apply_rule, X, rule)
+                assert got == _run_outcome(reference_apply_rule, X, rule)
+                if isinstance(got, tuple):
+                    continue
+                comp = Computation([X, got], [(name, sign)])
+                with pytest.raises(BasisShapeError, match=re.escape(
+                        "rule %s sector 1: " % name)):
+                    build_trapezium(mpres, comp)
+                refused.add((name, sign))
+    assert refused == {(n, s) for n in ("sq", "strip") for s in (1, -1)}
+
+
+def _run_outcome(f, *args):
+    try:
+        return f(*args)
+    except MachineError as e:
+        return type(e), str(e)
 
 
 def test_disk_of_i(disk_i, pres):
@@ -272,7 +285,8 @@ def test_band_area_is_the_theta_length(main1, disk_i):
     for row, (name, s) in zip(disk_i.rows, disk_i.history):
         V = apply_rule(W, main1.machine.rule(name, s))
         lo = W if s > 0 else V
-        assert len(row.cells) == theta_length(lo, main1.machine.rule(name))
+        assert len(row.cells) == reference_theta_length(
+            lo, main1.machine.rule(name))
         W = V
     assert W == main1.w_ac()
 

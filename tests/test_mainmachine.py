@@ -521,7 +521,7 @@ def test_every_sector_compiles_to_one_of_the_two_shapes(main1, main_rej):
     with the rejecting plugin, compiles each sector without a
     BasisShapeError.  A sector with one-letter X entries has the signed X
     letters for its domain; any other is read off the image, on the signed
-    Z letters."""
+    Z letters, and sits on an inverse rule only, as a band needs."""
     from smforge import embedding
     pipe = embedding.build_pipeline(embedding.builtin_oracle("Z"), 2)
     mains = [main1, main_rej]
@@ -539,5 +539,6 @@ def test_every_sector_compiles_to_one_of_the_two_shapes(main1, main_rej):
                 assert all(len(w) == 1 for w in ones)
                 assert sec._map.domain == {s * w.ltrs[0] for w in ones
                                            for s in (1, -1)}
+                assert not (sec._image_read and sign > 0), (name, m.name)
                 shapes.add(sec._image_read)
     assert shapes == {False, True}

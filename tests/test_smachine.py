@@ -10,7 +10,7 @@ from smforge.smachine import (
     RulePart, SectorMismatchError, SectorRule,
     StateMismatchError, StepError, UnknownRuleError, apply_rule, invert_rule,
     machine_from_text, machine_to_text, parse_history, format_history,
-    reduce_history, semi_apply, theta_length, validate_noisy,
+    reduce_history, semi_apply, validate_noisy,
 )
 from smforge.words import Alphabet
 
@@ -89,6 +89,28 @@ def test_admissible_from_a_foreign_word_raises(names):
                     other.id_of(names[0])])
     with pytest.raises(MachineError, match="not over the hardware's alphabet"):
         AdmissibleWord.from_word(m.hw, w)
+
+
+@p("window", [0, 1])
+@p("check", [True, False])
+def test_admissible_with_a_foreign_tape_raises(window, check):
+    """A tape over another alphabet is refused, naming its window, though
+    its ids are the hardware's tape letters: the foreign y has the id of a,
+    so it would read as a and peel would cancel it."""
+    m = tiny_machine()
+    al = m.hw.alpha
+    other = Alphabet()
+    for name in "qrstyuv":
+        other.intern(name)
+    y = other.word([other.id_of("y")])
+    assert y.ltrs == al.parse("a").ltrs
+    tapes = [al.parse("a"), al.word()]
+    tapes[window] = y
+    states = [(al.id_of(q), 1) for q in ("q0", "q1", "q2")]
+    with pytest.raises(MachineError, match=re.escape(
+            "window %d: tape word is not over the hardware's alphabet"
+            % window)):
+        AdmissibleWord(m.hw, states, tapes, check=check)
 
 
 def test_apply_classical_rule():
@@ -330,39 +352,29 @@ def test_sector_queries_outside_the_hardware_are_typed(sector):
     w = m.hw.alpha.parse("a")
     rule = m.rule("twist")
     message = "rule twist: no sector %d" % sector
-    for query in (rule.locks, lambda s: rule.domain_expr(s, w)):
-        with pytest.raises(MachineError, match=message):
-            query(sector)
-    assert len(rule.domain_expr(1, w)) == 1
+    with pytest.raises(MachineError, match=message):
+        rule.locks(sector)
+    assert len(rule.sectors[1].express(w)) == 1
 
 
 def test_admissibility_under_other_hardware_is_typed():
     m, other = tiny_machine(), tiny_machine()
     W = AdmissibleWord.from_word(m.hw, m.hw.alpha.parse("q0 a q1 q2"))
     message = "rule peel: hardware differs from the word's"
-    for query in (apply_rule, theta_length):
-        with pytest.raises(MachineError) as ei:
-            query(W, other.rule("peel"))
-        assert type(ei.value) is MachineError and str(ei.value) == message
-    assert theta_length(W, m.rule("peel")) == 4
+    with pytest.raises(MachineError) as ei:
+        apply_rule(W, other.rule("peel"))
+    assert type(ei.value) is MachineError and str(ei.value) == message
 
 
-def test_theta_length_counts_basis_terms():
+def test_express_counts_basis_terms():
     m = tiny_machine()
     al = m.hw.alpha
-    W = AdmissibleWord.from_word(m.hw, al.parse("q0 a b^-1 a q1 c q2"))
-    # classical rule: letters count; 3 states + 3 + 1
-    assert theta_length(W, m.rule("peel")) == 7
-    # generalized: a b^-1 a has X-expression a, b^-1, a (3 terms)
-    assert theta_length(W, m.rule("twist")) == 7
-    out = apply_rule(W, m.rule("twist"))
-    # sector 2 picked up the inserted c, so the inverse length grows by one
-    assert theta_length(out, m.rule("twist", -1)) == 8
-    # but on bare tape words the length is preserved exactly
+    # a b^-1 a has X-expression a, b^-1, a (3 terms), and so has its
+    # image under twist over the inverse rule's X, read off the image
     w = al.parse("a b^-1 a")
     img = semi_apply(w, m.rule("twist"), 1)
-    assert len(m.rule("twist").domain_expr(1, w)) == 3
-    assert len(m.rule("twist", -1).domain_expr(1, img)) == 3
+    assert len(m.rule("twist").sectors[1].express(w)) == 3
+    assert len(m.rule("twist", -1).sectors[1].express(img)) == 3
 
 
 def test_semi_apply_and_history_utils():
@@ -443,11 +455,11 @@ def test_inverse_rule_expresses_naked_marker():
     al = m.hw.alpha
     inv = m.rule("fuzz", -1)
     w = al.parse("a_1")
-    expr = inv.domain_expr(1, w)
+    expr = inv.sectors[1].express(w)
     assert expr is not None and len(expr) == 3
     assert semi_apply(w, inv, 1) == al.parse("b2^-1 b1^-1 a_1")
     # words with letters outside the sector domain are rejected, not mangled
-    assert inv.domain_expr(1, al.parse("a")) is None
+    assert inv.sectors[1].express(al.parse("a")) is None
 
 
 def test_noisy_inverse_rule_shape():

@@ -192,20 +192,6 @@ def test_the_alphabet_records_no_placement():
     assert not hasattr(al, "part_of") and not hasattr(al, "sector_of")
 
 
-def test_typed_lengths_partition():
-    al = Alphabet()
-    al.intern("q0", kind="q")
-    al.intern("x", kind="a", subkind="A")
-    al.intern("b1", kind="a", subkind="b")
-    al.intern("c", kind="a", subkind="o")
-    al.intern("th", kind="t")
-    w = al.parse("q0 x b1^-1 c x th c^-1")
-    assert w.count("q") == 1 and w.count("t") == 1 and w.count("a") == 5
-    typed = [w.count("a", sub) for sub in ("A", "b", "o")]
-    assert typed == [2, 1, 2] and sum(typed) == w.count("a")
-    assert w.count() == len(w)
-
-
 def test_substitute_is_homomorphism():
     al = mk_alpha()
     im = {1: al.parse("g1 g2"), 2: al.parse("g2^-1"), 3: al.word()}
