@@ -159,6 +159,8 @@ class ExpandedPresentation:
 
     def phi(self, w: Word) -> Word:
         """Blockwise expansion; reduced words map without cancellation."""
+        if w.alpha is not self.Y:
+            raise ValueError("word is not over the Y alphabet")
         out: List[int] = []
         for x in w.ltrs:
             blk = self.blocks[abs(x)]
@@ -222,6 +224,8 @@ class ExpandedPresentation:
 
     def d_word(self, w: Word) -> Optional[Word]:
         """The Y word w spells blockwise, or None if not block-aligned."""
+        if w.alpha is not self.YC:
+            raise ValueError("word is not over the block alphabet")
         got = [self.starts.get(x) for x in w.ltrs[::self.C]]
         if None in got or tuple(a for _, b in got for a in b) != w.ltrs:
             return None
@@ -334,6 +338,8 @@ class EmbeddingPipeline:
 
     def psi(self, w: Word) -> Word:
         """The embedding image of an outer-generator word, over the tape letters."""
+        if w.alpha is not self.oracle.alpha:
+            raise ValueError("word is not over the oracle's alphabet")
         lift = dict(zip(self.oracle.letters, self.trick.y_plain))
         return self.zeta_t(self.exp.phi(relabel(w, lift, self.trick.Y)))
 

@@ -527,13 +527,20 @@ class WeightFunctions:
                  + self._f(self.K * n ** 3, cap))
         return v if cap is None else min(v, cap)
 
+    def _fun(self, fn: str) -> Callable[[int, Optional[int]], int]:
+        funs = {"chi": self._chi, "h": self._h, "f": self._f, "g": self._g,
+                "dehn_bound": self._dehn}
+        if fn not in funs:
+            raise ValueError("unknown weight function %r; the weight "
+                             "functions are %s" % (fn, ", ".join(funs)))
+        return funs[fn]
+
     def _eval(self, fn: str, n: int, cap: Optional[int]) -> int:
         if n < 0:
             raise ValueError("weight functions take nonnegative arguments")
         if cap is None and (fn, n) in self._memo:
             return self._memo[(fn, n)]
-        v = {"chi": self._chi, "h": self._h, "f": self._f, "g": self._g,
-             "dehn_bound": self._dehn}[fn](n, cap)
+        v = self._fun(fn)(n, cap)
         if cap is None:
             self._memo[(fn, n)] = v
         return v
@@ -559,6 +566,7 @@ class WeightFunctions:
         Every stage of every function maps values >= m to values >= m,
         so saturating intermediates at m keeps the comparison faithful.
         """
+        self._fun(fn)
         if m <= 0:
             return True
         return self._eval(fn, n, m) >= m

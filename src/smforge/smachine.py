@@ -8,17 +8,15 @@ three legal shapes, which also assigns the tape word its sector.
 
 A generalized rule carries, per part i, a transition q_i -> u_i q_i' v_{i+1}
 and, per sector i, either a lock or a pair of free bases X_i, Z_i with the
-isomorphism f_i matching them up by position. Each sector is compiled once,
-when it is built, into letter tables (see :class:`SectorRule`), and every
-rewrite of a tape goes through one method, :meth:`SectorRule.push`: the
-windows of :func:`apply_rule` and :meth:`Machine.run`, the steps of
-:func:`semi_apply` and :meth:`Machine.semi_run`, and the inserts of
-:func:`invert_rule`.
-
-A sector compiles to one letter map on a letter domain, in one of the two
-shapes the paper's noisy machines use: one-letter X entries, or one-letter
-Z entries that each X entry wraps in fixed letters (the inverse of a form-3
-sector); any other basis raises :class:`BasisShapeError`.
+isomorphism f_i matching them up by position. A :class:`SectorRule` is
+that isomorphism: it is compiled once, when it is built, into one letter
+map on a letter domain, in one of the two shapes the paper's noisy machines
+use: one-letter X entries, or one-letter Z entries that each X entry wraps
+in fixed letters (the inverse of a form-3 sector); any other basis raises
+:class:`BasisShapeError`. Every rewrite of a tape is one call of one
+method, :meth:`SectorRule.push`: the windows of :func:`apply_rule` and
+:meth:`Machine.run`, the steps of :func:`semi_apply` and
+:meth:`Machine.semi_run`, and the inserts of :func:`invert_rule`.
 
 ``push`` edits a tape in place: it takes a letter buffer (a list) and the
 tape's marks, a superset of its letters, its watch letters (those moved by
@@ -54,8 +52,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from itertools import compress, count
-from typing import (Dict, FrozenSet, Iterable, List, Optional, Sequence,
-                    Tuple)
+from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from smforge.words import (
     Alphabet, BasisExpression, MachineError, Word, free_basis_folder,
@@ -176,7 +173,12 @@ class Hardware:
         return len(self.parts)
 
     def part_of(self, q: int) -> int:
-        return self._part_of[abs(q)]
+        try:
+            return self._part_of[abs(q)]
+        except KeyError:
+            raise MachineError("state letter %s is in no part" % (
+                self.alpha.name_of(q) if 0 < abs(q) <= len(self.alpha)
+                else "#%d" % q)) from None
 
     def sector_indices(self) -> List[int]:
         """Real sector indices, in tape order."""
@@ -207,6 +209,8 @@ class AdmissibleWord:
         # must guarantee the tape words already lie in their sectors.
         if len(states) != len(tapes) + 1 or not states:
             raise MachineError("admissible word needs k+1 states, k tapes")
+        for q, _e in states:
+            hw.part_of(q)  # raises for a state letter in no part
         self.hw = hw
         self.states = tuple(states)
         self.tapes = tuple(tapes)
@@ -433,48 +437,99 @@ def _inverse(ltrs: Tuple[int, ...]) -> Tuple[int, ...]:
     return tuple(-x for x in reversed(ltrs))
 
 
-class _LetterMap:
-    """A map of signed letters to reduced letter tuples, on a letter domain.
+@dataclass
+class SectorRule:
+    """Unlocked sector data: aligned free bases with f: X[k] -> Z[k].
+
+    The paper's sector maps come in two shapes, and construction compiles
+    either into one map of signed letters to reduced letter tuples on a
+    letter domain, which :meth:`express` and :meth:`push` read:
+
+    * every X entry one letter, as in forms 1-3: the map sends each X
+      letter to its Z entry, the domain is the signed X letters, and an
+      expression is read off the word, a basis term per letter;
+    * every Z entry one positive letter, and each X entry its Z entry
+      between words over the fixed letters (those with X[k] == Z[k]), as
+      in the inverse of a form-3 sector: the map is
+      ``triangular_sub(Z, X)``, which sends each X entry to its Z entry,
+      the domain is the signed Z letters, which freely generate <X>, so
+      the domain test is exact, and an expression is read off the image.
 
     ``images`` keeps only the letters that move; every other letter of
     ``domain`` goes to itself, and ``fixed`` holds those.  ``produces``
     maps each moving letter to the set of letters of its image, and
-    ``widen`` holds the moving letters.
-    :meth:`push` rewrites a tape in place, given its marks (see
-    ``_Marks``). It tries the fixed and domain tests on the letter
-    superset before it reads the tape, and finds the moving letters at the
-    watch positions, so its Python work grows with the watch letters
-    alone; the offsets of the watch letters in each image are worked out
-    once per watch set. When the tape may hold a moving letter that is not
-    a watch letter, the letters of ``widen`` become watch letters first,
-    at the cost of one scan.
+    ``widen`` holds the moving letters.  :meth:`push` rewrites a tape in
+    place, given its marks (see ``_Marks``). It tries the fixed and domain
+    tests on the letter superset before it reads the tape, and finds the
+    moving letters at the watch positions, so its Python work grows with
+    the watch letters alone; the offsets of the watch letters in each
+    image are worked out once per watch set. When the tape may hold a
+    moving letter that is not a watch letter, the letters of ``widen``
+    become watch letters first, at the cost of one scan.
+
+    Any other pair of bases raises :class:`BasisShapeError`.  A band (see
+    ``groups._band``) finds a cell by the signed X letter, so it reads the
+    first shape only.  No library code calls :meth:`express`; it stays
+    because the benchmark traces it (``smbench/layers.py``).
     """
+    X: Tuple[Word, ...]
+    Z: Tuple[Word, ...]
 
-    __slots__ = ("images", "domain", "fixed", "produces", "widen",
-                 "_offsets")
-
-    def __init__(self, images: Dict[int, Tuple[int, ...]],
-                 domain: Iterable[int]):
+    def __post_init__(self) -> None:
+        # _terms: each signed letter of the domain -> its basis term; the
+        # letters are the X entries', or the Z entries' when _image_read
+        self._image_read = not all(len(x.ltrs) == 1 for x in self.X)
+        if self._image_read:
+            sub = triangular_sub(self.Z, self.X)
+            if sub is None:
+                raise BasisShapeError(
+                    "sector bases X={%s} Z={%s} fit neither shape" % tuple(
+                        ";".join(map(Word.format, b)) for b in (self.X, self.Z)))
+            letters = [z.ltrs[0] for z in self.Z]
+            pairs = [(y, img.ltrs) for y, img in sub.items()]
+        else:
+            letters = [x.ltrs[0] for x in self.X]
+            pairs = zip(letters, (z.ltrs for z in self.Z))
+        self._terms: Dict[int, Tuple[int, int]] = {}
+        for j, y in enumerate(letters):
+            self._terms.setdefault(y, (j, 1))
+            self._terms.setdefault(-y, (j, -1))
+        # each signed letter -> its image, the first pair of a letter
+        # winning; only the letters that move are kept
+        images: Dict[int, Tuple[int, ...]] = {}
+        for y, img in pairs:
+            images.setdefault(y, img)
+            images.setdefault(-y, _inverse(img))
         self.images = {y: img for y, img in images.items() if img != (y,)}
-        self.domain = frozenset(domain)
+        self.domain = frozenset(self._terms)
         self.fixed = self.domain.difference(self.images)
         self.produces = {y: frozenset(img) for y, img in self.images.items()}
         self.widen = frozenset(self.images)
         self._offsets: Dict[FrozenSet[int], Dict[int, Tuple[int, ...]]] = {}
 
+    def express(self, w: Word) -> Optional[BasisExpression]:
+        """Expression of w over X, or None when w lies outside <X>."""
+        ltrs = w.ltrs
+        if not self.domain.issuperset(ltrs):
+            return None
+        if self._image_read:
+            ltrs = list(ltrs)
+            self.push(ltrs, _fresh(ltrs))
+        return list(map(self._terms.__getitem__, ltrs))
+
     def push(self, buf: List[int], marks: _Marks,
              ends: _Ends = None) -> Optional[_Marks]:
-        """Rewrite the reduced tape ``buf``, whose marks are ``marks``, to
-        the reduced product of the right insert of ``ends``, its image and
-        the left insert, in place.
+        """Rewrite the reduced tape ``buf``, a w with marks ``marks``, in
+        place to the reduced product of the right insert of ``ends``, f(w)
+        and the left insert.
 
         The moving letters are replaced at their watch positions, left to
         right; everything left of the last replaced letter is then final
         and reduced, and each junction cancels in place.  Returns the
         marks of the result, whose letter superset is exact on moving
-        letters, or the very ``marks`` given when the tape did not change;
-        or None, with ``buf`` untouched, when a letter of the tape lies
-        outside the domain.
+        letters and whose watch letters may have grown by ``widen``, or
+        the very ``marks`` given when the tape did not change; or None,
+        with ``buf`` untouched, when w lies outside <X>.
         """
         letters, watch, pos = marks
         images = self.images
@@ -516,85 +571,6 @@ class _LetterMap:
         out = letters & self.fixed
         return _ends(buf, (out.union(*map(self.produces.__getitem__, moved)),
                            watch, tuple(at)), ends)
-
-
-def _signed(pairs: Iterable[Tuple[int, Tuple[int, ...]]]
-            ) -> Dict[int, Tuple[int, ...]]:
-    """{y: img, -y: img^-1} for each pair, the first pair of a letter
-    winning."""
-    out: Dict[int, Tuple[int, ...]] = {}
-    for y, img in pairs:
-        out.setdefault(y, img)
-        out.setdefault(-y, _inverse(img))
-    return out
-
-
-@dataclass
-class SectorRule:
-    """Unlocked sector data: aligned free bases with f: X[k] -> Z[k].
-
-    The paper's sector maps come in two shapes, and construction compiles
-    either into one letter map on a letter domain (see
-    :class:`_LetterMap`), which :meth:`express` and :meth:`push` read:
-
-    * every X entry one letter, as in forms 1-3: the map sends each X
-      letter to its Z entry, the domain is the signed X letters, and an
-      expression is read off the word, a basis term per letter;
-    * every Z entry one positive letter, and each X entry its Z entry
-      between words over the fixed letters (those with X[k] == Z[k]), as
-      in the inverse of a form-3 sector: the map is
-      ``triangular_sub(Z, X)``, which sends each X entry to its Z entry,
-      the domain is the signed Z letters, which freely generate <X>, so
-      the domain test is exact, and an expression is read off the image.
-
-    Any other pair of bases raises :class:`BasisShapeError`.  A band (see
-    ``groups._band``) finds a cell by the signed X letter, so it reads the
-    first shape only.  No library code calls :meth:`express`; it stays
-    because the benchmark traces it (``smbench/layers.py``).
-    """
-    X: Tuple[Word, ...]
-    Z: Tuple[Word, ...]
-
-    def __post_init__(self) -> None:
-        # _terms: each signed letter of the domain -> its basis term; the
-        # letters are the X entries', or the Z entries' when _image_read
-        self._image_read = not all(len(x.ltrs) == 1 for x in self.X)
-        if self._image_read:
-            sub = triangular_sub(self.Z, self.X)
-            if sub is None:
-                raise BasisShapeError(
-                    "sector bases X={%s} Z={%s} fit neither shape" % tuple(
-                        ";".join(map(Word.format, b)) for b in (self.X, self.Z)))
-            letters = [z.ltrs[0] for z in self.Z]
-            pairs = [(y, img.ltrs) for y, img in sub.items()]
-        else:
-            letters = [x.ltrs[0] for x in self.X]
-            pairs = zip(letters, (z.ltrs for z in self.Z))
-        self._terms: Dict[int, Tuple[int, int]] = {}
-        for j, y in enumerate(letters):
-            self._terms.setdefault(y, (j, 1))
-            self._terms.setdefault(-y, (j, -1))
-        self._map = _LetterMap(_signed(pairs), self._terms)
-
-    def express(self, w: Word) -> Optional[BasisExpression]:
-        """Expression of w over X, or None when w lies outside <X>."""
-        ltrs = w.ltrs
-        if not self._map.domain.issuperset(ltrs):
-            return None
-        if self._image_read:
-            ltrs = list(ltrs)
-            self._map.push(ltrs, _fresh(ltrs))
-        return list(map(self._terms.__getitem__, ltrs))
-
-    def push(self, buf: List[int], marks: _Marks,
-             ends: _Ends = None) -> Optional[_Marks]:
-        """Rewrite the tape ``buf``, a w with marks ``marks``, in place to
-        the reduced product of the right insert of ``ends``, f(w) and the
-        left insert.  Returns the marks of the result, whose watch letters
-        may have grown (see :class:`_LetterMap`), or the very ``marks``
-        given when the tape did not change; or None, with ``buf``
-        untouched, when w lies outside <X>."""
-        return self._map.push(buf, marks, ends)
 
 
 def triangular_sub(X: Tuple[Word, ...],

@@ -256,6 +256,39 @@ def test_foreign_alphabets_raise(zpipe):
         zpipe.zeta_t(zpipe.zeta_t(block))
 
 
+def test_phi_requires_the_y_alphabet(zpipe):
+    """A tape word whose ids are Y letters is not expanded as one."""
+    exp = zpipe.exp
+    ys = list(exp.y_letters)
+    assert exp.phi(exp.Y.word(ys)) == exp.YC.word(
+        [a for y in ys for a in exp.blocks[y]])
+    with pytest.raises(ValueError, match="not over the Y alphabet"):
+        exp.phi(zpipe.A.word(ys))
+
+
+def test_d_word_requires_the_block_alphabet(zpipe):
+    """A tape word whose ids spell a block is not read as that block."""
+    exp = zpipe.exp
+    x = exp.y_letters[0]
+    block = exp.blocks[x]
+    assert exp.d_word(exp.YC.word(block)) == exp.Y.word([x])
+    with pytest.raises(ValueError, match="not over the block alphabet"):
+        exp.d_word(zpipe.A.word(block))
+
+
+def test_psi_requires_the_oracle_alphabet(zpipe):
+    """A word over another alphabet is refused, whether or not its ids are
+    the oracle's letters."""
+    ox = zpipe.oracle
+    (x,) = ox.letters
+    al = Alphabet()
+    zz = al.word([al.intern("zz"), al.intern("yy")])
+    assert zpipe.psi(ox.alpha.word([x])) == generator_images(zpipe)["x"]
+    for w in (zpipe.trick.Y.word([x]), zz):
+        with pytest.raises(ValueError, match="not over the oracle's alphabet"):
+            zpipe.psi(w)
+
+
 def test_pipeline_letters(zpipe):
     assert zpipe.letters == tuple("%s.%d" % (b, k) for b in ("x", "x~")
                                   for k in range(1, C + 1))

@@ -759,6 +759,14 @@ def test_weight_ge_matches_exact(wf, case, offset, m):
     assert wf.ge(fn, n, m) == (v >= m)
 
 
+@pytest.mark.parametrize("m", [5, 0])
+def test_weight_of_an_unknown_function_is_named(wf, m):
+    with pytest.raises(ValueError, match=re.escape(
+            "unknown weight function 'zz'; the weight functions are "
+            "chi, h, f, g, dehn_bound")):
+        wf.ge("zz", 1, m)
+
+
 WORD_ALPHA = Alphabet()
 for _name in ("x", "y", "z"):
     WORD_ALPHA.intern(_name)

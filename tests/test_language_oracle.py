@@ -237,7 +237,7 @@ def test_the_replay_starts_from_the_marks_of_its_first_push(monkeypatch):
     first = main.machine.rule(*history[0])._sector(main.special_sector)
     fresh = _fresh(buf)
     assert letters == fresh[0]
-    assert watch == fresh[1] | first._map.widen
+    assert watch == fresh[1] | first.widen
     assert pos == _scan(buf, watch)
 
 

@@ -537,8 +537,8 @@ def test_every_sector_compiles_to_one_of_the_two_shapes(main1, main_rej):
             for sec in filter(None, m.rule(name, sign).sectors):
                 ones = sec.Z if sec._image_read else sec.X
                 assert all(len(w) == 1 for w in ones)
-                assert sec._map.domain == {s * w.ltrs[0] for w in ones
-                                           for s in (1, -1)}
+                assert sec.domain == {s * w.ltrs[0] for w in ones
+                                      for s in (1, -1)}
                 assert not (sec._image_read and sign > 0), (name, m.name)
                 shapes.add(sec._image_read)
     assert shapes == {False, True}

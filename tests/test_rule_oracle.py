@@ -302,7 +302,7 @@ def _watched(ltrs, watch):
 
 def _moves(sec):
     """The letters the sector's letter map moves."""
-    return sec._map.widen
+    return sec.widen
 
 
 def _marks(sec, w, letters, r, covered):

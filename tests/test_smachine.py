@@ -113,6 +113,34 @@ def test_admissible_with_a_foreign_tape_raises(window, check):
         AdmissibleWord(m.hw, states, tapes, check=check)
 
 
+@p("text", ["x", "x x", "q0 a q1 q2 x", "x^-1 q0"])
+def test_admissible_with_a_state_letter_in_no_part_raises(text):
+    """A state letter of the alphabet that no part holds is refused when
+    the word is built, also in a word of one state and no windows."""
+    m = tiny_machine()
+    al = m.hw.alpha
+    x = al.intern("x", kind="q")
+    with pytest.raises(MachineError, match="state letter x is in no part"):
+        AdmissibleWord.from_word(m.hw, al.parse(text))
+    with pytest.raises(MachineError, match="state letter x is in no part"):
+        AdmissibleWord(m.hw, [(x, 1), (x, 1)], [al.word()])
+    with pytest.raises(MachineError, match="state letter #99 is in no part"):
+        AdmissibleWord(m.hw, [(99, 1)], [])
+
+
+def test_rule_with_a_state_letter_in_no_part_raises():
+    m = tiny_machine()
+    al = m.hw.alpha
+    q0, q1, q2, a = (al.id_of(n) for n in ("q0", "q1", "q2", "a"))
+    x = al.intern("x", kind="q")
+    with pytest.raises(MachineError, match="state letter x is in no part"):
+        GeneralizedRule(m.hw, "stray", [
+            RulePart(q0, al.word(), q0, al.word()),
+            RulePart(x, al.word(), q1, al.word()),
+            RulePart(q2, al.word(), q2, al.word()),
+        ], [None, SectorRule((al.word([a]),), (al.word([a]),)), None])
+
+
 def test_apply_classical_rule():
     m = tiny_machine()
     al = m.hw.alpha
