@@ -289,22 +289,23 @@ def _both(c: Cell) -> Tuple[Cell, Cell]:
                    c.index, c.coordinate, c.weight_arg)
 
 
-def _state_cell(pres: Presentation, rule: GeneralizedRule, part: int,
-                eps: int) -> Tuple[Cell, Cell]:
-    """The shared state cell of the rule's part read with sign eps: theta-t
-    on an anchor part, theta-q elsewhere."""
-    key = ("state", rule.name, part, eps)
+def _state_cell(pres: Presentation, rule: GeneralizedRule,
+                q: int) -> Tuple[Cell, Cell]:
+    """The shared state cell of the rule at the signed state letter q:
+    theta-t on an anchor part, theta-q elsewhere."""
+    key = ("state", rule.name, q)
     if key in pres.cells:
         return pres.cells[key]
     hw = pres.machine.hw
+    part = hw.part_of(q)
     rp = rule.parts[part]
     t_here = pres.theta_word(rule.name, part)
     t_next = pres.theta_word(rule.name, (part + 1) % hw.n_parts)
     al = pres.alpha
-    bottom = al.word((eps * rp.q,))
+    bottom = al.word((rp.q,))
     top = al.word(rp.u.ltrs + (rp.q2,) + rp.v.ltrs)
-    if eps < 0:
-        top = ~top
+    if q < 0:
+        bottom, top = ~bottom, ~top
         t_here, t_next = t_next, t_here
     cls = "theta-t" if part in pres.t_parts else "theta-q"
     pres.cells[key] = _both(Cell(bottom, top, t_here, t_next, cls,
@@ -369,8 +370,7 @@ def _band(pres: Presentation, W: AdmissibleWord, V: AdmissibleWord,
     key = ("plan", name, lo.states, flip)
     if key not in pres.cells:
         pres.cells[key] = (
-            [_state_cell(pres, rule, pres.machine.hw.part_of(q), e)[flip]
-             for q, e in lo.states],
+            [_state_cell(pres, rule, q)[flip] for q in lo.states],
             [_sector_cells(pres, rule, s, flip) for s in lo.sectors])
     states, tables = pres.cells[key]
     try:
@@ -527,20 +527,21 @@ class WeightFunctions:
                  + self._f(self.K * n ** 3, cap))
         return v if cap is None else min(v, cap)
 
-    def _fun(self, fn: str) -> Callable[[int, Optional[int]], int]:
+    def _fun(self, fn: str, n: int) -> Callable[[int, Optional[int]], int]:
+        """The weight function named fn, once fn and n are checked."""
         funs = {"chi": self._chi, "h": self._h, "f": self._f, "g": self._g,
                 "dehn_bound": self._dehn}
         if fn not in funs:
             raise ValueError("unknown weight function %r; the weight "
                              "functions are %s" % (fn, ", ".join(funs)))
+        if n < 0:
+            raise ValueError("weight functions take nonnegative arguments")
         return funs[fn]
 
     def _eval(self, fn: str, n: int, cap: Optional[int]) -> int:
-        if n < 0:
-            raise ValueError("weight functions take nonnegative arguments")
         if cap is None and (fn, n) in self._memo:
             return self._memo[(fn, n)]
-        v = self._fun(fn)(n, cap)
+        v = self._fun(fn, n)(n, cap)
         if cap is None:
             self._memo[(fn, n)] = v
         return v
@@ -566,7 +567,7 @@ class WeightFunctions:
         Every stage of every function maps values >= m to values >= m,
         so saturating intermediates at m keeps the comparison faithful.
         """
-        self._fun(fn)
+        self._fun(fn, n)
         if m <= 0:
             return True
         return self._eval(fn, n, m) >= m

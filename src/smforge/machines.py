@@ -324,7 +324,7 @@ def shift(w: Word, machine: Machine, scheme: NoiseScheme
     """
     _check_sector1(w, scheme)
     q0, q1 = machine.hw.parts[0].start, machine.hw.parts[1].start
-    W0 = AdmissibleWord(machine.hw, ((q0, 1), (q1, 1)), (w,))
+    W0 = AdmissibleWord(machine.hw, (q0, q1), (w,))
     W, hist = W0, []
     p = 0
     while p >= 0:

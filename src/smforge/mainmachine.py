@@ -474,8 +474,8 @@ def _classify_start(W: AdmissibleWord, main: MainMachine
                     ) -> Optional[Tuple[str, Word]]:
     """Which input shape W has: ("I", w), ("J", w) or None."""
     mm = main.machine
-    starts = tuple((p.start, 1) for p in mm.hw.parts)
-    if tuple(W.states) != starts or not W.is_configuration():
+    starts = tuple(p.start for p in mm.hw.parts)
+    if W.states != starts or not W.is_configuration():
         return None
     empty = mm.hw.alpha.word()
     content = dict(zip(W.sectors, W.tapes))
@@ -551,6 +551,8 @@ def main_time_bound(main: MainMachine, n: int) -> int:
     n bounds the payload length of one coordinate component, both input
     sectors together.
     """
+    if n < 0:
+        raise ValueError("the time bound takes a nonnegative argument")
     c0 = main.params.c0
     tm = main.plugin.time_bound(c0 * n)
     return c0 * tm ** 3 + n * c0 ** n + c0 * n + 2 * c0

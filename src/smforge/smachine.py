@@ -3,8 +3,9 @@
 A machine's hardware is a pair of partitioned alphabets: state parts
 Q_0, ..., Q_N and tape alphabets Y_1, ..., Y_N (plus Y_0 for cyclic
 hardware, where sector 0 wraps from Q_N back to Q_0). An admissible word
-alternates state letters and tape words; each window must fit one of the
-three legal shapes, which also assigns the tape word its sector.
+alternates signed state letters and tape words (``base()`` reads each
+state letter as its part and sign); the signs around each window must fit
+a legal shape, which also assigns the tape word its sector.
 
 A generalized rule carries, per part i, a transition q_i -> u_i q_i' v_{i+1}
 and, per sector i, either a lock or a pair of free bases X_i, Z_i with the
@@ -161,7 +162,7 @@ class Hardware:
                 if alpha.kind_of(q) != "q":
                     raise ValueError("part letter %s is not a state letter"
                                      % alpha.name_of(q))
-                self._part_of[q] = i
+                self._part_of[q] = self._part_of[-q] = i
         for t in self.tapes:
             for y in t:
                 if alpha.kind_of(y) != "a":
@@ -174,11 +175,11 @@ class Hardware:
 
     def part_of(self, q: int) -> int:
         try:
-            return self._part_of[abs(q)]
-        except KeyError:
+            return self._part_of[q]
+        except (KeyError, TypeError):
             raise MachineError("state letter %s is in no part" % (
-                self.alpha.name_of(q) if 0 < abs(q) <= len(self.alpha)
-                else "#%d" % q)) from None
+                self.alpha.name_of(q) if type(q) is int
+                and 0 < abs(q) <= len(self.alpha) else "#%r" % (q,))) from None
 
     def sector_indices(self) -> List[int]:
         """Real sector indices, in tape order."""
@@ -195,7 +196,8 @@ class Hardware:
 # -- admissible words ---------------------------------------------------------
 
 class AdmissibleWord:
-    """Alternating state letters and sector words, with shape checked.
+    """Alternating signed state letters (``states``, as :meth:`to_word`
+    writes them) and sector words, with shape checked.
 
     ``marks`` is None or, per tape, its marks (see ``_Marks``): words made
     by a run carry them, and a run scans the tapes of the others once.
@@ -203,14 +205,14 @@ class AdmissibleWord:
 
     __slots__ = ("hw", "states", "tapes", "sectors", "marks")
 
-    def __init__(self, hw: Hardware, states: Sequence[Tuple[int, int]],
+    def __init__(self, hw: Hardware, states: Sequence[int],
                  tapes: Sequence[Word], check: bool = True):
         # check=False skips the per-letter sector membership scan; callers
         # must guarantee the tape words already lie in their sectors.
         if len(states) != len(tapes) + 1 or not states:
             raise MachineError("admissible word needs k+1 states, k tapes")
-        for q, _e in states:
-            hw.part_of(q)  # raises for a state letter in no part
+        for q in states:
+            hw.part_of(q)  # raises for anything but a state letter
         self.hw = hw
         self.states = tuple(states)
         self.tapes = tuple(tapes)
@@ -220,7 +222,7 @@ class AdmissibleWord:
         self._check_reduced()
 
     @classmethod
-    def _made(cls, hw: Hardware, states: Tuple[Tuple[int, int], ...],
+    def _made(cls, hw: Hardware, states: Tuple[int, ...],
               tapes: Tuple[Word, ...], sectors: Tuple[int, ...],
               marks: Tuple["_Marks", ...]) -> "AdmissibleWord":
         """A word whose shape, sectors and reducedness the caller knows."""
@@ -230,31 +232,24 @@ class AdmissibleWord:
         return W
 
     def _window_sector(self, j: int, check: bool = True) -> int:
+        # equal signs: the part after the lower part must be the higher
+        # part, which is the sector; opposite signs: one part p, and
+        # q u q'^-1 lies in the sector after p, q^-1 u q' in sector p
         hw = self.hw
-        (q1, e1), (q2, e2) = self.states[j], self.states[j + 1]
+        q1, q2 = self.states[j], self.states[j + 1]
         p1, p2 = hw.part_of(q1), hw.part_of(q2)
         w = self.tapes[j]
-        if e1 == 1 and e2 == 1:
-            if hw.next_part(p1) != p2:
+        if (q1 > 0) == (q2 > 0):
+            lo, hi = (p1, p2) if q1 > 0 else (p2, p1)
+            if hw.next_part(lo) != hi:
                 raise MachineError("window %d: parts %d,%d not consecutive"
                                    % (j, p1, p2))
-            sector = p2 if p2 != 0 or not hw.cyclic else 0
-        elif e1 == -1 and e2 == -1:
-            if hw.next_part(p2) != p1:
-                raise MachineError("window %d: parts %d,%d not consecutive"
-                                   % (j, p1, p2))
-            sector = p1 if p1 != 0 or not hw.cyclic else 0
-        elif e1 == 1 and e2 == -1:
-            if p1 != p2:
-                raise MachineError("window %d: q u q^-1 needs equal parts" % j)
-            nxt = hw.next_part(p1)
-            sector = nxt
+            sector = hi
         else:
             if p1 != p2:
-                raise MachineError("window %d: q^-1 u q needs equal parts" % j)
-            sector = p1
-            if sector == 0 and not hw.cyclic:
-                raise MachineError("window %d: no sector 0 on linear hardware" % j)
+                raise MachineError("window %d: parts %d,%d not equal"
+                                   % (j, p1, p2))
+            sector = hw.next_part(p1) if q1 > 0 else p1
         if sector >= hw.n_parts or (sector == 0 and not hw.cyclic):
             raise MachineError("window %d: sector %d does not exist"
                                % (j, sector))
@@ -268,41 +263,35 @@ class AdmissibleWord:
 
     def _check_reduced(self) -> None:
         for j, w in enumerate(self.tapes):
-            if not w:
-                q1, e1 = self.states[j]
-                q2, e2 = self.states[j + 1]
-                if q1 == q2 and e1 == -e2:
-                    raise MachineError("window %d reduces: %s^%d %s^%d"
-                                       % (j, self.hw.alpha.name_of(q1), e1,
-                                          self.hw.alpha.name_of(q2), e2))
+            q = self.states[j]
+            if not w and q == -self.states[j + 1]:
+                raise MachineError("window %d reduces: %s" % (
+                    j, Word(self.hw.alpha, (q, -q)).format()))
 
     # -- conversions ---------------------------------------------------------
 
     def to_word(self) -> Word:
-        out: List[int] = []
-        for j, (q, e) in enumerate(self.states):
-            out.append(e * q)
-            if j < len(self.tapes):
-                out.extend(self.tapes[j].ltrs)
+        out = [self.states[0]]
+        for w, q in zip(self.tapes, self.states[1:]):
+            out.extend(w.ltrs)
+            out.append(q)
         return Word(self.hw.alpha, tuple(out))
 
     @staticmethod
     def from_word(hw: Hardware, w: Word) -> "AdmissibleWord":
         if w.alpha is not hw.alpha:
             raise MachineError("word is not over the hardware's alphabet")
-        states: List[Tuple[int, int]] = []
+        states: List[int] = []
         tapes: List[Word] = []
         cur: List[int] = []
-        seen_state = False
         for x in w.ltrs:
             if hw.alpha.kind_of(x) == "q":
-                if seen_state:
+                if states:
                     tapes.append(Word(hw.alpha, free_reduce(cur)))
                 elif cur:
                     raise MachineError("tape letters before first state letter")
                 cur = []
-                states.append((abs(x), 1 if x > 0 else -1))
-                seen_state = True
+                states.append(x)
             else:
                 cur.append(x)
         if cur:
@@ -312,7 +301,9 @@ class AdmissibleWord:
         return AdmissibleWord(hw, states, tapes)
 
     def base(self) -> Tuple[Tuple[int, int], ...]:
-        return tuple((self.hw.part_of(q), e) for q, e in self.states)
+        """The (part, sign) of each state letter."""
+        return tuple((self.hw.part_of(q), 1 if q > 0 else -1)
+                     for q in self.states)
 
     def is_configuration(self) -> bool:
         return (self.base() ==
@@ -772,9 +763,9 @@ def _inv_name(name: str) -> str:
 def _check_states(W: AdmissibleWord, rule: GeneralizedRule) -> None:
     """Raise at the first state letter of W the rule does not expect."""
     hw = W.hw
-    for j, (q, _e) in enumerate(W.states):
+    for j, q in enumerate(W.states):
         expected = rule.parts[hw.part_of(q)].q
-        if q != expected:
+        if abs(q) != expected:
             raise StateMismatchError(j, hw.alpha.name_of(q),
                                      hw.alpha.name_of(expected))
 
@@ -805,8 +796,8 @@ class _StepPlan:
         _check_hardware(W, rule)
         _check_states(W, rule)
         hw = W.hw
-        repl = [rule._replacement[e * q] for q, e in W.states]
-        self.states = tuple((abs(q), 1 if q > 0 else -1) for _, q, _ in repl)
+        repl = [rule._replacement[q] for q in W.states]
+        self.states = tuple(q for _, q, _ in repl)
         classes: Dict[tuple, int] = {}
         windows = []
         for j, s in enumerate(W.sectors):
@@ -818,9 +809,8 @@ class _StepPlan:
                 else None
             windows.append((cls, s, sec, ends, cancel))
         self.windows = tuple(windows)
-        self.base_changed = (
-            tuple((hw.part_of(q), e) for q, e in self.states)
-            != tuple((hw.part_of(q), e) for q, e in W.states))
+        self.base_changed = (list(map(hw.part_of, self.states))
+                             != list(map(hw.part_of, W.states)))
         self.units: Dict[Tuple[int, ...], tuple] = {}
 
     def compile(self, slots: Tuple[int, ...]) -> "_Units":
@@ -1101,14 +1091,14 @@ class Machine:
 
     def configuration(self, tapes: Dict[int, Word],
                       which: str = "start") -> AdmissibleWord:
-        states = []
-        for i, p in enumerate(self.hw.parts):
-            q = p.start if which == "start" else p.end
-            states.append((q, 1))
+        for i in tapes:
+            if not 0 < i < self.hw.n_parts:
+                raise MachineError("sector %d holds no tape of a "
+                                   "configuration" % i)
+        states = [p.start if which == "start" else p.end
+                  for p in self.hw.parts]
         empty = self.hw.alpha.word()
-        ws = []
-        for i in range(1, self.hw.n_parts):
-            ws.append(tapes.get(i, empty))
+        ws = [tapes.get(i, empty) for i in range(1, self.hw.n_parts)]
         return AdmissibleWord(self.hw, states, ws)
 
     def accept_config(self) -> AdmissibleWord:

@@ -117,17 +117,23 @@ class Alphabet:
         except KeyError:
             raise UnknownLetterError(name) from None
 
+    def _row(self, i: int) -> int:
+        """The table row of letter id i, of either sign."""
+        if not 0 < abs(i) <= len(self._names):
+            raise ValueError("letter id %d is not in the alphabet" % i)
+        return abs(i) - 1
+
     def name_of(self, i: int) -> str:
-        return self._names[abs(i) - 1]
+        return self._names[self._row(i)]
 
     def kind_of(self, i: int) -> str:
-        return self._kinds[abs(i) - 1]
+        return self._kinds[self._row(i)]
 
     def subkind_of(self, i: int) -> Optional[str]:
-        return self._subkinds[abs(i) - 1]
+        return self._subkinds[self._row(i)]
 
     def coord_of(self, i: int) -> Optional[int]:
-        return self._coords[abs(i) - 1]
+        return self._coords[self._row(i)]
 
     def ids(self, kind: Optional[str] = None) -> List[int]:
         return [i + 1 for i in range(len(self._names))

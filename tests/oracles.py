@@ -241,9 +241,9 @@ def _reference_states(W, rule):
     from smforge.smachine import StateMismatchError
 
     hw = W.hw
-    for j, (q, _e) in enumerate(W.states):
+    for j, q in enumerate(W.states):
         expected = rule.parts[hw.part_of(q)].q
-        if q != expected:
+        if abs(q) != expected:
             raise StateMismatchError(j, hw.alpha.name_of(q),
                                      hw.alpha.name_of(expected))
 
@@ -289,10 +289,10 @@ def reference_apply_rule(W, rule):
         imgs.append(w.alpha.word() if sec is None
                     else expression_word(sec.Z, expr))
     out = []
-    for j, (q, e) in enumerate(W.states):
+    for j, q in enumerate(W.states):
         rp = rule.parts[hw.part_of(q)]
         rep = list(rp.u.ltrs) + [rp.q2] + list(rp.v.ltrs)
-        if e < 0:
+        if q < 0:
             rep = [-x for x in reversed(rep)]
         out.extend(rep)
         if j < len(W.tapes):
@@ -305,7 +305,7 @@ def reference_apply_rule(W, rule):
             if states:
                 tapes.append(Word(hw.alpha, tuple(cur)))
             cur = []
-            states.append((abs(x), 1 if x > 0 else -1))
+            states.append(x)
         else:
             cur.append(x)
     if len(states) != len(W.states):
@@ -365,7 +365,7 @@ def reference_step(W, rule, images=None):
 
     _check_states(W, rule)
     alpha = W.hw.alpha
-    repl = [rule._replacement[e * q] for q, e in W.states]
+    repl = [rule._replacement[q] for q in W.states]
     tapes = []
     images = {} if images is None else images
     cancelled = False
@@ -382,7 +382,7 @@ def reference_step(W, rule, images=None):
     if cancelled:
         raise MachineError("rule %s: state letters cancelled during "
                            "application" % rule.name)
-    states = [(abs(q), 1 if q > 0 else -1) for _, q, _ in repl]
+    states = [q for _, q, _ in repl]
     result = AdmissibleWord(W.hw, states, tapes, check=False)
     if result.base() != W.base():
         raise MachineError("rule %s: base changed during application"
@@ -418,7 +418,7 @@ def reference_shift(w, machine, scheme):
 
     _check_sector1(w, scheme)
     q0, q1 = machine.hw.parts[0].start, machine.hw.parts[1].start
-    W0 = AdmissibleWord(machine.hw, ((q0, 1), (q1, 1)), (w,))
+    W0 = AdmissibleWord(machine.hw, (q0, q1), (w,))
     W, hist = W0, []
     while True:
         gaps, markers = marker_split(W.tapes[0], scheme)
@@ -516,8 +516,9 @@ def reference_band_cells(pres, W, name, sign):
     if sign < 0:
         W = apply_rule(W, machine.rule(name, -1))
     cells = []
-    for j, (q, e) in enumerate(W.states):
-        cells.append(reference_state_cell(pres, rule, W.hw.part_of(q), e))
+    for j, q in enumerate(W.states):
+        cells.append(reference_state_cell(pres, rule, W.hw.part_of(q),
+                                          1 if q > 0 else -1))
         if j < len(W.tapes):
             cells.extend(reference_sector_cells(pres, rule, W.sectors[j],
                                                 W.tapes[j]))
@@ -541,13 +542,13 @@ def reference_band(pres, W, V, name, sign):
                                 _word_product)
     from smforge.smachine import MachineError
 
-    machine, rule = pres.machine, pres.machine.rule(name)
+    rule = pres.machine.rule(name)
     flip = 1 if sign < 0 else 0
     lo, hi = (V, W) if flip else (W, V)
     cells = []
     exprs = _reference_exprs(lo, rule)
-    for j, (q, e) in enumerate(lo.states):
-        cells.append(_state_cell(pres, rule, machine.hw.part_of(q), e)[flip])
+    for j, q in enumerate(lo.states):
+        cells.append(_state_cell(pres, rule, q)[flip])
         if j < len(exprs) and exprs[j]:
             s = lo.sectors[j]
             X = rule.sectors[s].X

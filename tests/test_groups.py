@@ -12,10 +12,11 @@ from hypothesis import given, settings, strategies as st
 from oracles import (reference_apply_rule, reference_band,
                      reference_band_cells, reference_diagram_report,
                      reference_theta_length, rng)
-from smforge.smachine import (BasisShapeError, Computation, GeneralizedRule,
-                              Hardware, Machine, MachineError, Part, RulePart,
-                              SectorRule, StateMismatchError, StepError,
-                              apply_rule, machine_from_text)
+from smforge.smachine import (AdmissibleWord, BasisShapeError, Computation,
+                              GeneralizedRule, Hardware, Machine,
+                              MachineError, Part, RulePart, SectorRule,
+                              StateMismatchError, StepError, apply_rule,
+                              machine_from_text)
 from smforge.words import Alphabet, Word
 from smforge.mainmachine import (DivisibleRecognizer, Params, accepting_run,
                                  build_main)
@@ -333,6 +334,25 @@ def test_cells_match_the_reference(shape, request, main1, pres):
     assert all(s < 0 for _, s in back.history)
     assert diagram_report(back, pres) == []
     assert _replay_against_the_reference(pres, main1.w_ac(), back) == W
+
+
+def test_bands_over_inverse_state_letters_match_the_reference(main1, pres):
+    """The I(a) run read on inverse words, every state letter of sign -1:
+    each band's cells are the reference's, and every bottom fits the top
+    below it."""
+    def inverse(W):
+        return AdmissibleWord(W.hw, [-q for q in reversed(W.states)],
+                              [~t for t in reversed(W.tapes)])
+
+    W = main1.input_i(payload(main1, 1))
+    comp = main1.machine.run(W, accepting_run(W, main1)[0].history)
+    inv = Computation(list(map(inverse, comp.words)), comp.history)
+    assert all(q < 0 for q in inv.words[0].states)
+    assert main1.machine.run(inv.words[0], inv.history).words == inv.words
+    d = build_trapezium(pres, inv)
+    assert diagram_report(d, pres) == []
+    assert _replay_against_the_reference(pres, inv.words[0], d) == \
+        inv.words[-1]
 
 
 def test_diagrams_with_no_bands(main1, pres):
@@ -757,6 +777,16 @@ def test_weight_ge_matches_exact(wf, case, offset, m):
     v = getattr(wf, fn)(n)
     assert wf.ge(fn, n, v + offset) == (v >= v + offset)
     assert wf.ge(fn, n, m) == (v >= m)
+
+
+@pytest.mark.parametrize("m", [5, 0, -2])
+def test_weight_of_a_negative_argument_is_refused(wf, m):
+    """ge checks n before it takes its m <= 0 shortcut, as f(-1) does."""
+    for fn in ("chi", "f", "dehn_bound"):
+        with pytest.raises(ValueError, match="nonnegative arguments"):
+            wf.ge(fn, -1, m)
+        with pytest.raises(ValueError, match="nonnegative arguments"):
+            getattr(wf, fn)(-1)
 
 
 @pytest.mark.parametrize("m", [5, 0])

@@ -220,6 +220,13 @@ def test_accepting_runs(main1, k, shape):
     assert comp.history[-1] == ("a" + c, 1)
 
 
+def test_main_time_bound_refuses_a_negative_length(main1):
+    """c0 ** n with n < 0 would give a negative bound, not an error."""
+    with pytest.raises(ValueError, match="nonnegative argument"):
+        main_time_bound(main1, -1)
+    assert main_time_bound(main1, 0) > 0
+
+
 # accept step counts, recorded when the benchmark was defined
 @p("letters,shape,word,steps", [
     ("a", "I", "a", 18), ("a", "J", "a", 18),

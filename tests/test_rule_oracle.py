@@ -154,7 +154,7 @@ def walk(m, W, r, steps, max_size=100):
 
 
 def inverse(W):
-    return AdmissibleWord(W.hw, [(q, -e) for q, e in reversed(W.states)],
+    return AdmissibleWord(W.hw, [-q for q in reversed(W.states)],
                           [~t for t in reversed(W.tapes)])
 
 
@@ -186,8 +186,9 @@ def mutate(W, r):
     states, tapes = list(W.states), list(W.tapes)
     if r.random() < 0.3:
         j = r.randrange(len(states))
-        q, e = states[j]
-        states[j] = (r.choice(hw.parts[hw.part_of(q)].letters), e)
+        q = states[j]
+        states[j] = (r.choice(hw.parts[hw.part_of(q)].letters)
+                     * (1 if q > 0 else -1))
     elif tapes:
         j = r.randrange(len(tapes))
         pool = hw.tapes[W.sectors[j]] or hw.alpha.ids("a")
@@ -495,7 +496,7 @@ def _cancelling():
         [None, SectorRule((al.word([a]),), (e,)),
          SectorRule((al.word([c]),), (al.word([c]),))], check=False)
     t = al.word([a])
-    W = AdmissibleWord(hw, [(q0, 1), (q1, 1), (q1, -1), (q1, 1)],
+    W = AdmissibleWord(hw, [q0, q1, -q1, q1],
                        [t, al.word([c]), t])
     return Machine("cancelling", hw, [collapse]), W
 
@@ -536,7 +537,7 @@ def _split():
              P("b^-1"), P("a")),
         rule("f0", SectorRule((P("b"),), (P("b"),))),
         rule("f2", SectorRule((P("a"),), (P("a"),)))])
-    starts = [AdmissibleWord(hw, [(q0, 1), (q1, 1), (q1, -1), (q1, 1)],
+    starts = [AdmissibleWord(hw, [q0, q1, -q1, q1],
                              [t, P("c"), t])
               for t in (P("b"), P("a b a^-1 b"))]
     return m, starts

@@ -70,7 +70,8 @@ def test_admissible_inverse_and_mixed_windows():
     assert W3.sectors == (1,)
 
 
-@p("text", ["q0 c q1", "q0 a q2", "q1 a q1^-1", "q0 q0^-1", "a q0", "q0 a"])
+@p("text", ["q0 c q1", "q0 a q2", "q1 a q1^-1", "q0 q0^-1", "q0^-1 q0",
+             "a q0", "q0 a"])
 def test_admissible_rejects_bad_shapes(text):
     m = tiny_machine()
     with pytest.raises(MachineError):
@@ -106,7 +107,7 @@ def test_admissible_with_a_foreign_tape_raises(window, check):
     assert y.ltrs == al.parse("a").ltrs
     tapes = [al.parse("a"), al.word()]
     tapes[window] = y
-    states = [(al.id_of(q), 1) for q in ("q0", "q1", "q2")]
+    states = [al.id_of(q) for q in ("q0", "q1", "q2")]
     with pytest.raises(MachineError, match=re.escape(
             "window %d: tape word is not over the hardware's alphabet"
             % window)):
@@ -123,9 +124,43 @@ def test_admissible_with_a_state_letter_in_no_part_raises(text):
     with pytest.raises(MachineError, match="state letter x is in no part"):
         AdmissibleWord.from_word(m.hw, al.parse(text))
     with pytest.raises(MachineError, match="state letter x is in no part"):
-        AdmissibleWord(m.hw, [(x, 1), (x, 1)], [al.word()])
+        AdmissibleWord(m.hw, [x, x], [al.word()])
     with pytest.raises(MachineError, match="state letter #99 is in no part"):
-        AdmissibleWord(m.hw, [(99, 1)], [])
+        AdmissibleWord(m.hw, [99], [])
+
+
+def test_admissible_states_are_signed_state_letters():
+    """A state is a signed state-letter id: a (letter, sign) pair, a list,
+    the id 0 and a tape letter are each refused, naming the state."""
+    m = tiny_machine()
+    al = m.hw.alpha
+    q0, q1, q2, a = (al.id_of(n) for n in ("q0", "q1", "q2", "a"))
+    e = al.word()
+    for states, tapes, name in [
+            ([(q0, 1), (q1, 1), (q2, 1)], [e, e], "#(%d, 1)" % q0),
+            ([[q0, 1]], [], "#[%d, 1]" % q0),
+            ([0], [], "#0"), ([-a], [], "a")]:
+        with pytest.raises(MachineError, match=re.escape(
+                "state letter %s is in no part" % name)):
+            AdmissibleWord(m.hw, states, tapes)
+    W = AdmissibleWord(m.hw, [q0, q1, -q1, q1], [e, al.parse("c"),
+                                                 al.parse("a")])
+    assert W.states == (q0, q1, -q1, q1) and W.sectors == (1, 2, 1)
+    assert W.base() == ((0, 1), (1, 1), (1, -1), (1, 1))
+    assert W.format() == "q0 q1 c q1^-1 a q1"
+
+
+def test_a_configuration_names_a_sector_it_cannot_place():
+    m = tiny_machine()
+    w = m.hw.alpha.parse("a")
+    for sector in (0, 3, 9):
+        with pytest.raises(MachineError, match=re.escape(
+                "sector %d holds no tape of a configuration" % sector)):
+            m.configuration({sector: w})
+        with pytest.raises(MachineError, match=re.escape(
+                "sector %d is not an input sector" % sector)):
+            m.input_config({sector: w})
+    assert m.configuration({1: w}).format() == "q0 a q1 q2"
 
 
 def test_rule_with_a_state_letter_in_no_part_raises():

@@ -134,11 +134,11 @@ def halves_follow(W4, W1, W2):
     n = len(W1.states)
     al4 = W4.hw.alpha
     assert len(W4.states) == 2 * n and W4.is_configuration()
-    assert all(e == 1 for W in (W4, W1, W2) for _, e in W.states)
-    assert [al4.name_of(q) for q, _ in W4.states[:n]] == \
-        [W1.hw.alpha.name_of(q) for q, _ in W1.states]
-    assert [al4.name_of(q) for q, _ in reversed(W4.states[n:])] == \
-        [bar_name(W2.hw.alpha.name_of(q)) for q, _ in W2.states]
+    assert all(q > 0 for W in (W4, W1, W2) for q in W.states)
+    assert [al4.name_of(q) for q in W4.states[:n]] == \
+        [W1.hw.alpha.name_of(q) for q in W1.states]
+    assert [al4.name_of(q) for q in reversed(W4.states[n:])] == \
+        [bar_name(W2.hw.alpha.name_of(q)) for q in W2.states]
     assert not W4.tapes[n - 1]
     for s in range(1, n):
         assert W4.tapes[s - 1] == by_name(W1.tapes[s - 1], al4)
@@ -226,7 +226,7 @@ def traced_accepting_run(main, W):
 def state_names(main, W):
     """The names of W's state letters without the copy suffix."""
     al = main.machine.hw.alpha
-    return [al.name_of(q).split("(")[0] for q, _ in W.states]
+    return [al.name_of(q).split("(")[0] for q in W.states]
 
 
 def test_parallel_copies_evolve_in_step(main):

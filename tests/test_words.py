@@ -1,6 +1,7 @@
 """Word arithmetic against naive oracles."""
 
 import itertools
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -116,6 +117,21 @@ def test_raw_word_rejects_ids_outside_the_alphabet():
         with pytest.raises(ValueError, match="is not in the alphabet"):
             al.raw_word(ltrs)
     assert al.raw_word([3, -1]).format() == "g2 g0^-1"
+
+
+def test_letter_lookups_reject_ids_outside_the_alphabet():
+    """The id 0 does not read the last letter, and an id past the end
+    raises the typed ValueError, not IndexError."""
+    al = mk_alpha(2)
+    for look in (al.name_of, al.kind_of, al.subkind_of, al.coord_of):
+        for i in (0, 3, -3, 9):
+            with pytest.raises(ValueError, match=re.escape(
+                    "letter id %d is not in the alphabet" % i)):
+                look(i)
+        assert look(-2) == look(2)
+    with pytest.raises(ValueError, match="letter id 9 is not in the alphabet"):
+        al.word([9]).format()
+    assert al.name_of(-1) == "g0" and al.kind_of(2) == "a"
 
 
 def test_express_rejects_a_word_over_another_alphabet():
