@@ -45,6 +45,8 @@ class RelatorOracle:
     _memo: Dict[Tuple[int, ...], bool] = field(default_factory=dict, repr=False)
 
     def wp(self, w: Word) -> bool:
+        if w.alpha is not self.alpha:
+            raise ValueError("word is not over the oracle's alphabet")
         got = self._memo.get(w.ltrs)
         if got is None:
             got = self._memo[w.ltrs] = bool(self.decide(w))
@@ -103,8 +105,13 @@ class StandardTrick:
         img.update({-y: -x for y, x in list(img.items())})
         return img
 
+    def _y(self, w: Word) -> Tuple[int, ...]:
+        if w.alpha is not self.Y:
+            raise ValueError("word is not over the Y alphabet")
+        return w.ltrs
+
     def xi(self, w: Word) -> Word:
-        return self.oracle.alpha.word(map(self._x_of.__getitem__, w.ltrs))
+        return self.oracle.alpha.word(map(self._x_of.__getitem__, self._y(w)))
 
     @cached_property
     def trivial(self) -> Callable[[Tuple[int, ...]], bool]:
@@ -114,14 +121,12 @@ class StandardTrick:
             map(self._x_of.__getitem__, ys))))
 
     def in_S(self, w: Word) -> bool:
-        ys = set(self.y_letters)
-        if not len(w) or any(x not in ys for x in w.ltrs):
-            return False
-        return self.wp_Y(w)
+        ys = self._y(w)
+        return len(ys) > 0 and min(ys) > 0 and self.trivial(ys)
 
     def wp_Y(self, w: Word) -> bool:
         """Word problem of the re-presented group, through the oracle."""
-        return self.trivial(w.ltrs)
+        return self.trivial(self._y(w))
 
 
 def standard_trick(oracle: RelatorOracle) -> StandardTrick:

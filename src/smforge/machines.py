@@ -14,14 +14,14 @@ a recoverable trace: ``decode_noise`` inverts products of noise words,
 ``strip_history`` decodes the unique history stripping a word down to its
 marker skeleton: a letter check, a marker scan (the run's ``_scan``) and
 the decode core ``_strip``, which reads the skeleton and the first nonempty
-gap alone and which ``mainmachine.lambda_accept`` calls with its own
-marker positions.  ``lambda1_accept`` decodes once, tests the skeleton,
-and only then replays the history once.  Everything returned is
-replay-verified against the machine itself.
+gap alone; ``mainmachine.lambda_accept`` runs it on the main machine's
+own letters, through a scheme over that alphabet.  ``lambda1_accept``
+decodes once, tests the skeleton, and only then replays the history once.
+Everything returned is replay-verified against the machine itself.
 """
 
 from dataclasses import dataclass, field
-from functools import cached_property, partial
+from functools import cached_property
 from itertools import takewhile
 from operator import not_, sub
 from typing import (Callable, Dict, FrozenSet, Iterator, List, Optional,
@@ -105,10 +105,10 @@ class NoiseScheme:
         return w
 
     @cached_property
-    def signed(self) -> Tuple[FrozenSet[int], FrozenSet[int]]:
-        """Signed marker ids, and signed marker and noise ids."""
+    def signed(self) -> Tuple[FrozenSet[int], ...]:
+        """Signed marker ids, marker and noise ids, and payload ids."""
         m = _signed_set(self.A1)
-        return m, m | _signed_set(self.B)
+        return m, m | _signed_set(self.B), _signed_set(self.A)
 
     @cached_property
     def heads(self) -> Dict[Tuple[int, ...], Tuple[int, int, int]]:
@@ -400,17 +400,15 @@ def strip_history(w: Word, scheme: NoiseScheme
     noise-free exactly when it ends at the skeleton.
     """
     _check_sector1(w, scheme)
-    return _strip(w.ltrs, _scan(w.ltrs, scheme.signed[0]), scheme,
-                  partial(Word, scheme.alpha))
+    return _strip(w.ltrs, _scan(w.ltrs, scheme.signed[0]), scheme)
 
 
-def _strip(ltrs: Tuple[int, ...], at: Tuple[int, ...], scheme: NoiseScheme,
-           carry: Callable[[Tuple[int, ...]], Word]
+def _strip(ltrs: Tuple[int, ...], at: Tuple[int, ...], scheme: NoiseScheme
            ) -> Optional[Tuple[History, Word]]:
     """:func:`strip_history`'s decode of the marker and noise letters
-    ``ltrs`` with markers at ``at``; ``carry`` makes a scheme word of the
-    skeleton and of the first nonempty gap, the only letters it reads."""
-    skeleton = carry(tuple(map(ltrs.__getitem__, at)))
+    ``ltrs`` of the scheme's alphabet with markers at ``at``; it reads the
+    skeleton and the first nonempty gap alone."""
+    skeleton = Word(scheme.alpha, tuple(map(ltrs.__getitem__, at)))
     if free_reduce(skeleton.ltrs) != skeleton.ltrs:
         return None
     # gap j runs from cuts[j] + 1 to cuts[j + 1]
@@ -419,7 +417,8 @@ def _strip(ltrs: Tuple[int, ...], at: Tuple[int, ...], scheme: NoiseScheme,
              None)
     if j is None:
         return [], skeleton
-    seq = decode_noise(carry(ltrs[cuts[j] + 1:cuts[j + 1]]), scheme)
+    seq = decode_noise(Word(scheme.alpha, ltrs[cuts[j] + 1:cuts[j + 1]]),
+                       scheme)
     steps = (None if seq is None
              else _erase_steps(j, seq, skeleton.ltrs, scheme))
     return None if steps is None else (steps, skeleton)

@@ -14,14 +14,15 @@ word w into every input sector (mirrored through mu on the barred side)
 and ``input_j`` leaves the special sector empty.  ``accepting_run``
 synthesizes the accepting computation for either shape and replays it,
 the replay being the correctness check.  ``lambda_accept`` recognizes the
-sector language of the special sector by semi-computations: it decodes the
-noise history from the skeleton and one gap, tests the skeleton, and only
-then replays the history once on the machine.
+sector language of the special sector by semi-computations, on the
+machine's own letters: it decodes the noise history from the skeleton and
+one gap, tests the skeleton's payload image (no other letter leaves the
+machine's alphabet), and only then replays the history once.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from smforge.words import Alphabet, Word, relabel, relabel_by_name
 from smforge.smachine import (
@@ -36,7 +37,6 @@ from smforge.smachine import (
     SectorRule,
     StepError,
     _scan,
-    _signed_set,
     validate_noisy,
 )
 from smforge.machines import NoiseScheme, _strip, build_m1, delta, shift
@@ -283,22 +283,20 @@ class MainMachine:
     q_inputs: Tuple[int, ...]
     r_inputs: Tuple[int, ...]
     special_sector: int = 2
-    _id_maps: Dict[Tuple[Alphabet, Alphabet], Dict[int, int]] = field(
-        default_factory=dict, init=False, repr=False, compare=False)
 
     # -- words in and out ---------------------------------------------------
 
     @cached_property
-    def _letter_sets(self) -> Tuple[FrozenSet[int], ...]:
-        """The signed plain letters, markers, and markers and noise."""
-        marks = _signed_set(self.A1)
-        return _signed_set(self.A), marks, marks | _signed_set(self.B)
+    def local_scheme(self) -> NoiseScheme:
+        """The bottom scheme's letters as ids of the machine's alphabet."""
+        A2 = self.from_m1(Word(self.scheme.alpha, self.scheme.A2)).ltrs
+        return NoiseScheme(self.machine.hw.alpha, self.A, self.A1, A2, self.B)
 
     def payload(self, w: Word) -> Word:
         """w as a word of the machine's alphabet, checked to be plain."""
         al = self.machine.hw.alpha
         wm = w if w.alpha is al else relabel_by_name(w, al)
-        if not self._letter_sets[0].issuperset(wm.ltrs):
+        if not self.local_scheme.signed[2].issuperset(wm.ltrs):
             raise ValueError("payload words use the plain input letters")
         return wm
 
@@ -306,26 +304,11 @@ class MainMachine:
         """mu(w) = bar(w)^-1 over the machine's alphabet."""
         return ~relabel(w, self.bar, self.machine.hw.alpha)
 
-    def _by_name(self, w: Word, target: Alphabet) -> Word:
-        """relabel_by_name(w, target) through a signed id map made once per
-        alphabet pair; a letter the map lacks goes by name, which raises
-        for a letter with no counterpart."""
-        src, key = w.alpha, (w.alpha, target)
-        if key not in self._id_maps:
-            self._id_maps[key] = {
-                s * i: s * target.id_of(src.name_of(i)) for i in src.ids()
-                for s in (1, -1) if src.name_of(i) in target}
-        try:
-            return Word(target, tuple(map(self._id_maps[key].__getitem__,
-                                          w.ltrs)))
-        except KeyError:
-            return relabel_by_name(w, target)
-
     def to_m1(self, w: Word) -> Word:
-        return self._by_name(w, self.scheme.alpha)
+        return relabel_by_name(w, self.scheme.alpha)
 
     def from_m1(self, w: Word) -> Word:
-        return self._by_name(w, self.machine.hw.alpha)
+        return relabel_by_name(w, self.machine.hw.alpha)
 
     def to_plugin(self, w: Word) -> Word:
         wm = self.payload(w)
@@ -334,20 +317,20 @@ class MainMachine:
 
     # -- configurations -------------------------------------------------------
 
+    def _input_tapes(self, w: Word) -> Dict[int, Word]:
+        """w in every plain input sector, mu(w) in every mirrored one."""
+        wm = self.payload(w)
+        return dict(zip(self.q_inputs + self.r_inputs,
+                        [wm] * self.L + [self.mirror(wm)] * self.L))
+
     def input_i(self, w: Word) -> AdmissibleWord:
         """Start configuration with w in every input sector."""
-        wm = self.payload(w)
-        tapes = {g: wm for g in self.q_inputs}
-        mw = self.mirror(wm)
-        tapes.update({g: mw for g in self.r_inputs})
-        return self.machine.input_config(tapes)
+        return self.machine.input_config(self._input_tapes(w))
 
     def input_j(self, w: Word) -> AdmissibleWord:
         """Like ``input_i`` but with the special sector left empty."""
-        wm = self.payload(w)
-        tapes = {g: wm for g in self.q_inputs if g != self.special_sector}
-        mw = self.mirror(wm)
-        tapes.update({g: mw for g in self.r_inputs})
+        tapes = self._input_tapes(w)
+        del tapes[self.special_sector]
         return self.machine.input_config(tapes)
 
     def w_ac(self) -> AdmissibleWord:
@@ -472,31 +455,17 @@ def build_main(letters: Sequence[str], plugin: RecognizerPlugin,
 
 def _classify_start(W: AdmissibleWord, main: MainMachine
                     ) -> Optional[Tuple[str, Word]]:
-    """Which input shape W has: ("I", w), ("J", w) or None."""
-    mm = main.machine
-    starts = tuple(p.start for p in mm.hw.parts)
-    if W.states != starts or not W.is_configuration():
+    """("I", w) if W is I(w), ("J", w) if W is J(w), else None; w is the
+    tape of the second copy's plain input sector, the same in both."""
+    hw = main.machine.hw
+    if W.hw is not hw or W.states != tuple(p.start for p in hw.parts):
         return None
-    empty = mm.hw.alpha.word()
-    content = dict(zip(W.sectors, W.tapes))
-    w = content[main.q_inputs[1]]
-    if not main._letter_sets[0].issuperset(w.ltrs):
+    w = W.tapes[W.sectors.index(main.q_inputs[1])]
+    if not main.local_scheme.signed[2].issuperset(w.ltrs):
         return None
-    mw = main.mirror(w)
-    expect = {g: w for g in main.q_inputs}
-    expect.update({g: mw for g in main.r_inputs})
-    del expect[main.special_sector]
-    for g, u in content.items():
-        if g == main.special_sector:
-            continue
-        if u != expect.get(g, empty):
-            return None
-    sp = content[main.special_sector]
-    if not len(sp):
-        return ("J", w) if len(w) else ("I", w)
-    if sp == w:
+    if W == main.input_i(w):
         return "I", w
-    return None
+    return ("J", w) if W == main.input_j(w) else None
 
 
 def accepting_run(W: AdmissibleWord, main: MainMachine
@@ -518,9 +487,8 @@ def accepting_run(W: AdmissibleWord, main: MainMachine
     which, w = shape
     if not main.plugin.member(main.to_plugin(w)):
         return None
-    sch = main.scheme
-    marked = relabel(main.to_m1(w), dict(zip(sch.A, sch.A1)), sch.alpha)
-    comp1 = shift(marked, main.m1, sch)
+    marked = main.to_m1(relabel(w, dict(zip(main.A, main.A1)), w.alpha))
+    comp1 = shift(marked, main.m1, main.scheme)
     if comp1 is None:
         return None
     c = 1 if which == "I" else 2
@@ -571,25 +539,25 @@ def lambda_accept(w: Word, main: MainMachine,
     words, decorated or not, are stripped by their decoded noise history
     and unmarked by the inverse start rule, once ``member`` accepts their
     marker skeleton.  Mixed words are never accepted.  One letter set
-    classifies the word and one scan finds its markers; only the skeleton
-    and the first nonempty gap go into the scheme's alphabet, for
-    :func:`strip_history`'s decode core.  The returned words live over the
-    machine's own alphabet; the history is replayed there once, from the
-    letter set and the markers as watch letters at their positions, and
-    the replay must reach the noise-free skeleton.
+    classifies the word, one scan finds its markers, and
+    :func:`strip_history`'s decode core reads the skeleton and the first
+    nonempty gap, all on the machine's own letters (``local_scheme``); no
+    letter leaves its alphabet but the payload image ``member`` judges.
+    The history is replayed once, from the letter set and the markers as
+    watch letters at their positions, and must reach the skeleton.
     """
     al = main.machine.hw.alpha
     wm = w if w.alpha is al else relabel_by_name(w, al)
-    plain, marks, marked = main._letter_sets
+    sch = main.local_scheme
+    marks, marked, plain = sch.signed
     ls = frozenset(wm.ltrs)
     if plain.issuperset(ls):
         return ([], [wm]) if member(main.to_m1(wm)) else None
     if not marked.issuperset(ls):
         return None
     at = _scan(wm.ltrs, marks)
-    stripped = _strip(wm.ltrs, at, main.scheme,
-                      lambda t: main.to_m1(Word(al, t)))
-    if stripped is None or not member(delta(stripped[1], main.scheme)):
+    stripped = _strip(wm.ltrs, at, sch)
+    if stripped is None or not member(main.to_m1(delta(stripped[1], sch))):
         return None
     hist = [("1." + nm, s) for nm, s in stripped[0]] + [("s1", -1)]
     try:
@@ -597,4 +565,4 @@ def lambda_accept(w: Word, main: MainMachine,
                                        (ls, marks, at))
     except StepError:
         return None
-    return (hist, words) if words[-2] == main.from_m1(stripped[1]) else None
+    return (hist, words) if words[-2] == stripped[1] else None

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from itertools import takewhile
 from operator import add, not_
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 KINDS = ("q", "a", "t")
 SUBKINDS = ("A", "b", "o")
@@ -61,6 +61,7 @@ class Alphabet:
         self._kinds: List[str] = []
         self._subkinds: List[Optional[str]] = []
         self._coords: List[Optional[int]] = []
+        self._signed: Set[int] = set()  # the ids and their inverses
 
     def intern(
         self,
@@ -103,6 +104,7 @@ class Alphabet:
         self._coords.append(coord)
         i = len(self._names)
         self._ids[name] = i
+        self._signed.update((i, -i))
         return i
 
     def __len__(self) -> int:
@@ -119,7 +121,7 @@ class Alphabet:
 
     def _row(self, i: int) -> int:
         """The table row of letter id i, of either sign."""
-        if not 0 < abs(i) <= len(self._names):
+        if i not in self._signed:
             raise ValueError("letter id %d is not in the alphabet" % i)
         return abs(i) - 1
 
@@ -142,7 +144,10 @@ class Alphabet:
     # -- word construction ------------------------------------------------
 
     def word(self, letters: Iterable[int] = ()) -> "Word":
-        return Word(self, free_reduce(letters))
+        ltrs = free_reduce(letters)
+        if not self._signed.issuperset(ltrs):
+            return self.raw_word(ltrs)  # raises for the stray id
+        return Word(self, ltrs)
 
     def raw_word(self, letters: Iterable[int]) -> "Word":
         """Build a word asserted to be already reduced (checked), of
@@ -155,9 +160,8 @@ class Alphabet:
         ValueError: letter id 0 is not in the alphabet
         """
         ltrs = tuple(letters)
-        if ltrs and (0 in ltrs or max(map(abs, ltrs)) > len(self._names)):
-            x = next(x for x in ltrs if not 0 < abs(x) <= len(self._names))
-            raise ValueError("letter id %d is not in the alphabet" % x)
+        if not self._signed.issuperset(ltrs):
+            self._row(next(x for x in ltrs if x not in self._signed))
         for a, b in zip(ltrs, ltrs[1:]):
             if a == -b:
                 raise ValueError("raw_word got a reducible sequence")

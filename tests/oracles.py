@@ -728,6 +728,32 @@ def reference_lambda1_accept(w, machine, scheme, member):
     return hist, words
 
 
+def reference_classify_start(W, main):
+    """The start shape of W, ("I", w), ("J", w) or None, read tape by tape:
+    w is the second copy's plain input tape, and every other tape must be
+    the one I(w) puts there, the special one w or empty."""
+    mm = main.machine
+    starts = tuple(p.start for p in mm.hw.parts)
+    if W.states != starts or not W.is_configuration():
+        return None
+    empty = mm.hw.alpha.word()
+    content = dict(zip(W.sectors, W.tapes))
+    w = content[main.q_inputs[1]]
+    if not {abs(x) for x in w.ltrs} <= set(main.A):
+        return None
+    mw = main.mirror(w)
+    expect = {g: w for g in main.q_inputs}
+    expect.update({g: mw for g in main.r_inputs})
+    del expect[main.special_sector]
+    for g, u in content.items():
+        if g != main.special_sector and u != expect.get(g, empty):
+            return None
+    sp = content[main.special_sector]
+    if not len(sp):
+        return ("J", w) if len(w) else ("I", w)
+    return ("I", w) if sp == w else None
+
+
 def reference_lambda_accept(w, main, member):
     """reference_lambda1_accept on the bottom machine, then a second
     replay of the lifted history on the main machine.  Both replays are

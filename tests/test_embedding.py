@@ -152,6 +152,7 @@ def test_s_membership(zpipe, z2pipe):
     assert not tr.in_S(Y.word([]))
     assert not tr.in_S(Y.word([x, x]))
     assert not tr.in_S(Y.word([x, -xb]))
+    assert not tr.in_S(Y.word([-x, -xb]))  # trivial, but not positive
     tr2 = z2pipe.trick
     assert tr2.in_S(tr2.Y.word([tr2.y_plain[0]] * 2))
 
@@ -287,6 +288,28 @@ def test_psi_requires_the_oracle_alphabet(zpipe):
     for w in (zpipe.trick.Y.word([x]), zz):
         with pytest.raises(ValueError, match="not over the oracle's alphabet"):
             zpipe.psi(w)
+
+
+@p("method", ["xi", "in_S", "wp_Y"])
+def test_trick_methods_require_the_y_alphabet(zpipe, method):
+    """The tape letters x.1 and x.2 have the ids of x and x~: read as Y
+    letters they spell the relator x x~, so in_S answered True."""
+    tr = zpipe.trick
+    ys = list(tr.y_letters)
+    assert tr.in_S(tr.Y.word(ys)) and tr.wp_Y(tr.Y.word(ys))
+    with pytest.raises(ValueError, match="not over the Y alphabet"):
+        getattr(tr, method)(zpipe.A.word(ys))
+
+
+def test_oracle_wp_requires_its_alphabet(zpipe):
+    """A word over another alphabet is refused, not read by ids; id 2 is
+    no letter of the one-generator oracle."""
+    ox = zpipe.oracle
+    (x,) = ox.letters
+    assert ox.wp(ox.alpha.word([x, -x])) and not ox.wp(ox.alpha.word([x]))
+    for w in (zpipe.trick.Y.word([x]), zpipe.trick.Y.word([x, x + 1])):
+        with pytest.raises(ValueError, match="not over the oracle's alphabet"):
+            ox.wp(w)
 
 
 def test_pipeline_letters(zpipe):

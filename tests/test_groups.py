@@ -611,8 +611,12 @@ def test_an_empty_contour_matches_no_relator(disk_i, pres):
 @pytest.mark.parametrize("whole_cell", [False, True])
 def test_a_foreign_alphabet_cell_raises(disk_i, pres, whole_cell):
     """A cell with one word over another alphabet, or a cell wholly over
-    another alphabet among cells over the presentation's."""
+    another alphabet among cells over the presentation's.  The other
+    alphabet is as large as the presentation's, so the moved words are
+    well formed there and only their alphabet is foreign."""
     other = Alphabet()
+    for k in range(len(pres.alpha)):
+        other.intern("o%d" % k)
     d = _own_rows(disk_i)
     i, j = _pick(d, rng(2))
     c = d.rows[i].cells[j]

@@ -198,23 +198,21 @@ def _first_workload_word():
                                           (b2, 1), (b1, 1), (b2, -1)])
 
 
-def test_a_marked_request_carries_the_skeleton_and_one_gap(monkeypatch):
+def test_a_marked_request_carries_only_the_payload_image(monkeypatch):
     main = _pipe_main()[1]
     w = _first_workload_word()
-    gaps, markers = marker_split(main.to_m1(w), main.scheme)
+    markers = marker_split(main.to_m1(w), main.scheme)[1]
     carried = []
-    by_name = MainMachine._by_name
+    for name in ("to_m1", "from_m1"):
+        def counting(self, u, move=getattr(MainMachine, name)):
+            carried.append(len(u))
+            return move(self, u)
 
-    def counting(self, u, target):
-        carried.append(len(u))
-        return by_name(self, u, target)
-
-    monkeypatch.setattr(MainMachine, "_by_name", counting)
+        monkeypatch.setattr(MainMachine, name, counting)
     assert lambda_accept(w, main, _pipe_member) is not None
-    gap = next(g for g in gaps if g)
-    # the skeleton and one gap go in, the skeleton comes back out: a small
-    # share of the word
-    assert sum(carried) <= 2 * len(markers) + len(gap) < len(w) // 4
+    # the decode and the replay read the machine's own letters: only the
+    # skeleton's payload image crosses into the bottom scheme's alphabet
+    assert sum(carried) <= len(markers)
 
 
 def test_the_replay_starts_from_the_marks_of_its_first_push(monkeypatch):

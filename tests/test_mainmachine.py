@@ -6,6 +6,7 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from oracles import reference_classify_start
 from smforge.words import Alphabet, UnknownLetterError, relabel, relabel_by_name
 from smforge.smachine import (MachineError, SectorMismatchError,
                               StateMismatchError, StepError, apply_rule,
@@ -14,8 +15,8 @@ from smforge.smachine import (MachineError, SectorMismatchError,
 from smforge.machines import marker_split
 from smforge.mainmachine import (DivisibleRecognizer, Params,
                                  PAPER_CONSTRAINTS, RejectingRecognizer,
-                                 accepting_run, build_main, history_ell,
-                                 lambda_accept, main_time_bound,
+                                 _classify_start, accepting_run, build_main,
+                                 history_ell, lambda_accept, main_time_bound,
                                  paper_violations, validate_plugin)
 
 p = pytest.mark.parametrize
@@ -262,6 +263,51 @@ def test_accepting_run_rejections(main1, main_rej):
     wr = payload(main_rej, 1)
     assert accepting_run(main_rej.input_i(wr), main_rej) is None
     assert accepting_run(main_rej.input_j(wr), main_rej) is None
+
+
+def _starts_agree(W, main, want):
+    assert _classify_start(W, main) == reference_classify_start(W, main) \
+        == want
+
+
+@p("word", ["a", "aa", "ab", "A", ""])
+def test_start_shapes_match_the_reference(main1, word):
+    main = main1 if "b" not in word else build_main(
+        ("a", "b"), DivisibleRecognizer(("a", "b"), 1), DESK4)
+    ids = {"a": main.A[0], "A": -main.A[0], "b": main.A[-1]}
+    w = main.machine.hw.alpha.word([ids[x] for x in word])
+    for shape, W in (("I", main.input_i(w)), ("J", main.input_j(w))):
+        _starts_agree(W, main, ("I" if not w else shape, w))
+
+
+def test_changed_start_tapes_match_the_reference(main1, main_rej):
+    mm = main1.machine
+    w, other = payload(main1, 2), payload(main1, 3)
+    for W in (main1.input_i(w), main1.input_j(w)):
+        content = dict(zip(W.sectors, W.tapes))
+        for g in main1.q_inputs + main1.r_inputs:
+            changed = dict(content)
+            changed[g] = (main1.mirror(other) if g in main1.r_inputs
+                          else other)
+            _starts_agree(mm.configuration(changed), main1, None)
+    # J(w) with a special tape that is not w
+    content[main1.special_sector] = payload(main1, 1)
+    _starts_agree(mm.configuration(content), main1, None)
+    # a marker where w is read
+    marked = mm.hw.alpha.word([main1.A1[0]])
+    _starts_agree(mm.configuration({main1.q_inputs[1]: marked}), main1, None)
+    _starts_agree(main1.w_ac(), main1, None)
+    _starts_agree(apply_rule(main1.input_i(w), mm.rule("s1")), main1, None)
+    wr = payload(main_rej, 1)
+    _starts_agree(main_rej.input_i(wr), main_rej, ("I", wr))
+    _starts_agree(main_rej.input_j(wr), main_rej, ("J", wr))
+    # words of other machines; the twin has main1's ids under other names
+    twin = build_main(("c",), DivisibleRecognizer(("c",), 1), DESK4)
+    _starts_agree(twin.input_i(payload(twin, 1)), main1, None)
+    _starts_agree(main_rej.input_i(wr), main1, None)
+    m1 = main1.m1
+    marker = m1.hw.alpha.word([main1.scheme.A1[0]])
+    _starts_agree(m1.configuration({1: marker}), main1, None)
 
 
 def test_history_ell():

@@ -119,6 +119,15 @@ def test_raw_word_rejects_ids_outside_the_alphabet():
     assert al.raw_word([3, -1]).format() == "g2 g0^-1"
 
 
+def test_word_rejects_ids_outside_the_alphabet():
+    """Checked after free reduction, so a cancelled pair goes unread."""
+    al = mk_alpha(2)
+    for ltrs in ([9], [1, -3], [2, 9, 1]):
+        with pytest.raises(ValueError, match="is not in the alphabet"):
+            al.word(ltrs)
+    assert al.word([2, 9, -9, -1]).format() == "g1 g0^-1"
+
+
 def test_letter_lookups_reject_ids_outside_the_alphabet():
     """The id 0 does not read the last letter, and an id past the end
     raises the typed ValueError, not IndexError."""
