@@ -9,8 +9,9 @@ inert copy of the payload alphabet.
 Every positive rule appends one noise letter's inverse in sector 1 while
 simultaneously decorating each marker with a long positive noise word.
 The noise words form a free basis with small overlaps, so histories leave
-a recoverable trace: ``decode_noise`` inverts products of noise words,
-``shift`` reconstructs the unique computation erasing a sector-1 word, and
+a recoverable trace: ``decode_noise`` inverts products of noise words by
+one greedy peel (``_peel``) per factor, ``shift`` reconstructs the unique
+computation erasing a sector-1 word, its rear gaps split by that peel, and
 ``strip_history`` decodes the unique history stripping a word down to its
 marker skeleton: a letter check, a marker scan (the run's ``_scan``) and
 the decode core ``_strip``, which reads the skeleton and the first nonempty
@@ -111,12 +112,15 @@ class NoiseScheme:
         return m, m | _signed_set(self.B), _signed_set(self.A)
 
     @cached_property
-    def heads(self) -> Dict[Tuple[int, ...], Tuple[int, int, int]]:
-        """(y, a, sign) by the first 3D/4 + 1 letters of its noise word.
+    def head(self) -> int:
+        return 3 * self.D // 4 + 1
 
-        Distinct signed noise words agree on fewer than D/4 leading
+    @cached_property
+    def heads(self) -> Dict[Tuple[int, ...], Tuple[int, int, int]]:
+        """(y, a, sign) by the head (first 3D/4 + 1 letters) of its noise
+        word.  Distinct signed noise words agree on fewer than D/4 leading
         letters, so these heads are distinct."""
-        n = 3 * self.D // 4 + 1
+        n = self.head
         return {self.noise_word(y, a, s).ltrs[:n]: (y, a, s)
                 for y, a in self.pairs() for s in (1, -1)}
 
@@ -247,30 +251,40 @@ def _common_prefix(w1: Sequence[int], w2: Sequence[int]) -> int:
     return len(list(takewhile(not_, map(sub, w1, w2))))
 
 
+def _peel(cur: Tuple[int, ...], scheme: NoiseScheme
+          ) -> Optional[Tuple[Tuple[int, int, int], Tuple[int, ...]]]:
+    """(y, a, sign) of the one signed noise word v whose head begins the
+    reduced ``cur``, and v^-1 cur: if v matches exactly p leading letters
+    of cur, that is v[p:]^-1 cur[p:], reduced.  None when no head fits."""
+    n = scheme.head
+    hit = scheme.heads.get(cur[:n])
+    if hit is None:
+        return None
+    y, a, s = hit
+    p = n + _common_prefix(cur[n:], scheme.noise_word(y, a, s).ltrs[n:])
+    return hit, scheme.noise_word(y, a, -s).ltrs[:scheme.D - p] + cur[p:]
+
+
 def decode_noise(u: Word, scheme: NoiseScheme
                  ) -> Optional[List[Tuple[int, int, int]]]:
     """The unique reduced noise-word expression with product u, if any.
 
     Returns (y, a, sign) triples.  Greedy: distinct noise words agree on
     fewer than D/4 letters and adjacent factors of a reduced expression
-    cancel fewer than D/4, so at most one signed noise word, found by its
-    head, matches more than 3D/4 leading letters of what remains.  Peeling
-    a word v that matches exactly p leading letters of the reduced rest
-    cancels exactly those p letters, so the new rest is v[p:]^-1 rest[p:]
-    with no further reduction.  Raises ValueError for a word over another
-    alphabet than the scheme's.
+    cancel fewer than D/4, so at most one signed noise word matches more
+    than 3D/4 leading letters of what remains: :func:`_peel` peels it.
+    Raises ValueError for a word over another alphabet than the scheme's.
     """
     _check_alphabet(u, scheme)
-    n = 3 * scheme.D // 4 + 1
     out: List[Tuple[int, int, int]] = []
     cur = u.ltrs
     while cur:
-        hit = scheme.heads.get(cur[:n])
-        if hit is None or out and out[-1] == (hit[0], hit[1], -hit[2]):
+        got = _peel(cur, scheme)
+        if got is None:
             return None
-        y, a, s = hit
-        p = n + _common_prefix(cur[n:], scheme.noise_word(y, a, s).ltrs[n:])
-        cur = scheme.noise_word(y, a, -s).ltrs[:scheme.D - p] + cur[p:]
+        hit, cur = got
+        if out and out[-1] == (hit[0], hit[1], -hit[2]):
+            return None
         out.append(hit)
     return out
 
@@ -280,29 +294,22 @@ def _decode_rear(u: Word, a: int, scheme: NoiseScheme
     """Split u as v(y_1,a)^e_1 .. v(y_s,a)^e_s y_s^e_s .. y_1^e_1, y_i noise.
 
     This is the shape a trailing gap must have for a rule to erase a
-    negative marker of payload a after s noise steps.  At most one noise
-    word can be peeled at each point, but peeling competes with stopping,
-    so this backtracks (the recursion is at most two-way).
+    negative marker of payload a after s noise steps.  It stops once what
+    remains is the tail of the steps peeled so far, before a peel: a tail
+    can read as a head (with one payload letter, from 3D/4 + 1 letters).
     """
-    al, thresh = scheme.alpha, 3 * scheme.D // 4 + 1
-
-    def rec(cur: Word, acc: List[Tuple[int, int]]
-            ) -> Optional[List[Tuple[int, int]]]:
-        tail = al.word((y if e > 0 else -y) for y, e in reversed(acc))
-        if cur == tail:
-            return list(acc)
-        for y in scheme.B:
-            for e in (1, -1):
-                if acc and acc[-1] == (y, -e):
-                    continue
-                vv = scheme.noise_word(y, a, e)
-                if _common_prefix(cur.ltrs, vv.ltrs) >= thresh:
-                    r = rec((~vv) * cur, acc + [(y, e)])
-                    if r is not None:
-                        return r
-        return None
-
-    return rec(u, [])
+    out: List[Tuple[int, int]] = []
+    cur, tail = u.ltrs, ()
+    while cur != tail:
+        got = _peel(cur, scheme)
+        if got is None:
+            return None
+        (y, b, e), cur = got
+        if b != a or y not in scheme.B or out and out[-1] == (y, -e):
+            return None
+        out.append((y, e))
+        tail = (y if e > 0 else -y,) + tail
+    return out
 
 
 # -- the shift -----------------------------------------------------------------
@@ -317,7 +324,7 @@ def shift(w: Word, machine: Machine, scheme: NoiseScheme
     goes first: a positive marker is removed by spelling the gap to its
     right backwards and then applying its payload rule; a negative marker
     forces that gap to spell out, in decorated form, the noise steps that
-    followed its own creation, which _decode_rear recovers.  Each phase is
+    followed its own creation, which _decode_rear peels off.  Each phase is
     run on the machine as soon as it is found, the last spelling too, so
     the history is replayed from (q0 w q1) exactly once, step by step as
     it grows; it must come out reduced and end at (q0 q1).

@@ -37,15 +37,17 @@ copies each distinct tape of its start word into a run-owned buffer once
 and steps the buffers; Words are built only where a configuration is
 handed out, one per buffer changed since the last. State letters never
 reduce against tape letters, so the windows stay apart and need no
-re-split. What a rule does to the state letters of a word depends on those
-letters alone, so each rule works it out once per state tuple (a step
-plan: new states, and per window its sector, sector rule and inserts).
-Windows that agree on all of that are one class, and each (class, buffer)
-pair is one unit of work: the plan compiles, once per slot tuple (the
-buffer of each window), its units and the slot tuple after the step. A
-buffer read by two classes is copied for all but the last of them, so
-ring copies of one machine, which hold equal tapes, cost one push per
-distinct window, and equal tapes of one class stay one Word.
+re-split, and no run checks the base: a rule that moves a state letter
+out of its part is refused when it is built. What a rule does to the
+state letters of a word depends on those letters alone, so each rule
+works it out once per state tuple (a step plan: new states, and per
+window its sector, sector rule and inserts). Windows that agree on all of
+that are one class, and each (class, buffer) pair is one unit of work:
+the plan compiles, once per slot tuple (the buffer of each window), its
+units and the slot tuple after the step. A buffer read by two classes is
+copied for all but the last of them, so ring copies of one machine, which
+hold equal tapes, cost one push per distinct window, and equal tapes of
+one class stay one Word.
 """
 
 from __future__ import annotations
@@ -56,8 +58,8 @@ from itertools import compress, count
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from smforge.words import (
-    Alphabet, BasisExpression, MachineError, Word, free_basis_folder,
-    free_reduce, junction, validate_basis,
+    Alphabet, BasisExpression, MachineError, Word, _Folder,
+    free_basis_folder, free_reduce, junction, validate_basis,
 )
 
 
@@ -197,7 +199,9 @@ class Hardware:
 
 class AdmissibleWord:
     """Alternating signed state letters (``states``, as :meth:`to_word`
-    writes them) and sector words, with shape checked.
+    writes them) and sector words, all checked when built: state letters,
+    window shapes, which give the sectors, and the tapes' letters.  Words
+    a run makes (``_made``) skip the checks, as a rule keeps the base.
 
     ``marks`` is None or, per tape, its marks (see ``_Marks``): words made
     by a run carry them, and a run scans the tapes of the others once.
@@ -206,9 +210,7 @@ class AdmissibleWord:
     __slots__ = ("hw", "states", "tapes", "sectors", "marks")
 
     def __init__(self, hw: Hardware, states: Sequence[int],
-                 tapes: Sequence[Word], check: bool = True):
-        # check=False skips the per-letter sector membership scan; callers
-        # must guarantee the tape words already lie in their sectors.
+                 tapes: Sequence[Word]):
         if len(states) != len(tapes) + 1 or not states:
             raise MachineError("admissible word needs k+1 states, k tapes")
         for q in states:
@@ -217,8 +219,7 @@ class AdmissibleWord:
         self.states = tuple(states)
         self.tapes = tuple(tapes)
         self.marks: Optional[Tuple[_Marks, ...]] = None
-        self.sectors = tuple(self._window_sector(j, check)
-                             for j in range(len(tapes)))
+        self.sectors = tuple(map(self._window_sector, range(len(tapes))))
         self._check_reduced()
 
     @classmethod
@@ -231,7 +232,7 @@ class AdmissibleWord:
         W.sectors, W.marks = sectors, marks
         return W
 
-    def _window_sector(self, j: int, check: bool = True) -> int:
+    def _window_sector(self, j: int) -> int:
         # equal signs: the part after the lower part must be the higher
         # part, which is the sector; opposite signs: one part p, and
         # q u q'^-1 lies in the sector after p, q^-1 u q' in sector p
@@ -256,7 +257,7 @@ class AdmissibleWord:
         if w.alpha is not hw.alpha:
             raise MachineError("window %d: tape word is not over the "
                                "hardware's alphabet" % j)
-        if check and not hw.sector_word(sector, w):
+        if not hw.sector_word(sector, w):
             raise MachineError("window %d: tape word %r outside sector %d"
                                % (j, w.format(), sector))
         return sector
@@ -456,7 +457,8 @@ class SectorRule:
     the watch letters alone; the offsets of the watch letters in each
     image are worked out once per watch set. When the tape may hold a
     moving letter that is not a watch letter, the letters of ``widen``
-    become watch letters first, at the cost of one scan.
+    become watch letters first, at the cost of one scan. ``folder`` is the
+    folded <Z>, None until the first checked rule that holds this one folds it.
 
     Any other pair of bases raises :class:`BasisShapeError`.  A band (see
     ``groups._band``) finds a cell by the signed X letter, so it reads the
@@ -497,6 +499,7 @@ class SectorRule:
         self.produces = {y: frozenset(img) for y, img in self.images.items()}
         self.widen = frozenset(self.images)
         self._offsets: Dict[FrozenSet[int], Dict[int, Tuple[int, ...]]] = {}
+        self.folder: Optional[_Folder] = None
 
     def express(self, w: Word) -> Optional[BasisExpression]:
         """Expression of w over X, or None when w lies outside <X>."""
@@ -599,7 +602,10 @@ class GeneralizedRule:
     """A generalized S-rule over fixed hardware.
 
     ``sectors[i]`` is None when sector i is locked (or, on linear
-    hardware, for the nonexistent sector 0).
+    hardware, for the nonexistent sector 0).  Every rule needs one part
+    and one sector per hardware part, with part i's q and q2 in Q_i, so no
+    rule changes a base; ``check=False`` (inverse rules) skips only the
+    sector checks and the inserts' test on ``SectorRule.folder``.
     """
 
     def __init__(self, hw: Hardware, name: str, parts: Sequence[RulePart],
@@ -610,6 +616,12 @@ class GeneralizedRule:
         self.parts = list(parts)
         self.sectors = list(sectors)
         self.positive = positive
+        if len(self.parts) != hw.n_parts or len(self.sectors) != hw.n_parts:
+            raise ValueError("rule %s: wrong part/sector count" % name)
+        for i, rp in enumerate(self.parts):
+            if hw.part_of(rp.q) != i or hw.part_of(rp.q2) != i:
+                raise ValueError("rule %s part %d: state letters in wrong part"
+                                 % (name, i))
         # signed state letter -> (left insert, new state letter, right
         # insert), the letters that replace it inside a word
         self._replacement: Dict[int, Tuple[Tuple[int, ...], int,
@@ -625,13 +637,8 @@ class GeneralizedRule:
 
     def _validate(self) -> None:
         hw = self.hw
-        if len(self.parts) != hw.n_parts or len(self.sectors) != hw.n_parts:
-            raise ValueError("rule %s: wrong part/sector count" % self.name)
         if not hw.cyclic and self.sectors[0] is not None:
             raise ValueError("rule %s: sector 0 on linear hardware" % self.name)
-        z_folders = {}
-        # ring copies share sector rules: fold each shared one once
-        folders = {}
         for i, sec in enumerate(self.sectors):
             if sec is None:
                 continue
@@ -641,28 +648,23 @@ class GeneralizedRule:
                 if not hw.sector_word(i, w):
                     raise ValueError("rule %s sector %d: basis word %r "
                                      "outside sector" % (self.name, i, w.format()))
-            if id(sec) not in folders:
-                folders[id(sec)] = (free_basis_folder(sec.Z)
-                                    if validate_basis(sec.X) else None)
-            z_folders[i] = folders[id(sec)]
-            if z_folders[i] is None:
+            if sec.folder is None and validate_basis(sec.X):
+                sec.folder = free_basis_folder(sec.Z)
+            if sec.folder is None:
                 raise ValueError("rule %s sector %d: X or Z not free"
                                  % (self.name, i))
         for i, rp in enumerate(self.parts):
-            if hw.part_of(rp.q) != i or hw.part_of(rp.q2) != i:
-                raise ValueError("rule %s part %d: state letters in wrong part"
-                                 % (self.name, i))
             nxt = hw.next_part(i) if (hw.cyclic or i + 1 < hw.n_parts) else None
-            self._check_insert(i, rp.u, z_folders)
+            self._check_insert(i, rp.u)
             if nxt is None:
                 if rp.v:
                     raise ValueError("rule %s part %d: right insert beyond "
                                      "last sector" % (self.name, i))
             else:
-                self._check_insert(nxt, rp.v, z_folders)
+                self._check_insert(nxt, rp.v)
 
-    def _check_insert(self, sector: int, w: Word, z_folders: Dict) -> None:
-        sec = self.sectors[sector] if sector < len(self.sectors) else None
+    def _check_insert(self, sector: int, w: Word) -> None:
+        sec = self.sectors[sector]
         if sec is None:
             if w:
                 raise ValueError("rule %s: insert %r in locked sector %d"
@@ -671,7 +673,7 @@ class GeneralizedRule:
         if not self.hw.sector_word(sector, w):
             raise ValueError("rule %s: insert %r outside sector %d"
                              % (self.name, w.format(), sector))
-        if not z_folders[sector].accepts(w):
+        if not sec.folder.accepts(w):
             raise ValueError("rule %s: insert %r outside <Z_%d>"
                              % (self.name, w.format(), sector))
 
@@ -761,20 +763,17 @@ def _inv_name(name: str) -> str:
 # -- application --------------------------------------------------------------
 
 def _check_states(W: AdmissibleWord, rule: GeneralizedRule) -> None:
-    """Raise at the first state letter of W the rule does not expect."""
+    """Raise if the rule is of other hardware than W's, else at the first
+    state letter of W the rule does not expect."""
     hw = W.hw
+    if rule.hw is not hw:
+        raise MachineError("rule %s: hardware differs from the word's"
+                           % rule.name)
     for j, q in enumerate(W.states):
         expected = rule.parts[hw.part_of(q)].q
         if abs(q) != expected:
             raise StateMismatchError(j, hw.alpha.name_of(q),
                                      hw.alpha.name_of(expected))
-
-
-def _check_hardware(W: AdmissibleWord, rule: GeneralizedRule) -> None:
-    """Raise if the rule is of other hardware than W's."""
-    if rule.hw is not W.hw:
-        raise MachineError("rule %s: hardware differs from the word's"
-                           % rule.name)
 
 
 class _StepPlan:
@@ -785,17 +784,15 @@ class _StepPlan:
     inserts of its two state letters (see ``_Ends``), and whether its two
     new state letters are inverse (so that an empty result cancels them).
     Windows of one class agree on all of these but the sector, so on equal
-    tapes they give equal results. ``base_changed`` says the new states
-    leave the base.  ``units`` keeps what :meth:`compile` made for each
-    slot tuple.
+    tapes they give equal results.  The new states keep the base (every
+    rule does), so the windows keep their sectors.  ``units`` keeps what
+    :meth:`compile` made for each slot tuple.
     """
 
-    __slots__ = ("states", "windows", "base_changed", "units")
+    __slots__ = ("states", "windows", "units")
 
     def __init__(self, W: "AdmissibleWord | _Run", rule: GeneralizedRule):
-        _check_hardware(W, rule)
         _check_states(W, rule)
-        hw = W.hw
         repl = [rule._replacement[q] for q in W.states]
         self.states = tuple(q for _, q, _ in repl)
         classes: Dict[tuple, int] = {}
@@ -809,8 +806,6 @@ class _StepPlan:
                 else None
             windows.append((cls, s, sec, ends, cancel))
         self.windows = tuple(windows)
-        self.base_changed = (list(map(hw.part_of, self.states))
-                             != list(map(hw.part_of, W.states)))
         self.units: Dict[Tuple[int, ...], tuple] = {}
 
     def compile(self, slots: Tuple[int, ...]) -> "_Units":
@@ -930,12 +925,6 @@ class _Run:
         if cancelled:
             raise MachineError("rule %s: state letters cancelled during "
                                "application" % rule.name)
-        if plan.base_changed:
-            # the shape checks of a new word fail first where they fail
-            AdmissibleWord(self.hw, plan.states,
-                           tuple(map(self._word, slots)), check=False)
-            raise MachineError("rule %s: base changed during application"
-                               % rule.name)
 
 
 def apply_rule(W: AdmissibleWord, rule: GeneralizedRule) -> AdmissibleWord:
@@ -953,8 +942,7 @@ def apply_rule(W: AdmissibleWord, rule: GeneralizedRule) -> AdmissibleWord:
     holding the same tape object are rewritten once and share the
     resulting word; a tape the step leaves unchanged stays the same
     object.  Errors come in the order of a window-by-window pass: a state
-    mismatch, the first window outside its domain, a cancellation, a
-    changed base.
+    mismatch, the first window outside its domain, a cancellation.
     """
     run = _Run(W)
     run.step(rule)
@@ -1091,12 +1079,13 @@ class Machine:
 
     def configuration(self, tapes: Dict[int, Word],
                       which: str = "start") -> AdmissibleWord:
+        if which not in ("start", "end"):
+            raise ValueError("which is 'start' or 'end', not %r" % (which,))
         for i in tapes:
             if not 0 < i < self.hw.n_parts:
                 raise MachineError("sector %d holds no tape of a "
                                    "configuration" % i)
-        states = [p.start if which == "start" else p.end
-                  for p in self.hw.parts]
+        states = [getattr(p, which) for p in self.hw.parts]
         empty = self.hw.alpha.word()
         ws = [tapes.get(i, empty) for i in range(1, self.hw.n_parts)]
         return AdmissibleWord(self.hw, states, ws)

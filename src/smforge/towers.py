@@ -335,6 +335,8 @@ class _Ring:
                 self.tmap[y] = _copy_letter(self.al, m.hw.alpha, y)
         self.tapes = [tuple(self.tmap[y] for y in m.hw.tapes[s])
                       for _ in range(L) for s in range(self.P)]
+        self.sectors = {r: [_map_sector(sec, self.tmap, self.al)
+                            for sec in r.sectors] for r in m.rules.values()}
 
     @staticmethod
     def suffix(i: int) -> str:
@@ -360,16 +362,15 @@ class _Ring:
              *, name: str) -> GeneralizedRule:
         """r acting on every copy, copy i's states through smaps[i - 1].
 
-        Copies share tape letters, so each insert and sector rule of r is
-        mapped once and every copy gets the same object.  With ``special``
-        the first copy of that sector is locked and the two insertions
-        beside it are dropped.
+        Copies share tape letters, so each insert of r is mapped once and
+        each sector rule of r once per ring (``sectors``): every copy, in
+        every rule set, gets the same object.  With ``special`` the first
+        copy of that sector is locked and the insertions beside it dropped.
         """
         tmap, al = self.tmap, self.al
         e = al.word()
         inserts = [(relabel(rp.u, tmap, al), relabel(rp.v, tmap, al))
                    for rp in r.parts]
-        mapped = [_map_sector(sec, tmap, al) for sec in r.sectors]
         rparts: List[RulePart] = []
         rsectors: List[Optional[SectorRule]] = []
         for i, d in enumerate(smaps, 1):
@@ -380,9 +381,9 @@ class _Ring:
                     if pi == special:
                         u = e
                 rparts.append(RulePart(d[rp.q], u, d[rp.q2], v))
-            for s in range(self.P):
-                locked = special is not None and i == 1 and s == special
-                rsectors.append(None if locked else mapped[s])
+            rsectors += self.sectors[r]
+        if special is not None:
+            rsectors[special] = None
         return GeneralizedRule(hw, name, rparts, rsectors)
 
     def noise(self) -> Optional[NoiseDecl]:

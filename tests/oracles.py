@@ -311,7 +311,7 @@ def reference_apply_rule(W, rule):
     if len(states) != len(W.states):
         raise MachineError("rule %s: state letters cancelled during "
                            "application" % rule.name)
-    result = AdmissibleWord(hw, states, tapes, check=False)
+    result = AdmissibleWord(hw, states, tapes)
     if result.base() != W.base():
         raise MachineError("rule %s: base changed during application"
                            % rule.name)
@@ -383,7 +383,7 @@ def reference_step(W, rule, images=None):
         raise MachineError("rule %s: state letters cancelled during "
                            "application" % rule.name)
     states = [q for _, q, _ in repl]
-    result = AdmissibleWord(W.hw, states, tapes, check=False)
+    result = AdmissibleWord(W.hw, states, tapes)
     if result.base() != W.base():
         raise MachineError("rule %s: base changed during application"
                            % rule.name)
@@ -412,8 +412,7 @@ def reference_run(machine, W, history, trace=True):
 def reference_shift(w, machine, scheme):
     """shift as it was: one run per step while the history is found, the
     last noise spelling only listed, then the whole history replayed."""
-    from smforge.machines import (_check_sector1, _decode_rear,
-                                  marker_split)
+    from smforge.machines import _check_sector1, marker_split
     from smforge.smachine import AdmissibleWord, reduce_history
 
     _check_sector1(w, scheme)
@@ -433,7 +432,7 @@ def reference_shift(w, machine, scheme):
                      for l in reversed(tail.ltrs)]
             steps.append((scheme.rule_name(a), 1))
         else:
-            dec = _decode_rear(tail, a, scheme)
+            dec = reference_decode_rear(tail, a, scheme)
             if dec is None:
                 return None
             steps = [(scheme.rule_name(y), e) for y, e in dec]
@@ -696,6 +695,30 @@ def reference_decode_noise(u, scheme):
         cur = scheme.noise_word(hit[0], hit[1], -hit[2]) * cur
         out.append(hit)
     return out
+
+
+def reference_decode_rear(u, a, scheme):
+    """machines._decode_rear as a search: stop when what remains is the
+    tail of the steps so far, else try every signed noise word of a that
+    heads it, multiply its inverse in and recurse."""
+    al, thresh = scheme.alpha, 3 * scheme.D // 4 + 1
+
+    def rec(cur, acc):
+        tail = al.word((y if e > 0 else -y) for y, e in reversed(acc))
+        if cur == tail:
+            return list(acc)
+        for y in scheme.B:
+            for e in (1, -1):
+                if acc and acc[-1] == (y, -e):
+                    continue
+                vv = scheme.noise_word(y, a, e)
+                if _reference_common_prefix(cur, vv) >= thresh:
+                    r = rec((~vv) * cur, acc + [(y, e)])
+                    if r is not None:
+                        return r
+        return None
+
+    return rec(u, [])
 
 
 def reference_lambda1_accept(w, machine, scheme, member):

@@ -2,22 +2,25 @@
 
 import hashlib
 import itertools
+import re
+import types
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from oracles import reference_classify_start
 from smforge.words import Alphabet, UnknownLetterError, relabel, relabel_by_name
-from smforge.smachine import (MachineError, SectorMismatchError,
-                              StateMismatchError, StepError, apply_rule,
-                              machine_from_text, machine_to_text,
-                              reduce_history, validate_noisy)
-from smforge.machines import marker_split
+from smforge.smachine import (Hardware, Machine, MachineError, NoiseDecl,
+                              Part, SectorMismatchError, StateMismatchError,
+                              StepError, apply_rule, machine_from_text,
+                              machine_to_text, reduce_history, validate_noisy)
+from smforge.machines import build_m1, marker_split
 from smforge.mainmachine import (DivisibleRecognizer, Params,
                                  PAPER_CONSTRAINTS, RejectingRecognizer,
                                  _classify_start, accepting_run, build_main,
                                  history_ell, lambda_accept, main_time_bound,
                                  paper_violations, validate_plugin)
+from smforge.towers import cyclify, reflect
 
 p = pytest.mark.parametrize
 
@@ -126,10 +129,53 @@ def test_rejecting_recognizer():
                          [("tau_idle", 1)])
 
 
+def _plugin_like(machine=None, **changes):
+    """A stand-in plugin whose machine is ``machine``, or the c = 1
+    recognizer's machine over a with ``changes`` to its inputs or noise."""
+    if machine is None:
+        m = DivisibleRecognizer(("a",), 1).machine
+        machine = Machine("bent", m.hw, list(m.rules.values()),
+                          **{"input_sectors": m.input_sectors, **changes})
+    return types.SimpleNamespace(machine=machine)
+
+
+def _tapeless():
+    al = Alphabet()
+    qs = [al.intern(n, kind="q") for n in ("p0", "p1", "p2")]
+    return Machine("tapeless", Hardware(al, [Part((q,), q, q) for q in qs],
+                                        [(), (), ()]), [], [2])
+
+
+PLUGIN_GUARDS = [
+    ("cyclic", "plugin needs three linear parts",
+     lambda: _plugin_like(cyclify(build_m1(("a",))[0]))),
+    ("parts", "plugin needs three linear parts",
+     lambda: _plugin_like(reflect(build_m1(("a",))[0]))),
+    ("sector-1", "plugin sector 1 must be empty",
+     lambda: _plugin_like(build_m1(("a",))[0])),
+    ("sector-2", "plugin sector 2 carries the recognized alphabet",
+     lambda: _plugin_like(_tapeless())),
+    ("inputs", "plugin input sectors must be [2]",
+     lambda: _plugin_like(input_sectors=[])),
+    ("noise", "plugins carry no noise declaration",
+     lambda: _plugin_like(noise=NoiseDecl())),
+    ("letters", "plugin alphabet has 2 letters, payload has 1",
+     lambda: DivisibleRecognizer(("x", "y"), 2)),
+]
+
+
 def test_validate_plugin_guards():
     validate_plugin(DivisibleRecognizer(("a",), 2), n_letters=1)
     with pytest.raises(ValueError, match="letters"):
         validate_plugin(DivisibleRecognizer(("x", "y"), 2), n_letters=1)
+
+
+@p("message, plug", [pytest.param(*case[1:], id=case[0])
+                     for case in PLUGIN_GUARDS])
+def test_each_plugin_guard_names_its_fault(message, plug):
+    """Each guard of the plugin contract raises its own message."""
+    with pytest.raises(ValueError, match=re.escape(message)):
+        validate_plugin(plug(), n_letters=1)
 
 
 # -- assembled machine -------------------------------------------------------------
@@ -551,7 +597,10 @@ def test_language_setup_folds_without_merging(monkeypatch):
     """Each basis word of the language set-up reads through the graph
     built so far or extends it by a fresh path; none is merged in.  A
     merge there would mean a long word was laid out only for a shorter
-    one to collapse it."""
+    one to collapse it.  A sector rule keeps its fold, and the ring maps
+    each of M5's sector rules once, so rule sets 1 and 2 share theirs:
+    the set-up folds at most 332 times (440 when each lift mapped and
+    each rule folded its own)."""
     from smforge import embedding, words
     calls = []
     merge = words._Folder._merge
@@ -563,9 +612,16 @@ def test_language_setup_folds_without_merging(monkeypatch):
                         lambda self, basis: folds.append(1) or init(self, basis))
     pipe = embedding.build_pipeline(embedding.builtin_oracle("Z"), 2)
     letters = tuple(pipe.letters)
-    build_main(letters, DivisibleRecognizer(letters, 1), DESK4)
+    main = build_main(letters, DivisibleRecognizer(letters, 1), DESK4)
     assert len(letters) == 4 and folds
     assert calls == []
+    assert len(folds) <= 332
+    rules = main.machine.rules
+    for name in main.m5.rules:
+        one, two = rules["1." + name].sectors, rules["2." + name].sectors
+        assert two[main.special_sector] is None
+        assert all(x is y for g, (x, y) in enumerate(zip(one, two))
+                   if g != main.special_sector)
 
 
 def test_every_sector_compiles_to_one_of_the_two_shapes(main1, main_rej):

@@ -39,10 +39,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from oracles import (naive_reduce, random_reduced, random_signed_ids,
-                     reference_apply_rule, reference_express, reference_image,
+                     reference_apply_rule, reference_decode_rear,
+                     reference_express, reference_image,
                      reference_is_admissible, reference_run,
                      reference_semi_run, reference_shift, reference_step)
-from smforge.machines import build_m1, shift
+from smforge.machines import _decode_rear, build_m1, shift
 from smforge.mainmachine import (DivisibleRecognizer, Params, accepting_run,
                                  build_main)
 from smforge.smachine import (AdmissibleWord, GeneralizedRule, Hardware,
@@ -638,6 +639,58 @@ def _shift_inputs():
 def test_shift_matches_reference_shift(case):
     m, sch, w = case
     assert outcome(shift, w, m, sch) == outcome(reference_shift, w, m, sch)
+
+
+@pytest.mark.parametrize("letters", [("a",), ("a", "b")])
+def test_decode_rear_matches_the_search(letters):
+    """The greedy rear split agrees with the search it replaced on rears
+    of 0-24 noise steps for each payload letter, as built and with one
+    letter deleted, one letter inverted, a prefix cut off or a suffix cut
+    off, each split for every payload letter.  Some steps are payload
+    letters, which no rear holds.  With one payload letter (D = 12) a
+    tail of 10 letters can read as a head, so the split must stop before
+    it peels; the steps that spell each noise word's head as their tail
+    are among the rears."""
+    _, sch = build_m1(letters)
+    al, r = sch.alpha, random.Random(25)
+    calls = 0
+    for a in sch.A:
+        cases = []
+        for n in range(25):
+            for k in range(6):
+                pool = sch.B if k % 3 else sch.A + sch.B
+                steps: list = []
+                while len(steps) < n:
+                    step = (r.choice(pool), r.choice((1, -1)))
+                    if not steps or steps[-1] != (step[0], -step[1]):
+                        steps.append(step)
+                cases.append(steps)
+        for y in sch.B:
+            for e in (1, -1):
+                v = sch.noise_word(y, a, e).ltrs
+                cases += [[(abs(x), 1 if x > 0 else -1)
+                           for x in reversed(v[:m])]
+                          for m in range(sch.head, min(len(v), 24) + 1)]
+        for steps in cases:
+            u = al.word()
+            for y, e in steps:
+                u = u * sch.noise_word(y, a, e)
+            u = u * al.word([y if e > 0 else -y for y, e in reversed(steps)])
+            assert _decode_rear(u, a, sch) == (
+                steps if all(y in sch.B for y, _ in steps) else None)
+            ltrs = list(u.ltrs)
+            variants = [u]
+            for _ in range(3 if ltrs else 0):
+                k = r.randrange(len(ltrs))
+                variants += [al.word(ltrs[:k] + ltrs[k + 1:]),
+                             al.word(ltrs[:k] + [-ltrs[k]] + ltrs[k + 1:]),
+                             al.word(ltrs[k + 1:]), al.word(ltrs[:k])]
+            for v in variants:
+                for b in sch.A:
+                    assert (_decode_rear(v, b, sch)
+                            == reference_decode_rear(v, b, sch))
+                    calls += 1
+    assert calls > 1000
 
 
 # -- semi-computations -----------------------------------------------------------

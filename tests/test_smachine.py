@@ -93,8 +93,7 @@ def test_admissible_from_a_foreign_word_raises(names):
 
 
 @p("window", [0, 1])
-@p("check", [True, False])
-def test_admissible_with_a_foreign_tape_raises(window, check):
+def test_admissible_with_a_foreign_tape_raises(window):
     """A tape over another alphabet is refused, naming its window, though
     its ids are the hardware's tape letters: the foreign y has the id of a,
     so it would read as a and peel would cancel it."""
@@ -111,7 +110,7 @@ def test_admissible_with_a_foreign_tape_raises(window, check):
     with pytest.raises(MachineError, match=re.escape(
             "window %d: tape word is not over the hardware's alphabet"
             % window)):
-        AdmissibleWord(m.hw, states, tapes, check=check)
+        AdmissibleWord(m.hw, states, tapes)
 
 
 @p("text", ["x", "x x", "q0 a q1 q2 x", "x^-1 q0"])
@@ -174,6 +173,132 @@ def test_rule_with_a_state_letter_in_no_part_raises():
             RulePart(x, al.word(), q1, al.word()),
             RulePart(q2, al.word(), q2, al.word()),
         ], [None, SectorRule((al.word([a]),), (al.word([a]),)), None])
+
+
+class _Kit:
+    """The tiny machine's hardware and letters, and the parts and sectors
+    of a rule over it that each guard case bends one way: every part
+    q -> q, sector 1 a -> a, sector 2 c -> c."""
+
+    def __init__(self):
+        self.m = tiny_machine()
+        self.hw, self.al = self.m.hw, self.m.hw.alpha
+        self.q0, self.q1, self.q2, self.a, self.b, self.c = (
+            self.al.id_of(n) for n in ("q0", "q1", "q2", "a", "b", "c"))
+        self.e = self.al.word()
+
+    def w(self, *ltrs):
+        return self.al.word(ltrs)
+
+    def parts(self, i=None, part=None):
+        out = [RulePart(q, self.e, q, self.e)
+               for q in (self.q0, self.q1, self.q2)]
+        if i is not None:
+            out[i] = part
+        return out
+
+    def sectors(self, i=None, sec=None):
+        out = [None, SectorRule((self.w(self.a),), (self.w(self.a),)),
+               SectorRule((self.w(self.c),), (self.w(self.c),))]
+        if i is not None:
+            out[i] = sec
+        return out
+
+    def rule(self, parts=None, sectors=None, check=True):
+        return GeneralizedRule(self.hw, "bad", parts or self.parts(),
+                               sectors or self.sectors(), check=check)
+
+
+GUARDS = [
+    # Hardware
+    ("hw-tape-count", ValueError, "need exactly one tape entry per part",
+     lambda k: Hardware(k.al, k.hw.parts, [(), (k.a,)])),
+    ("hw-wrap-tape", ValueError, "linear hardware cannot have a wrap tape",
+     lambda k: Hardware(k.al, k.hw.parts, [(k.c,), (k.a,), ()])),
+    ("hw-part-letter", ValueError, "part letter a is not a state letter",
+     lambda k: Hardware(k.al, [Part((k.a,), k.a, k.a)] + k.hw.parts[1:],
+                        k.hw.tapes)),
+    ("hw-tape-letter", ValueError, "tape letter q0 is not a tape letter",
+     lambda k: Hardware(k.al, k.hw.parts, [(), (k.q0,), ()])),
+    # AdmissibleWord
+    ("word-counts", MachineError, "admissible word needs k+1 states, k tapes",
+     lambda k: AdmissibleWord(k.hw, [k.q0, k.q1], [])),
+    ("word-no-states", MachineError,
+     "admissible word needs k+1 states, k tapes",
+     lambda k: AdmissibleWord(k.hw, [], [])),
+    ("word-parts-not-equal", MachineError, "window 0: parts 0,1 not equal",
+     lambda k: AdmissibleWord(k.hw, [k.q0, -k.q1], [k.w(k.a)])),
+    ("word-no-sector-0", MachineError, "window 0: sector 0 does not exist",
+     lambda k: AdmissibleWord(k.hw, [-k.q0, k.q0], [k.w(k.a)])),
+    ("word-no-sector-3", MachineError, "window 0: sector 3 does not exist",
+     lambda k: AdmissibleWord(k.hw, [k.q2, -k.q2], [k.w(k.c)])),
+    ("word-reduces", MachineError, "window 0 reduces: q1 q1^-1",
+     lambda k: AdmissibleWord(k.hw, [k.q1, -k.q1], [k.e])),
+    # GeneralizedRule, checked and unchecked
+    ("rule-part-count", ValueError, "rule bad: wrong part/sector count",
+     lambda k: k.rule(parts=k.parts()[:2])),
+    ("unchecked-rule-part-count", ValueError,
+     "rule bad: wrong part/sector count",
+     lambda k: k.rule(parts=k.parts()[:2], check=False)),
+    ("rule-sector-count", ValueError, "rule bad: wrong part/sector count",
+     lambda k: k.rule(sectors=k.sectors()[:2])),
+    ("rule-q-in-another-part", ValueError,
+     "rule bad part 1: state letters in wrong part",
+     lambda k: k.rule(parts=k.parts(1, RulePart(k.q0, k.e, k.q1, k.e)))),
+    ("rule-q2-in-another-part", ValueError,
+     "rule bad part 1: state letters in wrong part",
+     lambda k: k.rule(parts=k.parts(1, RulePart(k.q1, k.e, k.q2, k.e)))),
+    ("unchecked-rule-q2-in-another-part", ValueError,
+     "rule bad part 1: state letters in wrong part",
+     lambda k: k.rule(parts=k.parts(1, RulePart(k.q1, k.e, k.q2, k.e)),
+                      check=False)),
+    ("rule-sector-0", ValueError, "rule bad: sector 0 on linear hardware",
+     lambda k: k.rule(sectors=k.sectors(0, k.sectors()[1]))),
+    ("rule-basis-sizes", ValueError, "rule bad sector 1: |X| != |Z|",
+     lambda k: k.rule(sectors=k.sectors(1, SectorRule(
+         (k.w(k.a), k.w(k.b)), (k.w(k.a),))))),
+    ("rule-basis-outside", ValueError,
+     "rule bad sector 1: basis word 'c' outside sector",
+     lambda k: k.rule(sectors=k.sectors(1, k.sectors()[2]))),
+    ("rule-not-free", ValueError, "rule bad sector 1: X or Z not free",
+     lambda k: k.rule(sectors=k.sectors(1, SectorRule(
+         (k.w(k.a), k.w(k.b)), (k.w(k.a), k.w(-k.a)))))),
+    ("rule-insert-beyond", ValueError,
+     "rule bad part 2: right insert beyond last sector",
+     lambda k: k.rule(parts=k.parts(2, RulePart(k.q2, k.e, k.q2,
+                                                k.w(k.c))))),
+    ("rule-insert-locked", ValueError,
+     "rule bad: insert 'c' in locked sector 2",
+     lambda k: k.rule(parts=k.parts(1, RulePart(k.q1, k.e, k.q1, k.w(k.c))),
+                      sectors=k.sectors(2, None))),
+    # Machine
+    ("machine-duplicate-rule", ValueError, "duplicate rule name peel",
+     lambda k: Machine("m", k.hw, [k.m.rule("peel"), k.m.rule("peel")])),
+    ("machine-inverse-rule", ValueError, "machines carry positive rules only",
+     lambda k: Machine("m", k.hw, [k.m.rule("peel", -1)])),
+]
+
+
+@p("error, message, build",
+   [pytest.param(*case[1:], id=case[0]) for case in GUARDS])
+def test_construction_guards(error, message, build):
+    """Every guard of the hardware, word, rule and machine constructors
+    raises its own message; a rule that would move a state letter out of
+    its part, or that has too few parts, is refused when it is built,
+    also with check=False."""
+    with pytest.raises(error, match=re.escape(message)):
+        build(_Kit())
+
+
+@p("which", ["Start", "", "accept", None])
+def test_configuration_is_start_or_end(which):
+    """A configuration takes its states at the start or at the end, and
+    anything else is refused, not read as the end."""
+    m = tiny_machine()
+    assert m.configuration({}, which="start").format() == "q0 q1 q2"
+    assert m.configuration({}, which="end").format() == "q0 q1' q2"
+    with pytest.raises(ValueError, match="which is 'start' or 'end'"):
+        m.configuration({}, which=which)
 
 
 def test_apply_classical_rule():

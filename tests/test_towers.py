@@ -2,6 +2,7 @@
 
 import hashlib
 import itertools
+import re
 
 import pytest
 
@@ -10,8 +11,8 @@ from smforge.smachine import (SectorMismatchError, StepError, apply_rule,
                               machine_from_text, machine_to_text)
 from smforge.machines import build_m1, shift
 from smforge.groups import emit_presentation
-from smforge.towers import (SigmaSpec, bar_name, component, compose, cyclify,
-                            reflect)
+from smforge.towers import (SigmaSpec, _Ring, bar_name, component, compose,
+                            cyclify, reflect)
 from smforge.mainmachine import (DivisibleRecognizer, Params, accepting_run,
                                  build_main)
 
@@ -80,6 +81,71 @@ def test_compose_rejects_collisions():
     m1b, _ = build_m1(("a",))
     with pytest.raises(ValueError, match="collide"):
         compose(m1, m1b, SigmaSpec(sector=2))
+
+
+def _renamed_m1(states="r", rules="eta_", tape=None):
+    """M(a) written out and read back with its state letters and rule
+    names renamed, and the tape letter a_2 renamed to ``tape`` if given."""
+    m1, _ = build_m1(("a",))
+    text = re.sub(r"\bq(\d)\b", states + r"\1", machine_to_text(m1))
+    text = text.replace("theta_", rules)
+    if tape is not None:
+        text = re.sub(r"\ba_2\b", tape, text)
+    return machine_from_text(text)
+
+
+TOWER_GUARDS = [
+    ("compose-cyclic", "compose expects linear machines",
+     lambda m1: compose(cyclify(m1), m1, SigmaSpec())),
+    ("compose-part-counts", "part counts differ: 3 vs 6",
+     lambda m1: compose(m1, reflect(m1), SigmaSpec())),
+    ("compose-sigma-sector", "sigma sector 3 out of range",
+     lambda m1: compose(m1, _renamed_m1(), SigmaSpec(sector=3))),
+    ("compose-sigma-name", "rule names collide: theta_a",
+     lambda m1: compose(m1, _renamed_m1(), SigmaSpec(name="theta_a"))),
+    ("compose-state-letter", "state letter 'q0' appears in both machines",
+     lambda m1: compose(m1, _renamed_m1(states="q"), SigmaSpec())),
+    ("compose-tape-letter", "tape letter 'a' needs an identify entry",
+     lambda m1: compose(m1, _renamed_m1(), SigmaSpec())),
+    ("reflect-cyclic", "reflect expects linear hardware",
+     lambda m1: reflect(cyclify(m1))),
+    ("reflect-mirror-names", "letters a collide with their mirror names",
+     lambda m1: reflect(_renamed_m1(tape="a~"))),
+    ("cyclify-cyclic", "cyclify expects linear hardware",
+     lambda m1: cyclify(cyclify(m1))),
+    ("ring-states", "state letter 'q0' collides",
+     lambda m1: _twice(_Ring(cyclify(m1), 2))),
+]
+
+
+def _twice(ring):
+    """Intern copy 1's part 1 state letters twice."""
+    ring.states(1, [1])
+    ring.states(1, [1])
+
+
+@p("message, build", [pytest.param(*case[1:], id=case[0])
+                      for case in TOWER_GUARDS])
+def test_builder_guards(message, build):
+    """Each guard of compose, reflect, cyclify and the ring's state
+    interning raises its own message."""
+    m1, _ = build_m1(("a",))
+    with pytest.raises(ValueError, match=re.escape(message)):
+        build(m1)
+
+
+def test_compose_copies_a_tape_letter_with_no_identify_entry():
+    """A tape letter of the second machine that no identify entry names,
+    and that the first machine lacks, is copied and joined to its
+    sector's alphabet after the first machine's letters."""
+    m1, _ = build_m1(("a",))
+    plug = DivisibleRecognizer(("x",), 1)
+    m3 = compose(m1, plug.machine, SigmaSpec(sector=2))
+    al = m3.hw.alpha
+    assert [al.name_of(y) for y in m3.hw.tapes[2]] == ["a_2", "x_p"]
+    assert al.kind_of(al.id_of("x_p")) == "a"
+    assert al.subkind_of(al.id_of("x_p")) == "A"
+    assert m3.rule("tau_x_0").sectors[2].X == (al.parse("x_p"),)
 
 
 def test_compose_identifies_tapes_by_name():
