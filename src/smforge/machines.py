@@ -355,7 +355,7 @@ def shift(w: Word, machine: Machine, scheme: NoiseScheme
         hist += steps
     if reduce_history(hist) != hist:
         return None
-    if W.tapes[0] or W.base() != W0.base():
+    if W.tapes[0]:
         return None
     return Computation([W0, W] if hist else [W0], hist)
 
