@@ -67,7 +67,8 @@ class Presentation:
     group and "G" when the accept word is added as the closing relator.
     ``cells`` holds what bands share, made on first use: the cells, and a
     plan per (rule, state letters, sign).  :meth:`rotation_set` holds the
-    relator words and their inverses, made again when the words change.
+    relator words and their inverses, made again when the words change,
+    and ``inputs`` the machine's input sectors as a set.
     """
 
     machine: Machine
@@ -80,6 +81,10 @@ class Presentation:
                                        compare=False)
     _rotations: Optional[Tuple[tuple, Set[tuple]]] = field(
         default=None, init=False, repr=False, compare=False)
+    inputs: FrozenSet[int] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        self.inputs = frozenset(self.machine.input_sectors)
 
     def carry_admissible(self, W: AdmissibleWord) -> Word:
         return Word(self.alpha, W.to_word().ltrs)
@@ -118,10 +123,10 @@ def t_parts(machine: Machine) -> FrozenSet[int]:
     return frozenset(out)
 
 
-def _a_class(machine: Machine, sector: int, x: Word) -> str:
-    """Class tag of the sector relator whose domain element is x."""
-    if sector in machine.input_sectors and x:
-        subs = {machine.hw.alpha.subkind_of(l) for l in x.ltrs}
+def _a_class(pres: "Presentation", sector: int, x: Word) -> str:
+    """Class tag of the sector relator of x, read off the set ``inputs``."""
+    if sector in pres.inputs and x:
+        subs = {pres.machine.hw.alpha.subkind_of(l) for l in x.ltrs}
         if subs in ({"A"}, {"b"}):
             return "theta-" + subs.pop()
     return "theta-a"
@@ -154,6 +159,8 @@ def emit_presentation(machine: Machine, level: str = "M") -> Presentation:
                 coord=src.coord_of(hw.parts[i].start))
 
     relators: List[Relator] = []
+    pres = Presentation(machine, level, alpha, theta, relators,
+                        t_parts(machine))
     for name, rule in machine.rules.items():
         for i, rp in enumerate(rule.parts):
             t_here, t_next = theta[(name, i)], theta[(name, (i + 1) % n)]
@@ -171,13 +178,12 @@ def emit_presentation(machine: Machine, level: str = "M") -> Presentation:
             for x, z in zip(sec.X, sec.Z):
                 ltrs = (-t_s,) + x.ltrs + (t_s,) + (~z).ltrs
                 relators.append(Relator(alpha.word(ltrs),
-                                        _a_class(machine, s, x),
+                                        _a_class(pres, s, x),
                                         rule=name, index=s, coordinate=coord))
     if level == "G":
         w_ac = Word(alpha, machine.accept_config().to_word().ltrs)
         relators.append(Relator(w_ac, "hub"))
-    return Presentation(machine, level, alpha, theta, relators,
-                        t_parts(machine))
+    return pres
 
 
 # -- cells and grids -------------------------------------------------------------
@@ -332,7 +338,7 @@ def _sector_cells(pres: Presentation, rule: GeneralizedRule, sector: int,
             pres.machine.hw.parts[sector].start)
         tables: Tuple[dict, dict] = ({}, {})
         for x, z in zip(sec.X, sec.Z):
-            cls = _a_class(pres.machine, sector, x)
+            cls = _a_class(pres, sector, x)
             y = x.ltrs[0]
             x, z = Word(pres.alpha, x.ltrs), Word(pres.alpha, z.ltrs)
             for sgn in (1, -1):

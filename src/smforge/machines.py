@@ -43,7 +43,6 @@ from smforge.smachine import (
     _scan,
     _signed_set,
     reduce_history,
-    validate_noisy,
 )
 
 NOISE_NAMES = ("b1", "b2")
@@ -181,7 +180,6 @@ def build_m1(letters: Sequence[str]) -> Tuple[Machine, NoiseScheme]:
     machine = Machine("M1", hw, rules, input_sectors=[1],
                       noise=NoiseDecl(K={1: A}, M={1: A1}, N={1: B},
                                       phi={1: dict(zip(A, A1))}))
-    validate_noisy(machine)
     return machine, scheme
 
 
@@ -272,8 +270,12 @@ def decode_noise(u: Word, scheme: NoiseScheme
     Returns (y, a, sign) triples.  Greedy: distinct noise words agree on
     fewer than D/4 letters and adjacent factors of a reduced expression
     cancel fewer than D/4, so at most one signed noise word matches more
-    than 3D/4 leading letters of what remains: :func:`_peel` peels it.
-    Raises ValueError for a word over another alphabet than the scheme's.
+    than 3D/4 leading letters of what remains: :func:`_peel` peels it.  No
+    peel undoes the last: a peel of v matches p > 3D/4 letters of the
+    reduced ``cur`` and leaves v[p:]^-1 cur[p:], which agrees with v^-1 on
+    D - p < D/4 letters, no more (cur[p] is not v[p - 1]^-1), so the next
+    head is not v^-1's.  Raises ValueError for a word over another alphabet
+    than the scheme's.
     """
     _check_alphabet(u, scheme)
     out: List[Tuple[int, int, int]] = []
@@ -283,8 +285,6 @@ def decode_noise(u: Word, scheme: NoiseScheme
         if got is None:
             return None
         hit, cur = got
-        if out and out[-1] == (hit[0], hit[1], -hit[2]):
-            return None
         out.append(hit)
     return out
 
@@ -297,6 +297,7 @@ def _decode_rear(u: Word, a: int, scheme: NoiseScheme
     negative marker of payload a after s noise steps.  It stops once what
     remains is the tail of the steps peeled so far, before a peel: a tail
     can read as a head (with one payload letter, from 3D/4 + 1 letters).
+    As in :func:`decode_noise`, no peel undoes the last.
     """
     out: List[Tuple[int, int]] = []
     cur, tail = u.ltrs, ()
@@ -305,7 +306,7 @@ def _decode_rear(u: Word, a: int, scheme: NoiseScheme
         if got is None:
             return None
         (y, b, e), cur = got
-        if b != a or y not in scheme.B or out and out[-1] == (y, -e):
+        if b != a or y not in scheme.B:
             return None
         out.append((y, e))
         tail = (y if e > 0 else -y,) + tail

@@ -37,7 +37,6 @@ from smforge.smachine import (
     SectorRule,
     StepError,
     _scan,
-    validate_noisy,
 )
 from smforge.machines import NoiseScheme, _strip, build_m1, delta, shift
 from smforge.towers import (
@@ -435,7 +434,6 @@ def build_main(letters: Sequence[str], plugin: RecognizerPlugin,
               for s in m5.input_sectors]
     machine = Machine(name, hw, rules, input_sectors=inputs,
                       noise=ring.noise())
-    validate_noisy(machine)
 
     def main_ids(ids: Tuple[int, ...]) -> Tuple[int, ...]:
         return tuple(al.id_of(scheme.alpha.name_of(x)) for x in ids)

@@ -55,7 +55,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from itertools import compress, count
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from smforge.words import (
     Alphabet, BasisExpression, MachineError, Word, _Folder,
@@ -1032,7 +1032,7 @@ class Computation:
 
 
 class Machine:
-    """Hardware plus a named set of positive rules."""
+    """Hardware, positive rules, and a noise declaration checked on build."""
 
     def __init__(self, name: str, hw: Hardware,
                  rules: Sequence[GeneralizedRule],
@@ -1050,6 +1050,8 @@ class Machine:
         self.input_sectors = list(input_sectors)
         self.noise = noise
         self._inv_cache: Dict[str, GeneralizedRule] = {}
+        if noise is not None:
+            validate_noisy(self)
 
     def rule(self, name: str, sign: int = 1) -> GeneralizedRule:
         """The rule ``name`` (a trailing ``^-1`` inverts it) to the power
@@ -1158,12 +1160,12 @@ def validate_noisy(machine: Machine) -> Dict[Tuple[str, int], int]:
 
     Returns {(rule name, sector): form} with form in {0 (locked), 1, 2, 3}.
     Raises MachineError if some rule fits no form or a noise basis is not
-    free.
+    free, naming the first such sector; equal bases are folded once.
     """
     noise = machine.noise or NoiseDecl()
     hw = machine.hw
     report: Dict[Tuple[str, int], int] = {}
-    collected: Dict[int, List[Word]] = {}
+    collected: Dict[int, Set[tuple]] = {}
     for name, rule in machine.rules.items():
         for i in hw.sector_indices():
             sec = rule.sectors[i]
@@ -1179,11 +1181,12 @@ def validate_noisy(machine: Machine) -> Dict[Tuple[str, int], int]:
                 Mset = set(noise.M.get(i, ()))
                 for x, z in zip(sec.X, sec.Z):
                     if len(x) == 1 and abs(x.ltrs[0]) in Mset:
-                        v = z * ~x
-                        collected.setdefault(i, []).append(v)
-    for i, vs in collected.items():
-        # equal words once each, in the order they first come
-        if not validate_basis(list({v.ltrs: v for v in vs}.values())):
+                        collected.setdefault(i, set()).add((z * ~x).ltrs)
+    firsts: Dict[FrozenSet[tuple], int] = {}  # basis -> its first sector
+    for i, basis in collected.items():
+        firsts.setdefault(frozenset(basis), i)
+    for basis, i in firsts.items():
+        if not validate_basis([Word(hw.alpha, v) for v in basis]):
             raise MachineError("sector %d: noise words do not freely generate"
                                % i)
     return report
@@ -1475,9 +1478,7 @@ def _machine_from_text(text: str, at: List[int]) -> Machine:
                 raise ValueError("rule %s sector %d both locked and given "
                                  "bases" % (rname, i))
         rules.append(GeneralizedRule(hw, rname, rparts, sectors))
-    machine = Machine(name, hw, rules, input_sectors=inputs, noise=noise)
     if noise_lines:
-        # the declared noise must fit the rules; blame the first NOISE line
+        # Machine checks the noise: a refusal blames the first NOISE line
         at[0] = min(entry[0] for entry in noise_lines.values())
-        validate_noisy(machine)
-    return machine
+    return Machine(name, hw, rules, input_sectors=inputs, noise=noise)

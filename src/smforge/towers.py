@@ -1,18 +1,17 @@
 """Tower constructions over generalized S-machines.
 
 Three builders turn small linear machines into the cyclic machine the ring
-is laid on.  ``compose`` runs two machines in series through a connecting
-rule, ``reflect`` doubles a machine against a mirrored copy of itself, and
-``cyclify`` closes the base into a ring behind a fresh anchor letter.
-``_Ring`` then lays L copies of a cyclic machine around one ring, sharing
-tape alphabets but not state letters, and ``component`` reads one copy
-back out of a ring configuration.
+is laid on: ``compose`` runs two machines in series, ``reflect`` doubles
+a machine against its mirror copy, ``cyclify`` closes the base behind an
+anchor letter, and ``_Ring`` lays L copies around one ring, sharing tape
+letters but not state letters.  Each stage maps each distinct sector rule
+once (``_map_sectors``), so images share sector rules and folds as their
+sources do, and its ``Machine`` checks the renamed noise declaration.
 
-Mirror copies use barred letters (name suffix ``~``) rather than inverse
-letters: the mirrored image of a tape word w is mu(w) = bar(w)^-1, an
-anti-isomorphism, and since bar is a plain renaming every mirrored free
-basis keeps the one-positive-letter-per-entry shape the sector machinery
-relies on.
+Mirror copies use barred letters (suffix ``~``), not inverse letters: the
+mirror of a tape word w is mu(w) = bar(w)^-1, an anti-isomorphism, and as
+bar is a renaming every mirrored free basis keeps the one positive letter
+per entry that the sector machinery relies on.
 """
 
 from dataclasses import dataclass
@@ -28,7 +27,6 @@ from smforge.smachine import (
     Part,
     RulePart,
     SectorRule,
-    validate_noisy,
 )
 
 
@@ -62,26 +60,24 @@ def _map_part(rp: RulePart, lmap: Dict[int, int], al2: Alphabet) -> RulePart:
                     lmap[rp.q2], relabel(rp.v, lmap, al2))
 
 
-def _map_sector(sec: Optional[SectorRule], lmap: Dict[int, int],
-                al2: Alphabet) -> Optional[SectorRule]:
-    if sec is None:
-        return None
-    return SectorRule(tuple(relabel(x, lmap, al2) for x in sec.X),
-                      tuple(relabel(z, lmap, al2) for z in sec.Z))
-
-
-def _translate_rule(hw2: Hardware, r: GeneralizedRule,
-                    lmap: Dict[int, int]) -> GeneralizedRule:
-    al2 = hw2.alpha
-    parts = [_map_part(rp, lmap, al2) for rp in r.parts]
-    sectors = [_map_sector(sec, lmap, al2) for sec in r.sectors]
-    return GeneralizedRule(hw2, r.name, parts, sectors)
+def _map_sectors(m: Machine, lmap: Dict[int, int], al2: Alphabet
+                 ) -> Dict[GeneralizedRule, List[Optional[SectorRule]]]:
+    """Each rule of m to its sector rules through ``lmap``, each distinct one
+    mapped once (by identity: a ``SectorRule`` is not hashable)."""
+    images: Dict[int, Optional[SectorRule]] = {id(None): None}
+    for r in m.rules.values():
+        for sec in r.sectors:
+            if id(sec) not in images:
+                images[id(sec)] = SectorRule(
+                    tuple(relabel(x, lmap, al2) for x in sec.X),
+                    tuple(relabel(z, lmap, al2) for z in sec.Z))
+    return {r: [images[id(sec)] for sec in r.sectors]
+            for r in m.rules.values()}
 
 
 def _map_noise(noise: Optional[NoiseDecl], lmap: Dict[int, int],
-               smap: Callable[[int], int]) -> Optional[NoiseDecl]:
-    if noise is None:
-        return None
+               smap: Callable[[int], int]) -> NoiseDecl:
+    noise = noise or NoiseDecl()  # none maps to the empty declaration
     K, M, N = ({smap(s): tuple(lmap[y] for y in ys) for s, ys in d.items()}
                for d in (noise.K, noise.M, noise.N))
     phi = {smap(s): {lmap[a]: lmap[b] for a, b in d.items()}
@@ -89,19 +85,19 @@ def _map_noise(noise: Optional[NoiseDecl], lmap: Dict[int, int],
     return NoiseDecl(K, M, N, phi)
 
 
-def _merge_noise(a: Optional[NoiseDecl],
-                 b: Optional[NoiseDecl]) -> Optional[NoiseDecl]:
-    if a is None:
-        return b
-    if b is None:
-        return a
-    overlap = ((set(a.K) | set(a.M) | set(a.N))
-               & (set(b.K) | set(b.M) | set(b.N)))
-    if overlap:
-        raise ValueError("noise declared twice for sectors %s"
-                         % sorted(overlap))
-    return NoiseDecl({**a.K, **b.K}, {**a.M, **b.M}, {**a.N, **b.N},
-                     {**a.phi, **b.phi})
+def _merge_noise(*decls: NoiseDecl) -> NoiseDecl:
+    """``decls`` as one, in one pass; a sector declared twice raises."""
+    out, seen = NoiseDecl(), set()
+    for d in decls:
+        mine = set(d.K) | set(d.M) | set(d.N)
+        if mine & seen:
+            raise ValueError("noise declared twice for sectors %s"
+                             % sorted(mine & seen))
+        seen |= mine
+        for into, part in zip((out.K, out.M, out.N, out.phi),
+                              (d.K, d.M, d.N, d.phi)):
+            into.update(part)
+    return out
 
 
 # -- series composition ----------------------------------------------------------
@@ -182,7 +178,13 @@ def compose(m_a: Machine, m_b: Machine, sigma: SigmaSpec,
         tapes.append(tuple(joint))
     hw = Hardware(al, parts, tapes)
 
-    rules = [_translate_rule(hw, r, amap) for r in m_a.rules.values()]
+    def translate(m: Machine, lmap: Dict[int, int]) -> List[GeneralizedRule]:
+        sectors = _map_sectors(m, lmap, al)
+        return [GeneralizedRule(hw, r.name,
+                                [_map_part(rp, lmap, al) for rp in r.parts],
+                                sectors[r]) for r in m.rules.values()]
+
+    rules = translate(m_a, amap)
     e = al.word()
     sparts = [RulePart(amap[m_a.hw.parts[i].end], e,
                        bmap[m_b.hw.parts[i].start], e) for i in range(n)]
@@ -190,14 +192,12 @@ def compose(m_a: Machine, m_b: Machine, sigma: SigmaSpec,
     singles = tuple(al.word([y]) for y in tapes[sigma.sector])
     ssec[sigma.sector] = SectorRule(singles, singles)
     rules.append(GeneralizedRule(hw, sigma.name, sparts, ssec))
-    rules.extend(_translate_rule(hw, r, bmap) for r in m_b.rules.values())
+    rules += translate(m_b, bmap)
 
     noise = _merge_noise(_map_noise(m_a.noise, amap, lambda s: s),
                          _map_noise(m_b.noise, bmap, lambda s: s))
-    m = Machine(name or (m_a.name + "-" + m_b.name), hw, rules,
-                input_sectors=list(m_a.input_sectors), noise=noise)
-    validate_noisy(m)
-    return m
+    return Machine(name or (m_a.name + "-" + m_b.name), hw, rules,
+                   input_sectors=list(m_a.input_sectors), noise=noise)
 
 
 # -- reflection -------------------------------------------------------------------
@@ -247,6 +247,7 @@ def reflect(m: Machine, name: Optional[str] = None) -> Machine:
     def mu(w: Word) -> Word:
         return ~relabel(w, bmap, al)
 
+    osecs, bsecs = _map_sectors(m, omap, al), _map_sectors(m, bmap, al)
     rules = []
     for r in m.rules.values():
         rparts = [_map_part(rp, omap, al) for rp in r.parts]
@@ -254,20 +255,14 @@ def reflect(m: Machine, name: Optional[str] = None) -> Machine:
             rp = r.parts[i]
             rparts.append(RulePart(bmap[rp.q], mu(rp.v),
                                    bmap[rp.q2], mu(rp.u)))
-        sectors: List[Optional[SectorRule]] = [None]
-        for s in range(1, n):
-            sectors.append(_map_sector(r.sectors[s], omap, al))
-        sectors.append(None)
-        for s in range(n - 1, 0, -1):
-            sectors.append(_map_sector(r.sectors[s], bmap, al))
+        # osecs[r][0] is None (no sector 0); the middle sector n is locked
+        sectors = osecs[r] + [None] + bsecs[r][:0:-1]
         rules.append(GeneralizedRule(hw2, r.name, rparts, sectors))
 
     inputs = list(m.input_sectors) + [2 * n - s for s in m.input_sectors]
     noise = _merge_noise(_map_noise(m.noise, omap, lambda s: s),
                          _map_noise(m.noise, bmap, lambda s: 2 * n - s))
-    mm = Machine(name or (m.name + "~"), hw2, rules, inputs, noise)
-    validate_noisy(mm)
-    return mm
+    return Machine(name or (m.name + "~"), hw2, rules, inputs, noise)
 
 
 # -- cyclification ----------------------------------------------------------------
@@ -299,19 +294,16 @@ def cyclify(m: Machine, t_name: str = "t",
     hw2 = Hardware(al, parts, tapes, cyclic=True)
 
     e = al.word()
+    sectors = _map_sectors(m, lmap, al)
     rules = []
     for r in m.rules.values():
         rparts = [RulePart(t, e, t, e)]
         rparts += [_map_part(rp, lmap, al) for rp in r.parts]
-        sectors: List[Optional[SectorRule]] = [None, None]
-        sectors += [_map_sector(r.sectors[s], lmap, al)
-                    for s in range(1, n)]
-        rules.append(GeneralizedRule(hw2, r.name, rparts, sectors))
+        rules.append(GeneralizedRule(hw2, r.name, rparts,
+                                     [None] + sectors[r]))
     inputs = [s + 1 for s in m.input_sectors]
     noise = _map_noise(m.noise, lmap, lambda s: s + 1)
-    mm = Machine(name or (m.name + "o"), hw2, rules, inputs, noise)
-    validate_noisy(mm)
-    return mm
+    return Machine(name or (m.name + "o"), hw2, rules, inputs, noise)
 
 
 # -- parallel copies ---------------------------------------------------------------
@@ -320,10 +312,10 @@ class _Ring:
     """L copies of a cyclic machine laid around one ring.
 
     Tape letters are interned once into a fresh alphabet and shared by
-    all copies, so copy i's sector s is ring sector (i - 1) * P + s and
-    carries the alphabet of the machine's sector s.  State letters are
-    interned per copy, optionally tagged, so one ring can carry several
-    rule sets; ``lift`` then runs a rule on every copy at once.
+    all copies, as is each sector rule, so copy i's sector s is ring sector
+    (i - 1) * P + s.  State letters are interned per copy, optionally
+    tagged, for several rule sets; ``lift`` runs a rule on every copy at
+    once, and ``noise`` merges the copies' declarations in one pass.
     """
 
     def __init__(self, m: Machine, L: int):
@@ -335,8 +327,7 @@ class _Ring:
                 self.tmap[y] = _copy_letter(self.al, m.hw.alpha, y)
         self.tapes = [tuple(self.tmap[y] for y in m.hw.tapes[s])
                       for _ in range(L) for s in range(self.P)]
-        self.sectors = {r: [_map_sector(sec, self.tmap, self.al)
-                            for sec in r.sectors] for r in m.rules.values()}
+        self.sectors = _map_sectors(m, self.tmap, self.al)
 
     @staticmethod
     def suffix(i: int) -> str:
@@ -386,15 +377,11 @@ class _Ring:
             rsectors[special] = None
         return GeneralizedRule(hw, name, rparts, rsectors)
 
-    def noise(self) -> Optional[NoiseDecl]:
+    def noise(self) -> NoiseDecl:
         """The machine's noise declaration repeated on every copy."""
-        if self.m.noise is None:
-            return None
-        noise = NoiseDecl()
-        for i in range(self.L):
-            noise = _merge_noise(noise, _map_noise(
-                self.m.noise, self.tmap, lambda s, base=i * self.P: base + s))
-        return noise
+        return _merge_noise(*(
+            _map_noise(self.m.noise, self.tmap, lambda s, base=i * self.P:
+                       base + s) for i in range(self.L)))
 
 
 def component(W: AdmissibleWord, coord: int, P: int) -> AdmissibleWord:

@@ -411,16 +411,17 @@ def reference_run(machine, W, history, trace=True):
 
 def reference_shift(w, machine, scheme):
     """shift as it was: one run per step while the history is found, the
-    last noise spelling only listed, then the whole history replayed."""
-    from smforge.machines import _check_sector1, marker_split
+    last noise spelling only listed, then the whole history replayed.  It
+    checks and splits the tape with this file's references, not with the
+    library's ``_check_sector1`` and ``marker_split``, which shift uses."""
     from smforge.smachine import AdmissibleWord, reduce_history
 
-    _check_sector1(w, scheme)
+    _reference_check_sector1(w, scheme)
     q0, q1 = machine.hw.parts[0].start, machine.hw.parts[1].start
     W0 = AdmissibleWord(machine.hw, (q0, q1), (w,))
     W, hist = W0, []
     while True:
-        gaps, markers = marker_split(W.tapes[0], scheme)
+        gaps, markers = reference_marker_split(W.tapes[0], scheme)
         if not markers:
             hist += [(scheme.rule_name(abs(x)), 1 if x > 0 else -1)
                      for x in reversed(W.tapes[0].ltrs)]
@@ -495,8 +496,7 @@ def reference_sector_cells(pres, rule, sector, w):
         z = relabel_by_name(sec.Z[k], pres.alpha)
         if sgn < 0:
             x, z = ~x, ~z
-        cells.append(Cell(x, z, t_s, t_s, _a_class(pres.machine, sector,
-                                                   sec.X[k]),
+        cells.append(Cell(x, z, t_s, t_s, _a_class(pres, sector, sec.X[k]),
                           rule=rule.name, index=sector, coordinate=coord))
     return cells
 

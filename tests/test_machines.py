@@ -21,6 +21,9 @@ from smforge.machines import (
 )
 from smforge.words import Alphabet
 from smforge.smachine import (
+    Machine,
+    MachineError,
+    NoiseDecl,
     ParseError,
     machine_from_text,
     machine_to_text,
@@ -125,6 +128,17 @@ def test_repeated_lines_are_named(head):
                 machine_from_text(text)
             assert err.value.line == at + 1
             assert "second " + head.rstrip(":") in str(err.value)
+
+
+def test_a_machine_refuses_a_bad_declaration_when_built():
+    """The noise check runs as a machine is built: M(a)'s rules with the
+    roles of M and N swapped are refused by the constructor."""
+    m, sch = m1("a")
+    bad = NoiseDecl(K={1: sch.A}, M={1: sch.B}, N={1: sch.A1},
+                    phi=m.noise.phi)
+    with pytest.raises(MachineError,
+                       match="rule theta_a sector 1 fits no noisy form"):
+        Machine("bad", m.hw, list(m.rules.values()), [1], noise=bad)
 
 
 def test_noise_lines_must_fit_the_rules():

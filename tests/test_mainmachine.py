@@ -597,10 +597,12 @@ def test_language_setup_folds_without_merging(monkeypatch):
     """Each basis word of the language set-up reads through the graph
     built so far or extends it by a fresh path; none is merged in.  A
     merge there would mean a long word was laid out only for a shorter
-    one to collapse it.  A sector rule keeps its fold, and the ring maps
-    each of M5's sector rules once, so rule sets 1 and 2 share theirs:
-    the set-up folds at most 332 times (440 when each lift mapped and
-    each rule folded its own)."""
+    one to collapse it.  A sector rule keeps its fold, every tower stage
+    maps each distinct sector rule once, so rule sets 1 and 2 share
+    theirs, and each distinct noise basis is folded once: the set-up folds
+    at most 160 times (332 when compose, reflect and cyclify mapped and
+    folded each rule's sector rules apart and each stage's noise check
+    folded every sector's basis, 440 when each lift did too)."""
     from smforge import embedding, words
     calls = []
     merge = words._Folder._merge
@@ -615,13 +617,26 @@ def test_language_setup_folds_without_merging(monkeypatch):
     main = build_main(letters, DivisibleRecognizer(letters, 1), DESK4)
     assert len(letters) == 4 and folds
     assert calls == []
-    assert len(folds) <= 332
+    assert len(folds) <= 160
     rules = main.machine.rules
     for name in main.m5.rules:
         one, two = rules["1." + name].sectors, rules["2." + name].sectors
         assert two[main.special_sector] is None
         assert all(x is y for g, (x, y) in enumerate(zip(one, two))
                    if g != main.special_sector)
+
+
+def test_noise_check_folds_each_distinct_basis_once(main1, monkeypatch):
+    """The ring copies share their tape letters, so the 2L = 8 noisy
+    sectors of the main machine at L = 4 hold 2 distinct noise bases: the
+    check folds 2 of them, not 8."""
+    from smforge import smachine, words
+    folded = []
+    monkeypatch.setattr(smachine, "validate_basis", lambda basis: (
+        folded.append(basis) or words.validate_basis(basis)))
+    report = validate_noisy(main1.machine)
+    assert len({s for (_, s), form in report.items() if form == 3}) == 8
+    assert len(folded) == 2
 
 
 def test_every_sector_compiles_to_one_of_the_two_shapes(main1, main_rej):

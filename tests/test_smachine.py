@@ -12,7 +12,7 @@ from smforge.smachine import (
     machine_from_text, machine_to_text, parse_history, format_history,
     reduce_history, semi_apply, validate_noisy,
 )
-from smforge.words import Alphabet
+from smforge.words import Alphabet, Word
 
 p = pytest.mark.parametrize
 
@@ -70,12 +70,27 @@ def test_admissible_inverse_and_mixed_windows():
     assert W3.sectors == (1,)
 
 
-@p("text", ["q0 c q1", "q0 a q2", "q1 a q1^-1", "q0 q0^-1", "q0^-1 q0",
-             "a q0", "q0 a"])
-def test_admissible_rejects_bad_shapes(text):
+BAD_SHAPES = [
+    ("q0 c q1", "window 0: tape word 'c' outside sector 1"),
+    ("q0 a q2", "window 0: parts 0,2 not consecutive"),
+    ("q1 a q1^-1", "window 0: tape word 'a' outside sector 2"),
+    ("q0 q0^-1", "window 0 reduces: q0 q0^-1"),
+    ("q0^-1 q0", "window 0: sector 0 does not exist"),
+    ("a q0", "tape letters before first state letter"),
+    ("q0 a", "tape letters after last state letter"),
+]
+
+
+@p("text, message", [pytest.param(*case, id=case[0]) for case in BAD_SHAPES])
+def test_admissible_rejects_bad_shapes(text, message):
+    """Each shape is refused with its own message.  The word is built
+    letter by letter, unreduced: ``Alphabet.parse`` would reduce q0 q0^-1
+    to the empty word, which only has no state letters."""
     m = tiny_machine()
-    with pytest.raises(MachineError):
-        AdmissibleWord.from_word(m.hw, m.hw.alpha.parse(text))
+    al = m.hw.alpha
+    w = Word(al, tuple(x for tok in text.split() for x in al.parse(tok).ltrs))
+    with pytest.raises(MachineError, match=re.escape(message)):
+        AdmissibleWord.from_word(m.hw, w)
 
 
 @p("names", [("q0", "x"), tuple("z%d" % k for k in range(40))])
@@ -620,7 +635,8 @@ def test_validate_noisy_forms():
 
 
 def test_validate_noisy_rejects_bad_noise():
-    # two rules whose noise words are mutually inverse: the union is not free
+    # two rules whose noise words are mutually inverse: the union is not
+    # free, and the machine refuses the declaration when it is built
     m = noisy_machine()
     al = m.hw.alpha
     a1, b1, b2 = al.id_of("a_1"), al.id_of("b1"), al.id_of("b2")
@@ -629,11 +645,10 @@ def test_validate_noisy_rejects_bad_noise():
         RulePart(m.hw.parts[1].start, al.word(), m.hw.parts[1].start, al.word()),
     ], [None, SectorRule((al.word([a1]), al.word([b1]), al.word([b2])),
                          (v * al.word([a1]), al.word([b1]), al.word([b2])))])
-    bad = Machine("bad", m.hw, [mk("f1", al.parse("b1 b2")),
-                                mk("f2", al.parse("b2^-1 b1^-1"))],
-                  input_sectors=[1], noise=m.noise)
-    with pytest.raises(MachineError):
-        validate_noisy(bad)
+    with pytest.raises(MachineError, match="do not freely generate"):
+        Machine("bad", m.hw, [mk("f1", al.parse("b1 b2")),
+                              mk("f2", al.parse("b2^-1 b1^-1"))],
+                input_sectors=[1], noise=m.noise)
 
 
 def test_inverse_rule_expresses_naked_marker():

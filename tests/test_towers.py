@@ -7,12 +7,13 @@ import re
 import pytest
 
 from smforge.words import Word, relabel
-from smforge.smachine import (SectorMismatchError, StepError, apply_rule,
+from smforge.smachine import (Machine, MachineError, NoiseDecl,
+                              SectorMismatchError, StepError, apply_rule,
                               machine_from_text, machine_to_text)
 from smforge.machines import build_m1, shift
 from smforge.groups import emit_presentation
-from smforge.towers import (SigmaSpec, _Ring, bar_name, component, compose,
-                            cyclify, reflect)
+from smforge.towers import (SigmaSpec, _Ring, _merge_noise, bar_name,
+                            component, compose, cyclify, reflect)
 from smforge.mainmachine import (DivisibleRecognizer, Params, accepting_run,
                                  build_main)
 
@@ -132,6 +133,56 @@ def test_builder_guards(message, build):
     m1, _ = build_m1(("a",))
     with pytest.raises(ValueError, match=re.escape(message)):
         build(m1)
+
+
+def _plugged(m):
+    """m composed with the c = 1 recognizer over a, as build_main does."""
+    plug = DivisibleRecognizer(("a",), 1)
+    return compose(m, plug.machine, SigmaSpec(identify={"a_p": "a_2"}))
+
+
+@p("build, sector", [(_plugged, 1), (reflect, 1), (cyclify, 2)],
+   ids=["compose", "reflect", "cyclify"])
+def test_stages_of_an_undeclared_machine_check_its_rules(build, sector):
+    """A stage built from a machine with no noise declaration checks its
+    rules against the empty declaration, which M(a)'s noisy sector 1
+    (sector 2 once cyclify shifts it) fits in no form."""
+    m1, _ = build_m1(("a",))
+    bare = Machine("M1", m1.hw, list(m1.rules.values()), m1.input_sectors)
+    assert bare.noise is None
+    with pytest.raises(MachineError, match="rule theta_a sector %d fits no "
+                       "noisy form" % sector):
+        build(bare)
+
+
+def test_merge_noise_refuses_a_sector_declared_twice():
+    m1, _ = build_m1(("a",))
+    assert _merge_noise(m1.noise, NoiseDecl()).K == m1.noise.K
+    with pytest.raises(ValueError, match=re.escape(
+            "noise declared twice for sectors [1]")):
+        _merge_noise(m1.noise, NoiseDecl(), m1.noise)
+
+
+def test_stages_share_sector_rules_as_their_sources_do(tower):
+    """Each stage maps each distinct sector rule once: two (rule, sector)
+    pairs of a stage hold one SectorRule object exactly when their source
+    pairs do.  Reflection maps each source twice, to its own side and to
+    the mirror side, so each side is compared on its own."""
+    m1, sch, plug, m3, m4, m5 = tower
+    n = m3.hw.n_parts
+
+    def pairs(src, img, to):
+        return [(sec, img.rules[r.name].sectors[to(s)])
+                for r in src.rules.values()
+                for s, sec in enumerate(r.sectors) if sec is not None]
+
+    for got in (pairs(m1, m3, int) + pairs(plug.machine, m3, int),
+                pairs(m3, m4, int), pairs(m3, m4, lambda s: 2 * n - s),
+                pairs(m4, m5, lambda s: s + 1)):
+        same = [(a is c, b is d)
+                for (a, b), (c, d) in itertools.combinations(got, 2)]
+        assert (True, True) in same
+        assert all(src == img for src, img in same)
 
 
 def test_compose_copies_a_tape_letter_with_no_identify_entry():
