@@ -23,12 +23,10 @@ Everything returned is replay-verified against the machine itself.
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import takewhile
-from operator import not_, sub
 from typing import (Callable, Dict, FrozenSet, Iterator, List, Optional,
                     Sequence, Tuple)
 
-from smforge.words import Alphabet, Word, free_reduce
+from smforge.words import Alphabet, Word, common_prefix, free_reduce
 from smforge.smachine import (
     AdmissibleWord,
     Computation,
@@ -244,11 +242,6 @@ def marker_split(w: Word, scheme: NoiseScheme) -> Tuple[List[Word], List[int]]:
 
 # -- noise decoding ------------------------------------------------------------
 
-def _common_prefix(w1: Sequence[int], w2: Sequence[int]) -> int:
-    """How many leading letters w1 and w2 share, by one C-level pass."""
-    return len(list(takewhile(not_, map(sub, w1, w2))))
-
-
 def _peel(cur: Tuple[int, ...], scheme: NoiseScheme
           ) -> Optional[Tuple[Tuple[int, int, int], Tuple[int, ...]]]:
     """(y, a, sign) of the one signed noise word v whose head begins the
@@ -259,7 +252,7 @@ def _peel(cur: Tuple[int, ...], scheme: NoiseScheme
     if hit is None:
         return None
     y, a, s = hit
-    p = n + _common_prefix(cur[n:], scheme.noise_word(y, a, s).ltrs[n:])
+    p = n + common_prefix(cur[n:], scheme.noise_word(y, a, s).ltrs[n:])
     return hit, scheme.noise_word(y, a, -s).ltrs[:scheme.D - p] + cur[p:]
 
 

@@ -395,6 +395,13 @@ def build_main(letters: Sequence[str], plugin: RecognizerPlugin,
     hw = Hardware(al, parts, ring.tapes, cyclic=True)
 
     e = al.word()
+    # one sector rule per input sector, shared by every copy and by s1, s2
+    marking = {}
+    for s in m5.input_sectors:
+        phi = m5.noise.phi[s]
+        X = tuple(al.word([tmap[y]]) for y in m5.noise.K[s])
+        Z = tuple(al.word([tmap[phi[y]]]) for y in m5.noise.K[s])
+        marking[s] = SectorRule(X, Z)
 
     def transition(c: int, which: str) -> GeneralizedRule:
         rparts: List[RulePart] = []
@@ -409,13 +416,6 @@ def build_main(letters: Sequence[str], plugin: RecognizerPlugin,
                 else:
                     rparts.append(RulePart(d[mp.end], e, qa[g], e))
         if which == "s":
-            # one sector rule per input sector, shared by every copy
-            marking = {}
-            for s in m5.input_sectors:
-                phi = m5.noise.phi[s]
-                X = tuple(al.word([tmap[y]]) for y in m5.noise.K[s])
-                Z = tuple(al.word([tmap[phi[y]]]) for y in m5.noise.K[s])
-                marking[s] = SectorRule(X, Z)
             for i in range(1, L + 1):
                 for s in m5.input_sectors:
                     g = (i - 1) * P + s

@@ -1160,31 +1160,49 @@ def validate_noisy(machine: Machine) -> Dict[Tuple[str, int], int]:
 
     Returns {(rule name, sector): form} with form in {0 (locked), 1, 2, 3}.
     Raises MachineError if some rule fits no form or a noise basis is not
-    free, naming the first such sector; equal bases are folded once.
+    free, naming the first such sector.  A form depends only on the
+    sector rule and its sector's declaration, and rules and ring copies
+    share both, so each distinct pair is classified once.  A form-3 entry
+    sends a letter m of M_i to v m, and its noise word v is read off the
+    image.  Each distinct basis of noise words is decided once, by
+    :func:`validate_basis`, which frees noise words on sight: distinct
+    signed noise words share fewer than D/4 leading letters.
     """
     noise = machine.noise or NoiseDecl()
     hw = machine.hw
+    decls: Dict[tuple, int] = {}  # a sector's declaration -> its number
+    decl: Dict[int, int] = {}  # sector -> the number of its declaration
+    for i in hw.sector_indices():
+        d = (tuple(noise.K.get(i, ())), tuple(noise.M.get(i, ())),
+             tuple(noise.N.get(i, ())), tuple(noise.phi.get(i, {}).items()))
+        decl[i] = decls.setdefault(d, len(decls))
+    # (id(sector rule), declaration number) -> (form, its noise words)
+    seen: Dict[Tuple[int, int], Tuple[Optional[int], FrozenSet[tuple]]] = {}
+    noisy: Dict[int, Set[Tuple[int, int]]] = {}  # sector -> its form-3 keys
     report: Dict[Tuple[str, int], int] = {}
-    collected: Dict[int, Set[tuple]] = {}
     for name, rule in machine.rules.items():
         for i in hw.sector_indices():
             sec = rule.sectors[i]
             if sec is None:
                 report[(name, i)] = 0
                 continue
-            form = _classify_sector(hw, noise, i, sec)
+            key = (id(sec), decl[i])
+            if key not in seen:
+                form = _classify_sector(noise, i, sec)
+                M = set(noise.M.get(i, ()))
+                seen[key] = form, frozenset(
+                    z.ltrs[:-1] for x, z in zip(sec.X, sec.Z)
+                    if form == 3 and x.ltrs[0] in M)
+            form = seen[key][0]
             if form is None:
                 raise MachineError("rule %s sector %d fits no noisy form"
                                    % (name, i))
             report[(name, i)] = form
             if form == 3:
-                Mset = set(noise.M.get(i, ()))
-                for x, z in zip(sec.X, sec.Z):
-                    if len(x) == 1 and abs(x.ltrs[0]) in Mset:
-                        collected.setdefault(i, set()).add((z * ~x).ltrs)
+                noisy.setdefault(i, set()).add(key)
     firsts: Dict[FrozenSet[tuple], int] = {}  # basis -> its first sector
-    for i, basis in collected.items():
-        firsts.setdefault(frozenset(basis), i)
+    for i, keys in noisy.items():
+        firsts.setdefault(frozenset().union(*(seen[k][1] for k in keys)), i)
     for basis, i in firsts.items():
         if not validate_basis([Word(hw.alpha, v) for v in basis]):
             raise MachineError("sector %d: noise words do not freely generate"
@@ -1192,7 +1210,7 @@ def validate_noisy(machine: Machine) -> Dict[Tuple[str, int], int]:
     return report
 
 
-def _classify_sector(hw: Hardware, noise: NoiseDecl, i: int,
+def _classify_sector(noise: NoiseDecl, i: int,
                      sec: SectorRule) -> Optional[int]:
     xs = [w.ltrs[0] for w in sec.X if len(w) == 1 and w.ltrs[0] > 0]
     if len(xs) != len(sec.X):

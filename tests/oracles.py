@@ -182,6 +182,12 @@ class ReferenceFolder:
         return edges - len(verts) + 1
 
 
+def reference_validate_basis(basis: Sequence[Word]) -> bool:
+    """Freeness by the fold alone: no word is empty and the folded core
+    graph has rank len(basis)."""
+    return all(basis) and ReferenceFolder(basis).rank() == len(basis)
+
+
 # -- rule application, the generic way --------------------------------------
 #
 # The library compiles each sector into letter tables and rewrites each

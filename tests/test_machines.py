@@ -19,7 +19,7 @@ from smforge.machines import (
     shift_time_bound,
     strip_history,
 )
-from smforge.words import Alphabet
+from smforge.words import Alphabet, sorted_overlaps
 from smforge.smachine import (
     Machine,
     MachineError,
@@ -168,6 +168,18 @@ def test_noise_word_lengths_and_distinctness(letters):
             seen[v.ltrs] = (y, a)
             assert 1 <= sch.eta(y, a) <= sch.D // 4
     assert len(seen) == sch.D // 4
+
+
+@p("n", [1, 2, 3, 4])
+def test_noise_words_share_under_a_quarter(n):
+    """decode_noise's premise over n payload letters: two distinct signed
+    noise words share fewer than D/4 leading letters, read off the sorted
+    neighbours as validate_basis reads them, so the heads are distinct."""
+    _, sch = m1(*"aceg"[:n])
+    ws = [sch.noise_word(y, a, s).ltrs for y, a in sch.pairs() for s in (1, -1)]
+    assert len(set(ws)) == len(ws) == 2 * (n + 2) * n
+    assert 4 * max(p for _, _, p in sorted_overlaps(ws)) < sch.D
+    assert len(sch.heads) == len(ws)
 
 
 def test_quarter_cancellation_exhaustive():

@@ -599,10 +599,12 @@ def test_language_setup_folds_without_merging(monkeypatch):
     merge there would mean a long word was laid out only for a shorter
     one to collapse it.  A sector rule keeps its fold, every tower stage
     maps each distinct sector rule once, so rule sets 1 and 2 share
-    theirs, and each distinct noise basis is folded once: the set-up folds
-    at most 160 times (332 when compose, reflect and cyclify mapped and
-    folded each rule's sector rules apart and each stage's noise check
-    folded every sector's basis, 440 when each lift did too)."""
+    theirs, and validate_basis frees the X bases and the noise bases
+    without a fold: the set-up folds only each distinct Z, at most 73
+    times (158 when each X basis and each distinct noise basis was folded
+    too, 332 when compose, reflect and cyclify mapped and folded each
+    rule's sector rules apart and each stage's noise check folded every
+    sector's basis, 440 when each lift did too)."""
     from smforge import embedding, words
     calls = []
     merge = words._Folder._merge
@@ -617,7 +619,7 @@ def test_language_setup_folds_without_merging(monkeypatch):
     main = build_main(letters, DivisibleRecognizer(letters, 1), DESK4)
     assert len(letters) == 4 and folds
     assert calls == []
-    assert len(folds) <= 160
+    assert len(folds) <= 73
     rules = main.machine.rules
     for name in main.m5.rules:
         one, two = rules["1." + name].sectors, rules["2." + name].sectors
@@ -629,14 +631,53 @@ def test_language_setup_folds_without_merging(monkeypatch):
 def test_noise_check_folds_each_distinct_basis_once(main1, monkeypatch):
     """The ring copies share their tape letters, so the 2L = 8 noisy
     sectors of the main machine at L = 4 hold 2 distinct noise bases: the
-    check folds 2 of them, not 8."""
+    check decides 2 of them, not 8, and folds none, as distinct noise
+    words share fewer than D/4 leading letters."""
     from smforge import smachine, words
-    folded = []
+    decided, folds = [], []
     monkeypatch.setattr(smachine, "validate_basis", lambda basis: (
-        folded.append(basis) or words.validate_basis(basis)))
+        decided.append(basis) or words.validate_basis(basis)))
+    init = words._Folder.__init__
+    monkeypatch.setattr(words._Folder, "__init__",
+                        lambda self, basis: folds.append(1) or init(self, basis))
     report = validate_noisy(main1.machine)
     assert len({s for (_, s), form in report.items() if form == 3}) == 8
-    assert len(folded) == 2
+    assert len(decided) == 2
+    assert folds == []
+
+
+def test_every_basis_a_setup_checks_is_free_on_sight(monkeypatch):
+    """Every basis the workload set-ups (M(a), M(a,b) and the 4-letter Z
+    pipeline's) and the Z2 pipelines at C = 1, 2 hand to validate_basis
+    passes its overlap test, so none is folded for freeness; the fold
+    alone agrees on each."""
+    from smforge import embedding, smachine, words
+    from oracles import reference_validate_basis
+    seen = {}
+
+    def validate(basis):
+        seen.setdefault(tuple(b.ltrs for b in basis), basis)
+        return words.validate_basis(basis)
+    monkeypatch.setattr(smachine, "validate_basis", validate)
+    folded = []
+    monkeypatch.setattr(words, "free_basis_folder",
+                        lambda basis: folded.append(basis))
+    pipes = [embedding.build_pipeline(embedding.builtin_oracle("Z"), 2)]
+    pipes += [embedding.build_pipeline(embedding.builtin_oracle("Z2"), C)
+              for C in (1, 2)]
+    for letters in [("a",), ("a", "b")] + [tuple(x.letters) for x in pipes]:
+        build_main(letters, DivisibleRecognizer(letters, 1), DESK4)
+    assert folded == [] and len(seen) > 60
+    assert all(map(reference_validate_basis, seen.values()))
+
+
+def test_start_rules_share_the_marking_sector_rules(main1):
+    """s1 and s2 mark each input sector by one sector rule, so its basis
+    is checked once, not once per rule."""
+    one, two = main1.machine.rules["s1"].sectors, main1.machine.rules["s2"].sectors
+    shared = [g for g, sec in enumerate(two) if sec is not None]
+    assert len(shared) == len(main1.machine.input_sectors) - 1
+    assert all(one[g] is two[g] for g in shared)
 
 
 def test_every_sector_compiles_to_one_of_the_two_shapes(main1, main_rej):

@@ -651,6 +651,31 @@ def test_validate_noisy_rejects_bad_noise():
                 input_sectors=[1], noise=m.noise)
 
 
+def test_a_shared_sector_rule_is_classified_under_each_declaration():
+    """One sector rule in sectors 1 and 2 is classified by each sector's
+    own declaration: noise where both declare it, no form where sector 2
+    declares nothing."""
+    al = Alphabet()
+    qs = [al.intern("p%d" % k, kind="q") for k in range(3)]
+    a1 = al.intern("a_1", subkind="A")
+    b1, b2 = (al.intern(n, subkind="b") for n in ("b1", "b2"))
+    hw = Hardware(al, [Part((q,), q, q) for q in qs],
+                  [(), (a1, b1, b2), (a1, b1, b2)])
+    W = al.word
+    sec = SectorRule((W([a1]), W([b1]), W([b2])),
+                     (al.parse("b1 b2 a_1"), W([b1]), W([b2])))
+    fuzz = GeneralizedRule(hw, "fuzz", [RulePart(q, W(), q, W()) for q in qs],
+                           [None, sec, sec])
+
+    def declared(*sectors):
+        return NoiseDecl(M={s: (a1,) for s in sectors},
+                         N={s: (b1, b2) for s in sectors})
+    report = validate_noisy(Machine("both", hw, [fuzz], noise=declared(1, 2)))
+    assert report[("fuzz", 1)] == report[("fuzz", 2)] == 3
+    with pytest.raises(MachineError, match="rule fuzz sector 2 fits no"):
+        Machine("one", hw, [fuzz], noise=declared(1))
+
+
 def test_inverse_rule_expresses_naked_marker():
     # a_1 over {b1 b2 a_1, b1, b2} has an expression that grows before it
     # shrinks; the derived substitution must handle it

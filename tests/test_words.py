@@ -15,7 +15,8 @@ from smforge.words import (
 )
 
 from oracles import (ReferenceFolder, naive_cyclic_reduce, naive_member,
-                     naive_reduce, random_reduced, rng)
+                     naive_reduce, random_reduced, reference_validate_basis,
+                     rng)
 
 p = pytest.mark.parametrize
 
@@ -244,6 +245,8 @@ VALIDATE_CASES = [
     (("g0 g1 g0^-1", "g0 g2 g0^-1"), True),
     (("g0", "g0 g1", "g1 g0"), False),
     (("g0", "g1", "g0 g1"), False),
+    # each word cancels half of the next, and the three multiply to 1
+    (("g0 g1", "g1^-1 g2", "g2^-1 g0^-1"), False),
 ]
 
 
@@ -378,6 +381,38 @@ def test_folder_matches_the_per_edge_oracle(case):
         assert new.accepts(w) == ref.accepts(w) == is_member(w, basis)
     w = expression_word(basis, terms)
     assert new.accepts(w) and ref.accepts(w) and is_member(w, basis)
+
+
+@st.composite
+def edited_bases(draw):
+    """1-3 letters, 0-5 reduced words of length 0-6, then up to three more:
+    a repeat, the inverse or a conjugate of a word already drawn, so
+    duplicates, inverse pairs, the empty word and words that are not
+    cyclically reduced all come up."""
+    k = draw(st.integers(1, 3))
+    letters = st.sampled_from([s * x for x in range(1, k + 1) for s in (1, -1)])
+    word = st.lists(letters, max_size=6).map(free_reduce)
+    basis = draw(st.lists(word, max_size=5))
+    edits = st.tuples(st.sampled_from(("repeat", "invert", "conjugate")),
+                      st.integers(0, 4), word)
+    for kind, j, c in draw(st.lists(edits, max_size=3)) if basis else ():
+        t = basis[j % len(basis)]
+        inv = tuple(-x for x in reversed(t))
+        basis.append({"repeat": t, "invert": inv,
+                      "conjugate": free_reduce(
+                          c + t + tuple(-x for x in reversed(c)))}[kind])
+    return k, basis
+
+
+@given(edited_bases())
+@settings(max_examples=300)
+def test_validate_basis_agrees_with_the_fold(case):
+    k, basis = case
+    al = mk_alpha(k)
+    basis = [al.raw_word(t) for t in basis]
+    free = reference_validate_basis(basis)
+    assert (words.free_basis_folder(basis) is not None) is free
+    assert validate_basis(basis) is free
 
 
 def _form3_basis():
