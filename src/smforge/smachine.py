@@ -55,11 +55,13 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from itertools import compress, count
-from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from operator import neg
+from typing import (Callable, Dict, FrozenSet, List, Optional, Sequence, Set,
+                    Tuple)
 
 from smforge.words import (
-    Alphabet, BasisExpression, MachineError, Word, _Folder,
-    free_basis_folder, free_reduce, junction, validate_basis,
+    Alphabet, BasisExpression, MachineError, Word, free_basis_member,
+    free_reduce, junction, validate_basis,
 )
 
 
@@ -426,7 +428,7 @@ def _ends(buf: List[int], marks: _Marks, ends: _Ends) -> _Marks:
 
 
 def _inverse(ltrs: Tuple[int, ...]) -> Tuple[int, ...]:
-    return tuple(-x for x in reversed(ltrs))
+    return tuple(map(neg, reversed(ltrs)))
 
 
 @dataclass
@@ -457,8 +459,11 @@ class SectorRule:
     the watch letters alone; the offsets of the watch letters in each
     image are worked out once per watch set. When the tape may hold a
     moving letter that is not a watch letter, the letters of ``widen``
-    become watch letters first, at the cost of one scan. ``folder`` is the
-    folded <Z>, None until the first checked rule that holds this one folds it.
+    become watch letters first, at the cost of one scan. ``z_member``
+    decides membership in <Z>: a letter test, as every Z basis of the
+    paper's forms is triangular (``words.triangular_letters``), else the
+    fold's.  It is None until the first checked rule that holds this one
+    frees Z.
 
     Any other pair of bases raises :class:`BasisShapeError`.  A band (see
     ``groups._band``) finds a cell by the signed X letter, so it reads the
@@ -491,15 +496,15 @@ class SectorRule:
         # winning; only the letters that move are kept
         images: Dict[int, Tuple[int, ...]] = {}
         for y, img in pairs:
-            images.setdefault(y, img)
-            images.setdefault(-y, _inverse(img))
+            if y not in images:
+                images[y], images[-y] = img, _inverse(img)
         self.images = {y: img for y, img in images.items() if img != (y,)}
         self.domain = frozenset(self._terms)
         self.fixed = self.domain.difference(self.images)
         self.produces = {y: frozenset(img) for y, img in self.images.items()}
         self.widen = frozenset(self.images)
         self._offsets: Dict[FrozenSet[int], Dict[int, Tuple[int, ...]]] = {}
-        self.folder: Optional[_Folder] = None
+        self.z_member: Optional[Callable[[Word], bool]] = None
 
     def express(self, w: Word) -> Optional[BasisExpression]:
         """Expression of w over X, or None when w lies outside <X>."""
@@ -574,21 +579,24 @@ def triangular_sub(X: Tuple[Word, ...],
     Requires every X entry to be a single positive letter and every Z entry
     to be that letter sandwiched by words over the fixed letters (those with
     Z[j] == X[j]).  Returns {x: p^-1 x s^-1}, i.e. the inverse isomorphism as
-    a substitution, or None when the shape does not match.
+    a substitution, or None when the shape does not match.  A moving letter
+    is not fixed, so when p and s are over the fixed letters it occurs in
+    its Z entry just once, where ``index`` finds it.
     """
     if not X or not all(len(x.ltrs) == 1 and x.ltrs[0] > 0 for x in X):
         return None
     fixed = {x.ltrs[0] for x, z in zip(X, Z) if x == z}
+    fixed = fixed.union(map(neg, fixed))
     sub: Dict[int, Word] = {}
     for x, z in zip(X, Z):
-        xl = x.ltrs[0]
+        xl, t = x.ltrs[0], z.ltrs
         if xl in fixed:
             continue
-        hits = [i for i, l in enumerate(z.ltrs) if abs(l) == xl]
-        if len(hits) != 1 or z.ltrs[hits[0]] != xl:
+        if xl not in t:
             return None
-        p, s = z.ltrs[:hits[0]], z.ltrs[hits[0] + 1:]
-        if not fixed.issuperset(map(abs, p + s)):
+        h = t.index(xl)
+        p, s = t[:h], t[h + 1:]
+        if not (fixed.issuperset(p) and fixed.issuperset(s)):
             return None
         sub[xl] = Word(z.alpha, _inverse(p) + (xl,) + _inverse(s))
     return sub
@@ -605,7 +613,7 @@ class GeneralizedRule:
     hardware, for the nonexistent sector 0).  Every rule needs one part
     and one sector per hardware part, with part i's q and q2 in Q_i, so no
     rule changes a base; ``check=False`` (inverse rules) skips only the
-    sector checks and the inserts' test on ``SectorRule.folder``.
+    sector checks and the inserts' test on ``SectorRule.z_member``.
     """
 
     def __init__(self, hw: Hardware, name: str, parts: Sequence[RulePart],
@@ -648,9 +656,9 @@ class GeneralizedRule:
                 if not hw.sector_word(i, w):
                     raise ValueError("rule %s sector %d: basis word %r "
                                      "outside sector" % (self.name, i, w.format()))
-            if sec.folder is None and validate_basis(sec.X):
-                sec.folder = free_basis_folder(sec.Z)
-            if sec.folder is None:
+            if sec.z_member is None and validate_basis(sec.X):
+                sec.z_member = free_basis_member(sec.Z)
+            if sec.z_member is None:
                 raise ValueError("rule %s sector %d: X or Z not free"
                                  % (self.name, i))
         for i, rp in enumerate(self.parts):
@@ -673,7 +681,7 @@ class GeneralizedRule:
         if not self.hw.sector_word(sector, w):
             raise ValueError("rule %s: insert %r outside sector %d"
                              % (self.name, w.format(), sector))
-        if not sec.folder.accepts(w):
+        if not sec.z_member(w):
             raise ValueError("rule %s: insert %r outside <Z_%d>"
                              % (self.name, w.format(), sector))
 

@@ -25,8 +25,8 @@ from __future__ import annotations
 
 from itertools import islice, takewhile
 from operator import add, neg, not_, sub
-from typing import (Dict, Iterable, Iterator, List, Optional, Sequence, Set,
-                    Tuple)
+from typing import (Callable, Dict, FrozenSet, Iterable, Iterator, List,
+                    Optional, Sequence, Set, Tuple)
 
 KINDS = ("q", "a", "t")
 SUBKINDS = ("A", "b", "o")
@@ -286,7 +286,7 @@ class Word:
         return Word(self.alpha, a[:len(a) - k] + b[k:] if k else a + b)
 
     def __invert__(self) -> "Word":
-        return Word(self.alpha, tuple(-x for x in reversed(self.ltrs)))
+        return Word(self.alpha, tuple(map(neg, reversed(self.ltrs))))
 
     def __pow__(self, n: int) -> "Word":
         base = self if n >= 0 else ~self
@@ -355,9 +355,23 @@ def substitute(w: Word, images: Dict[int, Word], target: Alphabet) -> Word:
 
 
 def relabel(w: Word, letter_map: Dict[int, int], target: Alphabet) -> Word:
-    """Letter-to-letter rename, preserving signs."""
-    return Word(target, tuple(
-        letter_map[abs(x)] if x > 0 else -letter_map[abs(x)] for x in w.ltrs))
+    """Letter-to-letter rename, preserving signs; ``letter_map`` is keyed
+    by positive ids.  Raises UnknownLetterError (a KeyError) naming a
+    letter of w that ``letter_map`` lacks.
+
+    >>> al = Alphabet(); a = al.intern("a"); b = al.intern("b")
+    >>> relabel(al.word([a, -b]), {a: b, b: a}, al).format()
+    'b a^-1'
+    >>> relabel(al.word([a, -b]), {a: b}, al)
+    Traceback (most recent call last):
+    ...
+    smforge.words.UnknownLetterError: unknown letter: 'b'
+    """
+    try:
+        return Word(target, tuple([letter_map[x] if x > 0 else -letter_map[-x]
+                                   for x in w.ltrs]))
+    except KeyError as e:
+        raise UnknownLetterError(w.alpha.name_of(e.args[0])) from None
 
 
 def relabel_by_name(w: Word, target: Alphabet) -> Word:
@@ -497,10 +511,60 @@ class _Folder:
 BasisExpression = List[Tuple[int, int]]
 
 
+def triangular_letters(basis: Sequence[Word]) -> Optional[FrozenSet[int]]:
+    """The signed letters of <basis> when the basis is triangular, else
+    None.  Then the words freely generate the subgroup on those letters,
+    of rank len(basis), and a reduced word lies in it just when all its
+    letters are among them.
+
+    A basis is triangular when its one-letter entries have distinct
+    letters F, and every longer entry holds exactly one letter y outside
+    the signed letters of F, and holds it once, with no two entries
+    sharing their y.  Such an entry is p y^e s with p and s words over F.
+    Multiplying it on the left by p^-1 and on the right by s^-1, one
+    letter of F at a time, is a chain of Nielsen moves that keeps the
+    subgroup and makes the entry y^e.  So the basis is a Nielsen
+    transform of the distinct letters F and the y's, which freely
+    generate the subgroup on those letters, and so it freely generates
+    that subgroup too, of the same rank (Lyndon and Schupp, Combinatorial
+    Group Theory, Prop. I.2.8 and its proof).  An empty entry fails the
+    test, as do a letter twice or beside its inverse, an entry that holds
+    its y twice or with both signs, and two entries that share a y.
+
+    >>> al = Alphabet(); a, b, m = (al.intern(x) for x in "abm")
+    >>> sorted(triangular_letters([al.word([a, b, m]), al.word([a]), al.word([b])]))
+    [-3, -2, -1, 1, 2, 3]
+    >>> triangular_letters([al.word([a, m, a, m]), al.word([a])]) is None
+    True
+    """
+    singles = [b.ltrs[0] for b in basis if len(b.ltrs) == 1]
+    fixed = set(map(abs, singles))
+    if len(fixed) != len(singles):
+        return None
+    letters = fixed.union(map(neg, fixed))
+    signed_fixed = frozenset(letters)
+    for b in basis:
+        t = b.ltrs
+        if len(t) == 1:
+            continue
+        rest = set(t).difference(signed_fixed)
+        if len(rest) != 1:
+            return None
+        y, = rest
+        if y in letters or t.count(y) != 1:
+            return None
+        letters.update((y, -y))
+    return frozenset(letters)
+
+
 def validate_basis(basis: Sequence[Word]) -> bool:
     """True iff the words freely generate a subgroup of rank len(basis).
 
-    A basis passes without a fold when any two distinct entries u, v of
+    Three tests, in order: a triangular basis (:func:`triangular_letters`)
+    is free on sight; so is one that passes the overlap test below; any
+    other basis is folded.
+
+    The overlap test passes a basis when any two distinct entries u, v of
     the 2n signed words S^± share a common prefix p with 2p < min(|u|, |v|).
     For x, y in S^± with y != x^-1 the letters cancelled in x y are the
     common prefix of the entries x^-1 and y, so fewer than half of either
@@ -511,13 +575,13 @@ def validate_basis(basis: Sequence[Word]) -> bool:
     entry repeats.  An empty word, a repeated word or a word beside its
     inverse shares all its letters with another entry, so it fails.
 
-    The test reads halves: with u' the first ceil(|u|/2) letters of u,
-    2p >= min(|u|, |v|) just when u' or v' is a prefix of the other.  And
-    it compares only neighbours in sorted order: if u' is a prefix of w',
-    u' sorts first and every half between them begins with u', so u' is
-    a prefix of its next neighbour too.
+    The overlap test reads halves: with u' the first ceil(|u|/2) letters
+    of u, 2p >= min(|u|, |v|) just when u' or v' is a prefix of the other.
+    And it compares only neighbours in sorted order: if u' is a prefix of
+    w', u' sorts first and every half between them begins with u', so u'
+    is a prefix of its next neighbour too.
 
-    A basis that fails the test may still be free; it is folded.
+    A basis that fails both tests may still be free; it is folded.
 
     >>> al = Alphabet(); _ = al.intern("a"); _ = al.intern("b")
     >>> validate_basis([al.parse("a a"), al.parse("b")])
@@ -527,6 +591,8 @@ def validate_basis(basis: Sequence[Word]) -> bool:
     >>> validate_basis([al.parse("a b"), al.parse("a b^-1")])  # by the fold
     True
     """
+    if triangular_letters(basis) is not None:
+        return True
     halves: List[Tuple[int, ...]] = []
     for b in basis:
         h = (len(b.ltrs) + 1) // 2
@@ -544,6 +610,24 @@ def free_basis_folder(basis: Sequence[Word]) -> Optional[_Folder]:
         return None
     folder = _Folder(basis)
     return folder if folder.rank() == len(basis) else None
+
+
+def free_basis_member(basis: Sequence[Word]
+                      ) -> Optional[Callable[[Word], bool]]:
+    """Membership in <basis> when the words freely generate a subgroup of
+    rank len(basis), else None: a letter test when the basis is
+    triangular (:func:`triangular_letters`), else the fold's ``accepts``.
+
+    >>> al = Alphabet(); a, b, m = (al.intern(x) for x in "abm")
+    >>> inside = free_basis_member([al.word([a, m]), al.word([a])])
+    >>> inside(al.word([m, a, m])), inside(al.word([b]))
+    (True, False)
+    """
+    letters = triangular_letters(basis)
+    if letters is not None:
+        return lambda w: letters.issuperset(w.ltrs)
+    folder = free_basis_folder(basis)
+    return None if folder is None else folder.accepts
 
 
 def is_member(w: Word, basis: Sequence[Word]) -> bool:

@@ -28,6 +28,7 @@ from smforge.smachine import (
     machine_from_text,
     machine_to_text,
     reduce_history,
+    semi_apply,
     validate_noisy,
 )
 
@@ -411,6 +412,43 @@ def test_lambda1_skeleton_and_rejections():
     w = m.semi_run(al.parse("a_1 a_1^-1 c_1"), 1, hist)[-1]
     got = lambda1_accept(w, m, sch, lambda z: z == al.parse("c"))
     assert got is not None and got[1][-1] == al.parse("c_1")
+
+
+@p("letters,depth,count", [(("a",), 4, 2811), (("a", "b"), 3, 2742)])
+def test_lambda1_accepts_every_word_a_search_reaches(letters, depth, count):
+    """The sector language against its definition: w is in it when some
+    semi-computation takes w to a skeleton the member accepts.  Every
+    semi-history of length <= depth from the skeletons m, m m and m^-1 of
+    each marker m, searched breadth first, reaches ``count`` words.  With
+    an accept-all member each is accepted; with an even-length member
+    exactly those whose skeleton's payload image is even are."""
+    m, sch = m1(*letters)
+    al = sch.alpha
+    rules = [m.rule(name, s) for name in sorted(m.rules) for s in (1, -1)]
+    skeleton = {}  # each word reached -> the skeleton it was reached from
+    for a1 in sch.A1:
+        for start in ([a1], [a1, a1], [-a1]):
+            frontier = [al.word(start)]
+            skeleton[frontier[0]] = frontier[0]
+            for _ in range(depth):
+                nxt = []
+                for w in frontier:
+                    for r in rules:
+                        try:
+                            u = semi_apply(w, r, 1)
+                        except MachineError:
+                            continue
+                        if u not in skeleton:
+                            skeleton[u] = skeleton[w]
+                            nxt.append(u)
+                frontier = nxt
+    assert len(skeleton) == count
+    for w, skel in skeleton.items():
+        got = lambda1_accept(w, m, sch, lambda z: True)
+        assert got is not None and got[1][-1] == skel
+        even = len(delta(skel, sch)) % 2 == 0
+        assert (lambda1_accept(w, m, sch, lambda z: len(z) % 2 == 0)
+                is not None) is even
 
 
 def test_lambda1_empty_word():

@@ -594,22 +594,17 @@ def test_compressed_steps_decorate_not_erase(main3):
 
 
 def test_language_setup_folds_without_merging(monkeypatch):
-    """Each basis word of the language set-up reads through the graph
-    built so far or extends it by a fresh path; none is merged in.  A
-    merge there would mean a long word was laid out only for a shorter
-    one to collapse it.  A sector rule keeps its fold, every tower stage
-    maps each distinct sector rule once, so rule sets 1 and 2 share
-    theirs, and validate_basis frees the X bases and the noise bases
-    without a fold: the set-up folds only each distinct Z, at most 73
-    times (158 when each X basis and each distinct noise basis was folded
+    """The language, accept and diagram set-ups build no folder.  A sector
+    rule keeps its membership test, every tower stage maps each distinct
+    sector rule once, so rule sets 1 and 2 share theirs, and every X, Z
+    and noise basis they check is free on sight: X and Z are triangular,
+    so <Z> is a letter test, and the noise bases pass the overlap test
+    (the language set-up built 73 folders when it folded each distinct
+    Z, 158 when each X basis and each distinct noise basis was folded
     too, 332 when compose, reflect and cyclify mapped and folded each
     rule's sector rules apart and each stage's noise check folded every
     sector's basis, 440 when each lift did too)."""
-    from smforge import embedding, words
-    calls = []
-    merge = words._Folder._merge
-    monkeypatch.setattr(words._Folder, "_merge",
-                        lambda self, a, b: calls.append(1) or merge(self, a, b))
+    from smforge import embedding, groups, words
     folds = []
     init = words._Folder.__init__
     monkeypatch.setattr(words._Folder, "__init__",
@@ -617,9 +612,11 @@ def test_language_setup_folds_without_merging(monkeypatch):
     pipe = embedding.build_pipeline(embedding.builtin_oracle("Z"), 2)
     letters = tuple(pipe.letters)
     main = build_main(letters, DivisibleRecognizer(letters, 1), DESK4)
-    assert len(letters) == 4 and folds
-    assert calls == []
-    assert len(folds) <= 73
+    main_a = build_main(("a",), DivisibleRecognizer(("a",), 1), DESK4)
+    build_main(("a", "b"), DivisibleRecognizer(("a", "b"), 1), DESK4)
+    groups.emit_presentation(main_a.machine, level="G")
+    assert len(letters) == 4
+    assert folds == []
     rules = main.machine.rules
     for name in main.m5.rules:
         one, two = rules["1." + name].sectors, rules["2." + name].sectors
@@ -648,17 +645,29 @@ def test_noise_check_folds_each_distinct_basis_once(main1, monkeypatch):
 
 def test_every_basis_a_setup_checks_is_free_on_sight(monkeypatch):
     """Every basis the workload set-ups (M(a), M(a,b) and the 4-letter Z
-    pipeline's) and the Z2 pipelines at C = 1, 2 hand to validate_basis
-    passes its overlap test, so none is folded for freeness; the fold
-    alone agrees on each."""
+    pipeline's) and the Z2 pipelines at C = 1, 2 hand to validate_basis,
+    and every Z basis whose membership test they build, is freed by the
+    triangular test or the overlap test, so none is folded; the fold alone
+    agrees on each."""
     from smforge import embedding, smachine, words
     from oracles import reference_validate_basis
     seen = {}
 
-    def validate(basis):
+    def record(basis):
         seen.setdefault(tuple(b.ltrs for b in basis), basis)
+
+    def validate(basis):
+        record(basis)
         return words.validate_basis(basis)
     monkeypatch.setattr(smachine, "validate_basis", validate)
+    triangular = words.triangular_letters
+
+    def triangular_letters(basis):
+        letters = triangular(basis)
+        if letters is not None:
+            record(basis)
+        return letters
+    monkeypatch.setattr(words, "triangular_letters", triangular_letters)
     folded = []
     monkeypatch.setattr(words, "free_basis_folder",
                         lambda basis: folded.append(basis))

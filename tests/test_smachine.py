@@ -349,24 +349,37 @@ def test_invert_rule_involution():
 
 
 @p("X, Z, v0, u1, message", [
-    # v0 is the right insert of part 0 and u1 the left insert of part 1;
-    # both land in sector 1
     (("b",), ("b",), "a", "", "insert 'a' outside <Z_1>"),
     (("a",), ("a",), "", "b a", "insert 'b a' outside <Z_1>"),
     (("a", "b"), ("a", "a^-1"), "", "", "X or Z not free"),
     (("a", "b"), ("a", "b"), "", "c", "insert 'c' outside sector 1"),
+    # free but not triangular: the fold decides <Z>
+    (("a", "b"), ("a b", "b a"), "", "a", "insert 'a' outside <Z_1>"),
 ])
 def test_rule_validation_errors(X, Z, v0, u1, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        _sector1_rule(X, Z, v0, u1)
+
+
+def test_a_z_basis_that_is_not_triangular_is_folded():
+    """{a b, b a} has no one-letter entry, so the triangular test misses
+    it; the fold frees it, and an insert in <Z> passes."""
+    rule = _sector1_rule(("a", "b"), ("a b", "b a"), "b a", "a b b a")
+    assert rule.sectors[1].z_member(rule.parts[1].u)
+
+
+def _sector1_rule(X, Z, v0, u1):
+    """A rule of tiny_machine with bases X, Z in sector 1, where v0, the
+    right insert of part 0, and u1, the left insert of part 1, land."""
     m = tiny_machine()
     al, hw = m.hw.alpha, m.hw
     P = lambda t: al.parse(t) if t else al.word()
-    with pytest.raises(ValueError, match=re.escape(message)):
-        GeneralizedRule(hw, "bad", [
-            RulePart(hw.parts[0].start, al.word(), hw.parts[0].start, P(v0)),
-            RulePart(hw.parts[1].start, P(u1), hw.parts[1].start, al.word()),
-            RulePart(hw.parts[2].start, al.word(), hw.parts[2].start, al.word()),
-        ], [None, SectorRule(tuple(map(P, X)), tuple(map(P, Z))),
-            SectorRule((P("c"),), (P("c"),))])
+    return GeneralizedRule(hw, "bad", [
+        RulePart(hw.parts[0].start, al.word(), hw.parts[0].start, P(v0)),
+        RulePart(hw.parts[1].start, P(u1), hw.parts[1].start, al.word()),
+        RulePart(hw.parts[2].start, al.word(), hw.parts[2].start, al.word()),
+    ], [None, SectorRule(tuple(map(P, X)), tuple(map(P, Z))),
+        SectorRule((P("c"),), (P("c"),))])
 
 
 def test_bases_of_neither_shape_raise():
