@@ -9,55 +9,51 @@ a legal shape, which also assigns the tape word its sector.
 
 A generalized rule carries, per part i, a transition q_i -> u_i q_i' v_{i+1}
 and, per sector i, either a lock or a pair of free bases X_i, Z_i with the
-isomorphism f_i matching them up by position. A :class:`SectorRule` is
-that isomorphism: it is compiled once, when it is built, into one letter
-map on a letter domain, in one of the two shapes the paper's noisy machines
-use: one-letter X entries, or one-letter Z entries that each X entry wraps
-in fixed letters (the inverse of a form-3 sector); any other basis raises
-:class:`BasisShapeError`. Every rewrite of a tape is one call of one
-method, :meth:`SectorRule.push`: the windows of :func:`apply_rule` and
-:meth:`Machine.run`, the steps of :func:`semi_apply` and
-:meth:`Machine.semi_run`, and the inserts of :func:`invert_rule`.
+isomorphism f_i matching them up by position; every rule is checked when
+it is built. A :class:`SectorRule` is that isomorphism, and owns its
+freeness, letters and inverse. It is compiled once, when it is built, into
+one letter map on a letter domain, in one of the two shapes the paper's
+noisy machines use: one-letter X entries, or one-letter Z entries that
+each X entry wraps in fixed letters (the inverse of a form-3 sector); any
+other basis raises :class:`BasisShapeError`. Every rewrite of a tape is
+one call of one method, :meth:`SectorRule.push`: the windows of
+:func:`apply_rule` and :meth:`Machine.run`, the steps of
+:func:`semi_apply` and :meth:`Machine.semi_run`, and the inserts of
+:func:`invert_rule`.
 
-``push`` edits a tape in place: it takes a letter buffer (a list) and the
-tape's marks, a superset of its letters, its watch letters (those moved by
-the maps that rewrote it) and the sorted positions of its watch letters.
-The fixed and domain tests run on the letter superset; the moving letters
-are replaced at the watch positions, left to right, and the right and left
-inserts of the window's state letters are joined at the front and at the
-back. Only junctions cancel, each in place by one C-level pass, so a push
-moves letters with ``memmove`` and its Python work grows with the watch
-letters alone. ``push`` returns the marks of the result (the very marks it
-was given when the tape did not change), or None with the buffer
-untouched; one scan widens the watch letters of a tape that may hold a
-moving letter outside them.
+``push`` edits a letter buffer in place, given the tape's marks (see
+``_Marks``): the fixed and domain tests run on its letter superset, the
+moving letters are replaced at the watch positions, and only junctions
+cancel, each by one C-level pass, so a push moves letters with
+``memmove`` and its Python work grows with the watch letters alone.
 
 A run (:class:`_Run`, behind :meth:`Machine.run` and :func:`apply_rule`)
 copies each distinct tape of its start word into a run-owned buffer once
 and steps the buffers; Words are built only where a configuration is
 handed out, one per buffer changed since the last. State letters never
-reduce against tape letters, so the windows stay apart and need no
-re-split, and no run checks the base: a rule that moves a state letter
-out of its part is refused when it is built. What a rule does to the
-state letters of a word depends on those letters alone, so each rule
-works it out once per state tuple (a step plan: new states, and per
-window its sector, sector rule and inserts). Windows that agree on all of
-that are one class, and each (class, buffer) pair is one unit of work:
-the plan compiles, once per slot tuple (the buffer of each window), its
-units and the slot tuple after the step. A buffer read by two classes is
-copied for all but the last of them, so ring copies of one machine, which
-hold equal tapes, cost one push per distinct window, and equal tapes of
-one class stay one Word.
+reduce against tape letters, nor cancel (see :func:`apply_rule`), so the
+windows stay apart and need no re-split, and no run checks the base: a
+rule that moves a state letter out of its part is refused when it is
+built. What a rule does to the state letters of a word depends on those
+letters alone, so each rule works it out once per state tuple (a step
+plan: new states, and per window its sector, sector rule and inserts).
+Windows that agree on all of that are one class, and each (class, buffer)
+pair is one unit of work: the plan compiles, once per slot tuple (the
+buffer of each window), its units and the slot tuple after the step. A
+buffer read by two classes is copied for all but the last of them, so
+ring copies of one machine, which hold equal tapes, cost one push per
+distinct window, and equal tapes of one class stay one Word.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import compress, count
 from operator import neg
-from typing import (Callable, Dict, FrozenSet, List, Optional, Sequence, Set,
-                    Tuple)
+from typing import (Callable, Collection, Dict, FrozenSet, List, Optional,
+                    Sequence, Set, Tuple)
 
 from smforge.words import (
     Alphabet, BasisExpression, MachineError, Word, free_basis_member,
@@ -128,7 +124,7 @@ class ParseError(ValueError):
 
 # -- hardware ----------------------------------------------------------------
 
-def _signed_set(ids: Sequence[int]) -> FrozenSet[int]:
+def _signed_set(ids: Collection[int]) -> FrozenSet[int]:
     """The letters ``ids`` and their inverses."""
     return frozenset(ids).union([-x for x in ids])
 
@@ -337,9 +333,10 @@ class RulePart:
     v: Word
 
 
-# The marks of a tape: a superset of its letters, its watch letters, and
-# the sorted positions of its watch letters.  A plain tuple, as every push
-# builds one and a named tuple costs ten times as much to build.
+# The marks of a tape: a superset of its letters, its watch letters (those
+# the maps that rewrote it move) and their sorted positions.  A plain
+# tuple, as every push builds one and a named tuple costs ten times as
+# much to build.
 _Marks = Tuple[FrozenSet[int], FrozenSet[int], Tuple[int, ...]]
 
 _NO_LETTERS: FrozenSet[int] = frozenset()
@@ -452,18 +449,12 @@ class SectorRule:
     ``images`` keeps only the letters that move; every other letter of
     ``domain`` goes to itself, and ``fixed`` holds those.  ``produces``
     maps each moving letter to the set of letters of its image, and
-    ``widen`` holds the moving letters.  :meth:`push` rewrites a tape in
-    place, given its marks (see ``_Marks``). It tries the fixed and domain
-    tests on the letter superset before it reads the tape, and finds the
-    moving letters at the watch positions, so its Python work grows with
-    the watch letters alone; the offsets of the watch letters in each
-    image are worked out once per watch set. When the tape may hold a
-    moving letter that is not a watch letter, the letters of ``widen``
-    become watch letters first, at the cost of one scan. ``z_member``
-    decides membership in <Z>: a letter test, as every Z basis of the
-    paper's forms is triangular (``words.triangular_letters``), else the
-    fold's.  It is None until the first checked rule that holds this one
-    frees Z.
+    ``widen`` holds the moving letters, for :meth:`push`.  ``z_member``
+    is None exactly when X or Z is not free, else it decides membership
+    in <Z>: a letter test, as every Z basis of the paper's forms is
+    triangular (``words.triangular_letters``), else the fold's.
+    ``letters`` holds the signed letters of X and Z, ``alpha`` their one
+    alphabet (None for none or several), and :attr:`inverse` is f^-1.
 
     Any other pair of bases raises :class:`BasisShapeError`.  A band (see
     ``groups._band``) finds a cell by the signed X letter, so it reads the
@@ -504,7 +495,22 @@ class SectorRule:
         self.produces = {y: frozenset(img) for y, img in self.images.items()}
         self.widen = frozenset(self.images)
         self._offsets: Dict[FrozenSet[int], Dict[int, Tuple[int, ...]]] = {}
-        self.z_member: Optional[Callable[[Word], bool]] = None
+        # X is free just when each signed domain letter has its own term:
+        # distinct X letters, or distinct Z letters X is triangular over
+        self.z_member: Optional[Callable[[Word], bool]] = (
+            free_basis_member(self.Z)
+            if len(self._terms) == 2 * len(self.X) else None)
+        self.letters = _signed_set(
+            frozenset().union(*(w.ltrs for w in self.X + self.Z)))
+        alphas = {w.alpha for w in self.X + self.Z}
+        self.alpha = alphas.pop() if len(alphas) == 1 else None
+
+    @cached_property
+    def inverse(self) -> "SectorRule":
+        """f^-1 (X and Z swapped), built once; its inverse is this rule."""
+        inv = SectorRule(self.Z, self.X)
+        inv.__dict__["inverse"] = self
+        return inv
 
     def express(self, w: Word) -> Optional[BasisExpression]:
         """Expression of w over X, or None when w lies outside <X>."""
@@ -610,15 +616,15 @@ class GeneralizedRule:
     """A generalized S-rule over fixed hardware.
 
     ``sectors[i]`` is None when sector i is locked (or, on linear
-    hardware, for the nonexistent sector 0).  Every rule needs one part
-    and one sector per hardware part, with part i's q and q2 in Q_i, so no
-    rule changes a base; ``check=False`` (inverse rules) skips only the
-    sector checks and the inserts' test on ``SectorRule.z_member``.
+    hardware, for the nonexistent sector 0).  Every rule is checked when
+    it is built: one part and one sector per hardware part, with part i's
+    q and q2 in Q_i, so no rule changes a base; free bases and inserts in
+    <Z>, all over the hardware's alphabet and inside their sectors.
     """
 
     def __init__(self, hw: Hardware, name: str, parts: Sequence[RulePart],
                  sectors: Sequence[Optional[SectorRule]],
-                 positive: bool = True, check: bool = True):
+                 positive: bool = True):
         self.hw = hw
         self.name = name
         self.parts = list(parts)
@@ -640,8 +646,7 @@ class GeneralizedRule:
                                        _inverse(rp.u.ltrs))
         # (hardware, state tuple) -> the step plan of a run step
         self._plans: Dict[tuple, _StepPlan] = {}
-        if check:
-            self._validate()
+        self._validate()
 
     def _validate(self) -> None:
         hw = self.hw
@@ -652,12 +657,13 @@ class GeneralizedRule:
                 continue
             if len(sec.X) != len(sec.Z):
                 raise ValueError("rule %s sector %d: |X| != |Z|" % (self.name, i))
-            for w in sec.X + sec.Z:
-                if not hw.sector_word(i, w):
-                    raise ValueError("rule %s sector %d: basis word %r "
-                                     "outside sector" % (self.name, i, w.format()))
-            if sec.z_member is None and validate_basis(sec.X):
-                sec.z_member = free_basis_member(sec.Z)
+            if sec.X and sec.alpha is not hw.alpha:
+                raise ValueError("rule %s sector %d: bases over another "
+                                 "alphabet" % (self.name, i))
+            if not hw._signed_tapes[i].issuperset(sec.letters):
+                w = next(w for w in sec.X + sec.Z if not hw.sector_word(i, w))
+                raise ValueError("rule %s sector %d: basis word %r "
+                                 "outside sector" % (self.name, i, w.format()))
             if sec.z_member is None:
                 raise ValueError("rule %s sector %d: X or Z not free"
                                  % (self.name, i))
@@ -678,6 +684,9 @@ class GeneralizedRule:
                 raise ValueError("rule %s: insert %r in locked sector %d"
                                  % (self.name, w.format(), sector))
             return
+        if w.alpha is not self.hw.alpha:
+            raise ValueError("rule %s: insert %r in sector %d is over another "
+                             "alphabet" % (self.name, w.format(), sector))
         if not self.hw.sector_word(sector, w):
             raise ValueError("rule %s: insert %r outside sector %d"
                              % (self.name, w.format(), sector))
@@ -719,22 +728,18 @@ def invert_rule(rule: GeneralizedRule) -> GeneralizedRule:
     """The inverse generalized rule.
 
     Part i of the inverse is q_i' -> f_i^-1(u_i^-1) q_i f_{i+1}^-1(v_{i+1}^-1)
-    where the f^-1 are read through the swapped bases (X and Z trade places).
-    Swapped bases that fit neither sector shape raise BasisShapeError
-    naming the rule and the sector.
+    where the f^-1 are the sector rules' ``inverse``, shared as the sector
+    rules are.  Swapped bases that fit neither sector shape raise
+    BasisShapeError naming the rule and the sector.
     """
     hw = rule.hw
-    # a sector rule shared between sectors stays shared in the inverse
-    inverses: Dict[int, SectorRule] = {}
     inv_sectors: List[Optional[SectorRule]] = []
     for i, sec in enumerate(rule.sectors):
-        if sec is not None and id(sec) not in inverses:
-            try:
-                inverses[id(sec)] = SectorRule(sec.Z, sec.X)
-            except BasisShapeError as e:
-                raise BasisShapeError("rule %s sector %d: inverse %s"
-                                      % (rule.name, i, e)) from e
-        inv_sectors.append(None if sec is None else inverses[id(sec)])
+        try:
+            inv_sectors.append(None if sec is None else sec.inverse)
+        except BasisShapeError as e:
+            raise BasisShapeError("rule %s sector %d: inverse %s"
+                                  % (rule.name, i, e)) from e
     parts: List[RulePart] = []
     for i, rp in enumerate(rule.parts):
         u2 = _image(inv_sectors[i], i, ~rp.u)
@@ -743,7 +748,7 @@ def invert_rule(rule: GeneralizedRule) -> GeneralizedRule:
               else rp.v.alpha.word())
         parts.append(RulePart(rp.q2, u2, rp.q, v2))
     return GeneralizedRule(hw, _inv_name(rule.name), parts, inv_sectors,
-                           positive=not rule.positive, check=False)
+                           positive=not rule.positive)
 
 
 def _image(sec: Optional[SectorRule], sector: int, w: Word) -> Word:
@@ -788,12 +793,11 @@ class _StepPlan:
     """What a rule does to every word with given state letters.
 
     ``states`` are the new state letters. ``windows`` holds, per window,
-    its class, its sector, the sector rule (``_LOCKED`` when locked), the
-    inserts of its two state letters (see ``_Ends``), and whether its two
-    new state letters are inverse (so that an empty result cancels them).
-    Windows of one class agree on all of these but the sector, so on equal
-    tapes they give equal results.  The new states keep the base (every
-    rule does), so the windows keep their sectors.  ``units`` keeps what
+    its class, its sector, the sector rule (``_LOCKED`` when locked) and
+    the inserts of its two state letters (see ``_Ends``).  Windows of one
+    class agree on all of these but the sector, so on equal tapes they
+    give equal results.  The new states keep the base (every rule does),
+    so the windows keep their sectors.  ``units`` keeps what
     :meth:`compile` made for each slot tuple.
     """
 
@@ -807,12 +811,11 @@ class _StepPlan:
         windows = []
         for j, s in enumerate(W.sectors):
             (_, q1, right), (left, q2, _) = repl[j], repl[j + 1]
-            sec, cancel = rule.sectors[s] or _LOCKED, q1 == -q2
-            cls = classes.setdefault((id(sec), right, left, cancel),
-                                     len(classes))
+            sec = rule.sectors[s] or _LOCKED
+            cls = classes.setdefault((id(sec), right, left), len(classes))
             ends = (right, left, frozenset(right + left)) if right or left \
                 else None
-            windows.append((cls, s, sec, ends, cancel))
+            windows.append((cls, s, sec, ends))
         self.windows = tuple(windows)
         self.units: Dict[Tuple[int, ...], tuple] = {}
 
@@ -821,14 +824,14 @@ class _StepPlan:
         window: its units and the slot tuple after it.
 
         A unit is one class on one buffer: (sector, sector rule, inserts,
-        cancel, source buffer, target buffer), in the order of the first
+        source buffer, target buffer), in the order of the first
         window of each.  The last unit to read a buffer rewrites it in
         place; the others read it before that, each into a new buffer
         (copy-on-write), numbered after the existing ones.
         """
         units: Dict[Tuple[int, int], tuple] = {}
-        for (cls, s, sec, ends, cancel), k in zip(self.windows, slots):
-            units.setdefault((cls, k), (s, sec, ends, cancel, k))
+        for (cls, s, sec, ends), k in zip(self.windows, slots):
+            units.setdefault((cls, k), (s, sec, ends, k))
         last = {key[1]: key for key in units}
         n, made, out = len(last), [], {}
         for key, unit in units.items():
@@ -912,8 +915,7 @@ class _Run:
                 self.last.after[rule] = made
         plan, slots = made.plan, made.slots
         bufs, marks, words = self.bufs, self.marks, self.words
-        cancelled = False
-        for s, sec, ends, cancel, src, dst in made.units:
+        for s, sec, ends, src, dst in made.units:
             if src == dst:
                 buf = bufs[dst]
             else:
@@ -927,12 +929,7 @@ class _Run:
                 if got is None:
                     raise SectorMismatchError(s, self._word(dst), not sec.X)
                 marks[dst], words[dst] = got, None
-            if cancel and not buf:
-                cancelled = True
         self.states, self.slots, self.last = plan.states, slots, made
-        if cancelled:
-            raise MachineError("rule %s: state letters cancelled during "
-                               "application" % rule.name)
 
 
 def apply_rule(W: AdmissibleWord, rule: GeneralizedRule) -> AdmissibleWord:
@@ -941,8 +938,10 @@ def apply_rule(W: AdmissibleWord, rule: GeneralizedRule) -> AdmissibleWord:
     Window j becomes the right insert of state letter j, the image of its
     tape word and the left insert of state letter j+1, reduced.  Tape
     letters left of the first and right of the last state letter are
-    dropped.  State letters cancel exactly when a window empties between
-    two inverse ones.
+    dropped.  No step cancels state letters: two new state letters are
+    inverse just when the old ones were, q^-1 t q or q t q^-1 with t != 1
+    as W is reduced, and every checked sector map f is an isomorphism, so
+    the new window u^-1 f(t) u or v f(t) v^-1 is not empty.
 
     This is one step of a :class:`_Run` on fresh buffers: the rule's
     :class:`_StepPlan` for W's states is made on first use and kept on the
@@ -950,7 +949,7 @@ def apply_rule(W: AdmissibleWord, rule: GeneralizedRule) -> AdmissibleWord:
     holding the same tape object are rewritten once and share the
     resulting word; a tape the step leaves unchanged stays the same
     object.  Errors come in the order of a window-by-window pass: a state
-    mismatch, the first window outside its domain, a cancellation.
+    mismatch, then the first window outside its domain.
     """
     run = _Run(W)
     run.step(rule)

@@ -680,6 +680,41 @@ def test_every_basis_a_setup_checks_is_free_on_sight(monkeypatch):
     assert all(map(reference_validate_basis, seen.values()))
 
 
+def test_language_setup_reads_each_rule_sector_once(monkeypatch):
+    """The language set-up tests each (rule, sector)'s bases by one letter
+    set, not each basis word by itself: under 1,000 sector_word calls (the
+    inserts' tests), against about 5,200 when every X and Z entry was
+    tested apart."""
+    from smforge import embedding, smachine
+    calls = []
+    word = smachine.Hardware.sector_word
+    monkeypatch.setattr(smachine.Hardware, "sector_word",
+                        lambda hw, i, w: calls.append(1) or word(hw, i, w))
+    pipe = embedding.build_pipeline(embedding.builtin_oracle("Z"), 2)
+    letters = tuple(pipe.letters)
+    build_main(letters, DivisibleRecognizer(letters, 1), DESK4)
+    assert 0 < len(calls) < 1000
+
+
+def test_inverse_rules_share_their_sector_rules(main1):
+    """Rule sets 1 and 2 and every ring copy share each sector rule, so
+    their inverse rules share its one inverse, off the special sector,
+    which set 2 locks; and the inverse of that inverse is the rule's own
+    sector rule."""
+    m, special, P = main1.machine, main1.special_sector, main1.P
+    for name in main1.m5.rules:
+        pos = m.rule("1." + name).sectors
+        one = m.rule("1." + name, -1).sectors
+        two = m.rule("2." + name, -1).sectors
+        for g, (a, b) in enumerate(zip(one, two)):
+            assert a is (None if pos[g] is None else pos[g].inverse)
+            assert a is one[g % P]
+            if g != special:
+                assert a is b
+            if a is not None:
+                assert a.inverse is pos[g]
+
+
 def test_start_rules_share_the_marking_sector_rules(main1):
     """s1 and s2 mark each input sector by one sector rule, so its basis
     is checked once, not once per rule."""

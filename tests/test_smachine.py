@@ -219,9 +219,9 @@ class _Kit:
             out[i] = sec
         return out
 
-    def rule(self, parts=None, sectors=None, check=True):
+    def rule(self, parts=None, sectors=None):
         return GeneralizedRule(self.hw, "bad", parts or self.parts(),
-                               sectors or self.sectors(), check=check)
+                               sectors or self.sectors())
 
 
 GUARDS = [
@@ -249,12 +249,9 @@ GUARDS = [
      lambda k: AdmissibleWord(k.hw, [k.q2, -k.q2], [k.w(k.c)])),
     ("word-reduces", MachineError, "window 0 reduces: q1 q1^-1",
      lambda k: AdmissibleWord(k.hw, [k.q1, -k.q1], [k.e])),
-    # GeneralizedRule, checked and unchecked
+    # GeneralizedRule
     ("rule-part-count", ValueError, "rule bad: wrong part/sector count",
      lambda k: k.rule(parts=k.parts()[:2])),
-    ("unchecked-rule-part-count", ValueError,
-     "rule bad: wrong part/sector count",
-     lambda k: k.rule(parts=k.parts()[:2], check=False)),
     ("rule-sector-count", ValueError, "rule bad: wrong part/sector count",
      lambda k: k.rule(sectors=k.sectors()[:2])),
     ("rule-q-in-another-part", ValueError,
@@ -263,10 +260,6 @@ GUARDS = [
     ("rule-q2-in-another-part", ValueError,
      "rule bad part 1: state letters in wrong part",
      lambda k: k.rule(parts=k.parts(1, RulePart(k.q1, k.e, k.q2, k.e)))),
-    ("unchecked-rule-q2-in-another-part", ValueError,
-     "rule bad part 1: state letters in wrong part",
-     lambda k: k.rule(parts=k.parts(1, RulePart(k.q1, k.e, k.q2, k.e)),
-                      check=False)),
     ("rule-sector-0", ValueError, "rule bad: sector 0 on linear hardware",
      lambda k: k.rule(sectors=k.sectors(0, k.sectors()[1]))),
     ("rule-basis-sizes", ValueError, "rule bad sector 1: |X| != |Z|",
@@ -299,8 +292,7 @@ GUARDS = [
 def test_construction_guards(error, message, build):
     """Every guard of the hardware, word, rule and machine constructors
     raises its own message; a rule that would move a state letter out of
-    its part, or that has too few parts, is refused when it is built,
-    also with check=False."""
+    its part, or that has too few parts, is refused when it is built."""
     with pytest.raises(error, match=re.escape(message)):
         build(_Kit())
 
@@ -343,9 +335,53 @@ def test_invert_rule_involution():
         assert [(_p.q, _p.u, _p.q2, _p.v) for _p in rr.parts] == \
                [(_p.q, _p.u, _p.q2, _p.v) for _p in r.parts]
         for s1, s2 in zip(rr.sectors, r.sectors):
-            assert (s1 is None) == (s2 is None)
-            if s1 is not None:
-                assert s1.X == s2.X and s1.Z == s2.Z
+            assert s1 is s2
+
+
+def test_a_sector_rule_owns_its_inverse():
+    """A sector rule builds its inverse once, with X and Z swapped, and the
+    inverse's inverse is the sector rule itself; every inverse rule of the
+    machine reads its sectors through them."""
+    m = tiny_machine()
+    for name in m.rules:
+        for sec, inv in zip(m.rule(name).sectors, m.rule(name, -1).sectors):
+            if sec is None:
+                assert inv is None
+                continue
+            assert inv is sec.inverse and sec.inverse.inverse is sec
+            assert (inv.X, inv.Z) == (sec.Z, sec.X)
+            assert inv.letters == sec.letters and inv.alpha is sec.alpha
+
+
+@p("where, message", [
+    ("bases", "rule bad sector 1: bases over another alphabet"),
+    ("Z", "rule bad sector 1: bases over another alphabet"),
+    ("insert", "rule bad: insert 'x' in sector 1 is over another alphabet"),
+])
+def test_rules_over_another_alphabet_are_refused(where, message):
+    """Words of another alphabet whose x, y, z carry the ids of a, b, c
+    would be read as those letters, x -> x y as a -> a b.  A rule holding
+    one, in its bases or as an insert, is refused when it is built."""
+    m = tiny_machine()
+    al, hw = m.hw.alpha, m.hw
+    other = Alphabet()
+    for n in ("p0", "p1", "p1'", "p2", "x", "y", "z"):
+        other.intern(n)
+    assert [other.id_of(n) for n in "xyz"] == [al.id_of(n) for n in "abc"]
+    P, F, e = al.parse, other.parse, al.word()
+    X, Z, v0 = (P("a"), P("b")), (P("a b"), P("b")), e
+    if where == "bases":
+        X, Z = (F("x"), F("y")), (F("x y"), F("y"))
+    elif where == "Z":
+        Z = (F("x y"), F("y"))
+    else:
+        v0 = F("x")
+    q0, q1, q2 = (part.start for part in hw.parts)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        GeneralizedRule(hw, "bad", [
+            RulePart(q0, e, q0, v0), RulePart(q1, e, q1, e),
+            RulePart(q2, e, q2, e),
+        ], [None, SectorRule(X, Z), SectorRule((P("c"),), (P("c"),))])
 
 
 @p("X, Z, v0, u1, message", [

@@ -501,6 +501,85 @@ def test_near_triangular_bases_are_not_triangular(texts):
     assert words.triangular_letters(basis) is None
 
 
+@st.composite
+def sector_bases(draw):
+    """Aligned bases X, Z over 1-6 letters in one of the two shapes a
+    SectorRule compiles, or a near miss of one.
+
+    One-letter shape: X has distinct letters, of either sign; its first
+    entries map to themselves, and each other Z entry is its X letter
+    wrapped in words over those fixed letters, or a random word.
+    Image-read shape: Z has distinct positive letters; the first X
+    entries are their own Z entry, and each other X entry is its Z
+    letter wrapped in words over those.  Then up to two edits: in the
+    one-letter shape an X letter again, an X letter beside its inverse or
+    an empty Z entry; in either shape a Z letter again.  Returns the
+    letter count, X and Z."""
+    k = draw(st.integers(1, 6))
+    order = draw(st.permutations(range(1, k + 1)))
+    n = draw(st.integers(1, k))
+    nf = draw(st.integers(0, n))
+    fixed = order[:nf]
+    sign = st.sampled_from((1, -1))
+    over_f = (st.lists(st.sampled_from([s * f for f in fixed
+                                        for s in (1, -1)]),
+                       max_size=3).map(free_reduce) if fixed
+              else st.just(()))
+    anything = st.lists(st.sampled_from([s * x for x in range(1, k + 1)
+                                         for s in (1, -1)]),
+                        max_size=4).map(free_reduce)
+
+    def around(y):
+        return free_reduce(draw(over_f) + (y,) + draw(over_f))
+
+    image = draw(st.booleans())
+    if image:
+        Z = [(y,) for y in order[:n]]
+        X = Z[:nf] + [around(y) for (y,) in Z[nf:]]
+    else:
+        X = [(draw(sign) * y,) for y in order[:n]]
+        Z = X[:nf] + [draw(st.one_of(st.just(around(x)), anything))
+                      for (x,) in X[nf:]]
+    kinds = ("again",) if image else ("again", "inverse", "empty")
+    for kind in draw(st.lists(st.sampled_from(kinds), max_size=2)):
+        j = draw(st.integers(0, n - 1))
+        if kind == "again" and image:
+            Z.append(Z[j])
+            X.append(draw(st.sampled_from([Z[j], around(Z[j][0])])))
+        elif kind == "empty":
+            Z[j] = ()
+        else:
+            X.append((X[j][0] * (1 if kind == "again" else -1),))
+            Z.append(draw(anything))
+    return k, X, Z
+
+
+@given(sector_bases(), st.lists(st.lists(
+    st.sampled_from([s * x for x in range(1, 7) for s in (1, -1)]),
+    max_size=8), max_size=6))
+@settings(max_examples=400)
+def test_a_sector_rule_decides_freeness_when_built(case, probes):
+    """SectorRule(X, Z).z_member is None exactly when X or Z is not free
+    by the fold alone; else it answers membership in <Z> as the fold
+    does, on random reduced words, the one-letter words and products of
+    Z words."""
+    k, X, Z = case
+    al = mk_alpha(k)
+    X, Z = (tuple(al.raw_word(t) for t in b) for b in (X, Z))
+    sec = smachine.SectorRule(X, Z)
+    free = reference_validate_basis(X) and reference_validate_basis(Z)
+    assert (sec.z_member is not None) is free
+    if not free:
+        return
+    folder = words.free_basis_folder(Z)
+    probes = [al.word([x for x in t if abs(x) <= k]) for t in probes]
+    probes += [al.word([s * x]) for x in range(1, k + 1) for s in (1, -1)]
+    probes += [expression_word(Z, [(j, 1), (j - 1, -1)])
+               for j in range(len(Z))]
+    for w in probes:
+        assert sec.z_member(w) is folder.accepts(w)
+
+
 def _form3_basis():
     """The shape of a form-3 noise basis: noise * marker words, then the
     single noise letters last."""
