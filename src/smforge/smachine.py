@@ -34,15 +34,16 @@ handed out, one per buffer changed since the last. State letters never
 reduce against tape letters, nor cancel (see :func:`apply_rule`), so the
 windows stay apart and need no re-split, and no run checks the base: a
 rule that moves a state letter out of its part is refused when it is
-built. What a rule does to the state letters of a word depends on those
-letters alone, so each rule works it out once per state tuple (a step
-plan: new states, and per window its sector, sector rule and inserts).
-Windows that agree on all of that are one class, and each (class, buffer)
-pair is one unit of work: the plan compiles, once per slot tuple (the
-buffer of each window), its units and the slot tuple after the step. A
-buffer read by two classes is copied for all but the last of them, so
-ring copies of one machine, which hold equal tapes, cost one push per
-distinct window, and equal tapes of one class stay one Word.
+built. What a rule does to a run depends on its state letters and on
+which buffer holds each window (the slot tuple) alone, so each rule
+compiles it once per (state tuple, slot tuple) into a :class:`_Step`: the
+new states, and per window its sector, sector rule and inserts. Windows
+that agree on all of that are one class, and each (class, buffer) pair is
+one unit of work. A step keeps the slot tuple after it and the step each
+rule makes next, so a run mostly follows those links. A buffer read by
+two classes is copied for all but the last of them, so ring copies of one
+machine, which hold equal tapes, cost one push per distinct window, and
+equal tapes of one class stay one Word.
 """
 
 from __future__ import annotations
@@ -636,16 +637,8 @@ class GeneralizedRule:
             if hw.part_of(rp.q) != i or hw.part_of(rp.q2) != i:
                 raise ValueError("rule %s part %d: state letters in wrong part"
                                  % (name, i))
-        # signed state letter -> (left insert, new state letter, right
-        # insert), the letters that replace it inside a word
-        self._replacement: Dict[int, Tuple[Tuple[int, ...], int,
-                                          Tuple[int, ...]]] = {}
-        for rp in self.parts:
-            self._replacement[rp.q] = (rp.u.ltrs, rp.q2, rp.v.ltrs)
-            self._replacement[-rp.q] = (_inverse(rp.v.ltrs), -rp.q2,
-                                       _inverse(rp.u.ltrs))
-        # (hardware, state tuple) -> the step plan of a run step
-        self._plans: Dict[tuple, _StepPlan] = {}
+        # (hardware, state tuple, slot tuple) -> the compiled run step
+        self._steps: Dict[tuple, _Step] = {}
         self._validate()
 
     def _validate(self) -> None:
@@ -687,12 +680,12 @@ class GeneralizedRule:
         if w.alpha is not self.hw.alpha:
             raise ValueError("rule %s: insert %r in sector %d is over another "
                              "alphabet" % (self.name, w.format(), sector))
-        if not self.hw.sector_word(sector, w):
-            raise ValueError("rule %s: insert %r outside sector %d"
-                             % (self.name, w.format(), sector))
         if not sec.z_member(w):
-            raise ValueError("rule %s: insert %r outside <Z_%d>"
-                             % (self.name, w.format(), sector))
+            # _validate keeps Z's letters in the sector, so <Z> lies in it
+            where = ("<Z_%d>" if self.hw.sector_word(sector, w)
+                     else "sector %d")
+            raise ValueError("rule %s: insert %r outside %s"
+                             % (self.name, w.format(), where % sector))
 
     # -- queries -------------------------------------------------------------
 
@@ -705,23 +698,8 @@ class GeneralizedRule:
         sec = self._sector(sector)
         return sec is None or len(sec.X) == 0
 
-    def format(self) -> str:
-        al = self.hw.alpha
-        bits = []
-        for i, rp in enumerate(self.parts):
-            lhs = al.name_of(rp.q)
-            mid = " ".join(x for x in [rp.u.format() if rp.u else "",
-                                       al.name_of(rp.q2),
-                                       rp.v.format() if rp.v else ""] if x)
-            arrow = "->"
-            nxt = self.hw.next_part(i) if (self.hw.cyclic or i + 1 < self.hw.n_parts) else None
-            if nxt is not None and self.locks(nxt):
-                arrow = "->l"
-            bits.append("%s %s %s" % (lhs, arrow, mid))
-        return "[%s]" % ", ".join(bits)
-
     def __repr__(self) -> str:
-        return "GeneralizedRule(%s %s)" % (self.name, self.format())
+        return "GeneralizedRule(%s)" % self.name
 
 
 def invert_rule(rule: GeneralizedRule) -> GeneralizedRule:
@@ -775,63 +753,53 @@ def _inv_name(name: str) -> str:
 
 # -- application --------------------------------------------------------------
 
-def _check_states(W: AdmissibleWord, rule: GeneralizedRule) -> None:
-    """Raise if the rule is of other hardware than W's, else at the first
-    state letter of W the rule does not expect."""
-    hw = W.hw
-    if rule.hw is not hw:
-        raise MachineError("rule %s: hardware differs from the word's"
-                           % rule.name)
-    for j, q in enumerate(W.states):
-        expected = rule.parts[hw.part_of(q)].q
-        if abs(q) != expected:
-            raise StateMismatchError(j, hw.alpha.name_of(q),
-                                     hw.alpha.name_of(expected))
+class _Step:
+    """A rule's step on every run whose state letters and slot tuple (the
+    buffer of each window) are given, compiled once and kept on the rule.
 
-
-class _StepPlan:
-    """What a rule does to every word with given state letters.
-
-    ``states`` are the new state letters. ``windows`` holds, per window,
-    its class, its sector, the sector rule (``_LOCKED`` when locked) and
-    the inserts of its two state letters (see ``_Ends``).  Windows of one
-    class agree on all of these but the sector, so on equal tapes they
-    give equal results.  The new states keep the base (every rule does),
-    so the windows keep their sectors.  ``units`` keeps what
-    :meth:`compile` made for each slot tuple.
+    Building it checks the rule's hardware and each state letter against
+    its part's q, and reads the letters that replace q^±1 off the part: u
+    q2 v, or v^-1 q2^-1 u^-1.  ``states`` are the new state letters; they
+    keep the base (every rule does), so the windows keep their sectors.
+    A window's class is its sector rule (``_LOCKED`` when locked) and the
+    inserts of its two state letters (see ``_Ends``), so windows of one
+    class give equal results on equal tapes.  A unit is one class on one
+    buffer: (sector, sector rule, inserts, source buffer, target buffer),
+    in the order of the first window of each.  The last unit to read a
+    buffer rewrites it in place; the others read it before that, each into
+    a new buffer (copy-on-write), numbered after the existing ones.
+    ``slots`` is the slot tuple after the step, and ``after`` keeps per
+    rule the _Step that rule makes next, so a run that follows it hashes
+    no state or slot tuple once a transition has been seen.
     """
 
-    __slots__ = ("states", "windows", "units")
+    __slots__ = ("states", "units", "slots", "after")
 
-    def __init__(self, W: "AdmissibleWord | _Run", rule: GeneralizedRule):
-        _check_states(W, rule)
-        repl = [rule._replacement[q] for q in W.states]
+    def __init__(self, run: "_Run", rule: GeneralizedRule):
+        hw = run.hw
+        if rule.hw is not hw:
+            raise MachineError("rule %s: hardware differs from the word's"
+                               % rule.name)
+        repl = []
+        for j, q in enumerate(run.states):
+            rp = rule.parts[hw.part_of(q)]
+            if abs(q) != rp.q:
+                raise StateMismatchError(j, hw.alpha.name_of(q),
+                                         hw.alpha.name_of(rp.q))
+            repl.append((rp.u.ltrs, rp.q2, rp.v.ltrs) if q > 0 else
+                        (_inverse(rp.v.ltrs), -rp.q2, _inverse(rp.u.ltrs)))
         self.states = tuple(q for _, q, _ in repl)
         classes: Dict[tuple, int] = {}
-        windows = []
-        for j, s in enumerate(W.sectors):
-            (_, q1, right), (left, q2, _) = repl[j], repl[j + 1]
-            sec = rule.sectors[s] or _LOCKED
-            cls = classes.setdefault((id(sec), right, left), len(classes))
-            ends = (right, left, frozenset(right + left)) if right or left \
-                else None
-            windows.append((cls, s, sec, ends))
-        self.windows = tuple(windows)
-        self.units: Dict[Tuple[int, ...], tuple] = {}
-
-    def compile(self, slots: Tuple[int, ...]) -> "_Units":
-        """The step on tapes held in the buffers ``slots`` names, window by
-        window: its units and the slot tuple after it.
-
-        A unit is one class on one buffer: (sector, sector rule, inserts,
-        source buffer, target buffer), in the order of the first
-        window of each.  The last unit to read a buffer rewrites it in
-        place; the others read it before that, each into a new buffer
-        (copy-on-write), numbered after the existing ones.
-        """
         units: Dict[Tuple[int, int], tuple] = {}
-        for (cls, s, sec, ends), k in zip(self.windows, slots):
-            units.setdefault((cls, k), (s, sec, ends, k))
+        keys = []
+        for j, (s, k) in enumerate(zip(run.sectors, run.slots)):
+            right, left = repl[j][2], repl[j + 1][0]
+            sec = rule.sectors[s] or _LOCKED
+            key = (classes.setdefault((id(sec), right, left), len(classes)), k)
+            if key not in units:
+                units[key] = (s, sec, (right, left, frozenset(right + left))
+                              if right or left else None, k)
+            keys.append(key)
         last = {key[1]: key for key in units}
         n, made, out = len(last), [], {}
         for key, unit in units.items():
@@ -840,23 +808,9 @@ class _StepPlan:
             else:
                 out[key], n = n, n + 1
             made.append(unit + (out[key],))
-        return _Units(self, tuple(made), tuple(
-            out[(window[0], k)] for window, k in zip(self.windows, slots)))
-
-
-class _Units:
-    """A step plan compiled for one slot tuple: the plan, its units, the
-    slot tuple after the step, and ``after``, which keeps per rule the
-    _Units of the step that rule makes next.  A run follows ``after`` from
-    step to step, so it hashes no state or slot tuple once a transition
-    has been seen."""
-
-    __slots__ = ("plan", "units", "slots", "after")
-
-    def __init__(self, plan: _StepPlan, units: tuple,
-                 slots: Tuple[int, ...]):
-        self.plan, self.units, self.slots = plan, units, slots
-        self.after: Dict[GeneralizedRule, _Units] = {}
+        self.units = tuple(made)
+        self.slots = tuple(map(out.__getitem__, keys))
+        self.after: Dict[GeneralizedRule, _Step] = {}
 
 
 class _Run:
@@ -866,8 +820,9 @@ class _Run:
     ``slots`` names, per window, the buffer holding its tape; ``marks``
     and ``words`` hold, per buffer, its marks and the Word it spells, or
     None once an edit has outdated it.  Windows that share a buffer hold
-    one Word.  ``last`` is the compiled step made last.  A step that
-    raises leaves the run unusable.
+    one Word.  ``last`` is the :class:`_Step` made last; :meth:`step`
+    follows its ``after`` link when it can, and otherwise looks the step
+    up on the rule.  A step that raises leaves the run unusable.
     """
 
     __slots__ = ("hw", "states", "sectors", "slots", "bufs", "marks",
@@ -886,7 +841,7 @@ class _Run:
                                   else W.marks[j])
         self.slots = tuple(index[id(t)] for t in W.tapes)
         self.bufs = [list(t.ltrs) for t in self.words]
-        self.last: Optional[_Units] = None
+        self.last: Optional[_Step] = None
 
     def _word(self, k: int) -> Word:
         w = self.words[k]
@@ -904,16 +859,12 @@ class _Run:
         """Apply ``rule``, or raise what :func:`apply_rule` raises."""
         made = self.last.after.get(rule) if self.last else None
         if made is None:
-            key = (self.hw, self.states)
-            plan = rule._plans.get(key)
-            if plan is None:
-                plan = rule._plans[key] = _StepPlan(self, rule)
-            made = plan.units.get(self.slots)
+            key = (self.hw, self.states, self.slots)
+            made = rule._steps.get(key)
             if made is None:
-                made = plan.units[self.slots] = plan.compile(self.slots)
+                made = rule._steps[key] = _Step(self, rule)
             if self.last:
                 self.last.after[rule] = made
-        plan, slots = made.plan, made.slots
         bufs, marks, words = self.bufs, self.marks, self.words
         for s, sec, ends, src, dst in made.units:
             if src == dst:
@@ -929,7 +880,7 @@ class _Run:
                 if got is None:
                     raise SectorMismatchError(s, self._word(dst), not sec.X)
                 marks[dst], words[dst] = got, None
-        self.states, self.slots, self.last = plan.states, slots, made
+        self.states, self.slots, self.last = made.states, made.slots, made
 
 
 def apply_rule(W: AdmissibleWord, rule: GeneralizedRule) -> AdmissibleWord:
@@ -944,12 +895,12 @@ def apply_rule(W: AdmissibleWord, rule: GeneralizedRule) -> AdmissibleWord:
     the new window u^-1 f(t) u or v f(t) v^-1 is not empty.
 
     This is one step of a :class:`_Run` on fresh buffers: the rule's
-    :class:`_StepPlan` for W's states is made on first use and kept on the
-    rule, and the state check runs only then.  Windows of one plan class
-    holding the same tape object are rewritten once and share the
-    resulting word; a tape the step leaves unchanged stays the same
-    object.  Errors come in the order of a window-by-window pass: a state
-    mismatch, then the first window outside its domain.
+    :class:`_Step` for W's states and slot tuple is made on first use and
+    kept on the rule, and the hardware and state checks run only then.
+    Windows of one class holding the same tape object are rewritten once
+    and share the resulting word; a tape the step leaves unchanged stays
+    the same object.  Errors come in the order of a window-by-window pass:
+    a state mismatch, then the first window outside its domain.
     """
     run = _Run(W)
     run.step(rule)

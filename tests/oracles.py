@@ -366,12 +366,25 @@ def reference_step(W, rule, images=None):
     plans and shared windows.  Each window's image is reference_image's,
     kept in ``images`` by sector rule and tape word, so that a run can pass
     one dict to all its steps."""
-    from smforge.smachine import AdmissibleWord, MachineError, _check_states
+    from smforge.smachine import (AdmissibleWord, MachineError,
+                                  StateMismatchError)
     from smforge.words import Word
 
-    _check_states(W, rule)
-    alpha = W.hw.alpha
-    repl = [rule._replacement[q] for q in W.states]
+    hw, alpha = W.hw, W.hw.alpha
+    if rule.hw is not hw:
+        raise MachineError("rule %s: hardware differs from the word's"
+                           % rule.name)
+    repl = []
+    for j, q in enumerate(W.states):
+        # the rule part of q's part: q -> u q2 v, so q^-1 -> v^-1 q2^-1 u^-1
+        rp = next(rp for part, rp in zip(hw.parts, rule.parts)
+                  if abs(q) in part.letters)
+        if abs(q) != rp.q:
+            raise StateMismatchError(j, alpha.name_of(q), alpha.name_of(rp.q))
+        u, v = rp.u.ltrs, rp.v.ltrs
+        repl.append((u, rp.q2, v) if q > 0 else
+                    (tuple(-x for x in reversed(v)), -rp.q2,
+                     tuple(-x for x in reversed(u))))
     tapes = []
     images = {} if images is None else images
     cancelled = False

@@ -88,6 +88,18 @@ def test_presentation_size(pres):
         emit_presentation(pres.machine, level="X")
 
 
+def test_presentation_text_is_pinned(pres):
+    """Presentation.format: one line per relator, its class and its word,
+    pinned for M(a) at L = 4."""
+    text = pres.format()
+    lines = text.split("\n")
+    assert lines[0] == "theta-q t s1:1 t^-1 s1:0^-1"
+    assert lines == [r.format() for r in pres.relators]
+    assert (len(lines), len(text.encode())) == (751, 41560)
+    digest = hashlib.sha256(text.encode()).hexdigest()
+    assert digest[:16] == "275734ae041a1e71"
+
+
 def test_relator_classes_follow_rule_structure(main1, pres):
     m = main1.machine
     rules = m.rules.values()
@@ -781,6 +793,45 @@ def test_weight_ge_matches_exact(wf, case, offset, m):
     v = getattr(wf, fn)(n)
     assert wf.ge(fn, n, v + offset) == (v >= v + offset)
     assert wf.ge(fn, n, m) == (v >= m)
+
+
+def _literal_dehn_bound(c0, c1, L, K, tm, n):
+    """n (K n^12 + g(K n^9) + f(K n^3)), the functions transcribed from
+    their definitions: chi(n) = n c0^n, h(n) = c0 tm(c0 n)^3 + n c0^n +
+    c0 n + L, f(n) = c1 chi(h(n)), g(n) = c0 n^3 + n f(c0 n)."""
+    def chi(n):
+        return n * c0 ** n
+
+    def h(n):
+        return c0 * tm(c0 * n) ** 3 + n * c0 ** n + c0 * n + L
+
+    def f(n):
+        return c1 * chi(h(n))
+
+    def g(n):
+        return c0 * n ** 3 + n * f(c0 * n)
+    return n * (K * n ** 12 + g(K * n ** 9) + f(K * n ** 3))
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3])
+def test_dehn_bound_is_its_formula(n):
+    """With c0 = c1 = 1, chi is the identity and every stage a polynomial,
+    so dehn_bound(1..3) evaluate exactly."""
+    wf = WeightFunctions(1, 1, 3, 2, lambda n: n + 1)
+    v = _literal_dehn_bound(1, 1, 3, 2, lambda n: n + 1, n)
+    assert wf.dehn_bound(n) == v
+    for m in (v - 1, v, v + 1, v // 2, 2 * v + 1):
+        assert wf.ge("dehn_bound", n, m) == (v >= m)
+
+
+@pytest.mark.parametrize("bits", [1, 300, 30000, 100000])
+def test_dehn_bound_at_desk_constants_is_compared_not_evaluated(wf, bits):
+    """dehn_bound(1) at the desk constants exceeds every m at hand (its
+    f(45) term alone has more than 10^33 digits): ge says so, and exact
+    evaluation refuses."""
+    assert wf.ge("dehn_bound", 1, (1 << bits) - 1)
+    with pytest.raises(ValueError, match="digits"):
+        wf.dehn_bound(1)
 
 
 @pytest.mark.parametrize("m", [5, 0, -2])

@@ -414,6 +414,27 @@ def test_lambda1_skeleton_and_rejections():
     assert got is not None and got[1][-1] == al.parse("c_1")
 
 
+@p("letters,left,right", [
+    # no negative marker on its left and no positive one on its right
+    (("a",), "a_1", ""),
+    # the negative marker's half spells theta_b1, the positive one's theta_b2
+    (("a", "b"), "a_1^-1", "b_1")], ids=["M(a)", "M(a,b)"])
+def test_a_gap_no_marker_erases_is_refused(letters, left, right):
+    """The gap decodes, but its markers read no one erasing history from
+    it.  reference_lambda1_accept shares the library's erasing step, so
+    the refusal is asserted here directly."""
+    m, sch = m1(*letters)
+    al = sch.alpha
+    pairs = list(zip(sch.B, sch.A))  # (b1, a), then (b2, b)
+    gap = al.word()
+    for y, a in pairs:
+        gap = gap * sch.noise_word(y, a)
+    assert decode_noise(gap, sch) == [(y, a, 1) for y, a in pairs]
+    w = al.parse(left) * gap * (al.parse(right) if right else al.word())
+    assert strip_history(w, sch) is None
+    assert lambda1_accept(w, m, sch, lambda z: True) is None
+
+
 @p("letters,depth,count", [(("a",), 4, 2811), (("a", "b"), 3, 2742)])
 def test_lambda1_accepts_every_word_a_search_reaches(letters, depth, count):
     """The sector language against its definition: w is in it when some

@@ -336,6 +336,7 @@ def test_invert_rule_involution():
                [(_p.q, _p.u, _p.q2, _p.v) for _p in r.parts]
         for s1, s2 in zip(rr.sectors, r.sectors):
             assert s1 is s2
+        assert repr(rr) == repr(r) == "GeneralizedRule(%s)" % name
 
 
 def test_a_sector_rule_owns_its_inverse():
