@@ -8,6 +8,11 @@ inert copy of the payload alphabet.
 
 Every positive rule appends one noise letter's inverse in sector 1 while
 simultaneously decorating each marker with a long positive noise word.
+Each noise word is three runs, b1^k (b2 b1)^m b2^k, and is handed out and
+carried up the tower as that descriptor (``words.NoiseWord``): the sector
+rules keep it, the tower stages rename its two letters, and
+``validate_noisy`` decides its freeness by arithmetic, so only the
+decode, the text format and the presentation spell noise words out.
 The noise words form a free basis with small overlaps, so histories leave
 a recoverable trace: ``decode_noise`` inverts products of noise words by
 one greedy peel (``_peel``) per factor, ``shift`` reconstructs the unique
@@ -26,7 +31,8 @@ from functools import cached_property
 from typing import (Callable, Dict, FrozenSet, Iterator, List, Optional,
                     Sequence, Tuple)
 
-from smforge.words import Alphabet, Word, common_prefix, free_reduce
+from smforge.words import (Alphabet, NoiseWord, Word, common_prefix,
+                           free_reduce)
 from smforge.smachine import (
     AdmissibleWord,
     Computation,
@@ -56,6 +62,11 @@ class NoiseScheme:
     all as ids in ``alpha`` and aligned index by index.  ``D`` is the
     common length of all noise words and ``eta`` numbers the pairs
     (y, a) with y a payload or noise letter and a a payload letter.
+
+    The noise word of (y, a) is b1^k (b2 b1)^m b2^k with k = eta(y, a)
+    and m = D/2 - k, and :meth:`noise_word` hands it out as that
+    descriptor (``words.NoiseWord``).  Only the decode reads noise words
+    letter by letter; :meth:`spelled` builds those letters once each.
     """
 
     alpha: Alphabet
@@ -63,7 +74,8 @@ class NoiseScheme:
     A1: Tuple[int, ...]
     A2: Tuple[int, ...]
     B: Tuple[int, ...]
-    _cache: Dict[tuple, Word] = field(default_factory=dict, repr=False)
+    _cache: Dict[tuple, Tuple[int, ...]] = field(default_factory=dict,
+                                                 repr=False)
 
     @property
     def D(self) -> int:
@@ -91,16 +103,19 @@ class NoiseScheme:
         """Row-major pair index, 1-based: y ranked payload first, then noise."""
         return (self.A + self.B).index(y) * len(self.A) + self.A.index(a) + 1
 
-    def noise_word(self, y: int, a: int, sign: int = 1) -> Word:
-        sign = 1 if sign > 0 else -1
-        w = self._cache.get((y, a, sign))
-        if w is None:
-            k, D = self.eta(y, a), self.D
-            b1, b2 = self.B
-            ltrs = (b1,) * k + (b2, b1) * ((D - 2 * k) // 2) + (b2,) * k
-            w = Word(self.alpha, ltrs)
-            w = self._cache[(y, a, sign)] = w if sign > 0 else ~w
-        return w
+    def noise_word(self, y: int, a: int, sign: int = 1) -> NoiseWord:
+        """The noise word of (y, a), inverted when ``sign`` is negative."""
+        k = self.eta(y, a)
+        v = NoiseWord(self.B[0], self.B[1], k, self.D // 2 - k)
+        return v if sign > 0 else ~v
+
+    def spelled(self, y: int, a: int, sign: int) -> Tuple[int, ...]:
+        """The letters of the signed noise word of (y, a), built once."""
+        key = (y, a, sign)
+        ltrs = self._cache.get(key)
+        if ltrs is None:
+            ltrs = self._cache[key] = self.noise_word(y, a, sign).ltrs
+        return ltrs
 
     @cached_property
     def signed(self) -> Tuple[FrozenSet[int], ...]:
@@ -118,7 +133,7 @@ class NoiseScheme:
         word.  Distinct signed noise words agree on fewer than D/4 leading
         letters, so these heads are distinct."""
         n = self.head
-        return {self.noise_word(y, a, s).ltrs[:n]: (y, a, s)
+        return {self.spelled(y, a, s)[:n]: (y, a, s)
                 for y, a in self.pairs() for s in (1, -1)}
 
     @cached_property
@@ -158,13 +173,11 @@ def build_m1(letters: Sequence[str]) -> Tuple[Machine, NoiseScheme]:
                   [(), A + A1 + B, A2])
     singles2 = tuple(al.word([x]) for x in A2)
     sector2 = SectorRule(singles2, singles2)
-    X1 = tuple(al.word([x]) for x in A1 + B)
 
     rules = []
     for y in A + B:
-        Z1 = tuple(scheme.noise_word(y, a) * al.word([m])
-                   for a, m in zip(A, A1))
-        Z1 += tuple(al.word([b]) for b in B)
+        # each marker decorated by its noise word, the noise letters fixed
+        noise = [scheme.noise_word(y, a) for a in A] + [None] * len(B)
         if y in A:
             u1, v2 = ~al.word([scheme.mark(y)]), al.word([scheme.copy2(y)])
         else:
@@ -173,7 +186,8 @@ def build_m1(letters: Sequence[str]) -> Tuple[Machine, NoiseScheme]:
                  RulePart(q[1], u1, q[1], v2),
                  RulePart(q[2], al.word(), q[2], al.word())]
         rules.append(GeneralizedRule(hw, scheme.rule_name(y), parts,
-                                     [None, SectorRule(X1, Z1), sector2]))
+                                     [None, SectorRule.decorated(
+                                         al, A1 + B, noise), sector2]))
 
     machine = Machine("M1", hw, rules, input_sectors=[1],
                       noise=NoiseDecl(K={1: A}, M={1: A1}, N={1: B},
@@ -217,29 +231,6 @@ def b_length(w: Word, scheme: NoiseScheme) -> int:
     return len(w) - a_length(w, scheme)
 
 
-def epsilon(W: AdmissibleWord, scheme: NoiseScheme) -> Word:
-    """Reduced payload image of a configuration: both sectors read off."""
-    if not W.is_configuration():
-        raise ValueError("projection needs a configuration")
-    sec = dict(zip(W.sectors, W.tapes))
-    un = scheme.uncopy2
-    return scheme.alpha.word(delta_letters(sec[1], scheme) + tuple(
-        un(x) if x > 0 else -un(-x) for x in sec[2].ltrs))
-
-
-def marker_split(w: Word, scheme: NoiseScheme) -> Tuple[List[Word], List[int]]:
-    """Split w as u_0 x_1 u_1 ... x_k u_k with x_i signed markers, u_i noise.
-
-    Returns (gaps, markers): k+1 noise gaps and k signed marker ids.
-    """
-    _check_sector1(w, scheme)
-    ltrs = w.ltrs
-    at = list(_scan(ltrs, scheme.signed[0]))
-    cuts = zip([-1] + at, at + [len(ltrs)])
-    return ([Word(scheme.alpha, ltrs[i + 1:j]) for i, j in cuts],
-            [ltrs[i] for i in at])
-
-
 # -- noise decoding ------------------------------------------------------------
 
 def _peel(cur: Tuple[int, ...], scheme: NoiseScheme
@@ -252,8 +243,8 @@ def _peel(cur: Tuple[int, ...], scheme: NoiseScheme
     if hit is None:
         return None
     y, a, s = hit
-    p = n + common_prefix(cur[n:], scheme.noise_word(y, a, s).ltrs[n:])
-    return hit, scheme.noise_word(y, a, -s).ltrs[:scheme.D - p] + cur[p:]
+    p = n + common_prefix(cur[n:], scheme.spelled(y, a, s)[n:])
+    return hit, scheme.spelled(y, a, -s)[:scheme.D - p] + cur[p:]
 
 
 def decode_noise(u: Word, scheme: NoiseScheme

@@ -15,7 +15,9 @@ freeness, letters and inverse. It is compiled once, when it is built, into
 one letter map on a letter domain, in one of the two shapes the paper's
 noisy machines use: one-letter X entries, or one-letter Z entries that
 each X entry wraps in fixed letters (the inverse of a form-3 sector); any
-other basis raises :class:`BasisShapeError`. Every rewrite of a tape is
+other basis raises :class:`BasisShapeError`. A form-3 sector built from
+noise-word descriptors (:meth:`SectorRule.decorated`) spells the image of
+a letter on the first push that moves it. Every rewrite of a tape is
 one call of one method, :meth:`SectorRule.push`: the windows of
 :func:`apply_rule` and :meth:`Machine.run`, the steps of
 :func:`semi_apply` and :meth:`Machine.semi_run`, and the inserts of
@@ -57,8 +59,9 @@ from typing import (Callable, Collection, Dict, FrozenSet, List, Optional,
                     Sequence, Set, Tuple)
 
 from smforge.words import (
-    Alphabet, BasisExpression, MachineError, Word, free_basis_member,
-    free_reduce, junction, validate_basis,
+    Alphabet, BasisExpression, MachineError, NoiseWord, Word,
+    free_basis_member, free_reduce, invert_letters, junction, relabel,
+    validate_basis,
 )
 
 
@@ -425,11 +428,6 @@ def _ends(buf: List[int], marks: _Marks, ends: _Ends) -> _Marks:
     return letters | ins, watch, tuple(at)
 
 
-def _inverse(ltrs: Tuple[int, ...]) -> Tuple[int, ...]:
-    return tuple(map(neg, reversed(ltrs)))
-
-
-@dataclass
 class SectorRule:
     """Unlocked sector data: aligned free bases with f: X[k] -> Z[k].
 
@@ -456,62 +454,159 @@ class SectorRule:
     triangular (``words.triangular_letters``), else the fold's.
     ``letters`` holds the signed letters of X and Z, ``alpha`` their one
     alphabet (None for none or several), and :attr:`inverse` is f^-1.
+    ``forms`` keeps, per noise declaration of a sector, the noisy form
+    :func:`validate_noisy` found there.
+
+    A form-3 sector of a noisy machine is built by :meth:`decorated`,
+    with its noise words as descriptors (``words.NoiseWord``); ``noise``
+    holds them, and is None for bases given as words.  Such a rule reads
+    its domain, fixed letters, ``letters``, ``produces``, ``widen`` and
+    its freeness off the descriptors' letters, and builds the letter
+    tuple of an image, and of its inverse, on the first push that moves
+    that letter; X and Z are spelled only when read.
 
     Any other pair of bases raises :class:`BasisShapeError`.  A band (see
     ``groups._band``) finds a cell by the signed X letter, so it reads the
     first shape only.  No library code calls :meth:`express`; it stays
     because the benchmark traces it (``smbench/layers.py``).
     """
-    X: Tuple[Word, ...]
-    Z: Tuple[Word, ...]
 
-    def __post_init__(self) -> None:
-        # _terms: each signed letter of the domain -> its basis term; the
-        # letters are the X entries', or the Z entries' when _image_read
-        self._image_read = not all(len(x.ltrs) == 1 for x in self.X)
+    def __init__(self, X: Tuple[Word, ...], Z: Tuple[Word, ...]):
+        self.X, self.Z = X, Z
+        self.noise: Optional[Tuple[Optional[NoiseWord], ...]] = None
+        # the letters are the X entries', or the Z entries' when _image_read
+        self._image_read = not all(len(x.ltrs) == 1 for x in X)
         if self._image_read:
-            sub = triangular_sub(self.Z, self.X)
+            sub = triangular_sub(Z, X)
             if sub is None:
                 raise BasisShapeError(
                     "sector bases X={%s} Z={%s} fit neither shape" % tuple(
-                        ";".join(map(Word.format, b)) for b in (self.X, self.Z)))
-            letters = [z.ltrs[0] for z in self.Z]
-            pairs = [(y, img.ltrs) for y, img in sub.items()]
+                        ";".join(map(Word.format, b)) for b in (X, Z)))
+            letters = [z.ltrs[0] for z in Z]
+            pairs = list(sub.items())
         else:
-            letters = [x.ltrs[0] for x in self.X]
-            pairs = zip(letters, (z.ltrs for z in self.Z))
-        self._terms: Dict[int, Tuple[int, int]] = {}
-        for j, y in enumerate(letters):
-            self._terms.setdefault(y, (j, 1))
-            self._terms.setdefault(-y, (j, -1))
+            letters = [x.ltrs[0] for x in X]
+            pairs = zip(letters, Z)
+        self._settle_domain(letters)
         # each signed letter -> its image, the first pair of a letter
         # winning; only the letters that move are kept
         images: Dict[int, Tuple[int, ...]] = {}
         for y, img in pairs:
             if y not in images:
-                images[y], images[-y] = img, _inverse(img)
+                images[y], images[-y] = img.ltrs, (~img).ltrs
         self.images = {y: img for y, img in images.items() if img != (y,)}
-        self.domain = frozenset(self._terms)
-        self.fixed = self.domain.difference(self.images)
-        self.produces = {y: frozenset(img) for y, img in self.images.items()}
-        self.widen = frozenset(self.images)
-        self._offsets: Dict[FrozenSet[int], Dict[int, Tuple[int, ...]]] = {}
+        self._settle_moves({y: frozenset(img)
+                            for y, img in self.images.items()})
         # X is free just when each signed domain letter has its own term:
         # distinct X letters, or distinct Z letters X is triangular over
         self.z_member: Optional[Callable[[Word], bool]] = (
-            free_basis_member(self.Z)
-            if len(self._terms) == 2 * len(self.X) else None)
+            free_basis_member(Z) if len(self._terms) == 2 * len(X) else None)
         self.letters = _signed_set(
-            frozenset().union(*(w.ltrs for w in self.X + self.Z)))
-        alphas = {w.alpha for w in self.X + self.Z}
+            frozenset().union(*(w.ltrs for w in X + Z)))
+        alphas = {w.alpha for w in X + Z}
         self.alpha = alphas.pop() if len(alphas) == 1 else None
+
+    @classmethod
+    def decorated(cls, alpha: Alphabet, letters: Sequence[int],
+                  noise: Sequence[Optional[NoiseWord]],
+                  inverse: bool = False) -> "SectorRule":
+        """The form-3 map sending each of the distinct positive ``letters``
+        y to v y, v its entry of ``noise``, held as a descriptor; the
+        letters whose entry is None are fixed, and every v is a word over
+        them.  So X is the one-letter words, Z the words v y, and Z is
+        triangular.  With ``inverse``, the inverse map y -> v^-1 y, whose
+        X and Z are those Z and X."""
+        self = cls.__new__(cls)
+        self.alpha, self._ys = alpha, tuple(letters)
+        self.noise, self._image_read = tuple(noise), inverse
+        fixed = _signed_set([y for y, v in zip(self._ys, self.noise)
+                             if v is None])
+        n = len(self._ys)
+        if (len(set(self._ys)) != n or len(self.noise) != n
+                or min(self._ys, default=1) < 1
+                or not all(v is None or fixed.issuperset(v.letters)
+                           for v in self.noise)):
+            raise BasisShapeError("decorated sector: letters must be distinct "
+                                  "and positive, one noise entry each, and "
+                                  "noise words over the fixed letters")
+        self._settle_domain(self._ys)
+        # a moving signed letter -> the descriptor its image holds beside it
+        self._pending: Dict[int, NoiseWord] = {}
+        for y, v in zip(self._ys, self.noise):
+            if v is not None:
+                fwd, back = (~v, v) if inverse else (v, ~v)
+                self._pending[y], self._pending[-y] = fwd, back
+        self.images = {}
+        self._settle_moves({y: v.letters | {y}
+                            for y, v in self._pending.items()})
+        self.letters = self.domain
+        self.z_member = lambda w: self.domain.issuperset(w.ltrs)
+        return self
+
+    def _settle_domain(self, letters: Sequence[int]) -> None:
+        """The domain read off the basis letters ``letters``, each signed
+        letter's basis term, and no noisy forms yet."""
+        self._terms: Dict[int, Tuple[int, int]] = {}
+        for j, y in enumerate(letters):
+            self._terms.setdefault(y, (j, 1))
+            self._terms.setdefault(-y, (j, -1))
+        self.domain = frozenset(self._terms)
+        self.forms: Dict[tuple, Optional[int]] = {}
+
+    def _settle_moves(self, produces: Dict[int, FrozenSet[int]]) -> None:
+        """The moving letters, each with the letters of its image."""
+        self.produces = produces
+        self.widen = frozenset(produces)
+        self.fixed = self.domain.difference(produces)
+        self._offsets: Dict[FrozenSet[int], Dict[int, Tuple[int, ...]]] = {}
+
+    def _spell(self, decorated: bool) -> Tuple[Word, ...]:
+        """A decorated rule's one-letter basis, or with ``decorated`` its
+        basis of words v y, spelled from the descriptors."""
+        return tuple(Word(self.alpha, v.ltrs + (y,) if decorated and v
+                          is not None else (y,))
+                     for y, v in zip(self._ys, self.noise))
+
+    @cached_property
+    def X(self) -> Tuple[Word, ...]:
+        return self._spell(self._image_read)
+
+    @cached_property
+    def Z(self) -> Tuple[Word, ...]:
+        return self._spell(not self._image_read)
+
+    def _spell_image(self, y: int) -> Tuple[int, ...]:
+        """Build the image of the moving letter y of a decorated rule, and
+        the offsets of its watch letters under every watch set seen."""
+        v = self._pending.pop(y)
+        img = v.ltrs + (y,) if y > 0 else (y,) + v.ltrs
+        self.images[y] = img
+        for watch, offsets in self._offsets.items():
+            offsets[y] = _scan(img, watch)
+        return img
 
     @cached_property
     def inverse(self) -> "SectorRule":
         """f^-1 (X and Z swapped), built once; its inverse is this rule."""
-        inv = SectorRule(self.Z, self.X)
+        inv = (SectorRule(self.Z, self.X) if self.noise is None else
+               SectorRule.decorated(self.alpha, self._ys, self.noise,
+                                    not self._image_read))
         inv.__dict__["inverse"] = self
         return inv
+
+    def relabel(self, letter_map: Dict[int, int],
+                alpha: Alphabet) -> "SectorRule":
+        """This rule renamed letter by letter into ``alpha``: a decorated
+        rule maps its letters and each descriptor's two letters, not the
+        noise words."""
+        if self.noise is None:
+            return SectorRule(
+                tuple(relabel(x, letter_map, alpha) for x in self.X),
+                tuple(relabel(z, letter_map, alpha) for z in self.Z))
+        return SectorRule.decorated(
+            alpha, [letter_map[y] for y in self._ys],
+            [v if v is None else v.relabel(letter_map) for v in self.noise],
+            self._image_read)
 
     def express(self, w: Word) -> Optional[BasisExpression]:
         """Expression of w over X, or None when w lies outside <X>."""
@@ -544,7 +639,7 @@ class SectorRule:
         if not (self.domain.issuperset(letters)
                 or self.domain.issuperset(buf)):
             return None
-        if letters.isdisjoint(images):
+        if letters.isdisjoint(self.widen):
             return _ends(buf, marks, ends)
         if not watch.issuperset(self.widen):
             watch = watch | self.widen
@@ -565,8 +660,10 @@ class SectorRule:
             y = buf[q]
             img = images.get(y)
             if img is None:
-                keep.append(p - start)
-                continue
+                if y not in self.widen:
+                    keep.append(p - start)
+                    continue
+                img = self._spell_image(y)
             moved.add(y)
             e = _settle(buf, c, q - c, at, keep)
             buf[e:e + 1] = img
@@ -605,7 +702,8 @@ def triangular_sub(X: Tuple[Word, ...],
         p, s = t[:h], t[h + 1:]
         if not (fixed.issuperset(p) and fixed.issuperset(s)):
             return None
-        sub[xl] = Word(z.alpha, _inverse(p) + (xl,) + _inverse(s))
+        sub[xl] = Word(z.alpha, invert_letters(p, z.alpha) + (xl,)
+                       + invert_letters(s, z.alpha))
     return sub
 
 
@@ -648,9 +746,9 @@ class GeneralizedRule:
         for i, sec in enumerate(self.sectors):
             if sec is None:
                 continue
-            if len(sec.X) != len(sec.Z):
+            if sec.noise is None and len(sec.X) != len(sec.Z):
                 raise ValueError("rule %s sector %d: |X| != |Z|" % (self.name, i))
-            if sec.X and sec.alpha is not hw.alpha:
+            if sec.domain and sec.alpha is not hw.alpha:
                 raise ValueError("rule %s sector %d: bases over another "
                                  "alphabet" % (self.name, i))
             if not hw._signed_tapes[i].issuperset(sec.letters):
@@ -696,7 +794,7 @@ class GeneralizedRule:
 
     def locks(self, sector: int) -> bool:
         sec = self._sector(sector)
-        return sec is None or len(sec.X) == 0
+        return sec is None or not sec.domain
 
     def __repr__(self) -> str:
         return "GeneralizedRule(%s)" % self.name
@@ -743,7 +841,7 @@ def _sector_step(sec: Optional[SectorRule], sector: int, w: Word,
     _image's result in place; the marks of the image."""
     got = (_LOCKED if sec is None else sec).push(buf, marks)
     if got is None:
-        raise SectorMismatchError(sector, w, sec is None or not sec.X)
+        raise SectorMismatchError(sector, w, sec is None or not sec.domain)
     return got
 
 
@@ -787,7 +885,7 @@ class _Step:
                 raise StateMismatchError(j, hw.alpha.name_of(q),
                                          hw.alpha.name_of(rp.q))
             repl.append((rp.u.ltrs, rp.q2, rp.v.ltrs) if q > 0 else
-                        (_inverse(rp.v.ltrs), -rp.q2, _inverse(rp.u.ltrs)))
+                        ((~rp.v).ltrs, -rp.q2, (~rp.u).ltrs))
         self.states = tuple(q for _, q, _ in repl)
         classes: Dict[tuple, int] = {}
         units: Dict[Tuple[int, int], tuple] = {}
@@ -878,7 +976,8 @@ class _Run:
             got = sec.push(buf, mk, ends)
             if got is not mk:
                 if got is None:
-                    raise SectorMismatchError(s, self._word(dst), not sec.X)
+                    raise SectorMismatchError(s, self._word(dst),
+                                              not sec.domain)
                 marks[dst], words[dst] = got, None
         self.states, self.slots, self.last = made.states, made.slots, made
 
@@ -1119,12 +1218,14 @@ def validate_noisy(machine: Machine) -> Dict[Tuple[str, int], int]:
     Returns {(rule name, sector): form} with form in {0 (locked), 1, 2, 3}.
     Raises MachineError if some rule fits no form or a noise basis is not
     free, naming the first such sector.  A form depends only on the
-    sector rule and its sector's declaration, and rules and ring copies
-    share both, so each distinct pair is classified once.  A form-3 entry
-    sends a letter m of M_i to v m, and its noise word v is read off the
-    image.  Each distinct basis of noise words is decided once, by
-    :func:`validate_basis`, which frees noise words on sight: distinct
-    signed noise words share fewer than D/4 leading letters.
+    sector rule and its sector's declaration, so each sector rule keeps
+    the form of each declaration it was classified under (``forms``),
+    and a tower stage hands those verdicts on to its image, under the
+    renamed declaration (``towers._map_sectors``): each pair is
+    classified once across a tower.  A form-3 entry sends a letter m of
+    M_i to v m.  Each distinct basis of noise words v is decided once, by
+    :func:`_noise_free`: descriptors by arithmetic, words by
+    :func:`validate_basis`.
     """
     noise = machine.noise or NoiseDecl()
     hw = machine.hw
@@ -1134,9 +1235,9 @@ def validate_noisy(machine: Machine) -> Dict[Tuple[str, int], int]:
         d = (tuple(noise.K.get(i, ())), tuple(noise.M.get(i, ())),
              tuple(noise.N.get(i, ())), tuple(noise.phi.get(i, {}).items()))
         decl[i] = decls.setdefault(d, len(decls))
-    # (id(sector rule), declaration number) -> (form, its noise words)
-    seen: Dict[Tuple[int, int], Tuple[Optional[int], FrozenSet[tuple]]] = {}
-    noisy: Dict[int, Set[Tuple[int, int]]] = {}  # sector -> its form-3 keys
+    declared = list(decls)
+    seen: Dict[Tuple[int, int], Optional[int]] = {}
+    noisy: Dict[int, Dict[int, SectorRule]] = {}  # sector -> form-3 rules
     report: Dict[Tuple[str, int], int] = {}
     for name, rule in machine.rules.items():
         for i in hw.sector_indices():
@@ -1146,54 +1247,95 @@ def validate_noisy(machine: Machine) -> Dict[Tuple[str, int], int]:
                 continue
             key = (id(sec), decl[i])
             if key not in seen:
-                form = _classify_sector(noise, i, sec)
-                M = set(noise.M.get(i, ()))
-                seen[key] = form, frozenset(
-                    z.ltrs[:-1] for x, z in zip(sec.X, sec.Z)
-                    if form == 3 and x.ltrs[0] in M)
-            form = seen[key][0]
+                d = declared[decl[i]]
+                if d not in sec.forms:
+                    sec.forms[d] = _classify_sector(d, sec)
+                seen[key] = sec.forms[d]
+            form = seen[key]
             if form is None:
                 raise MachineError("rule %s sector %d fits no noisy form"
                                    % (name, i))
             report[(name, i)] = form
             if form == 3:
-                noisy.setdefault(i, set()).add(key)
-    firsts: Dict[FrozenSet[tuple], int] = {}  # basis -> its first sector
-    for i, keys in noisy.items():
-        firsts.setdefault(frozenset().union(*(seen[k][1] for k in keys)), i)
-    for basis, i in firsts.items():
-        if not validate_basis([Word(hw.alpha, v) for v in basis]):
+                noisy.setdefault(i, {})[id(sec)] = sec
+    firsts: Dict[tuple, int] = {}  # (declaration, form-3 rules) -> sector
+    for i, secs in noisy.items():
+        firsts.setdefault((decl[i], frozenset(secs)), i)
+    for (n, ids), i in firsts.items():
+        M = set(declared[n][1])
+        basis = frozenset(v for k in ids for x, v, _ in _entries(noisy[i][k])
+                          if x in M)
+        if not _noise_free(basis, hw.alpha):
             raise MachineError("sector %d: noise words do not freely generate"
                                % i)
     return report
 
 
-def _classify_sector(noise: NoiseDecl, i: int,
-                     sec: SectorRule) -> Optional[int]:
-    xs = [w.ltrs[0] for w in sec.X if len(w) == 1 and w.ltrs[0] > 0]
-    if len(xs) != len(sec.X):
+def _noise_free(basis: FrozenSet, alpha: Alphabet) -> bool:
+    """Whether the noise words ``basis`` freely generate a subgroup of
+    rank len(basis).
+
+    Distinct descriptors over one pair (b1, b2) and of one length n > 0
+    are free on sight.  Two of them, (k, m) and (k', m') with k < k',
+    share exactly k leading letters, and 2k < n, as m > 0 (else
+    k = n/2 >= k'); their inverses share as many.  A word begins with b1
+    or b2, an inverse with b2^-1 or b1^-1, and these differ as
+    b1 != b2^±1.  So the basis passes the overlap test of
+    :func:`validate_basis`: it is Nielsen-reduced, and free of rank
+    len(basis).  Any other basis is spelled, its equal words merged, and
+    decided by :func:`validate_basis`.
+    """
+    kinds = {(v.b1, v.b2, len(v)) if isinstance(v, NoiseWord) else None
+             for v in basis}
+    if len(kinds) == 1 and None not in kinds and next(iter(kinds))[2]:
+        return True
+    spelled = {v.ltrs if isinstance(v, NoiseWord) else v for v in basis}
+    return validate_basis([Word(alpha, v) for v in spelled])
+
+
+def _entries(sec: SectorRule) -> Optional[List[Tuple[int, object, int]]]:
+    """Each basis entry of ``sec`` as (x, v, z), read x -> v z: x the one
+    positive letter of its X entry, and its Z entry split into v, all but
+    its last letter, and z, its last letter (0 for an empty entry).  v is
+    a descriptor, or () for none, in a decorated rule, and a letter tuple
+    in a rule given by words.  None when some X entry is not one
+    positive letter."""
+    if sec._image_read:
         return None
-    K = tuple(noise.K.get(i, ()))
-    M = tuple(noise.M.get(i, ()))
-    N = tuple(noise.N.get(i, ()))
-    phi = noise.phi.get(i, {})
+    if sec.noise is not None:
+        return [(y, v or (), y) for y, v in zip(sec._ys, sec.noise)]
+    if not all(len(w) == 1 and w.ltrs[0] > 0 for w in sec.X):
+        return None
+    return [(x.ltrs[0], z.ltrs[:-1], z.ltrs[-1] if z else 0)
+            for x, z in zip(sec.X, sec.Z)]
+
+
+def _classify_sector(d: tuple, sec: SectorRule) -> Optional[int]:
+    """The noisy form of ``sec`` under the declaration d = (K, M, N, phi
+    items), or None."""
+    entries = _entries(sec)
+    if entries is None:
+        return None
+    K, M, N, phi = d
+    phi = dict(phi)
+    xs = [x for x, _, _ in entries]
+    plain = not any(v for _, v, _ in entries)
     # form 1: identity on a subset of Y_i
-    if all(len(z) == 1 for z in sec.Z) and \
-            all(x == z.ltrs[0] for x, z in zip(xs, sec.Z)):
+    if plain and all(x == z for x, _, z in entries):
         return 1
     # form 2: phi_i on K_i
-    if sorted(xs) == sorted(K) and all(len(z) == 1 for z in sec.Z) and \
-            all(phi.get(x) == z.ltrs[0] for x, z in zip(xs, sec.Z)):
+    if plain and sorted(xs) == sorted(K) and \
+            all(phi.get(x) == z for x, _, z in entries):
         return 2
     # form 3: M_i u N_i, noise on M, identity on N
     if sorted(xs) == sorted(M + N):
         Nset, Mset = _signed_set(N), set(M)
-        for x, z in zip(xs, sec.Z):
+        for x, v, z in entries:
             if x in Nset:
-                ok = z.ltrs == (x,)
+                ok = not v and z == x
             else:
-                ok = (x in Mset and z.ltrs[-1:] == (x,)
-                      and Nset.issuperset(z.ltrs[:-1]))
+                ok = (x in Mset and z == x and Nset.issuperset(
+                    v.letters if isinstance(v, NoiseWord) else v))
             if not ok:
                 return None
         return 3

@@ -5,8 +5,9 @@ is laid on: ``compose`` runs two machines in series, ``reflect`` doubles
 a machine against its mirror copy, ``cyclify`` closes the base behind an
 anchor letter, and ``_Ring`` lays L copies around one ring, sharing tape
 letters but not state letters.  Each stage maps each distinct sector rule
-once (``_map_sectors``), so images share sector rules and folds as their
-sources do, and its ``Machine`` checks the renamed noise declaration.
+once (``_map_sectors``), so images share sector rules as their sources
+do, and its ``Machine`` checks the renamed noise declaration, with the
+noisy forms the stage below found carried over.
 
 Mirror copies use barred letters (suffix ``~``), not inverse letters: the
 mirror of a tape word w is mu(w) = bar(w)^-1, an anti-isomorphism, and as
@@ -63,16 +64,37 @@ def _map_part(rp: RulePart, lmap: Dict[int, int], al2: Alphabet) -> RulePart:
 def _map_sectors(m: Machine, lmap: Dict[int, int], al2: Alphabet
                  ) -> Dict[GeneralizedRule, List[Optional[SectorRule]]]:
     """Each rule of m to its sector rules through ``lmap``, each distinct one
-    mapped once (by identity: a ``SectorRule`` is not hashable)."""
+    mapped once (by identity: a ``SectorRule`` is not hashable).
+
+    A decorated rule maps its letters and its descriptors' two noise
+    letters, not the noise words (``SectorRule.relabel``).  When ``lmap``
+    is one to one, each image keeps its source's noisy forms under the
+    renamed declarations, so :func:`validate_noisy` classifies no pair
+    twice across the tower.
+    """
+    carry = len(set(lmap.values())) == len(lmap)
     images: Dict[int, Optional[SectorRule]] = {id(None): None}
     for r in m.rules.values():
         for sec in r.sectors:
             if id(sec) not in images:
-                images[id(sec)] = SectorRule(
-                    tuple(relabel(x, lmap, al2) for x in sec.X),
-                    tuple(relabel(z, lmap, al2) for z in sec.Z))
+                img = images[id(sec)] = sec.relabel(lmap, al2)
+                if carry:
+                    for d, form in sec.forms.items():
+                        try:
+                            img.forms[_map_decl(d, lmap)] = form
+                        except KeyError:  # declared over other letters
+                            pass
     return {r: [images[id(sec)] for sec in r.sectors]
             for r in m.rules.values()}
+
+
+def _map_decl(d: tuple, lmap: Dict[int, int]) -> tuple:
+    """A sector's declaration (K, M, N, phi items), as ``validate_noisy``
+    keys it, renamed as :func:`_map_noise` renames it."""
+    K, M, N, phi = d
+    return (tuple(lmap[y] for y in K), tuple(lmap[y] for y in M),
+            tuple(lmap[y] for y in N),
+            tuple((lmap[a], lmap[b]) for a, b in phi))
 
 
 def _map_noise(noise: Optional[NoiseDecl], lmap: Dict[int, int],

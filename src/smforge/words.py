@@ -23,6 +23,7 @@ Text format: letters are space separated, a letter is ``name`` or
 
 from __future__ import annotations
 
+from functools import cached_property
 from itertools import islice, takewhile
 from operator import add, neg, not_, sub
 from typing import (Callable, Dict, FrozenSet, Iterable, Iterator, List,
@@ -105,8 +106,25 @@ class Alphabet:
         self._coords.append(coord)
         i = len(self._names)
         self._ids[name] = i
-        self._signed.update((i, -i))
+        n = -i
+        self._signed.update((i, n))
+        negs = self.__dict__.get("_negs")
+        if negs is not None:
+            negs[i], negs[n] = n, i
         return i
+
+    @cached_property
+    def _negs(self) -> Dict[int, int]:
+        """Each signed id -> its inverse, one int object per signed letter
+        (ids past 256 are not cached by the interpreter), so inverted
+        words share their letters.  Built on the first inversion, as a
+        presentation's alphabet of rule letters may never need it, and
+        kept up to date by :meth:`intern` from then on."""
+        negs: Dict[int, int] = {}
+        for i in range(1, len(self._names) + 1):
+            n = -i
+            negs[i], negs[n] = n, i
+        return negs
 
     def __len__(self) -> int:
         return len(self._names)
@@ -204,6 +222,18 @@ def free_reduce(letters: Iterable[int]) -> Tuple[int, ...]:
     return tuple(stack)
 
 
+def invert_letters(ltrs: Sequence[int], alpha: Alphabet) -> Tuple[int, ...]:
+    """The letters of the inverse of the word ``ltrs`` over ``alpha``, each
+    read from the alphabet's table of inverses, so inverses share one int
+    object per signed letter.
+
+    >>> al = Alphabet(); a = al.intern("a"); b = al.intern("b")
+    >>> invert_letters((a, -b), al)
+    (2, -1)
+    """
+    return tuple(map(alpha._negs.__getitem__, reversed(ltrs)))
+
+
 def junction(left: Sequence[int], right: Sequence[int]) -> int:
     """How many letters cancel where the reduced ``left`` meets the reduced
     ``right``: the end of ``left`` against the start of ``right``, found
@@ -286,7 +316,7 @@ class Word:
         return Word(self.alpha, a[:len(a) - k] + b[k:] if k else a + b)
 
     def __invert__(self) -> "Word":
-        return Word(self.alpha, tuple(map(neg, reversed(self.ltrs))))
+        return Word(self.alpha, invert_letters(self.ltrs, self.alpha))
 
     def __pow__(self, n: int) -> "Word":
         base = self if n >= 0 else ~self
@@ -382,6 +412,66 @@ def relabel_by_name(w: Word, target: Alphabet) -> Word:
     return Word(target, tuple(
         (1 if x > 0 else -1) * target.id_of(src.name_of(x))
         for x in w.ltrs))
+
+
+class NoiseWord:
+    """The reduced word b1^k (b2 b1)^m b2^k, held by its formula.
+
+    Every noise word of a noisy machine has this shape (see
+    ``machines.NoiseScheme``), so it is handed out and carried as the
+    descriptor (b1, b2, k, m): a relabel maps two letters, an inverse is
+    the descriptor (b2^-1, b1^-1, k, m), and the letters are built only
+    where they are read, by :attr:`ltrs`, the one place that spells them.
+    b1 and b2 are signed ids with b1 != b2^±1, so the word is reduced and
+    2(k + m) letters long.
+
+    >>> al = Alphabet(); b1 = al.intern("b1"); b2 = al.intern("b2")
+    >>> v = NoiseWord(b1, b2, 1, 2)
+    >>> Word(al, v.ltrs).format(), Word(al, (~v).ltrs) == ~Word(al, v.ltrs)
+    ('b1 b2 b1 b2 b1 b2', True)
+    """
+
+    __slots__ = ("b1", "b2", "k", "m")
+
+    def __init__(self, b1: int, b2: int, k: int, m: int):
+        if b1 in (b2, -b2) or k < 0 or m < 0:
+            raise ValueError("no noise word (%r, %r, %r, %r)" % (b1, b2, k, m))
+        self.b1, self.b2, self.k, self.m = b1, b2, k, m
+
+    def _key(self) -> Tuple[int, int, int, int]:
+        return self.b1, self.b2, self.k, self.m
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, NoiseWord) and other._key() == self._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __len__(self) -> int:
+        return 2 * (self.k + self.m)
+
+    def __repr__(self) -> str:
+        return "NoiseWord(%r, %r, %r, %r)" % self._key()
+
+    def __invert__(self) -> "NoiseWord":
+        return NoiseWord(-self.b2, -self.b1, self.k, self.m)
+
+    def relabel(self, letter_map: Dict[int, int]) -> "NoiseWord":
+        """The word renamed as :func:`relabel` renames, by positive ids."""
+        b1, b2 = (letter_map[x] if x > 0 else -letter_map[-x]
+                  for x in (self.b1, self.b2))
+        return NoiseWord(b1, b2, self.k, self.m)
+
+    @property
+    def letters(self) -> FrozenSet[int]:
+        """The signed letters the word holds."""
+        return frozenset((self.b1, self.b2) if self.k or self.m else ())
+
+    @property
+    def ltrs(self) -> Tuple[int, ...]:
+        """The letters of the word, built afresh on each read."""
+        b1, b2, k = self.b1, self.b2, self.k
+        return (b1,) * k + (b2, b1) * self.m + (b2,) * k
 
 
 # -- subgroup membership via Stallings folding ------------------------------

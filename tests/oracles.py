@@ -666,6 +666,45 @@ def _reference_check_sector1(w, scheme):
                              % scheme.alpha.name_of(abs(x)))
 
 
+def reference_noise_word(scheme, y, a, sign=1):
+    """The signed noise word of (y, a) as a Word, spelled letter by letter
+    from its definition: b1^k (b2 b1)^m b2^k with k = eta(y, a) and
+    2k + 2m = D, inverted letter by letter when sign is negative."""
+    from smforge.words import Word
+
+    b1, b2 = scheme.B
+    k = scheme.eta(y, a)
+    ltrs = []
+    for i in range(scheme.D):
+        if i < k:
+            ltrs.append(b1)
+        elif i < scheme.D - k:
+            ltrs.append(b2 if (i - k) % 2 == 0 else b1)
+        else:
+            ltrs.append(b2)
+    if sign < 0:
+        ltrs = [-x for x in reversed(ltrs)]
+    return Word(scheme.alpha, tuple(ltrs))
+
+
+def epsilon(W, scheme):
+    """Reduced payload image of a bottom-machine configuration, both
+    sectors read off letter by letter: markers of sector 1 unmarked,
+    copies of sector 2 uncopied, everything else dropped."""
+    if not W.is_configuration():
+        raise ValueError("projection needs a configuration")
+    sec = dict(zip(W.sectors, W.tapes))
+    out = []
+    for x in sec[1].ltrs:
+        if abs(x) in scheme.A1:
+            a = scheme.unmark(abs(x))
+            out.append(a if x > 0 else -a)
+    for x in sec[2].ltrs:
+        a = scheme.uncopy2(abs(x))
+        out.append(a if x > 0 else -a)
+    return scheme.alpha.word(naive_reduce(out))
+
+
 def reference_marker_split(w, scheme):
     from smforge.words import Word
 
@@ -704,14 +743,14 @@ def reference_decode_noise(u, scheme):
                 if out and out[-1] == (y, a, -s):
                     continue
                 if _reference_common_prefix(
-                        cur, scheme.noise_word(y, a, s)) >= thresh:
+                        cur, reference_noise_word(scheme, y, a, s)) >= thresh:
                     hit = (y, a, s)
                     break
             if hit:
                 break
         if hit is None:
             return None
-        cur = scheme.noise_word(hit[0], hit[1], -hit[2]) * cur
+        cur = reference_noise_word(scheme, hit[0], hit[1], -hit[2]) * cur
         out.append(hit)
     return out
 
@@ -730,7 +769,7 @@ def reference_decode_rear(u, a, scheme):
             for e in (1, -1):
                 if acc and acc[-1] == (y, -e):
                     continue
-                vv = scheme.noise_word(y, a, e)
+                vv = reference_noise_word(scheme, y, a, e)
                 if _reference_common_prefix(cur, vv) >= thresh:
                     r = rec((~vv) * cur, acc + [(y, e)])
                     if r is not None:

@@ -24,10 +24,11 @@ from hypothesis import given, settings, strategies as st
 
 from oracles import (reference_cyclic_d_prefixes, reference_d_word,
                      reference_decode_noise, reference_lambda1_accept,
-                     reference_lambda_accept, reference_wp_RC, ring_wp_RC)
+                     reference_lambda_accept, reference_marker_split,
+                     reference_noise_word, reference_wp_RC, ring_wp_RC)
 from smforge.embedding import (build_pipeline, builtin_oracle, lambda_oracle,
                                wp_RC)
-from smforge.machines import decode_noise, delta, lambda1_accept, marker_split
+from smforge.machines import decode_noise, delta, lambda1_accept
 from smforge.mainmachine import (DivisibleRecognizer, MainMachine, Params,
                                  build_main, lambda_accept)
 from smforge.smachine import Machine, _fresh, _scan
@@ -95,7 +96,7 @@ def test_sector_decisions_match_the_reference(data):
     m1, sch = main.m1, main.scheme
     w, target = data.draw(sector_words())
     member = data.draw(members(target))
-    for gap in marker_split(w, sch)[0]:
+    for gap in reference_marker_split(w, sch)[0]:
         assert decode_noise(gap, sch) == reference_decode_noise(gap, sch)
     assert lambda1_accept(w, m1, sch, member) == \
         reference_lambda1_accept(w, m1, sch, member)
@@ -201,7 +202,7 @@ def _first_workload_word():
 def test_a_marked_request_carries_only_the_payload_image(monkeypatch):
     main = _pipe_main()[1]
     w = _first_workload_word()
-    markers = marker_split(main.to_m1(w), main.scheme)[1]
+    markers = reference_marker_split(main.to_m1(w), main.scheme)[1]
     carried = []
     for name in ("to_m1", "from_m1"):
         def counting(self, u, move=getattr(MainMachine, name)):
@@ -252,7 +253,7 @@ def test_decode_noise_matches_the_reference(data):
             seq.append((y, a, s))
     u = al.word()
     for y, a, s in seq:
-        u = u * sch.noise_word(y, a, s)
+        u = u * reference_noise_word(sch, y, a, s)
     assert decode_noise(u, sch) == reference_decode_noise(u, sch) == seq
     if u:
         ltrs = list(u.ltrs)

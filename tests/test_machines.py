@@ -5,6 +5,8 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from oracles import (epsilon, reference_marker_split, reference_noise_word,
+                     reference_validate_basis)
 from smforge.machines import (
     a_length,
     b_length,
@@ -12,25 +14,28 @@ from smforge.machines import (
     decode_noise,
     delta,
     delta_letters,
-    epsilon,
     lambda1_accept,
-    marker_split,
     shift,
     shift_time_bound,
     strip_history,
 )
-from smforge.words import Alphabet, sorted_overlaps
+from smforge.words import Alphabet, NoiseWord, Word, relabel, sorted_overlaps
 from smforge.smachine import (
+    GeneralizedRule,
     Machine,
     MachineError,
     NoiseDecl,
     ParseError,
+    BasisShapeError,
+    SectorRule,
+    _fresh,
     machine_from_text,
     machine_to_text,
     reduce_history,
     semi_apply,
     validate_noisy,
 )
+from smforge.towers import bar_name, reflect
 
 p = pytest.mark.parametrize
 
@@ -154,6 +159,86 @@ def test_noise_lines_must_fit_the_rules():
     assert len(validate_noisy(machine_from_text(M1_TEXT))) == 6
 
 
+def _descriptor_mutants(v):
+    """One-field edits of the noise word v: k or m moved by one, or its
+    letters swapped or inverted."""
+    b1, b2, k, m = v.b1, v.b2, v.k, v.m
+    return [NoiseWord(b1, b2, k + 1, m), NoiseWord(b1, b2, k, m + 1),
+            NoiseWord(b1, b2, k + 1, m - 1), NoiseWord(b1, b2, k - 1, m + 1),
+            NoiseWord(b2, b1, k, m), ~v]
+
+
+def _letter_mutants(ltrs, B):
+    """One-letter edits of a spelled noise word: a letter replaced by
+    another signed noise letter, deleted, or one inserted."""
+    signed = [x for b in B for x in (b, -b)]
+    for i in range(len(ltrs) + 1):
+        for x in signed:
+            yield ltrs[:i] + (x,) + ltrs[i:]
+            if i < len(ltrs) and x != ltrs[i]:
+                yield ltrs[:i] + (x,) + ltrs[i + 1:]
+        if i < len(ltrs):
+            yield ltrs[:i] + ltrs[i + 1:]
+
+
+@p("n", [1, 2, 3, 4])
+def test_noise_mutants_get_the_fold_s_verdict(n):
+    """validate_noisy refuses a one-word edit of M1's noise words exactly
+    when the fold finds the noise basis not free, with the same message,
+    whether the edit is given as a descriptor of a decorated rule or as
+    letters, through bases given as words.  One or two noise words of
+    each rule get eleven edits each: four, each given both ways, replace
+    the word by a one-field edit of its descriptor or by another rule's
+    word or its inverse, and three change one letter.  The unedited noise
+    words are the reference's, spelled letter by letter."""
+    m, sch = m1(*"aceg"[:n])
+    al = sch.alpha
+    rng = random.Random(310 + n)
+    words = {(y, a): reference_noise_word(sch, y, a) for y, a in sch.pairs()}
+    cases = []
+    for y in sch.A + sch.B:
+        for j in rng.sample(range(n), 1 if n > 2 else n):
+            a = sch.A[j]
+            v = sch.noise_word(y, a)
+            # another rule's word or its inverse: the inverse is refused
+            other = sch.noise_word(*rng.choice([pair for pair in words
+                                                if pair != (y, a)]))
+            for u in rng.sample(_descriptor_mutants(v), 2) + [other, ~other]:
+                cases += [(y, j, u), (y, j, al.word(u.ltrs))]
+            spelled = list(_letter_mutants(words[(y, a)].ltrs, sch.B))
+            cases += [(y, j, al.word(t)) for t in rng.sample(spelled, 3)]
+    refused = 0
+    for y, j, u in cases:
+        a = sch.A[j]
+        rules = []
+        for r in m.rules.values():
+            sec = r.sectors[1]
+            if r.name == sch.rule_name(y):
+                xs = [x.ltrs[0] for x in sec.X]
+                if isinstance(u, NoiseWord):
+                    noise = list(sec.noise)
+                    noise[j] = u
+                    sec = SectorRule.decorated(al, xs, noise)
+                else:
+                    Z = list(sec.Z)
+                    Z[j] = u * al.word([xs[j]])
+                    sec = SectorRule(sec.X, tuple(Z))
+            rules.append(GeneralizedRule(m.hw, r.name, r.parts,
+                                         [None, sec, r.sectors[2]]))
+        basis = {w.ltrs for pair, w in words.items() if pair != (y, a)}
+        basis.add(u.ltrs)
+        if reference_validate_basis([Word(al, t) for t in basis]):
+            report = validate_noisy(Machine("mutant", m.hw, rules, [1],
+                                            noise=m.noise))
+            assert {report[(r.name, 1)] for r in rules} == {3}
+        else:
+            refused += 1
+            with pytest.raises(MachineError, match="^sector 1: noise words "
+                               "do not freely generate$"):
+                Machine("mutant", m.hw, rules, [1], noise=m.noise)
+    assert refused >= len(m.rules)
+
+
 # -- noise words ----------------------------------------------------------------
 
 @p("letters", [("a",), ("a", "c"), ("a", "c", "e")])
@@ -183,9 +268,87 @@ def test_noise_words_share_under_a_quarter(n):
     assert len(sch.heads) == len(ws)
 
 
+@given(st.integers(1, 6), st.randoms(use_true_random=False))
+@settings(max_examples=25, deadline=None)
+def test_noise_descriptors_spell_the_reference_words(n, rnd):
+    """Every descriptor the scheme hands out, for every (y, a) and both
+    signs, spells reference_noise_word, the formula transcribed letter by
+    letter; and so does it after a relabel onto shuffled ids, after
+    inversion, and under reflect's bar, where the mirrored sector rules
+    hold their noise words as renamed descriptors."""
+    m, sch = m1(*"acegik"[:n])
+    al = sch.alpha
+    ids = list(range(1, len(al) + 1))
+    shuffled = ids[:]
+    rnd.shuffle(shuffled)
+    lmap = dict(zip(ids, shuffled))
+    for y, a in sch.pairs():
+        for s in (1, -1):
+            v = sch.noise_word(y, a, s)
+            ref = reference_noise_word(sch, y, a, s)
+            assert isinstance(v, NoiseWord) and len(v) == sch.D
+            assert v.ltrs == ref.ltrs
+            assert (~v).ltrs == (~ref).ltrs
+            assert v.relabel(lmap).ltrs == relabel(ref, lmap, al).ltrs
+        assert sch.noise_word(y, a, -1) == ~sch.noise_word(y, a)
+    m4 = reflect(m)
+    al4 = m4.hw.alpha
+    bar = {x: al4.id_of(bar_name(al.name_of(x))) for x in ids}
+    for y in sch.A + sch.B:
+        rule = m4.rules[sch.rule_name(y)]
+        # sector 1's mirror is sector 2 * 3 - 1
+        mirrored = rule.sectors[5]
+        assert mirrored.noise is not None
+        for a, z in zip(sch.A, mirrored.Z):
+            ref = reference_noise_word(sch, y, a) * al.word([sch.mark(a)])
+            assert z == relabel(ref, bar, al4)
+
+
+@p("n", [1, 2, 3])
+def test_a_decorated_rule_matches_its_bases_given_as_words(n):
+    """M1's sector-1 rules and their inverses are decorated: each has the
+    domain, fixed and moving letters, image letters, basis terms and
+    membership test of the rule built from its bases given as words, and,
+    once a push has moved each letter, the same images."""
+    m, sch = m1(*"ace"[:n])
+    al = sch.alpha
+    for r in m.rules.values():
+        for sec in (r.sectors[1], r.sectors[1].inverse):
+            ref = SectorRule(sec.X, sec.Z)
+            assert sec.noise is not None and ref.noise is None
+            for attr in ("domain", "fixed", "widen", "produces", "letters",
+                         "_terms", "_image_read", "alpha"):
+                assert getattr(sec, attr) == getattr(ref, attr), attr
+            for w in sec.Z + (al.word(sch.A), al.word(sch.B)):
+                assert sec.z_member(w) == ref.z_member(w)
+            assert sec.images == {}
+            for y in sec.widen:
+                buf = [y]
+                sec.push(buf, _fresh(buf))
+                assert tuple(buf) == ref.images[y]
+            assert sec.images == ref.images
+
+
+def test_a_decorated_rule_refuses_what_is_not_form_3():
+    """Repeated or negative letters, a noise entry too few, and a noise
+    word over a letter that moves are refused."""
+    al = Alphabet()
+    m, b1, b2 = (al.intern(x) for x in ("m", "b1", "b2"))
+    v = NoiseWord(b1, b2, 1, 1)
+    for letters, noise in [((m, m, b1), (None,) * 3),
+                           ((-m, b1, b2), (None,) * 3),
+                           ((m, b1, b2), (v, None)),
+                           ((m, b1), (v, None))]:
+        with pytest.raises(BasisShapeError, match="decorated sector"):
+            SectorRule.decorated(al, letters, noise)
+    sec = SectorRule.decorated(al, (m, b1, b2), (v, None, None))
+    assert [z.format() for z in sec.Z] == ["b1 b2 b1 b2 m", "b1", "b2"]
+    assert sec.inverse.X == sec.Z and sec.inverse.inverse is sec
+
+
 def test_quarter_cancellation_exhaustive():
     _, sch = m1("a", "c")
-    words = [sch.noise_word(y, a, s)
+    words = [reference_noise_word(sch, y, a, s)
              for y, a in sch.pairs() for s in (1, -1)]
     for i, v in enumerate(words):
         for j, u in enumerate(words):
@@ -201,7 +364,7 @@ def test_decode_noise_examples():
     al = sch.alpha
     b1, a = sch.B[0], sch.A[0]
     assert decode_noise(al.word(), sch) == []
-    assert decode_noise(sch.noise_word(b1, a), sch) == [(b1, a, 1)]
+    assert decode_noise(reference_noise_word(sch, b1, a), sch) == [(b1, a, 1)]
     assert decode_noise(al.parse("b1"), sch) is None
 
 
@@ -219,7 +382,7 @@ def test_decode_noise_roundtrip():
             seq.append((y, a, s))
         u = sch.alpha.word()
         for y, a, s in seq:
-            u = u * sch.noise_word(y, a, s)
+            u = u * reference_noise_word(sch, y, a, s)
         assert decode_noise(u, sch) == seq
         # soundness on corrupted input: either reject or reproduce exactly
         if u:
@@ -229,7 +392,7 @@ def test_decode_noise_roundtrip():
             if got is not None:
                 check = sch.alpha.word()
                 for y, a, s in got:
-                    check = check * sch.noise_word(y, a, s)
+                    check = check * reference_noise_word(sch, y, a, s)
                 assert check == bad
 
 
@@ -277,14 +440,6 @@ def test_epsilon_invariance():
         assert epsilon(W2, sch) == e
 
 
-def test_marker_split():
-    _, sch = m1("a")
-    al = sch.alpha
-    gaps, markers = marker_split(al.parse("b1 a_1 b2 a_1^-1 b1"), sch)
-    assert [g.format() for g in gaps] == ["b1", "b2", "b1"]
-    assert markers == [sch.A1[0], -sch.A1[0]]
-
-
 def test_words_over_another_alphabet_raise():
     """A word is read by its ids only over the scheme's own alphabet: a
     one-letter foreign word, and a marker of an equal second M1."""
@@ -293,7 +448,7 @@ def test_words_over_another_alphabet_raise():
     foreign = [al.word([al.intern("zz")]),
                build_m1(("a",))[1].alpha.parse("a_1")]
     for w in foreign:
-        for call in (lambda: marker_split(w, sch), lambda: shift(w, m, sch),
+        for call in (lambda: shift(w, m, sch),
                      lambda: strip_history(w, sch),
                      lambda: decode_noise(w, sch)):
             with pytest.raises(ValueError,
@@ -369,7 +524,7 @@ def test_three_marker_noise_bounds():
         t = rng.randint(1, 4)
         hist = random_reduced_history(rng, names, t)
         w = m.semi_run(skel, 1, hist)[-1]
-        gaps, markers = marker_split(w, sch)
+        gaps, markers = reference_marker_split(w, sch)
         assert markers == [sch.A1[0]] * 3
         inner = len(gaps[1]) + len(gaps[2])
         assert sch.D * t // 2 <= inner <= 3 * sch.D * t, (trial, inner)
@@ -428,7 +583,7 @@ def test_a_gap_no_marker_erases_is_refused(letters, left, right):
     pairs = list(zip(sch.B, sch.A))  # (b1, a), then (b2, b)
     gap = al.word()
     for y, a in pairs:
-        gap = gap * sch.noise_word(y, a)
+        gap = gap * reference_noise_word(sch, y, a)
     assert decode_noise(gap, sch) == [(y, a, 1) for y, a in pairs]
     w = al.parse(left) * gap * (al.parse(right) if right else al.word())
     assert strip_history(w, sch) is None

@@ -1,20 +1,23 @@
 """Parameters, recognizer plugins, and the assembled main machine."""
 
 import hashlib
+import importlib
 import itertools
 import re
 import types
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import reference_classify_start
+from oracles import (reference_classify_start, reference_marker_split,
+                     reference_noise_word)
 from smforge.words import Alphabet, UnknownLetterError, relabel, relabel_by_name
 from smforge.smachine import (Hardware, Machine, MachineError, NoiseDecl,
                               Part, SectorMismatchError, StateMismatchError,
                               StepError, apply_rule, machine_from_text,
                               machine_to_text, reduce_history, validate_noisy)
-from smforge.machines import build_m1, marker_split
+from smforge.machines import build_m1
 from smforge.mainmachine import (DivisibleRecognizer, Params,
                                  PAPER_CONSTRAINTS, RejectingRecognizer,
                                  _classify_start, accepting_run, build_main,
@@ -25,6 +28,7 @@ from smforge.towers import cyclify, reflect
 p = pytest.mark.parametrize
 
 DESK4 = Params(2, 4, 5, 4, 7, 8, 9, check_chain=False)
+SMBENCH = Path(__file__).resolve().parent.parent / "smbench"
 
 
 @pytest.fixture(scope="module")
@@ -530,8 +534,9 @@ def test_letters_the_machine_lacks_are_typed(main1):
 
 # -- semi-computations in the special sector ----------------------------------------
 #
-# Read compressed: through marker_split on the bottom machine's alphabet, so
-# the markers and the noise gaps between them, the first and last gaps apart.
+# Read compressed: through reference_marker_split on the bottom machine's
+# alphabet, so the markers and the noise gaps between them, the first and
+# last gaps apart.
 
 
 def semi(main, w, history):
@@ -545,7 +550,7 @@ def test_compressed_semi_tracks_marking(main1):
     sch = main1.scheme
     assert words[0] == main1.to_m1(w)
     assert words[1] == sch.alpha.word([sch.A1[0]] * 2)
-    gaps, markers = marker_split(words[2], sch)
+    gaps, markers = reference_marker_split(words[2], sch)
     assert markers == [sch.A1[0]] * 2 and len(gaps[1]) == sch.D
     back = semi(main1, w, [("s1", 1), ("s1", -1)])
     assert back[-1] == main1.to_m1(w)
@@ -587,7 +592,7 @@ def test_compressed_gap_growth_bounds(main3):
               if reduce_history([a, b]) == [a, b]]
     for seq in hists:
         words = semi(main3, w0, [("s1", 1)] + seq)
-        gaps, markers = marker_split(words[-1], sch)
+        gaps, markers = reference_marker_split(words[-1], sch)
         assert markers == skeleton
         interior = len(gaps[1]) + len(gaps[2])
         k = len(seq)
@@ -600,7 +605,8 @@ def test_compressed_steps_decorate_not_erase(main3):
     w0 = al.word([al.id_of(n) for n in ("x", "y", "z")])
     ids = {n: sch.alpha.id_of(n) for n in ("x", "y", "z")}
     x1, y1, z1 = (sch.alpha.word([sch.mark(ids[n])]) for n in ("x", "y", "z"))
-    v = sch.noise_word
+    def v(y, a, sign=1):
+        return reference_noise_word(sch, y, a, sign)
     fwd = semi(main3, w0, [("s1", 1), ("1.theta_z", 1)])[-1]
     assert fwd == (v(ids["z"], ids["x"]) * x1 * v(ids["z"], ids["y"]) * y1
                    * v(ids["z"], ids["z"]) * z1)
@@ -608,7 +614,7 @@ def test_compressed_steps_decorate_not_erase(main3):
     assert bwd == (v(ids["x"], ids["x"], -1) * x1
                    * v(ids["x"], ids["y"], -1) * y1
                    * v(ids["x"], ids["z"], -1) * z1)
-    gaps, markers = marker_split(fwd, sch)
+    gaps, markers = reference_marker_split(fwd, sch)
     assert markers == [sch.mark(ids[n]) for n in ("x", "y", "z")]
     assert gaps[0] == v(ids["z"], ids["x"]) and not len(gaps[3])
 
@@ -618,12 +624,13 @@ def test_language_setup_folds_without_merging(monkeypatch):
     rule keeps its membership test, every tower stage maps each distinct
     sector rule once, so rule sets 1 and 2 share theirs, and every X, Z
     and noise basis they check is free on sight: X and Z are triangular,
-    so <Z> is a letter test, and the noise bases pass the overlap test
-    (the language set-up built 73 folders when it folded each distinct
-    Z, 158 when each X basis and each distinct noise basis was folded
-    too, 332 when compose, reflect and cyclify mapped and folded each
-    rule's sector rules apart and each stage's noise check folded every
-    sector's basis, 440 when each lift did too)."""
+    so <Z> is a letter test, and the noise bases are descriptors of one
+    pair of letters and one length (the language set-up built 73 folders
+    when it folded each distinct Z, 158 when each X basis and each
+    distinct noise basis was folded too, 332 when compose, reflect and
+    cyclify mapped and folded each rule's sector rules apart and each
+    stage's noise check folded every sector's basis, 440 when each lift
+    did too)."""
     from smforge import embedding, groups, words
     folds = []
     init = words._Folder.__init__
@@ -648,30 +655,113 @@ def test_language_setup_folds_without_merging(monkeypatch):
 def test_noise_check_folds_each_distinct_basis_once(main1, monkeypatch):
     """The ring copies share their tape letters, so the 2L = 8 noisy
     sectors of the main machine at L = 4 hold 2 distinct noise bases: the
-    check decides 2 of them, not 8, and folds none, as distinct noise
-    words share fewer than D/4 leading letters."""
+    check decides 2 of them, not 8, each by arithmetic on its descriptors
+    (distinct noise words share fewer than D/4 leading letters), so it
+    spells none, hands none to validate_basis and folds none; the fold
+    agrees on both."""
+    from oracles import reference_validate_basis
     from smforge import smachine, words
-    decided, folds = [], []
+    decided, spelled, folds = [], [], []
+    noise_free = smachine._noise_free
+    monkeypatch.setattr(smachine, "_noise_free", lambda basis, al: (
+        decided.append((basis, al)) or noise_free(basis, al)))
     monkeypatch.setattr(smachine, "validate_basis", lambda basis: (
-        decided.append(basis) or words.validate_basis(basis)))
+        spelled.append(basis) or words.validate_basis(basis)))
     init = words._Folder.__init__
     monkeypatch.setattr(words._Folder, "__init__",
                         lambda self, basis: folds.append(1) or init(self, basis))
     report = validate_noisy(main1.machine)
     assert len({s for (_, s), form in report.items() if form == 3}) == 8
     assert len(decided) == 2
-    assert folds == []
+    assert spelled == [] and folds == []
+    monkeypatch.undo()
+    for basis, al in decided:
+        assert all(isinstance(v, words.NoiseWord) for v in basis)
+        assert reference_validate_basis([words.Word(al, v.ltrs)
+                                         for v in basis])
+
+
+def test_language_setup_spells_no_noise_word_and_classifies_once(
+        monkeypatch):
+    """The language set-up (the Z pipeline's 4 tape letters) carries every
+    noise word as a descriptor up the tower and spells none.  It classifies
+    each (sector rule, declaration) of the tower once: M1's rules and its
+    inert sector-2 rule, then only what the later stages add, the
+    plugin's identity, sigma and one marking rule per input sector of M5;
+    every image of an earlier stage's sector rule carries its verdict."""
+    from smforge import embedding, smachine, words
+    spelled, classified = [], []
+    ltrs = words.NoiseWord.ltrs.fget
+    monkeypatch.setattr(words.NoiseWord, "ltrs", property(
+        lambda v: spelled.append(v) or ltrs(v)))
+    classify = smachine._classify_sector
+    monkeypatch.setattr(smachine, "_classify_sector", lambda d, sec: (
+        classified.append((id(sec), d)) or classify(d, sec)))
+    pipe = embedding.build_pipeline(embedding.builtin_oracle("Z"), 2)
+    letters = tuple(pipe.letters)
+    main = build_main(letters, DivisibleRecognizer(letters, 1), DESK4)
+    assert len(letters) == 4 and spelled == []
+    assert len(set(classified)) == len(classified)
+    assert len(classified) == (len(main.m1.rules) + 1) + 2 + len(
+        main.m5.input_sectors) == len(letters) + 7
+
+
+def test_every_pushed_image_equals_the_letter_built_one(monkeypatch):
+    """A decorated sector rule spells the image of a letter on the first
+    push that moves it.  Over one accept pass and one language pass of the
+    benchmark (seed 7), every image spelled equals the one the same rule
+    builds from its bases given as words, and the passes spell only a few
+    of the images their set-ups could (33 of 176 on accept, 16 of 384 on
+    language, when measured)."""
+    import random
+    monkeypatch.syspath_prepend(str(SMBENCH))
+    workloads = importlib.import_module("workloads")
+    from smforge import smachine
+    built, made = [], []
+    image = smachine.SectorRule._spell_image
+    monkeypatch.setattr(smachine.SectorRule, "_spell_image",
+                        lambda sec, y: built.append((sec, y)) or image(sec, y))
+    decorated = smachine.SectorRule.decorated.__func__
+    monkeypatch.setattr(smachine.SectorRule, "decorated", classmethod(
+        lambda cls, *args: made.append(decorated(cls, *args)) or made[-1]))
+    for name in ("accept", "language"):
+        w = workloads.WORKLOADS[name]()
+        del made[:]
+        ctx = w.setup()
+        moving = sum(len(sec.widen) for sec in made)
+        del built[:]
+        for req in w.requests(ctx, random.Random(7)):
+            assert req.check(req.call()) is None, (name, req.label)
+        assert 0 < 4 * len(built) < moving
+        letter_built = {}
+        for sec, y in built:
+            if id(sec) not in letter_built:
+                letter_built[id(sec)] = smachine.SectorRule(sec.X, sec.Z)
+            assert sec.images[y] == letter_built[id(sec)].images[y]
 
 
 def test_every_basis_a_setup_checks_is_free_on_sight(monkeypatch):
     """Every basis the workload set-ups (M(a), M(a,b) and the 4-letter Z
     pipeline's) and the Z2 pipelines at C = 1, 2 hand to validate_basis,
     and every Z basis whose membership test they build, is freed by the
-    triangular test or the overlap test, so none is folded; the fold alone
-    agrees on each."""
+    triangular test or the overlap test, so none is folded.  A decorated
+    sector rule decides its X and Z free off its descriptors' letters, and
+    a basis of descriptors is decided by arithmetic: those are spelled
+    here, after the build.  The fold alone agrees on each."""
     from smforge import embedding, smachine, words
     from oracles import reference_validate_basis
     seen = {}
+    decorated, noise = [], []
+    make = smachine.SectorRule.decorated.__func__
+
+    def decorate(cls, *args):
+        decorated.append(make(cls, *args))
+        return decorated[-1]
+    monkeypatch.setattr(smachine.SectorRule, "decorated",
+                        classmethod(decorate))
+    noise_free = smachine._noise_free
+    monkeypatch.setattr(smachine, "_noise_free", lambda basis, al: (
+        noise.append((basis, al)) or noise_free(basis, al)))
 
     def record(basis):
         seen.setdefault(tuple(b.ltrs for b in basis), basis)
@@ -696,6 +786,12 @@ def test_every_basis_a_setup_checks_is_free_on_sight(monkeypatch):
               for C in (1, 2)]
     for letters in [("a",), ("a", "b")] + [tuple(x.letters) for x in pipes]:
         build_main(letters, DivisibleRecognizer(letters, 1), DESK4)
+    monkeypatch.undo()
+    for sec in decorated:
+        record(sec.X)
+        record(sec.Z)
+    for basis, al in noise:
+        record([words.Word(al, v.ltrs) for v in basis])
     assert folded == [] and len(seen) > 60
     assert all(map(reference_validate_basis, seen.values()))
 

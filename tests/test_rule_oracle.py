@@ -42,8 +42,9 @@ from hypothesis import given, settings, strategies as st
 from oracles import (naive_reduce, random_reduced, random_signed_ids,
                      reference_apply_rule, reference_decode_rear,
                      reference_express, reference_image,
-                     reference_is_admissible, reference_run,
-                     reference_semi_run, reference_shift, reference_step)
+                     reference_is_admissible, reference_noise_word,
+                     reference_run, reference_semi_run, reference_shift,
+                     reference_step)
 from smforge.machines import _decode_rear, build_m1, shift
 from smforge.mainmachine import (DivisibleRecognizer, Params, accepting_run,
                                  build_main)
@@ -657,14 +658,14 @@ def test_decode_rear_matches_the_search(letters):
                 cases.append(steps)
         for y in sch.B:
             for e in (1, -1):
-                v = sch.noise_word(y, a, e).ltrs
+                v = reference_noise_word(sch, y, a, e).ltrs
                 cases += [[(abs(x), 1 if x > 0 else -1)
                            for x in reversed(v[:m])]
                           for m in range(sch.head, min(len(v), 24) + 1)]
         for steps in cases:
             u = al.word()
             for y, e in steps:
-                u = u * sch.noise_word(y, a, e)
+                u = u * reference_noise_word(sch, y, a, e)
             u = u * al.word([y if e > 0 else -y for y, e in reversed(steps)])
             assert _decode_rear(u, a, sch) == (
                 steps if all(y in sch.B for y, _ in steps) else None)
