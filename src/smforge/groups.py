@@ -325,8 +325,9 @@ def _sector_cells(pres: Presentation, rule: GeneralizedRule, sector: int,
     """The shared sector cells of the rule by signed X letter, turned
     upside down when ``flip`` is 1.  A locked sector has none.  A band
     reads its tape letter by letter, so an X entry of more than one letter
-    (a sector read off the image, which built machines have on inverse
-    rules only) raises BasisShapeError naming the rule and the sector."""
+    (an inverted sector rule's p y' s, which built machines have on
+    inverse rules only) raises BasisShapeError naming the rule and the
+    sector."""
     key = ("sector", rule.name, sector)
     if key not in pres.cells:
         sec = rule.sectors[sector] or _LOCKED

@@ -32,7 +32,7 @@ from typing import (Callable, Dict, FrozenSet, Iterator, List, Optional,
                     Sequence, Tuple)
 
 from smforge.words import (Alphabet, NoiseWord, Word, common_prefix,
-                           free_reduce)
+                           free_reduce, invert_letters)
 from smforge.smachine import (
     AdmissibleWord,
     Computation,
@@ -66,7 +66,9 @@ class NoiseScheme:
     The noise word of (y, a) is b1^k (b2 b1)^m b2^k with k = eta(y, a)
     and m = D/2 - k, and :meth:`noise_word` hands it out as that
     descriptor (``words.NoiseWord``).  Only the decode reads noise words
-    letter by letter; :meth:`spelled` builds those letters once each.
+    letter by letter, and only those it peels: it reads k off a word's
+    leading run (:attr:`runs`), (y, a) off k (:meth:`pair`), and
+    :meth:`spelled` builds that word's letters once.
     """
 
     alpha: Alphabet
@@ -103,6 +105,11 @@ class NoiseScheme:
         """Row-major pair index, 1-based: y ranked payload first, then noise."""
         return (self.A + self.B).index(y) * len(self.A) + self.A.index(a) + 1
 
+    def pair(self, k: int) -> Tuple[int, int]:
+        """The pair (y, a) with eta(y, a) = k."""
+        i, j = divmod(k - 1, len(self.A))
+        return (self.A + self.B)[i], self.A[j]
+
     def noise_word(self, y: int, a: int, sign: int = 1) -> NoiseWord:
         """The noise word of (y, a), inverted when ``sign`` is negative."""
         k = self.eta(y, a)
@@ -128,13 +135,13 @@ class NoiseScheme:
         return 3 * self.D // 4 + 1
 
     @cached_property
-    def heads(self) -> Dict[Tuple[int, ...], Tuple[int, int, int]]:
-        """(y, a, sign) by the head (first 3D/4 + 1 letters) of its noise
-        word.  Distinct signed noise words agree on fewer than D/4 leading
-        letters, so these heads are distinct."""
-        n = self.head
-        return {self.spelled(y, a, s)[:n]: (y, a, s)
-                for y, a in self.pairs() for s in (1, -1)}
+    def runs(self) -> Dict[int, Tuple[int, Tuple[int, ...]]]:
+        """The sign of the noise words that begin with each letter, b1 or
+        b2^-1, and D/4 + 1 copies of that letter, one more than the
+        longest leading run of a noise word."""
+        n = self.D // 4 + 1
+        b1, b2 = self.B
+        return {b1: (1, (b1,) * n), -b2: (-1, (-b2,) * n)}
 
     @cached_property
     def rule_names(self) -> Dict[int, str]:
@@ -235,16 +242,29 @@ def b_length(w: Word, scheme: NoiseScheme) -> int:
 
 def _peel(cur: Tuple[int, ...], scheme: NoiseScheme
           ) -> Optional[Tuple[Tuple[int, int, int], Tuple[int, ...]]]:
-    """(y, a, sign) of the one signed noise word v whose head begins the
-    reduced ``cur``, and v^-1 cur: if v matches exactly p leading letters
-    of cur, that is v[p:]^-1 cur[p:], reduced.  None when no head fits."""
-    n = scheme.head
-    hit = scheme.heads.get(cur[:n])
-    if hit is None:
+    """(y, a, sign) of the one signed noise word v that matches more than
+    3D/4 leading letters of the reduced ``cur``, and v^-1 cur: if v
+    matches exactly p leading letters of cur, that is v[p:]^-1 cur[p:],
+    reduced.  None when no word matches that many.
+
+    A noise word b1^k (b2 b1)^m b2^k begins with a run of exactly k
+    letters b1, and its inverse with k letters b2^-1, where
+    k = eta(y, a) <= D/4 and k + 1 < 3D/4 + 1.  So the leading run of cur,
+    read by one C-level pass, gives the sign and k, k gives (y, a), and
+    only that word is spelled and compared."""
+    run = scheme.runs.get(cur[0]) if cur else None
+    if run is None:
         return None
-    y, a, s = hit
-    p = n + common_prefix(cur[n:], scheme.spelled(y, a, s)[n:])
-    return hit, scheme.spelled(y, a, -s)[:scheme.D - p] + cur[p:]
+    sign, letters = run
+    k = common_prefix(cur, letters)
+    if k == len(letters):
+        return None
+    y, a = scheme.pair(k)
+    v = scheme.spelled(y, a, sign)
+    p = common_prefix(cur, v)
+    if p < scheme.head:
+        return None
+    return (y, a, sign), invert_letters(v[p:], scheme.alpha) + cur[p:]
 
 
 def decode_noise(u: Word, scheme: NoiseScheme

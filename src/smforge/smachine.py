@@ -10,18 +10,20 @@ a legal shape, which also assigns the tape word its sector.
 A generalized rule carries, per part i, a transition q_i -> u_i q_i' v_{i+1}
 and, per sector i, either a lock or a pair of free bases X_i, Z_i with the
 isomorphism f_i matching them up by position; every rule is checked when
-it is built. A :class:`SectorRule` is that isomorphism, and owns its
-freeness, letters and inverse. It is compiled once, when it is built, into
-one letter map on a letter domain, in one of the two shapes the paper's
-noisy machines use: one-letter X entries, or one-letter Z entries that
-each X entry wraps in fixed letters (the inverse of a form-3 sector); any
-other basis raises :class:`BasisShapeError`. A form-3 sector built from
-noise-word descriptors (:meth:`SectorRule.decorated`) spells the image of
-a letter on the first push that moves it. Every rewrite of a tape is
-one call of one method, :meth:`SectorRule.push`: the windows of
-:func:`apply_rule` and :meth:`Machine.run`, the steps of
-:func:`semi_apply` and :meth:`Machine.semi_run`, and the inserts of
-:func:`invert_rule`.
+it is built. A :class:`SectorRule` is that isomorphism, held in one shape,
+a triangular letter map: distinct positive letters y, each fixed or sent
+to p y' s, with y' one letter that is not fixed and p and s words over the
+fixed letters, and one flag saying whether X is the side of letters or of
+words. The paper's sector maps all have it: the identity, the bijection
+phi_i on K_i, the noise decoration m -> v m on M_i, and their inverses,
+which flip the flag. Such a map is free on its letters, so its domain and
+<Z> are letter tests; any other pair of bases raises
+:class:`BasisShapeError` when it is built. A noise word v stays a
+descriptor (:meth:`SectorRule.decorated`), and every image is spelled on
+the first push that moves its letter. Every rewrite of a tape is one call
+of one method, :meth:`SectorRule.push`: the windows of :func:`apply_rule`
+and :meth:`Machine.run`, the steps of :func:`semi_apply` and
+:meth:`Machine.semi_run`, and the inserts of :func:`invert_rule`.
 
 ``push`` edits a letter buffer in place, given the tape's marks (see
 ``_Marks``): the fixed and domain tests run on its letter superset, the
@@ -54,14 +56,12 @@ from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import compress, count
-from operator import neg
-from typing import (Callable, Collection, Dict, FrozenSet, List, Optional,
-                    Sequence, Set, Tuple)
+from typing import (Collection, Dict, FrozenSet, List, Optional, Sequence,
+                    Set, Tuple)
 
 from smforge.words import (
     Alphabet, BasisExpression, MachineError, NoiseWord, Word,
-    free_basis_member, free_reduce, invert_letters, junction, relabel,
-    validate_basis,
+    free_reduce, junction, relabel, validate_basis,
 )
 
 
@@ -113,7 +113,7 @@ class UnknownRuleError(MachineError, KeyError):
 
 
 class BasisShapeError(MachineError):
-    """Sector bases that fit neither compiled shape (see
+    """Sector bases that are no triangular letter map (see
     :class:`SectorRule`), or that a band cannot read letter by letter."""
 
 
@@ -429,82 +429,66 @@ def _ends(buf: List[int], marks: _Marks, ends: _Ends) -> _Marks:
 
 
 class SectorRule:
-    """Unlocked sector data: aligned free bases with f: X[k] -> Z[k].
+    """Unlocked sector data: aligned bases X, Z with f: X[k] -> Z[k], held
+    as one triangular letter map.
 
-    The paper's sector maps come in two shapes, and construction compiles
-    either into one map of signed letters to reduced letter tuples on a
-    letter domain, which :meth:`express` and :meth:`push` read:
+    ``ys`` holds distinct positive letters, one per basis entry, and
+    ``maps`` each one's entry: None when y is fixed, else (p, y', s), with
+    y' a letter that is not fixed and no other entry's, and p and s
+    ``Word`` objects over the fixed letters, p maybe a noise-word
+    descriptor (``words.NoiseWord``).  Unless ``inverted``, X holds the
+    letters y and Z the words p y' s (y when fixed); when ``inverted`` the
+    two swap.  The identity, phi_i on K_i (y' = phi_i(y)), the noise
+    decoration m -> v m on M_i (p = v) and their inverses all have this
+    shape.  Multiplying p y' s by p^-1 and s^-1, a fixed letter at a time,
+    is a chain of Nielsen moves, so both sides are free on their letters
+    (Lyndon and Schupp, Prop. I.2.8): ``domain`` holds the signed X
+    letters, whose words are <X>, and :meth:`z_member` is a letter test.
 
-    * every X entry one letter, as in forms 1-3: the map sends each X
-      letter to its Z entry, the domain is the signed X letters, and an
-      expression is read off the word, a basis term per letter;
-    * every Z entry one positive letter, and each X entry its Z entry
-      between words over the fixed letters (those with X[k] == Z[k]), as
-      in the inverse of a form-3 sector: the map is
-      ``triangular_sub(Z, X)``, which sends each X entry to its Z entry,
-      the domain is the signed Z letters, which freely generate <X>, so
-      the domain test is exact, and an expression is read off the image.
+    One path, ``_make``, builds every sector rule and refuses any other
+    shape with :class:`BasisShapeError`: ``SectorRule(X, Z)`` reads word
+    bases in either orientation, :meth:`decorated` takes descriptors,
+    :attr:`inverse` (f^-1) flips ``inverted``, and :meth:`relabel` maps
+    the letters and the descriptors.  X and Z are spelled when read.
 
-    ``images`` keeps only the letters that move; every other letter of
-    ``domain`` goes to itself, and ``fixed`` holds those.  ``produces``
-    maps each moving letter to the set of letters of its image, and
-    ``widen`` holds the moving letters, for :meth:`push`.  ``z_member``
-    is None exactly when X or Z is not free, else it decides membership
-    in <Z>: a letter test, as every Z basis of the paper's forms is
-    triangular (``words.triangular_letters``), else the fold's.
-    ``letters`` holds the signed letters of X and Z, ``alpha`` their one
-    alphabet (None for none or several), and :attr:`inverse` is f^-1.
-    ``forms`` keeps, per noise declaration of a sector, the noisy form
-    :func:`validate_noisy` found there.
-
-    A form-3 sector of a noisy machine is built by :meth:`decorated`,
-    with its noise words as descriptors (``words.NoiseWord``); ``noise``
-    holds them, and is None for bases given as words.  Such a rule reads
-    its domain, fixed letters, ``letters``, ``produces``, ``widen`` and
-    its freeness off the descriptors' letters, and builds the letter
-    tuple of an image, and of its inverse, on the first push that moves
-    that letter; X and Z are spelled only when read.
-
-    Any other pair of bases raises :class:`BasisShapeError`.  A band (see
-    ``groups._band``) finds a cell by the signed X letter, so it reads the
-    first shape only.  No library code calls :meth:`express`; it stays
-    because the benchmark traces it (``smbench/layers.py``).
+    ``images`` keeps the image of a moving letter, spelled on the first
+    push that moves it, and ``produces`` its letters; every other letter
+    of ``domain``, in ``fixed``, goes to itself, and ``widen`` holds the
+    moving letters.  ``letters`` holds the signed letters of X and Z,
+    ``alpha`` their one alphabet (None for none or several), and
+    ``forms``, per noise declaration of a sector, the noisy form
+    :func:`validate_noisy` found there.  A band (``groups._band``) finds a
+    cell by the signed X letter, so it reads only one-letter X entries.
+    No library code calls :meth:`express`; it stays because the benchmark
+    traces it (``smbench/layers.py``).
     """
 
     def __init__(self, X: Tuple[Word, ...], Z: Tuple[Word, ...]):
-        self.X, self.Z = X, Z
-        self.noise: Optional[Tuple[Optional[NoiseWord], ...]] = None
-        # the letters are the X entries', or the Z entries' when _image_read
-        self._image_read = not all(len(x.ltrs) == 1 for x in X)
-        if self._image_read:
-            sub = triangular_sub(Z, X)
-            if sub is None:
-                raise BasisShapeError(
-                    "sector bases X={%s} Z={%s} fit neither shape" % tuple(
-                        ";".join(map(Word.format, b)) for b in (X, Z)))
-            letters = [z.ltrs[0] for z in Z]
-            pairs = list(sub.items())
-        else:
-            letters = [x.ltrs[0] for x in X]
-            pairs = zip(letters, Z)
-        self._settle_domain(letters)
-        # each signed letter -> its image, the first pair of a letter
-        # winning; only the letters that move are kept
-        images: Dict[int, Tuple[int, ...]] = {}
-        for y, img in pairs:
-            if y not in images:
-                images[y], images[-y] = img.ltrs, (~img).ltrs
-        self.images = {y: img for y, img in images.items() if img != (y,)}
-        self._settle_moves({y: frozenset(img)
-                            for y, img in self.images.items()})
-        # X is free just when each signed domain letter has its own term:
-        # distinct X letters, or distinct Z letters X is triangular over
-        self.z_member: Optional[Callable[[Word], bool]] = (
-            free_basis_member(Z) if len(self._terms) == 2 * len(X) else None)
-        self.letters = _signed_set(
-            frozenset().union(*(w.ltrs for w in X + Z)))
-        alphas = {w.alpha for w in X + Z}
-        self.alpha = alphas.pop() if len(alphas) == 1 else None
+        """Read the word bases X and Z: X is the side of letters when each
+        of its entries is one positive letter, else Z must be; an entry of
+        the other side is its letter y when fixed, else holds exactly one
+        letter that no fixed entry has, once."""
+        inverted = not all(len(x.ltrs) == 1 and x.ltrs[0] > 0 for x in X)
+        ones, words = (Z, X) if inverted else (X, Z)
+        if len(X) != len(Z) or not all(len(w.ltrs) == 1 for w in ones):
+            raise _not_triangular(X, Z)
+        ys = tuple(w.ltrs[0] for w in ones)
+        fixed = _signed_set([y for y, w in zip(ys, words) if w.ltrs == (y,)])
+        maps: List[Optional[tuple]] = []
+        for y, w in zip(ys, words):
+            t = w.ltrs
+            free = [j for j, x in enumerate(t) if x not in fixed]
+            if t == (y,):
+                maps.append(None)
+            elif len(free) == 1:
+                j = free[0]
+                maps.append((Word(w.alpha, t[:j]), t[j],
+                             Word(w.alpha, t[j + 1:])))
+            else:
+                raise _not_triangular(X, Z)
+        self._make(next((w.alpha for w in X + Z), None), ys, maps, inverted)
+        if any(w.alpha is not self.alpha for w in X + Z):
+            self.alpha = None  # several alphabets: GeneralizedRule refuses
 
     @classmethod
     def decorated(cls, alpha: Alphabet, letters: Sequence[int],
@@ -513,107 +497,123 @@ class SectorRule:
         """The form-3 map sending each of the distinct positive ``letters``
         y to v y, v its entry of ``noise``, held as a descriptor; the
         letters whose entry is None are fixed, and every v is a word over
-        them.  So X is the one-letter words, Z the words v y, and Z is
-        triangular.  With ``inverse``, the inverse map y -> v^-1 y, whose
-        X and Z are those Z and X."""
+        them.  With ``inverse``, the inverse map y -> v^-1 y."""
+        if len(noise) != len(letters):
+            raise BasisShapeError("decorated sector: %d letters, %d noise "
+                                  "entries" % (len(letters), len(noise)))
+        e = alpha.word()
+        return cls._of(alpha, tuple(letters),
+                       [None if v is None else (v, y, e)
+                        for y, v in zip(letters, noise)], inverse)
+
+    @classmethod
+    def _of(cls, alpha: Optional[Alphabet], ys: Tuple[int, ...],
+            maps: Sequence[Optional[tuple]], inverted: bool) -> "SectorRule":
         self = cls.__new__(cls)
-        self.alpha, self._ys = alpha, tuple(letters)
-        self.noise, self._image_read = tuple(noise), inverse
-        fixed = _signed_set([y for y, v in zip(self._ys, self.noise)
-                             if v is None])
-        n = len(self._ys)
-        if (len(set(self._ys)) != n or len(self.noise) != n
-                or min(self._ys, default=1) < 1
-                or not all(v is None or fixed.issuperset(v.letters)
-                           for v in self.noise)):
-            raise BasisShapeError("decorated sector: letters must be distinct "
-                                  "and positive, one noise entry each, and "
-                                  "noise words over the fixed letters")
-        self._settle_domain(self._ys)
-        # a moving signed letter -> the descriptor its image holds beside it
-        self._pending: Dict[int, NoiseWord] = {}
-        for y, v in zip(self._ys, self.noise):
-            if v is not None:
-                fwd, back = (~v, v) if inverse else (v, ~v)
-                self._pending[y], self._pending[-y] = fwd, back
-        self.images = {}
-        self._settle_moves({y: v.letters | {y}
-                            for y, v in self._pending.items()})
-        self.letters = self.domain
-        self.z_member = lambda w: self.domain.issuperset(w.ltrs)
+        self._make(alpha, ys, maps, inverted)
         return self
 
-    def _settle_domain(self, letters: Sequence[int]) -> None:
-        """The domain read off the basis letters ``letters``, each signed
-        letter's basis term, and no noisy forms yet."""
-        self._terms: Dict[int, Tuple[int, int]] = {}
-        for j, y in enumerate(letters):
-            self._terms.setdefault(y, (j, 1))
-            self._terms.setdefault(-y, (j, -1))
-        self.domain = frozenset(self._terms)
+    def _make(self, alpha: Optional[Alphabet], ys: Tuple[int, ...],
+              maps: Sequence[Optional[tuple]], inverted: bool) -> None:
+        """Check the shape, and read the domain, the letters and the moving
+        letters off it."""
+        self.alpha, self.ys, self.maps = alpha, ys, tuple(maps)
+        self.inverted = inverted
+        fixed = _signed_set([y for y, f in zip(ys, maps) if f is None])
+        moving = [f for f in self.maps if f is not None]
+        cores = _signed_set([f[1] for f in moving])
+        if (len(set(ys)) != len(ys) or min(ys, default=1) < 1
+                or len(cores) != 2 * len(moving)
+                or not cores.isdisjoint(fixed)
+                or not all(fixed.issuperset(p.letters)
+                           and fixed.issuperset(s.letters)
+                           for p, _, s in moving)):
+            raise _not_triangular(self.X, self.Z)
+        ones = _signed_set(ys)
+        self.domain, self._z_letters = ((fixed | cores, ones) if inverted
+                                        else (ones, fixed | cores))
+        self.letters = ones | cores
+        # a moving signed letter -> its entry's letter y and (p, y', s)
+        self._pending: Dict[int, tuple] = {}
+        for y, f in zip(ys, self.maps):
+            if f is not None:
+                x = f[1] if inverted else y
+                self._pending[x] = self._pending[-x] = (y, f)
+        self.widen = frozenset(self._pending)
+        self.fixed = self.domain.difference(self.widen)
+        self.images: Dict[int, Tuple[int, ...]] = {}
+        self.produces: Dict[int, FrozenSet[int]] = {}
+        self._offsets: Dict[FrozenSet[int], Dict[int, Tuple[int, ...]]] = {}
         self.forms: Dict[tuple, Optional[int]] = {}
 
-    def _settle_moves(self, produces: Dict[int, FrozenSet[int]]) -> None:
-        """The moving letters, each with the letters of its image."""
-        self.produces = produces
-        self.widen = frozenset(produces)
-        self.fixed = self.domain.difference(produces)
-        self._offsets: Dict[FrozenSet[int], Dict[int, Tuple[int, ...]]] = {}
-
-    def _spell(self, decorated: bool) -> Tuple[Word, ...]:
-        """A decorated rule's one-letter basis, or with ``decorated`` its
-        basis of words v y, spelled from the descriptors."""
-        return tuple(Word(self.alpha, v.ltrs + (y,) if decorated and v
-                          is not None else (y,))
-                     for y, v in zip(self._ys, self.noise))
+    def _spell(self, words: bool) -> Tuple[Word, ...]:
+        """The one-letter basis, or with ``words`` the basis of words
+        p y' s, spelled from the entries."""
+        return tuple(Word(self.alpha, (y,) if f is None or not words
+                          else f[0].ltrs + (f[1],) + f[2].ltrs)
+                     for y, f in zip(self.ys, self.maps))
 
     @cached_property
     def X(self) -> Tuple[Word, ...]:
-        return self._spell(self._image_read)
+        return self._spell(self.inverted)
 
     @cached_property
     def Z(self) -> Tuple[Word, ...]:
-        return self._spell(not self._image_read)
+        return self._spell(not self.inverted)
 
-    def _spell_image(self, y: int) -> Tuple[int, ...]:
-        """Build the image of the moving letter y of a decorated rule, and
-        the offsets of its watch letters under every watch set seen."""
-        v = self._pending.pop(y)
-        img = v.ltrs + (y,) if y > 0 else (y,) + v.ltrs
-        self.images[y] = img
+    @cached_property
+    def _terms(self) -> Dict[int, Tuple[int, int]]:
+        """Each signed letter y -> its basis term."""
+        terms = {y: (j, 1) for j, y in enumerate(self.ys)}
+        terms.update((-y, (j, -1)) for j, y in enumerate(self.ys))
+        return terms
+
+    def z_member(self, w: Word) -> bool:
+        """Whether w lies in <Z>: whether its letters are Z's."""
+        return self._z_letters.issuperset(w.ltrs)
+
+    def _spell_image(self, x: int) -> Tuple[int, ...]:
+        """Build the image of the moving letter x, its letters, and the
+        offsets of its watch letters under every watch set seen."""
+        y, (p, c, s) = self._pending.pop(x)
+        if self.inverted:  # y' goes to p^-1 y s^-1
+            y, (p, c, s) = c, (~p, y, ~s)
+        if x != y:  # x is the inverse of the letter y that goes to p c s
+            p, c, s = ~s, -c, ~p
+        img = self.images[x] = p.ltrs + (c,) + s.ltrs
+        self.produces[x] = p.letters | s.letters | {c}
         for watch, offsets in self._offsets.items():
-            offsets[y] = _scan(img, watch)
+            offsets[x] = _scan(img, watch)
         return img
 
     @cached_property
     def inverse(self) -> "SectorRule":
         """f^-1 (X and Z swapped), built once; its inverse is this rule."""
-        inv = (SectorRule(self.Z, self.X) if self.noise is None else
-               SectorRule.decorated(self.alpha, self._ys, self.noise,
-                                    not self._image_read))
+        inv = SectorRule._of(self.alpha, self.ys, self.maps, not self.inverted)
         inv.__dict__["inverse"] = self
         return inv
 
     def relabel(self, letter_map: Dict[int, int],
                 alpha: Alphabet) -> "SectorRule":
-        """This rule renamed letter by letter into ``alpha``: a decorated
-        rule maps its letters and each descriptor's two letters, not the
-        noise words."""
-        if self.noise is None:
-            return SectorRule(
-                tuple(relabel(x, letter_map, alpha) for x in self.X),
-                tuple(relabel(z, letter_map, alpha) for z in self.Z))
-        return SectorRule.decorated(
-            alpha, [letter_map[y] for y in self._ys],
-            [v if v is None else v.relabel(letter_map) for v in self.noise],
-            self._image_read)
+        """This rule renamed letter by letter into ``alpha``: a descriptor
+        maps its two letters, and is not spelled."""
+        def letter(x):
+            return letter_map[x] if x > 0 else -letter_map[-x]
+
+        def word(w):
+            return (relabel(w, letter_map, alpha) if isinstance(w, Word)
+                    else w.relabel(letter_map))
+        return SectorRule._of(
+            alpha, tuple(map(letter, self.ys)),
+            [None if f is None else (word(f[0]), letter(f[1]), word(f[2]))
+             for f in self.maps], self.inverted)
 
     def express(self, w: Word) -> Optional[BasisExpression]:
         """Expression of w over X, or None when w lies outside <X>."""
         ltrs = w.ltrs
         if not self.domain.issuperset(ltrs):
             return None
-        if self._image_read:
+        if self.inverted:
             ltrs = list(ltrs)
             self.push(ltrs, _fresh(ltrs))
         return list(map(self._terms.__getitem__, ltrs))
@@ -676,35 +676,10 @@ class SectorRule:
                            watch, tuple(at)), ends)
 
 
-def triangular_sub(X: Tuple[Word, ...],
-                   Z: Tuple[Word, ...]) -> Optional[Dict[int, Word]]:
-    """Inverse substitution for sector maps of the shape x -> p x s.
-
-    Requires every X entry to be a single positive letter and every Z entry
-    to be that letter sandwiched by words over the fixed letters (those with
-    Z[j] == X[j]).  Returns {x: p^-1 x s^-1}, i.e. the inverse isomorphism as
-    a substitution, or None when the shape does not match.  A moving letter
-    is not fixed, so when p and s are over the fixed letters it occurs in
-    its Z entry just once, where ``index`` finds it.
-    """
-    if not X or not all(len(x.ltrs) == 1 and x.ltrs[0] > 0 for x in X):
-        return None
-    fixed = {x.ltrs[0] for x, z in zip(X, Z) if x == z}
-    fixed = fixed.union(map(neg, fixed))
-    sub: Dict[int, Word] = {}
-    for x, z in zip(X, Z):
-        xl, t = x.ltrs[0], z.ltrs
-        if xl in fixed:
-            continue
-        if xl not in t:
-            return None
-        h = t.index(xl)
-        p, s = t[:h], t[h + 1:]
-        if not (fixed.issuperset(p) and fixed.issuperset(s)):
-            return None
-        sub[xl] = Word(z.alpha, invert_letters(p, z.alpha) + (xl,)
-                       + invert_letters(s, z.alpha))
-    return sub
+def _not_triangular(X: Sequence[Word], Z: Sequence[Word]) -> BasisShapeError:
+    return BasisShapeError(
+        "sector bases X={%s} Z={%s} are not a triangular letter map"
+        % tuple(";".join(map(Word.format, b)) for b in (X, Z)))
 
 
 # a locked sector: its domain is the empty word
@@ -717,8 +692,11 @@ class GeneralizedRule:
     ``sectors[i]`` is None when sector i is locked (or, on linear
     hardware, for the nonexistent sector 0).  Every rule is checked when
     it is built: one part and one sector per hardware part, with part i's
-    q and q2 in Q_i, so no rule changes a base; free bases and inserts in
-    <Z>, all over the hardware's alphabet and inside their sectors.
+    q and q2 in Q_i, so no rule changes a base; bases and inserts in <Z>,
+    all over the hardware's alphabet and inside their sectors.  A sector
+    rule checked its own shape, a triangular letter map, when it was
+    built, so its bases are free and aligned, and <Z> is a letter test;
+    each distinct (sector rule, insert) pair is tested once.
     """
 
     def __init__(self, hw: Hardware, name: str, parts: Sequence[RulePart],
@@ -746,8 +724,6 @@ class GeneralizedRule:
         for i, sec in enumerate(self.sectors):
             if sec is None:
                 continue
-            if sec.noise is None and len(sec.X) != len(sec.Z):
-                raise ValueError("rule %s sector %d: |X| != |Z|" % (self.name, i))
             if sec.domain and sec.alpha is not hw.alpha:
                 raise ValueError("rule %s sector %d: bases over another "
                                  "alphabet" % (self.name, i))
@@ -755,21 +731,26 @@ class GeneralizedRule:
                 w = next(w for w in sec.X + sec.Z if not hw.sector_word(i, w))
                 raise ValueError("rule %s sector %d: basis word %r "
                                  "outside sector" % (self.name, i, w.format()))
-            if sec.z_member is None:
-                raise ValueError("rule %s sector %d: X or Z not free"
-                                 % (self.name, i))
+        # ring copies share their inserts and sector rules: each distinct
+        # (sector rule, insert) pair is checked once
+        checked: Set[Tuple[int, int]] = set()
         for i, rp in enumerate(self.parts):
             nxt = hw.next_part(i) if (hw.cyclic or i + 1 < hw.n_parts) else None
-            self._check_insert(i, rp.u)
+            self._check_insert(i, rp.u, checked)
             if nxt is None:
                 if rp.v:
                     raise ValueError("rule %s part %d: right insert beyond "
                                      "last sector" % (self.name, i))
             else:
-                self._check_insert(nxt, rp.v)
+                self._check_insert(nxt, rp.v, checked)
 
-    def _check_insert(self, sector: int, w: Word) -> None:
+    def _check_insert(self, sector: int, w: Word,
+                      checked: Set[Tuple[int, int]]) -> None:
         sec = self.sectors[sector]
+        key = (id(sec), id(w))
+        if key in checked:
+            return
+        checked.add(key)
         if sec is None:
             if w:
                 raise ValueError("rule %s: insert %r in locked sector %d"
@@ -805,23 +786,26 @@ def invert_rule(rule: GeneralizedRule) -> GeneralizedRule:
 
     Part i of the inverse is q_i' -> f_i^-1(u_i^-1) q_i f_{i+1}^-1(v_{i+1}^-1)
     where the f^-1 are the sector rules' ``inverse``, shared as the sector
-    rules are.  Swapped bases that fit neither sector shape raise
-    BasisShapeError naming the rule and the sector.
+    rules are.  Each distinct (sector rule, insert) pair is inverted once,
+    so the inverse rule shares its inserts where the rule does, as ring
+    copies do.
     """
     hw = rule.hw
-    inv_sectors: List[Optional[SectorRule]] = []
-    for i, sec in enumerate(rule.sectors):
-        try:
-            inv_sectors.append(None if sec is None else sec.inverse)
-        except BasisShapeError as e:
-            raise BasisShapeError("rule %s sector %d: inverse %s"
-                                  % (rule.name, i, e)) from e
+    inv_sectors = [None if sec is None else sec.inverse
+                   for sec in rule.sectors]
+    images: Dict[Tuple[int, int], Word] = {}
+
+    def image(sector: int, w: Word) -> Word:
+        key = (id(inv_sectors[sector]), id(w))
+        if key not in images:
+            images[key] = _image(inv_sectors[sector], sector, ~w)
+        return images[key]
+
     parts: List[RulePart] = []
     for i, rp in enumerate(rule.parts):
-        u2 = _image(inv_sectors[i], i, ~rp.u)
+        u2 = image(i, rp.u)
         nxt = hw.next_part(i) if (hw.cyclic or i + 1 < hw.n_parts) else None
-        v2 = (_image(inv_sectors[nxt], nxt, ~rp.v) if nxt is not None
-              else rp.v.alpha.word())
+        v2 = image(nxt, rp.v) if nxt is not None else rp.v.alpha.word()
         parts.append(RulePart(rp.q2, u2, rp.q, v2))
     return GeneralizedRule(hw, _inv_name(rule.name), parts, inv_sectors,
                            positive=not rule.positive)
@@ -1289,25 +1273,20 @@ def _noise_free(basis: FrozenSet, alpha: Alphabet) -> bool:
              for v in basis}
     if len(kinds) == 1 and None not in kinds and next(iter(kinds))[2]:
         return True
-    spelled = {v.ltrs if isinstance(v, NoiseWord) else v for v in basis}
+    spelled = {v.ltrs for v in basis}
     return validate_basis([Word(alpha, v) for v in spelled])
 
 
 def _entries(sec: SectorRule) -> Optional[List[Tuple[int, object, int]]]:
-    """Each basis entry of ``sec`` as (x, v, z), read x -> v z: x the one
-    positive letter of its X entry, and its Z entry split into v, all but
-    its last letter, and z, its last letter (0 for an empty entry).  v is
-    a descriptor, or () for none, in a decorated rule, and a letter tuple
-    in a rule given by words.  None when some X entry is not one
-    positive letter."""
-    if sec._image_read:
+    """Each basis entry of ``sec`` as (x, v, z), read x -> v z: x its
+    letter and z the one letter of its image that is not fixed, v the word
+    before z (a ``Word``, empty when x is fixed, or a descriptor).  None
+    when the rule is inverted or an image has letters after z."""
+    if sec.inverted or any(f is not None and f[2] for f in sec.maps):
         return None
-    if sec.noise is not None:
-        return [(y, v or (), y) for y, v in zip(sec._ys, sec.noise)]
-    if not all(len(w) == 1 and w.ltrs[0] > 0 for w in sec.X):
-        return None
-    return [(x.ltrs[0], z.ltrs[:-1], z.ltrs[-1] if z else 0)
-            for x, z in zip(sec.X, sec.Z)]
+    e = Word(sec.alpha, ())
+    return [(y, e, y) if f is None else (y, f[0], f[1])
+            for y, f in zip(sec.ys, sec.maps)]
 
 
 def _classify_sector(d: tuple, sec: SectorRule) -> Optional[int]:
@@ -1334,8 +1313,7 @@ def _classify_sector(d: tuple, sec: SectorRule) -> Optional[int]:
             if x in Nset:
                 ok = not v and z == x
             else:
-                ok = (x in Mset and z == x and Nset.issuperset(
-                    v.letters if isinstance(v, NoiseWord) else v))
+                ok = x in Mset and z == x and Nset.issuperset(v.letters)
             if not ok:
                 return None
         return 3

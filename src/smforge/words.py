@@ -26,8 +26,8 @@ from __future__ import annotations
 from functools import cached_property
 from itertools import islice, takewhile
 from operator import add, neg, not_, sub
-from typing import (Callable, Dict, FrozenSet, Iterable, Iterator, List,
-                    Optional, Sequence, Set, Tuple)
+from typing import (Dict, FrozenSet, Iterable, Iterator, List, Optional,
+                    Sequence, Set, Tuple)
 
 KINDS = ("q", "a", "t")
 SUBKINDS = ("A", "b", "o")
@@ -344,6 +344,11 @@ class Word:
         if isinstance(i, slice):
             return Word(self.alpha, self.ltrs[i])
         return self.ltrs[i]
+
+    @property
+    def letters(self) -> FrozenSet[int]:
+        """The signed letters the word holds."""
+        return frozenset(self.ltrs)
 
     # -- text --------------------------------------------------------------
 
@@ -700,24 +705,6 @@ def free_basis_folder(basis: Sequence[Word]) -> Optional[_Folder]:
         return None
     folder = _Folder(basis)
     return folder if folder.rank() == len(basis) else None
-
-
-def free_basis_member(basis: Sequence[Word]
-                      ) -> Optional[Callable[[Word], bool]]:
-    """Membership in <basis> when the words freely generate a subgroup of
-    rank len(basis), else None: a letter test when the basis is
-    triangular (:func:`triangular_letters`), else the fold's ``accepts``.
-
-    >>> al = Alphabet(); a, b, m = (al.intern(x) for x in "abm")
-    >>> inside = free_basis_member([al.word([a, m]), al.word([a])])
-    >>> inside(al.word([m, a, m])), inside(al.word([b]))
-    (True, False)
-    """
-    letters = triangular_letters(basis)
-    if letters is not None:
-        return lambda w: letters.issuperset(w.ltrs)
-    folder = free_basis_folder(basis)
-    return None if folder is None else folder.accepts
 
 
 def is_member(w: Word, basis: Sequence[Word]) -> bool:

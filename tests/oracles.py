@@ -197,27 +197,41 @@ def reference_validate_basis(basis: Sequence[Word]) -> bool:
 
 def reference_express(sec, w):
     """Expression of w over sec.X: by express_in_basis when every X entry
-    is one letter, else through triangular_sub(sec.Z, sec.X), whose image
-    is read off the one-letter Z entries and then read back through X."""
-    from smforge.smachine import triangular_sub
+    is one letter, else by the inverse substitution.  Then every Z entry
+    is one letter z, and each X entry is z when fixed (X[k] == Z[k]), else
+    p y s with y its one letter outside the fixed ones: sending y to
+    p^-1 z s^-1 and each fixed letter to itself carries w to a word over
+    the Z letters, read off letter by letter and checked back through X."""
     from smforge.words import express_in_basis, expression_word, substitute
 
     if not sec.X:
         return [] if not w else None
     if all(len(x) == 1 for x in sec.X):
         return express_in_basis(w, sec.X)
-    sub = triangular_sub(sec.Z, sec.X)
-    images = {abs(x): sub.get(abs(x), w.alpha.word([abs(x)]))
-              for x in w.ltrs}
-    u = substitute(w, images, w.alpha)
+    al = w.alpha
+    fixed = {s * z.ltrs[0] for x, z in zip(sec.X, sec.Z) if x == z
+             for s in (1, -1)}
+    images = {}
+    for x, z in zip(sec.X, sec.Z):
+        outside = [j for j, y in enumerate(x.ltrs) if y not in fixed]
+        if not outside:
+            images[abs(z.ltrs[0])] = al.word([abs(z.ltrs[0])])
+            continue
+        j, = outside
+        p, y, s = al.word(x.ltrs[:j]), x.ltrs[j], al.word(x.ltrs[j + 1:])
+        img = ~p * z * ~s
+        images[abs(y)] = img if y > 0 else ~img
+    if any(abs(y) not in images for y in w.ltrs):
+        return None
+    u = substitute(w, images, al)
     zpos = {z.ltrs[0]: j for j, z in enumerate(sec.Z)
             if len(z.ltrs) == 1 and z.ltrs[0] > 0}
     expr = []
-    for x in u.ltrs:
-        j = zpos.get(abs(x))
+    for y in u.ltrs:
+        j = zpos.get(abs(y))
         if j is None:
             return None
-        expr.append((j, 1 if x > 0 else -1))
+        expr.append((j, 1 if y > 0 else -1))
     if expression_word(sec.X, expr) != w:
         return None
     return expr

@@ -11,9 +11,12 @@ benchmark's desk parameters (L = 4 copies) with a c=1
 folds no basis: every sector basis the tower checks is free on sight, so
 no Stallings folder is built.  Then it builds every inverse rule of the
 main machine, of M1 and of M5; each is checked when it is built, like
-every rule, and none may be refused.  It prints the build time, the
-folders built, the inverse rules built and their time, and the process's
-peak RSS, and exits nonzero when a check fails.
+every rule, and none may be refused.  Last it times the first decode on
+the machine: one ``strip_history`` on its ``local_scheme`` of a marker
+decorated by three noise steps, which must read back those steps.  It
+prints the build time, the folders built, the inverse rules built and
+their time, the decode time and the process's peak RSS, and exits
+nonzero when a check fails.
 The body runs only as a script, so test collection imports this module
 without running anything.
 """
@@ -27,6 +30,7 @@ import time
 def main(argv):
     sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
     from smforge import embedding, words
+    from smforge.machines import strip_history
     from smforge.mainmachine import DivisibleRecognizer, Params, build_main
 
     C = int(argv[0]) if argv else 8
@@ -53,11 +57,21 @@ def main(argv):
             except ValueError as e:
                 refused.append("%s %s: %s" % (m.name, name, e))
     t2 = time.perf_counter()
+    # the marker of a after the noise steps of ys, last to first:
+    # v(y3, a) v(y2, a) v(y1, a) a1, which their inverses strip in order
+    sch = main.local_scheme
+    a, ys = sch.A[0], (sch.B[0], sch.A[-1], sch.B[1])
+    ltrs = sum((sch.noise_word(y, a).ltrs for y in reversed(ys)), ())
+    w = words.Word(sch.alpha, ltrs + (sch.mark(a),))
+    t3 = time.perf_counter()
+    stripped = strip_history(w, sch)
+    t4 = time.perf_counter()
     rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
     print("pipeline Z2 at C = %d: %d tape letters, %d rules, build %.2f s, "
-          "%d folders, %d inverse rules in %.2f s, peak RSS %.1f MB"
+          "%d folders, %d inverse rules in %.2f s, first decode %.3f s, "
+          "peak RSS %.1f MB"
           % (C, len(letters), len(main.machine.rules), t1 - t0, len(folds),
-             sum(len(m.rules) for m in machines), t2 - t1, rss))
+             sum(len(m.rules) for m in machines), t2 - t1, t4 - t3, rss))
     if len(letters) != 2 * C:
         print("expected %d tape letters" % (2 * C))
         return 1
@@ -66,6 +80,10 @@ def main(argv):
         return 1
     if refused:
         print("inverse rules refused:\n" + "\n".join(refused))
+        return 1
+    if stripped is None or stripped[0] != [(sch.rule_name(y), -1)
+                                           for y in ys]:
+        print("the decode did not read back the noise steps")
         return 1
     return 0
 

@@ -1,6 +1,7 @@
 """Tests for the bottom tower machine: noise scheme, shift, acceptance."""
 
 import random
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -216,7 +217,7 @@ def test_noise_mutants_get_the_fold_s_verdict(n):
             if r.name == sch.rule_name(y):
                 xs = [x.ltrs[0] for x in sec.X]
                 if isinstance(u, NoiseWord):
-                    noise = list(sec.noise)
+                    noise = [f and f[0] for f in sec.maps]
                     noise[j] = u
                     sec = SectorRule.decorated(al, xs, noise)
                 else:
@@ -260,12 +261,21 @@ def test_noise_word_lengths_and_distinctness(letters):
 def test_noise_words_share_under_a_quarter(n):
     """decode_noise's premise over n payload letters: two distinct signed
     noise words share fewer than D/4 leading letters, read off the sorted
-    neighbours as validate_basis reads them, so the heads are distinct."""
+    neighbours as validate_basis reads them, so their heads of 3D/4 + 1
+    letters are distinct; and each word's leading run, b1^k or b2^-k,
+    gives its k = eta(y, a), from which pair reads (y, a) back."""
     _, sch = m1(*"aceg"[:n])
     ws = [sch.noise_word(y, a, s).ltrs for y, a in sch.pairs() for s in (1, -1)]
     assert len(set(ws)) == len(ws) == 2 * (n + 2) * n
     assert 4 * max(p for _, _, p in sorted_overlaps(ws)) < sch.D
-    assert len(sch.heads) == len(ws)
+    assert len({w[:sch.head] for w in ws}) == len(ws)
+    for y, a in sch.pairs():
+        k = sch.eta(y, a)
+        assert sch.pair(k) == (y, a)
+        for s in (1, -1):
+            w = sch.noise_word(y, a, s).ltrs
+            sign, run = sch.runs[w[0]]
+            assert sign == s and w[:k] == run[:k] and w[k] != w[0]
 
 
 @given(st.integers(1, 6), st.randoms(use_true_random=False))
@@ -298,7 +308,7 @@ def test_noise_descriptors_spell_the_reference_words(n, rnd):
         rule = m4.rules[sch.rule_name(y)]
         # sector 1's mirror is sector 2 * 3 - 1
         mirrored = rule.sectors[5]
-        assert mirrored.noise is not None
+        assert all(isinstance(f[0], NoiseWord) for f in mirrored.maps if f)
         for a, z in zip(sch.A, mirrored.Z):
             ref = reference_noise_word(sch, y, a) * al.word([sch.mark(a)])
             assert z == relabel(ref, bar, al4)
@@ -307,39 +317,52 @@ def test_noise_descriptors_spell_the_reference_words(n, rnd):
 @p("n", [1, 2, 3])
 def test_a_decorated_rule_matches_its_bases_given_as_words(n):
     """M1's sector-1 rules and their inverses are decorated: each has the
-    domain, fixed and moving letters, image letters, basis terms and
-    membership test of the rule built from its bases given as words, and,
-    once a push has moved each letter, the same images."""
+    letters, orientation and fixed entries, domain, fixed and moving
+    letters, image letters, basis terms and membership test of the rule
+    read from its bases given as words, whose entries hold the spelled
+    noise words, and, once a push has moved each letter, the same
+    images."""
     m, sch = m1(*"ace"[:n])
     al = sch.alpha
     for r in m.rules.values():
         for sec in (r.sectors[1], r.sectors[1].inverse):
             ref = SectorRule(sec.X, sec.Z)
-            assert sec.noise is not None and ref.noise is None
-            for attr in ("domain", "fixed", "widen", "produces", "letters",
-                         "_terms", "_image_read", "alpha"):
+            assert any(isinstance(f[0], NoiseWord) for f in sec.maps if f)
+            assert not any(isinstance(f[0], NoiseWord) for f in ref.maps if f)
+            assert [f and (f[0].ltrs,) + f[1:] for f in sec.maps] == \
+                [f and (f[0].ltrs,) + f[1:] for f in ref.maps]
+            for attr in ("ys", "inverted", "domain", "fixed", "widen",
+                         "letters", "_terms", "alpha"):
                 assert getattr(sec, attr) == getattr(ref, attr), attr
             for w in sec.Z + (al.word(sch.A), al.word(sch.B)):
                 assert sec.z_member(w) == ref.z_member(w)
-            assert sec.images == {}
+            assert sec.images == ref.images == {}
             for y in sec.widen:
-                buf = [y]
-                sec.push(buf, _fresh(buf))
-                assert tuple(buf) == ref.images[y]
+                bufs = [[y], [y]]
+                sec.push(bufs[0], _fresh(bufs[0]))
+                ref.push(bufs[1], _fresh(bufs[1]))
+                assert bufs[0] == bufs[1] and tuple(bufs[0]) == sec.images[y]
             assert sec.images == ref.images
+            assert sec.produces == ref.produces == {
+                y: frozenset(img) for y, img in sec.images.items()}
 
 
 def test_a_decorated_rule_refuses_what_is_not_form_3():
     """Repeated or negative letters, a noise entry too few, and a noise
-    word over a letter that moves are refused."""
+    word over a letter that moves are refused when the rule is built."""
     al = Alphabet()
     m, b1, b2 = (al.intern(x) for x in ("m", "b1", "b2"))
     v = NoiseWord(b1, b2, 1, 1)
-    for letters, noise in [((m, m, b1), (None,) * 3),
-                           ((-m, b1, b2), (None,) * 3),
-                           ((m, b1, b2), (v, None)),
-                           ((m, b1), (v, None))]:
-        with pytest.raises(BasisShapeError, match="decorated sector"):
+    for letters, noise, message in [
+            ((m, m, b1), (None,) * 3, "X={m;m;b1} Z={m;m;b1} are not a "
+             "triangular letter map"),
+            ((-m, b1, b2), (None,) * 3, "X={m^-1;b1;b2} Z={m^-1;b1;b2} are "
+             "not a triangular letter map"),
+            ((m, b1, b2), (v, None), "decorated sector: 3 letters, 2 noise "
+             "entries"),
+            ((m, b1), (v, None), "X={m;b1} Z={b1 b2 b1 b2 m;b1} are not a "
+             "triangular letter map")]:
+        with pytest.raises(BasisShapeError, match=re.escape(message)):
             SectorRule.decorated(al, letters, noise)
     sec = SectorRule.decorated(al, (m, b1, b2), (v, None, None))
     assert [z.format() for z in sec.Z] == ["b1 b2 b1 b2 m", "b1", "b2"]

@@ -428,6 +428,29 @@ def test_ring_lift_golden(main1, case):
     assert hashlib.sha256(text.encode()).hexdigest()[:16] == digest
 
 
+# sha256 prefixes of machine_to_text for M1, M5 and the main machine over
+# the Z2 pipeline's 2 C tape letters, recorded before every sector rule
+# was held as one triangular letter map
+Z2_GOLDEN = {
+    1: ("c47c07f2e3c91239", "24812dbbc190bfc1", "e6af476a8365de9a"),
+    2: ("a03d25465d460443", "e50cc50ebbebd765", "1cb9c2c0b1334fdf"),
+}
+
+
+@p("C", list(Z2_GOLDEN))
+def test_z2_pipeline_machines_golden(C):
+    """The machines over the Z2 pipeline's 2 and 4 tape letters hold
+    decorated rules over several letters, which RING_GOLDEN's machines
+    over one or two payload letters do not; the 4 letters are those the
+    language workload builds on."""
+    from smforge import embedding
+    pipe = embedding.build_pipeline(embedding.builtin_oracle("Z2"), C)
+    letters = tuple(pipe.letters)
+    main = build_main(letters, DivisibleRecognizer(letters, 1), DESK4)
+    assert tuple(hashlib.sha256(machine_to_text(m).encode()).hexdigest()[:16]
+                 for m in (main.m1, main.m5, main.machine)) == Z2_GOLDEN[C]
+
+
 # -- the sector language ------------------------------------------------------------
 
 
@@ -706,13 +729,41 @@ def test_language_setup_spells_no_noise_word_and_classifies_once(
         main.m5.input_sectors) == len(letters) + 7
 
 
+def test_a_decode_spells_only_the_noise_words_it_peels(monkeypatch):
+    """Over the Z2 pipeline's 16 tape letters (C = 8), the first
+    strip_history on the main machine's own scheme reads each noise
+    word's k off its leading run and spells the words it peels, each
+    once, and no other: 3 here, not the 2n(n + 2) = 576 signed noise
+    words of the scheme."""
+    from smforge import embedding, words
+    from smforge.machines import strip_history
+    pipe = embedding.build_pipeline(embedding.builtin_oracle("Z2"), 8)
+    letters = tuple(pipe.letters)
+    main = build_main(letters, DivisibleRecognizer(letters, 1), DESK4)
+    sch = main.local_scheme
+    a, ys = sch.A[0], (sch.B[0], sch.A[-1], sch.B[1], sch.B[0])
+    # the marker of a after the noise steps of ys, last to first
+    gap = sum((sch.noise_word(y, a).ltrs for y in reversed(ys)), ())
+    w = words.Word(sch.alpha, gap + (sch.mark(a),))
+    spelled = []
+    ltrs = words.NoiseWord.ltrs.fget
+    monkeypatch.setattr(words.NoiseWord, "ltrs", property(
+        lambda v: spelled.append(v) or ltrs(v)))
+    hist, skeleton = strip_history(w, sch)
+    assert len(letters) == 16 and len(sch.A) == 16
+    assert hist == [(sch.rule_name(y), -1) for y in ys]
+    assert skeleton.ltrs == (sch.mark(a),)
+    assert len(spelled) == len(set(spelled)) == 3
+    assert set(spelled) == {sch.noise_word(y, a) for y in ys}
+
+
 def test_every_pushed_image_equals_the_letter_built_one(monkeypatch):
-    """A decorated sector rule spells the image of a letter on the first
-    push that moves it.  Over one accept pass and one language pass of the
-    benchmark (seed 7), every image spelled equals the one the same rule
-    builds from its bases given as words, and the passes spell only a few
-    of the images their set-ups could (33 of 176 on accept, 16 of 384 on
-    language, when measured)."""
+    """A sector rule spells the image of a letter on the first push that
+    moves it.  Over one accept pass and one language pass of the
+    benchmark (seed 7), every image spelled equals the one the rule read
+    from the same bases given as words pushes, and the passes spell only
+    a few of the images their set-ups could (39 of 188 on accept, 20 of
+    400 on language, when measured)."""
     import random
     monkeypatch.syspath_prepend(str(SMBENCH))
     workloads = importlib.import_module("workloads")
@@ -721,9 +772,9 @@ def test_every_pushed_image_equals_the_letter_built_one(monkeypatch):
     image = smachine.SectorRule._spell_image
     monkeypatch.setattr(smachine.SectorRule, "_spell_image",
                         lambda sec, y: built.append((sec, y)) or image(sec, y))
-    decorated = smachine.SectorRule.decorated.__func__
-    monkeypatch.setattr(smachine.SectorRule, "decorated", classmethod(
-        lambda cls, *args: made.append(decorated(cls, *args)) or made[-1]))
+    make = smachine.SectorRule._make
+    monkeypatch.setattr(smachine.SectorRule, "_make",
+                        lambda sec, *args: made.append(sec) or make(sec, *args))
     for name in ("accept", "language"):
         w = workloads.WORKLOADS[name]()
         del made[:]
@@ -734,31 +785,29 @@ def test_every_pushed_image_equals_the_letter_built_one(monkeypatch):
             assert req.check(req.call()) is None, (name, req.label)
         assert 0 < 4 * len(built) < moving
         letter_built = {}
-        for sec, y in built:
+        for sec, y in list(built):
             if id(sec) not in letter_built:
                 letter_built[id(sec)] = smachine.SectorRule(sec.X, sec.Z)
-            assert sec.images[y] == letter_built[id(sec)].images[y]
+            buf = [y]
+            letter_built[id(sec)].push(buf, smachine._fresh(buf))
+            assert sec.images[y] == tuple(buf)
 
 
 def test_every_basis_a_setup_checks_is_free_on_sight(monkeypatch):
     """Every basis the workload set-ups (M(a), M(a,b) and the 4-letter Z
     pipeline's) and the Z2 pipelines at C = 1, 2 hand to validate_basis,
-    and every Z basis whose membership test they build, is freed by the
-    triangular test or the overlap test, so none is folded.  A decorated
-    sector rule decides its X and Z free off its descriptors' letters, and
-    a basis of descriptors is decided by arithmetic: those are spelled
-    here, after the build.  The fold alone agrees on each."""
+    and the X and Z bases of every sector rule they build, is free by the
+    fold alone, and none is folded.  A sector rule is a triangular letter
+    map, free on its letters when it is built, and a basis of
+    descriptors is decided by arithmetic: those are spelled here, after
+    the build."""
     from smforge import embedding, smachine, words
     from oracles import reference_validate_basis
     seen = {}
-    decorated, noise = [], []
-    make = smachine.SectorRule.decorated.__func__
-
-    def decorate(cls, *args):
-        decorated.append(make(cls, *args))
-        return decorated[-1]
-    monkeypatch.setattr(smachine.SectorRule, "decorated",
-                        classmethod(decorate))
+    made, noise = [], []
+    make = smachine.SectorRule._make
+    monkeypatch.setattr(smachine.SectorRule, "_make",
+                        lambda sec, *args: made.append(sec) or make(sec, *args))
     noise_free = smachine._noise_free
     monkeypatch.setattr(smachine, "_noise_free", lambda basis, al: (
         noise.append((basis, al)) or noise_free(basis, al)))
@@ -770,14 +819,6 @@ def test_every_basis_a_setup_checks_is_free_on_sight(monkeypatch):
         record(basis)
         return words.validate_basis(basis)
     monkeypatch.setattr(smachine, "validate_basis", validate)
-    triangular = words.triangular_letters
-
-    def triangular_letters(basis):
-        letters = triangular(basis)
-        if letters is not None:
-            record(basis)
-        return letters
-    monkeypatch.setattr(words, "triangular_letters", triangular_letters)
     folded = []
     monkeypatch.setattr(words, "free_basis_folder",
                         lambda basis: folded.append(basis))
@@ -787,9 +828,10 @@ def test_every_basis_a_setup_checks_is_free_on_sight(monkeypatch):
     for letters in [("a",), ("a", "b")] + [tuple(x.letters) for x in pipes]:
         build_main(letters, DivisibleRecognizer(letters, 1), DESK4)
     monkeypatch.undo()
-    for sec in decorated:
-        record(sec.X)
-        record(sec.Z)
+    for sec in made:
+        if sec.domain:
+            record(sec.X)
+            record(sec.Z)
     for basis, al in noise:
         record([words.Word(al, v.ltrs) for v in basis])
     assert folded == [] and len(seen) > 60
@@ -844,10 +886,11 @@ def test_start_rules_share_the_marking_sector_rules(main1):
 def test_every_sector_compiles_to_one_of_the_two_shapes(main1, main_rej):
     """Every rule and every inverse rule of the machines build_main makes,
     M(a), M(a,b) and the 4-letter Z pipeline's with c = 1 and 2 and M(a)
-    with the rejecting plugin, compiles each sector without a
-    BasisShapeError.  A sector with one-letter X entries has the signed X
-    letters for its domain; any other is read off the image, on the signed
-    Z letters, and sits on an inverse rule only, as a band needs."""
+    with the rejecting plugin, builds each sector rule without a
+    BasisShapeError, as a triangular letter map in one of its two
+    orientations: its side of letters is one letter an entry, and its
+    domain is the signed X letters.  The side of letters is X on every
+    positive rule, as a band needs, and Z on some inverse rules."""
     from smforge import embedding
     pipe = embedding.build_pipeline(embedding.builtin_oracle("Z"), 2)
     mains = [main1, main_rej]
@@ -861,10 +904,10 @@ def test_every_sector_compiles_to_one_of_the_two_shapes(main1, main_rej):
         m = main.machine
         for name, sign in m.theta():
             for sec in filter(None, m.rule(name, sign).sectors):
-                ones = sec.Z if sec._image_read else sec.X
+                ones = sec.Z if sec.inverted else sec.X
                 assert all(len(w) == 1 for w in ones)
-                assert sec.domain == {s * w.ltrs[0] for w in ones
+                assert sec.domain == {s * y for w in sec.X for y in w.ltrs
                                       for s in (1, -1)}
-                assert not (sec._image_read and sign > 0), (name, m.name)
-                shapes.add(sec._image_read)
+                assert not (sec.inverted and sign > 0), (name, m.name)
+                shapes.add(sec.inverted)
     assert shapes == {False, True}

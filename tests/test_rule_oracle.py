@@ -1,9 +1,9 @@
 """Compiled rule application against the generic reference in oracles.py.
 
 Words come from random reduced histories on M1, M5, the L=4 main machine
-and a small machine whose sector 1 is read in both compiled shapes: over
-one-letter X entries, and off the image of a substitution (X = {a b, b,
-d}, whose domain is the whole sector alphabet, and X = {d a, d}, whose
+and a small machine whose sector 1 holds triangular letter maps in both
+orientations: X the side of letters, and X the side of words (X = {a b,
+b, d}, whose domain is the whole sector alphabet, and X = {d a, d}, whose
 domain lacks b), and whose a -> a b cancels letters at the junctions of
 images.  The walks start at configurations of accepting computations, or
 of hand-picked tapes for the small machine.  Each is also cut to a slice
@@ -14,12 +14,13 @@ the same message.
 
 One sector at a time, SectorRule.push, which edits a buffer in place, must
 give reference_image's result between random inserts, and
-SectorRule.express reference_express's, in both sector shapes (one-letter
-X, read off the image), on M1, its inverse rules and the small machine,
-with the tape's letters given as any superset: letters absent from the
-tape, moving letters absent from it, and letters outside the rule's
-domain; a push that fails must leave the buffer untouched, and the
-positions they return must be those of the watch letters of the buffer.
+SectorRule.express reference_express's, in both orientations, on M1, its
+inverse rules and the small machine, with the tape's letters given as
+any superset: letters absent from the tape, moving letters absent from
+it, and letters outside the rule's domain; a push that fails must leave
+the buffer untouched, and the positions they return must be those of the
+watch letters of the buffer.  Random triangular letter maps, built from
+words and from their entries, must do the same on their exact letters.
 The in-place junction under all of them must match a plain loop on
 junctions that cancel up to several hundred letters.
 
@@ -48,12 +49,13 @@ from oracles import (naive_reduce, random_reduced, random_signed_ids,
 from smforge.machines import _decode_rear, build_m1, shift
 from smforge.mainmachine import (DivisibleRecognizer, Params, accepting_run,
                                  build_main)
-from smforge.smachine import (AdmissibleWord, GeneralizedRule, Hardware,
-                              Machine, MachineError, Part, RulePart,
-                              SectorMismatchError, SectorRule, apply_rule,
-                              _settle, parse_history, semi_apply)
+from smforge.smachine import (AdmissibleWord, BasisShapeError,
+                              GeneralizedRule, Hardware, Machine,
+                              MachineError, Part, RulePart,
+                              SectorMismatchError, SectorRule, _fresh,
+                              _settle, apply_rule, parse_history, semi_apply)
 from smforge.towers import SigmaSpec, bar_name, compose, cyclify, reflect
-from smforge.words import Alphabet, Word, relabel
+from smforge.words import Alphabet, NoiseWord, Word, relabel
 
 
 def _m1():
@@ -243,7 +245,7 @@ def test_compiled_rules_match_reference(name, seed):
 # -- one sector at a time --------------------------------------------------------
 
 def _mode(sec):
-    return "image" if sec._image_read else "one-letter"
+    return "image" if sec.inverted else "one-letter"
 
 
 def _sector_cases():
@@ -405,6 +407,124 @@ def test_sector_push_matches_reference_image(seed):
                 assert semi_apply(w, rule, i) == image
 
 
+_TRI = ("a", "b", "d", "e", "f", "g")
+
+
+@st.composite
+def triangular_maps(draw):
+    """A triangular letter map over the letters of _TRI: distinct positive
+    letters ys, the first fixed, each other sent to p y' s with y' a
+    letter, of either sign, that is no fixed one and no other entry's,
+    and p and s random words over the fixed letters, p sometimes a
+    NoiseWord over two fixed letters; and whether the map is inverted.
+    Returns ys, the entries (None or (p, y', s), p a letter tuple or a
+    NoiseWord, s a tuple) and the flag."""
+    n = draw(st.integers(1, len(_TRI)))
+    ys = draw(st.permutations(range(1, len(_TRI) + 1)))[:n]
+    nf = draw(st.integers(0, n))
+    fixed = ys[:nf]
+    sign = st.sampled_from((1, -1))
+    free = [y for y in range(1, len(_TRI) + 1) if y not in fixed]
+    cores = draw(st.permutations(free))[:n - nf]
+    over_f = (st.lists(st.sampled_from([s * f for f in fixed
+                                        for s in (1, -1)]),
+                       max_size=3).map(naive_reduce) if fixed
+              else st.just(()))
+
+    def prefix():
+        if len(fixed) > 1 and draw(st.booleans()):
+            b1, b2 = draw(st.permutations(fixed))[:2]
+            return NoiseWord(draw(sign) * b1, draw(sign) * b2,
+                             draw(st.integers(0, 2)), draw(st.integers(0, 2)))
+        return draw(over_f)
+    maps = [None] * nf + [(prefix(), draw(sign) * c, draw(over_f))
+                          for c in cores]
+    return tuple(ys), maps, draw(st.booleans())
+
+
+def _spelled(p):
+    return p.ltrs if isinstance(p, NoiseWord) else p
+
+
+@given(triangular_maps(), st.randoms(use_true_random=False))
+@settings(max_examples=150, deadline=None)
+def test_random_triangular_maps_match_the_reference(case, rnd):
+    """A triangular letter map in either orientation, built from its bases
+    given as words and, with its entries as they are drawn (noise words as
+    descriptors), through the one construction path, spells X and Z back
+    exactly as given.  On random sector words and products of X entries
+    its push and express, and its inverse's, give reference_image's and
+    reference_express's results, and the inverse undoes the map.  A
+    one-letter edit of a word entry that breaks the shape (its letter y'
+    twice, or none) raises BasisShapeError."""
+    ys, maps, inverted = case
+    al = Alphabet()
+    letters = [al.intern(x) for x in _TRI]  # ids 1 to 6, as drawn
+    q0, q1, q2 = (al.intern(n, kind="q") for n in ("q0", "q1", "q2"))
+    c = al.intern("c")
+    hw = Hardware(al, [Part((q,), q, q) for q in (q0, q1, q2)],
+                  [(), tuple(letters), (c,)])
+    fix = SectorRule((al.word([c]),), (al.word([c]),))
+    ones = [(y,) for y in ys]
+    words = [(y,) if f is None else
+             naive_reduce(_spelled(f[0]) + (f[1],) + f[2]) for y, f in
+             zip(ys, maps)]
+    X, Z = (words, ones) if inverted else (ones, words)
+    X, Z = (tuple(al.raw_word(t) for t in b) for b in (X, Z))
+    e = al.word()
+    built = [SectorRule(X, Z), SectorRule._of(al, ys, [
+        f and (f[0] if isinstance(f[0], NoiseWord) else al.word(f[0]),
+               f[1], al.word(f[2])) for f in maps], inverted)]
+    assert built[1].inverted is inverted
+    r = random.Random(rnd.random())
+    for sec in built:
+        assert (sec.X, sec.Z) == (X, Z)
+        inv = sec.inverse
+        assert (inv.X, inv.Z) == (Z, X) and inv.inverse is sec
+        rules = [GeneralizedRule(hw, "r", [RulePart(q, e, q, e)
+                                           for q in (q0, q1, q2)],
+                                 [None, s, fix]) for s in (sec, inv)]
+        probes = [al.word(random_reduced(r, letters, r.randrange(8)))
+                  for _ in range(6)]
+        probes += [al.word(naive_reduce(sum(
+            (x.ltrs if r.random() < 0.5 else (~x).ltrs
+             for x in r.choices(X, k=r.randrange(5))), ())))
+            for _ in range(6)]
+        for w in probes:
+            for rule in rules:
+                s = rule.sectors[1]
+                assert s.express(w) == reference_express(s, w)
+                buf = list(w.ltrs)
+                got = s.push(buf, _fresh(buf))
+                try:
+                    image = reference_image(rule, 1, w).ltrs
+                except SectorMismatchError:
+                    assert got is None and buf == list(w.ltrs)
+                    continue
+                assert tuple(buf) == image
+                if s is sec:
+                    back = list(image)
+                    assert inv.push(back, _fresh(back)) is not None
+                    assert tuple(back) == w.ltrs
+    # one-letter edits of a word entry that break the shape
+    fixed = {s * y for y, f in zip(ys, maps) if f is None for s in (1, -1)}
+    for j, t in enumerate(words):
+        if maps[j] is None:
+            continue
+        core = t.index(maps[j][1])
+        edits = [t[:i] + (t[core],) + t[i + 1:] for i in range(len(t))
+                 if i != core]
+        edits += [t[:core] + (f,) + t[core + 1:] for f in sorted(fixed)]
+        for u in [u for u in edits if naive_reduce(u) == u][:4]:
+            edited = list(words)
+            edited[j] = u
+            X2, Z2 = (edited, ones) if inverted else (ones, edited)
+            with pytest.raises(BasisShapeError,
+                               match="not a triangular letter map"):
+                SectorRule(*(tuple(al.raw_word(v) for v in b)
+                             for b in (X2, Z2)))
+
+
 @given(seed=st.integers(0, 2 ** 32 - 1))
 @settings(max_examples=30, deadline=None)
 def test_settle_cancels_long_junctions_in_place(seed):
@@ -485,17 +605,18 @@ def test_runs_match_reference_run(name, seed):
 
 
 def test_a_rule_that_empties_a_letter_is_refused():
-    """A rule mapping a to the empty word is not an isomorphism, so it is
-    refused when it is built; no rule can then empty a window between
-    two inverse state letters."""
+    """A rule mapping a to the empty word is not an isomorphism, nor a
+    triangular letter map, so its sector rule is refused when it is
+    built; no rule can then empty a window between two inverse state
+    letters."""
     al = Alphabet()
     q0, q1, q2 = (al.intern(n, kind="q") for n in ("q0", "q1", "q2"))
     a, c = al.intern("a"), al.intern("c")
     hw = Hardware(al, [Part((q,), q, q) for q in (q0, q1, q2)],
                   [(), (a,), (c,)])
     e = al.word()
-    with pytest.raises(ValueError, match=re.escape(
-            "rule collapse sector 1: X or Z not free")):
+    with pytest.raises(BasisShapeError, match=re.escape(
+            "sector bases X={a} Z={1} are not a triangular letter map")):
         GeneralizedRule(
             hw, "collapse", [RulePart(q, e, q, e) for q in (q0, q1, q2)],
             [None, SectorRule((al.word([a]),), (e,)),

@@ -4,6 +4,7 @@ import re
 
 import pytest
 
+from oracles import reference_validate_basis
 from smforge.smachine import (
     AdmissibleWord, BasisShapeError, GeneralizedRule, Hardware,
     HistoryEntryError, Machine, MachineError, NoiseDecl, ParseError, Part,
@@ -262,13 +263,15 @@ GUARDS = [
      lambda k: k.rule(parts=k.parts(1, RulePart(k.q1, k.e, k.q2, k.e)))),
     ("rule-sector-0", ValueError, "rule bad: sector 0 on linear hardware",
      lambda k: k.rule(sectors=k.sectors(0, k.sectors()[1]))),
-    ("rule-basis-sizes", ValueError, "rule bad sector 1: |X| != |Z|",
+    ("rule-basis-sizes", BasisShapeError,
+     "sector bases X={a;b} Z={a} are not a triangular letter map",
      lambda k: k.rule(sectors=k.sectors(1, SectorRule(
          (k.w(k.a), k.w(k.b)), (k.w(k.a),))))),
     ("rule-basis-outside", ValueError,
      "rule bad sector 1: basis word 'c' outside sector",
      lambda k: k.rule(sectors=k.sectors(1, k.sectors()[2]))),
-    ("rule-not-free", ValueError, "rule bad sector 1: X or Z not free",
+    ("rule-not-free", BasisShapeError,
+     "sector bases X={a;b} Z={a;a^-1} are not a triangular letter map",
      lambda k: k.rule(sectors=k.sectors(1, SectorRule(
          (k.w(k.a), k.w(k.b)), (k.w(k.a), k.w(-k.a)))))),
     ("rule-insert-beyond", ValueError,
@@ -388,21 +391,35 @@ def test_rules_over_another_alphabet_are_refused(where, message):
 @p("X, Z, v0, u1, message", [
     (("b",), ("b",), "a", "", "insert 'a' outside <Z_1>"),
     (("a",), ("a",), "", "b a", "insert 'b a' outside <Z_1>"),
-    (("a", "b"), ("a", "a^-1"), "", "", "X or Z not free"),
+    (("a", "b"), ("a", "a^-1"), "", "",
+     "sector bases X={a;b} Z={a;a^-1} are not a triangular letter map"),
     (("a", "b"), ("a", "b"), "", "c", "insert 'c' outside sector 1"),
-    # free but not triangular: the fold decides <Z>
-    (("a", "b"), ("a b", "b a"), "", "a", "insert 'a' outside <Z_1>"),
+    # free, but no triangular letter map
+    (("a", "b"), ("a b", "b a"), "", "a",
+     "sector bases X={a;b} Z={a b;b a} are not a triangular letter map"),
 ])
 def test_rule_validation_errors(X, Z, v0, u1, message):
-    with pytest.raises(ValueError, match=re.escape(message)):
+    """Inserts outside <Z> or the sector are refused when the rule is
+    built, and bases that are no triangular letter map when its sector
+    rule is, with a BasisShapeError."""
+    with pytest.raises(ValueError, match=re.escape(message)) as err:
         _sector1_rule(X, Z, v0, u1)
+    assert isinstance(err.value, BasisShapeError) is ("triangular" in message)
 
 
-def test_a_z_basis_that_is_not_triangular_is_folded():
-    """{a b, b a} has no one-letter entry, so the triangular test misses
-    it; the fold frees it, and an insert in <Z> passes."""
-    rule = _sector1_rule(("a", "b"), ("a b", "b a"), "b a", "a b b a")
-    assert rule.sectors[1].z_member(rule.parts[1].u)
+def test_a_z_basis_that_is_not_triangular_is_refused():
+    """A sector map that is no triangular letter map is refused with a
+    BasisShapeError when its sector rule is built, free or not: a -> a,
+    b -> a^-1 is not, and a -> a b, b -> b a is (the fold frees {a b,
+    b a}) but has no fixed letters for the one letter a b or b a moves."""
+    m = tiny_machine()
+    P = m.hw.alpha.parse
+    for Z, free in ((("a", "a^-1"), False), (("a b", "b a"), True)):
+        assert reference_validate_basis(tuple(map(P, Z))) is free
+        with pytest.raises(BasisShapeError, match=re.escape(
+                "sector bases X={a;b} Z={%s} are not a triangular letter "
+                "map" % ";".join(Z))):
+            _sector1_rule(("a", "b"), Z, "", "")
 
 
 def _sector1_rule(X, Z, v0, u1):
@@ -419,41 +436,58 @@ def _sector1_rule(X, Z, v0, u1):
         SectorRule((P("c"),), (P("c"),))])
 
 
+def test_a_relabel_that_breaks_the_shape_is_refused():
+    """A relabel builds its rule by the one path that checks the shape:
+    renaming c to a sends b to the fixed letter a, and renaming b to a
+    repeats a letter, so both raise BasisShapeError; a one-to-one relabel
+    keeps the shape, and its images."""
+    al = Alphabet()
+    a, b, c = (al.intern(x) for x in "abc")
+    W = al.word
+    sec = SectorRule((W([a]), W([b])), (W([a]), W([c])))
+    for lmap, message in (({a: a, b: b, c: a}, "X={a;b} Z={a;a}"),
+                          ({a: a, b: a, c: c}, "X={a;a} Z={a;c}")):
+        with pytest.raises(BasisShapeError, match=re.escape(
+                "sector bases %s are not a triangular letter map" % message)):
+            sec.relabel(lmap, al)
+    swapped = sec.relabel({a: c, b: b, c: a}, al)
+    assert [(x.format(), z.format()) for x, z in zip(swapped.X, swapped.Z)] \
+        == [("c", "c"), ("b", "a")]
+
+
 def test_bases_of_neither_shape_raise():
-    """Bases whose X entries are not all one letter, and whose X entries do
-    not wrap one-letter Z entries in fixed letters, raise BasisShapeError:
-    when the sector is built, from machine text as a ParseError naming the
-    RULE line, and from Machine.rule(name, -1), naming the rule and the
-    sector, when the inverse of a rule fits neither shape."""
+    """Bases that are no triangular letter map in either orientation raise
+    BasisShapeError when the sector rule is built, and from machine text
+    as a ParseError naming the RULE line: X entries that are not all one
+    positive letter, over Z entries that are not all one either, and
+    a -> a a, whose image holds a twice.  The inverse of a rule is never
+    refused: it flips the orientation."""
     m = tiny_machine()
     al, hw = m.hw.alpha, m.hw
     P = al.parse
     with pytest.raises(BasisShapeError, match=re.escape(
-            "sector bases X={a a;b} Z={a;b} fit neither shape")):
-        SectorRule((P("a a"), P("b")), (P("a"), P("b")))
+            "sector bases X={a a;b} Z={a a;b} are not a triangular letter "
+            "map")):
+        SectorRule((P("a a"), P("b")), (P("a a"), P("b")))
     lines = machine_to_text(m).splitlines()
     at = next(k for k, line in enumerate(lines, 1)
               if "X={a;b} Z={a b;b}" in line)
     lines[at - 1] = lines[at - 1].replace("X={a;b} Z={a b;b}",
-                                          "X={a a;b} Z={a;b}")
-    with pytest.raises(ParseError, match="fit neither shape") as err:
+                                          "X={a;b} Z={a a;b}")
+    with pytest.raises(ParseError, match="not a triangular letter map") as err:
         machine_from_text("\n".join(lines))
     assert err.value.line == at and lines[at - 1].startswith("RULE twist: 1:")
     assert isinstance(err.value.__cause__, BasisShapeError)
-    # a -> a a has one-letter X entries; its inverse reads X = {a a, b}
-    square = GeneralizedRule(hw, "square", [
-        RulePart(q.start, al.word(), q.start, al.word()) for q in hw.parts],
-        [None, SectorRule((P("a"), P("b")), (P("a a"), P("b"))),
-         SectorRule((P("c"),), (P("c"),))])
-    m2 = Machine("squaring", hw, [square])
-    W = AdmissibleWord.from_word(hw, P("q0 a q1 c q2"))
-    assert apply_rule(W, m2.rule("square")).format() == "q0 a a q1 c q2"
     with pytest.raises(BasisShapeError, match=re.escape(
-            "rule square sector 1: inverse sector bases X={a a;b} Z={a;b}")):
-        m2.rule("square", -1)
-    with pytest.raises(StepError) as err:
-        m2.run(W, [("square", -1)])
-    assert isinstance(err.value.reason, BasisShapeError)
+            "sector bases X={a;b} Z={a a;b} are not a triangular letter "
+            "map")):
+        GeneralizedRule(hw, "square", [
+            RulePart(q.start, al.word(), q.start, al.word())
+            for q in hw.parts],
+            [None, SectorRule((P("a"), P("b")), (P("a a"), P("b"))),
+             SectorRule((P("c"),), (P("c"),))])
+    for name in m.rules:
+        assert m.rule(name, -1).positive is False
 
 
 def test_inverse_window_application():
