@@ -27,7 +27,7 @@ import json
 from collections import Counter
 from dataclasses import dataclass, field
 from itertools import chain, filterfalse, islice
-from operator import add, attrgetter
+from operator import add, attrgetter, neg
 from typing import (Callable, Dict, FrozenSet, List, Optional, Sequence, Set,
                     Tuple)
 
@@ -140,7 +140,9 @@ def emit_presentation(machine: Machine, level: str = "M") -> Presentation:
     basis element x of an unlocked sector i relates as x t_i = t_i z.
     Rule letter indices run modulo the part count, so linear machines
     share one letter between their outer columns.  Level "G" appends
-    the accept word as a relator.
+    the accept word as a relator.  Ring copies share their inserts and
+    rules their sector rules, so each distinct insert and Z entry is
+    inverted once.
     """
     if level not in ("M", "G"):
         raise ValueError("level must be M or G, not %r" % (level,))
@@ -161,11 +163,21 @@ def emit_presentation(machine: Machine, level: str = "M") -> Presentation:
     relators: List[Relator] = []
     pres = Presentation(machine, level, alpha, theta, relators,
                         t_parts(machine))
+    inverted: Dict[int, Tuple[int, ...]] = {}
+
+    def inv(w: Word) -> Tuple[int, ...]:
+        """The letters of w^-1, read once per distinct word: ring copies
+        share their inserts, and rules their sector rules' Z."""
+        got = inverted.get(id(w))
+        if got is None:
+            got = inverted[id(w)] = tuple(map(neg, reversed(w.ltrs)))
+        return got
+
     for name, rule in machine.rules.items():
         for i, rp in enumerate(rule.parts):
             t_here, t_next = theta[(name, i)], theta[(name, (i + 1) % n)]
-            ltrs = ((rp.q, t_next) + (~rp.v).ltrs
-                    + (-rp.q2,) + (~rp.u).ltrs + (-t_here,))
+            ltrs = ((rp.q, t_next) + inv(rp.v)
+                    + (-rp.q2,) + inv(rp.u) + (-t_here,))
             relators.append(Relator(alpha.word(ltrs), "theta-q", rule=name,
                                     index=i, coordinate=src.coord_of(rp.q)))
     for name, rule in machine.rules.items():
@@ -176,7 +188,7 @@ def emit_presentation(machine: Machine, level: str = "M") -> Presentation:
             t_s = theta[(name, s)]
             coord = src.coord_of(hw.parts[s].start)
             for x, z in zip(sec.X, sec.Z):
-                ltrs = (-t_s,) + x.ltrs + (t_s,) + (~z).ltrs
+                ltrs = (-t_s,) + x.ltrs + (t_s,) + inv(z)
                 relators.append(Relator(alpha.word(ltrs),
                                         _a_class(pres, s, x),
                                         rule=name, index=s, coordinate=coord))

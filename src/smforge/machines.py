@@ -251,7 +251,8 @@ def _peel(cur: Tuple[int, ...], scheme: NoiseScheme
     letters b1, and its inverse with k letters b2^-1, where
     k = eta(y, a) <= D/4 and k + 1 < 3D/4 + 1.  So the leading run of cur,
     read by one C-level pass, gives the sign and k, k gives (y, a), and
-    only that word is spelled and compared."""
+    only that word is spelled and compared: most often cur begins with
+    the whole of it, which one slice comparison confirms."""
     run = scheme.runs.get(cur[0]) if cur else None
     if run is None:
         return None
@@ -261,7 +262,9 @@ def _peel(cur: Tuple[int, ...], scheme: NoiseScheme
         return None
     y, a = scheme.pair(k)
     v = scheme.spelled(y, a, sign)
-    p = common_prefix(cur, v)
+    p = len(v)
+    if cur[:p] != v:
+        p = common_prefix(cur, v)
     if p < scheme.head:
         return None
     return (y, a, sign), invert_letters(v[p:], scheme.alpha) + cur[p:]

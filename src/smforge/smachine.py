@@ -28,8 +28,11 @@ and :meth:`Machine.run`, the steps of :func:`semi_apply` and
 ``push`` edits a letter buffer in place, given the tape's marks (see
 ``_Marks``): the fixed and domain tests run on its letter superset, the
 moving letters are replaced at the watch positions, and only junctions
-cancel, each by one C-level pass, so a push moves letters with
-``memmove`` and its Python work grows with the watch letters alone.
+cancel.  A junction beside a spelled image, where whole noise words
+cancel, is settled by a guessed length that one slice comparison
+confirms (``_Seams``), any other by one C-level pass, so a push moves
+letters with ``memmove`` and its Python work grows with the watch letters
+alone.
 
 A run (:class:`_Run`, behind :meth:`Machine.run` and :func:`apply_rule`)
 copies each distinct tape of its start word into a run-owned buffer once
@@ -57,7 +60,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import compress, count
 from typing import (Collection, Dict, FrozenSet, List, Optional, Sequence,
-                    Set, Tuple)
+                    Tuple)
 
 from smforge.words import (
     Alphabet, BasisExpression, MachineError, NoiseWord, Word,
@@ -378,19 +381,21 @@ def _meet(buf: List[int], c: int, m: int) -> int:
 
 
 def _settle(buf: List[int], c: int, m: int, at: List[int],
-            offsets: Sequence[int] = ()) -> int:
+            offsets: Sequence[int] = (), meet=_meet) -> int:
     """Join the reduced buf[c:c + m] onto the reduced buf[:c] in place:
     only the junction can cancel.  Returns where the joined part now ends.
 
     ``at`` holds the sorted positions of the watch letters of
     buf[:c] and ``offsets`` those of buf[c:c + m], counted from c:
     positions the junction cancels are dropped, and the offsets that
-    survive are added, shifted.
+    survive are added, shifted.  ``meet`` counts the cancelled letters
+    once two pairs cancel: :func:`_meet`, or at a seam of a spelled image
+    that image's :class:`_Seams` method, which guesses first.
     """
     k = 0
     if c and m and buf[c - 1] == -buf[c]:
         # most junctions cancel one letter: test the second pair first
-        k = (_meet(buf, c, m) if c > 1 and m > 1
+        k = (meet(buf, c, m) if c > 1 and m > 1
              and buf[c - 2] == -buf[c + 1] else 1)
         del buf[c - k:c + k]
         if at:
@@ -400,6 +405,70 @@ def _settle(buf: List[int], c: int, m: int, at: List[int],
     if offsets:
         at.extend(map((c - 2 * k).__add__, offsets))
     return c + m - 2 * k
+
+
+class _Seams:
+    """The two seams of the spelled image p y' s of a moving letter: the
+    tape before it against the image, and the image against the tape
+    after it, counted as :func:`_meet` counts.
+
+    A seam most often cancels a whole outer noise part, p on the left and
+    s on the right, and else what it cancelled last time.  So each side
+    keeps the tape letters those two lengths would cancel, read off
+    ``inv``, the image's inverse letters, and tries them in that order: a
+    guess of k letters is one slice comparison, and it counts only when
+    the next pair does not cancel, or k reaches min(c, m).  Only when
+    neither counts does the side read letter by letter, and it keeps what
+    it finds unless that is the outer part.  ``inv`` and the guesses are
+    spelled from the parts on the first seam that cancels two letters, so
+    an image whose seams never do costs no copy.  The right side needs a
+    reduced tape, so that y' does not cancel and the image's s stays
+    whole.
+    """
+
+    __slots__ = ("parts", "inv", "p", "s", "last_p", "last_s")
+
+    def __init__(self, p: Word | NoiseWord, c: int, s: Word | NoiseWord):
+        self.parts, self.inv = (p, c, s), None
+
+    def _spell(self) -> None:
+        p, c, s = self.parts
+        # lists, as buffer slices are, so that the two compare
+        inv = self.inv = [*(~s).ltrs, -c, *(~p).ltrs]
+        self.p = self.last_p = inv[len(inv) - len(p):]
+        self.s = self.last_s = inv[:len(s)]
+
+    def left(self, buf: List[int], c: int, m: int) -> int:
+        """How many letters cancel where buf[:c] meets the image, which is
+        buf[c:c + m]."""
+        if self.inv is None:
+            self._spell()
+        n = min(c, m)
+        for want in (self.p, self.last_p):
+            k = len(want)
+            if (k <= n and buf[c - k:c] == want
+                    and (k == n or buf[c - k - 1] != -buf[c + k])):
+                return k
+        k = _meet(buf, c, m)
+        if k != len(self.p):
+            self.last_p = self.inv[len(self.inv) - k:]
+        return k
+
+    def right(self, buf: List[int], c: int, m: int) -> int:
+        """How many letters cancel where the image, which ends at c, meets
+        buf[c:c + m]."""
+        if self.inv is None:
+            self._spell()
+        n = min(c, m)
+        for want in (self.s, self.last_s):
+            k = len(want)
+            if (k <= n and buf[c:c + k] == want
+                    and (k == n or buf[c - k - 1] != -buf[c + k])):
+                return k
+        k = _meet(buf, c, m)
+        if k != len(self.s):
+            self.last_s = self.inv[:k]
+        return k
 
 
 def _ends(buf: List[int], marks: _Marks, ends: _Ends) -> _Marks:
@@ -452,9 +521,15 @@ class SectorRule:
     the letters and the descriptors.  X and Z are spelled when read.
 
     ``images`` keeps the image of a moving letter, spelled on the first
-    push that moves it, and ``produces`` its letters; every other letter
-    of ``domain``, in ``fixed``, goes to itself, and ``widen`` holds the
-    moving letters.  ``letters`` holds the signed letters of X and Z,
+    push that moves it, ``produces`` its letters, and ``seams`` the
+    ``left`` and ``right`` counts of its :class:`_Seams`, which keep the
+    image's inverse letters and the length each seam cancelled last; every
+    other letter of ``domain``, in ``fixed``, goes to itself, and
+    ``widen`` holds the moving letters.  Rules share sector rules, so the
+    inserts found in <Z> (``z_inserts``) and the images
+    :func:`invert_rule` pulled through this map (``pulled``) are kept
+    here, by identity, each with its word so that no other takes its id.
+    ``letters`` holds the signed letters of X and Z,
     ``alpha`` their one alphabet (None for none or several), and
     ``forms``, per noise declaration of a sector, the noisy form
     :func:`validate_noisy` found there.  A band (``groups._band``) finds a
@@ -543,6 +618,9 @@ class SectorRule:
         self.fixed = self.domain.difference(self.widen)
         self.images: Dict[int, Tuple[int, ...]] = {}
         self.produces: Dict[int, FrozenSet[int]] = {}
+        self.seams: Dict[int, tuple] = {}
+        self.z_inserts: Dict[int, Word] = {}
+        self.pulled: Dict[int, Tuple[Word, Word]] = {}
         self._offsets: Dict[FrozenSet[int], Dict[int, Tuple[int, ...]]] = {}
         self.forms: Dict[tuple, Optional[int]] = {}
 
@@ -573,8 +651,8 @@ class SectorRule:
         return self._z_letters.issuperset(w.ltrs)
 
     def _spell_image(self, x: int) -> Tuple[int, ...]:
-        """Build the image of the moving letter x, its letters, and the
-        offsets of its watch letters under every watch set seen."""
+        """Build the image of the moving letter x, its letters, its seams,
+        and the offsets of its watch letters under every watch set seen."""
         y, (p, c, s) = self._pending.pop(x)
         if self.inverted:  # y' goes to p^-1 y s^-1
             y, (p, c, s) = c, (~p, y, ~s)
@@ -582,6 +660,8 @@ class SectorRule:
             p, c, s = ~s, -c, ~p
         img = self.images[x] = p.ltrs + (c,) + s.ltrs
         self.produces[x] = p.letters | s.letters | {c}
+        seams = _Seams(p, c, s)
+        self.seams[x] = seams.left, seams.right
         for watch, offsets in self._offsets.items():
             offsets[x] = _scan(img, watch)
         return img
@@ -626,7 +706,8 @@ class SectorRule:
 
         The moving letters are replaced at their watch positions, left to
         right; everything left of the last replaced letter is then final
-        and reduced, and each junction cancels in place.  Returns the
+        and reduced, and each junction cancels in place, the two beside
+        each image counted by its ``seams``.  Returns the
         marks of the result, whose letter superset is exact on moving
         letters and whose watch letters may have grown by ``widen``, or
         the very ``marks`` given when the tape did not change; or None,
@@ -650,11 +731,13 @@ class SectorRule:
                 y: _scan(img, watch) for y, img in images.items()}
         # buf[:c] is final; a letter at original position p now sits at
         # p + d; keep holds the offsets of the fixed watch letters of the
-        # run from original position start
+        # run from original position start; right counts the cancelled
+        # letters at the right seam of the last image
         at: List[int] = []
         c = d = start = 0
         keep: List[int] = []
         moved = set()
+        right = _meet
         for p in pos:
             q = p + d
             y = buf[q]
@@ -665,12 +748,13 @@ class SectorRule:
                     continue
                 img = self._spell_image(y)
             moved.add(y)
-            e = _settle(buf, c, q - c, at, keep)
+            e = _settle(buf, c, q - c, at, keep, right)
+            left, right = self.seams[y]
             buf[e:e + 1] = img
-            c = _settle(buf, e, len(img), at, offsets[y])
+            c = _settle(buf, e, len(img), at, offsets[y], left)
             d += c - q - 1
             start, keep = p + 1, []
-        _settle(buf, c, len(buf) - c, at, keep)
+        _settle(buf, c, len(buf) - c, at, keep, right)
         out = letters & self.fixed
         return _ends(buf, (out.union(*map(self.produces.__getitem__, moved)),
                            watch, tuple(at)), ends)
@@ -696,7 +780,8 @@ class GeneralizedRule:
     all over the hardware's alphabet and inside their sectors.  A sector
     rule checked its own shape, a triangular letter map, when it was
     built, so its bases are free and aligned, and <Z> is a letter test;
-    each distinct (sector rule, insert) pair is tested once.
+    each distinct (sector rule, insert) pair is tested once, across rules
+    (``SectorRule.z_inserts``).
     """
 
     def __init__(self, hw: Hardware, name: str, parts: Sequence[RulePart],
@@ -731,26 +816,18 @@ class GeneralizedRule:
                 w = next(w for w in sec.X + sec.Z if not hw.sector_word(i, w))
                 raise ValueError("rule %s sector %d: basis word %r "
                                  "outside sector" % (self.name, i, w.format()))
-        # ring copies share their inserts and sector rules: each distinct
-        # (sector rule, insert) pair is checked once
-        checked: Set[Tuple[int, int]] = set()
         for i, rp in enumerate(self.parts):
             nxt = hw.next_part(i) if (hw.cyclic or i + 1 < hw.n_parts) else None
-            self._check_insert(i, rp.u, checked)
+            self._check_insert(i, rp.u)
             if nxt is None:
                 if rp.v:
                     raise ValueError("rule %s part %d: right insert beyond "
                                      "last sector" % (self.name, i))
             else:
-                self._check_insert(nxt, rp.v, checked)
+                self._check_insert(nxt, rp.v)
 
-    def _check_insert(self, sector: int, w: Word,
-                      checked: Set[Tuple[int, int]]) -> None:
+    def _check_insert(self, sector: int, w: Word) -> None:
         sec = self.sectors[sector]
-        key = (id(sec), id(w))
-        if key in checked:
-            return
-        checked.add(key)
         if sec is None:
             if w:
                 raise ValueError("rule %s: insert %r in locked sector %d"
@@ -759,12 +836,17 @@ class GeneralizedRule:
         if w.alpha is not self.hw.alpha:
             raise ValueError("rule %s: insert %r in sector %d is over another "
                              "alphabet" % (self.name, w.format(), sector))
+        # rules and ring copies share inserts and sector rules: each
+        # distinct (sector rule, insert) pair is tested once
+        if id(w) in sec.z_inserts:
+            return
         if not sec.z_member(w):
             # _validate keeps Z's letters in the sector, so <Z> lies in it
             where = ("<Z_%d>" if self.hw.sector_word(sector, w)
                      else "sector %d")
             raise ValueError("rule %s: insert %r outside %s"
                              % (self.name, w.format(), where % sector))
+        sec.z_inserts[id(w)] = w
 
     # -- queries -------------------------------------------------------------
 
@@ -787,19 +869,21 @@ def invert_rule(rule: GeneralizedRule) -> GeneralizedRule:
     Part i of the inverse is q_i' -> f_i^-1(u_i^-1) q_i f_{i+1}^-1(v_{i+1}^-1)
     where the f^-1 are the sector rules' ``inverse``, shared as the sector
     rules are.  Each distinct (sector rule, insert) pair is inverted once,
-    so the inverse rule shares its inserts where the rule does, as ring
-    copies do.
+    across rules (``SectorRule.pulled``), so inverse rules share their
+    inserts where the rules do, as ring copies and rule sets do.
     """
     hw = rule.hw
     inv_sectors = [None if sec is None else sec.inverse
                    for sec in rule.sectors]
-    images: Dict[Tuple[int, int], Word] = {}
+    locked: Dict[int, Tuple[Word, Word]] = {}
 
     def image(sector: int, w: Word) -> Word:
-        key = (id(inv_sectors[sector]), id(w))
-        if key not in images:
-            images[key] = _image(inv_sectors[sector], sector, ~w)
-        return images[key]
+        sec = inv_sectors[sector]
+        pulled = locked if sec is None else sec.pulled
+        got = pulled.get(id(w))
+        if got is None:
+            got = pulled[id(w)] = (w, _image(sec, sector, ~w))
+        return got[1]
 
     parts: List[RulePart] = []
     for i, rp in enumerate(rule.parts):

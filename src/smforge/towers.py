@@ -350,6 +350,8 @@ class _Ring:
         self.tapes = [tuple(self.tmap[y] for y in m.hw.tapes[s])
                       for _ in range(L) for s in range(self.P)]
         self.sectors = _map_sectors(m, self.tmap, self.al)
+        # each distinct insert of m's rules, by its letters -> its image
+        self.inserts: Dict[Tuple[int, ...], Word] = {}
 
     @staticmethod
     def suffix(i: int) -> str:
@@ -375,15 +377,21 @@ class _Ring:
              *, name: str) -> GeneralizedRule:
         """r acting on every copy, copy i's states through smaps[i - 1].
 
-        Copies share tape letters, so each insert of r is mapped once and
-        each sector rule of r once per ring (``sectors``): every copy, in
-        every rule set, gets the same object.  With ``special`` the first
-        copy of that sector is locked and the insertions beside it dropped.
+        Copies share tape letters, so each distinct insert, by its letters,
+        and each sector rule of r are mapped once per ring (``inserts``,
+        ``sectors``): every copy, in every rule set, gets the same object.
+        With ``special`` the first copy of that sector is locked and the
+        insertions beside it dropped.
         """
         tmap, al = self.tmap, self.al
         e = al.word()
-        inserts = [(relabel(rp.u, tmap, al), relabel(rp.v, tmap, al))
-                   for rp in r.parts]
+
+        def insert(w: Word) -> Word:
+            got = self.inserts.get(w.ltrs)
+            if got is None:
+                got = self.inserts[w.ltrs] = relabel(w, tmap, al)
+            return got
+        inserts = [(insert(rp.u), insert(rp.v)) for rp in r.parts]
         rparts: List[RulePart] = []
         rsectors: List[Optional[SectorRule]] = []
         for i, d in enumerate(smaps, 1):

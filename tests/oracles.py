@@ -375,6 +375,20 @@ def _join(stack, letters):
             stack.append(x)
 
 
+def reference_settle(buf, c, m, at, offsets=(), meet=None):
+    """smachine._settle as it was before seams guessed: join buf[c:c + m]
+    onto buf[:c] in place, cancelling letter by letter, and keep the watch
+    positions ``at`` as _settle does.  ``meet`` is taken and ignored, so
+    that this stands in for _settle under SectorRule.push."""
+    k = 0
+    while k < min(c, m) and buf[c - 1 - k] == -buf[c + k]:
+        k += 1
+    del buf[c - k:c + k]
+    at[:] = [p for p in at if p < c - k]
+    at.extend(c - 2 * k + p for p in offsets if p >= k)
+    return c + m - 2 * k
+
+
 def reference_step(W, rule, images=None):
     """W . rule by one pass per window, as apply_rule did before step
     plans and shared windows.  Each window's image is reference_image's,

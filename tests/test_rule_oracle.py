@@ -44,8 +44,9 @@ from oracles import (naive_reduce, random_reduced, random_signed_ids,
                      reference_apply_rule, reference_decode_rear,
                      reference_express, reference_image,
                      reference_is_admissible, reference_noise_word,
-                     reference_run, reference_semi_run, reference_shift,
-                     reference_step)
+                     reference_run, reference_semi_run, reference_settle,
+                     reference_shift, reference_step)
+from smforge import smachine
 from smforge.machines import _decode_rear, build_m1, shift
 from smforge.mainmachine import (DivisibleRecognizer, Params, accepting_run,
                                  build_main)
@@ -53,7 +54,8 @@ from smforge.smachine import (AdmissibleWord, BasisShapeError,
                               GeneralizedRule, Hardware, Machine,
                               MachineError, Part, RulePart,
                               SectorMismatchError, SectorRule, _fresh,
-                              _settle, apply_rule, parse_history, semi_apply)
+                              _scan, _settle, apply_rule, parse_history,
+                              semi_apply)
 from smforge.towers import SigmaSpec, bar_name, compose, cyclify, reflect
 from smforge.words import Alphabet, NoiseWord, Word, relabel
 
@@ -550,6 +552,98 @@ def test_settle_cancels_long_junctions_in_place(seed):
     end = _settle(buf, len(left), len(right), at, _watched(right, watch))
     assert (buf, end) == (want + tail, len(want))
     assert at == _watched(want, watch)
+
+
+def _seed_wrong_guesses(sec, r):
+    """Spell every image of ``sec`` and give each of its seams guesses of
+    random lengths, read off the image's inverse as a true guess would be:
+    shorter or longer than what a seam cancels, or cancelling part of it."""
+    for x in sorted(sec.widen - sec.images.keys()):
+        sec._spell_image(x)
+    for left, _ in sec.seams.values():
+        seams = left.__self__
+        seams._spell()
+        inv, n = seams.inv, len(seams.inv)
+        seams.p, seams.last_p = (inv[n - r.randrange(n + 1):]
+                                 for _ in range(2))
+        seams.s, seams.last_s = (inv[:r.randrange(n + 1)] for _ in range(2))
+
+
+@given(triangular_maps(), st.randoms(use_true_random=False))
+@settings(max_examples=150, deadline=None)
+def test_seam_guesses_match_the_letter_by_letter_join(case, rnd):
+    """A random triangular letter map and its inverse, their seams seeded
+    with wrong guesses, push random reduced buffers, with random watch
+    letters and inserts, to the buffer and marks of the same push joined
+    letter by letter (reference_settle); so does the inverse on each
+    image, where whole outer parts cancel."""
+    ys, maps, inverted = case
+    al = Alphabet()
+    letters = [al.intern(x) for x in _TRI]
+    sec = SectorRule._of(al, ys, [
+        f and (f[0] if isinstance(f[0], NoiseWord) else al.word(f[0]),
+               f[1], al.word(f[2])) for f in maps], inverted)
+    r = random.Random(rnd.random())
+    for s in (sec, sec.inverse):
+        _seed_wrong_guesses(s, r)
+    signed = sorted(x * e for x in letters for e in (1, -1))
+
+    def same_push(s, ltrs):
+        watch = frozenset(r.sample(signed, r.randrange(3)))
+        marks = (frozenset(ltrs), watch, _scan(ltrs, watch))
+        ends = tuple(random_reduced(r, letters, r.randrange(3))
+                     for _ in range(2))
+        ends = (ends + (frozenset(sum(ends, [])),)
+                if any(ends) and r.random() < 0.5 else None)
+        want = list(ltrs)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(smachine, "_settle", reference_settle)
+            want_marks = s.push(want, marks, ends)
+        buf = list(ltrs)
+        assert s.push(buf, marks, ends) == want_marks
+        assert buf == want
+        return None if want_marks is None else buf
+
+    for _ in range(8):
+        w = random_reduced(r, letters, r.randrange(12))
+        for s in (sec, sec.inverse):
+            img = same_push(s, w)
+            if img is not None:
+                same_push(s.inverse, img)
+
+
+def test_a_relabelled_rule_guesses_from_its_own_images(monkeypatch):
+    """A noise rule of M1 and its inverse push a marker word on and off,
+    then are relabelled within their alphabet, the two noise letters
+    swapped, and do the same on the renamed word.  Every seam that
+    cancels more than a letter, each a whole noise word, is settled by a
+    guess read off the pushing rule's own images: no letter-by-letter
+    fallback."""
+    m1, sch = build_m1(("a", "b"))
+    al = m1.hw.alpha
+    sec = m1.rules[sch.rule_name(sch.B[0])].sectors[1]
+    a1, b1 = (sch.mark(a) for a in sch.A)
+    fallbacks = []
+    meet = smachine._meet
+    monkeypatch.setattr(smachine, "_meet",
+                        lambda *args: fallbacks.append(args) or meet(*args))
+    b, c = sch.B
+    swap = {x: x for x in al.ids()}
+    swap[b], swap[c] = c, b
+    rules = [sec, sec.inverse]
+    words = [[a1, b1, -a1]]
+    for renamed in (False, True):
+        if renamed:
+            rules = [s.relabel(swap, al) for s in rules]
+            words[:1] = [relabel(al.word(words[0]), swap, al).ltrs]
+        for s in rules:
+            buf = list(words[-1])
+            assert s.push(buf, _fresh(buf)) is not None
+            words.append(buf)
+        assert words[-1] == list(words[-3])
+        assert len(words[-2]) > 3 * sch.D
+        del words[1:]
+    assert not fallbacks
 
 
 # -- whole runs ------------------------------------------------------------------
