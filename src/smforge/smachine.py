@@ -34,33 +34,36 @@ confirms (``_Seams``), any other by one C-level pass, so a push moves
 letters with ``memmove`` and its Python work grows with the watch letters
 alone.
 
-A run (:class:`_Run`, behind :meth:`Machine.run` and :func:`apply_rule`)
-copies each distinct tape of its start word into a run-owned buffer once
-and steps the buffers; Words are built only where a configuration is
-handed out, one per buffer changed since the last. State letters never
-reduce against tape letters, nor cancel (see :func:`apply_rule`), so the
-windows stay apart and need no re-split, and no run checks the base: a
-rule that moves a state letter out of its part is refused when it is
-built. What a rule does to a run depends on its state letters and on
-which buffer holds each window (the slot tuple) alone, so each rule
-compiles it once per (state tuple, slot tuple) into a :class:`_Step`: the
-new states, and per window its sector, sector rule and inserts. Windows
-that agree on all of that are one class, and each (class, buffer) pair is
-one unit of work. A step keeps the slot tuple after it and the step each
-rule makes next, so a run mostly follows those links. A buffer read by
-two classes is copied for all but the last of them, so ring copies of one
-machine, which hold equal tapes, cost one push per distinct window, and
-equal tapes of one class stay one Word.
+A run (:class:`_Run`) copies each distinct tape of its start word into a
+run-owned buffer once and steps the buffers; Words are built only where a
+configuration is handed out, one per buffer changed since the last. A
+semi-computation is a run with one window and no state letters, so
+:meth:`Machine.run` and :meth:`Machine.semi_run` share one history loop,
+and :func:`apply_rule` and :func:`semi_apply` are one step of each. State
+letters never reduce against tape letters, nor cancel (see
+:func:`apply_rule`), so the windows stay apart and need no re-split, and
+no run checks the base: a rule that moves a state letter out of its part
+is refused when it is built. What a rule does to a run depends on its
+state letters (a semi-run's sector) and on which buffer holds each window
+(the slot tuple) alone, so each rule compiles it once per (state tuple,
+slot tuple) into a :class:`_Step`: the new states, and per window its
+sector, sector rule and inserts. Windows that agree on all of that are
+one class, and each (class, buffer) pair is one unit of work. A step
+keeps the slot tuple after it and the step each rule makes next, so a run
+mostly follows those links. A buffer read by two classes is copied for
+all but the last of them, so ring copies of one machine, which hold equal
+tapes, cost one push per distinct window, and equal tapes of one class
+stay one Word.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
 from itertools import compress, count
-from typing import (Collection, Dict, FrozenSet, List, Optional, Sequence,
-                    Tuple)
+from typing import (Callable, Collection, Dict, FrozenSet, List, Optional,
+                    Sequence, Tuple)
 
 from smforge.words import (
     Alphabet, BasisExpression, MachineError, NoiseWord, Word,
@@ -567,19 +570,18 @@ class SectorRule:
 
     @classmethod
     def decorated(cls, alpha: Alphabet, letters: Sequence[int],
-                  noise: Sequence[Optional[NoiseWord]],
-                  inverse: bool = False) -> "SectorRule":
+                  noise: Sequence[Optional[NoiseWord]]) -> "SectorRule":
         """The form-3 map sending each of the distinct positive ``letters``
         y to v y, v its entry of ``noise``, held as a descriptor; the
         letters whose entry is None are fixed, and every v is a word over
-        them.  With ``inverse``, the inverse map y -> v^-1 y."""
+        them."""
         if len(noise) != len(letters):
             raise BasisShapeError("decorated sector: %d letters, %d noise "
                                   "entries" % (len(letters), len(noise)))
         e = alpha.word()
         return cls._of(alpha, tuple(letters),
                        [None if v is None else (v, y, e)
-                        for y, v in zip(letters, noise)], inverse)
+                        for y, v in zip(letters, noise)], False)
 
     @classmethod
     def _of(cls, alpha: Optional[Alphabet], ys: Tuple[int, ...],
@@ -851,8 +853,8 @@ class GeneralizedRule:
     # -- queries -------------------------------------------------------------
 
     def _sector(self, sector: int) -> Optional[SectorRule]:
-        if not 0 <= sector < self.hw.n_parts:
-            raise MachineError("rule %s: no sector %d" % (self.name, sector))
+        if sector.__class__ is not int or not 0 <= sector < self.hw.n_parts:
+            raise MachineError("rule %s: no sector %r" % (self.name, sector))
         return self.sectors[sector]
 
     def locks(self, sector: int) -> bool:
@@ -875,14 +877,17 @@ def invert_rule(rule: GeneralizedRule) -> GeneralizedRule:
     hw = rule.hw
     inv_sectors = [None if sec is None else sec.inverse
                    for sec in rule.sectors]
-    locked: Dict[int, Tuple[Word, Word]] = {}
 
     def image(sector: int, w: Word) -> Word:
         sec = inv_sectors[sector]
-        pulled = locked if sec is None else sec.pulled
-        got = pulled.get(id(w))
+        if sec is None:  # a locked sector's inserts are empty
+            return w
+        got = sec.pulled.get(id(w))
         if got is None:
-            got = pulled[id(w)] = (w, _image(sec, sector, ~w))
+            # the rule checked w in <Z>, so ~w lies in the inverse's domain
+            buf = list((~w).ltrs)
+            sec.push(buf, _fresh(buf))
+            got = sec.pulled[id(w)] = (w, Word(w.alpha, tuple(buf)))
         return got[1]
 
     parts: List[RulePart] = []
@@ -893,24 +898,6 @@ def invert_rule(rule: GeneralizedRule) -> GeneralizedRule:
         parts.append(RulePart(rp.q2, u2, rp.q, v2))
     return GeneralizedRule(hw, _inv_name(rule.name), parts, inv_sectors,
                            positive=not rule.positive)
-
-
-def _image(sec: Optional[SectorRule], sector: int, w: Word) -> Word:
-    """f(w) under the rule ``sec`` of ``sector`` (None when locked); raise
-    when w lies outside its domain."""
-    buf = list(w.ltrs)
-    _sector_step(sec, sector, w, buf, _fresh(buf))
-    return Word(w.alpha, tuple(buf))
-
-
-def _sector_step(sec: Optional[SectorRule], sector: int, w: Word,
-                 buf: List[int], marks: _Marks) -> _Marks:
-    """Rewrite ``buf``, the letters of w, whose marks are ``marks``, to
-    _image's result in place; the marks of the image."""
-    got = (_LOCKED if sec is None else sec).push(buf, marks)
-    if got is None:
-        raise SectorMismatchError(sector, w, sec is None or not sec.domain)
-    return got
 
 
 def _inv_name(name: str) -> str:
@@ -937,6 +924,8 @@ class _Step:
     ``slots`` is the slot tuple after the step, and ``after`` keeps per
     rule the _Step that rule makes next, so a run that follows it hashes
     no state or slot tuple once a transition has been seen.
+    A semi-run's step (see :func:`_semi`) is one unit, its sector's rule
+    on buffer 0 with no inserts; its ``states`` stay the sector.
     """
 
     __slots__ = ("states", "units", "slots", "after")
@@ -946,6 +935,11 @@ class _Step:
         if rule.hw is not hw:
             raise MachineError("rule %s: hardware differs from the word's"
                                % rule.name)
+        self.after: Dict[GeneralizedRule, _Step] = {}
+        if run.states.__class__ is not tuple:  # a semi-run
+            s, self.states, self.slots = run.sectors[0], run.states, run.slots
+            self.units = ((s, rule._sector(s) or _LOCKED, None, 0, 0),)
+            return
         repl = []
         for j, q in enumerate(run.states):
             rp = rule.parts[hw.part_of(q)]
@@ -976,7 +970,6 @@ class _Step:
             made.append(unit + (out[key],))
         self.units = tuple(made)
         self.slots = tuple(map(out.__getitem__, keys))
-        self.after: Dict[GeneralizedRule, _Step] = {}
 
 
 class _Run:
@@ -994,18 +987,19 @@ class _Run:
     __slots__ = ("hw", "states", "sectors", "slots", "bufs", "marks",
                  "words", "last")
 
-    def __init__(self, W: AdmissibleWord):
-        self.hw, self.states, self.sectors = W.hw, W.states, W.sectors
+    def __init__(self, hw: Hardware, states, sectors: Tuple[int, ...],
+                 tapes: Sequence[Word], marks: Optional[Sequence[_Marks]]):
+        self.hw, self.states, self.sectors = hw, states, sectors
         index: Dict[int, int] = {}
         self.words: List[Optional[Word]] = []
         self.marks: List[_Marks] = []
-        for j, t in enumerate(W.tapes):
+        for j, t in enumerate(tapes):
             if id(t) not in index:
                 index[id(t)] = len(self.words)
                 self.words.append(t)
-                self.marks.append(_fresh(t.ltrs) if W.marks is None
-                                  else W.marks[j])
-        self.slots = tuple(index[id(t)] for t in W.tapes)
+                self.marks.append(_fresh(t.ltrs) if marks is None
+                                  else marks[j])
+        self.slots = tuple(index[id(t)] for t in tapes)
         self.bufs = [list(t.ltrs) for t in self.words]
         self.last: Optional[_Step] = None
 
@@ -1050,6 +1044,15 @@ class _Run:
         self.states, self.slots, self.last = made.states, made.slots, made
 
 
+def _semi(hw: Hardware, w: Word, sector: int, marks: _Marks) -> _Run:
+    """A semi-computation's run: w in ``sector``, no state letters.  The
+    sector keys its steps for a state tuple, or None when it is no int (True
+    and 1.0 would find 1's steps), so that ``GeneralizedRule._sector``
+    refuses it."""
+    return _Run(hw, sector if sector.__class__ is int else None, (sector,),
+                (w,), (marks,))
+
+
 def apply_rule(W: AdmissibleWord, rule: GeneralizedRule) -> AdmissibleWord:
     """W . rule, or raise a MachineError describing the obstruction.
 
@@ -1069,15 +1072,17 @@ def apply_rule(W: AdmissibleWord, rule: GeneralizedRule) -> AdmissibleWord:
     the same object.  Errors come in the order of a window-by-window pass:
     a state mismatch, then the first window outside its domain.
     """
-    run = _Run(W)
+    run = _Run(W.hw, W.states, W.sectors, W.tapes, W.marks)
     run.step(rule)
     return run.word()
 
 
 def semi_apply(w: Word, rule: GeneralizedRule, sector: int) -> Word:
     """One step of a semi-computation in the given sector: the rule's sector
-    map applied to w, which must lie in its domain."""
-    return _image(rule._sector(sector), sector, w)
+    map applied to w, which must lie in its domain: a one-step semi-run."""
+    run = _semi(rule.hw, w, sector, _fresh(w.ltrs))
+    run.step(rule)
+    return run._word(0)
 
 
 # -- machines -----------------------------------------------------------------
@@ -1238,8 +1243,28 @@ class Machine:
         only for the configurations handed out: each one when ``trace``,
         else the last.
         """
-        run = _Run(W)
-        words = [W]
+        run = _Run(W.hw, W.states, W.sectors, W.tapes, W.marks)
+        words = self._walk(run, history, [W], run.word if trace else None)
+        if not trace and history:
+            words.append(run.word())
+        return Computation(words, list(history))
+
+    def semi_run(self, w: Word, sector: int, history: History) -> List[Word]:
+        """The words of the semi-computation of w along ``history`` in
+        ``sector``, stepped by :meth:`run`'s loop: each step is
+        :func:`semi_apply`'s, made in place on one buffer."""
+        return self._semi_run(w, sector, history, _fresh(w.ltrs))
+
+    def _semi_run(self, w: Word, sector: int, history: History,
+                  marks: _Marks) -> List[Word]:
+        """:meth:`semi_run` from ``marks``, marks of w the caller holds."""
+        run = _semi(self.hw, w, sector, marks)
+        return self._walk(run, history, [w], partial(run._word, 0))
+
+    def _walk(self, run: _Run, history: History, words: list,
+              word: Optional[Callable[[], object]]) -> list:
+        """Step ``run`` along ``history``; ``words`` with each step's word()
+        appended when ``word`` is given."""
         for k, entry in enumerate(history):
             try:
                 try:
@@ -1249,35 +1274,9 @@ class Machine:
                 run.step(self.rule(name, s))
             except MachineError as e:
                 raise StepError(k, e) from e
-            if trace:
-                words.append(run.word())
-        if not trace and history:
-            words.append(run.word())
-        return Computation(words, list(history))
-
-    def semi_run(self, w: Word, sector: int, history: History) -> List[Word]:
-        """The words of the semi-computation of w along ``history`` in
-        ``sector``: each step is :func:`semi_apply`'s, made in place on one
-        buffer, and the marks of each word pass on to the next step."""
-        return self._semi_run(w, sector, history, _fresh(w.ltrs))
-
-    def _semi_run(self, w: Word, sector: int, history: History,
-                  marks: _Marks) -> List[Word]:
-        """:meth:`semi_run` from ``marks``, marks of w the caller holds."""
-        out = [w]
-        buf = list(w.ltrs)
-        for k, entry in enumerate(history):
-            try:
-                try:
-                    name, s = entry
-                except (TypeError, ValueError):
-                    raise HistoryEntryError(_NOT_A_PAIR % (entry,)) from None
-                marks = _sector_step(self.rule(name, s)._sector(sector),
-                                     sector, out[-1], buf, marks)
-            except MachineError as e:
-                raise StepError(k, e) from e
-            out.append(Word(w.alpha, tuple(buf)))
-        return out
+            if word is not None:
+                words.append(word())
+        return words
 
 
 def validate_noisy(machine: Machine) -> Dict[Tuple[str, int], int]:

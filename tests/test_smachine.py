@@ -610,18 +610,75 @@ def test_unknown_rule_is_typed():
         assert str(ei.value) == "step 1 inadmissible: unknown rule 'nosuch'"
 
 
-@p("sector", [3, 9, -1])
+# a sector is an int, not a bool, naming a sector of the hardware
+NO_SECTORS = [3, 9, -1, "1", 1.0, None, True]
+
+
+@p("sector", NO_SECTORS)
 def test_sector_outside_the_hardware_is_typed(sector):
     m = tiny_machine()
     w = m.hw.alpha.parse("a")
-    message = "rule twist: no sector %d" % sector
-    with pytest.raises(MachineError, match=message):
+    message = "rule twist: no sector %r" % (sector,)
+    with pytest.raises(MachineError, match=re.escape(message)):
         semi_apply(w, m.rule("twist"), sector)
     with pytest.raises(StepError) as ei:
         m.semi_run(w, sector, [("twist", 1)])
     assert ei.value.index == 0
     assert type(ei.value.reason) is MachineError
     assert str(ei.value.reason) == message
+
+
+def test_a_sector_once_stepped_keys_no_other():
+    """Semi steps are compiled per (rule, sector) and kept on the rule, the
+    sector in place of a state tuple: after sector 1's step is compiled,
+    True and 1.0 are still refused, and each sector steps by its own rule
+    however the compiled steps were made before it."""
+    m = tiny_machine()
+    al = m.hw.alpha
+    for sector, word, image in [(2, "c", "c"), (1, "a", "a b"),
+                                (2, "a", None), (1, "c", None),
+                                (1, "a b^-1", "a"), (2, "c c", "c c")]:
+        w = al.parse(word)
+        if image is None:
+            with pytest.raises(StepError) as ei:
+                m.semi_run(w, sector, [("twist", 1)])
+            assert isinstance(ei.value.reason, SectorMismatchError)
+            assert ei.value.reason.sector == sector
+            with pytest.raises(SectorMismatchError):
+                semi_apply(w, m.rule("twist"), sector)
+        else:
+            assert m.semi_run(w, sector, [("twist", 1)])[-1] == \
+                semi_apply(w, m.rule("twist"), sector) == al.parse(image)
+    for sector in (True, 1.0):
+        with pytest.raises(MachineError, match="no sector %r" % sector):
+            semi_apply(al.parse("a"), m.rule("twist"), sector)
+
+
+def test_a_repeated_semi_run_compiles_nothing_and_follows_after(
+        monkeypatch):
+    """A semi-run compiles one step per (rule, sector) and links the step
+    each rule makes next, as a run does: the same semi-run again compiles
+    no step, gives equal words, and every step after its first follows an
+    ``after`` link."""
+    from smforge import smachine
+    m = tiny_machine()
+    al = m.hw.alpha
+    history = [("twist", 1), ("peel", 1), ("twist", -1), ("twist", 1),
+               ("peel", -1), ("twist", 1)]
+
+    def compiled():
+        return sum(len(r._steps) for r in (*m.rules.values(),
+                                            *m._inv_cache.values()))
+    first = m.semi_run(al.parse("a a b^-1"), 1, history)
+    made = compiled()
+    followed = []
+    step = smachine._Run.step
+    monkeypatch.setattr(smachine._Run, "step", lambda run, rule: (
+        followed.append(run.last is not None and rule in run.last.after)
+        or step(run, rule)))
+    assert m.semi_run(al.parse("a a b^-1"), 1, history) == first
+    assert compiled() == made == 4  # twist, peel and their inverses
+    assert followed == [False] + [True] * (len(history) - 1)
 
 
 def test_rule_of_other_hardware_is_typed():
@@ -633,13 +690,13 @@ def test_rule_of_other_hardware_is_typed():
     assert apply_rule(W, m.rule("peel")).format() == "q0 q1 q2"
 
 
-@p("sector", [3, 9, -1])
+@p("sector", NO_SECTORS)
 def test_sector_queries_outside_the_hardware_are_typed(sector):
     m = tiny_machine()
     w = m.hw.alpha.parse("a")
     rule = m.rule("twist")
-    message = "rule twist: no sector %d" % sector
-    with pytest.raises(MachineError, match=message):
+    message = "rule twist: no sector %r" % (sector,)
+    with pytest.raises(MachineError, match=re.escape(message)):
         rule.locks(sector)
     assert len(rule.sectors[1].express(w)) == 1
 
