@@ -5,8 +5,7 @@ keep their machine ids, are joined by one fresh rule letter per (rule,
 part) pair, each rule part contributes a relator pushing the rule letter
 through a state letter, and each unlocked sector basis element
 contributes one pushing it through a tape word.  Adding the accept word
-as a relator closes the group; disk relators and tape-word relators
-extend it further.
+as a relator closes the group.
 
 Computations then fold into grids of cells: every step becomes a row (a
 band) with a cell per state and tape letter of the configuration the
@@ -593,10 +592,10 @@ class WeightFunctions:
 
 
 def diagram_signature(d: GridDiagram) -> Tuple[int, int, int, int]:
-    """Cell class counts: disks, anchor-part cells, tape-word cells,
-    marked-letter cells."""
+    """Cell class counts: hubs, anchor-part cells (``theta-t``), tape-word
+    cells (``theta-a``) and marked-letter cells (``theta-A``)."""
     n = Counter(c.cls for row in d.rows for c in row.cells)
-    return n["hub"] + n["disk"], n["theta-t"], n["a"], n["theta-A"]
+    return n["hub"], n["theta-t"], n["theta-a"], n["theta-A"]
 
 
 # -- verification ----------------------------------------------------------------

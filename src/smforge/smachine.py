@@ -54,11 +54,16 @@ mostly follows those links. A buffer read by two classes is copied for
 all but the last of them, so ring copies of one machine, which hold equal
 tapes, cost one push per distinct window, and equal tapes of one class
 stay one Word.
+
+Words and histories are text of signed tokens (``words.signed_tokens``),
+and a rule name is one such token (:class:`RuleNameError`), so it survives
+history and machine text; (name, -1) is the one spelling of an inverse.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property, partial
 from itertools import compress, count
@@ -67,7 +72,8 @@ from typing import (Callable, Collection, Dict, FrozenSet, List, Optional,
 
 from smforge.words import (
     Alphabet, BasisExpression, MachineError, NoiseWord, Word,
-    free_reduce, junction, relabel, validate_basis,
+    free_reduce, junction, relabel, signed_text, signed_tokens,
+    validate_basis,
 )
 
 
@@ -116,6 +122,18 @@ class UnknownRuleError(MachineError, KeyError):
 
     def __str__(self) -> str:
         return self.args[0]
+
+
+class RuleNameError(MachineError):
+    """A rule name that history or machine text cannot carry: a name is a
+    str, one token, not ``1``, and holds no ``:`` or ``^``."""
+
+
+def _check_name(name: object) -> None:
+    if (not isinstance(name, str) or name.split() != [name] or name == "1"
+            or ":" in name or "^" in name):
+        raise RuleNameError("rule name %r is no token of history and "
+                            "machine text" % (name,))
 
 
 class BasisShapeError(MachineError):
@@ -852,14 +870,18 @@ class GeneralizedRule:
 
     # -- queries -------------------------------------------------------------
 
-    def _sector(self, sector: int) -> Optional[SectorRule]:
+    def locks(self, sector: int) -> bool:
         if sector.__class__ is not int or not 0 <= sector < self.hw.n_parts:
             raise MachineError("rule %s: no sector %r" % (self.name, sector))
-        return self.sectors[sector]
-
-    def locks(self, sector: int) -> bool:
-        sec = self._sector(sector)
+        sec = self.sectors[sector]
         return sec is None or not sec.domain
+
+    @cached_property
+    def inverse(self) -> "GeneralizedRule":
+        """The inverse rule, built once by :func:`invert_rule`."""
+        inv = invert_rule(self)
+        inv.__dict__["inverse"] = self
+        return inv
 
     def __repr__(self) -> str:
         return "GeneralizedRule(%s)" % self.name
@@ -896,12 +918,9 @@ def invert_rule(rule: GeneralizedRule) -> GeneralizedRule:
         nxt = hw.next_part(i) if (hw.cyclic or i + 1 < hw.n_parts) else None
         v2 = image(nxt, rp.v) if nxt is not None else rp.v.alpha.word()
         parts.append(RulePart(rp.q2, u2, rp.q, v2))
-    return GeneralizedRule(hw, _inv_name(rule.name), parts, inv_sectors,
+    name = rule.name + "^-1" if rule.positive else rule.name[:-3]
+    return GeneralizedRule(hw, name, parts, inv_sectors,
                            positive=not rule.positive)
-
-
-def _inv_name(name: str) -> str:
-    return name[:-3] if name.endswith("^-1") else name + "^-1"
 
 
 # -- application --------------------------------------------------------------
@@ -938,7 +957,7 @@ class _Step:
         self.after: Dict[GeneralizedRule, _Step] = {}
         if run.states.__class__ is not tuple:  # a semi-run
             s, self.states, self.slots = run.sectors[0], run.states, run.slots
-            self.units = ((s, rule._sector(s) or _LOCKED, None, 0, 0),)
+            self.units = ((s, rule.sectors[s] or _LOCKED, None, 0, 0),)
             return
         repl = []
         for j, q in enumerate(run.states):
@@ -1045,12 +1064,12 @@ class _Run:
 
 
 def _semi(hw: Hardware, w: Word, sector: int, marks: _Marks) -> _Run:
-    """A semi-computation's run: w in ``sector``, no state letters.  The
-    sector keys its steps for a state tuple, or None when it is no int (True
-    and 1.0 would find 1's steps), so that ``GeneralizedRule._sector``
-    refuses it."""
-    return _Run(hw, sector if sector.__class__ is int else None, (sector,),
-                (w,), (marks,))
+    """A semi-computation's run: w in ``sector``, which keys its steps for a
+    state tuple, and no state letters.  A sector that is no int (True and
+    1.0 would find 1's steps) or not of ``hw`` raises MachineError."""
+    if sector.__class__ is not int or not 0 <= sector < hw.n_parts:
+        raise MachineError("no sector %r" % (sector,))
+    return _Run(hw, sector, (sector,), (w,), (marks,))
 
 
 def apply_rule(W: AdmissibleWord, rule: GeneralizedRule) -> AdmissibleWord:
@@ -1111,24 +1130,8 @@ def reduce_history(history: History) -> History:
     return stack
 
 
-def format_history(history: History) -> str:
-    if not history:
-        return "1"
-    return " ".join(n if s > 0 else n + "^-1" for n, s in history)
-
-
-def parse_history(text: str) -> History:
-    if text.strip() == "1":
-        return []
-    out: History = []
-    for tok in text.split():
-        if tok.endswith("^-1"):
-            out.append((tok[:-3], -1))
-        elif "^" in tok:
-            raise ValueError("bad history token: %r" % (tok,))
-        else:
-            out.append((tok, 1))
-    return out
+# history text is word text over rule names (see RuleNameError)
+format_history, parse_history = signed_text, signed_tokens
 
 
 @dataclass
@@ -1162,7 +1165,8 @@ class Computation:
 
 
 class Machine:
-    """Hardware, positive rules, and a noise declaration checked on build."""
+    """Hardware, positive rules whose names text can carry (see
+    :class:`RuleNameError`), and a noise declaration checked on build."""
 
     def __init__(self, name: str, hw: Hardware,
                  rules: Sequence[GeneralizedRule],
@@ -1176,30 +1180,24 @@ class Machine:
                 raise ValueError("duplicate rule name %s" % r.name)
             if not r.positive:
                 raise ValueError("machines carry positive rules only")
+            _check_name(r.name)
             self.rules[r.name] = r
         self.input_sectors = list(input_sectors)
         self.noise = noise
-        self._inv_cache: Dict[str, GeneralizedRule] = {}
         if noise is not None:
             validate_noisy(self)
 
     def rule(self, name: str, sign: int = 1) -> GeneralizedRule:
-        """The rule ``name`` (a trailing ``^-1`` inverts it) to the power
-        ``sign``, which must be the int 1 or -1."""
+        """The rule ``name`` to the power ``sign``, which must be the int 1
+        or -1; (name, -1) is the one spelling of its inverse."""
         if type(sign) is not int or sign not in (1, -1):
             raise HistoryEntryError("history signs must be +-1")
         if not isinstance(name, str):
             raise HistoryEntryError("rule name %r is not a string" % (name,))
-        if name.endswith("^-1"):
-            name, sign = name[:-3], -sign
         base = self.rules.get(name)
         if base is None:
             raise UnknownRuleError(name)
-        if sign > 0:
-            return base
-        if name not in self._inv_cache:
-            self._inv_cache[name] = invert_rule(base)
-        return self._inv_cache[name]
+        return base if sign > 0 else base.inverse
 
     def theta(self) -> List[Tuple[str, int]]:
         """All signed rules, positives first."""
@@ -1430,27 +1428,17 @@ def machine_to_text(m: Machine) -> str:
             sk = al.subkind_of(y)
             toks.append(name if sk == "o" else "%s:%s" % (name, sk))
         lines.append("TAPE %d: %s" % (i, " ".join(toks)))
-    if m.noise is not None:
-        sectors = sorted(set(m.noise.K) | set(m.noise.M) | set(m.noise.N))
-        for i in sectors:
-            phi = m.noise.phi.get(i, {})
-            lines.append("NOISE %d: K={%s} M={%s} N={%s} phi=[%s]" % (
-                i,
-                ",".join(al.name_of(y) for y in m.noise.K.get(i, ())),
-                ",".join(al.name_of(y) for y in m.noise.M.get(i, ())),
-                ",".join(al.name_of(y) for y in m.noise.N.get(i, ())),
-                ",".join("%s->%s" % (al.name_of(k), al.name_of(v))
-                         for k, v in phi.items())))
+    noise = m.noise or NoiseDecl()
+    for i in sorted({*noise.K, *noise.M, *noise.N}):
+        lists = [",".join(map(al.name_of, d.get(i, ())))
+                 for d in (noise.K, noise.M, noise.N)]
+        lists.append(",".join("%s->%s" % (al.name_of(k), al.name_of(v))
+                              for k, v in noise.phi.get(i, {}).items()))
+        lines.append("NOISE %d: K={%s} M={%s} N={%s} phi=[%s]" % (i, *lists))
     for name, rule in m.rules.items():
         for i, rp in enumerate(rule.parts):
-            mid = []
-            if rp.u:
-                mid.append(rp.u.format())
-            mid.append(al.name_of(rp.q2))
-            if rp.v:
-                mid.append(rp.v.format())
-            line = "RULE %s: %d: %s -> %s" % (name, i, al.name_of(rp.q),
-                                              " ".join(mid))
+            rhs = Word(al, rp.u.ltrs + (rp.q2,) + rp.v.ltrs).format()
+            line = "RULE %s: %d: %s -> %s" % (name, i, al.name_of(rp.q), rhs)
             sec = rule.sectors[i]
             if sec is not None:
                 line += " | X={%s} Z={%s} f=[%s]" % (
@@ -1464,19 +1452,14 @@ def machine_to_text(m: Machine) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _parse_braced(chunk: str, tag: str) -> str:
-    chunk = chunk.strip()
-    if not chunk.startswith(tag + "={") or not chunk.endswith("}"):
-        raise ValueError("expected %s={...}, got %r" % (tag, chunk))
-    return chunk[len(tag) + 2:-1]
-
-
 def machine_from_text(text: str) -> Machine:
     """Parse the line format produced by machine_to_text.
 
     Raises ParseError, naming the line at fault, on text that does not
-    parse or does not describe a valid machine; a noise declaration that
-    :func:`validate_noisy` rejects is blamed on the first NOISE line.
+    parse or does not describe a valid machine: a second line for one
+    item, a refused rule name (blamed on the rule's first line), and a
+    noise declaration that :func:`validate_noisy` rejects (blamed on the
+    first NOISE line).
     """
     at = [0]
     try:
@@ -1485,98 +1468,80 @@ def machine_from_text(text: str) -> Machine:
         raise ParseError(at[0], e.args[0] if e.args else repr(e)) from e
 
 
+# the brackets of each list in machine text, and the separator of its items
+_LISTS = {"K": "{},", "M": "{},", "N": "{},", "phi": "[],", "X": "{};",
+          "Z": "{};", "f": "[],"}
+
+
+def _list(text: str, tag: str, then: str = "") -> Tuple[List[str], str]:
+    """The items of the list ``tag={...}`` or ``tag=[...]`` starting
+    ``text``, which ends before " ``then``" if given, and the rest."""
+    opn, close, sep = _LISTS[tag]
+    text = text.strip()
+    cut = text.index(close + " " + then) + 1 if then else len(text)
+    if not text.startswith(tag + "=" + opn) or not text[:cut].endswith(close):
+        raise ValueError("expected %s=%s...%s: %r" % (tag, opn, close, text))
+    items = text[len(tag) + 2:cut - 1].split(sep)
+    return [x for x in items if x], text[cut + 1:]
+
+
 def _machine_from_text(text: str, at: List[int]) -> Machine:
     """machine_from_text's parser; at[0] follows the line at work: the one
     being read, then the line each item was declared on."""
     name = None
     cyclic = False
     inputs: List[int] = []
-    part_lines: Dict[int, Tuple[List[str], str, str, int]] = {}
-    tape_lines: Dict[int, Tuple[int, List[Tuple[str, str]]]] = {}
-    noise_lines: Dict[int, tuple] = {}
-    rule_lines: Dict[str, Dict[int, Tuple[int, str]]] = {}
+    # kind -> key (a sector, or rule name and part) -> (line, body)
+    items: Dict[str, dict] = {k: {} for k in ("PART", "TAPE", "NOISE", "RULE")}
     locks: Dict[str, set] = {}
-    order: Dict[str, int] = {}
+    order: Dict[str, int] = {}  # rule name -> its first RULE or LOCK line
 
     for at[0], raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        if line.startswith("MACHINE "):
+        kind, space, rest = line.partition(" ")
+        if space and kind == "MACHINE":
             if name is not None:
                 raise ValueError("second MACHINE line")
-            toks = line.split()
-            name = toks[1]
-            for t in toks[2:]:
+            name, *flags = rest.split()
+            for t in flags:
                 if t == "cyclic":
                     cyclic = True
                 elif t.startswith("inputs="):
                     inputs = [int(x) for x in t[7:].split(",") if x]
                 else:
                     raise ValueError("bad MACHINE flag %r" % t)
-        elif line.startswith("PART "):
-            head, _, rest = line.partition(":")
-            i = int(head.split()[1])
-            if i in part_lines:
-                raise ValueError("second PART %d line" % i)
+        elif space and kind in items:
+            head, _, body = rest.partition(":")
+            if kind == "RULE":
+                istr, _, body = body.partition(":")
+                key = head.strip(), int(istr)
+                label = "%s: %d" % key
+                order.setdefault(key[0], at[0])
+            else:
+                key = label = int(head.split()[0])
+            if key in items[kind]:
+                raise ValueError("second %s %s line" % (kind, label))
+            # a body is read as far as it can be without the alphabet
+            toks = body.split()
+            if kind == "PART":
+                if not toks or not toks[-1].startswith("[start="):
+                    raise ValueError("PART line needs [start=..,end=..]")
+                ann = dict(kv.partition("=")[::2]
+                           for kv in toks[-1][1:-1].split(","))
+                body = toks[:-1], ann.get("start"), ann.get("end")
+            elif kind == "TAPE":
+                body = [t.partition(":")[::2] if ":" in t else (t, "o")
+                        for t in toks]
+            elif kind == "NOISE":  # a missing list reads as ""
+                body = [_list(c, tag)[0] for c, tag in zip(
+                    toks + [""] * 3, ("K", "M", "N", "phi"))]
+            items[kind][key] = at[0], body
+        elif space and kind == "LOCK":
             toks = rest.split()
-            if not toks or not toks[-1].startswith("[start="):
-                raise ValueError("PART line needs [start=..,end=..]")
-            ann = toks[-1][1:-1]
-            start = end = None
-            for kv in ann.split(","):
-                k, _, v = kv.partition("=")
-                if k == "start":
-                    start = v
-                elif k == "end":
-                    end = v
-            part_lines[i] = (toks[:-1], start, end, at[0])
-        elif line.startswith("TAPE "):
-            head, _, rest = line.partition(":")
-            i = int(head.split()[1])
-            if i in tape_lines:
-                raise ValueError("second TAPE %d line" % i)
-            entries = []
-            for tok in rest.split():
-                if ":" in tok:
-                    nm, _, sk = tok.partition(":")
-                    entries.append((nm, sk))
-                else:
-                    entries.append((tok, "o"))
-            tape_lines[i] = (at[0], entries)
-        elif line.startswith("NOISE "):
-            head, _, rest = line.partition(":")
-            i = int(head.split()[1])
-            if i in noise_lines:
-                raise ValueError("second NOISE %d line" % i)
-            chunks = rest.split()
-            K = [x for x in _parse_braced(chunks[0], "K").split(",") if x]
-            M = [x for x in _parse_braced(chunks[1], "M").split(",") if x]
-            N = [x for x in _parse_braced(chunks[2], "N").split(",") if x]
-            phis = chunks[3].strip()
-            if not phis.startswith("phi=[") or not phis.endswith("]"):
-                raise ValueError("bad NOISE phi chunk %r" % phis)
-            pairs = []
-            for kv in phis[5:-1].split(","):
-                if not kv:
-                    continue
-                a, _, b = kv.partition("->")
-                pairs.append((a, b))
-            noise_lines[i] = (at[0], K, M, N, pairs)
-        elif line.startswith("RULE "):
-            head, _, rest = line[5:].partition(":")
-            rname = head.strip()
-            istr, _, body = rest.partition(":")
-            i = int(istr)
-            bodies = rule_lines.setdefault(rname, {})
-            if i in bodies:
-                raise ValueError("second RULE %s: %d line" % (rname, i))
-            bodies[i] = (at[0], body.strip())
-            order.setdefault(rname, at[0])
-        elif line.startswith("LOCK "):
-            toks = line.split()
-            locks.setdefault(toks[1], set()).add((int(toks[2]), at[0]))
-            order.setdefault(toks[1], at[0])
+            locks.setdefault(toks[0], set()).add((int(toks[1]), at[0]))
+            order.setdefault(toks[0], at[0])
         else:
             raise ValueError("unrecognized line: %r" % line)
 
@@ -1585,37 +1550,37 @@ def _machine_from_text(text: str, at: List[int]) -> Machine:
         raise ValueError("missing MACHINE line")
 
     al = Alphabet()
-    if sorted(part_lines) != list(range(len(part_lines))):
+    n = len(items["PART"])
+    if sorted(items["PART"]) != list(range(n)):
         raise ValueError("PART indices must be 0..N")
     parts = []
-    for _, (letters, start, end, at[0]) in sorted(part_lines.items()):
+    for _, (at[0], (letters, start, end)) in sorted(items["PART"].items()):
         ids = tuple(al.intern(nm, kind="q") for nm in letters)
         parts.append(Part(ids, al.id_of(start), al.id_of(end)))
     tapes: List[Tuple[int, ...]] = []
-    for i in range(len(parts)):
-        at[0], entries = tape_lines.get(i, (at[0], []))
+    for i in range(n):
+        at[0], entries = items["TAPE"].get(i, (at[0], []))
         tapes.append(tuple(al.intern(nm, kind="a", subkind=sk)
                            for nm, sk in entries))
     hw = Hardware(al, parts, tapes, cyclic=cyclic)
 
-    noise = None
-    if noise_lines:
-        noise = NoiseDecl()
-        for i, (at[0], K, M, N, pairs) in sorted(noise_lines.items()):
-            noise.K[i] = tuple(al.id_of(x) for x in K)
-            noise.M[i] = tuple(al.id_of(x) for x in M)
-            noise.N[i] = tuple(al.id_of(x) for x in N)
-            noise.phi[i] = {al.id_of(a): al.id_of(b) for a, b in pairs}
+    noise = NoiseDecl() if items["NOISE"] else None
+    for i, (at[0], (K, M, N, phi)) in sorted(items["NOISE"].items()):
+        noise.K[i], noise.M[i], noise.N[i] = (tuple(map(al.id_of, xs))
+                                              for xs in (K, M, N))
+        noise.phi[i] = dict(map(al.id_of, kv.partition("->")[::2])
+                            for kv in phi)
 
     rules = []
+    lines_of = Counter(key[0] for key in items["RULE"])  # name -> lines
     for rname, at[0] in order.items():
-        bodies = rule_lines.get(rname, {})
-        if sorted(bodies) != list(range(len(parts))):
+        _check_name(rname)
+        bodies = [items["RULE"].get((rname, i)) for i in range(n)]
+        if None in bodies or lines_of[rname] != n:
             raise ValueError("rule %s: need one line per part" % rname)
         rparts: List[RulePart] = []
-        sectors: List[Optional[SectorRule]] = [None] * len(parts)
-        for i in range(len(parts)):
-            at[0], body = bodies[i]
+        sectors: List[Optional[SectorRule]] = [None] * n
+        for i, (at[0], body) in enumerate(bodies):
             main, _, tail = body.partition("|")
             lhs, _, rhs = main.partition("->")
             q = al.id_of(lhs.strip())
@@ -1626,38 +1591,23 @@ def _machine_from_text(text: str, at: List[int]) -> Machine:
                 raise ValueError("rule %s part %d: need exactly one state "
                                  "letter on the right" % (rname, i))
             k = qpos[0]
-            u = al.parse(" ".join(toks[:k])) if k else al.word()
-            v = al.parse(" ".join(toks[k + 1:])) if k + 1 < len(toks) else al.word()
+            u, v = (al.parse(" ".join(t)) for t in (toks[:k], toks[k + 1:]))
             rparts.append(RulePart(q, u, al.id_of(toks[k]), v))
-            tail = tail.strip()
-            if tail:
-                # split into X={...} Z={...} f=[...]; words may contain spaces
-                xs = _parse_braced(tail[:tail.index("} Z={") + 1], "X")
-                rest2 = tail[tail.index("} Z={") + 2:]
-                zs = _parse_braced(rest2[:rest2.index("} f=[") + 1], "Z")
-                fs = rest2[rest2.index("} f=[") + 5:]
-                if not fs.endswith("]"):
-                    raise ValueError("bad f chunk in rule %s" % rname)
-                fs = fs[:-1]
-                X = tuple(al.parse(wt) for wt in xs.split(";") if wt != "")
-                Z = tuple(al.parse(wt) for wt in zs.split(";") if wt != "")
-                perm = {}
-                for kv in fs.split(","):
-                    if not kv:
-                        continue
-                    a, _, b = kv.partition("->")
-                    perm[int(a)] = int(b)
+            if tail.strip():
+                X, tail = _list(tail, "X", "Z={")
+                Z, tail = _list(tail, "Z", "f=[")
+                perm = dict(map(int, kv.partition("->")[::2])
+                            for kv in _list(tail, "f")[0])
+                X, Z = (tuple(map(al.parse, ws)) for ws in (X, Z))
                 if perm and sorted(perm) != list(range(len(X))):
                     raise ValueError("bad f permutation in rule %s" % rname)
-                if perm:
-                    Z = tuple(Z[perm[k]] for k in range(len(X)))
+                Z = tuple(Z[perm[k]] for k in range(len(X))) if perm else Z
                 sectors[i] = SectorRule(X, Z)
         for i, at[0] in locks.get(rname, set()):
             if sectors[i] is not None:
                 raise ValueError("rule %s sector %d both locked and given "
                                  "bases" % (rname, i))
         rules.append(GeneralizedRule(hw, rname, rparts, sectors))
-    if noise_lines:
-        # Machine checks the noise: a refusal blames the first NOISE line
-        at[0] = min(entry[0] for entry in noise_lines.values())
+    # Machine checks the noise: a refusal blames the first NOISE line
+    at[0] = min((line for line, _ in items["NOISE"].values()), default=at[0])
     return Machine(name, hw, rules, input_sectors=inputs, noise=noise)

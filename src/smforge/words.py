@@ -195,18 +195,33 @@ class Alphabet:
         >>> al.parse("1").format()
         '1'
         """
-        toks = text.split()
-        if toks == ["1"]:
-            return self.word()
-        out: List[int] = []
-        for tok in toks:
-            if tok.endswith("^-1"):
-                out.append(-self.id_of(tok[:-3]))
-            elif "^" in tok:
-                raise ValueError("bad letter token: %r" % (tok,))
-            else:
-                out.append(self.id_of(tok))
-        return self.word(out)
+        return self.word([s * self.id_of(name)
+                          for name, s in signed_tokens(text)])
+
+
+def signed_tokens(text: str) -> List[Tuple[str, int]]:
+    """The (name, sign) tokens of word or history text: a trailing ``^-1``
+    marks an inverse, ``1`` alone is the empty sequence, and any other
+    ``^`` is refused.
+
+    >>> signed_tokens("a b^-1")
+    [('a', 1), ('b', -1)]
+    """
+    toks = text.split()
+    if toks == ["1"]:
+        return []
+    out = []
+    for tok in toks:
+        name, hat, power = tok.partition("^")
+        if hat and (power != "-1" or not name):
+            raise ValueError("bad token: %r" % (tok,))
+        out.append((name, -1 if hat else 1))
+    return out
+
+
+def signed_text(tokens: Iterable[Tuple[str, int]]) -> str:
+    """The text that :func:`signed_tokens` reads as ``tokens``."""
+    return " ".join(n if s > 0 else n + "^-1" for n, s in tokens) or "1"
 
 
 def free_reduce(letters: Iterable[int]) -> Tuple[int, ...]:
@@ -353,11 +368,7 @@ class Word:
     # -- text --------------------------------------------------------------
 
     def format(self) -> str:
-        if not self.ltrs:
-            return "1"
-        al = self.alpha
-        return " ".join(al.name_of(x) if x > 0 else al.name_of(x) + "^-1"
-                        for x in self.ltrs)
+        return signed_text((self.alpha.name_of(x), x) for x in self.ltrs)
 
 
 def cyclic_reduce(w: Word) -> Tuple[Word, Word]:

@@ -341,16 +341,16 @@ def reference_apply_rule(W, rule):
 def reference_semi_run(machine, w, sector, history):
     """Machine.semi_run with reference_image for each step: every word is
     expressed over X afresh, image-read words are always read back, and no
-    letter sets or positions are carried from step to step."""
+    letter sets or positions are carried from step to step.  A sector
+    outside the hardware is refused before any step."""
     from smforge.smachine import MachineError, StepError
 
+    if not 0 <= sector < machine.hw.n_parts:
+        raise MachineError("no sector %d" % sector)
     out = [w]
     for k, (name, s) in enumerate(history):
         try:
             rule = machine.rule(name, s)
-            if not 0 <= sector < rule.hw.n_parts:
-                raise MachineError("rule %s: no sector %d"
-                                   % (rule.name, sector))
             out.append(reference_image(rule, sector, out[-1]))
         except MachineError as e:
             raise StepError(k, e) from e

@@ -286,10 +286,17 @@ def _run_outcome(f, *args):
         return type(e), str(e)
 
 
+def counted_signature(d):
+    """diagram_signature by a plain count of the cells' classes."""
+    classes = [c.cls for row in d.rows for c in row.cells]
+    return tuple(map(classes.count, ("hub", "theta-t", "theta-a", "theta-A")))
+
+
 def test_disk_of_i(disk_i, pres):
     assert disk_i.area == 1257
     assert diagram_report(disk_i, pres) == []
-    assert diagram_signature(disk_i) == (1, 72, 0, 16)
+    assert diagram_signature(disk_i) == counted_signature(disk_i) \
+        == (1, 72, 112, 16)
     assert disk_i.glue == "sides"
 
 
@@ -311,13 +318,13 @@ def test_disk_of_j(main1, pres):
     d = build_disk_diagram(W, main1, pres, wf)
     assert d.area == 1177
     assert diagram_report(d, pres) == []
-    assert diagram_signature(d) == (1, 72, 0, 14)
+    assert diagram_signature(d) == counted_signature(d) == (1, 72, 112, 14)
 
 
 def test_disk_of_i_squared(disk_i2, pres):
     d = disk_i2
     assert d.area == 131161
-    assert diagram_signature(d) == (1, 752, 0, 136)
+    assert diagram_signature(d) == counted_signature(d) == (1, 752, 2832, 136)
     assert diagram_report(d, pres) == []
 
 

@@ -233,7 +233,7 @@ def test_the_replay_starts_from_the_marks_of_its_first_push(monkeypatch):
     # what the first push would work out from fresh marks: the letters,
     # the watch letters widened by the rule's moving letters, their scan
     buf = list(u.ltrs)
-    first = main.machine.rule(*history[0])._sector(main.special_sector)
+    first = main.machine.rule(*history[0]).sectors[main.special_sector]
     fresh = _fresh(buf)
     assert letters == fresh[0]
     assert watch == fresh[1] | first.widen

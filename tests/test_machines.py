@@ -36,7 +36,10 @@ from smforge.smachine import (
     semi_apply,
     validate_noisy,
 )
+from smforge.mainmachine import DivisibleRecognizer, Params, build_main
 from smforge.towers import bar_name, reflect
+from test_groups import WRAP
+from test_smachine import tiny_machine
 
 p = pytest.mark.parametrize
 
@@ -89,15 +92,31 @@ def test_machine_text_roundtrip():
 
 
 M1_TEXT = machine_to_text(build_m1(("a",))[0])
+_TEXTS = {}
 
 
-@given(st.integers(0, len(M1_TEXT) - 1), st.sampled_from("dir"),
-       st.sampled_from(sorted(set(M1_TEXT)) + ["x"]))
-@settings(max_examples=300, deadline=None)
-def test_single_edit_mutants_parse_or_raise_parse_error(k, op, ch):
-    """Delete, insert or replace one character of M1's text: the mutant
-    either parses and round-trips, or raises ParseError."""
-    text = M1_TEXT[:k] + ("" if op == "d" else ch) + M1_TEXT[k + (op != "i"):]
+def mutant_texts():
+    """M1's text, the tiny machine's, WRAP's and M5's (desk parameters,
+    L = 4, c = 1)."""
+    if not _TEXTS:
+        main = build_main(("a",), DivisibleRecognizer(("a",), 1),
+                          Params(2, 4, 5, 4, 7, 8, 9, check_chain=False))
+        _TEXTS.update(M1=M1_TEXT, tiny=machine_to_text(tiny_machine()),
+                      WRAP=WRAP, M5=machine_to_text(main.m5))
+    return _TEXTS
+
+
+@given(st.data())
+@settings(max_examples=400, deadline=None)
+def test_single_edit_mutants_parse_or_raise_parse_error(data):
+    """Delete, insert or replace one character of a machine's text, using
+    the text's own characters and x: the mutant either parses and
+    round-trips, or raises ParseError."""
+    base = mutant_texts()[data.draw(st.sampled_from(sorted(mutant_texts())))]
+    k = data.draw(st.integers(0, len(base) - 1))
+    op = data.draw(st.sampled_from("dir"))
+    ch = data.draw(st.sampled_from(sorted(set(base)) + ["x"]))
+    text = base[:k] + ("" if op == "d" else ch) + base[k + (op != "i"):]
     try:
         m = machine_from_text(text)
     except ParseError as e:
@@ -110,10 +129,12 @@ def test_single_edit_mutants_parse_or_raise_parse_error(k, op, ch):
 def test_parse_error_names_the_line():
     lines = M1_TEXT.splitlines()
     n = next(i for i, ln in enumerate(lines) if ln.startswith("NOISE"))
-    for bad in (lines[n][:lines[n].index("M=")],
-                lines[n].replace("b1", "zz")):
+    for bad, message in ((lines[n][:lines[n].index("M=")], None),
+                         (lines[n].replace("b1", "zz"), "'zz'"),
+                         (lines[n].replace("K={a}", "K={a"),
+                          re.escape("expected K={...}"))):
         text = "\n".join(lines[:n] + [bad] + lines[n + 1:])
-        with pytest.raises(ParseError) as err:
+        with pytest.raises(ParseError, match=message) as err:
             machine_from_text(text)
         assert err.value.line == n + 1
     with pytest.raises(ParseError) as err:

@@ -3,12 +3,15 @@
 import re
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from oracles import reference_validate_basis
+from smforge.machines import build_m1
+from smforge.mainmachine import DivisibleRecognizer, Params, build_main
 from smforge.smachine import (
     AdmissibleWord, BasisShapeError, GeneralizedRule, Hardware,
     HistoryEntryError, Machine, MachineError, NoiseDecl, ParseError, Part,
-    RulePart, SectorMismatchError, SectorRule,
+    RuleNameError, RulePart, SectorMismatchError, SectorRule,
     StateMismatchError, StepError, UnknownRuleError, apply_rule, invert_rule,
     machine_from_text, machine_to_text, parse_history, format_history,
     reduce_history, semi_apply, validate_noisy,
@@ -587,6 +590,51 @@ def test_reduce_history_reads_entries_as_a_run_does(history, message):
     assert str(ei.value) == message
 
 
+def test_an_inverse_is_spelled_by_its_sign_alone():
+    """(name, -1) is the one spelling of an inverse step: a name ending in
+    ``^-1`` is unknown, so reduce_history keeps (twist, 1) beside it and a
+    run stops there; the inverse rule lives on its rule, built once."""
+    m = tiny_machine()
+    with pytest.raises(UnknownRuleError, match="unknown rule 'twist\\^-1'"):
+        m.rule("twist^-1")
+    history = [("twist", 1), ("twist^-1", 1)]
+    assert reduce_history(history) == history
+    W = AdmissibleWord.from_word(m.hw, m.hw.alpha.parse("q0 a q1 q2"))
+    with pytest.raises(StepError) as ei:
+        m.run(W, history)
+    assert ei.value.index == 1
+    assert isinstance(ei.value.reason, UnknownRuleError)
+    for name, rule in m.rules.items():
+        assert m.rule(name, -1) is rule.inverse is m.rule(name, -1)
+        assert rule.inverse.inverse is rule
+        assert rule.inverse.name == name + "^-1" and not rule.inverse.positive
+
+
+# names that history or machine text cannot carry: whitespace, ':' and '^'
+# separate their tokens, a lone 1 is the empty history, and an empty name
+# is no token
+BAD_NAMES = ["tw ist", "tw:ist", "tw^ist", "twist^-1", "1", ""]
+
+
+@p("name", BAD_NAMES)
+def test_a_rule_name_the_text_formats_cannot_carry_is_refused(name):
+    """A Machine refuses the rule, naming it; machine text naming it is a
+    ParseError at the rule's first RULE line.  A name with ':' ends at its
+    ':' there, so that line's part number does not parse."""
+    m = tiny_machine()
+    twist = m.rules["twist"]
+    bad = GeneralizedRule(m.hw, name, twist.parts, twist.sectors)
+    with pytest.raises(RuleNameError, match=re.escape(repr(name))):
+        Machine("tiny", m.hw, [m.rules["peel"], bad])
+    text = machine_to_text(m).replace("RULE twist:", "RULE %s:" % name)
+    at = next(k for k, line in enumerate(text.splitlines(), 1)
+              if line.startswith("RULE %s:" % name))
+    with pytest.raises(ParseError) as err:
+        machine_from_text(text)
+    assert err.value.line == at
+    assert isinstance(err.value.__cause__, RuleNameError) == (":" not in name)
+
+
 def test_unknown_rule_is_typed():
     import smforge
 
@@ -616,16 +664,18 @@ NO_SECTORS = [3, 9, -1, "1", 1.0, None, True]
 
 @p("sector", NO_SECTORS)
 def test_sector_outside_the_hardware_is_typed(sector):
+    """A semi-computation checks its sector once, when it is made: before
+    any step, so an empty history is refused too."""
     m = tiny_machine()
     w = m.hw.alpha.parse("a")
-    message = "rule twist: no sector %r" % (sector,)
-    with pytest.raises(MachineError, match=re.escape(message)):
+    message = "no sector %r" % (sector,)
+    with pytest.raises(MachineError) as ei:
         semi_apply(w, m.rule("twist"), sector)
-    with pytest.raises(StepError) as ei:
-        m.semi_run(w, sector, [("twist", 1)])
-    assert ei.value.index == 0
-    assert type(ei.value.reason) is MachineError
-    assert str(ei.value.reason) == message
+    assert type(ei.value) is MachineError and str(ei.value) == message
+    for history in ([("twist", 1)], []):
+        with pytest.raises(MachineError) as ei:
+            m.semi_run(w, sector, history)
+        assert type(ei.value) is MachineError and str(ei.value) == message
 
 
 def test_a_sector_once_stepped_keys_no_other():
@@ -667,8 +717,8 @@ def test_a_repeated_semi_run_compiles_nothing_and_follows_after(
                ("peel", -1), ("twist", 1)]
 
     def compiled():
-        return sum(len(r._steps) for r in (*m.rules.values(),
-                                            *m._inv_cache.values()))
+        return sum(len(r._steps) + len(r.inverse._steps)
+                   for r in m.rules.values())
     first = m.semi_run(al.parse("a a b^-1"), 1, history)
     made = compiled()
     followed = []
@@ -732,6 +782,63 @@ def test_semi_apply_and_history_utils():
     assert format_history(h) == "peel twist^-1 twist peel"
     assert reduce_history(h) == [("peel", 1), ("peel", 1)]
     assert parse_history("1") == [] and format_history([]) == "1"
+
+
+_HISTORY_MACHINES = {}
+
+
+def history_machine(which):
+    """The tiny machine, M(a) or a main machine, with a start word."""
+    if which not in _HISTORY_MACHINES:
+        if which == "tiny":
+            m = tiny_machine()
+            W = AdmissibleWord.from_word(
+                m.hw, m.hw.alpha.parse("q0 a b^-1 a q1 c q2"))
+        elif which == "M1":
+            m = build_m1(("a",))[0]
+            W = m.configuration({1: m.hw.alpha.parse("a_1 b1 a_1")})
+        else:
+            main = build_main(("a",), DivisibleRecognizer(("a",), 1),
+                              Params(2, 4, 5, 4, 7, 8, 9, check_chain=False))
+            m = main.machine
+            W = main.input_i(m.hw.alpha.word([main.A[0]]))
+        _HISTORY_MACHINES[which] = m, W
+    return _HISTORY_MACHINES[which]
+
+
+def _stepped(V, rule):
+    try:
+        return apply_rule(V, rule)
+    except MachineError:
+        return None
+
+
+@p("which", ["tiny", "M1", "main"])
+@given(data=st.data())
+@settings(max_examples=25, deadline=None)
+def test_history_text_round_trips_and_a_reduced_run_ends_alike(which, data):
+    """Random histories over a machine's rule names round-trip through
+    history text.  A walk that takes only steps that apply, now and then
+    a step and its inverse, ends where its reduced history ends."""
+    m, W = history_machine(which)
+    signed = m.theta()
+    h = data.draw(st.lists(st.sampled_from(signed), max_size=12))
+    assert parse_history(format_history(h)) == h
+    walk, V = [], W
+    for _ in range(data.draw(st.integers(0, 10))):
+        fits = [(step, U) for step in signed
+                if (U := _stepped(V, m.rule(*step))) is not None]
+        if not fits:
+            break
+        step, U = data.draw(st.sampled_from(fits))
+        if data.draw(st.booleans()):
+            walk += [step, (step[0], -step[1])]
+        else:
+            walk.append(step)
+            V = U
+    assert parse_history(format_history(walk)) == walk
+    assert m.run(W, walk, trace=False).final() == V
+    assert m.run(W, reduce_history(walk), trace=False).final() == V
 
 
 def test_machine_text_round_trip():

@@ -188,11 +188,16 @@ def test_parse_format_round_trip():
 
 
 def test_parse_rejects_unknown_and_bad_tokens():
+    """Word text and history text share one token grammar: a name may be
+    followed by ``^-1`` alone."""
     al = mk_alpha()
     with pytest.raises(KeyError):
         al.parse("zz")
-    with pytest.raises(ValueError):
-        al.parse("g0^2")
+    for tok in ("g0^2", "g0^-1^-1", "^-1", "g0^"):
+        for read in (al.parse, smachine.parse_history):
+            with pytest.raises(ValueError,
+                               match=re.escape("bad token: %r" % tok)):
+                read("g1 " + tok)
 
 
 def test_unknown_letters_are_typed():
