@@ -82,9 +82,9 @@ def builtin_oracle(kind: str, letters: Sequence[str] = ("x",)) -> RelatorOracle:
 class StandardTrick:
     """R re-presented over Y = X + formal inverse copies, relators positive.
 
-    ``xi`` sends a plain copy to its letter and a barred copy to the
-    inverse; the positive words whose xi-image is trivial in R (and which
-    are nonempty) form the relator set S.
+    xi (``_x_of``) sends a plain copy to its letter and a barred copy to
+    the inverse; the positive words whose xi-image is trivial in R (and
+    which are nonempty) form the relator set S.
     """
 
     oracle: RelatorOracle
@@ -105,14 +105,6 @@ class StandardTrick:
         img.update({-y: -x for y, x in list(img.items())})
         return img
 
-    def _y(self, w: Word) -> Tuple[int, ...]:
-        if w.alpha is not self.Y:
-            raise ValueError("word is not over the Y alphabet")
-        return w.ltrs
-
-    def xi(self, w: Word) -> Word:
-        return self.oracle.alpha.word(map(self._x_of.__getitem__, self._y(w)))
-
     @cached_property
     def trivial(self) -> Callable[[Tuple[int, ...]], bool]:
         """Whether the signed Y letters ys, a tuple reduced or not, give 1
@@ -121,12 +113,10 @@ class StandardTrick:
             map(self._x_of.__getitem__, ys))))
 
     def in_S(self, w: Word) -> bool:
-        ys = self._y(w)
+        if w.alpha is not self.Y:
+            raise ValueError("word is not over the Y alphabet")
+        ys = w.ltrs
         return len(ys) > 0 and min(ys) > 0 and self.trivial(ys)
-
-    def wp_Y(self, w: Word) -> bool:
-        """Word problem of the re-presented group, through the oracle."""
-        return self.trivial(self._y(w))
 
 
 def standard_trick(oracle: RelatorOracle) -> StandardTrick:
@@ -158,9 +148,6 @@ class ExpandedPresentation:
     YC: Alphabet
     blocks: Dict[int, Tuple[int, ...]]
     position: Dict[int, Tuple[int, int]]
-
-    def A(self, y: int) -> Word:
-        return self.YC.raw_word(self.blocks[y])
 
     def phi(self, w: Word) -> Word:
         """Blockwise expansion; reduced words map without cancellation."""
@@ -316,10 +303,6 @@ class EmbeddingPipeline:
     zeta_inv: Dict[int, int]
 
     @property
-    def C(self) -> int:
-        return self.exp.C
-
-    @property
     def letters(self) -> Tuple[str, ...]:
         """Tape letter names, ready for the machine builders."""
         return tuple(self.A.name_of(a) for a in sorted(self.zeta.values()))
@@ -333,9 +316,6 @@ class EmbeddingPipeline:
         if w.alpha is not self.A:
             raise ValueError("word is not over the tape alphabet")
         return relabel(w, self.zeta_inv, self.exp.YC)
-
-    def wp_Y(self, w: Word) -> bool:
-        return self.trick.wp_Y(w)
 
     def in_L(self, w: Word) -> bool:
         """Membership in the carried relator language over the tape letters."""

@@ -23,7 +23,6 @@ and ``diagram_from_json`` checks each against the cells it parses.
 """
 
 import json
-from collections import Counter
 from dataclasses import dataclass, field
 from itertools import chain, filterfalse, islice
 from operator import add, attrgetter, neg
@@ -100,9 +99,6 @@ class Presentation:
             self._rotations = (key, set(key).union(
                 tuple(-x for x in reversed(t)) for t in key))
         return self._rotations[1]
-
-    def by_class(self, cls: str) -> List[Relator]:
-        return [r for r in self.relators if r.cls == cls]
 
     def format(self) -> str:
         return "\n".join(r.format() for r in self.relators)
@@ -589,13 +585,6 @@ class WeightFunctions:
         if m <= 0:
             return True
         return self._eval(fn, n, m) >= m
-
-
-def diagram_signature(d: GridDiagram) -> Tuple[int, int, int, int]:
-    """Cell class counts: hubs, anchor-part cells (``theta-t``), tape-word
-    cells (``theta-a``) and marked-letter cells (``theta-A``)."""
-    n = Counter(c.cls for row in d.rows for c in row.cells)
-    return n["hub"], n["theta-t"], n["theta-a"], n["theta-A"]
 
 
 # -- verification ----------------------------------------------------------------

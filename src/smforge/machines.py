@@ -28,8 +28,8 @@ Everything returned is replay-verified against the machine itself.
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import (Callable, Dict, FrozenSet, Iterator, List, Optional,
-                    Sequence, Tuple)
+from typing import (Callable, Dict, FrozenSet, List, Optional, Sequence,
+                    Tuple)
 
 from smforge.words import (Alphabet, NoiseWord, Word, common_prefix,
                            free_reduce, invert_letters)
@@ -92,14 +92,6 @@ class NoiseScheme:
 
     def copy2(self, a: int) -> int:
         return self.A2[self.A.index(a)]
-
-    def uncopy2(self, a2: int) -> int:
-        return self.A[self.A2.index(a2)]
-
-    def pairs(self) -> Iterator[Tuple[int, int]]:
-        for y in self.A + self.B:
-            for a in self.A:
-                yield (y, a)
 
     def eta(self, y: int, a: int) -> int:
         """Row-major pair index, 1-based: y ranked payload first, then noise."""
@@ -228,14 +220,6 @@ def delta_letters(w: Word, scheme: NoiseScheme) -> Tuple[int, ...]:
 def delta(w: Word, scheme: NoiseScheme) -> Word:
     """Reduced payload projection of a marker/noise word."""
     return scheme.alpha.word(delta_letters(w, scheme))
-
-
-def a_length(w: Word, scheme: NoiseScheme) -> int:
-    return len(delta_letters(w, scheme))
-
-
-def b_length(w: Word, scheme: NoiseScheme) -> int:
-    return len(w) - a_length(w, scheme)
 
 
 # -- noise decoding ------------------------------------------------------------

@@ -47,7 +47,6 @@ from smforge.towers import (
     cyclify,
     reflect,
 )
-from smforge.towers import component as _component
 
 
 # -- parameters -------------------------------------------------------------------
@@ -56,10 +55,10 @@ from smforge.towers import component as _component
 class Params:
     """The ordered parameter chain N < C < c0 < L < c1 < 1/delta < K.
 
-    ``desk`` returns a small instance with the right ordering that real
-    computations can afford.  The magnitude constraints the estimates
-    need on top of the ordering live in PAPER_CONSTRAINTS; they are
-    checked symbolically by ``paper_violations`` and never instantiated.
+    The magnitude constraints the estimates need on top of the ordering
+    live in PAPER_CONSTRAINTS, checked symbolically by
+    ``paper_violations``: a chain small enough for real computations
+    fails them.
     """
 
     N: int
@@ -81,10 +80,6 @@ class Params:
         if self.check_chain and not all(a < b for a, b in zip(vals, vals[1:])):
             raise ValueError(
                 "parameters must increase: N < C < c0 < L < c1 < 1/delta < K")
-
-    @classmethod
-    def desk(cls) -> "Params":
-        return cls(N=2, C=4, c0=5, L=6, c1=7, delta_inv=8, K=9)
 
 
 PAPER_CONSTRAINTS: Tuple[Tuple[str, Callable[[Params], bool]], ...] = (
@@ -331,12 +326,6 @@ class MainMachine:
         tapes = self._input_tapes(w)
         del tapes[self.special_sector]
         return self.machine.input_config(tapes)
-
-    def w_ac(self) -> AdmissibleWord:
-        return self.machine.accept_config()
-
-    def component(self, W: AdmissibleWord, coord: int) -> AdmissibleWord:
-        return _component(W, coord, self.P)
 
 
 def build_main(letters: Sequence[str], plugin: RecognizerPlugin,

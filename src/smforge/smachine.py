@@ -28,7 +28,7 @@ and :meth:`Machine.run`, the steps of :func:`semi_apply` and
 ``push`` edits a letter buffer in place, given the tape's marks (see
 ``_Marks``): the fixed and domain tests run on its letter superset, the
 moving letters are replaced at the watch positions, and only junctions
-cancel.  A junction beside a spelled image, where whole noise words
+cancel.  The junction left of a spelled image, where whole noise words
 cancel, is settled by a guessed length that one slice comparison
 confirms (``_Seams``), any other by one C-level pass, so a push moves
 letters with ``memmove`` and its Python work grows with the watch letters
@@ -410,8 +410,8 @@ def _settle(buf: List[int], c: int, m: int, at: List[int],
     buf[:c] and ``offsets`` those of buf[c:c + m], counted from c:
     positions the junction cancels are dropped, and the offsets that
     survive are added, shifted.  ``meet`` counts the cancelled letters
-    once two pairs cancel: :func:`_meet`, or at a seam of a spelled image
-    that image's :class:`_Seams` method, which guesses first.
+    once two pairs cancel: :func:`_meet`, or at the left seam of a spelled
+    image that image's :meth:`_Seams.left`, which guesses first.
     """
     k = 0
     if c and m and buf[c - 1] == -buf[c]:
@@ -429,35 +429,32 @@ def _settle(buf: List[int], c: int, m: int, at: List[int],
 
 
 class _Seams:
-    """The two seams of the spelled image p y' s of a moving letter: the
-    tape before it against the image, and the image against the tape
-    after it, counted as :func:`_meet` counts.
+    """The left seam of the spelled image p y' s of a moving letter: the
+    tape before it against the image, counted as :func:`_meet` counts.
 
-    A seam most often cancels a whole outer noise part, p on the left and
-    s on the right, and else what it cancelled last time.  So each side
-    keeps the tape letters those two lengths would cancel, read off
-    ``inv``, the image's inverse letters, and tries them in that order: a
-    guess of k letters is one slice comparison, and it counts only when
-    the next pair does not cancel, or k reaches min(c, m).  Only when
-    neither counts does the side read letter by letter, and it keeps what
-    it finds unless that is the outer part.  ``inv`` and the guesses are
-    spelled from the parts on the first seam that cancels two letters, so
-    an image whose seams never do costs no copy.  The right side needs a
-    reduced tape, so that y' does not cancel and the image's s stays
-    whole.
+    The seam most often cancels the whole outer noise part p, and else
+    what it cancelled last time.  So it keeps the tape letters those two
+    lengths would cancel, read off ``inv``, the image's inverse letters,
+    and tries them in that order: a guess of k letters is one slice
+    comparison, and it counts only when the next pair does not cancel, or
+    k reaches min(c, m).  Only when neither counts does it read letter by
+    letter, and it keeps what it finds unless that is the outer part.
+    ``inv`` and the guesses are spelled from the parts on the first seam
+    that cancels two letters, so an image whose seams never do costs no
+    copy.  The right seam, the image against the tape after it, is left
+    to :func:`_meet`: on no workload does it cancel two letters.
     """
 
-    __slots__ = ("parts", "inv", "p", "s", "last_p", "last_s")
+    __slots__ = ("parts", "inv", "p", "last_p")
 
     def __init__(self, p: Word | NoiseWord, c: int, s: Word | NoiseWord):
         self.parts, self.inv = (p, c, s), None
 
     def _spell(self) -> None:
         p, c, s = self.parts
-        # lists, as buffer slices are, so that the two compare
+        # a list, as buffer slices are, so that the two compare
         inv = self.inv = [*(~s).ltrs, -c, *(~p).ltrs]
         self.p = self.last_p = inv[len(inv) - len(p):]
-        self.s = self.last_s = inv[:len(s)]
 
     def left(self, buf: List[int], c: int, m: int) -> int:
         """How many letters cancel where buf[:c] meets the image, which is
@@ -473,22 +470,6 @@ class _Seams:
         k = _meet(buf, c, m)
         if k != len(self.p):
             self.last_p = self.inv[len(self.inv) - k:]
-        return k
-
-    def right(self, buf: List[int], c: int, m: int) -> int:
-        """How many letters cancel where the image, which ends at c, meets
-        buf[c:c + m]."""
-        if self.inv is None:
-            self._spell()
-        n = min(c, m)
-        for want in (self.s, self.last_s):
-            k = len(want)
-            if (k <= n and buf[c:c + k] == want
-                    and (k == n or buf[c - k - 1] != -buf[c + k])):
-                return k
-        k = _meet(buf, c, m)
-        if k != len(self.s):
-            self.last_s = self.inv[:k]
         return k
 
 
@@ -543,8 +524,8 @@ class SectorRule:
 
     ``images`` keeps the image of a moving letter, spelled on the first
     push that moves it, ``produces`` its letters, and ``seams`` the
-    ``left`` and ``right`` counts of its :class:`_Seams`, which keep the
-    image's inverse letters and the length each seam cancelled last; every
+    ``left`` count of its :class:`_Seams`, which keeps the image's inverse
+    letters and the length its left seam cancelled last; every
     other letter of ``domain``, in ``fixed``, goes to itself, and
     ``widen`` holds the moving letters.  Rules share sector rules, so the
     inserts found in <Z> (``z_inserts``) and the images
@@ -638,7 +619,7 @@ class SectorRule:
         self.fixed = self.domain.difference(self.widen)
         self.images: Dict[int, Tuple[int, ...]] = {}
         self.produces: Dict[int, FrozenSet[int]] = {}
-        self.seams: Dict[int, tuple] = {}
+        self.seams: Dict[int, Callable[[List[int], int, int], int]] = {}
         self.z_inserts: Dict[int, Word] = {}
         self.pulled: Dict[int, Tuple[Word, Word]] = {}
         self._offsets: Dict[FrozenSet[int], Dict[int, Tuple[int, ...]]] = {}
@@ -671,8 +652,9 @@ class SectorRule:
         return self._z_letters.issuperset(w.ltrs)
 
     def _spell_image(self, x: int) -> Tuple[int, ...]:
-        """Build the image of the moving letter x, its letters, its seams,
-        and the offsets of its watch letters under every watch set seen."""
+        """Build the image of the moving letter x, its letters, its left
+        seam, and the offsets of its watch letters under every watch set
+        seen."""
         y, (p, c, s) = self._pending.pop(x)
         if self.inverted:  # y' goes to p^-1 y s^-1
             y, (p, c, s) = c, (~p, y, ~s)
@@ -680,8 +662,7 @@ class SectorRule:
             p, c, s = ~s, -c, ~p
         img = self.images[x] = p.ltrs + (c,) + s.ltrs
         self.produces[x] = p.letters | s.letters | {c}
-        seams = _Seams(p, c, s)
-        self.seams[x] = seams.left, seams.right
+        self.seams[x] = _Seams(p, c, s).left
         for watch, offsets in self._offsets.items():
             offsets[x] = _scan(img, watch)
         return img
@@ -726,7 +707,7 @@ class SectorRule:
 
         The moving letters are replaced at their watch positions, left to
         right; everything left of the last replaced letter is then final
-        and reduced, and each junction cancels in place, the two beside
+        and reduced, and each junction cancels in place, the one left of
         each image counted by its ``seams``.  Returns the
         marks of the result, whose letter superset is exact on moving
         letters and whose watch letters may have grown by ``widen``, or
@@ -751,13 +732,11 @@ class SectorRule:
                 y: _scan(img, watch) for y, img in images.items()}
         # buf[:c] is final; a letter at original position p now sits at
         # p + d; keep holds the offsets of the fixed watch letters of the
-        # run from original position start; right counts the cancelled
-        # letters at the right seam of the last image
+        # run from original position start
         at: List[int] = []
         c = d = start = 0
         keep: List[int] = []
         moved = set()
-        right = _meet
         for p in pos:
             q = p + d
             y = buf[q]
@@ -768,13 +747,12 @@ class SectorRule:
                     continue
                 img = self._spell_image(y)
             moved.add(y)
-            e = _settle(buf, c, q - c, at, keep, right)
-            left, right = self.seams[y]
+            e = _settle(buf, c, q - c, at, keep)
             buf[e:e + 1] = img
-            c = _settle(buf, e, len(img), at, offsets[y], left)
+            c = _settle(buf, e, len(img), at, offsets[y], self.seams[y])
             d += c - q - 1
             start, keep = p + 1, []
-        _settle(buf, c, len(buf) - c, at, keep, right)
+        _settle(buf, c, len(buf) - c, at, keep)
         out = letters & self.fixed
         return _ends(buf, (out.union(*map(self.produces.__getitem__, moved)),
                            watch, tuple(at)), ends)
@@ -1199,12 +1177,6 @@ class Machine:
             raise UnknownRuleError(name)
         return base if sign > 0 else base.inverse
 
-    def theta(self) -> List[Tuple[str, int]]:
-        """All signed rules, positives first."""
-        out = [(n, 1) for n in self.rules]
-        out.extend((n, -1) for n in self.rules)
-        return out
-
     # -- configurations --------------------------------------------------
 
     def configuration(self, tapes: Dict[int, Word],
@@ -1457,9 +1429,11 @@ def machine_from_text(text: str) -> Machine:
 
     Raises ParseError, naming the line at fault, on text that does not
     parse or does not describe a valid machine: a second line for one
-    item, a refused rule name (blamed on the rule's first line), and a
-    noise declaration that :func:`validate_noisy` rejects (blamed on the
-    first NOISE line).
+    item, a TAPE or LOCK line for no sector of the PART lines, a LOCK
+    line with more than a rule name and a sector, a refused rule name or
+    a rule that :class:`GeneralizedRule` refuses (blamed on the rule's
+    first line in the text), and a noise declaration that
+    :func:`validate_noisy` rejects (blamed on the first NOISE line).
     """
     at = [0]
     try:
@@ -1493,7 +1467,7 @@ def _machine_from_text(text: str, at: List[int]) -> Machine:
     inputs: List[int] = []
     # kind -> key (a sector, or rule name and part) -> (line, body)
     items: Dict[str, dict] = {k: {} for k in ("PART", "TAPE", "NOISE", "RULE")}
-    locks: Dict[str, set] = {}
+    locks: Dict[str, list] = {}  # rule name -> (sector, line) in text order
     order: Dict[str, int] = {}  # rule name -> its first RULE or LOCK line
 
     for at[0], raw in enumerate(text.splitlines(), 1):
@@ -1540,7 +1514,9 @@ def _machine_from_text(text: str, at: List[int]) -> Machine:
             items[kind][key] = at[0], body
         elif space and kind == "LOCK":
             toks = rest.split()
-            locks.setdefault(toks[0], set()).add((int(toks[1]), at[0]))
+            if len(toks) != 2:
+                raise ValueError("LOCK line needs a rule name and a sector")
+            locks.setdefault(toks[0], []).append((int(toks[1]), at[0]))
             order.setdefault(toks[0], at[0])
         else:
             raise ValueError("unrecognized line: %r" % line)
@@ -1553,6 +1529,9 @@ def _machine_from_text(text: str, at: List[int]) -> Machine:
     n = len(items["PART"])
     if sorted(items["PART"]) != list(range(n)):
         raise ValueError("PART indices must be 0..N")
+    for i, (at[0], _) in items["TAPE"].items():
+        if not 0 <= i < n:
+            raise ValueError("TAPE %d: no such sector" % i)
     parts = []
     for _, (at[0], (letters, start, end)) in sorted(items["PART"].items()):
         ids = tuple(al.intern(nm, kind="q") for nm in letters)
@@ -1603,10 +1582,13 @@ def _machine_from_text(text: str, at: List[int]) -> Machine:
                     raise ValueError("bad f permutation in rule %s" % rname)
                 Z = tuple(Z[perm[k]] for k in range(len(X))) if perm else Z
                 sectors[i] = SectorRule(X, Z)
-        for i, at[0] in locks.get(rname, set()):
+        for i, at[0] in locks.get(rname, ()):
+            if i not in hw.sector_indices():
+                raise ValueError("LOCK %s %d: no such sector" % (rname, i))
             if sectors[i] is not None:
                 raise ValueError("rule %s sector %d both locked and given "
                                  "bases" % (rname, i))
+        at[0] = order[rname]
         rules.append(GeneralizedRule(hw, rname, rparts, sectors))
     # Machine checks the noise: a refusal blames the first NOISE line
     at[0] = min((line for line, _ in items["NOISE"].values()), default=at[0])

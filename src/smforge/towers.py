@@ -20,7 +20,6 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from smforge.words import Alphabet, Word, relabel
 from smforge.smachine import (
-    AdmissibleWord,
     GeneralizedRule,
     Hardware,
     Machine,
@@ -412,23 +411,3 @@ class _Ring:
         return _merge_noise(*(
             _map_noise(self.m.noise, self.tmap, lambda s, base=i * self.P:
                        base + s) for i in range(self.L)))
-
-
-def component(W: AdmissibleWord, coord: int, P: int) -> AdmissibleWord:
-    """The coord-th copy's slice of a parallel machine's configuration.
-
-    The slice keeps the copy's own sectors and drops the junctions, so a
-    rule of the parallel machine restricts to it part by part.
-    """
-    if not W.is_configuration():
-        raise ValueError("component needs a configuration")
-    if len(W.states) % P:
-        raise ValueError("state count %d not a multiple of %d"
-                         % (len(W.states), P))
-    L = len(W.states) // P
-    if not 1 <= coord <= L:
-        raise ValueError("no copy %d in a %d-copy configuration"
-                         % (coord, L))
-    lo = (coord - 1) * P
-    return AdmissibleWord(W.hw, W.states[lo:lo + P],
-                          W.tapes[lo:lo + P - 1])

@@ -73,7 +73,8 @@ class Alphabet:
         coord: Optional[int] = None,
     ) -> int:
         """Intern ``name`` and return its id. Re-interning must agree on
-        kind, subkind and coord.
+        kind, subkind and coord.  A name is one signed token of word text
+        that is not ``1``, the text of the empty word.
 
         >>> al = Alphabet()
         >>> al.intern("a", subkind="A")
@@ -84,8 +85,12 @@ class Alphabet:
         Traceback (most recent call last):
         ...
         ValueError: letter 'a' re-interned as ('a', 'b', 3) != ('a', 'A', None)
+        >>> al.intern("1")
+        Traceback (most recent call last):
+        ...
+        ValueError: bad letter name: '1'
         """
-        if not name or any(c.isspace() for c in name) or "^" in name:
+        if name in ("", "1") or any(c.isspace() for c in name) or "^" in name:
             raise ValueError("bad letter name: %r" % (name,))
         if kind not in KINDS:
             raise ValueError("bad kind: %r" % (kind,))

@@ -366,6 +366,22 @@ def reference_semi_run(machine, w, sector, history):
 # rewritten by its own pass, and shift replays its whole history again
 # after finding it one step at a time.
 
+def signed_rules(m):
+    """Every signed rule of the machine m, (name, 1) first, then
+    (name, -1), in the machine's order."""
+    return [(n, 1) for n in m.rules] + [(n, -1) for n in m.rules]
+
+
+def component(W, coord, P):
+    """The coord-th copy's slice of a parallel machine's configuration W,
+    with P state letters per copy: the copy's own sectors, without the
+    junctions between copies."""
+    from smforge.smachine import AdmissibleWord
+
+    lo = (coord - 1) * P
+    return AdmissibleWord(W.hw, W.states[lo:lo + P], W.tapes[lo:lo + P - 1])
+
+
 def _join(stack, letters):
     """Append the reduced ``letters`` to the reduced ``stack``, reducing."""
     for x in letters:
@@ -715,6 +731,12 @@ def reference_noise_word(scheme, y, a, sign=1):
     return Word(scheme.alpha, tuple(ltrs))
 
 
+def noise_pairs(scheme):
+    """Every pair (y, a) with y a payload or noise letter and a a payload
+    letter, in the order of ``scheme.eta``."""
+    return [(y, a) for y in scheme.A + scheme.B for a in scheme.A]
+
+
 def epsilon(W, scheme):
     """Reduced payload image of a bottom-machine configuration, both
     sectors read off letter by letter: markers of sector 1 unmarked,
@@ -728,7 +750,7 @@ def epsilon(W, scheme):
             a = scheme.unmark(abs(x))
             out.append(a if x > 0 else -a)
     for x in sec[2].ltrs:
-        a = scheme.uncopy2(abs(x))
+        a = scheme.A[scheme.A2.index(abs(x))]
         out.append(a if x > 0 else -a)
     return scheme.alpha.word(naive_reduce(out))
 
@@ -766,7 +788,7 @@ def reference_decode_noise(u, scheme):
     cur = u
     while cur:
         hit = None
-        for y, a in scheme.pairs():
+        for y, a in noise_pairs(scheme):
             for s in (1, -1):
                 if out and out[-1] == (y, a, -s):
                     continue
@@ -809,7 +831,7 @@ def reference_decode_rear(u, a, scheme):
 
 def reference_lambda1_accept(w, machine, scheme, member):
     """Decode, replay on the bottom machine, then test the final word."""
-    from smforge.machines import _erase_steps, b_length, delta, delta_letters
+    from smforge.machines import _erase_steps, delta, delta_letters
     from smforge.words import free_reduce
 
     gaps, markers = reference_marker_split(w, scheme)
@@ -830,7 +852,7 @@ def reference_lambda1_accept(w, machine, scheme, member):
         break
     words = reference_semi_run(machine, w, 1, hist)
     final = words[-1]
-    if b_length(final, scheme) != 0:
+    if len(delta_letters(final, scheme)) != len(final):
         return None
     if not member(delta(final, scheme)):
         return None
@@ -894,6 +916,18 @@ def reference_lambda_accept(w, main, member):
 
 
 # -- expanded word problem, reducing after each deletion ----------------------
+
+def reference_xi(trick, ys):
+    """The xi-image of the signed Y letters ys, over the outer oracle's
+    alphabet: a plain copy goes to its generator, a barred copy to the
+    inverse of its plain copy's."""
+    plain = dict(zip(trick.y_plain, trick.oracle.letters))
+    out = []
+    for y in ys:
+        x = plain[abs(y)] if abs(y) in plain else -plain[trick.tau[abs(y)]]
+        out.append(x if y > 0 else -x)
+    return trick.oracle.alpha.word(out)
+
 
 def reference_read_block(ltrs, p, exp):
     """Parse one full block A_y^{+-1} at position p: (signed y, next p)."""
@@ -989,7 +1023,7 @@ def reference_wp_RC(w, pipe):
         for r in range(len(ltrs)):
             rot = ltrs[r:] + ltrs[:r]
             for end, ys in reference_cyclic_d_prefixes(rot, exp):
-                if pipe.wp_Y(exp.Y.word(ys)):
+                if pipe.oracle.wp(reference_xi(pipe.trick, ys)):
                     rest = rot[end:]
                     break
             if rest is not None:
@@ -1055,7 +1089,7 @@ def ring_wp_RC(w, pipe):
             return True, cuts
         ring = cur[i:j] * 2
         for r, end, ys in ring_cyclic_prefixes(ring, n, exp):
-            if pipe.oracle.wp(pipe.trick.xi(exp.Y.word(ys))):
+            if pipe.oracle.wp(reference_xi(pipe.trick, ys)):
                 cuts.append((ring[r:r + n], end - r))
                 cur = ring[end:r + n]
                 break

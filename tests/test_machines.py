@@ -6,11 +6,9 @@ import re
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import (epsilon, reference_marker_split, reference_noise_word,
-                     reference_validate_basis)
+from oracles import (epsilon, noise_pairs, reference_marker_split,
+                     reference_noise_word, reference_validate_basis)
 from smforge.machines import (
-    a_length,
-    b_length,
     build_m1,
     decode_noise,
     delta,
@@ -216,7 +214,8 @@ def test_noise_mutants_get_the_fold_s_verdict(n):
     m, sch = m1(*"aceg"[:n])
     al = sch.alpha
     rng = random.Random(310 + n)
-    words = {(y, a): reference_noise_word(sch, y, a) for y, a in sch.pairs()}
+    words = {(y, a): reference_noise_word(sch, y, a)
+             for y, a in noise_pairs(sch)}
     cases = []
     for y in sch.A + sch.B:
         for j in rng.sample(range(n), 1 if n > 2 else n):
@@ -286,11 +285,12 @@ def test_noise_words_share_under_a_quarter(n):
     letters are distinct; and each word's leading run, b1^k or b2^-k,
     gives its k = eta(y, a), from which pair reads (y, a) back."""
     _, sch = m1(*"aceg"[:n])
-    ws = [sch.noise_word(y, a, s).ltrs for y, a in sch.pairs() for s in (1, -1)]
+    ws = [sch.noise_word(y, a, s).ltrs for y, a in noise_pairs(sch)
+          for s in (1, -1)]
     assert len(set(ws)) == len(ws) == 2 * (n + 2) * n
     assert 4 * max(p for _, _, p in sorted_overlaps(ws)) < sch.D
     assert len({w[:sch.head] for w in ws}) == len(ws)
-    for y, a in sch.pairs():
+    for y, a in noise_pairs(sch):
         k = sch.eta(y, a)
         assert sch.pair(k) == (y, a)
         for s in (1, -1):
@@ -313,7 +313,7 @@ def test_noise_descriptors_spell_the_reference_words(n, rnd):
     shuffled = ids[:]
     rnd.shuffle(shuffled)
     lmap = dict(zip(ids, shuffled))
-    for y, a in sch.pairs():
+    for y, a in noise_pairs(sch):
         for s in (1, -1):
             v = sch.noise_word(y, a, s)
             ref = reference_noise_word(sch, y, a, s)
@@ -393,7 +393,7 @@ def test_a_decorated_rule_refuses_what_is_not_form_3():
 def test_quarter_cancellation_exhaustive():
     _, sch = m1("a", "c")
     words = [reference_noise_word(sch, y, a, s)
-             for y, a in sch.pairs() for s in (1, -1)]
+             for y, a in noise_pairs(sch) for s in (1, -1)]
     for i, v in enumerate(words):
         for j, u in enumerate(words):
             if v * u:  # skip the mutually inverse pairs
@@ -415,7 +415,7 @@ def test_decode_noise_examples():
 def test_decode_noise_roundtrip():
     _, sch = m1("a", "c")
     rng = random.Random(19)
-    pairs = list(sch.pairs())
+    pairs = list(noise_pairs(sch))
     for trial in range(60):
         seq = []
         while len(seq) < rng.randint(0, 4):
@@ -448,7 +448,7 @@ def test_delta_examples():
     w = al.parse("b1 a_1 b2")
     assert delta(w, sch) == al.parse("a")
     assert delta_letters(w, sch) == (sch.A[0],)
-    assert a_length(w, sch) == 1 and b_length(w, sch) == 2
+    assert len(delta_letters(w, sch)) == 1 and len(w) == 3
     with pytest.raises(ValueError):
         delta(al.parse("a"), sch)
 

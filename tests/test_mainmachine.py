@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from oracles import (reference_classify_start, reference_marker_split,
-                     reference_noise_word)
+                     reference_noise_word, signed_rules)
 from smforge.words import Alphabet, UnknownLetterError, relabel, relabel_by_name
 from smforge.smachine import (Hardware, Machine, MachineError, NoiseDecl,
                               Part, SectorMismatchError, StateMismatchError,
@@ -28,6 +28,8 @@ from smforge.towers import cyclify, reflect
 p = pytest.mark.parametrize
 
 DESK4 = Params(2, 4, 5, 4, 7, 8, 9, check_chain=False)
+# the desk chain at L = 6, where it is ordered
+DESK6 = Params(2, 4, 5, 6, 7, 8, 9)
 SMBENCH = Path(__file__).resolve().parent.parent / "smbench"
 
 
@@ -50,10 +52,7 @@ def payload(main, k):
 
 
 def test_params_desk_profile():
-    d = Params.desk()
-    assert (d.N, d.C, d.c0, d.L, d.c1, d.delta_inv, d.K) == \
-        (2, 4, 5, 6, 7, 8, 9)
-    assert paper_violations(d) == ["C >= 2744", "L >= 33"]
+    assert paper_violations(DESK6) == ["C >= 2744", "L >= 33"]
 
 
 def test_params_chain_enforced():
@@ -223,7 +222,7 @@ def test_input_shapes(main1):
     assert not cj[main1.special_sector]
     assert all(cj[g] == content[g] for g in content
                if g != main1.special_sector)
-    W = main1.w_ac()
+    W = main1.machine.accept_config()
     assert W.is_configuration() and not any(len(t) for t in W.tapes)
     marked = main1.machine.hw.alpha.word([main1.A1[0]])
     with pytest.raises(ValueError, match="plain"):
@@ -263,7 +262,7 @@ def test_accepting_runs(main1, k, shape):
     res = accepting_run(W, main1)
     assert res is not None
     comp, ell = res
-    assert comp.final() == main1.w_ac()
+    assert comp.final() == main1.machine.accept_config()
     assert ell == 1
     assert comp.time <= main_time_bound(main1, 2 * k)
     c = "1" if shape == "I" else "2"
@@ -292,7 +291,7 @@ def test_accept_step_counts(main1, letters, shape, word, steps):
     W = main.input_i(w) if shape == "I" else main.input_j(w)
     comp, ell = accepting_run(W, main)
     assert (comp.time, ell) == (steps, 1)
-    assert comp.words[0] == W and comp.final() == main.w_ac()
+    assert comp.words[0] == W and comp.final() == main.machine.accept_config()
 
 
 def test_accepting_run_compiles_few_steps_and_follows_them(monkeypatch):
@@ -317,7 +316,7 @@ def test_accepting_run_compiles_few_steps_and_follows_them(monkeypatch):
 
 def test_accepting_run_rejections(main1, main_rej):
     mm = main1.machine
-    res = accepting_run(main1.w_ac(), main1)
+    res = accepting_run(main1.machine.accept_config(), main1)
     assert res is not None and res[0].time == 0 and res[1] == 0
     assert accepting_run(main1.input_i(~payload(main1, 1)), main1) is None
     assert accepting_run(main1.input_i(mm.hw.alpha.word()), main1) is None
@@ -366,7 +365,7 @@ def test_changed_start_tapes_match_the_reference(main1, main_rej):
     # a marker where w is read
     marked = mm.hw.alpha.word([main1.A1[0]])
     _starts_agree(mm.configuration({main1.q_inputs[1]: marked}), main1, None)
-    _starts_agree(main1.w_ac(), main1, None)
+    _starts_agree(main1.machine.accept_config(), main1, None)
     _starts_agree(apply_rule(main1.input_i(w), mm.rule("s1")), main1, None)
     wr = payload(main_rej, 1)
     _starts_agree(main_rej.input_i(wr), main_rej, ("I", wr))
@@ -416,7 +415,7 @@ RING_GOLDEN = {
         ("a",), RejectingRecognizer(("a",)), DESK4).machine,
         "5e314c70ba3dfedf"),
     "M(a) divisible L=6": (lambda m: build_main(
-        ("a",), DivisibleRecognizer(("a",), 1), Params.desk()).machine,
+        ("a",), DivisibleRecognizer(("a",), 1), DESK6).machine,
         "695d782fa4cb86af"),
 }
 
@@ -759,19 +758,19 @@ def test_a_decode_spells_only_the_noise_words_it_peels(monkeypatch):
 
 def test_a_replay_cancels_noise_words_by_guess(monkeypatch):
     """Over the sector requests of one language pass of the benchmark
-    (seed 7), 6,160 seams of spelled images cancel more than one letter,
-    and the letter-by-letter count (_meet) runs on at most 1% of them:
-    the rest are settled by a guess, the whole outer noise part or the
-    length last found there (16 fallbacks when measured)."""
+    (seed 7), 6,160 left seams of spelled images cancel more than one
+    letter, and _Seams.left falls back to the letter-by-letter count
+    (_meet) on at most 1% of them: the rest are settled by a guess, the
+    whole outer noise part or the length last found there (16 fallbacks
+    when measured)."""
     import random
     monkeypatch.syspath_prepend(str(SMBENCH))
     workloads = importlib.import_module("workloads")
     from smforge import smachine
     seams, fallbacks = [], []
-    for side in ("left", "right"):
-        f = getattr(smachine._Seams, side)
-        monkeypatch.setattr(smachine._Seams, side, lambda self, *args, f=f: (
-            seams.append(args[1:]) or f(self, *args)))
+    left = smachine._Seams.left
+    monkeypatch.setattr(smachine._Seams, "left", lambda self, *args: (
+        seams.append(args[1:]) or left(self, *args)))
     meet = smachine._meet
     monkeypatch.setattr(smachine, "_meet", lambda *args: (
         fallbacks.append(args[1:]) or meet(*args)))
@@ -930,7 +929,7 @@ def test_every_sector_compiles_to_one_of_the_two_shapes(main1, main_rej):
     shapes = set()
     for main in mains:
         m = main.machine
-        for name, sign in m.theta():
+        for name, sign in signed_rules(m):
             for sec in filter(None, m.rule(name, sign).sectors):
                 ones = sec.Z if sec.inverted else sec.X
                 assert all(len(w) == 1 for w in ones)

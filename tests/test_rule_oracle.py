@@ -36,6 +36,7 @@ StepError.
 
 import random
 import re
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -45,7 +46,7 @@ from oracles import (naive_reduce, random_reduced, random_signed_ids,
                      reference_express, reference_image,
                      reference_is_admissible, reference_noise_word,
                      reference_run, reference_semi_run, reference_settle,
-                     reference_shift, reference_step)
+                     reference_shift, reference_step, signed_rules)
 from smforge import smachine
 from smforge.machines import _decode_rear, build_m1, shift
 from smforge.mainmachine import (DivisibleRecognizer, Params, accepting_run,
@@ -148,7 +149,7 @@ def walk(m, W, r, steps, max_size=100):
     on long words)."""
     last = None
     for _ in range(steps):
-        moves = [(n, s) for n, s in m.theta() if (n, -s) != last
+        moves = [(n, s) for n, s in signed_rules(m) if (n, -s) != last
                  and reference_is_admissible(W, m.rule(n, s)) is None]
         if not moves:
             break
@@ -217,8 +218,9 @@ def outcome(f, *args):
 
 
 def check_word(m, W, r):
-    rules = [m.rule(n, s) for n, s in r.sample(m.theta(), min(6, 2 * len(m.rules)))]
-    rules += [m.rule(n, s) for n, s in m.theta()
+    signed = signed_rules(m)
+    rules = [m.rule(n, s) for n, s in r.sample(signed, min(6, len(signed)))]
+    rules += [m.rule(n, s) for n, s in signed
               if reference_is_admissible(W, m.rule(n, s)) is None][:4]
     for rule in rules:
         assert outcome(apply_rule, W, rule) == \
@@ -255,7 +257,7 @@ def _sector_cases():
     inverses, and of the squares machine's rules and their inverses."""
     cases = []
     for m in (machine("M1")[0], machine("squares")[0]):
-        for n, s in m.theta():
+        for n, s in signed_rules(m):
             rule = m.rule(n, s)
             cases += [(rule, i) for i, sec in enumerate(rule.sectors)
                       if sec is not None]
@@ -555,18 +557,18 @@ def test_settle_cancels_long_junctions_in_place(seed):
 
 
 def _seed_wrong_guesses(sec, r):
-    """Spell every image of ``sec`` and give each of its seams guesses of
-    random lengths, read off the image's inverse as a true guess would be:
-    shorter or longer than what a seam cancels, or cancelling part of it."""
+    """Spell every image of ``sec`` and give each of its left seams
+    guesses of random lengths, read off the image's inverse as a true
+    guess would be: shorter or longer than what the seam cancels, or
+    cancelling part of it."""
     for x in sorted(sec.widen - sec.images.keys()):
         sec._spell_image(x)
-    for left, _ in sec.seams.values():
+    for left in sec.seams.values():
         seams = left.__self__
         seams._spell()
         inv, n = seams.inv, len(seams.inv)
         seams.p, seams.last_p = (inv[n - r.randrange(n + 1):]
                                  for _ in range(2))
-        seams.s, seams.last_s = (inv[:r.randrange(n + 1)] for _ in range(2))
 
 
 @given(triangular_maps(), st.randoms(use_true_random=False))
@@ -615,18 +617,22 @@ def test_seam_guesses_match_the_letter_by_letter_join(case, rnd):
 def test_a_relabelled_rule_guesses_from_its_own_images(monkeypatch):
     """A noise rule of M1 and its inverse push a marker word on and off,
     then are relabelled within their alphabet, the two noise letters
-    swapped, and do the same on the renamed word.  Every seam that
+    swapped, and do the same on the renamed word.  Every left seam that
     cancels more than a letter, each a whole noise word, is settled by a
-    guess read off the pushing rule's own images: no letter-by-letter
-    fallback."""
+    guess read off the pushing rule's own images: _Seams.left never falls
+    back to the letter-by-letter count."""
     m1, sch = build_m1(("a", "b"))
     al = m1.hw.alpha
     sec = m1.rules[sch.rule_name(sch.B[0])].sectors[1]
     a1, b1 = (sch.mark(a) for a in sch.A)
     fallbacks = []
-    meet = smachine._meet
-    monkeypatch.setattr(smachine, "_meet",
-                        lambda *args: fallbacks.append(args) or meet(*args))
+    meet, left = smachine._meet, smachine._Seams.left.__code__
+
+    def counted(*args):
+        if sys._getframe(1).f_code is left:
+            fallbacks.append(args)
+        return meet(*args)
+    monkeypatch.setattr(smachine, "_meet", counted)
     b, c = sch.B
     swap = {x: x for x in al.ids()}
     swap[b], swap[c] = c, b
@@ -668,7 +674,7 @@ def random_history(m, W, r, steps, max_size=400):
     """A random reduced history of rules applicable along the way."""
     hist, last = [], None
     for _ in range(steps):
-        moves = [(n, s) for n, s in m.theta() if (n, -s) != last
+        moves = [(n, s) for n, s in signed_rules(m) if (n, -s) != last
                  and reference_is_admissible(W, m.rule(n, s)) is None]
         if not moves:
             break
@@ -693,7 +699,7 @@ def test_runs_match_reference_run(name, seed):
     same_runs(m, W, hist)
     k = r.randrange(len(hist) + 1)
     some = r.choice(sorted(m.rules))
-    for fault in (r.choice(m.theta()), ("nosuch", 1), (some, 0),
+    for fault in (r.choice(signed_rules(m)), ("nosuch", 1), (some, 0),
                   (some, 2)):
         same_runs(m, W, hist[:k] + [fault] + hist[k:])
 
@@ -933,7 +939,7 @@ def test_semi_run_matches_reference_semi_run(case, seed):
     m, sector = _semi_cases()[case]
     r = random.Random(seed)
     ref = lambda *a: reference_semi_run(m, *a)
-    signed = m.theta()
+    signed = signed_rules(m)
     free = [(n, s) for n, s in signed if m.rule(n, s).sectors[sector]]
     read = sorted({abs(x) for n, s in free
                    for y in m.rule(n, s).sectors[sector].X for x in y.ltrs})

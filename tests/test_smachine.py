@@ -5,7 +5,7 @@ import re
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import reference_validate_basis
+from oracles import reference_validate_basis, signed_rules
 from smforge.machines import build_m1
 from smforge.mainmachine import DivisibleRecognizer, Params, build_main
 from smforge.smachine import (
@@ -635,6 +635,47 @@ def test_a_rule_name_the_text_formats_cannot_carry_is_refused(name):
     assert isinstance(err.value.__cause__, RuleNameError) == (":" not in name)
 
 
+def _tiny_text_with_a_lock():
+    """The tiny machine's text with peel's sector 2 locked by a LOCK line
+    after every RULE line."""
+    return machine_to_text(tiny_machine()).replace(
+        "RULE peel: 2: q2 -> q2 | X={c} Z={c} f=[0->0]",
+        "RULE peel: 2: q2 -> q2") + "LOCK peel 2\n"
+
+
+@p("extra,message", [
+    ("TAPE 7: zz", "TAPE 7: no such sector"),
+    ("LOCK peel 2 extra tokens", "LOCK line needs a rule name and a sector"),
+    ("LOCK peel -1", "LOCK peel -1: no such sector"),
+    ("LOCK peel 0", "LOCK peel 0: no such sector"),
+])
+def test_a_line_the_machine_cannot_use_is_refused(extra, message):
+    """A TAPE line for a sector past the last PART, a LOCK line with more
+    than a rule name and a sector, and a LOCK line for no sector (the
+    tiny machine is linear: it has no sector 0) are each a ParseError at
+    that line: the text is not read as the machine without them."""
+    text = _tiny_text_with_a_lock()
+    assert machine_from_text(text).rules["peel"].sectors[2] is None
+    with pytest.raises(ParseError, match=re.escape(message)) as err:
+        machine_from_text(text + extra + "\n")
+    assert err.value.line == len(text.splitlines()) + 1
+
+
+@p("old,new", [("a^-1 q1 |", "a^-1 q1 c |"), ("a^-1 q1 |", "a^-1 q2 |")])
+def test_a_rule_the_constructor_refuses_is_blamed_on_its_first_line(old,
+                                                                    new):
+    """peel with an insert in its locked sector, or with a state letter
+    of another part: GeneralizedRule refuses it, and the ParseError names
+    peel's first line in the text, not its LOCK line."""
+    text = _tiny_text_with_a_lock()
+    first = next(k for k, line in enumerate(text.splitlines(), 1)
+                 if line.startswith("RULE peel:"))
+    assert text.count(old) == 1
+    with pytest.raises(ParseError, match="rule peel") as err:
+        machine_from_text(text.replace(old, new))
+    assert err.value.line == first
+
+
 def test_unknown_rule_is_typed():
     import smforge
 
@@ -821,7 +862,7 @@ def test_history_text_round_trips_and_a_reduced_run_ends_alike(which, data):
     history text.  A walk that takes only steps that apply, now and then
     a step and its inverse, ends where its reduced history ends."""
     m, W = history_machine(which)
-    signed = m.theta()
+    signed = signed_rules(m)
     h = data.draw(st.lists(st.sampled_from(signed), max_size=12))
     assert parse_history(format_history(h)) == h
     walk, V = [], W

@@ -6,6 +6,7 @@ import re
 
 import pytest
 
+from oracles import component
 from smforge.words import Word, relabel
 from smforge.smachine import (Machine, MachineError, NoiseDecl,
                               SectorMismatchError, StepError, apply_rule,
@@ -13,7 +14,7 @@ from smforge.smachine import (Machine, MachineError, NoiseDecl,
 from smforge.machines import build_m1, shift
 from smforge.groups import emit_presentation
 from smforge.towers import (SigmaSpec, _Ring, _merge_noise, bar_name,
-                            component, compose, cyclify, reflect)
+                            compose, cyclify, reflect)
 from smforge.mainmachine import (DivisibleRecognizer, Params, accepting_run,
                                  build_main)
 
@@ -355,9 +356,9 @@ def test_parallel_copies_evolve_in_step(main):
         W0 = main.input_i(w) if shape == "I" else main.input_j(w)
         differ = set()
         for W in traced_accepting_run(main, W0).words:
-            c1, c2 = main.component(W, 1), main.component(W, 2)
+            c1, c2 = component(W, 1, main.P), component(W, 2, main.P)
             for i in range(3, main.L + 1):
-                ci = main.component(W, i)
+                ci = component(W, i, main.P)
                 assert ci.tapes == c2.tapes
                 assert state_names(main, ci) == state_names(main, c2)
             assert state_names(main, c1) == state_names(main, c2)
@@ -375,20 +376,11 @@ def test_lock_first_drops_the_special_sector(main):
                           for n in main.m5.rules)
     w = main.machine.hw.alpha.word([main.A[0]])
     C = traced_accepting_run(main, main.input_j(w))
-    assert C.final() == main.w_ac()
+    assert C.final() == main.machine.accept_config()
     assert all(not dict(zip(W.sectors, W.tapes))[g] for W in C.words)
     # the set 2 history cannot run with the special sector filled
     with pytest.raises(StepError):
         mm.run(main.input_i(w), C.history)
-
-
-def test_component_shape_errors(main):
-    W = main.w_ac()
-    assert len(component(W, 4, 7).states) == 7
-    with pytest.raises(ValueError):
-        component(W, 5, 7)
-    with pytest.raises(ValueError):
-        component(W, 1, 5)
 
 
 # -- serialization ----------------------------------------------------------------

@@ -626,6 +626,18 @@ def test_basis_order_changes_neither_rank_nor_membership():
                 [ReferenceFolder(order).accepts(w) for w in probes]
 
 
+def test_the_letter_name_1_is_refused():
+    """``1`` alone is the text of the empty word, so a letter named 1
+    would read back as the empty word: it is refused.  Names that only
+    hold a 1 are letters like any other."""
+    al = Alphabet()
+    with pytest.raises(ValueError, match=re.escape("bad letter name: '1'")):
+        al.intern("1")
+    ids = [al.intern(name) for name in ("11", "a1", "1a")]
+    w = al.word(ids)
+    assert al.parse(w.format()) == w and len(al) == 3
+
+
 def test_reinterning_must_agree():
     al = Alphabet()
     a = al.intern("a", subkind="A")
