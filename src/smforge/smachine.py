@@ -58,10 +58,14 @@ stay one Word.
 Words and histories are text of signed tokens (``words.signed_tokens``),
 and a rule name is one such token (:class:`RuleNameError`), so it survives
 history and machine text; (name, -1) is the one spelling of an inverse.
+A text reads as a machine only when it is that machine's own
+:func:`machine_to_text`, up to the order of its lines and the whitespace
+between tokens (:func:`machine_from_text`), so none reads through a repair.
 """
 
 from __future__ import annotations
 
+import re
 from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass, field
@@ -1425,15 +1429,19 @@ def machine_to_text(m: Machine) -> str:
 
 
 def machine_from_text(text: str) -> Machine:
-    """Parse the line format produced by machine_to_text.
+    """Read machine text: the :func:`machine_to_text` of the machine it
+    spells, its lines in any order and any whitespace between tokens; blank
+    and ``#`` lines are skipped.
 
-    Raises ParseError, naming the line at fault, on text that does not
-    parse or does not describe a valid machine: a second line for one
-    item, a TAPE or LOCK line for no sector of the PART lines, a LOCK
-    line with more than a rule name and a sector, a refused rule name or
-    a rule that :class:`GeneralizedRule` refuses (blamed on the rule's
-    first line in the text), and a noise declaration that
-    :func:`validate_noisy` rejects (blamed on the first NOISE line).
+    The reader keeps the first line of each item, reads no LOCK line and no
+    ``f`` (a RULE line without ``| X={...} Z={...}`` locks its sector),
+    builds the machine, and matches the text's lines, as token tuples, with
+    the machine's own text, as multisets.  A ParseError names the line at
+    fault: one the machine's text lacks or holds fewer times, an unknown
+    letter, a list without its brackets, a rule part without one state
+    letter on the right; a refused rule's first line (its name, or
+    :class:`GeneralizedRule`); the first NOISE line if :func:`validate_noisy`
+    refuses; line 0 for no MACHINE line or a missing LOCK or other line.
     """
     at = [0]
     try:
@@ -1442,154 +1450,111 @@ def machine_from_text(text: str) -> Machine:
         raise ParseError(at[0], e.args[0] if e.args else repr(e)) from e
 
 
-# the brackets of each list in machine text, and the separator of its items
-_LISTS = {"K": "{},", "M": "{},", "N": "{},", "phi": "[],", "X": "{};",
-          "Z": "{};", "f": "[],"}
-
-
-def _list(text: str, tag: str, then: str = "") -> Tuple[List[str], str]:
-    """The items of the list ``tag={...}`` or ``tag=[...]`` starting
-    ``text``, which ends before " ``then``" if given, and the rest."""
-    opn, close, sep = _LISTS[tag]
+def _list(text: str, tag: str) -> List[str]:
+    """The items of the list ``text``: ``phi=[...]``, or ``tag={...}``."""
+    opn, close = "[]" if tag == "phi" else "{}"
+    sep = ";" if tag in ("X", "Z") else ","
     text = text.strip()
-    cut = text.index(close + " " + then) + 1 if then else len(text)
-    if not text.startswith(tag + "=" + opn) or not text[:cut].endswith(close):
+    if not text.startswith(tag + "=" + opn) or not text.endswith(close):
         raise ValueError("expected %s=%s...%s: %r" % (tag, opn, close, text))
-    items = text[len(tag) + 2:cut - 1].split(sep)
-    return [x for x in items if x], text[cut + 1:]
+    return [x for x in text[len(tag) + 2:-1].split(sep) if x]
 
 
 def _machine_from_text(text: str, at: List[int]) -> Machine:
-    """machine_from_text's parser; at[0] follows the line at work: the one
-    being read, then the line each item was declared on."""
+    """machine_from_text's reader; at[0] follows the line at work."""
     name = None
-    cyclic = False
-    inputs: List[int] = []
-    # kind -> key (a sector, or rule name and part) -> (line, body)
+    # kind -> key (a sector, or rule name and part) -> its first (line, body)
     items: Dict[str, dict] = {k: {} for k in ("PART", "TAPE", "NOISE", "RULE")}
-    locks: Dict[str, list] = {}  # rule name -> (sector, line) in text order
-    order: Dict[str, int] = {}  # rule name -> its first RULE or LOCK line
-
+    order: Dict[str, int] = {}  # rule name -> its first RULE line
+    lines = []  # (tokens, line number) of each line that is not skipped
     for at[0], raw in enumerate(text.splitlines(), 1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
+        toks = raw.split()
+        if not toks or toks[0].startswith("#"):
             continue
-        kind, space, rest = line.partition(" ")
-        if space and kind == "MACHINE":
-            if name is not None:
-                raise ValueError("second MACHINE line")
+        lines.append((tuple(toks), at[0]))
+        kind, rest = toks[0], raw.strip()[len(toks[0]):]
+        if kind == "MACHINE" and name is None:
             name, *flags = rest.split()
-            for t in flags:
-                if t == "cyclic":
-                    cyclic = True
-                elif t.startswith("inputs="):
-                    inputs = [int(x) for x in t[7:].split(",") if x]
-                else:
-                    raise ValueError("bad MACHINE flag %r" % t)
-        elif space and kind in items:
+            cyclic = "cyclic" in flags
+            inputs = [int(x) for t in flags if t.startswith("inputs=")
+                      for x in t[7:].split(",")]
+        elif kind in items:
             head, _, body = rest.partition(":")
             if kind == "RULE":
                 istr, _, body = body.partition(":")
                 key = head.strip(), int(istr)
-                label = "%s: %d" % key
                 order.setdefault(key[0], at[0])
             else:
-                key = label = int(head.split()[0])
-            if key in items[kind]:
-                raise ValueError("second %s %s line" % (kind, label))
-            # a body is read as far as it can be without the alphabet
-            toks = body.split()
-            if kind == "PART":
-                if not toks or not toks[-1].startswith("[start="):
-                    raise ValueError("PART line needs [start=..,end=..]")
-                ann = dict(kv.partition("=")[::2]
-                           for kv in toks[-1][1:-1].split(","))
-                body = toks[:-1], ann.get("start"), ann.get("end")
-            elif kind == "TAPE":
-                body = [t.partition(":")[::2] if ":" in t else (t, "o")
-                        for t in toks]
-            elif kind == "NOISE":  # a missing list reads as ""
-                body = [_list(c, tag)[0] for c, tag in zip(
-                    toks + [""] * 3, ("K", "M", "N", "phi"))]
-            items[kind][key] = at[0], body
-        elif space and kind == "LOCK":
-            toks = rest.split()
-            if len(toks) != 2:
-                raise ValueError("LOCK line needs a rule name and a sector")
-            locks.setdefault(toks[0], []).append((int(toks[1]), at[0]))
-            order.setdefault(toks[0], at[0])
-        else:
-            raise ValueError("unrecognized line: %r" % line)
+                key = int(head)
+            items[kind].setdefault(key, (at[0], body))
 
     at[0] = 0
     if name is None:
         raise ValueError("missing MACHINE line")
 
     al = Alphabet()
-    n = len(items["PART"])
-    if sorted(items["PART"]) != list(range(n)):
-        raise ValueError("PART indices must be 0..N")
-    for i, (at[0], _) in items["TAPE"].items():
-        if not 0 <= i < n:
-            raise ValueError("TAPE %d: no such sector" % i)
     parts = []
-    for _, (at[0], (letters, start, end)) in sorted(items["PART"].items()):
-        ids = tuple(al.intern(nm, kind="q") for nm in letters)
-        parts.append(Part(ids, al.id_of(start), al.id_of(end)))
-    tapes: List[Tuple[int, ...]] = []
-    for i in range(n):
-        at[0], entries = items["TAPE"].get(i, (at[0], []))
-        tapes.append(tuple(al.intern(nm, kind="a", subkind=sk)
-                           for nm, sk in entries))
+    for _, (at[0], body) in sorted(items["PART"].items()):
+        *letters, ann = body.split() or [""]
+        if not ann.startswith("[start="):
+            raise ValueError("PART line needs [start=..,end=..]")
+        start, end = (kv.partition("=")[2] for kv in ann[1:-1].split(","))
+        parts.append(Part(tuple(al.intern(nm, kind="q") for nm in letters),
+                          al.id_of(start), al.id_of(end)))
+    tapes: List[Tuple[int, ...]] = [()] * len(parts)
+    for i in range(0 if cyclic else 1, len(parts)):  # the hardware's sectors
+        at[0], body = items["TAPE"].get(i, (at[0], ""))
+        tapes[i] = tuple(al.intern(nm, "a", sk or "o") for nm, _, sk in
+                         (t.partition(":") for t in body.split()))
     hw = Hardware(al, parts, tapes, cyclic=cyclic)
 
     noise = NoiseDecl() if items["NOISE"] else None
-    for i, (at[0], (K, M, N, phi)) in sorted(items["NOISE"].items()):
+    for i, (at[0], body) in sorted(items["NOISE"].items()):
+        toks = body.split() + [""] * 3  # a missing list reads as ""
+        K, M, N, phi = map(_list, toks, ("K", "M", "N", "phi"))
         noise.K[i], noise.M[i], noise.N[i] = (tuple(map(al.id_of, xs))
                                               for xs in (K, M, N))
         noise.phi[i] = dict(map(al.id_of, kv.partition("->")[::2])
                             for kv in phi)
 
     rules = []
-    lines_of = Counter(key[0] for key in items["RULE"])  # name -> lines
     for rname, at[0] in order.items():
         _check_name(rname)
-        bodies = [items["RULE"].get((rname, i)) for i in range(n)]
-        if None in bodies or lines_of[rname] != n:
+        bodies = [items["RULE"].get((rname, i)) for i in range(hw.n_parts)]
+        if None in bodies:
             raise ValueError("rule %s: need one line per part" % rname)
         rparts: List[RulePart] = []
-        sectors: List[Optional[SectorRule]] = [None] * n
+        sectors: List[Optional[SectorRule]] = [None] * hw.n_parts
         for i, (at[0], body) in enumerate(bodies):
             main, _, tail = body.partition("|")
             lhs, _, rhs = main.partition("->")
-            q = al.id_of(lhs.strip())
-            toks = rhs.split()
-            qpos = [k for k, t in enumerate(toks)
-                    if "^" not in t and t in al and al.kind_of(al.id_of(t)) == "q"]
-            if len(qpos) != 1:
+            w = al.parse(rhs).ltrs
+            qs = [k for k, x in enumerate(w) if x > 0 and al.kind_of(x) == "q"]
+            if len(qs) != 1:
                 raise ValueError("rule %s part %d: need exactly one state "
                                  "letter on the right" % (rname, i))
-            k = qpos[0]
-            u, v = (al.parse(" ".join(t)) for t in (toks[:k], toks[k + 1:]))
-            rparts.append(RulePart(q, u, al.id_of(toks[k]), v))
-            if tail.strip():
-                X, tail = _list(tail, "X", "Z={")
-                Z, tail = _list(tail, "Z", "f=[")
-                perm = dict(map(int, kv.partition("->")[::2])
-                            for kv in _list(tail, "f")[0])
-                X, Z = (tuple(map(al.parse, ws)) for ws in (X, Z))
-                if perm and sorted(perm) != list(range(len(X))):
-                    raise ValueError("bad f permutation in rule %s" % rname)
-                Z = tuple(Z[perm[k]] for k in range(len(X))) if perm else Z
+            k = qs[0]
+            rparts.append(RulePart(al.id_of(lhs.strip()), al.word(w[:k]),
+                                   w[k], al.word(w[k + 1:])))
+            if tail.strip():  # X={...} Z={...} f=[...]; f is not read
+                xz = re.split(r"\s+(?=[Zf]=)", tail.strip()) + [""]
+                X, Z = (tuple(map(al.parse, _list(c, tag)))
+                        for c, tag in zip(xz, "XZ"))
                 sectors[i] = SectorRule(X, Z)
-        for i, at[0] in locks.get(rname, ()):
-            if i not in hw.sector_indices():
-                raise ValueError("LOCK %s %d: no such sector" % (rname, i))
-            if sectors[i] is not None:
-                raise ValueError("rule %s sector %d both locked and given "
-                                 "bases" % (rname, i))
         at[0] = order[rname]
         rules.append(GeneralizedRule(hw, rname, rparts, sectors))
     # Machine checks the noise: a refusal blames the first NOISE line
     at[0] = min((line for line, _ in items["NOISE"].values()), default=at[0])
-    return Machine(name, hw, rules, input_sectors=inputs, noise=noise)
+    m = Machine(name, hw, rules, input_sectors=inputs, noise=noise)
+
+    own = Counter(tuple(ln.split()) for ln in machine_to_text(m).splitlines())
+    for toks, at[0] in lines:
+        if not own[toks]:
+            raise ValueError("not in the machine's own text, or not this "
+                             "often: %r" % " ".join(toks))
+        own[toks] -= 1
+    at[0] = 0
+    if +own:  # a line of the machine's own text that the text lacks
+        raise ValueError("the text lacks a line of the machine's own text: "
+                         "%r" % " ".join(min(+own)))
+    return m

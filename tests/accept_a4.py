@@ -28,10 +28,9 @@ FOLLOWED = 0.99
 
 
 def main(argv):
+    """Run the checks with the run steps counted, and restore the run."""
     sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
     from smforge import smachine
-    from smforge.mainmachine import (DivisibleRecognizer, Params,
-                                     accepting_run, build_main)
 
     made, followed = [], []
     init, step = smachine._Step.__init__, smachine._Run.step
@@ -44,6 +43,15 @@ def main(argv):
         followed.append(run.last is not None and rule in run.last.after)
         step(run, rule)
     smachine._Step.__init__, smachine._Run.step = counted_init, counted_step
+    try:
+        return check(argv, made, followed)
+    finally:
+        smachine._Step.__init__, smachine._Run.step = init, step
+
+
+def check(argv, made, followed):
+    from smforge.mainmachine import (DivisibleRecognizer, Params,
+                                     accepting_run, build_main)
 
     k = int(argv[0]) if argv else 4
     L = int(argv[1]) if len(argv) > 1 else 4

@@ -34,13 +34,10 @@ import time
 
 
 def main(argv):
+    """Run the checks with the folders counted, and restore the folder."""
     sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
-    from smforge import embedding, words
-    from smforge.machines import strip_history
-    from smforge.mainmachine import (DivisibleRecognizer, Params, build_main,
-                                     lambda_accept)
+    from smforge import words
 
-    C = int(argv[0]) if argv else 8
     folds = []
     init = words._Folder.__init__
 
@@ -48,7 +45,19 @@ def main(argv):
         folds.append(1)
         init(self, basis)
     words._Folder.__init__ = counted
+    try:
+        return check(argv, folds)
+    finally:
+        words._Folder.__init__ = init
 
+
+def check(argv, folds):
+    from smforge import embedding, words
+    from smforge.machines import strip_history
+    from smforge.mainmachine import (DivisibleRecognizer, Params, build_main,
+                                     lambda_accept)
+
+    C = int(argv[0]) if argv else 8
     pipe = embedding.build_pipeline(embedding.builtin_oracle("Z2"), C)
     letters = tuple(pipe.letters)
     t0 = time.perf_counter()

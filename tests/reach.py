@@ -15,8 +15,7 @@ object entered while it runs, the package's import included:
   finds no fault, and I(a) accepted on it in 18 steps; the chain's disk is
   left out;
 - the 16-letter Z2 pipeline (``tests/pipeline_letters.py``) and I(a^4)
-  (``tests/accept_a4.py``), with their own checks.  Both patch counters
-  into the library for good, so they run last, I(a^4) after the pipeline.
+  (``tests/accept_a4.py``), with their own checks.
 
 A function is a ``def`` of a module of src/smforge, named by its module
 and qualified name, for example ``smachine.SectorRule.push``; its lines

@@ -643,22 +643,51 @@ def _tiny_text_with_a_lock():
         "RULE peel: 2: q2 -> q2") + "LOCK peel 2\n"
 
 
-@p("extra,message", [
+# the message of a line that the machine's own text lacks, or holds fewer
+# times, naming the line
+NOT_OWN = "not in the machine's own text, or not this often: %r"
+
+
+@p("extra,why", [
     ("TAPE 7: zz", "TAPE 7: no such sector"),
     ("LOCK peel 2 extra tokens", "LOCK line needs a rule name and a sector"),
     ("LOCK peel -1", "LOCK peel -1: no such sector"),
     ("LOCK peel 0", "LOCK peel 0: no such sector"),
+    ("TAPE 0: zz", "TAPE 0: linear hardware has no sector 0"),
 ])
-def test_a_line_the_machine_cannot_use_is_refused(extra, message):
-    """A TAPE line for a sector past the last PART, a LOCK line with more
-    than a rule name and a sector, and a LOCK line for no sector (the
-    tiny machine is linear: it has no sector 0) are each a ParseError at
-    that line: the text is not read as the machine without them."""
+def test_a_line_the_machine_cannot_use_is_refused(extra, why):
+    """A TAPE line for a sector past the last PART or for sector 0 (the
+    tiny machine is linear: it has no sector 0), a LOCK line with more
+    than a rule name and a sector, and a LOCK line for no sector (``why``
+    says which) are each a ParseError at that line: the machine's own text
+    has no such line, so the text is not read as the machine without it."""
     text = _tiny_text_with_a_lock()
     assert machine_from_text(text).rules["peel"].sectors[2] is None
-    with pytest.raises(ParseError, match=re.escape(message)) as err:
+    with pytest.raises(ParseError, match=re.escape(NOT_OWN % extra)) as err:
         machine_from_text(text + extra + "\n")
-    assert err.value.line == len(text.splitlines()) + 1
+    assert err.value.line == len(text.splitlines()) + 1, why
+
+
+def test_a_text_read_only_through_a_repair_is_refused():
+    """A sector whose f is not the identity (the writer writes only the
+    identity, and the reader does not read f) is a ParseError at its RULE
+    line; a text without one of the machine's LOCK lines is a ParseError
+    at line 0 naming the LOCK line."""
+    text = _tiny_text_with_a_lock()
+    lines = text.splitlines()
+    at = next(k for k, line in enumerate(lines, 1)
+              if line.startswith("RULE peel: 1:"))
+    swapped = lines[at - 1].replace("f=[0->0,1->1]", "f=[0->1,1->0]")
+    assert swapped != lines[at - 1]
+    with pytest.raises(ParseError, match=re.escape(NOT_OWN % swapped)) as err:
+        machine_from_text(text.replace(lines[at - 1], swapped))
+    assert err.value.line == at
+    assert lines[-1] == "LOCK peel 2"
+    with pytest.raises(ParseError, match=re.escape(
+            "the text lacks a line of the machine's own text: "
+            "'LOCK peel 2'")) as err:
+        machine_from_text("\n".join(lines[:-1]))
+    assert err.value.line == 0
 
 
 @p("old,new", [("a^-1 q1 |", "a^-1 q1 c |"), ("a^-1 q1 |", "a^-1 q2 |")])
