@@ -15,7 +15,7 @@ rules keep it, the tower stages rename its two letters, and
 decode, the text format and the presentation spell noise words out.
 The noise words form a free basis with small overlaps, so histories leave
 a recoverable trace: ``decode_noise`` inverts products of noise words by
-one greedy peel (``_peel``) per factor, ``shift`` reconstructs the unique
+one greedy peel (``_peel``) per factor, ``shift`` runs the unique
 computation erasing a sector-1 word, its rear gaps split by that peel, and
 ``strip_history`` decodes the unique history stripping a word down to its
 marker skeleton: a letter check, a marker scan (the run's ``_scan``) and
@@ -23,7 +23,7 @@ the decode core ``_strip``, which reads the skeleton and the first nonempty
 gap alone; ``mainmachine.lambda_accept`` runs it on the main machine's
 own letters, through a scheme over that alphabet.  ``lambda1_accept``
 decodes once, tests the skeleton, and only then replays the history once.
-Everything returned is replay-verified against the machine itself.
+Everything returned has run on the machine itself.
 """
 
 from dataclasses import dataclass, field
@@ -306,48 +306,48 @@ def _decode_rear(u: Word, a: int, scheme: NoiseScheme
 
 # -- the shift -----------------------------------------------------------------
 
-def shift(w: Word, machine: Machine, scheme: NoiseScheme
-          ) -> Optional[Computation]:
-    """The computation erasing w from sector 1 on the two-state base.
+def shift(W: AdmissibleWord, machine: Machine, scheme: NoiseScheme,
+          window: int = 0, prefix: str = "") -> Optional[Computation]:
+    """The computation erasing the marker and noise word of W's window
+    ``window``, run on ``machine`` as it is found, endpoints only; None
+    when the word is not erasable, and StepError when another window
+    refuses a step.  ``scheme`` reads the window, and ``prefix`` lifts its
+    rule names onto the machine: empty for M1's (q0 w q1), "c." on the
+    main machine, where working set c shifts every ring copy at once.
 
-    Returns the computation from (q0 w q1) to (q0 q1), endpoints only,
-    or None when w is not erasable.  With no markers present the word is
-    spelled backwards with noise rules.  Otherwise the rightmost marker
-    goes first: a positive marker is removed by spelling the gap to its
-    right backwards and then applying its payload rule; a negative marker
-    forces that gap to spell out, in decorated form, the noise steps that
-    followed its own creation, which _decode_rear peels off.  Each phase is
-    run on the machine as soon as it is found, the last spelling too, so
-    the history is replayed from (q0 w q1) exactly once, step by step as
-    it grows; it must come out reduced and end at (q0 q1).
+    With no markers present the word is spelled backwards with noise
+    rules.  Otherwise the rightmost marker goes first: a positive marker
+    is removed by spelling the gap to its right backwards and then
+    applying its payload rule; a negative marker forces that gap to spell
+    out, in decorated form, the noise steps that followed its own
+    creation, which _decode_rear peels off.  Each phase runs as soon as it
+    is found, so every step runs once; the history must come out reduced
+    and empty the window.
     """
-    _check_sector1(w, scheme)
-    q0, q1 = machine.hw.parts[0].start, machine.hw.parts[1].start
-    W0 = AdmissibleWord(machine.hw, (q0, q1), (w,))
-    W, hist = W0, []
+    _check_sector1(W.tapes[window], scheme)
+    names = {y: prefix + nm for y, nm in scheme.rule_names.items()}
+    W0, hist = W, []
     p = 0
     while p >= 0:
         # the rightmost marker, at p, and the gap to its right
-        ltrs = W.tapes[0].ltrs
+        ltrs = W.tapes[window].ltrs
         p = max(_scan(ltrs, scheme.signed[0]), default=-1)
         tail = ltrs[p + 1:]
         if p < 0 or ltrs[p] > 0:
-            steps = [(scheme.rule_name(abs(l)), 1 if l > 0 else -1)
+            steps = [(names[abs(l)], 1 if l > 0 else -1)
                      for l in reversed(tail)]
             if p >= 0:
-                steps.append((scheme.rule_name(scheme.unmark(ltrs[p])), 1))
+                steps.append((names[scheme.unmark(ltrs[p])], 1))
         else:
             a = scheme.unmark(-ltrs[p])
             dec = _decode_rear(Word(scheme.alpha, tail), a, scheme)
             if dec is None:
                 return None
-            steps = [(scheme.rule_name(y), e) for y, e in dec]
-            steps.append((scheme.rule_name(a), -1))
+            steps = [(names[y], e) for y, e in dec]
+            steps.append((names[a], -1))
         W = machine.run(W, steps, trace=False).final()
         hist += steps
-    if reduce_history(hist) != hist:
-        return None
-    if W.tapes[0]:
+    if reduce_history(hist) != hist or W.tapes[window]:
         return None
     return Computation([W0, W] if hist else [W0], hist)
 

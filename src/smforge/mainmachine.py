@@ -12,8 +12,8 @@ sector locked.
 Start configurations come in two shapes: ``input_i`` writes the payload
 word w into every input sector (mirrored through mu on the barred side)
 and ``input_j`` leaves the special sector empty.  ``accepting_run``
-synthesizes the accepting computation for either shape and replays it,
-the replay being the correctness check.  ``lambda_accept`` recognizes the
+runs the accepting computation for either shape as it finds it, on the
+machine itself, and checks its end.  ``lambda_accept`` recognizes the
 sector language of the special sector by semi-computations, on the
 machine's own letters: it decodes the noise history from the skeleton and
 one gap, tests the skeleton's payload image (no other letter leaves the
@@ -461,9 +461,10 @@ def accepting_run(W: AdmissibleWord, main: MainMachine
 
     The accept configuration itself gets the empty computation with count
     0.  A start configuration is accepted exactly when it reads I(w) or
-    J(w) for a member w of the plugin language; the history is built from
-    the marked shift, the handover, and the plugin's own accepting run,
-    then replayed on the machine as the correctness check.
+    J(w) for a member w of the plugin language.  Each step runs once, on
+    the machine, as it is found: the start rule, ``shift`` on copy 2's plain
+    input sector (over ``local_scheme``; every copy shifts with it), the
+    handover, the plugin's own accepting run and the closing rule.
     """
     mm = main.machine
     if W == mm.accept_config():
@@ -474,25 +475,24 @@ def accepting_run(W: AdmissibleWord, main: MainMachine
     which, w = shape
     if not main.plugin.member(main.to_plugin(w)):
         return None
-    marked = main.to_m1(relabel(w, dict(zip(main.A, main.A1)), w.alpha))
-    comp1 = shift(marked, main.m1, main.scheme)
-    if comp1 is None:
-        return None
     c = 1 if which == "I" else 2
-    lifted = {nm: "%d.%s" % (c, nm) for nm in main.m1.rules}
     hist: History = [("s%d" % c, 1)]
-    hist += [(lifted[nm], s) for nm, s in comp1.history]
-    hist.append(("%d.sigma" % c, 1))
-    hist += [("%d.%s" % (c, nm), s)
-             for nm, s in main.plugin.accept_run(main.to_plugin(w))]
-    hist.append(("a%d" % c, 1))
+    rest = [("%d.%s" % (c, nm), s) for nm, s in
+            [("sigma", 1)] + main.plugin.accept_run(main.to_plugin(w))]
+    rest.append(("a%d" % c, 1))
     try:
-        comp = mm.run(W, hist, trace=False)
+        comp = shift(mm.run(W, hist, trace=False).final(), mm,
+                     main.local_scheme, W.sectors.index(main.q_inputs[1]),
+                     "%d." % c)
+        if comp is None:
+            return None
+        final = mm.run(comp.final(), rest, trace=False).final()
     except StepError:
         return None
-    if comp.final() != mm.accept_config():
+    if final != mm.accept_config():
         return None
-    return comp, history_ell(hist)
+    hist += comp.history + rest
+    return Computation([W, final], hist), history_ell(hist)
 
 
 def history_ell(history: History) -> int:

@@ -472,16 +472,24 @@ def reference_run(machine, W, history, trace=True):
     return Computation(words, list(history))
 
 
+def m1_start(machine, w):
+    """(q0 w q1) on M1: the word w in sector 1 between the start states of
+    parts 0 and 1, the admissible word whose window 0 ``shift`` erases."""
+    from smforge.smachine import AdmissibleWord
+
+    q0, q1 = machine.hw.parts[0].start, machine.hw.parts[1].start
+    return AdmissibleWord(machine.hw, (q0, q1), (w,))
+
+
 def reference_shift(w, machine, scheme):
     """shift as it was: one run per step while the history is found, the
     last noise spelling only listed, then the whole history replayed.  It
     checks and splits the tape with this file's references, not with the
     library's ``_check_sector1`` and ``marker_split``, which shift uses."""
-    from smforge.smachine import AdmissibleWord, reduce_history
+    from smforge.smachine import reduce_history
 
     _reference_check_sector1(w, scheme)
-    q0, q1 = machine.hw.parts[0].start, machine.hw.parts[1].start
-    W0 = AdmissibleWord(machine.hw, (q0, q1), (w,))
+    W0 = m1_start(machine, w)
     W, hist = W0, []
     while True:
         gaps, markers = reference_marker_split(W.tapes[0], scheme)
@@ -511,6 +519,42 @@ def reference_shift(w, machine, scheme):
     if final.tapes[0] or final.base() != W0.base():
         return None
     return comp
+
+
+def reference_accepting_run(W, main, run=None):
+    """accepting_run as it was, in two passes: reference_shift finds the
+    marked word's shift on M1, its history is lifted onto working set c
+    by name, and the whole history is replayed on the main machine by
+    ``run`` (reference_run unless given; ``Machine.run`` takes its
+    arguments).  The start shape is reference_classify_start's."""
+    from smforge.smachine import Computation, StepError
+    from smforge.words import relabel
+
+    mm = main.machine
+    if W == mm.accept_config():
+        return Computation([W], []), 0
+    shape = reference_classify_start(W, main)
+    if shape is None or not main.plugin.member(main.to_plugin(shape[1])):
+        return None
+    which, w = shape
+    marked = main.to_m1(relabel(w, dict(zip(main.A, main.A1)), w.alpha))
+    comp1 = reference_shift(marked, main.m1, main.scheme)
+    if comp1 is None:
+        return None
+    c = 1 if which == "I" else 2
+    hist = [("s%d" % c, 1)]
+    hist += [("%d.%s" % (c, nm), s) for nm, s in comp1.history]
+    hist.append(("%d.sigma" % c, 1))
+    hist += [("%d.%s" % (c, nm), s)
+             for nm, s in main.plugin.accept_run(main.to_plugin(w))]
+    hist.append(("a%d" % c, 1))
+    try:
+        comp = (run or reference_run)(mm, W, hist, trace=False)
+    except StepError:
+        return None
+    if comp.final() != mm.accept_config():
+        return None
+    return comp, sum(1 for nm, _ in hist if nm in ("a1", "a2"))
 
 
 # -- band cells, built afresh for every band ---------------------------------

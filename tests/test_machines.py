@@ -6,7 +6,7 @@ import re
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import (epsilon, noise_pairs, reference_marker_split,
+from oracles import (epsilon, m1_start, noise_pairs, reference_marker_split,
                      reference_noise_word, reference_validate_basis)
 from smforge.machines import (
     build_m1,
@@ -494,15 +494,17 @@ def test_epsilon_invariance():
 
 def test_words_over_another_alphabet_raise():
     """A word is read by its ids only over the scheme's own alphabet: a
-    one-letter foreign word, and a marker of an equal second M1."""
+    one-letter foreign word, and a marker of an equal second M1, whose
+    (q0 a_1 q1) shift refuses too."""
     m, sch = m1("a")
     al = Alphabet()
-    foreign = [al.word([al.intern("zz")]),
-               build_m1(("a",))[1].alpha.parse("a_1")]
+    m2, sch2 = build_m1(("a",))
+    foreign = [al.word([al.intern("zz")]), sch2.alpha.parse("a_1")]
     for w in foreign:
-        for call in (lambda: shift(w, m, sch),
-                     lambda: strip_history(w, sch),
-                     lambda: decode_noise(w, sch)):
+        calls = [lambda: strip_history(w, sch), lambda: decode_noise(w, sch)]
+        if w.alpha is sch2.alpha:
+            calls.append(lambda: shift(m1_start(m2, w), m, sch))
+        for call in calls:
             with pytest.raises(ValueError,
                                match="not over the scheme's alphabet"):
                 call()
@@ -512,7 +514,7 @@ def test_words_over_another_alphabet_raise():
 
 def test_shift_zero_example():
     m, sch = m1("a")
-    c = shift(sch.alpha.parse("b2 b1"), m, sch)
+    c = shift(m1_start(m, sch.alpha.parse("b2 b1")), m, sch)
     assert c.time == 2
     assert c.history == [("theta_b1", 1), ("theta_b2", 1)]
     assert not c.final().tapes[0]
@@ -520,7 +522,7 @@ def test_shift_zero_example():
 
 def test_shift_positive_marker_example():
     m, sch = m1("a")
-    c = shift(sch.alpha.parse("a_1"), m, sch)
+    c = shift(m1_start(m, sch.alpha.parse("a_1")), m, sch)
     assert c.time == 1 + sch.D
     assert c.history[0] == ("theta_a", 1)
     assert all(s == 1 for _, s in c.history)
@@ -528,16 +530,16 @@ def test_shift_positive_marker_example():
 
 def test_shift_negative_marker():
     m, sch = m1("a")
-    c = shift(sch.alpha.parse("a_1^-1"), m, sch)
+    c = shift(m1_start(m, sch.alpha.parse("a_1^-1")), m, sch)
     assert c.history == [("theta_a", -1)]
 
 
 def test_shift_rejects():
     m, sch = m1("a")
     al = sch.alpha
-    assert shift(al.parse("a_1^-1 b1"), m, sch) is None
+    assert shift(m1_start(m, al.parse("a_1^-1 b1")), m, sch) is None
     with pytest.raises(ValueError):
-        shift(al.parse("a"), m, sch)
+        shift(m1_start(m, al.parse("a")), m, sch)
 
 
 def test_shift_roundtrip_is_inverse_history():
@@ -557,7 +559,7 @@ def test_shift_roundtrip_is_inverse_history():
         w = W.tapes[0]
         if not w:
             continue
-        c = shift(w, m, sch)
+        c = shift(m1_start(m, w), m, sch)
         assert c is not None, (trial, w.format())
         assert c.history == hist, (trial, hist, c.history)
         assert c.time <= shift_time_bound(w, sch)

@@ -10,8 +10,9 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import (reference_classify_start, reference_marker_split,
-                     reference_noise_word, signed_rules)
+from oracles import (reference_accepting_run, reference_classify_start,
+                     reference_marker_split, reference_noise_word,
+                     signed_rules)
 from smforge.words import Alphabet, UnknownLetterError, relabel, relabel_by_name
 from smforge.smachine import (Hardware, Machine, MachineError, NoiseDecl,
                               Part, SectorMismatchError, StateMismatchError,
@@ -297,9 +298,11 @@ def test_accept_step_counts(main1, letters, shape, word, steps):
 def test_accepting_run_compiles_few_steps_and_follows_them(monkeypatch):
     """Each rule compiles one _Step per (state tuple, slot tuple) and keeps
     it, and each compiled step links the step each rule makes next: on a
-    fresh M(a), accepting I(a^3) builds 13 steps for its 4,765 run steps
-    (shift and replay), and 99.5% of those follow an ``after`` link.  A
-    cache kept per run, or a step without ``after``, fails here."""
+    fresh M(a), accepting I(a^3) builds at most 10 steps for its 2,386
+    run steps, one per history step, as the history is run once, on the
+    main machine, while it is found; 99% of them follow an ``after``
+    link.  A second pass (the shift on M1, then a replay), a cache kept
+    per run, or a step without ``after``, fails here."""
     from smforge import smachine
     made, followed = [], []
     init, step = smachine._Step.__init__, smachine._Run.step
@@ -310,28 +313,70 @@ def test_accepting_run_compiles_few_steps_and_follows_them(monkeypatch):
         or step(run, rule)))
     main = build_main(("a",), DivisibleRecognizer(("a",), 1), DESK4)
     assert accepting_run(main.input_i(payload(main, 3)), main)[0].time == 2386
-    assert len(made) <= 13
-    assert sum(followed) >= 0.99 * len(followed) > 0
+    assert len(followed) == 2386
+    assert len(made) <= 10
+    assert sum(followed) >= 0.99 * len(followed)
 
 
 def test_accepting_run_rejections(main1, main_rej):
+    """The accept configuration gets the empty computation; the other
+    configurations here are refused, by the reference too."""
     mm = main1.machine
-    res = accepting_run(main1.machine.accept_config(), main1)
+    res = accepting_run(mm.accept_config(), main1)
     assert res is not None and res[0].time == 0 and res[1] == 0
-    assert accepting_run(main1.input_i(~payload(main1, 1)), main1) is None
-    assert accepting_run(main1.input_i(mm.hw.alpha.word()), main1) is None
+    assert reference_accepting_run(mm.accept_config(), main1) == res
     w = payload(main1, 1)
-    lopsided = mm.configuration({main1.special_sector: w})
-    assert accepting_run(lopsided, main1) is None
-    stray = mm.configuration({3: mm.hw.alpha.word([mm.hw.tapes[3][0]])})
-    assert accepting_run(stray, main1) is None
     unmirrored = {g: w for g in main1.q_inputs}
     unmirrored.update({g: relabel(w, main1.bar, mm.hw.alpha)
                        for g in main1.r_inputs})
-    assert accepting_run(mm.configuration(unmirrored), main1) is None
     wr = payload(main_rej, 1)
-    assert accepting_run(main_rej.input_i(wr), main_rej) is None
-    assert accepting_run(main_rej.input_j(wr), main_rej) is None
+    for W, main in [(main1.input_i(~w), main1),
+                    (main1.input_i(mm.hw.alpha.word()), main1),
+                    (mm.configuration({main1.special_sector: w}), main1),
+                    (mm.configuration(
+                        {3: mm.hw.alpha.word([mm.hw.tapes[3][0]])}), main1),
+                    (mm.configuration(unmirrored), main1),
+                    (main_rej.input_i(wr), main_rej),
+                    (main_rej.input_j(wr), main_rej)]:
+        assert accepting_run(W, main) is None
+        assert reference_accepting_run(W, main) is None
+
+
+_MAINS_C = {}
+
+
+def _main_c(letters, c):
+    if (letters, c) not in _MAINS_C:
+        _MAINS_C[letters, c] = build_main(
+            letters, DivisibleRecognizer(letters, c), DESK4)
+    return _MAINS_C[letters, c]
+
+
+@p("c", [1, 2])
+@p("letters,word", [(("a", "b"), x) for x in ("a", "b", "aa", "ab", "ba",
+                                              "bb")] + [(("a",), "aaa")])
+def test_accepting_run_matches_the_two_pass_reference(letters, word, c):
+    """The one run on the main machine gives the history, final
+    configuration and machine count of the two-pass reference, which
+    finds the shift on M1 and replays the lifted history: on I and J of
+    each positive word of length at most 2 over {a, b}, and of a^3 over
+    {a}, with c = 1 and c = 2 (which rejects odd lengths).  The
+    reference's replay is reference_run for one-letter words; the
+    1,128-step histories of two-letter words and the 2,386 steps of
+    a^3 take reference_run over a second each, so Machine.run replays
+    them, which test_recorded_accepting_runs_match_reference_run pins
+    to reference_run on I(ab) and I(aa)."""
+    main = _main_c(letters, c)
+    w = main.machine.hw.alpha.word([main.A[letters.index(x)] for x in word])
+    for W in (main.input_i(w), main.input_j(w)):
+        got = accepting_run(W, main)
+        want = reference_accepting_run(
+            W, main, Machine.run if len(word) > 1 else None)
+        assert (got is None) == (want is None) == (len(word) % c != 0)
+        if got is not None:
+            assert got[0].history == want[0].history
+            assert got[0].final() == want[0].final()
+            assert got[1] == want[1] == 1
 
 
 def _starts_agree(W, main, want):

@@ -41,12 +41,13 @@ import sys
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import (naive_reduce, random_reduced, random_signed_ids,
-                     reference_apply_rule, reference_decode_rear,
-                     reference_express, reference_image,
-                     reference_is_admissible, reference_noise_word,
-                     reference_run, reference_semi_run, reference_settle,
-                     reference_shift, reference_step, signed_rules)
+from oracles import (m1_start, naive_reduce, random_reduced,
+                     random_signed_ids, reference_apply_rule,
+                     reference_decode_rear, reference_express,
+                     reference_image, reference_is_admissible,
+                     reference_noise_word, reference_run,
+                     reference_semi_run, reference_settle, reference_shift,
+                     reference_step, signed_rules)
 from smforge import smachine
 from smforge.machines import _decode_rear, build_m1, shift
 from smforge.mainmachine import (DivisibleRecognizer, Params, accepting_run,
@@ -65,7 +66,8 @@ def _m1():
     m1, sch = build_m1(("a",))
     starts = []
     for k in (1, 2):
-        comp = shift(sch.alpha.word([sch.A1[0]] * k), m1, sch)
+        comp = shift(m1_start(m1, sch.alpha.word([sch.A1[0]] * k)), m1,
+                     sch)
         starts += m1.run(comp.words[0], comp.history).words
     return m1, starts
 
@@ -807,7 +809,7 @@ def test_recorded_accepting_runs_match_reference_run(letters, word):
                 assert seen.setdefault((s % main.P, t.ltrs), t) is t
     sch = main.scheme
     marked = relabel(main.to_m1(w), dict(zip(sch.A, sch.A1)), sch.alpha)
-    comp = shift(marked, main.m1, sch)
+    comp = shift(m1_start(main.m1, marked), main.m1, sch)
     assert main.m1.run(comp.words[0], comp.history).words == \
         reference_run(main.m1, comp.words[0], comp.history).words
     m5, al5 = main.m5, main.m5.hw.alpha
@@ -850,7 +852,8 @@ def _shift_inputs():
 @pytest.mark.parametrize("case", _shift_inputs())
 def test_shift_matches_reference_shift(case):
     m, sch, w = case
-    assert outcome(shift, w, m, sch) == outcome(reference_shift, w, m, sch)
+    assert outcome(shift, m1_start(m, w), m, sch) == \
+        outcome(reference_shift, w, m, sch)
 
 
 @pytest.mark.parametrize("letters", [("a",), ("a", "b")])

@@ -6,7 +6,7 @@ import re
 
 import pytest
 
-from oracles import component
+from oracles import component, m1_start
 from smforge.words import Word, relabel
 from smforge.smachine import (Machine, MachineError, NoiseDecl,
                               SectorMismatchError, StepError, apply_rule,
@@ -54,7 +54,7 @@ def accept_history(tower, k):
     """History driving the marked word a_1^k through shift, sigma, plugin."""
     m1, sch, plug, m3, m4, m5 = tower
     marked = sch.alpha.word([sch.A1[0]] * k)
-    comp = shift(marked, m1, sch)
+    comp = shift(m1_start(m1, marked), m1, sch)
     assert comp is not None
     pal = plug.machine.hw.alpha
     hist = list(comp.history) + [("sigma", 1)]
