@@ -33,7 +33,7 @@ from smforge.words import Alphabet, Word, free_reduce, reduces_to
 from smforge.smachine import (AdmissibleWord, Computation, GeneralizedRule,
                               BasisShapeError, History, Machine,
                               MachineError, SectorMismatchError, StepError,
-                              _LOCKED, apply_rule, reduce_history)
+                              _LOCKED, apply_rule, is_reduced_history)
 from smforge.towers import _copy_letter
 from smforge.mainmachine import MainMachine, accepting_run
 
@@ -413,7 +413,7 @@ def build_trapezium(pres: Presentation, comp: Computation) -> GridDiagram:
     not apply raises StepError with its index.  The area never exceeds the
     step count times the longest configuration.
     """
-    if reduce_history(comp.history) != list(comp.history):
+    if not is_reduced_history(comp.history):
         raise ValueError("history is not reduced")
     rows: List[Row] = []
     cur = comp.words[0]

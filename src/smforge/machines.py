@@ -20,9 +20,9 @@ computation erasing a sector-1 word, its rear gaps split by that peel, and
 ``strip_history`` decodes the unique history stripping a word down to its
 marker skeleton: a letter check, a marker scan (the run's ``_scan``) and
 the decode core ``_strip``, which reads the skeleton and the first nonempty
-gap alone; ``mainmachine.lambda_accept`` runs it on the main machine's
-own letters, through a scheme over that alphabet.  ``lambda1_accept``
-decodes once, tests the skeleton, and only then replays the history once.
+gap alone.  ``lambda1_accept`` decodes once, tests the skeleton, and only
+then replays the history once, to its last word; ``mainmachine``'s
+``lambda_accept`` runs its core on the main machine's own letters.
 Everything returned has run on the machine itself.
 """
 
@@ -46,7 +46,7 @@ from smforge.smachine import (
     SectorRule,
     _scan,
     _signed_set,
-    reduce_history,
+    is_reduced_history,
 )
 
 NOISE_NAMES = ("b1", "b2")
@@ -347,7 +347,7 @@ def shift(W: AdmissibleWord, machine: Machine, scheme: NoiseScheme,
             steps.append((names[a], -1))
         W = machine.run(W, steps, trace=False).final()
         hist += steps
-    if reduce_history(hist) != hist or W.tapes[window]:
+    if not is_reduced_history(hist) or W.tapes[window]:
         return None
     return Computation([W0, W] if hist else [W0], hist)
 
@@ -429,13 +429,32 @@ def lambda1_accept(w: Word, machine: Machine, scheme: NoiseScheme,
     """Semi-computation stripping w to a marker skeleton accepted by member.
 
     ``member`` judges the reduced payload image of the skeleton, before
-    any replay.  Returns (history, words) with words[-1] the noise-free
-    skeleton, or None.  The history comes from ``strip_history`` and is
-    verified by one replay.
+    any replay.  Returns (history, [w, skeleton]), or ([], [w]) when w is
+    its own skeleton, or None, also for a letter that is no marker or
+    noise letter.  The history is verified by one replay.
     """
-    stripped = strip_history(w, scheme)
+    _check_alphabet(w, scheme)
+    return _lambda(w, machine, scheme, member, 1, "")
+
+
+def _lambda(w: Word, machine: Machine, scheme: NoiseScheme,
+            member: Callable[[Word], bool], sector: int, prefix: str
+            ) -> Optional[Tuple[History, List[Word]]]:
+    """:func:`lambda1_accept` in ``sector`` of ``machine``, whose rules
+    carry the scheme's rule names behind ``prefix``: one letter set, one
+    marker scan, the decode, ``member``, and one replay from the set and
+    the markers as watch letters at their positions."""
+    marks, marked, _ = scheme.signed
+    ls = frozenset(w.ltrs)
+    if not marked.issuperset(ls):
+        return None
+    at = _scan(w.ltrs, marks)
+    stripped = _strip(w.ltrs, at, scheme)
     if stripped is None or not member(delta(stripped[1], scheme)):
         return None
-    hist, skeleton = stripped
-    words = machine.semi_run(w, 1, hist)
-    return (hist, words) if words[-1] == skeleton else None
+    steps, skeleton = stripped
+    if not steps:
+        return [], [w]
+    hist = [(prefix + nm, s) for nm, s in steps]
+    final = machine._semi_run(w, sector, hist, (ls, marks, at))
+    return (hist, [w, skeleton]) if final == skeleton else None

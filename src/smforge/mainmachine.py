@@ -14,14 +14,12 @@ word w into every input sector (mirrored through mu on the barred side)
 and ``input_j`` leaves the special sector empty.  ``accepting_run``
 runs the accepting computation for either shape as it finds it, on the
 machine itself, and checks its end.  ``lambda_accept`` recognizes the
-sector language of the special sector by semi-computations, on the
-machine's own letters: it decodes the noise history from the skeleton and
-one gap, tests the skeleton's payload image (no other letter leaves the
-machine's alphabet), and only then replays the history once.
+sector language of the special sector by ``lambda1_accept``'s core, then
+unmarks the skeleton; like the shift, it reads the bottom machine's noise
+scheme over the machine's own letters, so no letter leaves its alphabet.
 """
 
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from smforge.words import Alphabet, Word, relabel, relabel_by_name
@@ -36,9 +34,9 @@ from smforge.smachine import (
     RulePart,
     SectorRule,
     StepError,
-    _scan,
+    semi_apply,
 )
-from smforge.machines import NoiseScheme, _strip, build_m1, delta, shift
+from smforge.machines import NoiseScheme, _lambda, build_m1, shift
 from smforge.towers import (
     SigmaSpec,
     _Ring,
@@ -256,10 +254,11 @@ class RejectingRecognizer(RecognizerPlugin):
 class MainMachine:
     """The assembled machine plus the bookkeeping needed to drive it.
 
-    ``A``, ``A1``, ``B`` and ``bar`` hold the payload, marked and noise
-    letters (and the barred renaming) as ids of the machine's own
-    alphabet; ``q_inputs``/``r_inputs`` list the plain and mirrored input
-    sectors coordinate by coordinate.
+    ``scheme`` is M1's noise scheme over the machine's own alphabet, its
+    letters named as M1's.  ``A``, ``A1``, ``B`` and ``bar`` hold its
+    payload, marked and noise letters (and the barred renaming);
+    ``q_inputs``/``r_inputs`` list the plain and mirrored input sectors
+    coordinate by coordinate.
     """
 
     machine: Machine
@@ -280,29 +279,17 @@ class MainMachine:
 
     # -- words in and out ---------------------------------------------------
 
-    @cached_property
-    def local_scheme(self) -> NoiseScheme:
-        """The bottom scheme's letters as ids of the machine's alphabet."""
-        A2 = self.from_m1(Word(self.scheme.alpha, self.scheme.A2)).ltrs
-        return NoiseScheme(self.machine.hw.alpha, self.A, self.A1, A2, self.B)
-
     def payload(self, w: Word) -> Word:
         """w as a word of the machine's alphabet, checked to be plain."""
         al = self.machine.hw.alpha
         wm = w if w.alpha is al else relabel_by_name(w, al)
-        if not self.local_scheme.signed[2].issuperset(wm.ltrs):
+        if not self.scheme.signed[2].issuperset(wm.ltrs):
             raise ValueError("payload words use the plain input letters")
         return wm
 
     def mirror(self, w: Word) -> Word:
         """mu(w) = bar(w)^-1 over the machine's alphabet."""
         return ~relabel(w, self.bar, self.machine.hw.alpha)
-
-    def to_m1(self, w: Word) -> Word:
-        return relabel_by_name(w, self.scheme.alpha)
-
-    def from_m1(self, w: Word) -> Word:
-        return relabel_by_name(w, self.machine.hw.alpha)
 
     def to_plugin(self, w: Word) -> Word:
         wm = self.payload(w)
@@ -427,11 +414,12 @@ def build_main(letters: Sequence[str], plugin: RecognizerPlugin,
     def main_ids(ids: Tuple[int, ...]) -> Tuple[int, ...]:
         return tuple(al.id_of(scheme.alpha.name_of(x)) for x in ids)
 
-    A, A1, B = main_ids(scheme.A), main_ids(scheme.A1), main_ids(scheme.B)
+    A, A1, A2, B = map(main_ids, (scheme.A, scheme.A1, scheme.A2, scheme.B))
     bar = {x: al.id_of(bar_name(al.name_of(x))) for x in A + A1 + B}
     q_local, r_local = min(m5.input_sectors), max(m5.input_sectors)
     return MainMachine(
-        machine=machine, m1=m1, scheme=scheme, plugin=plugin, params=params,
+        machine=machine, m1=m1, scheme=NoiseScheme(al, A, A1, A2, B),
+        plugin=plugin, params=params,
         m5=m5, L=L, P=P, A=A, A1=A1, B=B, bar=bar,
         q_inputs=tuple((i - 1) * P + q_local for i in range(1, L + 1)),
         r_inputs=tuple((i - 1) * P + r_local for i in range(1, L + 1)),
@@ -448,7 +436,7 @@ def _classify_start(W: AdmissibleWord, main: MainMachine
     if W.hw is not hw or W.states != tuple(p.start for p in hw.parts):
         return None
     w = W.tapes[W.sectors.index(main.q_inputs[1])]
-    if not main.local_scheme.signed[2].issuperset(w.ltrs):
+    if not main.scheme.signed[2].issuperset(w.ltrs):
         return None
     if W == main.input_i(w):
         return "I", w
@@ -463,7 +451,7 @@ def accepting_run(W: AdmissibleWord, main: MainMachine
     0.  A start configuration is accepted exactly when it reads I(w) or
     J(w) for a member w of the plugin language.  Each step runs once, on
     the machine, as it is found: the start rule, ``shift`` on copy 2's plain
-    input sector (over ``local_scheme``; every copy shifts with it), the
+    input sector (over ``scheme``; every copy shifts with it), the
     handover, the plugin's own accepting run and the closing rule.
     """
     mm = main.machine
@@ -482,7 +470,7 @@ def accepting_run(W: AdmissibleWord, main: MainMachine
     rest.append(("a%d" % c, 1))
     try:
         comp = shift(mm.run(W, hist, trace=False).final(), mm,
-                     main.local_scheme, W.sectors.index(main.q_inputs[1]),
+                     main.scheme, W.sectors.index(main.q_inputs[1]),
                      "%d." % c)
         if comp is None:
             return None
@@ -518,38 +506,26 @@ def main_time_bound(main: MainMachine, n: int) -> int:
 def lambda_accept(w: Word, main: MainMachine,
                   member: Callable[[Word], bool]
                   ) -> Optional[Tuple[History, List[Word]]]:
-    """Accepting semi-computation of w in the special sector, if any.
+    """Accepting semi-computation of w in the special sector as (history,
+    [w, last word]), if any.
 
     ``member`` is the oracle for the accepted plain language; it receives
-    reduced words over the bottom scheme's payload letters.  Plain words
-    are accepted as they stand with the empty history.  Fully marked
-    words, decorated or not, are stripped by their decoded noise history
-    and unmarked by the inverse start rule, once ``member`` accepts their
-    marker skeleton.  Mixed words are never accepted.  One letter set
-    classifies the word, one scan finds its markers, and
-    :func:`strip_history`'s decode core reads the skeleton and the first
-    nonempty gap, all on the machine's own letters (``local_scheme``); no
-    letter leaves its alphabet but the payload image ``member`` judges.
-    The history is replayed once, from the letter set and the markers as
-    watch letters at their positions, and must reach the skeleton.
+    reduced words over the machine's payload letters, ``main.A``.  Plain
+    words are accepted as they stand, as ([], [w]).  Fully marked words,
+    decorated or not, are stripped by their decoded noise history
+    (``lambda1_accept``'s core, under working set 1) and unmarked by the
+    inverse start rule, once ``member`` accepts their marker skeleton.
+    Mixed words are never accepted.
     """
     al = main.machine.hw.alpha
     wm = w if w.alpha is al else relabel_by_name(w, al)
-    sch = main.local_scheme
-    marks, marked, plain = sch.signed
-    ls = frozenset(wm.ltrs)
-    if plain.issuperset(ls):
-        return ([], [wm]) if member(main.to_m1(wm)) else None
-    if not marked.issuperset(ls):
+    if main.scheme.signed[2].issuperset(wm.ltrs):
+        return ([], [wm]) if member(wm) else None
+    got = _lambda(wm, main.machine, main.scheme, member,
+                  main.special_sector, "1.")
+    if got is None:
         return None
-    at = _scan(wm.ltrs, marks)
-    stripped = _strip(wm.ltrs, at, sch)
-    if stripped is None or not member(main.to_m1(delta(stripped[1], sch))):
-        return None
-    hist = [("1." + nm, s) for nm, s in stripped[0]] + [("s1", -1)]
-    try:
-        words = main.machine._semi_run(wm, main.special_sector, hist,
-                                       (ls, marks, at))
-    except StepError:
-        return None
-    return (hist, words) if words[-2] == stripped[1] else None
+    hist, words = got
+    final = semi_apply(words[-1], main.machine.rule("s1", -1),
+                       main.special_sector)
+    return hist + [("s1", -1)], [wm, final]

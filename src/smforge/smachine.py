@@ -1091,10 +1091,11 @@ def semi_apply(w: Word, rule: GeneralizedRule, sector: int) -> Word:
 History = List[Tuple[str, int]]
 
 
-def reduce_history(history: History) -> History:
-    """The history with adjacent inverse steps cancelled; a malformed
-    entry raises HistoryEntryError."""
-    stack: List[Tuple[str, int]] = []
+def is_reduced_history(history: History) -> bool:
+    """Whether no two adjacent steps of ``history`` are inverse, read
+    without building a reduced copy.  Every entry is read as a run reads
+    it, and a malformed one raises HistoryEntryError."""
+    reduced, undo = True, None
     for entry in history:
         try:
             name, s = entry
@@ -1105,11 +1106,10 @@ def reduce_history(history: History) -> History:
             raise HistoryEntryError("history signs must be +-1")
         if name.__class__ is not str and not isinstance(name, str):
             raise HistoryEntryError("rule name %r is not a string" % (name,))
-        if stack and stack[-1] == (name, -s):
-            stack.pop()
-        else:
-            stack.append((name, s))
-    return stack
+        if undo == (name, s):
+            reduced = False
+        undo = (name, -s)
+    return reduced
 
 
 # history text is word text over rule names (see RuleNameError)
@@ -1227,13 +1227,16 @@ class Machine:
         """The words of the semi-computation of w along ``history`` in
         ``sector``, stepped by :meth:`run`'s loop: each step is
         :func:`semi_apply`'s, made in place on one buffer."""
-        return self._semi_run(w, sector, history, _fresh(w.ltrs))
+        run = _semi(self.hw, w, sector, _fresh(w.ltrs))
+        return self._walk(run, history, [w], partial(run._word, 0))
 
     def _semi_run(self, w: Word, sector: int, history: History,
-                  marks: _Marks) -> List[Word]:
-        """:meth:`semi_run` from ``marks``, marks of w the caller holds."""
+                  marks: _Marks) -> Word:
+        """The last word of :meth:`semi_run`, from ``marks``, marks of w
+        the caller holds; no other word is built."""
         run = _semi(self.hw, w, sector, marks)
-        return self._walk(run, history, [w], partial(run._word, 0))
+        self._walk(run, history, [], None)
+        return run._word(0)
 
     def _walk(self, run: _Run, history: History, words: list,
               word: Optional[Callable[[], object]]) -> list:

@@ -7,6 +7,7 @@ code against these, never the other way around.
 
 from __future__ import annotations
 
+import functools
 import os
 import random
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -32,6 +33,18 @@ def naive_reduce(letters: Sequence[int]) -> Tuple[int, ...]:
                 changed = True
                 break
     return tuple(out)
+
+
+def reference_reduce_history(history):
+    """The history with adjacent inverse steps cancelled, by a stack of
+    (name, sign) pairs."""
+    stack = []
+    for name, s in history:
+        if stack and stack[-1] == (name, -s):
+            stack.pop()
+        else:
+            stack.append((name, s))
+    return stack
 
 
 def naive_cyclic_reduce(letters: Sequence[int]) -> Tuple[int, ...]:
@@ -486,8 +499,6 @@ def reference_shift(w, machine, scheme):
     last noise spelling only listed, then the whole history replayed.  It
     checks and splits the tape with this file's references, not with the
     library's ``_check_sector1`` and ``marker_split``, which shift uses."""
-    from smforge.smachine import reduce_history
-
     _reference_check_sector1(w, scheme)
     W0 = m1_start(machine, w)
     W, hist = W0, []
@@ -512,7 +523,7 @@ def reference_shift(w, machine, scheme):
         for name, s in steps:
             W = reference_run(machine, W, [(name, s)]).final()
         hist += steps
-    if reduce_history(hist) != hist:
+    if reference_reduce_history(hist) != hist:
         return None
     comp = reference_run(machine, W0, hist, trace=False)
     final = comp.final()
@@ -521,14 +532,34 @@ def reference_shift(w, machine, scheme):
     return comp
 
 
+@functools.lru_cache(maxsize=None)
+def _bottom(letters):
+    from smforge.machines import build_m1
+
+    return build_m1(letters)
+
+
+def reference_bottom(main):
+    """M1 and its noise scheme, built afresh over the names of main's
+    payload letters: none of main's own bookkeeping is read."""
+    al = main.machine.hw.alpha
+    return _bottom(tuple(al.name_of(a) for a in main.A))
+
+
+def endpoints(words):
+    """The first and the last of a computation's words, or the one word."""
+    return words[:1] + words[1:][-1:]
+
+
 def reference_accepting_run(W, main, run=None):
     """accepting_run as it was, in two passes: reference_shift finds the
-    marked word's shift on M1, its history is lifted onto working set c
-    by name, and the whole history is replayed on the main machine by
-    ``run`` (reference_run unless given; ``Machine.run`` takes its
-    arguments).  The start shape is reference_classify_start's."""
+    marked word's shift on a fresh M1 (``reference_bottom``), its history
+    is lifted onto working set c by name, and the whole history is
+    replayed on the main machine by ``run`` (reference_run unless given;
+    ``Machine.run`` takes its arguments).  The start shape is
+    reference_classify_start's."""
     from smforge.smachine import Computation, StepError
-    from smforge.words import relabel
+    from smforge.words import relabel, relabel_by_name
 
     mm = main.machine
     if W == mm.accept_config():
@@ -537,8 +568,10 @@ def reference_accepting_run(W, main, run=None):
     if shape is None or not main.plugin.member(main.to_plugin(shape[1])):
         return None
     which, w = shape
-    marked = main.to_m1(relabel(w, dict(zip(main.A, main.A1)), w.alpha))
-    comp1 = reference_shift(marked, main.m1, main.scheme)
+    m1, sch = reference_bottom(main)
+    marked = relabel_by_name(relabel(w, dict(zip(main.A, main.A1)), w.alpha),
+                             sch.alpha)
+    comp1 = reference_shift(marked, m1, sch)
     if comp1 is None:
         return None
     c = 1 if which == "I" else 2
@@ -874,10 +907,14 @@ def reference_decode_rear(u, a, scheme):
 
 
 def reference_lambda1_accept(w, machine, scheme, member):
-    """Decode, replay on the bottom machine, then test the final word."""
+    """Decode, replay on the bottom machine, then test the final word; the
+    first and last words, as the library returns them.  A letter that is
+    no marker or noise letter gets None."""
     from smforge.machines import _erase_steps, delta, delta_letters
     from smforge.words import free_reduce
 
+    if not {abs(x) for x in w.ltrs} <= set(scheme.A1) | set(scheme.B):
+        return None
     gaps, markers = reference_marker_split(w, scheme)
     dl = delta_letters(w, scheme)
     if free_reduce(dl) != dl:
@@ -900,7 +937,7 @@ def reference_lambda1_accept(w, machine, scheme, member):
         return None
     if not member(delta(final, scheme)):
         return None
-    return hist, words
+    return hist, endpoints(words)
 
 
 def reference_classify_start(W, main):
@@ -930,8 +967,10 @@ def reference_classify_start(W, main):
 
 
 def reference_lambda_accept(w, main, member):
-    """reference_lambda1_accept on the bottom machine, then a second
-    replay of the lifted history on the main machine.  Both replays are
+    """reference_lambda1_accept on a fresh bottom machine
+    (``reference_bottom``), whose words ``member`` gets back over the main
+    machine's letters by name, then a second replay of the lifted history
+    on the main machine; the first and last words.  Both replays are
     reference_semi_run's, so nothing here steps through Machine.semi_run
     or the marks a decision hands it."""
     from smforge.smachine import StepError
@@ -941,11 +980,12 @@ def reference_lambda_accept(w, main, member):
     wm = w if w.alpha is al else relabel_by_name(w, al)
     ls = {abs(x) for x in wm.ltrs}
     if ls <= set(main.A):
-        return ([], [wm]) if member(main.to_m1(wm)) else None
+        return ([], [wm]) if member(wm) else None
     if not ls <= set(main.A1) | set(main.B):
         return None
-    res = reference_lambda1_accept(main.to_m1(wm), main.m1, main.scheme,
-                                   member)
+    m1, sch = reference_bottom(main)
+    res = reference_lambda1_accept(relabel_by_name(wm, sch.alpha), m1, sch,
+                                   lambda u: member(relabel_by_name(u, al)))
     if res is None:
         return None
     hist1, _ = res
@@ -956,7 +996,7 @@ def reference_lambda_accept(w, main, member):
                                    hist)
     except StepError:
         return None
-    return hist, words
+    return hist, endpoints(words)
 
 
 # -- expanded word problem, reducing after each deletion ----------------------

@@ -12,17 +12,20 @@ folds no basis: every sector basis the tower checks is free on sight, so
 no Stallings folder is built.  Then it builds every inverse rule of the
 main machine, of M1 and of M5; each is checked when it is built, like
 every rule, and none may be refused.  Last it times the first decode on
-the machine: one ``strip_history`` on its ``local_scheme`` of a marker
-decorated by three noise steps, which must read back those steps.  Then
-it times one ``lambda_accept`` (decode, membership and replay), twice:
-the marked block of the first 8 tape letters, pushed through 6 noise
-steps, judged by the language of the machine's recognizer (nonempty
-positive words); it must accept with the inverse history and end at the
-block.  The first call spells the images the replay moves, the second
-finds them spelled.  It prints the build time, the folders built, the
-inverse rules built and their time, the decode time, the two
-``lambda_accept`` times and the process's peak RSS, and exits nonzero
-when a check fails.
+the machine: one ``strip_history`` on its ``scheme`` (the noise scheme
+over the machine's own letters) of a marker decorated by three noise
+steps, which must read back those steps.  Then it times one
+``lambda_accept`` (decode, membership and replay), twice: the marked
+block of the first 8 tape letters, pushed through 6 noise steps, judged
+by the language of the machine's recognizer (nonempty positive words); it
+must accept with the inverse history and return exactly two words, the
+pushed word and the block.  The first call spells the images the replay
+moves, the second finds them spelled.  A third call runs under
+``tracemalloc``, which measures what its result holds once it returns.
+It prints the build time, the folders built, the inverse rules built and
+their time, the decode time, the two ``lambda_accept`` times, the MB its
+result holds and the process's peak RSS, and exits nonzero when a check
+fails.
 The body runs only as a script, so test collection imports this module
 without running anything.
 """
@@ -31,6 +34,7 @@ import os
 import resource
 import sys
 import time
+import tracemalloc
 
 
 def main(argv):
@@ -75,7 +79,7 @@ def check(argv, folds):
     t2 = time.perf_counter()
     # the marker of a after the noise steps of ys, last to first:
     # v(y3, a) v(y2, a) v(y1, a) a1, which their inverses strip in order
-    sch = main.local_scheme
+    sch = main.scheme
     a, ys = sch.A[0], (sch.B[0], sch.A[-1], sch.B[1])
     ltrs = sum((sch.noise_word(y, a).ltrs for y in reversed(ys)), ())
     w = words.Word(sch.alpha, ltrs + (sch.mark(a),))
@@ -86,22 +90,31 @@ def check(argv, folds):
     mm = main.machine
     block = main.payload(pipe.A.word(list(pipe.A.ids())[:8]))
     marked = words.relabel(block, dict(zip(main.A, main.A1)), mm.hw.alpha)
-    names = ["1." + main.scheme.rule_name(b) for b in main.scheme.B]
+    names = ["1." + sch.rule_name(b) for b in sch.B]
     push = [(names[i % 2], s) for i, s in enumerate((1, 1, -1, -1, 1, -1))]
     w = mm.semi_run(marked, main.special_sector, push)[-1]
     undo = [(n, -s) for n, s in reversed(push)] + [("s1", -1)]
+    def member(u):
+        return bool(u) and min(u.ltrs) > 0
+
     accepts = []
     for _ in range(2):
         t5 = time.perf_counter()
-        got = lambda_accept(w, main, lambda u: bool(u) and min(u.ltrs) > 0)
+        got = lambda_accept(w, main, member)
         accepts.append((time.perf_counter() - t5, got))
+    tracemalloc.start()
+    got = lambda_accept(w, main, member)
+    held = tracemalloc.get_traced_memory()[0] / 2 ** 20
+    tracemalloc.stop()
+    accepts.append((None, got))
     rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
     print("pipeline Z2 at C = %d: %d tape letters, %d rules, build %.2f s, "
           "%d folders, %d inverse rules in %.2f s, first decode %.3f s, "
-          "lambda_accept of %d letters %.3f s then %.3f s, peak RSS %.1f MB"
+          "lambda_accept of %d letters %.3f s then %.3f s, result holds "
+          "%.1f MB, peak RSS %.1f MB"
           % (C, len(letters), len(main.machine.rules), t1 - t0, len(folds),
              sum(len(m.rules) for m in machines), t2 - t1, t4 - t3, len(w),
-             accepts[0][0], accepts[1][0], rss))
+             accepts[0][0], accepts[1][0], held, rss))
     if len(letters) != 2 * C:
         print("expected %d tape letters" % (2 * C))
         return 1
@@ -116,8 +129,9 @@ def check(argv, folds):
         print("the decode did not read back the noise steps")
         return 1
     for _, got in accepts:
-        if got is None or got[0] != undo or got[1][-1] != block:
-            print("lambda_accept did not undo the noise steps to the block")
+        if got is None or got[0] != undo or got[1] != [w, block]:
+            print("lambda_accept did not undo the noise steps to the block, "
+                  "or returned other words than the pushed word and it")
             return 1
     return 0
 

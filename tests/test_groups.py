@@ -13,8 +13,9 @@ from oracles import (reference_apply_rule, reference_band,
                      reference_band_cells, reference_diagram_report,
                      reference_theta_length, rng)
 from smforge.smachine import (AdmissibleWord, BasisShapeError, Computation,
-                              GeneralizedRule, Hardware, Machine,
-                              MachineError, Part, RulePart, SectorRule,
+                              GeneralizedRule, Hardware, HistoryEntryError,
+                              Machine, MachineError, Part, RulePart,
+                              SectorRule,
                               StateMismatchError, StepError, apply_rule,
                               machine_from_text)
 from smforge.words import Alphabet, Word
@@ -139,6 +140,24 @@ def test_trapezium_rejects_a_wrong_endpoint(main1, pres):
         build_trapezium(pres, Computation([W, W], comp.history))
     with pytest.raises(ValueError, match="reduced"):
         build_trapezium(pres, Computation([W, W], [("s1", 1), ("s1", -1)]))
+
+
+def test_trapezium_reads_list_entries_as_a_run_does(main1, pres):
+    """A reduced history of [name, sign] lists is reduced: the trapezium
+    replays it as ``Machine.run`` does, to the diagram of its tuples.  An
+    unreduced one is refused, and a malformed entry raises as in a run,
+    even after an inverse pair."""
+    W = main1.input_i(payload(main1, 1))
+    comp, _ = accepting_run(W, main1)
+    listed = [list(e) for e in comp.history]
+    assert main1.machine.run(W, listed, trace=False).final() == comp.final()
+    assert diagram_to_json(build_trapezium(pres, Computation(
+        comp.words, listed))) == diagram_to_json(build_trapezium(pres, comp))
+    with pytest.raises(ValueError, match="reduced"):
+        build_trapezium(pres, Computation([W, W], [["s1", 1], ["s1", -1]]))
+    with pytest.raises(HistoryEntryError):
+        build_trapezium(pres, Computation(
+            [W, W], [("s1", 1), ("s1", -1), ("s1",)]))
 
 
 def test_trapezium_names_the_step_that_does_not_apply(main1, pres):

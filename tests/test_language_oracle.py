@@ -2,8 +2,9 @@
 oracles.py.
 
 The library decodes a marked word once, tests its marker skeleton, and
-replays the decoded history once; the references decode, replay on the
-bottom machine, test, and replay again.  Words are skeletons, some with
+replays the decoded history once, to its last word; the references decode,
+replay on a bottom machine of their own, test, and replay again.  Both
+are compared on the history and the first and last words.  Words are skeletons, some with
 noise letters between their markers (garbage gaps, unreduced skeletons),
 pushed through random reduced histories of noise and payload rules, then
 left alone or cut by one letter or grown by one noise letter.  Members
@@ -22,18 +23,18 @@ import functools
 
 from hypothesis import given, settings, strategies as st
 
-from oracles import (noise_pairs, reference_cyclic_d_prefixes,
-                     reference_d_word, reference_decode_noise,
-                     reference_lambda1_accept, reference_lambda_accept,
-                     reference_marker_split, reference_noise_word,
-                     reference_wp_RC, ring_wp_RC)
+from oracles import (noise_pairs, reference_bottom,
+                     reference_cyclic_d_prefixes, reference_d_word,
+                     reference_decode_noise, reference_lambda1_accept,
+                     reference_lambda_accept, reference_marker_split,
+                     reference_noise_word, reference_wp_RC, ring_wp_RC)
 from smforge.embedding import (build_pipeline, builtin_oracle, lambda_oracle,
                                wp_RC)
 from smforge.machines import decode_noise, delta, lambda1_accept
-from smforge.mainmachine import (DivisibleRecognizer, MainMachine, Params,
-                                 build_main, lambda_accept)
-from smforge.smachine import Machine, _fresh, _scan
-from smforge.words import relabel
+from smforge.mainmachine import (DivisibleRecognizer, Params, build_main,
+                                 lambda_accept)
+from smforge.smachine import Machine, _Run, _fresh, _scan
+from smforge.words import relabel, relabel_by_name
 
 
 @functools.lru_cache(maxsize=None)
@@ -64,9 +65,9 @@ def reduced_histories(draw, names, max_size=5):
 @st.composite
 def sector_words(draw):
     """A pushed, possibly decorated and mutated word over markers and noise,
-    with the reduced payload image of its start skeleton."""
-    main = _main()
-    m1, sch = main.m1, main.scheme
+    with the reduced payload image of its start skeleton, on the
+    reference's bottom machine."""
+    m1, sch = reference_bottom(_main())
     al = sch.alpha
     noise = st.tuples(st.sampled_from(sch.B), signs).map(lambda t: t[0] * t[1])
     start = []
@@ -93,17 +94,23 @@ def members(target):
 @given(st.data())
 @settings(max_examples=150, deadline=None)
 def test_sector_decisions_match_the_reference(data):
+    """``member`` judges words over M1's letters, and gets the main
+    machine's words back over them by name."""
     main = _main()
-    m1, sch = main.m1, main.scheme
+    m1, sch = reference_bottom(main)
     w, target = data.draw(sector_words())
     member = data.draw(members(target))
     for gap in reference_marker_split(w, sch)[0]:
         assert decode_noise(gap, sch) == reference_decode_noise(gap, sch)
     assert lambda1_accept(w, m1, sch, member) == \
         reference_lambda1_accept(w, m1, sch, member)
-    wm = main.from_m1(w)
-    assert lambda_accept(wm, main, member) == \
-        reference_lambda_accept(wm, main, member)
+    wm = relabel_by_name(w, main.machine.hw.alpha)
+
+    def main_member(u):
+        return member(relabel_by_name(u, sch.alpha))
+
+    assert lambda_accept(wm, main, main_member) == \
+        reference_lambda_accept(wm, main, main_member)
 
 
 @given(st.data())
@@ -114,7 +121,7 @@ def test_plain_and_mixed_words_match_the_reference(data):
     pool = main.A + (main.A1 + main.B if data.draw(st.booleans()) else ())
     w = al.word(x * s for x, s in data.draw(st.lists(
         st.tuples(st.sampled_from(pool), signs), max_size=8)))
-    member = data.draw(members(main.to_m1(w)))
+    member = data.draw(members(w))
     assert lambda_accept(w, main, member) == \
         reference_lambda_accept(w, main, member)
 
@@ -130,7 +137,7 @@ def _pipe_main():
 
 
 def _pipe_member(u):
-    """lambda_oracle on a word over the bottom scheme's payload letters."""
+    """lambda_oracle on a word over the main machine's payload letters."""
     pipe, main = _pipe_main()
     sch = main.scheme
     return lambda_oracle(relabel(u, {y: pipe.A.id_of(sch.alpha.name_of(y))
@@ -200,21 +207,44 @@ def _first_workload_word():
                                           (b2, 1), (b1, 1), (b2, -1)])
 
 
-def test_a_marked_request_carries_only_the_payload_image(monkeypatch):
+def test_member_gets_words_over_the_machine_s_payload_letters():
+    """No word leaves the machine's alphabet: ``member`` is asked about
+    the skeleton's payload image over ``main.A``, for a marked word and
+    a plain one."""
+    main = _pipe_main()[1]
+    al = main.machine.hw.alpha
+    w = _first_workload_word()
+    asked = []
+
+    def member(u):
+        asked.append(u)
+        return _pipe_member(u)
+
+    got = lambda_accept(w, main, member)
+    assert got is not None and lambda_accept(got[1][-1], main, member)
+    assert len(asked) == 2 and asked[0] == asked[1] == got[1][-1]
+    for u in asked:
+        assert u.alpha is al and {abs(x) for x in u.ltrs} <= set(main.A)
+
+
+def test_a_replay_builds_only_its_endpoints(monkeypatch):
+    """A word pushed through 6 noise steps: the replay builds its last
+    word alone and the unmark step one more, so the decision builds at
+    most two Words from run buffers and returns two words."""
     main = _pipe_main()[1]
     w = _first_workload_word()
-    markers = reference_marker_split(main.to_m1(w), main.scheme)[1]
-    carried = []
-    for name in ("to_m1", "from_m1"):
-        def counting(self, u, move=getattr(MainMachine, name)):
-            carried.append(len(u))
-            return move(self, u)
+    built = []
+    word = _Run._word
 
-        monkeypatch.setattr(MainMachine, name, counting)
-    assert lambda_accept(w, main, _pipe_member) is not None
-    # the decode and the replay read the machine's own letters: only the
-    # skeleton's payload image crosses into the bottom scheme's alphabet
-    assert sum(carried) <= len(markers)
+    def counting(self, k):
+        built.append(k)
+        return word(self, k)
+
+    monkeypatch.setattr(_Run, "_word", counting)
+    got = lambda_accept(w, main, _pipe_member)
+    assert got is not None and len(got[0]) == 7
+    assert len(built) <= 2
+    assert len(got[1]) == 2 and got[1][0] is w
 
 
 def test_the_replay_starts_from_the_marks_of_its_first_push(monkeypatch):

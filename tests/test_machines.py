@@ -29,8 +29,8 @@ from smforge.smachine import (
     SectorRule,
     _fresh,
     machine_from_text,
+    is_reduced_history,
     machine_to_text,
-    reduce_history,
     semi_apply,
     validate_noisy,
 )
@@ -602,7 +602,7 @@ def test_lambda1_roundtrip(skel_txt):
         h, words = got
         assert h == inverse_history(hist)
         assert words[-1] == skel
-        assert reduce_history(h) == h
+        assert is_reduced_history(h)
 
 
 def test_lambda1_skeleton_and_rejections():
@@ -616,6 +616,10 @@ def test_lambda1_skeleton_and_rejections():
                           lambda z: True) is None
     # garbage that decodes as no noise expression
     assert lambda1_accept(al.parse("b2 a_1"), m, sch, lambda z: True) is None
+    # a replay of two steps gives back w and the skeleton alone
+    w = m.semi_run(skel, 1, [("theta_b1", 1), ("theta_c", -1)])[-1]
+    assert lambda1_accept(w, m, sch, lambda z: True) == \
+        ([("theta_c", 1), ("theta_b1", -1)], [w, skel])
     # markers that cancel during decoration leave a smaller valid word
     hist = [("theta_c", 1), ("theta_b1", -1)]
     w = m.semi_run(al.parse("a_1 a_1^-1 c_1"), 1, hist)[-1]
@@ -679,6 +683,15 @@ def test_lambda1_accepts_every_word_a_search_reaches(letters, depth, count):
         even = len(delta(skel, sch)) % 2 == 0
         assert (lambda1_accept(w, m, sch, lambda z: len(z) % 2 == 0)
                 is not None) is even
+
+
+@p("text", ["a", "a_1 a", "b1 a^-1 a_1", "a_2", "a_1 c_2^-1"])
+def test_lambda1_refuses_a_payload_or_copy_letter(text):
+    """A payload letter, or an inert copy, in sector 1 blocks every
+    computation: the word is not in the language, and gets None."""
+    m, sch = m1("a", "c")
+    w = sch.alpha.parse(text)
+    assert lambda1_accept(w, m, sch, lambda z: True) is None
 
 
 def test_lambda1_empty_word():

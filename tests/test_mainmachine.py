@@ -8,16 +8,16 @@ import types
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
 
-from oracles import (reference_accepting_run, reference_classify_start,
-                     reference_marker_split, reference_noise_word,
-                     signed_rules)
+from oracles import (noise_pairs, reference_accepting_run,
+                     reference_classify_start, reference_marker_split,
+                     reference_noise_word, signed_rules)
 from smforge.words import Alphabet, UnknownLetterError, relabel, relabel_by_name
 from smforge.smachine import (Hardware, Machine, MachineError, NoiseDecl,
                               Part, SectorMismatchError, StateMismatchError,
                               StepError, apply_rule, machine_from_text,
-                              machine_to_text, reduce_history, validate_noisy)
+                              is_reduced_history, machine_to_text,
+                              validate_noisy)
 from smforge.machines import build_m1
 from smforge.mainmachine import (DivisibleRecognizer, Params,
                                  PAPER_CONSTRAINTS, RejectingRecognizer,
@@ -249,7 +249,7 @@ def test_start_rule_asymmetry(main1):
 
 def test_m1_word_under_a_main_rule_is_typed(main1):
     m1 = main1.m1
-    W = m1.configuration({1: m1.hw.alpha.word([main1.scheme.A1[0]])})
+    W = m1.configuration({1: m1.hw.alpha.parse("a_1")})
     with pytest.raises(MachineError,
                        match="rule s1: hardware differs from the word's"):
         apply_rule(W, main1.machine.rule("s1"))
@@ -420,7 +420,7 @@ def test_changed_start_tapes_match_the_reference(main1, main_rej):
     _starts_agree(twin.input_i(payload(twin, 1)), main1, None)
     _starts_agree(main_rej.input_i(wr), main1, None)
     m1 = main1.m1
-    marker = m1.hw.alpha.word([main1.scheme.A1[0]])
+    marker = m1.hw.alpha.parse("a_1")
     _starts_agree(m1.configuration({1: marker}), main1, None)
 
 
@@ -516,7 +516,7 @@ def test_lambda_accepts_marked_members(main1):
     assert res is not None
     hist, words = res
     assert hist == [("s1", -1)]
-    assert words[-1] == payload(main1, 2)
+    assert words == [marked, payload(main1, 2)]
 
 
 @p("push", [[("1.theta_b1", 1)],
@@ -530,7 +530,7 @@ def test_lambda_strips_noise_decorations(main1, push):
     assert res is not None
     hist, words = res
     assert hist == [(n, -s) for n, s in reversed(push)] + [("s1", -1)]
-    assert words[0] == pushed and words[-1] == payload(main1, 2)
+    assert words == [pushed, payload(main1, 2)]
 
 
 def test_lambda_rejects_mixed_and_noise(main1):
@@ -554,7 +554,7 @@ def test_lambda_recovers_payload_pushes(main1):
     assert res is not None
     hist, words = res
     assert hist == [("1.theta_a", 1), ("s1", -1)]
-    assert words[-1] == payload(main1, 2)
+    assert words == [pushed, payload(main1, 2)]
 
 
 def test_lambda_rejects_unreduced_skeletons(main1):
@@ -566,28 +566,24 @@ def test_lambda_rejects_unreduced_skeletons(main1):
 # -- words in and out ---------------------------------------------------------------
 
 
-@given(st.data())
-@settings(max_examples=50, deadline=None)
-def test_to_m1_matches_relabel_by_name(main1, data):
-    letters = main1.A + main1.A1 + main1.B
-    pairs = data.draw(st.lists(st.tuples(st.sampled_from(letters),
-                                         st.sampled_from((1, -1))),
-                               max_size=30))
-    w = main1.machine.hw.alpha.word(x * s for x, s in pairs)
-    m1w = main1.to_m1(w)
-    assert m1w == relabel_by_name(w, main1.scheme.alpha)
-    assert main1.from_m1(m1w) == w
-    assert main1.from_m1(m1w) == relabel_by_name(m1w, main1.machine.hw.alpha)
-
-
-def test_to_m1_rejects_a_letter_without_counterpart(main1):
-    al = main1.machine.hw.alpha
-    w = al.word([main1.A[0], main1.machine.hw.parts[1].start])
-    with pytest.raises(KeyError) as want:
-        relabel_by_name(w, main1.scheme.alpha)
-    with pytest.raises(KeyError) as got:
-        main1.to_m1(w)
-    assert str(got.value) == str(want.value)
+def test_the_scheme_is_m1_s_over_the_machine_s_letters(main1):
+    """``main.scheme`` names its letters as M1's scheme does, in the same
+    order, so its noise words and rule names are M1's, spelled over the
+    machine's alphabet."""
+    sch1 = build_m1(("a",))[1]
+    sch, al = main1.scheme, main1.machine.hw.alpha
+    assert sch.alpha is al
+    assert (sch.A, sch.A1, sch.B) == (main1.A, main1.A1, main1.B)
+    for ids, ids1 in zip((sch.A, sch.A1, sch.A2, sch.B),
+                         (sch1.A, sch1.A1, sch1.A2, sch1.B)):
+        assert [al.name_of(x) for x in ids] == \
+            [sch1.alpha.name_of(x) for x in ids1]
+    assert [sch.rule_name(y) for y in sch.A + sch.B] == \
+        [sch1.rule_name(y) for y in sch1.A + sch1.B]
+    for (y, a), (y1, a1) in zip(noise_pairs(sch), noise_pairs(sch1)):
+        v = al.word(sch.noise_word(y, a).ltrs)
+        assert relabel_by_name(v, sch1.alpha).ltrs == \
+            sch1.noise_word(y1, a1).ltrs
 
 
 def test_letters_the_machine_lacks_are_typed(main1):
@@ -601,26 +597,25 @@ def test_letters_the_machine_lacks_are_typed(main1):
 
 # -- semi-computations in the special sector ----------------------------------------
 #
-# Read compressed: through reference_marker_split on the bottom machine's
-# alphabet, so the markers and the noise gaps between them, the first and
-# last gaps apart.
+# Read compressed: through reference_marker_split on the machine's scheme,
+# so the markers and the noise gaps between them, the first and last gaps
+# apart.
 
 
 def semi(main, w, history):
-    return [main.to_m1(u)
-            for u in main.machine.semi_run(w, main.special_sector, history)]
+    return main.machine.semi_run(w, main.special_sector, history)
 
 
 def test_compressed_semi_tracks_marking(main1):
     w = payload(main1, 2)
     words = semi(main1, w, [("s1", 1), ("1.theta_b1", 1)])
     sch = main1.scheme
-    assert words[0] == main1.to_m1(w)
+    assert words[0] == w
     assert words[1] == sch.alpha.word([sch.A1[0]] * 2)
     gaps, markers = reference_marker_split(words[2], sch)
     assert markers == [sch.A1[0]] * 2 and len(gaps[1]) == sch.D
     back = semi(main1, w, [("s1", 1), ("s1", -1)])
-    assert back[-1] == main1.to_m1(w)
+    assert back[-1] == w
 
 
 def test_compressed_semi_guards(main1):
@@ -656,7 +651,7 @@ def test_compressed_gap_growth_bounds(main3):
               for n in ("x", "y", "z", "b1", "b2") for s in (1, -1)]
     hists = [[a] for a in signed]
     hists += [[a, b] for a, b in itertools.product(signed, signed)
-              if reduce_history([a, b]) == [a, b]]
+              if is_reduced_history([a, b])]
     for seq in hists:
         words = semi(main3, w0, [("s1", 1)] + seq)
         gaps, markers = reference_marker_split(words[-1], sch)
@@ -784,7 +779,7 @@ def test_a_decode_spells_only_the_noise_words_it_peels(monkeypatch):
     pipe = embedding.build_pipeline(embedding.builtin_oracle("Z2"), 8)
     letters = tuple(pipe.letters)
     main = build_main(letters, DivisibleRecognizer(letters, 1), DESK4)
-    sch = main.local_scheme
+    sch = main.scheme
     a, ys = sch.A[0], (sch.B[0], sch.A[-1], sch.B[1], sch.B[0])
     # the marker of a after the noise steps of ys, last to first
     gap = sum((sch.noise_word(y, a).ltrs for y in reversed(ys)), ())

@@ -807,11 +807,12 @@ def test_recorded_accepting_runs_match_reference_run(letters, word):
             seen = {}
             for s, t in zip(V.sectors, V.tapes):
                 assert seen.setdefault((s % main.P, t.ltrs), t) is t
-    sch = main.scheme
-    marked = relabel(main.to_m1(w), dict(zip(sch.A, sch.A1)), sch.alpha)
-    comp = shift(m1_start(main.m1, marked), main.m1, sch)
-    assert main.m1.run(comp.words[0], comp.history).words == \
-        reference_run(main.m1, comp.words[0], comp.history).words
+    m1, sch = build_m1(letters)
+    marked = _by_name(relabel(w, dict(zip(main.A, main.A1)), w.alpha),
+                      sch.alpha)
+    comp = shift(m1_start(m1, marked), m1, sch)
+    assert m1.run(comp.words[0], comp.history).words == \
+        reference_run(m1, comp.words[0], comp.history).words
     m5, al5 = main.m5, main.m5.hw.alpha
     W5 = m5.input_config({2: _by_name(marked, al5),
                           6: ~_by_name(marked, al5, bar_name)})
@@ -928,15 +929,11 @@ def semi_outcome(run, w, sector, history):
                 type(getattr(e, "reason", None)))
 
 
-@pytest.mark.parametrize("case", [0, 1, 2])
-@given(seed=st.integers(0, 2 ** 32 - 1))
-@settings(max_examples=40, deadline=None)
-def test_semi_run_matches_reference_semi_run(case, seed):
-    """Machine.semi_run, which carries letter sets and watch positions from
-    step to step, gives reference_semi_run's words or error.  A word,
+def _semi_input(case, seed):
+    """A machine, a word, a sector and a history from the seed.  The word,
     mostly over the letters the sector's rules read, is pushed along a
-    random history and then replayed along its inverse and some more
-    steps: steps read off the image, words outside the domain, locked
+    random history, and the history replays it along its inverse and some
+    more steps: steps read off the image, words outside the domain, locked
     sectors, junctions that cancel watch letters, a faulty step or a
     sector outside the hardware."""
     m, sector = _semi_cases()[case]
@@ -968,5 +965,30 @@ def test_semi_run_matches_reference_semi_run(case, seed):
         history.insert(r.randrange(len(history) + 1), fault)
     if r.random() < 0.05:
         sector = r.choice([9, -1])
+    return m, w, sector, history
+
+
+@pytest.mark.parametrize("case", [0, 1, 2])
+@given(seed=st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=40, deadline=None)
+def test_semi_run_matches_reference_semi_run(case, seed):
+    """Machine.semi_run, which carries letter sets and watch positions from
+    step to step, gives reference_semi_run's words or error."""
+    m, w, sector, history = _semi_input(case, seed)
     assert semi_outcome(m.semi_run, w, sector, history) == \
-        semi_outcome(ref, w, sector, history)
+        semi_outcome(lambda *a: reference_semi_run(m, *a), w, sector, history)
+
+
+@pytest.mark.parametrize("case", [0, 1, 2])
+@given(seed=st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=40, deadline=None)
+def test_a_semi_run_s_last_word_alone_is_semi_run_s(case, seed):
+    """Machine._semi_run from fresh marks builds only the last word:
+    semi_run's last word, or the same error."""
+    m, w, sector, history = _semi_input(case, seed)
+
+    def last(w, sector, history):
+        return m._semi_run(w, sector, history, _fresh(w.ltrs))
+
+    assert semi_outcome(last, w, sector, history) == semi_outcome(
+        lambda *a: m.semi_run(*a)[-1], w, sector, history)

@@ -5,7 +5,8 @@ import re
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import reference_validate_basis, signed_rules
+from oracles import (reference_reduce_history, reference_validate_basis,
+                     signed_rules)
 from smforge.machines import build_m1
 from smforge.mainmachine import DivisibleRecognizer, Params, build_main
 from smforge.smachine import (
@@ -13,8 +14,8 @@ from smforge.smachine import (
     HistoryEntryError, Machine, MachineError, NoiseDecl, ParseError, Part,
     RuleNameError, RulePart, SectorMismatchError, SectorRule,
     StateMismatchError, StepError, UnknownRuleError, apply_rule, invert_rule,
-    machine_from_text, machine_to_text, parse_history, format_history,
-    reduce_history, semi_apply, validate_noisy,
+    is_reduced_history, machine_from_text, machine_to_text, parse_history,
+    format_history, semi_apply, validate_noisy,
 )
 from smforge.words import Alphabet, Word
 
@@ -584,21 +585,42 @@ def test_malformed_history_entries_are_typed(entry, message):
     ([(5, 1)], "rule name 5 is not a string"),
     ([("peel",)], "history entry ('peel',) is not a (rule name, sign) pair"),
 ])
-def test_reduce_history_reads_entries_as_a_run_does(history, message):
+def test_is_reduced_history_reads_entries_as_a_run_does(history, message):
     with pytest.raises(HistoryEntryError) as ei:
-        reduce_history(history)
+        is_reduced_history(history)
     assert str(ei.value) == message
+    # every entry is read, also after an inverse pair
+    with pytest.raises(HistoryEntryError) as ei:
+        is_reduced_history([("peel", 1), ("peel", -1)] + history)
+    assert str(ei.value) == message
+
+
+@p("history, reduced", [
+    ([], True),
+    ([("peel", 1)], True),
+    ([("peel", 1), ("peel", 1)], True),
+    ([("peel", 1), ("twist", -1), ("peel", -1)], True),
+    ([("peel", 1), ("peel", -1)], False),
+    ([("twist", 1), ["twist", 1], ["twist", -1]], False),
+    ([["peel", -1], ["twist", 1]], True),
+])
+def test_is_reduced_history_reads_pairs_of_steps(history, reduced):
+    """Adjacent inverse steps make a history unreduced, whether its
+    entries are tuples or lists, as the reference reduction finds."""
+    assert is_reduced_history(history) is reduced
+    assert (reference_reduce_history(history)
+            == [tuple(e) for e in history]) is reduced
 
 
 def test_an_inverse_is_spelled_by_its_sign_alone():
     """(name, -1) is the one spelling of an inverse step: a name ending in
-    ``^-1`` is unknown, so reduce_history keeps (twist, 1) beside it and a
+    ``^-1`` is unknown, so (twist, 1) beside it is reduced and a
     run stops there; the inverse rule lives on its rule, built once."""
     m = tiny_machine()
     with pytest.raises(UnknownRuleError, match="unknown rule 'twist\\^-1'"):
         m.rule("twist^-1")
     history = [("twist", 1), ("twist^-1", 1)]
-    assert reduce_history(history) == history
+    assert is_reduced_history(history)
     W = AdmissibleWord.from_word(m.hw, m.hw.alpha.parse("q0 a q1 q2"))
     with pytest.raises(StepError) as ei:
         m.run(W, history)
@@ -850,7 +872,8 @@ def test_semi_apply_and_history_utils():
     assert semi_apply(img, m.rule("twist", -1), 1) == w
     h = parse_history("peel twist^-1 twist peel")
     assert format_history(h) == "peel twist^-1 twist peel"
-    assert reduce_history(h) == [("peel", 1), ("peel", 1)]
+    assert not is_reduced_history(h)
+    assert reference_reduce_history(h) == [("peel", 1), ("peel", 1)]
     assert parse_history("1") == [] and format_history([]) == "1"
 
 
@@ -908,7 +931,7 @@ def test_history_text_round_trips_and_a_reduced_run_ends_alike(which, data):
             V = U
     assert parse_history(format_history(walk)) == walk
     assert m.run(W, walk, trace=False).final() == V
-    assert m.run(W, reduce_history(walk), trace=False).final() == V
+    assert m.run(W, reference_reduce_history(walk), trace=False).final() == V
 
 
 def test_machine_text_round_trip():
